@@ -3,9 +3,11 @@
 The library builds threshold-detector POVMs on truncated photon-number
 blocks, models dark counts and loss as classical post-processing, squashes
 to flag-state target measurements, constructs the noise channels that
-absorb the imperfections, and certifies every claimed identity numerically
-(CPTP via the Choi matrix, statistics equivalence over an operator basis,
-weight relations, LP/SDP feasibility).
+absorb the imperfections, and certifies every claimed identity numerically.
+Channels are held as Choi matrices; CPTP, statistics equivalence and the
+weight relations are checked on them as exact operator identities over the
+whole input space, and the swap LP and the Choi feasibility probe are
+re-verified without their solvers.
 """
 
 __version__ = "0.1.0"

@@ -7,15 +7,19 @@ efficiencies into a probabilistic split of the loss post-processing, and a
 generic deviation ``q`` into a branch that surrenders part of the preserved
 state to the flags.
 
-Channels are stored structurally as sums of primitive completely positive
-terms; the Choi matrix is derived on demand by pushing a full matrix-unit
-basis through the structure, so certification (PSD Choi, trace
-preservation, statistics equivalence over an operator basis) is independent
-of how the channel was assembled.
+A channel is held as its Choi matrix ``J``, assembled directly from the
+completely positive terms of its construction; application, composition
+(the link product) and every certificate read ``J``.  A certificate checks
+one of two things: that ``J`` is CPTP (Hermitian, PSD, ``Tr_out J = I``),
+or an operator identity ``Phi^dag(F_after_i) = sum_j P_ij F_before_j`` in
+the Heisenberg picture.  The identity is compared entry by entry, so it
+holds for every input operator, off-block-diagonal ones included, rather
+than on sampled states.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -37,6 +41,9 @@ from .squashing import SquashedPOVM, eta_star_range
 _M0 = photon_label(0)
 _M1 = photon_label(1)
 
+# Choi tensors carry indices ``[a, i, b, j] = <a i| J |b j>``: input, output,
+# input, output.  The Choi matrix is the same array reshaped to two indices.
+
 
 @dataclass(frozen=True)
 class _KeepBlocks:
@@ -45,8 +52,10 @@ class _KeepBlocks:
     weight: float
     projector: np.ndarray
 
-    def __call__(self, mat: np.ndarray) -> np.ndarray:
-        return self.weight * (self.projector @ mat @ self.projector)
+    def choi(self) -> np.ndarray:
+        """``weight |v><v|`` with ``v = sum_a |a> (x) P|a>``."""
+        v = np.asarray(self.projector, dtype=complex).T
+        return self.weight * np.multiply.outer(v, v.conj())
 
 
 @dataclass(frozen=True)
@@ -56,32 +65,25 @@ class _MeasurePrepare:
     ops: tuple
     preps: tuple
 
-    def __call__(self, mat: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(self.preps[0], dtype=complex)
-        for op, prep in zip(self.ops, self.preps):
-            out = out + np.einsum("ij,ji->", op, mat) * prep
-        return out
+    def choi(self) -> np.ndarray:
+        """``sum_i op_i^T (x) prep_i`` (transpose, not adjoint: ops may be complex)."""
+        return np.einsum(
+            "kba,kij->aibj", np.asarray(self.ops), np.asarray(self.preps), optimize=True
+        )
 
 
-@dataclass(frozen=True)
-class _FromChoi:
-    """CP term applying a channel given by its (unnormalized) Choi matrix."""
-
-    choi: np.ndarray
-    d_in: int
-    d_out: int
-
-    def __call__(self, mat: np.ndarray) -> np.ndarray:
-        j = self.choi.reshape(self.d_in, self.d_out, self.d_in, self.d_out)
-        return np.einsum("ab,aibj->ij", mat, j)
+def _link(inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
+    """Link product: the Choi tensor of ``outer`` applied after ``inner``."""
+    return np.einsum("aibj,ikjl->akbl", inner, outer, optimize=True)
 
 
 class QuantumChannel:
-    """Linear map assembled from stages of completely positive terms.
+    """Linear map between two block layouts, held as its Choi matrix.
 
-    A stage is a tuple of terms whose outputs are summed; stages apply in
-    sequence.  The Choi matrix (input factor first) is computed once and
-    cached.
+    ``stages`` lists tuples of completely positive terms; the terms of a
+    stage are summed and stages apply in sequence.  The Choi matrix is
+    assembled from the terms on first use and cached; ``from_choi`` and
+    ``compose`` set it directly.
     """
 
     __slots__ = ("input_layout", "output_layout", "stages", "_choi")
@@ -92,46 +94,40 @@ class QuantumChannel:
         self.stages = tuple(tuple(stage) for stage in stages)
         self._choi = None
 
-    def apply_dense(self, mat: np.ndarray) -> np.ndarray:
-        cur = np.asarray(mat, dtype=complex)
-        for stage in self.stages:
-            cur = sum(term(cur) for term in stage)
-        return cur
-
     @property
     def choi(self) -> np.ndarray:
-        """Choi matrix ``sum_ab |a><b| (x) Phi(|a><b|)``."""
+        """Choi matrix ``sum_ab |a><b| (x) Phi(|a><b|)`` (input factor first)."""
         if self._choi is None:
-            d_in = self.input_layout.total_dim
-            d_out = self.output_layout.total_dim
-            j = np.zeros((d_in * d_out, d_in * d_out), dtype=complex)
-            unit = np.zeros((d_in, d_in), dtype=complex)
-            for a in range(d_in):
-                for b in range(d_in):
-                    unit[a, b] = 1.0
-                    image = self.apply_dense(unit)
-                    unit[a, b] = 0.0
-                    j[a * d_out : (a + 1) * d_out, b * d_out : (b + 1) * d_out] = image
-            self._choi = j
+            tensors = (sum(term.choi() for term in stage) for stage in self.stages)
+            d = self.input_layout.total_dim * self.output_layout.total_dim
+            self._choi = functools.reduce(_link, tensors).reshape(d, d)
         return self._choi
+
+    def _tensor(self) -> np.ndarray:
+        d_in, d_out = self.input_layout.total_dim, self.output_layout.total_dim
+        return self.choi.reshape(d_in, d_out, d_in, d_out)
+
+    def apply_dense(self, mat: np.ndarray) -> np.ndarray:
+        return np.einsum("ab,aibj->ij", np.asarray(mat, dtype=complex), self._tensor())
 
     @classmethod
     def from_choi(cls, choi, input_layout: SpaceLayout, output_layout: SpaceLayout):
         j = np.asarray(choi, dtype=complex)
-        d_in, d_out = input_layout.total_dim, output_layout.total_dim
-        if j.shape != (d_in * d_out, d_in * d_out):
+        d = input_layout.total_dim * output_layout.total_dim
+        if j.shape != (d, d):
             raise ValueError("Choi matrix shape does not match the layouts")
-        term = _FromChoi(choi=j, d_in=d_in, d_out=d_out)
-        return cls(input_layout, output_layout, ((term,),))
+        channel = cls(input_layout, output_layout, ())
+        channel._choi = j
+        return channel
 
 
 def compose(outer: QuantumChannel, inner: QuantumChannel) -> QuantumChannel:
     """The channel applying ``inner`` first and ``outer`` second."""
     if inner.output_layout != outer.input_layout:
         raise ValueError("layouts do not chain")
-    return QuantumChannel(
-        inner.input_layout, outer.output_layout, inner.stages + outer.stages
-    )
+    d = inner.input_layout.total_dim * outer.output_layout.total_dim
+    j = _link(inner._tensor(), outer._tensor()).reshape(d, d)
+    return QuantumChannel.from_choi(j, inner.input_layout, outer.output_layout)
 
 
 def apply_channel(ch: QuantumChannel, rho: DensityLike) -> DensityLike:
@@ -505,6 +501,57 @@ def inf_norm_mixing(f_noise: SquashedPOVM, delta: float) -> SquashedPOVM:
     )
 
 
+def _cptp_residuals(j: np.ndarray, d_in: int, d_out: int) -> tuple[float, float, float]:
+    """Hermiticity deviation, smallest eigenvalue and ``max |Tr_out J - I|`` of ``J``."""
+    herm = float(np.abs(j - j.conj().T).max())
+    min_eig = float(np.linalg.eigvalsh((j + j.conj().T) / 2.0)[0])
+    partial = np.einsum("aibi->ab", j.reshape(d_in, d_out, d_in, d_out))
+    return herm, min_eig, float(np.abs(partial - np.eye(d_in)).max())
+
+
+def _dense_elements(measurement) -> np.ndarray:
+    elements, _ = _element_list(measurement)
+    return np.array(
+        [el.to_dense() if isinstance(el, BlockOperator) else el for el in elements],
+        dtype=complex,
+    )
+
+
+def _identity_residuals(
+    j: np.ndarray, d_in: int, d_out: int, p, f_before, f_after
+) -> np.ndarray:
+    """Per-event mismatch of ``Phi_J^dag(F_after_i) = sum_j P_ij F_before_j``.
+
+    With ``D_i`` the Hermitian part of the difference, event ``i`` scores
+    ``max(|D_aa|, 2|Re D_ab|, 2|Im D_ab|)``: the largest statistics mismatch
+    ``|sum_j P_ij Tr[F_before_j rho] - Tr[F_after_i Phi(rho)]|`` over the
+    Hermitian matrix-unit basis ``rho``, which spans every input operator.
+    ``p`` is ``None`` (identity), a ``StochasticMatrix`` or an array of shape
+    ``(len(f_after), len(f_before))``; the elements are POVMs or sequences of
+    block or dense operators.
+    """
+    before = _dense_elements(f_before)
+    after = _dense_elements(f_after)
+    if p is None:
+        p_mat = np.eye(len(after))
+    elif isinstance(p, StochasticMatrix):
+        p_mat = p.entries
+    else:
+        p_mat = np.asarray(p, dtype=float)
+    if p_mat.shape != (len(after), len(before)):
+        raise ValueError(
+            f"post-processing shape {p_mat.shape} does not map "
+            f"{len(before)} -> {len(after)} events"
+        )
+    heisenberg = np.einsum(
+        "nji,aibj->nba", after, j.reshape(d_in, d_out, d_in, d_out), optimize=True
+    )
+    diff = heisenberg - np.einsum("nm,mab->nab", p_mat, before)
+    diff = (diff + diff.conj().transpose(0, 2, 1)) / 2.0
+    entry = np.maximum(np.abs(diff.real), np.abs(diff.imag)) * (2.0 - np.eye(d_in))
+    return entry.max(axis=(1, 2))
+
+
 @dataclass(frozen=True)
 class CPTPReport:
     """Choi-level certificate that a channel is CPTP at a tolerance."""
@@ -515,25 +562,25 @@ class CPTPReport:
     tolerance: float
     passed: bool
 
+    @property
+    def residual(self) -> float:
+        """The largest of the three violations; ``passed`` iff it is within tolerance."""
+        return max(
+            0.0, -self.min_choi_eigenvalue, self.trace_preservation_dev, self.hermiticity_dev
+        )
+
 
 def verify_cptp(ch: QuantumChannel, tol: float) -> CPTPReport:
     """Check PSD-ness of the Choi matrix and ``Tr_out J = I``."""
-    j = ch.choi
-    herm = float(np.abs(j - j.conj().T).max())
-    sym = (j + j.conj().T) / 2.0
-    min_eig = float(np.linalg.eigvalsh(sym)[0])
-    d_in = ch.input_layout.total_dim
-    d_out = ch.output_layout.total_dim
-    j4 = j.reshape(d_in, d_out, d_in, d_out)
-    tp = np.einsum("aibi->ab", j4)
-    tp_dev = float(np.abs(tp - np.eye(d_in)).max())
-    passed = min_eig >= -tol and tp_dev <= tol and herm <= tol
+    herm, min_eig, tp_dev = _cptp_residuals(
+        ch.choi, ch.input_layout.total_dim, ch.output_layout.total_dim
+    )
     return CPTPReport(
         min_choi_eigenvalue=min_eig,
         trace_preservation_dev=tp_dev,
         hermiticity_dev=herm,
         tolerance=tol,
-        passed=passed,
+        passed=min_eig >= -tol and tp_dev <= tol and herm <= tol,
     )
 
 
@@ -564,7 +611,7 @@ def _element_list(measurement):
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """Worst-case statistics mismatch over a full Hermitian operator basis."""
+    """Worst-case statistics mismatch over the whole input operator space."""
 
     max_residual: float
     per_event: tuple[float, ...]
@@ -575,34 +622,17 @@ class EquivalenceReport:
 def verify_statistics_equivalence(
     p, f_before, f_after, ch: QuantumChannel, tol: float = 1e-9
 ) -> EquivalenceReport:
-    """Certify ``P Tr[F_before rho] = Tr[F_after Phi(rho)]`` over a basis.
+    """Certify ``P Tr[F_before rho] = Tr[F_after Phi(rho)]`` for every ``rho``.
 
-    The basis spans the full operator space of the channel input, including
-    the off-diagonal Hermitian pairs, so passing here extends to every
-    density matrix by linearity.
+    Checked as the Heisenberg-picture identity
+    ``Phi^dag(F_after_i) = sum_j P_ij F_before_j`` on the Choi matrix; the
+    per-event residual is the worst mismatch over a Hermitian basis of the
+    channel input, off-diagonal pairs included, so passing here extends to
+    every density matrix by linearity.
     """
-    before, _ = _element_list(f_before)
-    after, _ = _element_list(f_after)
-    if p is None:
-        p_mat = np.eye(len(after))
-    elif isinstance(p, StochasticMatrix):
-        p_mat = p.entries
-    else:
-        p_mat = np.asarray(p, dtype=float)
-    if p_mat.shape != (len(after), len(before)):
-        raise ValueError(
-            f"post-processing shape {p_mat.shape} does not map "
-            f"{len(before)} -> {len(after)} events"
-        )
-    before_dense = [el.to_dense() for el in before]
-    after_dense = [el.to_dense() for el in after]
-    dim = ch.input_layout.total_dim
-    worst = np.zeros(len(after))
-    for rho in hermitian_basis(dim):
-        lhs = p_mat @ np.array([np.trace(el @ rho).real for el in before_dense])
-        image = ch.apply_dense(rho)
-        rhs = np.array([np.trace(el @ image).real for el in after_dense])
-        worst = np.maximum(worst, np.abs(lhs - rhs))
+    worst = _identity_residuals(
+        ch.choi, ch.input_layout.total_dim, ch.output_layout.total_dim, p, f_before, f_after
+    )
     max_res = float(worst.max())
     return EquivalenceReport(
         max_residual=max_res,

@@ -11,16 +11,14 @@ import argparse
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from .channels import bb84_qubit_measurement
 from .feasibility import choi_feasibility, verify_choi_witness
-from .postprocessing import bb84_qubit_squasher, dark_count_matrix, solve_swap_lp
 from .report import (
     EXIT_NOT_REDUCIBLE,
     EXIT_OK,
     EXIT_TOOL_ERROR,
     DescriptorError,
+    active_swap_lp,
     canonical_json,
     emit_certificate,
     load_descriptor,
@@ -92,8 +90,7 @@ def _cmd_analyze(desc, args) -> int:
 def _cmd_swap_lp(desc, args) -> int:
     if desc.setup != "active-bb84":
         raise DescriptorError("swap-lp: supported for the active-bb84 qubit squasher")
-    d_vec = np.array(desc.dark_point) if desc.dark_point is not None else desc.dark_max
-    result = solve_swap_lp(dark_count_matrix(d_vec), bb84_qubit_squasher(), tol=desc.tol)
+    d_vec, result = active_swap_lp(desc)
     payload = {
         "dark": d_vec.tolist(),
         "feasible": result.feasible,
@@ -128,8 +125,7 @@ def _cmd_choi_check(desc, args) -> int:
             "choi-check: supported for the active-bb84 qubit squasher "
             "(larger layouts exceed the desk-scale projection solver)"
         )
-    d_vec = np.array(desc.dark_point) if desc.dark_point is not None else desc.dark_max
-    result = solve_swap_lp(dark_count_matrix(d_vec), bb84_qubit_squasher(), tol=desc.tol)
+    d_vec, result = active_swap_lp(desc)
     if not result.feasible:
         _emit(
             {

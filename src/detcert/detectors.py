@@ -166,6 +166,34 @@ def active_bb84_setups(eta=1.0) -> dict[str, DetectionSetup]:
     return {"Z": z, "X": x}
 
 
+def _checked_elements(layout: SpaceLayout, elements, events: EventTable) -> tuple:
+    """``elements`` as a tuple after checking they form a measurement.
+
+    One element per event, each on ``layout`` and PSD (to -1e-10), summing
+    to the identity on every block (to 1e-10).
+    """
+    elements = tuple(elements)
+    if len(elements) != events.n_events:
+        raise ValueError(f"{len(elements)} elements for {events.n_events} events")
+    total = BlockOperator.zeros(layout)
+    for i, el in enumerate(elements):
+        if el.layout != layout:
+            raise ValueError(f"element {i} lives on a different layout")
+        lo = min_eigenvalue(el)
+        if lo < -1e-10:
+            raise ValueError(
+                f"element {events.labels[i]!r} is not PSD (eigenvalue {lo:.3e})"
+            )
+        total = total + el
+    ident = BlockOperator.identity(layout)
+    dev = max(
+        np.abs(total.block(lab) - ident.block(lab)).max() for lab in layout.labels
+    )
+    if dev > 1e-10:
+        raise ValueError(f"completeness violated by {dev:.3e}")
+    return elements
+
+
 class POVM:
     """Threshold-detector measurement on photon-number blocks.
 
@@ -175,29 +203,8 @@ class POVM:
     __slots__ = ("layout", "elements", "events")
 
     def __init__(self, layout: SpaceLayout, elements, events: EventTable):
-        elements = tuple(elements)
-        if len(elements) != events.n_events:
-            raise ValueError(
-                f"{len(elements)} elements for {events.n_events} events"
-            )
-        total = BlockOperator.zeros(layout)
-        for i, el in enumerate(elements):
-            if el.layout != layout:
-                raise ValueError(f"element {i} lives on a different layout")
-            lo = min_eigenvalue(el)
-            if lo < -1e-10:
-                raise ValueError(
-                    f"element {events.labels[i]!r} is not PSD (eigenvalue {lo:.3e})"
-                )
-            total = total + el
-        ident = BlockOperator.identity(layout)
-        dev = max(
-            np.abs(total.block(lab) - ident.block(lab)).max() for lab in layout.labels
-        )
-        if dev > 1e-10:
-            raise ValueError(f"completeness violated by {dev:.3e}")
         self.layout = layout
-        self.elements = elements
+        self.elements = _checked_elements(layout, elements, events)
         self.events = events
 
     def __len__(self) -> int:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import hermitian_basis, _element_list
+from .channels import _cptp_residuals, _element_list, _identity_residuals, hermitian_basis
 from .fock import SpaceLayout
 
 _PLATEAU_WINDOW = 500
@@ -250,40 +250,22 @@ class ChoiWitnessReport:
 def verify_choi_witness(j, p_dc, f_eta, f_target, tol: float) -> ChoiWitnessReport:
     """Re-check a Choi matrix against all defining constraints.
 
-    Residuals are computed directly from the matrix: Hermiticity, most
-    negative eigenvalue, partial trace against the identity, and the worst
-    statistics constraint over the full operator basis.
+    Residuals are computed directly from the matrix by the same kernel that
+    certifies channels: Hermiticity, most negative eigenvalue, partial trace
+    against the identity, and the worst statistics constraint over the full
+    operator space.
     """
     before, _ = _element_list(f_eta)
     after, _ = _element_list(f_target)
-    if hasattr(p_dc, "entries"):
-        p_entries = p_dc.entries
-    else:
-        p_entries = np.asarray(p_dc, dtype=float)
     j = np.asarray(j, dtype=complex)
     d_in = before[0].layout.total_dim
     d_out = after[0].layout.total_dim
     if j.shape != (d_in * d_out, d_in * d_out):
         raise ValueError("Choi matrix shape does not match the measurements")
 
-    herm = float(np.abs(j - j.conj().T).max())
-    sym = (j + j.conj().T) / 2.0
-    min_eig = float(np.linalg.eigvalsh(sym)[0])
+    herm, min_eig, tp_dev = _cptp_residuals(j, d_in, d_out)
     psd_residual = max(0.0, -min_eig)
-
-    j4 = j.reshape(d_in, d_out, d_in, d_out)
-    tp_dev = float(np.abs(np.einsum("aibi->ab", j4) - np.eye(d_in)).max())
-
-    before_dense = [el.to_dense() for el in before]
-    after_dense = [el.to_dense() for el in after]
-    linear = 0.0
-    for rho in hermitian_basis(d_in):
-        probs = np.array([np.trace(el @ rho).real for el in before_dense])
-        lhs = p_entries @ probs
-        image = np.einsum("ab,aibj->ij", rho, j4)
-        rhs = np.array([np.trace(el @ image).real for el in after_dense])
-        linear = max(linear, float(np.abs(lhs - rhs).max()))
-
+    linear = float(_identity_residuals(j, d_in, d_out, p_dc, before, after).max())
     passed = herm <= tol and psd_residual <= tol and tp_dev <= tol and linear <= tol
     return ChoiWitnessReport(
         hermiticity_dev=herm,

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .detectors import MULTI, NO_CLICK, SINGLE, EventTable, POVM, enumerate_events
 from .fock import BlockOperator
@@ -253,6 +252,10 @@ def solve_swap_lp(
     ``tol``.  The returned residual is re-verified independently of the
     solver.
     """
+    # Imported here: scipy.optimize is most of the package's import time,
+    # and only the swap LP needs it.
+    from scipy.optimize import linprog
+
     if p_sq_prime is None:
         p_sq_prime = p_sq
     if p_sq_prime.shape[1] != p_db.shape[0]:

@@ -14,14 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detectors import POVM, DetectionSetup, EventTable, build_threshold_povm
-from .fock import (
-    FLAG_LABEL,
-    BlockOperator,
-    SpaceLayout,
-    min_eigenvalue,
-    photon_label,
+from .detectors import (
+    POVM,
+    DetectionSetup,
+    EventTable,
+    _checked_elements,
+    build_threshold_povm,
 )
+from .fock import FLAG_LABEL, BlockOperator, SpaceLayout, photon_label
 
 _FLAG_TOL = 1e-12
 
@@ -38,33 +38,18 @@ class SquashedPOVM:
     __slots__ = ("layout", "elements", "events", "strict_flags")
 
     def __init__(self, layout: SpaceLayout, elements, events: EventTable, strict_flags=True):
-        elements = tuple(elements)
         if not layout.has(FLAG_LABEL):
             raise ValueError("layout has no flag block")
-        if len(elements) != events.n_events:
-            raise ValueError(f"{len(elements)} elements for {events.n_events} events")
-        if layout.dim(FLAG_LABEL) != len(elements):
+        if layout.dim(FLAG_LABEL) != events.n_events:
             raise ValueError("flag dimension must equal the event count")
-        total = BlockOperator.zeros(layout)
-        for i, el in enumerate(elements):
-            if el.layout != layout:
-                raise ValueError(f"element {i} lives on a different layout")
-            lo = min_eigenvalue(el)
-            if lo < -1e-10:
-                raise ValueError(f"element {i} is not PSD (eigenvalue {lo:.3e})")
-            if strict_flags:
+        elements = _checked_elements(layout, elements, events)
+        if strict_flags:
+            for i, el in enumerate(elements):
                 want = np.zeros((len(elements),) * 2)
                 want[i, i] = 1.0
                 dev = np.abs(el.block(FLAG_LABEL) - want).max()
                 if dev > _FLAG_TOL:
                     raise ValueError(f"element {i} flag block deviates by {dev:.3e}")
-            total = total + el
-        ident = BlockOperator.identity(layout)
-        dev = max(
-            np.abs(total.block(lab) - ident.block(lab)).max() for lab in layout.labels
-        )
-        if dev > 1e-10:
-            raise ValueError(f"completeness violated by {dev:.3e}")
         self.layout = layout
         self.elements = elements
         self.events = events

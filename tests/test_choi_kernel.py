@@ -1,0 +1,239 @@
+"""The Choi-level check kernel against the definitions it replaces.
+
+References kept here: the Choi matrix built by pushing matrix units through
+each term's defining action, and the statistics residual maximized over the
+Hermitian matrix-unit basis.  Fault injection shows that a certificate fails
+for a small extra term, also one that only acts on off-block-diagonal
+inputs, which block-diagonal test states cannot reach.
+"""
+
+import numpy as np
+import pytest
+from helpers import mix_povms, random_squashed_povm
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import detcert as dc
+from detcert import report
+from detcert.channels import QuantumChannel, _KeepBlocks, _MeasurePrepare, hermitian_basis
+
+PASSIVE = {
+    "setup": "passive-bb84",
+    "eta_range": [0.5, 0.6],
+    "dark_range": [0.0, 0.01],
+    "cutoff": 1,
+    "eta_star": 1.0,
+    "coarse_grain": "multiclick",
+    "seed": 7,
+}
+
+
+def _apply_stages(stages, mat):
+    """Stage-by-stage action of CP terms, straight from their definitions."""
+    for stage in stages:
+        out = 0.0
+        for term in stage:
+            if isinstance(term, _KeepBlocks):
+                out = out + term.weight * (term.projector @ mat @ term.projector)
+            else:
+                for op, prep in zip(term.ops, term.preps):
+                    out = out + np.trace(op @ mat) * prep
+        mat = out
+    return mat
+
+
+def _matrix_unit_choi(stages, d_in, d_out):
+    j = np.zeros((d_in * d_out,) * 2, dtype=complex)
+    for a in range(d_in):
+        for b in range(d_in):
+            unit = np.zeros((d_in, d_in), dtype=complex)
+            unit[a, b] = 1.0
+            j[a * d_out : (a + 1) * d_out, b * d_out : (b + 1) * d_out] = _apply_stages(
+                stages, unit
+            )
+    return j
+
+
+def _oracle_cases():
+    setup = dc.passive_bb84_setup(1.0)
+    eta = np.array([0.5, 0.55, 0.6, 0.52])
+    f_lossless = dc.flag_state_target(dc.build_threshold_povm(setup, 1), 1)
+    f_eta = dc.flag_state_target(dc.build_threshold_povm(setup.with_eta(eta), 1), 1)
+    dark = dc.dark_count_channel(dc.dark_count_matrix([0.01, 0.02, 0.015, 0.03]), f_eta)
+    loss = dc.loss_channel(eta, 0.5 / 0.9, f_lossless)
+    rng = np.random.default_rng(20)
+    f_ideal = random_squashed_povm(rng)
+    f_noise = mix_povms(f_ideal, random_squashed_povm(rng), 0.3)
+    generic = dc.generic_channel(f_noise, f_ideal, 0.3)
+    bb84 = dc.bb84_simple_noise_channel(0.05)
+    return {
+        "dark": (dark, dark.stages),
+        "loss": (loss, loss.stages),
+        "generic": (generic, generic.stages),
+        "bb84": (bb84, bb84.stages),
+        "composed": (dc.compose(loss, dark), dark.stages + loss.stages),
+    }
+
+
+@pytest.mark.parametrize("name", ["dark", "loss", "generic", "bb84", "composed"])
+def test_choi_from_terms_matches_matrix_unit_reference(name):
+    channel, stages = _oracle_cases()[name]
+    d_in = channel.input_layout.total_dim
+    d_out = channel.output_layout.total_dim
+    reference = _matrix_unit_choi(stages, d_in, d_out)
+    assert np.abs(channel.choi - reference).max() <= 1e-14
+    if name == "generic":
+        # random blocks are complex, where op^T and op^dag differ
+        assert np.abs(channel.choi.imag).max() > 1e-3
+    # application is the contraction with J, also on non-Hermitian inputs
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(d_in, d_in)) + 1j * rng.normal(size=(d_in, d_in))
+    assert np.abs(channel.apply_dense(x) - _apply_stages(stages, x)).max() <= 1e-14
+
+
+def _dense(measurement):
+    elements = getattr(measurement, "elements", measurement)
+    return [el.to_dense() if hasattr(el, "to_dense") else el for el in elements]
+
+
+def _basis_loop_per_event(p_mat, before, after, j):
+    """Worst mismatch per event over the Hermitian matrix-unit basis."""
+    before, after = _dense(before), _dense(after)
+    d_in = before[0].shape[0]
+    j4 = j.reshape(d_in, after[0].shape[0], d_in, after[0].shape[0])
+    worst = np.zeros(len(after))
+    for rho in hermitian_basis(d_in):
+        lhs = p_mat @ np.array([np.trace(el @ rho).real for el in before])
+        image = np.einsum("ab,aibj->ij", rho, j4)
+        rhs = np.array([np.trace(el @ image).real for el in after])
+        worst = np.maximum(worst, np.abs(lhs - rhs))
+    return worst
+
+
+def _random_hermitian(rng, d):
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return (g + g.conj().T) / 2.0
+
+
+_SETUP = dc.passive_bb84_setup(1.0)
+_CG = dc.multiclick_coarse_graining(dc.enumerate_events(4))
+
+
+def _squashed(eta):
+    povm = dc.apply_postprocessing(_CG, dc.build_threshold_povm(_SETUP.with_eta(eta), 1))
+    return dc.flag_state_target(povm, 1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    dark=st.lists(st.floats(0.0, 0.1), min_size=4, max_size=4),
+    eta=st.lists(st.floats(0.4, 1.0), min_size=4, max_size=4),
+    shift=st.floats(0.0, 1e-3),
+    seed=st.integers(0, 2**16),
+)
+def test_kernel_per_event_equals_hermitian_basis_loop(dark, eta, shift, seed):
+    eta = np.array(eta)
+    f_eta = _squashed(eta)
+    f_lossless = _squashed(1.0)
+    p_db = dc.coarse_grained_dc_ansatz(dc.dark_count_matrix(dark), _CG)
+    # a perturbed post-processing makes the residuals large enough to compare
+    rng = np.random.default_rng(seed)
+    n = len(f_eta)
+    p_mat = p_db.entries + shift * rng.normal(size=(n, n))
+    dark_ch = dc.dark_count_channel(p_db, f_eta)
+    loss_ch = dc.loss_channel(eta, 1.0, f_lossless)
+    # complex blocks and complex perturbations: Im D_ab counts too
+    f_ideal = random_squashed_povm(rng)
+    f_noise = mix_povms(f_ideal, random_squashed_povm(rng), 0.3)
+    generic_ch = dc.generic_channel(f_noise, f_ideal, 0.3)
+    d = f_noise.layout.total_dim
+    shifted = [el.to_dense() + shift * _random_hermitian(rng, d) for el in f_noise.elements]
+    for p, before, after, channel in (
+        (p_mat, f_eta, f_eta, dark_ch),
+        (np.eye(n) + shift * np.ones((n, n)), f_eta, f_lossless, loss_ch),
+        (np.eye(3), shifted, f_ideal, generic_ch),
+    ):
+        kernel = dc.verify_statistics_equivalence(p, before, after, channel).per_event
+        reference = _basis_loop_per_event(p, before, after, channel.choi)
+        np.testing.assert_allclose(kernel, reference, rtol=1e-12, atol=1e-15)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**16), scale=st.floats(1e-8, 1.0))
+def test_witness_linear_residual_equals_basis_loop(seed, scale):
+    # a witness need not be Hermitian: the residual is that of Re Tr[...]
+    rng = np.random.default_rng(seed)
+    povm = dc.bb84_qubit_measurement("X")
+    p_dc = dc.bb84_squashed_dark_matrix(0.05)
+    j = dc.bb84_simple_noise_channel(0.05).choi + scale * (
+        rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    )
+    report_ = dc.verify_choi_witness(j, p_dc, povm, povm, 1e-6)
+    reference = _basis_loop_per_event(p_dc.entries, povm.elements, povm.elements, j).max()
+    assert report_.linear_residual == pytest.approx(reference, rel=1e-12, abs=1e-15)
+
+
+def _faulty(build, fault_op):
+    """``build`` with a term of size 1e-6 added to the channel it returns."""
+
+    def wrapped(*args):
+        channel = build(*args)
+        layout = channel.input_layout
+        out = np.zeros((layout.total_dim,) * 2, dtype=complex)
+        out[0, 0] = 1e-6  # onto the vacuum, off the last flag: trace preserved
+        out[-1, -1] = -1e-6
+        fault = _MeasurePrepare(ops=(fault_op(layout),), preps=(out,))
+        return QuantumChannel(layout, layout, (channel.stages[0] + (fault,),))
+
+    return wrapped
+
+
+def _one_photon_population(layout):
+    op = np.zeros((layout.total_dim,) * 2, dtype=complex)
+    off = layout.offset("m=1")
+    op[off, off] = 1.0
+    return op
+
+
+def _vacuum_one_photon_coherence(layout):
+    op = np.zeros((layout.total_dim,) * 2, dtype=complex)
+    off = layout.offset("m=1")
+    op[0, off] = op[off, 0] = 1.0
+    return op
+
+
+@pytest.mark.parametrize("fault_op", [_one_photon_population, _vacuum_one_photon_coherence])
+@pytest.mark.parametrize("kind,factory", [("dark", "dark_count_channel"), ("loss", "loss_channel")])
+def test_injected_fault_fails_the_certificate(monkeypatch, kind, factory, fault_op):
+    desc = report.descriptor_from_dict(PASSIVE)
+    assert report.run_analysis(desc).all_passed
+    monkeypatch.setattr(report, factory, _faulty(getattr(report, factory), fault_op))
+    cert = report.run_analysis(desc)
+    assert not cert.all_passed
+    assert cert.exit_code == report.EXIT_NOT_REDUCIBLE
+    failed = {c["name"] for c in cert.checks if not c["passed"]}
+    for check in ("statistics", "weight-relation"):
+        assert f"{kind}-channel-{check}-corner0" in failed
+    weight = next(
+        c for c in cert.checks if c["name"] == f"{kind}-channel-weight-relation-corner0"
+    )
+    expected = 2e-6 if fault_op is _vacuum_one_photon_coherence else 1e-6
+    assert weight["residual"] == pytest.approx(expected)
+
+
+def test_off_block_fault_is_invisible_to_block_diagonal_states():
+    # why the weight relation is checked as an operator identity: sampled
+    # block-diagonal states see no trace of the coherence term
+    f = dc.flag_state_target(dc.build_threshold_povm(_SETUP, 1), 1)
+    clean = dc.loss_channel(np.full(4, 0.5), 1.0, f)
+    faulty = _faulty(lambda: clean, _vacuum_one_photon_coherence)()
+    proj01 = f.layout.projector(("m=0", "m=1"))
+    rng = np.random.default_rng(22)
+    for _ in range(10):
+        rho = dc.random_density(f.layout, rng).to_dense()
+        assert np.trace(proj01 @ faulty.apply_dense(rho)).real == pytest.approx(
+            np.trace(proj01 @ clean.apply_dense(rho)).real, abs=1e-15
+        )
+    projs = [f.layout.projector("m=0"), f.layout.projector("m=1")]
+    relation = dc.verify_statistics_equivalence([[1.0, 0.5]], projs, [proj01], faulty, tol=1e-12)
+    assert relation.max_residual == pytest.approx(2e-6)

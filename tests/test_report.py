@@ -40,6 +40,32 @@ def test_descriptor_validation_errors():
         descriptor_from_dict({**PASSIVE, "surprise": 1})
     with pytest.raises(DescriptorError, match="mode_map"):
         descriptor_from_dict({"setup": "custom", "k": 2})
+    for name in ("tol", "feas_tol", "eta_star"):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(DescriptorError, match=f"^{name}:"):
+                descriptor_from_dict({**PASSIVE, name: bad})
+    with pytest.raises(DescriptorError, match="^seed:"):
+        descriptor_from_dict({**PASSIVE, "seed": -1})
+    for bad in (0, 1, -3):
+        with pytest.raises(DescriptorError, match="^corner_limit:"):
+            descriptor_from_dict({**PASSIVE, "corner_limit": bad})
+    with pytest.raises(DescriptorError, match="unknown descriptor fields"):
+        descriptor_from_dict({**PASSIVE, "tolerances": {"cert": 1e-9}})
+
+
+@pytest.mark.parametrize("cmd", ["analyze", "choi-check"])
+@pytest.mark.parametrize(
+    "extra,override",
+    [({"seed": -1}, []), ({}, ["--seed", "-1"]), ({}, ["--tol", "nan"]),
+     ({"feas_tol": float("inf")}, []), ({}, ["--eta-star", "nan"])],
+)
+def test_cli_rejects_bad_values_before_running(tmp_path, capsys, cmd, extra, override):
+    base = PASSIVE if cmd == "analyze" else {"setup": "active-bb84", "dark_range": [0.0, 0.05]}
+    desc = _write_descriptor(tmp_path, {**base, **extra})
+    assert cli.main([cmd, desc, *override]) == EXIT_TOOL_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("descriptor error:")
 
 
 def test_analysis_passive_bb84_values():
