@@ -66,10 +66,19 @@ class _MeasurePrepare:
     preps: tuple
 
     def choi(self) -> np.ndarray:
-        """``sum_i op_i^T (x) prep_i`` (transpose, not adjoint: ops may be complex)."""
-        return np.einsum(
-            "kba,kij->aibj", np.asarray(self.ops), np.asarray(self.preps), optimize=True
-        )
+        return _transpose_kron_sum(np.asarray(self.ops), np.asarray(self.preps))
+
+
+def _transpose_kron_sum(ops: np.ndarray, preps: np.ndarray) -> np.ndarray:
+    """Choi tensor ``sum_k ops_k^T (x) preps_k`` of ``rho -> sum_k Tr[ops_k rho] preps_k``.
+
+    Transpose, not adjoint: ops may be complex.  It is also the adjoint of
+    ``J -> (Phi_J^dag(preps_k))_k`` applied to the stack ``ops``.
+    """
+    n, d_in, _ = ops.shape
+    d_out = preps.shape[-1]
+    flat = ops.transpose(0, 2, 1).reshape(n, -1).T @ preps.reshape(n, -1)
+    return flat.reshape(d_in, d_in, d_out, d_out).transpose(0, 2, 1, 3)
 
 
 def _link(inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
@@ -517,15 +526,9 @@ def _dense_elements(measurement) -> np.ndarray:
     )
 
 
-def _identity_residuals(
-    j: np.ndarray, d_in: int, d_out: int, p, f_before, f_after
-) -> np.ndarray:
-    """Per-event mismatch of ``Phi_J^dag(F_after_i) = sum_j P_ij F_before_j``.
+def _identity_targets(p, f_before, f_after) -> tuple[np.ndarray, np.ndarray]:
+    """The stacks ``F_after_i`` and ``G_i = sum_j P_ij F_before_j`` of an identity.
 
-    With ``D_i`` the Hermitian part of the difference, event ``i`` scores
-    ``max(|D_aa|, 2|Re D_ab|, 2|Im D_ab|)``: the largest statistics mismatch
-    ``|sum_j P_ij Tr[F_before_j rho] - Tr[F_after_i Phi(rho)]|`` over the
-    Hermitian matrix-unit basis ``rho``, which spans every input operator.
     ``p`` is ``None`` (identity), a ``StochasticMatrix`` or an array of shape
     ``(len(f_after), len(f_before))``; the elements are POVMs or sequences of
     block or dense operators.
@@ -543,13 +546,36 @@ def _identity_residuals(
             f"post-processing shape {p_mat.shape} does not map "
             f"{len(before)} -> {len(after)} events"
         )
-    heisenberg = np.einsum(
-        "nji,aibj->nba", after, j.reshape(d_in, d_out, d_in, d_out), optimize=True
-    )
-    diff = heisenberg - np.einsum("nm,mab->nab", p_mat, before)
+    return after, np.tensordot(p_mat, before, axes=1)
+
+
+def _heisenberg(j: np.ndarray, d_in: int, d_out: int, ops: np.ndarray) -> np.ndarray:
+    """``Phi_J^dag(F)`` for each ``F`` of the stack ``ops``.
+
+    ``<b|Phi^dag(F)|a> = Tr[F Phi(|a><b|)]``, one matrix product with ``J``.
+    """
+    t = j.reshape(d_in, d_out, d_in, d_out).transpose(3, 1, 2, 0).reshape(d_out * d_out, -1)
+    return (ops.reshape(len(ops), -1) @ t).reshape(-1, d_in, d_in)
+
+
+def _hermitian_score(diff: np.ndarray) -> np.ndarray:
+    """Per matrix of a stack: ``max(|D_aa|, 2|Re D_ab|, 2|Im D_ab|)``, ``D`` its Hermitian part.
+
+    For ``D = Phi^dag(F) - G`` this is the largest mismatch
+    ``|Tr[F Phi(rho)] - Tr[G rho]|`` over the Hermitian matrix-unit basis
+    ``rho``, which spans every input operator.
+    """
     diff = (diff + diff.conj().transpose(0, 2, 1)) / 2.0
-    entry = np.maximum(np.abs(diff.real), np.abs(diff.imag)) * (2.0 - np.eye(d_in))
+    entry = np.maximum(np.abs(diff.real), np.abs(diff.imag)) * (2.0 - np.eye(diff.shape[-1]))
     return entry.max(axis=(1, 2))
+
+
+def _identity_residuals(
+    j: np.ndarray, d_in: int, d_out: int, p, f_before, f_after
+) -> np.ndarray:
+    """Per-event score of ``Phi_J^dag(F_after_i) = sum_j P_ij F_before_j``."""
+    after, targets = _identity_targets(p, f_before, f_after)
+    return _hermitian_score(_heisenberg(j, d_in, d_out, after) - targets)
 
 
 @dataclass(frozen=True)
@@ -582,25 +608,6 @@ def verify_cptp(ch: QuantumChannel, tol: float) -> CPTPReport:
         tolerance=tol,
         passed=min_eig >= -tol and tp_dev <= tol and herm <= tol,
     )
-
-
-def hermitian_basis(dim: int) -> list[np.ndarray]:
-    """Matrix units folded into a real basis of the Hermitian operators."""
-    basis = []
-    for a in range(dim):
-        unit = np.zeros((dim, dim), dtype=complex)
-        unit[a, a] = 1.0
-        basis.append(unit)
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            sym = np.zeros((dim, dim), dtype=complex)
-            sym[a, b] = sym[b, a] = 1.0
-            basis.append(sym)
-            asym = np.zeros((dim, dim), dtype=complex)
-            asym[a, b] = -1.0j
-            asym[b, a] = 1.0j
-            basis.append(asym)
-    return basis
 
 
 def _element_list(measurement):

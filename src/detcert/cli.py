@@ -121,10 +121,7 @@ def _cmd_weight(desc, args) -> int:
 
 def _cmd_choi_check(desc, args) -> int:
     if desc.setup != "active-bb84":
-        raise DescriptorError(
-            "choi-check: supported for the active-bb84 qubit squasher "
-            "(larger layouts exceed the desk-scale projection solver)"
-        )
+        raise DescriptorError("choi-check: supported for the active-bb84 qubit squasher")
     d_vec, result = active_swap_lp(desc)
     if not result.feasible:
         _emit(

@@ -1,13 +1,15 @@
 """Numeric existence check for a noise channel at fixed device parameters.
 
 The statistics requirement ``P_dc Tr[F_before rho] = Tr[F_after Phi(rho)]``
-becomes, through the Choi isomorphism, a set of linear constraints
-``Tr[(rho^T (x) F_after_i) J] = rhs`` on a PSD matrix ``J`` with
-``Tr_out J = I``.  Feasibility of that semidefinite system is probed with
-alternating projections between the affine constraint set and the PSD cone
-(Dykstra correction on the cone side).  This is an intuition-building
-check, not a proof: the verdict is three-way and a returned witness is
-always re-verifiable independently of the solver.
+for every ``rho`` is, in the Heisenberg picture, the set of operator
+identities ``Phi_J^dag(F_k) = G_k`` with ``G_k = sum_j P_kj F_before_j``
+(``F_k = F_after_k``), plus ``Phi_J^dag(I_out) = I_in`` for trace
+preservation.  They are linear in the Choi matrix ``J``, the same identities
+the channel certificates check, so existence is a semidefinite feasibility
+question.  It is probed with alternating projections between that affine
+set and a face of the PSD cone (Dykstra correction on the cone side).  This
+is an intuition-building check, not a proof: the verdict is three-way and a
+returned witness is always re-verifiable independently of the solver.
 """
 
 from __future__ import annotations
@@ -16,83 +18,55 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import _cptp_residuals, _element_list, _identity_residuals, hermitian_basis
-from .fock import SpaceLayout
+from .channels import (
+    _cptp_residuals,
+    _element_list,
+    _hermitian_score,
+    _heisenberg,
+    _identity_residuals,
+    _identity_targets,
+    _transpose_kron_sum,
+)
 
 _PLATEAU_WINDOW = 500
 _PLATEAU_REL = 1e-3
 _SEPARATION_FACTOR = 10.0
 
 
-def _hvec(mat: np.ndarray) -> np.ndarray:
-    """Isometric real vectorization of a Hermitian matrix."""
-    d = mat.shape[0]
-    iu = np.triu_indices(d, 1)
-    root2 = np.sqrt(2.0)
-    return np.concatenate(
-        [np.diag(mat).real, root2 * mat[iu].real, root2 * mat[iu].imag]
-    )
-
-
-def _unhvec(vec: np.ndarray, d: int) -> np.ndarray:
-    iu = np.triu_indices(d, 1)
-    n_off = iu[0].size
-    mat = np.zeros((d, d), dtype=complex)
-    np.fill_diagonal(mat, vec[:d])
-    upper = (vec[d : d + n_off] + 1j * vec[d + n_off :]) / np.sqrt(2.0)
-    mat[iu] = upper
-    mat[(iu[1], iu[0])] = upper.conj()
-    return mat
-
-
-_MAX_PRODUCT_DIM = 100
-
-
 class ChoiConstraintSystem:
-    """Affine constraints on the Choi matrix of a candidate noise channel.
+    """The affine set ``Phi_J^dag(F_k) = G_k`` of a candidate Choi matrix ``J``.
 
-    Homogeneous constraints ``Tr[H J] = 0`` with PSD ``H`` force any PSD
-    solution onto a face of the cone (``J`` supported in ``ker H``); the
-    joint face is extracted once so projections can target it directly.
-    Without the face reduction every feasible point sits on the cone
-    boundary and alternating projections stall.
+    The stacks ``ops`` and ``targets`` hold the ``n`` events and, last,
+    trace preservation as ``F = I_out``, ``G = I_in``.
+
+    The map ``J -> Phi_J^dag(F)`` has adjoint ``M -> M^T (x) F``, so the
+    Gram operator of the constraints is ``Gram_HS(F_1..F_n, I) (x) id`` and
+    projecting onto the set needs only the pseudo-inverse of the
+    ``(n+1) x (n+1)`` Gram matrix ``Tr[F_k F_l]``.
+
+    A target ``G_k`` with ``<a|G_k|a> = 0`` for PSD ``F_k`` is the
+    homogeneous constraint ``Tr[(|a><a| (x) F_k) J] = 0``, which forces any
+    PSD solution onto a face of the cone (``J`` supported in the kernel of
+    ``|a><a| (x) F_k``); the joint face is extracted once so projections can
+    target it directly.  Without the face reduction every feasible point
+    sits on the cone boundary and alternating projections stall.
     """
 
-    def __init__(self, p_entries: np.ndarray, before, after,
-                 in_layout: SpaceLayout, out_layout: SpaceLayout):
-        d_in = in_layout.total_dim
-        d_out = out_layout.total_dim
-        if d_in * d_out > _MAX_PRODUCT_DIM:
-            raise ValueError(
-                f"product dimension {d_in * d_out} exceeds the desk-scale "
-                f"limit {_MAX_PRODUCT_DIM} of the projection solver"
-            )
-        before_dense = [el.to_dense() for el in before]
-        after_dense = [el.to_dense() for el in after]
-        rows = []
-        rhs = []
-        face_accum = np.zeros((d_in * d_out,) * 2, dtype=complex)
-        for rho in hermitian_basis(d_in):
-            probs = np.array([np.trace(el @ rho).real for el in before_dense])
-            lhs = p_entries @ probs
-            for i, f_i in enumerate(after_dense):
-                h = np.kron(rho.T, f_i)
-                rows.append(_hvec(h))
-                rhs.append(lhs[i])
-                if abs(lhs[i]) < 1e-14 and np.linalg.eigvalsh(h)[0] > -1e-12:
-                    face_accum += h
-        eye_out = np.eye(d_out)
-        for sigma in hermitian_basis(d_in):
-            rows.append(_hvec(np.kron(sigma, eye_out)))
-            rhs.append(np.trace(sigma).real)
-        self.matrix = np.array(rows)
-        self.rhs = np.array(rhs)
-        self.d_in = d_in
-        self.d_out = d_out
-        gram = self.matrix @ self.matrix.T
+    def __init__(self, p, f_before, f_after):
+        after, targets = _identity_targets(p, f_before, f_after)
+        self.d_in = d_in = targets.shape[-1]
+        self.d_out = d_out = after.shape[-1]
+        self.ops = np.concatenate([after, np.eye(d_out)[None]])
+        self.targets = np.concatenate([targets, np.eye(d_in)[None]])
+        gram = np.einsum("kab,lba->kl", self.ops, self.ops).real
         self._solver = np.linalg.pinv(gram, rcond=1e-12)
-        # Orthonormal basis of the joint kernel of the homogeneous PSD rows.
-        vals, vecs = np.linalg.eigh(face_accum)
+        psd = np.linalg.eigvalsh(after)[:, 0] > -1e-12
+        zero = (np.abs(np.diagonal(targets, axis1=1, axis2=2)) < 1e-14) & psd[:, None]
+        face = np.zeros((self.dim, self.dim), dtype=complex)
+        for pairs, f_k in zip(zero, after):
+            face += np.kron(np.diag(pairs), f_k)
+        # Orthonormal basis of the joint kernel of the homogeneous PSD constraints.
+        vals, vecs = np.linalg.eigh(face)
         cutoff = 1e-12 * max(1.0, float(vals[-1]))
         self.face_basis = vecs[:, vals <= cutoff]
 
@@ -100,23 +74,21 @@ class ChoiConstraintSystem:
     def dim(self) -> int:
         return self.d_in * self.d_out
 
-    def project_affine(self, x: np.ndarray) -> np.ndarray:
-        gap = self.matrix @ x - self.rhs
-        return x - self.matrix.T @ (self._solver @ gap)
+    def defect(self, j: np.ndarray) -> np.ndarray:
+        """Hermitian parts of ``Phi_J^dag(F_k) - G_k``, trace preservation last."""
+        diff = _heisenberg(j, self.d_in, self.d_out, self.ops) - self.targets
+        return (diff + diff.conj().transpose(0, 2, 1)) / 2.0
 
-    def residual_vec(self, x: np.ndarray) -> float:
-        return float(np.abs(self.matrix @ x - self.rhs).max())
+    def project_affine(self, j: np.ndarray, defect: np.ndarray) -> np.ndarray:
+        """Orthogonal projection of ``j`` onto the affine set, given ``self.defect(j)``."""
+        coeffs = np.tensordot(self._solver, defect, axes=1)
+        return j - _transpose_kron_sum(coeffs, self.ops).reshape(self.dim, self.dim)
 
-    def residual(self, j: np.ndarray) -> float:
-        return self.residual_vec(_hvec(j))
-
-    def project_face_psd(self, x: np.ndarray) -> tuple[np.ndarray, float]:
+    def project_face_psd(self, mat: np.ndarray) -> tuple[np.ndarray, float]:
         """Project onto the PSD matrices supported on the feasible face.
 
-        Also returns the distance from ``x`` to that face of the cone.
+        Also returns the distance from ``mat`` to that face of the cone.
         """
-        d = self.dim
-        mat = _unhvec(x, d)
         u = self.face_basis
         compressed = u.conj().T @ mat @ u
         vals, vecs = np.linalg.eigh((compressed + compressed.conj().T) / 2.0)
@@ -124,7 +96,7 @@ class ChoiConstraintSystem:
         proj_small = (vecs * clipped) @ vecs.conj().T
         proj = u @ proj_small @ u.conj().T
         gap = float(np.linalg.norm(mat - proj))
-        return _hvec(proj), gap
+        return proj, gap
 
 
 @dataclass(frozen=True)
@@ -163,20 +135,7 @@ def choi_feasibility(
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    before, _ = _element_list(f_eta)
-    after, _ = _element_list(f_target)
-    if hasattr(p_dc, "entries"):
-        p_entries = p_dc.entries
-    else:
-        p_entries = np.asarray(p_dc, dtype=float)
-    if p_entries.shape != (len(after), len(before)):
-        raise ValueError(
-            f"post-processing shape {p_entries.shape} does not map "
-            f"{len(before)} -> {len(after)} events"
-        )
-    system = ChoiConstraintSystem(
-        p_entries, before, after, before[0].layout, after[0].layout
-    )
+    system = ChoiConstraintSystem(p_dc, f_eta, f_target)
     d = system.dim
     rng = np.random.default_rng(seed)
 
@@ -188,27 +147,27 @@ def choi_feasibility(
         g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         start = g @ g.conj().T
         start *= system.d_in / np.trace(start).real
-        x = _hvec(start)
+        x = start
+        defect = system.defect(x)
         correction = np.zeros_like(x)
         history = []
         gap = np.inf
         hit_plateau = False
         for it in range(max_iter):
             total_iters += 1
-            y = system.project_affine(x)
+            y = system.project_affine(x, defect)
             z, gap = system.project_face_psd(y + correction)
             correction = (y + correction) - z
             x = z
-            residual = system.residual_vec(z)
+            defect = system.defect(z)
+            residual = float(_hermitian_score(defect).max())
             best_residual = min(best_residual, residual)
             if residual < tol:
-                witness = _unhvec(z, d)
-                witness = (witness + witness.conj().T) / 2.0
                 return FeasibilityResult(
                     verdict="feasible-at-tol",
                     residual=residual,
                     iterations=total_iters,
-                    witness=witness,
+                    witness=(z + z.conj().T) / 2.0,
                     tolerance=tol,
                     cone_gaps=tuple(final_gaps) + (gap,),
                 )

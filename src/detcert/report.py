@@ -109,6 +109,14 @@ class SetupDescriptor:
             raise DescriptorError(f"seed: must be a non-negative integer, got {self.seed}")
         if self.corner_limit < 2:
             raise DescriptorError(f"corner_limit: must be at least 2, got {self.corner_limit}")
+        for name, values in (
+            ("eta", self.eta_point),
+            ("dark", self.dark_point),
+            ("mode_map", [z for row in self.mode_map for z in row]),
+            ("observed", None if self.observed is None else [self.observed[1]]),
+        ):
+            if values is not None and not np.isfinite(np.asarray(values, dtype=complex)).all():
+                raise DescriptorError(f"{name}: values must be finite, got {list(values)}")
 
     @property
     def eta_lo(self) -> np.ndarray:
@@ -500,6 +508,14 @@ def _analyze_flag_state(desc: SetupDescriptor, cert: Certificate) -> Certificate
         )
         if np.min(eta_vec) <= 0.0:
             cert.downgrade("loss reduction needs strictly positive efficiencies")
+            return cert
+        corner_lo, corner_hi = eta_star_range(float(np.min(eta_vec)), float(np.max(eta_vec)))
+        if not corner_lo - 1e-12 <= eta_star <= corner_hi + 1e-12:
+            cert.downgrade(
+                f"common efficiency {eta_star} outside the admissible interval "
+                f"[{corner_lo}, {corner_hi}] of efficiency corner{idx} {eta_vec.tolist()} "
+                "required by the loss reduction"
+            )
             return cert
         _certify_channel(
             cert, "loss", loss_channel(eta_vec, eta_star, f_lossless), desc.tol, suffix, inputs,

@@ -45,6 +45,25 @@ def random_squashed_povm(rng, layout=SMALL_LAYOUT, events=SMALL_EVENTS, floor=0.
     return SquashedPOVM(layout, elements, events)
 
 
+def hermitian_basis(dim):
+    """Matrix units folded into a real basis of the Hermitian operators."""
+    basis = []
+    for a in range(dim):
+        unit = np.zeros((dim, dim), dtype=complex)
+        unit[a, a] = 1.0
+        basis.append(unit)
+    for a in range(dim):
+        for b in range(a + 1, dim):
+            sym = np.zeros((dim, dim), dtype=complex)
+            sym[a, b] = sym[b, a] = 1.0
+            basis.append(sym)
+            asym = np.zeros((dim, dim), dtype=complex)
+            asym[a, b] = -1.0j
+            asym[b, a] = 1.0j
+            basis.append(asym)
+    return basis
+
+
 def mix_povms(f_ideal, q_povm, q0):
     """The deviation-q0 mixture of two measurements on one layout."""
     elements = [

@@ -9,13 +9,13 @@ inputs, which block-diagonal test states cannot reach.
 
 import numpy as np
 import pytest
-from helpers import mix_povms, random_squashed_povm
+from helpers import hermitian_basis, mix_povms, random_squashed_povm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import detcert as dc
 from detcert import report
-from detcert.channels import QuantumChannel, _KeepBlocks, _MeasurePrepare, hermitian_basis
+from detcert.channels import QuantumChannel, _KeepBlocks, _MeasurePrepare
 
 PASSIVE = {
     "setup": "passive-bb84",

@@ -1,14 +1,28 @@
 import numpy as np
 import pytest
+from helpers import hermitian_basis, random_squashed_povm
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detcert import (
+    FeasibilityResult,
     bb84_qubit_measurement,
     bb84_simple_noise_channel,
     bb84_squashed_dark_matrix,
+    build_threshold_povm,
     choi_feasibility,
+    flag_state_target,
+    passive_bb84_setup,
     verify_choi_witness,
 )
-from detcert.channels import QuantumChannel, verify_cptp, verify_statistics_equivalence
+from detcert.channels import (
+    QuantumChannel,
+    _hermitian_score,
+    verify_cptp,
+    verify_statistics_equivalence,
+)
+from detcert.feasibility import ChoiConstraintSystem
+from detcert.report import active_swap_lp, descriptor_from_dict
 
 ADVERSARIAL = np.array(
     [
@@ -104,12 +118,14 @@ def test_witness_checker_catches_negative_eigenvalue():
     assert report.psd_residual >= 1e-4
 
 
-def test_dimension_guard():
-    from detcert import build_threshold_povm, flag_state_target, passive_bb84_setup
-
+def test_fine_grained_passive_layout_runs():
+    # fine-grained passive BB84: 16 events on layout dim 19, a 361 x 361 Choi matrix
     sq = flag_state_target(build_threshold_povm(passive_bb84_setup(1.0), 1), 1)
-    with pytest.raises(ValueError, match="desk-scale"):
-        choi_feasibility(np.eye(16), sq, sq, tol=1e-6)
+    assert sq.layout.total_dim == 19
+    result = choi_feasibility(np.eye(16), sq, sq, tol=1e-6, max_iter=1, restarts=1)
+    assert isinstance(result, FeasibilityResult)
+    assert result.iterations == 1
+    assert np.isfinite(result.residual)
 
 
 @pytest.fixture(scope="module")
@@ -146,3 +162,65 @@ def test_probe_agrees_with_dark_channel_construction(coarse_dark_case):
     result = choi_feasibility(p_dc, squashed, squashed, tol=1e-6, seed=0)
     assert result.verdict == "feasible-at-tol"
     assert verify_choi_witness(result.witness, p_dc, squashed, squashed, 1e-6).passed
+
+
+def _dense_row_projection(p, before, after, j):
+    """Reference: one constraint row ``Tr[H J] = b`` per Hermitian basis element.
+
+    Rows ``rho^T (x) F_i`` with ``b = sum_j P_ij Tr[F_before_j rho]`` and
+    ``sigma (x) I`` with ``b = Tr[sigma]``; the projection pseudo-inverts the
+    dense Gram matrix of all rows.
+    """
+    d_in, d_out = before[0].shape[0], after[0].shape[0]
+    rows, rhs = [], []
+    for rho in hermitian_basis(d_in):
+        probs = np.array([np.trace(f @ rho).real for f in before])
+        for f, target in zip(after, p @ probs):
+            rows.append(np.kron(rho.T, f))
+            rhs.append(target)
+    for sigma in hermitian_basis(d_in):
+        rows.append(np.kron(sigma, np.eye(d_out)))
+        rhs.append(np.trace(sigma).real)
+    h = np.array(rows)
+    gram = np.einsum("rab,sba->rs", h, h).real
+    gap = np.einsum("rab,ba->r", h, j).real - np.array(rhs)
+    coeffs = np.linalg.pinv(gram, rcond=1e-12) @ gap
+    return j - np.einsum("r,rab->ab", coeffs, h)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**16))
+def test_heisenberg_projection_equals_dense_rows(seed):
+    rng = np.random.default_rng(seed)
+    f_before = random_squashed_povm(rng)
+    f_after = random_squashed_povm(rng)
+    n = len(f_after)
+    p = rng.dirichlet(np.ones(n), size=n).T  # column-stochastic
+    system = ChoiConstraintSystem(p, f_before, f_after)
+    g = rng.normal(size=(system.dim,) * 2) + 1j * rng.normal(size=(system.dim,) * 2)
+    j = (g + g.conj().T) / 2.0
+    y = system.project_affine(j, system.defect(j))
+    before = [el.to_dense() for el in f_before.elements]
+    after = [el.to_dense() for el in f_after.elements]
+    assert np.abs(y - _dense_row_projection(p, before, after, j)).max() <= 1e-12
+    assert np.abs(system.project_affine(y, system.defect(y)) - y).max() <= 1e-12
+    assert _hermitian_score(system.defect(y)).max() <= 1e-12
+    report = verify_choi_witness(y, p, f_before, f_after, 1e-12)
+    assert report.linear_residual <= 1e-12
+    assert report.trace_preservation_dev <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "log_d,basis,iterations",
+    [(-1.25, "Z", 151), (-1.25, "X", 113), (-1.75, "Z", 980), (-1.75, "X", 760),
+     (-2.25, "Z", 4708), (-2.25, "X", 3664)],
+)
+def test_probe_iterations_pinned_on_active_strata(log_d, basis, iterations):
+    # the choi-check probe on the benchmark's active strata (seed 7)
+    d = 10.0**log_d
+    desc = descriptor_from_dict({"setup": "active-bb84", "dark_range": [[0, d], [0, d]], "seed": 7})
+    _, lp = active_swap_lp(desc)
+    povm = bb84_qubit_measurement(basis)
+    result = choi_feasibility(lp.matrix, povm, povm, tol=desc.feas_tol, seed=desc.seed)
+    assert result.verdict == "feasible-at-tol"
+    assert result.iterations == iterations

@@ -51,13 +51,26 @@ def test_descriptor_validation_errors():
             descriptor_from_dict({**PASSIVE, "corner_limit": bad})
     with pytest.raises(DescriptorError, match="unknown descriptor fields"):
         descriptor_from_dict({**PASSIVE, "tolerances": {"cert": 1e-9}})
+    nan, inf = float("nan"), float("inf")
+    for name, bad in (
+        ("eta", nan), ("eta", [0.5, inf, 0.5, 0.5]), ("dark", [nan] * 4), ("dark", -inf),
+        ("observed", {"event": "multi", "probability": nan}),
+    ):
+        with pytest.raises(DescriptorError, match=f"^{name}:"):
+            descriptor_from_dict({**PASSIVE, name: bad})
+    for entry in (nan, [1.0, nan], [inf, 0.0]):
+        with pytest.raises(DescriptorError, match="^mode_map:"):
+            descriptor_from_dict({"setup": "custom", "k": 2, "mode_map": [[1.0], [entry]]})
 
 
 @pytest.mark.parametrize("cmd", ["analyze", "choi-check"])
 @pytest.mark.parametrize(
     "extra,override",
     [({"seed": -1}, []), ({}, ["--seed", "-1"]), ({}, ["--tol", "nan"]),
-     ({"feas_tol": float("inf")}, []), ({}, ["--eta-star", "nan"])],
+     ({"feas_tol": float("inf")}, []), ({}, ["--eta-star", "nan"]),
+     ({"dark": float("nan")}, []), ({"eta": float("nan")}, []),
+     ({"observed": {"event": "multi", "probability": float("inf")}}, []),
+     ({"setup": "custom", "k": 1, "mode_map": [[[1.0, float("nan")]]]}, [])],
 )
 def test_cli_rejects_bad_values_before_running(tmp_path, capsys, cmd, extra, override):
     base = PASSIVE if cmd == "analyze" else {"setup": "active-bb84", "dark_range": [0.0, 0.05]}
@@ -131,6 +144,19 @@ def test_analysis_rejects_inadmissible_eta_star():
     cert = run_analysis(desc)
     assert cert.status != "reducible"
     assert "admissible" in cert.failed_requirement
+
+
+def test_analysis_downgrades_eta_star_inadmissible_at_a_corner(tmp_path, capsys):
+    # 0.85 lies in the interval [0.5 / 0.6, 1] of the whole range, but the
+    # all-high corner (eta = 0.9 everywhere) admits only [0.9, 1]
+    data = {**PASSIVE, "eta_range": [0.5, 0.9], "eta_star": 0.85}
+    cert = run_analysis(descriptor_from_dict(data))
+    assert cert.status == "not reducible under this framework"
+    assert "corner1 [0.9, 0.9, 0.9, 0.9]" in cert.failed_requirement
+    assert "[0.9, 1.0]" in cert.failed_requirement
+    assert cert.exit_code == EXIT_NOT_REDUCIBLE
+    assert cli.main(["analyze", _write_descriptor(tmp_path, data)]) == EXIT_NOT_REDUCIBLE
+    assert capsys.readouterr().err == ""
 
 
 def test_analysis_custom_setup():
