@@ -558,15 +558,22 @@ def _heisenberg(j: np.ndarray, d_in: int, d_out: int, ops: np.ndarray) -> np.nda
     return (ops.reshape(len(ops), -1) @ t).reshape(-1, d_in, d_in)
 
 
-def _hermitian_score(diff: np.ndarray) -> np.ndarray:
-    """Per matrix of a stack: ``max(|D_aa|, 2|Re D_ab|, 2|Im D_ab|)``, ``D`` its Hermitian part.
+def _hermitian_part(diff: np.ndarray) -> np.ndarray:
+    """``(D + D^dag) / 2`` per matrix of a stack, Hermitian to the bit."""
+    return (diff + diff.conj().transpose(0, 2, 1)) / 2.0
 
-    For ``D = Phi^dag(F) - G`` this is the largest mismatch
-    ``|Tr[F Phi(rho)] - Tr[G rho]|`` over the Hermitian matrix-unit basis
-    ``rho``, which spans every input operator.
+
+def _hermitian_score(herm: np.ndarray, weight: np.ndarray | None = None) -> np.ndarray:
+    """Per matrix ``D`` of a Hermitian stack: ``max(|D_aa|, 2|Re D_ab|, 2|Im D_ab|)``.
+
+    For ``D`` the Hermitian part of ``Phi^dag(F) - G`` this is the largest
+    mismatch ``|Tr[F Phi(rho)] - Tr[G rho]|`` over the Hermitian matrix-unit
+    basis ``rho``, which spans every input operator.  ``weight`` is the
+    factor ``2 - I``, passed in by callers that score many stacks.
     """
-    diff = (diff + diff.conj().transpose(0, 2, 1)) / 2.0
-    entry = np.maximum(np.abs(diff.real), np.abs(diff.imag)) * (2.0 - np.eye(diff.shape[-1]))
+    if weight is None:
+        weight = 2.0 - np.eye(herm.shape[-1])
+    entry = np.maximum(np.abs(herm.real), np.abs(herm.imag)) * weight
     return entry.max(axis=(1, 2))
 
 
@@ -575,7 +582,7 @@ def _identity_residuals(
 ) -> np.ndarray:
     """Per-event score of ``Phi_J^dag(F_after_i) = sum_j P_ij F_before_j``."""
     after, targets = _identity_targets(p, f_before, f_after)
-    return _hermitian_score(_heisenberg(j, d_in, d_out, after) - targets)
+    return _hermitian_score(_hermitian_part(_heisenberg(j, d_in, d_out, after) - targets))
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ import numpy as np
 from .channels import (
     _cptp_residuals,
     _element_list,
+    _hermitian_part,
     _hermitian_score,
     _heisenberg,
     _identity_residuals,
@@ -69,6 +70,10 @@ class ChoiConstraintSystem:
         vals, vecs = np.linalg.eigh(face)
         cutoff = 1e-12 * max(1.0, float(vals[-1]))
         self.face_basis = vecs[:, vals <= cutoff]
+        # Iterate-independent pieces of the projections and the score.
+        self._ops_flat = self.ops.reshape(len(self.ops), -1)
+        self._face_basis_h = self.face_basis.conj().T
+        self.score_weight = 2.0 - np.eye(d_in)
 
     @property
     def dim(self) -> int:
@@ -76,27 +81,20 @@ class ChoiConstraintSystem:
 
     def defect(self, j: np.ndarray) -> np.ndarray:
         """Hermitian parts of ``Phi_J^dag(F_k) - G_k``, trace preservation last."""
-        diff = _heisenberg(j, self.d_in, self.d_out, self.ops) - self.targets
-        return (diff + diff.conj().transpose(0, 2, 1)) / 2.0
+        return _hermitian_part(_heisenberg(j, self.d_in, self.d_out, self._ops_flat) - self.targets)
 
     def project_affine(self, j: np.ndarray, defect: np.ndarray) -> np.ndarray:
         """Orthogonal projection of ``j`` onto the affine set, given ``self.defect(j)``."""
-        coeffs = np.tensordot(self._solver, defect, axes=1)
+        coeffs = (self._solver @ defect.reshape(len(defect), -1)).reshape(defect.shape)
         return j - _transpose_kron_sum(coeffs, self.ops).reshape(self.dim, self.dim)
 
-    def project_face_psd(self, mat: np.ndarray) -> tuple[np.ndarray, float]:
-        """Project onto the PSD matrices supported on the feasible face.
-
-        Also returns the distance from ``mat`` to that face of the cone.
-        """
+    def project_face_psd(self, mat: np.ndarray) -> np.ndarray:
+        """Project onto the PSD matrices supported on the feasible face."""
         u = self.face_basis
-        compressed = u.conj().T @ mat @ u
+        compressed = self._face_basis_h @ mat @ u
         vals, vecs = np.linalg.eigh((compressed + compressed.conj().T) / 2.0)
-        clipped = np.clip(vals, 0.0, None)
-        proj_small = (vecs * clipped) @ vecs.conj().T
-        proj = u @ proj_small @ u.conj().T
-        gap = float(np.linalg.norm(mat - proj))
-        return proj, gap
+        proj_small = (vecs * np.maximum(vals, 0.0)) @ vecs.conj().T
+        return u @ proj_small @ self._face_basis_h
 
 
 @dataclass(frozen=True)
@@ -105,7 +103,9 @@ class FeasibilityResult:
 
     ``residual`` is the best combined constraint violation reached by any
     run; ``witness`` is present exactly when the verdict is feasible and
-    then satisfies all constraints at the tolerance.
+    then satisfies all constraints at the tolerance.  Per restart that ran,
+    ``cone_gaps`` holds the final distance to the cone and ``stops`` why it
+    stopped: ``"tol"``, ``"plateau"`` or ``"cap"`` (``max_iter`` reached).
     """
 
     verdict: str  # "feasible-at-tol" | "infeasible-at-tol" | "undetermined"
@@ -114,6 +114,7 @@ class FeasibilityResult:
     witness: np.ndarray | None
     tolerance: float
     cone_gaps: tuple[float, ...] = ()
+    stops: tuple[str, ...] = ()
 
 
 def choi_feasibility(
@@ -142,47 +143,44 @@ def choi_feasibility(
     best_residual = np.inf
     total_iters = 0
     final_gaps = []
-    plateaued = []
+    stops = []
     for _ in range(max(1, restarts)):
         g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        start = g @ g.conj().T
-        start *= system.d_in / np.trace(start).real
-        x = start
+        x = g @ g.conj().T
+        x *= system.d_in / np.trace(x).real
         defect = system.defect(x)
         correction = np.zeros_like(x)
         history = []
-        gap = np.inf
-        hit_plateau = False
-        for it in range(max_iter):
+        stop = "cap"
+        for _ in range(max_iter):
             total_iters += 1
-            y = system.project_affine(x, defect)
-            z, gap = system.project_face_psd(y + correction)
-            correction = (y + correction) - z
-            x = z
-            defect = system.defect(z)
-            residual = float(_hermitian_score(defect).max())
+            m = system.project_affine(x, defect) + correction
+            x = system.project_face_psd(m)
+            correction = m - x
+            defect = system.defect(x)
+            residual = float(_hermitian_score(defect, system.score_weight).max())
             best_residual = min(best_residual, residual)
             if residual < tol:
                 return FeasibilityResult(
                     verdict="feasible-at-tol",
                     residual=residual,
                     iterations=total_iters,
-                    witness=(z + z.conj().T) / 2.0,
+                    witness=(x + x.conj().T) / 2.0,
                     tolerance=tol,
-                    cone_gaps=tuple(final_gaps) + (gap,),
+                    cone_gaps=tuple(final_gaps) + (float(np.linalg.norm(correction)),),
+                    stops=tuple(stops) + ("tol",),
                 )
             history.append(residual)
             if len(history) > _PLATEAU_WINDOW:
                 old = history[-_PLATEAU_WINDOW - 1]
                 if old - residual < _PLATEAU_REL * old:
-                    hit_plateau = True
+                    stop = "plateau"
                     break
-        final_gaps.append(gap)
-        plateaued.append(hit_plateau)
+        final_gaps.append(float(np.linalg.norm(correction)) if max_iter > 0 else np.inf)
+        stops.append(stop)
 
-    separated = all(plateaued) and all(
-        g > _SEPARATION_FACTOR * tol for g in final_gaps
-    )
+    gap_floor = _SEPARATION_FACTOR * tol
+    separated = set(stops) == {"plateau"} and all(g > gap_floor for g in final_gaps)
     verdict = "infeasible-at-tol" if separated else "undetermined"
     return FeasibilityResult(
         verdict=verdict,
@@ -191,6 +189,7 @@ def choi_feasibility(
         witness=None,
         tolerance=tol,
         cone_gaps=tuple(final_gaps),
+        stops=tuple(stops),
     )
 
 

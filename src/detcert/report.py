@@ -158,32 +158,47 @@ class SetupDescriptor:
         return out
 
 
+def _number(value, name: str) -> float:
+    """A JSON number (not a bool, null or string) as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DescriptorError(f"{name}: expected a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, name: str) -> int:
+    """A JSON number with an integral value as an int."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DescriptorError(f"{name}: expected an integer, got {value!r}")
+    return value
+
+
 def _per_detector_ranges(value, k: int, name: str):
     if not isinstance(value, (list, tuple)):
         raise DescriptorError(f"{name}: expected a range or list of ranges")
-    if len(value) == 2 and all(isinstance(v, (int, float)) for v in value):
-        return tuple((float(value[0]), float(value[1])) for _ in range(k))
+    if len(value) == 2 and not any(isinstance(v, (list, tuple)) for v in value):
+        return ((_number(value[0], name), _number(value[1], name)),) * k
     out = []
     for entry in value:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
             raise DescriptorError(f"{name}: malformed range entry {entry!r}")
-        out.append((float(entry[0]), float(entry[1])))
+        out.append((_number(entry[0], name), _number(entry[1], name)))
     if len(out) != k:
         raise DescriptorError(f"{name}: expected {k} ranges, got {len(out)}")
     return tuple(out)
 
 
-def _parse_mode_map(raw, name: str = "mode_map"):
+def _parse_mode_map(raw):
+    """Rows of numbers or ``[re, im]`` pairs as complex tuples."""
+    if not (isinstance(raw, (list, tuple)) and all(isinstance(r, (list, tuple)) for r in raw)):
+        raise DescriptorError("mode_map: expected a list of rows")
     rows = []
     for row in raw:
         parsed = []
         for entry in row:
-            if isinstance(entry, (int, float)):
-                parsed.append(complex(entry))
-            elif isinstance(entry, (list, tuple)) and len(entry) == 2:
-                parsed.append(complex(float(entry[0]), float(entry[1])))
-            else:
-                raise DescriptorError(f"{name}: malformed entry {entry!r}")
+            pair = entry if isinstance(entry, (list, tuple)) and len(entry) == 2 else (entry, 0.0)
+            parsed.append(complex(*(_number(v, "mode_map") for v in pair)))
         rows.append(tuple(parsed))
     return tuple(rows)
 
@@ -198,7 +213,7 @@ def descriptor_from_dict(data: dict) -> SetupDescriptor:
         k = 4
     elif setup == "custom":
         k = data.get("k")
-        if not isinstance(k, int) or k < 1:
+        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
             raise DescriptorError("k: custom setups need a positive detector count")
         if "mode_map" not in data:
             raise DescriptorError("mode_map: required for custom setups")
@@ -219,35 +234,36 @@ def descriptor_from_dict(data: dict) -> SetupDescriptor:
         obs = data["observed"]
         if not isinstance(obs, dict) or "event" not in obs or "probability" not in obs:
             raise DescriptorError("observed: needs fields 'event' and 'probability'")
-        observed = (str(obs["event"]), float(obs["probability"]))
+        observed = (str(obs["event"]), _number(obs["probability"], "observed"))
 
     def _point(name):
         if name not in data:
             return None
         arr = data[name]
-        if isinstance(arr, (int, float)):
-            return tuple(float(arr) for _ in range(k))
+        if not isinstance(arr, (list, tuple)):
+            return (_number(arr, name),) * k
         if len(arr) != k:
             raise DescriptorError(f"{name}: expected {k} values")
-        return tuple(float(v) for v in arr)
+        return tuple(_number(v, name) for v in arr)
 
+    eta_star = data.get("eta_star")
     return SetupDescriptor(
         setup=setup,
         k=k,
         eta_range=_per_detector_ranges(data.get("eta_range", [1.0, 1.0]), k, "eta_range"),
         dark_range=_per_detector_ranges(data.get("dark_range", [0.0, 0.0]), k, "dark_range"),
-        cutoff=int(data.get("cutoff", 1)),
-        eta_star=(float(data["eta_star"]) if data.get("eta_star") is not None else None),
+        cutoff=_integer(data.get("cutoff", 1), "cutoff"),
+        eta_star=None if eta_star is None else _number(eta_star, "eta_star"),
         coarse_grain=str(data.get("coarse_grain", "none")),
-        tol=float(data.get("tol", 1e-9)),
-        feas_tol=float(data.get("feas_tol", 1e-6)),
-        seed=int(data.get("seed", 0)),
-        weight_in=float(data.get("weight_in", 0.0)),
+        tol=_number(data.get("tol", 1e-9), "tol"),
+        feas_tol=_number(data.get("feas_tol", 1e-6), "feas_tol"),
+        seed=_integer(data.get("seed", 0), "seed"),
+        weight_in=_number(data.get("weight_in", 0.0), "weight_in"),
         mode_map=_parse_mode_map(data["mode_map"]) if "mode_map" in data else (),
         eta_point=_point("eta"),
         dark_point=_point("dark"),
         observed=observed,
-        corner_limit=int(data.get("corner_limit", 4)),
+        corner_limit=_integer(data.get("corner_limit", 4), "corner_limit"),
     )
 
 

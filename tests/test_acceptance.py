@@ -169,7 +169,7 @@ def test_criterion_7_weight_propagation():
 
 
 def test_criterion_8_choi_feasibility():
-    with criterion(8, "Choi feasibility probe with verified witness", 120.0):
+    with criterion(8, "Choi feasibility probe with verified witness", 20.0):
         p_dc = dc.bb84_squashed_dark_matrix(0.05)
         for basis in ("Z", "X"):
             povm = dc.bb84_qubit_measurement(basis)

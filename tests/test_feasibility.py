@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import hermitian_basis, random_squashed_povm
+from helpers import hermitian_basis, random_squashed_povm, reference_probe
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -224,3 +224,68 @@ def test_probe_iterations_pinned_on_active_strata(log_d, basis, iterations):
     result = choi_feasibility(lp.matrix, povm, povm, tol=desc.feas_tol, seed=desc.seed)
     assert result.verdict == "feasible-at-tol"
     assert result.iterations == iterations
+
+
+def test_capped_probe_pinned_on_active_stratum():
+    # the benchmark's known-defect op: every restart runs to the iteration cap
+    d = 10.0**-2.75
+    desc = descriptor_from_dict({"setup": "active-bb84", "dark_range": [[0, d], [0, d]], "seed": 7})
+    _, lp = active_swap_lp(desc)
+    povm = bb84_qubit_measurement("Z")
+    result = choi_feasibility(lp.matrix, povm, povm, tol=desc.feas_tol, seed=desc.seed)
+    assert result.verdict == "undetermined"
+    assert result.iterations == 30000
+    assert result.stops == ("cap", "cap", "cap")
+    assert result.witness is None
+    assert result.residual == pytest.approx(9.13874925906528e-06, rel=1e-9)
+    gaps = (7.3237725801770415, 9.986458005712, 6.49714486667369)
+    assert result.cone_gaps == pytest.approx(gaps, rel=1e-9)
+
+
+def test_stops_name_why_each_restart_ended():
+    povm = bb84_qubit_measurement("Z")
+    feasible = choi_feasibility(bb84_squashed_dark_matrix(0.05), povm, povm, seed=0)
+    assert feasible.stops[-1] == "tol" and len(feasible.stops) == len(feasible.cone_gaps)
+    assert set(feasible.stops[:-1]) <= {"plateau", "cap"}
+    adversarial = choi_feasibility(ADVERSARIAL, povm, povm, max_iter=4000, seed=0)
+    assert adversarial.stops == ("plateau",) * 3
+    capped = choi_feasibility(ADVERSARIAL, povm, povm, max_iter=100, seed=0, restarts=2)
+    assert capped.verdict == "undetermined"
+    assert capped.stops == ("cap", "cap")
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**16))
+def test_probe_loop_matches_reference_loop(seed):
+    rng = np.random.default_rng(seed)
+    f_before = random_squashed_povm(rng)
+    # a rotated output measurement gives the face a complex basis
+    f_after = random_squashed_povm(rng)
+    d = f_after.layout.total_dim
+    v, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    f_after = [v @ el.to_dense() @ v.conj().T for el in f_after.elements]
+    n = len(f_after)
+    # column-stochastic; its zeros make the face proper
+    p = rng.dirichlet(np.ones(n), size=n).T * (rng.random((n, n)) < 0.6)
+    p[rng.integers(n, size=n), range(n)] += 1e-3
+    p /= p.sum(axis=0)
+    iterates = []
+    project = ChoiConstraintSystem.project_face_psd
+
+    def recording(self, mat):
+        iterates.append(project(self, mat))
+        return iterates[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ChoiConstraintSystem, "project_face_psd", recording)
+        result = choi_feasibility(p, f_before, f_after, max_iter=50, seed=seed, restarts=1)
+    system = ChoiConstraintSystem(p, f_before, f_after)
+    ref_iterates, ref_residuals, ref_gaps = reference_probe(
+        system, max_iter=50, seed=seed, restarts=1
+    )
+    assert len(iterates) == len(ref_iterates) == result.iterations
+    assert max(np.abs(a - b).max() for a, b in zip(iterates, ref_iterates)) <= 1e-12
+    residuals = [_hermitian_score(system.defect(z), system.score_weight).max() for z in iterates]
+    assert np.abs(np.subtract(residuals, ref_residuals)).max() <= 1e-12
+    assert abs(result.residual - min(ref_residuals)) <= 1e-12
+    assert result.cone_gaps == pytest.approx(ref_gaps, abs=1e-12)

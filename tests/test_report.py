@@ -61,6 +61,22 @@ def test_descriptor_validation_errors():
     for entry in (nan, [1.0, nan], [inf, 0.0]):
         with pytest.raises(DescriptorError, match="^mode_map:"):
             descriptor_from_dict({"setup": "custom", "k": 2, "mode_map": [[1.0], [entry]]})
+    # only JSON numbers: no null, bool or string, and integral where an int is due
+    for name, bad in (
+        ("eta", None), ("eta", "abcd"), ("eta", [0.5, "0.6", 0.5, 0.5]), ("dark", True),
+        ("eta_range", [["a", 0.6]] * 4), ("eta_range", ["0.5", 0.6]), ("dark_range", [0.0, None]),
+        ("observed", {"event": "multi", "probability": "0.1"}), ("tol", "1e-9"),
+        ("feas_tol", None), ("eta_star", "1"), ("weight_in", False), ("cutoff", "2"),
+        ("cutoff", 1.5), ("seed", "x"), ("seed", None), ("seed", inf), ("corner_limit", "4"),
+    ):
+        with pytest.raises(DescriptorError, match=f"^{name}:"):
+            descriptor_from_dict({**PASSIVE, name: bad})
+    for mode_map in (5, [1.0, 2.0], [[1.0], ["1"]], [[1.0], [[1.0, None]]], [[True], [1.0]]):
+        with pytest.raises(DescriptorError, match="^mode_map:"):
+            descriptor_from_dict({"setup": "custom", "k": 2, "mode_map": mode_map})
+    with pytest.raises(DescriptorError, match="^k:"):
+        descriptor_from_dict({"setup": "custom", "k": True, "mode_map": [[1.0]]})
+    assert descriptor_from_dict({**PASSIVE, "seed": 7.0, "cutoff": 1.0}).seed == 7
 
 
 @pytest.mark.parametrize("cmd", ["analyze", "choi-check"])
@@ -70,7 +86,10 @@ def test_descriptor_validation_errors():
      ({"feas_tol": float("inf")}, []), ({}, ["--eta-star", "nan"]),
      ({"dark": float("nan")}, []), ({"eta": float("nan")}, []),
      ({"observed": {"event": "multi", "probability": float("inf")}}, []),
-     ({"setup": "custom", "k": 1, "mode_map": [[[1.0, float("nan")]]]}, [])],
+     ({"setup": "custom", "k": 1, "mode_map": [[[1.0, float("nan")]]]}, []),
+     ({"eta": None}, []), ({"eta": "abcd"}, []), ({"eta_range": ["0.5", 0.6]}, []),
+     ({"dark_range": [0.0, "x"]}, []), ({"seed": "x"}, []), ({"cutoff": "2"}, []),
+     ({"tol": "1e-9"}, [])],
 )
 def test_cli_rejects_bad_values_before_running(tmp_path, capsys, cmd, extra, override):
     base = PASSIVE if cmd == "analyze" else {"setup": "active-bb84", "dark_range": [0.0, 0.05]}
