@@ -15,11 +15,11 @@ povm = dc.build_threshold_povm(setup, cutoff=2)
 
 squashed = dc.flag_state_target(povm, cutoff=1)
 print("squashed layout:", squashed.layout.blocks)
-print("flag dimension (one flag per click pattern):", squashed.flag_dim)
+print("flag dimension (one flag per click pattern):", squashed.layout.dim("flag"))
 
 cg = dc.multiclick_coarse_graining(povm.events)
 coarse = dc.apply_postprocessing(cg, povm)
-print("after merging multi-clicks:", dc.flag_state_target(coarse, 1).flag_dim, "flags")
+print("after merging multi-clicks:", dc.flag_state_target(coarse, 1).layout.dim("flag"), "flags")
 
 p_multi = 0.002
 wb = dc.weight_bound(povm, "multi", p_multi, cutoff=1)

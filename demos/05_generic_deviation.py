@@ -10,7 +10,7 @@ mixing in uniform noise.
 import numpy as np
 
 import detcert as dc
-from detcert import EventTable, SquashedPOVM
+from detcert import POVM, EventTable
 from detcert.fock import BlockOperator, SpaceLayout
 
 rng = np.random.default_rng(5)
@@ -41,13 +41,13 @@ def random_target(rng):
                 layout, {"m=0": mats["m=0"][i], "m=1": mats["m=1"][i], "flag": flag}
             )
         )
-    return SquashedPOVM(layout, elements, events)
+    return POVM(layout, elements, events)
 
 
 f_ideal = random_target(rng)
 q_povm = random_target(rng)
 q0 = 0.25
-f_noise = SquashedPOVM(
+f_noise = POVM(
     layout,
     [(1 - q0) * a + q0 * b for a, b in zip(f_ideal.elements, q_povm.elements)],
     events,

@@ -48,7 +48,6 @@ from .postprocessing import (
     validate_dark_count_pp,
 )
 from .squashing import (
-    SquashedPOVM,
     WeightBound,
     eta_star_range,
     flag_state_target,
@@ -96,7 +95,6 @@ __all__ = [
     "QuantumChannel",
     "SetupDescriptor",
     "SpaceLayout",
-    "SquashedPOVM",
     "StochasticMatrix",
     "WeightBound",
     "active_bb84_setups",

@@ -5,7 +5,11 @@ noise channel followed by the ideal measurement": dark counts are pushed
 into a measure-and-reprepare branch on the one-photon block, unequal
 efficiencies into a probabilistic split of the loss post-processing, and a
 generic deviation ``q`` into a branch that surrenders part of the preserved
-state to the flags.
+state to the flags.  The ideal measurement is a flag-state target: a
+``POVM`` whose layout ends in a ``flag`` block, element ``i`` carrying the
+flag ``|i><i|`` exactly.  A construction checks that, and that clicks never
+outnumber photons, then reads operator blocks off the measurement's dense
+stack with the block projectors of its layout.
 
 A channel is held as its Choi matrix ``J``, assembled directly from the
 completely positive terms of its construction; application, composition
@@ -26,20 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detectors import POVM, EventTable
-from .fock import (
-    FLAG_LABEL,
-    BlockOperator,
-    DensityLike,
-    SpaceLayout,
-    min_eigenvalue,
-    photon_label,
-)
+from .detectors import POVM, EventTable, verify_single_photon_assumption
+from .fock import FLAG_LABEL, BlockOperator, DensityLike, SpaceLayout, photon_label
 from .postprocessing import StochasticMatrix, validate_dark_count_pp
-from .squashing import SquashedPOVM, eta_star_range
+from .squashing import eta_star_range
 
 _M0 = photon_label(0)
 _M1 = photon_label(1)
+_FLAG_TOL = 1e-12
 
 # Choi tensors carry indices ``[a, i, b, j] = <a i| J |b j>``: input, output,
 # input, output.  The Choi matrix is the same array reshaped to two indices.
@@ -60,10 +58,13 @@ class _KeepBlocks:
 
 @dataclass(frozen=True)
 class _MeasurePrepare:
-    """CP term ``rho -> sum_i Tr[op_i rho] prep_i`` (weights live in preps)."""
+    """CP term ``rho -> sum_i Tr[op_i rho] prep_i`` (weights live in preps).
 
-    ops: tuple
-    preps: tuple
+    ``ops`` and ``preps`` are equally long stacks of dense operators.
+    """
+
+    ops: np.ndarray
+    preps: np.ndarray
 
     def choi(self) -> np.ndarray:
         return _transpose_kron_sum(np.asarray(self.ops), np.asarray(self.preps))
@@ -153,37 +154,15 @@ def apply_channel(ch: QuantumChannel, rho: DensityLike) -> DensityLike:
     return DensityLike(BlockOperator(out_layout, blocks))
 
 
-def _flag_prep(layout: SpaceLayout, index: int) -> np.ndarray:
-    d = layout.total_dim
-    off = layout.offset(FLAG_LABEL)
-    mat = np.zeros((d, d), dtype=complex)
-    mat[off + index, off + index] = 1.0
-    return mat
+def _diagonal_states(d: int, positions, coeffs) -> np.ndarray:
+    """Stack of diagonal operators, entry ``r`` being ``sum_i coeffs[r, i] |p_i><p_i|``.
 
-
-def _vac_prep(layout: SpaceLayout) -> np.ndarray:
-    d = layout.total_dim
-    off = layout.offset(_M0)
-    mat = np.zeros((d, d), dtype=complex)
-    mat[off, off] = 1.0
-    return mat
-
-
-def _embed_block(layout: SpaceLayout, label: str, block: np.ndarray) -> np.ndarray:
-    d = layout.total_dim
-    mat = np.zeros((d, d), dtype=complex)
-    s = layout.slice_of(label)
-    mat[s, s] = block
-    return mat
-
-
-def _embed_blocks(layout: SpaceLayout, op: BlockOperator, labels) -> np.ndarray:
-    d = layout.total_dim
-    mat = np.zeros((d, d), dtype=complex)
-    for lab in labels:
-        s = layout.slice_of(lab)
-        mat[s, s] = op.block(lab)
-    return mat
+    ``p_i`` is the basis vector at index ``positions[i]`` of the ``d``-dimensional space.
+    """
+    coeffs = np.asarray(coeffs)
+    states = np.zeros((len(coeffs), d, d), dtype=complex)
+    states[:, positions, positions] = coeffs
+    return states
 
 
 def bb84_simple_noise_channel(d: float) -> QuantumChannel:
@@ -197,7 +176,7 @@ def bb84_simple_noise_channel(d: float) -> QuantumChannel:
     if not 0.0 <= d <= 1.0:
         raise ValueError("dark rate must lie in [0, 1]")
     layout = SpaceLayout(((_M0, 1), (_M1, 2)))
-    vac = _vac_prep(layout)
+    vac = layout.projector(_M0)
     qubit_proj = layout.projector(_M1)
     vac_branch = _MeasurePrepare(
         ops=(vac,),
@@ -230,47 +209,45 @@ def bb84_qubit_measurement(basis: str) -> POVM:
     return POVM(layout, elements, events)
 
 
-def _require_one_photon_flag_layout(squashed: SquashedPOVM):
-    labels = squashed.layout.photon_labels
-    if labels != (_M0, _M1):
-        raise ValueError(f"need blocks (m=0, m=1, flag), got {squashed.layout.labels}")
-    if not squashed.strict_flags:
-        raise ValueError("target measurement must have exact flag states")
+def _require_exact_flags(povm: POVM, role: str):
+    """``povm`` must have a flag block, and element ``i`` the flag block ``|i><i|``."""
+    if povm.layout.has(FLAG_LABEL):
+        n = len(povm)
+        s = povm.layout.slice_of(FLAG_LABEL)
+        want = np.zeros((n, n, n))
+        idx = np.arange(n)
+        want[idx, idx, idx] = 1.0
+        if np.abs(povm.dense[:, s, s] - want).max() <= _FLAG_TOL:
+            return
+    raise ValueError(f"{role} measurement must have exact flag states")
 
 
-def _check_squashed_assumptions(squashed: SquashedPOVM, tol: float = 1e-10):
-    events = squashed.events
-    for i in events.multi_indices:
-        el = squashed.elements[i]
-        for lab in (_M0, _M1):
-            dev = float(np.abs(el.block(lab)).max())
-            if dev > tol:
-                raise ValueError(
-                    f"multi-click element {events.labels[i]!r} has weight {dev:.3e} "
-                    f"on block {lab}"
-                )
-    for i in events.single_indices:
-        dev = float(np.abs(squashed.elements[i].block(_M0)).max())
-        if dev > tol:
-            raise ValueError(
-                f"single-click element {events.labels[i]!r} has weight {dev:.3e} "
-                "on the vacuum block"
-            )
+def _require_one_photon_target(povm: POVM):
+    """A flag-state target on vacuum + one photon in which clicks never outnumber photons."""
+    if povm.layout.photon_labels != (_M0, _M1):
+        raise ValueError(f"need blocks (m=0, m=1, flag), got {povm.layout.labels}")
+    _require_exact_flags(povm, "target")
+    report = verify_single_photon_assumption(povm)
+    if not report.passed:
+        label, block, weight = report.violations[0]
+        raise ValueError(
+            f"clicks outnumber photons: element {label!r} has weight {weight:.3e} "
+            f"on block {block}"
+        )
 
 
-def dark_count_channel(p_db: StochasticMatrix, f_eta: SquashedPOVM) -> QuantumChannel:
+def dark_count_channel(p_db: StochasticMatrix, f_eta: POVM) -> QuantumChannel:
     """Noise channel absorbing independent dark counts.
 
     On the one-photon block the channel acts as the identity with
-    probability ``P[0|0]`` and otherwise measures with the squashed POVM and
-    prepares a classical flag mixture whose coefficients reproduce the
-    dark-count statistics.  The vacuum doubles as the no-click flag: a
-    vacuum input stays vacuum unless a dark count fires, while flag inputs
-    are post-processed with ``p_db`` entirely inside the flag block, so no
-    weight re-enters the preserved blocks.
+    probability ``P[0|0]`` and otherwise measures with the flag-state
+    target ``f_eta`` and prepares a classical flag mixture whose
+    coefficients reproduce the dark-count statistics.  The vacuum doubles
+    as the no-click flag: a vacuum input stays vacuum unless a dark count
+    fires, while flag inputs are post-processed with ``p_db`` entirely
+    inside the flag block, so no weight re-enters the preserved blocks.
     """
-    _require_one_photon_flag_layout(f_eta)
-    _check_squashed_assumptions(f_eta)
+    _require_one_photon_target(f_eta)
     events = f_eta.events
     n = len(f_eta)
     if p_db.shape != (n, n):
@@ -280,59 +257,41 @@ def dark_count_channel(p_db: StochasticMatrix, f_eta: SquashedPOVM) -> QuantumCh
         raise ValueError(f"dark-count conditions violated: {report}")
 
     layout = f_eta.layout
+    d = layout.total_dim
     p = p_db.entries
     p00 = float(p[0, 0])
-    singles = events.single_indices
-    multis = set(events.multi_indices)
-    flag_preps = [
-        _vac_prep(layout) if i == 0 else _flag_prep(layout, i) for i in range(n)
-    ]
+    singles = list(events.single_indices)
+    multis = list(events.multi_indices)
+    # Diagonal position of each event's flag state, and of the state that
+    # records it when raised from the preserved blocks (the vacuum for no-click).
+    flags = layout.offset(FLAG_LABEL) + np.arange(n)
+    raised = flags.copy()
+    raised[0] = layout.offset(_M0)
+    proj0, proj1, proj_flag = (layout.projector(lab) for lab in (_M0, _M1, FLAG_LABEL))
 
-    terms = [_KeepBlocks(weight=p00, projector=layout.projector(_M1))]
+    terms = [_KeepBlocks(weight=p00, projector=proj1)]
 
     if p00 < 1.0:
         # Measure the one-photon block and flag the outcome; each prepared
         # mixture has trace 1 - P[0|0] so the branch weight is built in.
-        ops = []
-        preps = []
-        for j in range(n):
-            if j in multis:
-                continue
-            ops.append(_embed_block(layout, _M1, f_eta.elements[j].block(_M1)))
-            prep = np.zeros((layout.total_dim,) * 2, dtype=complex)
-            for m in events.multi_indices:
-                prep += p[m, j] * flag_preps[m]
+        measured = [j for j in range(n) if j not in multis]
+        coeffs = np.zeros((len(measured), n))
+        for row, j in enumerate(measured):
+            coeffs[row, multis] = p[multis, j]
             if j == 0:
-                for s in singles:
-                    prep += p[s, 0] * flag_preps[s]
+                coeffs[row, singles] = p[singles, 0]
             else:
-                prep += (p[j, j] - p00) * flag_preps[j]
-            preps.append(prep)
-        terms.append(_MeasurePrepare(ops=tuple(ops), preps=tuple(preps)))
+                coeffs[row, j] = p[j, j] - p00
+        ops = proj1 @ f_eta.dense[measured] @ proj1
+        terms.append(_MeasurePrepare(ops=ops, preps=_diagonal_states(d, raised, coeffs)))
 
     # Vacuum sector: outcome 0 keeps the vacuum, dark counts raise flags.
-    ops = []
-    preps = []
-    for j in range(n):
-        ops.append(_embed_block(layout, _M0, f_eta.elements[j].block(_M0)))
-        prep = np.zeros((layout.total_dim,) * 2, dtype=complex)
-        for i in range(n):
-            if p[i, j] != 0.0:
-                prep += p[i, j] * flag_preps[i]
-        preps.append(prep)
-    terms.append(_MeasurePrepare(ops=tuple(ops), preps=tuple(preps)))
+    ops = proj0 @ f_eta.dense @ proj0
+    terms.append(_MeasurePrepare(ops=ops, preps=_diagonal_states(d, raised, p.T)))
 
     # Flag sector: post-process the recorded outcome, staying in flag space.
-    ops = []
-    preps = []
-    for j in range(n):
-        ops.append(_embed_block(layout, FLAG_LABEL, f_eta.elements[j].block(FLAG_LABEL)))
-        prep = np.zeros((layout.total_dim,) * 2, dtype=complex)
-        for i in range(n):
-            if p[i, j] != 0.0:
-                prep += p[i, j] * _flag_prep(layout, i)
-        preps.append(prep)
-    terms.append(_MeasurePrepare(ops=tuple(ops), preps=tuple(preps)))
+    ops = proj_flag @ f_eta.dense @ proj_flag
+    terms.append(_MeasurePrepare(ops=ops, preps=_diagonal_states(d, flags, p.T)))
 
     return QuantumChannel(layout, layout, (tuple(terms),))
 
@@ -362,7 +321,7 @@ def loss_split_matrix(eta, eta_star: float) -> StochasticMatrix:
     return StochasticMatrix(np.clip(q, 0.0, 1.0))
 
 
-def loss_channel(eta, eta_star: float, f_lossless: SquashedPOVM) -> QuantumChannel:
+def loss_channel(eta, eta_star: float, f_lossless: POVM) -> QuantumChannel:
     """Noise channel trading unequal efficiencies for a common ``eta_star``.
 
     Vacuum and flags pass through; the one-photon block survives with
@@ -370,8 +329,7 @@ def loss_channel(eta, eta_star: float, f_lossless: SquashedPOVM) -> QuantumChann
     residual-loss POVM and flagged.  ``f_lossless`` is the flag-state target
     of the unit-efficiency setup.
     """
-    _require_one_photon_flag_layout(f_lossless)
-    _check_squashed_assumptions(f_lossless)
+    _require_one_photon_target(f_lossless)
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
     if (eta <= 0).any() or (eta > 1).any():
         raise ValueError("efficiencies must lie in (0, 1]")
@@ -386,32 +344,31 @@ def loss_channel(eta, eta_star: float, f_lossless: SquashedPOVM) -> QuantumChann
     if len(events.single_indices) != k:
         raise ValueError("efficiency vector does not match the single-click events")
     ratio = float(eta.min()) / eta_star
+    proj1 = layout.projector(_M1)
 
     terms = [
         _KeepBlocks(weight=1.0, projector=layout.projector(_M0)),
-        _KeepBlocks(weight=min(ratio, 1.0), projector=layout.projector(_M1)),
+        _KeepBlocks(weight=min(ratio, 1.0), projector=proj1),
         _KeepBlocks(weight=1.0, projector=layout.projector(FLAG_LABEL)),
     ]
     if ratio < 1.0 - 1e-15:
         q = loss_split_matrix(eta, eta_star).entries
-        carriers = (0,) + events.single_indices
-        ops = []
-        preps = []
-        for row, i in enumerate(carriers):
-            q_op = np.zeros((layout.dim(_M1),) * 2, dtype=complex)
-            for col, j in enumerate(carriers):
-                if q[row, col] != 0.0:
-                    q_op += q[row, col] * f_lossless.elements[j].block(_M1)
-            ops.append(_embed_block(layout, _M1, q_op))
-            preps.append((1.0 - ratio) * _flag_prep(layout, i))
-        terms.append(_MeasurePrepare(ops=tuple(ops), preps=tuple(preps)))
+        carriers = [0, *events.single_indices]
+        ops = np.tensordot(q, proj1 @ f_lossless.dense[carriers] @ proj1, axes=1)
+        flags = layout.offset(FLAG_LABEL) + np.array(carriers)
+        preps = _diagonal_states(layout.total_dim, flags, (1.0 - ratio) * np.eye(len(carriers)))
+        terms.append(_MeasurePrepare(ops=ops, preps=preps))
 
     return QuantumChannel(layout, layout, (tuple(terms),))
 
 
-def generic_channel(
-    f_noise: SquashedPOVM, f_ideal: SquashedPOVM, q: float
-) -> QuantumChannel:
+def _deviation(f_noise: POVM, f_ideal: POVM, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """The stack ``F_noise_i - (1-q) F_ideal_i`` and the smallest eigenvalue of each."""
+    gap = f_noise.dense - (1.0 - q) * f_ideal.dense
+    return gap, np.linalg.eigvalsh(gap)[:, 0]
+
+
+def generic_channel(f_noise: POVM, f_ideal: POVM, q: float) -> QuantumChannel:
     """Noise channel for an arbitrary deviation ``q`` between two targets.
 
     Requires every ``F_noise_i - (1-q) F_ideal_i`` to be PSD (tolerance
@@ -424,38 +381,34 @@ def generic_channel(
         raise ValueError("the two measurements live on different layouts")
     if len(f_noise) != len(f_ideal):
         raise ValueError("element count mismatch")
-    if not f_ideal.strict_flags:
-        raise ValueError("the ideal measurement must have exact flag states")
-    layout = f_ideal.layout
-    preserved = layout.photon_labels
-    n = len(f_ideal)
-    for i in range(n):
-        gap = f_noise.elements[i] - (1.0 - q) * f_ideal.elements[i]
-        lo = min_eigenvalue(gap)
-        if lo < -1e-9:
-            raise ValueError(
-                f"element {i} violates the deviation bound: "
-                f"smallest eigenvalue {lo:.3e} at q={q}"
-            )
+    _require_exact_flags(f_ideal, "the ideal")
+    gap, lows = _deviation(f_noise, f_ideal, q)
+    bad = np.flatnonzero(lows < -1e-9)
+    if bad.size:
+        i = bad[0]
+        raise ValueError(
+            f"element {i} violates the deviation bound: "
+            f"smallest eigenvalue {lows[i]:.3e} at q={q}"
+        )
 
+    layout = f_ideal.layout
+    n = len(f_ideal)
+    preserved = layout.projector(layout.photon_labels)
     terms = [
-        _KeepBlocks(weight=1.0 - q, projector=layout.projector(preserved)),
+        _KeepBlocks(weight=1.0 - q, projector=preserved),
         _KeepBlocks(weight=1.0, projector=layout.projector(FLAG_LABEL)),
     ]
     if q > 1e-15:
-        ops = []
-        preps = []
-        for i in range(n):
-            excess = (f_noise.elements[i] - (1.0 - q) * f_ideal.elements[i]) * (1.0 / q)
-            ops.append(_embed_blocks(layout, excess, preserved))
-            preps.append(q * _flag_prep(layout, i))
-        terms.append(_MeasurePrepare(ops=tuple(ops), preps=tuple(preps)))
+        ops = preserved @ (gap * (1.0 / q)) @ preserved
+        flags = layout.offset(FLAG_LABEL) + np.arange(n)
+        preps = _diagonal_states(layout.total_dim, flags, q * np.eye(n))
+        terms.append(_MeasurePrepare(ops=ops, preps=preps))
     return QuantumChannel(layout, layout, (tuple(terms),))
 
 
 def min_deviation_q(
-    f_noise: SquashedPOVM,
-    f_ideal: SquashedPOVM,
+    f_noise: POVM,
+    f_ideal: POVM,
     psd_tol: float = 1e-9,
     width: float = 1e-10,
 ) -> float:
@@ -468,10 +421,7 @@ def min_deviation_q(
         raise ValueError("measurements do not match")
 
     def admissible(q: float) -> bool:
-        for a, b in zip(f_noise.elements, f_ideal.elements):
-            if min_eigenvalue(a - (1.0 - q) * b) < -psd_tol:
-                return False
-        return True
+        return bool((_deviation(f_noise, f_ideal, q)[1] >= -psd_tol).all())
 
     if admissible(0.0):
         return 0.0
@@ -492,7 +442,7 @@ def min_deviation_q(
     return hi
 
 
-def inf_norm_mixing(f_noise: SquashedPOVM, delta: float) -> SquashedPOVM:
+def inf_norm_mixing(f_noise: POVM, delta: float) -> POVM:
     """Mix uniform noise into a measurement to absorb an operator-norm error.
 
     Returns ``(F_i + delta I) / (1 + n delta)`` over the ``n`` elements.  If
@@ -505,9 +455,7 @@ def inf_norm_mixing(f_noise: SquashedPOVM, delta: float) -> SquashedPOVM:
     scale = 1.0 / (1.0 + n * delta)
     ident = BlockOperator.identity(f_noise.layout)
     elements = [scale * el + (delta * scale) * ident for el in f_noise.elements]
-    return SquashedPOVM(
-        f_noise.layout, elements, f_noise.events, strict_flags=False
-    )
+    return POVM(f_noise.layout, elements, f_noise.events)
 
 
 def _cptp_residuals(j: np.ndarray, d_in: int, d_out: int) -> tuple[float, float, float]:
@@ -518,23 +466,17 @@ def _cptp_residuals(j: np.ndarray, d_in: int, d_out: int) -> tuple[float, float,
     return herm, min_eig, float(np.abs(partial - np.eye(d_in)).max())
 
 
-def _dense_elements(measurement) -> np.ndarray:
-    elements, _ = _element_list(measurement)
-    return np.array(
-        [el.to_dense() if isinstance(el, BlockOperator) else el for el in elements],
-        dtype=complex,
-    )
-
-
 def _identity_targets(p, f_before, f_after) -> tuple[np.ndarray, np.ndarray]:
     """The stacks ``F_after_i`` and ``G_i = sum_j P_ij F_before_j`` of an identity.
 
     ``p`` is ``None`` (identity), a ``StochasticMatrix`` or an array of shape
-    ``(len(f_after), len(f_before))``; the elements are POVMs or sequences of
-    block or dense operators.
+    ``(len(f_after), len(f_before))``.  A ``POVM`` contributes its ``dense``
+    stack; anything else is taken as a stack of dense operators.
     """
-    before = _dense_elements(f_before)
-    after = _dense_elements(f_after)
+    before, after = (
+        f.dense if isinstance(f, POVM) else np.asarray(f, dtype=complex)
+        for f in (f_before, f_after)
+    )
     if p is None:
         p_mat = np.eye(len(after))
     elif isinstance(p, StochasticMatrix):
@@ -578,10 +520,12 @@ def _hermitian_score(herm: np.ndarray, weight: np.ndarray | None = None) -> np.n
 
 
 def _identity_residuals(
-    j: np.ndarray, d_in: int, d_out: int, p, f_before, f_after
+    j: np.ndarray, d_in: int, d_out: int, after: np.ndarray, targets: np.ndarray
 ) -> np.ndarray:
-    """Per-event score of ``Phi_J^dag(F_after_i) = sum_j P_ij F_before_j``."""
-    after, targets = _identity_targets(p, f_before, f_after)
+    """Per-event score of ``Phi_J^dag(F_after_i) = G_i``.
+
+    ``after`` and ``targets`` are the stacks of :func:`_identity_targets`.
+    """
     return _hermitian_score(_hermitian_part(_heisenberg(j, d_in, d_out, after) - targets))
 
 
@@ -617,12 +561,6 @@ def verify_cptp(ch: QuantumChannel, tol: float) -> CPTPReport:
     )
 
 
-def _element_list(measurement):
-    if isinstance(measurement, (POVM, SquashedPOVM)):
-        return list(measurement.elements), measurement.events
-    return list(measurement), None
-
-
 @dataclass(frozen=True)
 class EquivalenceReport:
     """Worst-case statistics mismatch over the whole input operator space."""
@@ -645,7 +583,10 @@ def verify_statistics_equivalence(
     every density matrix by linearity.
     """
     worst = _identity_residuals(
-        ch.choi, ch.input_layout.total_dim, ch.output_layout.total_dim, p, f_before, f_after
+        ch.choi,
+        ch.input_layout.total_dim,
+        ch.output_layout.total_dim,
+        *_identity_targets(p, f_before, f_after),
     )
     max_res = float(worst.max())
     return EquivalenceReport(

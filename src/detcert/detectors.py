@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fock import BlockOperator, SpaceLayout, min_eigenvalue, photon_label
+from .fock import FLAG_LABEL, BlockOperator, SpaceLayout, photon_label
 
 NO_CLICK = "no-click"
 SINGLE = "single"
@@ -166,46 +166,42 @@ def active_bb84_setups(eta=1.0) -> dict[str, DetectionSetup]:
     return {"Z": z, "X": x}
 
 
-def _checked_elements(layout: SpaceLayout, elements, events: EventTable) -> tuple:
-    """``elements`` as a tuple after checking they form a measurement.
-
-    One element per event, each on ``layout`` and PSD (to -1e-10), summing
-    to the identity on every block (to 1e-10).
-    """
-    elements = tuple(elements)
-    if len(elements) != events.n_events:
-        raise ValueError(f"{len(elements)} elements for {events.n_events} events")
-    total = BlockOperator.zeros(layout)
-    for i, el in enumerate(elements):
-        if el.layout != layout:
-            raise ValueError(f"element {i} lives on a different layout")
-        lo = min_eigenvalue(el)
-        if lo < -1e-10:
-            raise ValueError(
-                f"element {events.labels[i]!r} is not PSD (eigenvalue {lo:.3e})"
-            )
-        total = total + el
-    ident = BlockOperator.identity(layout)
-    dev = max(
-        np.abs(total.block(lab) - ident.block(lab)).max() for lab in layout.labels
-    )
-    if dev > 1e-10:
-        raise ValueError(f"completeness violated by {dev:.3e}")
-    return elements
-
-
 class POVM:
-    """Threshold-detector measurement on photon-number blocks.
+    """Measurement on photon-number blocks, optionally followed by flags.
 
-    One Hermitian PSD element per event, complete on every block.
+    One Hermitian element per event, PSD to -1e-10 and summing to the
+    identity to 1e-10.  A layout ending in a ``flag`` block (a flag-state
+    target) carries one classical flag per event.  ``dense`` is the stack of
+    the elements as dense matrices: it is validated in one batched pass, and
+    every check reads it.
     """
 
-    __slots__ = ("layout", "elements", "events")
+    __slots__ = ("layout", "elements", "events", "dense")
 
     def __init__(self, layout: SpaceLayout, elements, events: EventTable):
+        elements = tuple(elements)
+        if len(elements) != events.n_events:
+            raise ValueError(f"{len(elements)} elements for {events.n_events} events")
+        for i, el in enumerate(elements):
+            if el.layout != layout:
+                raise ValueError(f"element {i} lives on a different layout")
+        if layout.has(FLAG_LABEL) and layout.dim(FLAG_LABEL) != events.n_events:
+            raise ValueError("flag dimension must equal the event count")
+        dense = np.array([el.to_dense() for el in elements])
+        lows = np.linalg.eigvalsh(dense)[:, 0]
+        bad = np.flatnonzero(~(lows >= -1e-10))  # NaN fails too
+        if bad.size:
+            i = bad[0]
+            raise ValueError(
+                f"element {events.labels[i]!r} is not PSD (eigenvalue {lows[i]:.3e})"
+            )
+        dev = np.abs(dense.sum(axis=0) - np.eye(layout.total_dim)).max()
+        if not dev <= 1e-10:
+            raise ValueError(f"completeness violated by {dev:.3e}")
         self.layout = layout
-        self.elements = _checked_elements(layout, elements, events)
+        self.elements = elements
         self.events = events
+        self.dense = dense
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -20,7 +20,6 @@ import numpy as np
 
 from .channels import (
     _cptp_residuals,
-    _element_list,
     _hermitian_part,
     _hermitian_score,
     _heisenberg,
@@ -213,17 +212,15 @@ def verify_choi_witness(j, p_dc, f_eta, f_target, tol: float) -> ChoiWitnessRepo
     against the identity, and the worst statistics constraint over the full
     operator space.
     """
-    before, _ = _element_list(f_eta)
-    after, _ = _element_list(f_target)
+    after, targets = _identity_targets(p_dc, f_eta, f_target)
+    d_in, d_out = targets.shape[-1], after.shape[-1]
     j = np.asarray(j, dtype=complex)
-    d_in = before[0].layout.total_dim
-    d_out = after[0].layout.total_dim
     if j.shape != (d_in * d_out, d_in * d_out):
         raise ValueError("Choi matrix shape does not match the measurements")
 
     herm, min_eig, tp_dev = _cptp_residuals(j, d_in, d_out)
     psd_residual = max(0.0, -min_eig)
-    linear = float(_identity_residuals(j, d_in, d_out, p_dc, before, after).max())
+    linear = float(_identity_residuals(j, d_in, d_out, after, targets).max())
     passed = herm <= tol and psd_residual <= tol and tp_dev <= tol and linear <= tol
     return ChoiWitnessReport(
         hermiticity_dev=herm,

@@ -27,6 +27,7 @@ from .channels import (
     verify_statistics_equivalence,
 )
 from .detectors import (
+    MAX_DETECTORS,
     DetectionSetup,
     build_threshold_povm,
     enumerate_events,
@@ -117,6 +118,21 @@ class SetupDescriptor:
         ):
             if values is not None and not np.isfinite(np.asarray(values, dtype=complex)).all():
                 raise DescriptorError(f"{name}: values must be finite, got {list(values)}")
+        if self.setup == "custom":
+            widths = [len(row) for row in self.mode_map]
+            if len(widths) != self.k or len(set(widths)) != 1 or 0 in widths:
+                raise DescriptorError(
+                    f"mode_map: expected {self.k} rows of one nonzero length, "
+                    f"got row lengths {widths}"
+                )
+        if self.observed is not None:
+            events = enumerate_events(self.k)
+            allowed = events.labels + (("multi",) if events.multi_indices else ())
+            if self.observed[0] not in allowed:
+                raise DescriptorError(
+                    f"observed: no event labelled {self.observed[0]!r}; "
+                    f"expected one of {list(allowed)}"
+                )
 
     @property
     def eta_lo(self) -> np.ndarray:
@@ -213,8 +229,10 @@ def descriptor_from_dict(data: dict) -> SetupDescriptor:
         k = 4
     elif setup == "custom":
         k = data.get("k")
-        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-            raise DescriptorError("k: custom setups need a positive detector count")
+        if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= MAX_DETECTORS:
+            raise DescriptorError(
+                f"k: custom setups need a detector count in [1, {MAX_DETECTORS}], got {k!r}"
+            )
         if "mode_map" not in data:
             raise DescriptorError("mode_map: required for custom setups")
     else:
@@ -298,20 +316,21 @@ def eta_corners(desc: SetupDescriptor) -> list[np.ndarray]:
     """Deterministic corner sample of the efficiency ranges.
 
     Always includes the all-low and all-high corners; mixed corners follow
-    in binary-counter order up to ``corner_limit`` total.  Exact for
+    in binary-counter order over the detectors whose range is not a single
+    point, so no corner repeats, up to ``corner_limit`` total.  Exact for
     quantities monotone in each efficiency; a heuristic sample otherwise.
     """
     lo, hi = desc.eta_lo, desc.eta_hi
-    if np.array_equal(lo, hi):
+    free = np.flatnonzero(lo < hi)
+    if not free.size:
         return [lo.copy()]
     corners = [lo.copy(), hi.copy()]
-    for pattern in range(1, 2**desc.k - 1):
+    for pattern in range(1, 2**free.size - 1):
         if len(corners) >= desc.corner_limit:
             break
-        corner = np.where(
-            [(pattern >> i) & 1 for i in range(desc.k)], hi, lo
-        )
-        corners.append(corner)
+        high = np.zeros(desc.k, dtype=bool)
+        high[free] = [(pattern >> b) & 1 for b in range(free.size)]
+        corners.append(np.where(high, hi, lo))
     return corners
 
 

@@ -2,10 +2,11 @@
 
 The flag-state squasher keeps the low photon-number blocks of a
 threshold-detector POVM intact and replaces everything above the cutoff by
-orthonormal classical flags, one per event.  What fraction of the state the
-flags absorb is controlled by the weight outside the preserved subspace,
-estimated from one observed event probability and propagated through the
-noise channels.
+orthonormal classical flags, one per event (Gittsovich et al., PRA 89,
+012325 (2014)).  The target is an ordinary ``POVM`` whose layout ends in a
+``flag`` block.  What fraction of the state the flags absorb is controlled
+by the weight outside the preserved subspace, estimated from one observed
+event probability and propagated through the noise channels.
 """
 
 from __future__ import annotations
@@ -14,61 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detectors import (
-    POVM,
-    DetectionSetup,
-    EventTable,
-    _checked_elements,
-    build_threshold_povm,
-)
+from .detectors import POVM, DetectionSetup, EventTable, build_threshold_povm
 from .fock import FLAG_LABEL, BlockOperator, SpaceLayout, photon_label
 
-_FLAG_TOL = 1e-12
 
-
-class SquashedPOVM:
-    """Measurement on preserved photon blocks plus a flag block.
-
-    Built by :func:`flag_state_target` the flag block of element ``i`` is
-    exactly ``|i><i|``; derived measurements (for example the uniform-noise
-    mixtures of :func:`detcert.channels.inf_norm_mixing`) relax that and are
-    marked ``strict_flags=False``.
-    """
-
-    __slots__ = ("layout", "elements", "events", "strict_flags")
-
-    def __init__(self, layout: SpaceLayout, elements, events: EventTable, strict_flags=True):
-        if not layout.has(FLAG_LABEL):
-            raise ValueError("layout has no flag block")
-        if layout.dim(FLAG_LABEL) != events.n_events:
-            raise ValueError("flag dimension must equal the event count")
-        elements = _checked_elements(layout, elements, events)
-        if strict_flags:
-            for i, el in enumerate(elements):
-                want = np.zeros((len(elements),) * 2)
-                want[i, i] = 1.0
-                dev = np.abs(el.block(FLAG_LABEL) - want).max()
-                if dev > _FLAG_TOL:
-                    raise ValueError(f"element {i} flag block deviates by {dev:.3e}")
-        self.layout = layout
-        self.elements = elements
-        self.events = events
-        self.strict_flags = strict_flags
-
-    @property
-    def flag_dim(self) -> int:
-        return self.layout.dim(FLAG_LABEL)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-
-def flag_state_target(povm: POVM, cutoff: int) -> SquashedPOVM:
+def flag_state_target(povm: POVM, cutoff: int) -> POVM:
     """Flag-state target measurement for ``povm`` with the given cutoff.
 
     Element ``i`` keeps the blocks ``m <= cutoff`` of the source element and
     appends the flag ``|i><i|``; blocks above the cutoff are dropped (their
-    role is taken over by the flags).
+    role is taken over by the flags).  The result is a ``POVM`` whose layout
+    ends in a ``flag`` block of one flag per event.
     """
     numbers = povm.layout.photon_numbers()
     if cutoff not in numbers:
@@ -85,7 +42,7 @@ def flag_state_target(povm: POVM, cutoff: int) -> SquashedPOVM:
         flag[i, i] = 1.0
         blocks[FLAG_LABEL] = flag
         elements.append(BlockOperator(layout, blocks))
-    return SquashedPOVM(layout, elements, povm.events)
+    return POVM(layout, elements, povm.events)
 
 
 @dataclass(frozen=True)

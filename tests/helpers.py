@@ -2,10 +2,10 @@
 
 import numpy as np
 
-from detcert import EventTable, SquashedPOVM
+from detcert import POVM, EventTable
 from detcert.channels import _heisenberg, _transpose_kron_sum
 from detcert.feasibility import _PLATEAU_REL, _PLATEAU_WINDOW
-from detcert.fock import BlockOperator, SpaceLayout
+from detcert.fock import BlockOperator, SpaceLayout, min_eigenvalue
 
 SMALL_LAYOUT = SpaceLayout((("m=0", 1), ("m=1", 2), ("flag", 3)))
 SMALL_EVENTS = EventTable(
@@ -44,7 +44,38 @@ def random_squashed_povm(rng, layout=SMALL_LAYOUT, events=SMALL_EVENTS, floor=0.
         flag[i, i] = 1.0
         blocks["flag"] = flag
         elements.append(BlockOperator(layout, blocks))
-    return SquashedPOVM(layout, elements, events)
+    return POVM(layout, elements, events)
+
+
+def reference_checked_elements(layout: SpaceLayout, elements, events: EventTable) -> tuple:
+    """``elements`` as a tuple after checking they form a measurement.
+
+    One element per event, each on ``layout`` and PSD (to -1e-10), summing
+    to the identity on every block (to 1e-10).
+
+    A per-element loop, the reference for ``POVM``'s batched validation of
+    its dense stack.
+    """
+    elements = tuple(elements)
+    if len(elements) != events.n_events:
+        raise ValueError(f"{len(elements)} elements for {events.n_events} events")
+    total = BlockOperator.zeros(layout)
+    for i, el in enumerate(elements):
+        if el.layout != layout:
+            raise ValueError(f"element {i} lives on a different layout")
+        lo = min_eigenvalue(el)
+        if lo < -1e-10:
+            raise ValueError(
+                f"element {events.labels[i]!r} is not PSD (eigenvalue {lo:.3e})"
+            )
+        total = total + el
+    ident = BlockOperator.identity(layout)
+    dev = max(
+        np.abs(total.block(lab) - ident.block(lab)).max() for lab in layout.labels
+    )
+    if dev > 1e-10:
+        raise ValueError(f"completeness violated by {dev:.3e}")
+    return elements
 
 
 def hermitian_basis(dim):
@@ -135,7 +166,7 @@ def mix_povms(f_ideal, q_povm, q0):
     elements = [
         (1.0 - q0) * a + q0 * b for a, b in zip(f_ideal.elements, q_povm.elements)
     ]
-    return SquashedPOVM(f_ideal.layout, elements, f_ideal.events)
+    return POVM(f_ideal.layout, elements, f_ideal.events)
 
 
 def pinv_sqrt(mat, cutoff=1e-12):

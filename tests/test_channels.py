@@ -34,6 +34,7 @@ from detcert import (
     verify_statistics_equivalence,
 )
 from detcert.channels import _KeepBlocks
+from detcert.detectors import POVM
 from detcert.fock import BlockOperator, DensityLike
 
 
@@ -324,14 +325,35 @@ def test_min_deviation_q_mixture_and_oracle(q0):
 
 
 def test_min_deviation_q_trivial_single_element():
-    from detcert import EventTable, SquashedPOVM
+    from detcert import POVM, EventTable
     from detcert.fock import SpaceLayout
 
     layout = SpaceLayout((("m=0", 1), ("flag", 1)))
     events = EventTable(k=1, labels=("no-click",), classes=("no-click",), masks=())
     ident = BlockOperator.identity(layout)
-    povm = SquashedPOVM(layout, [ident], events)
+    povm = POVM(layout, [ident], events)
     assert min_deviation_q(povm, povm) == 0.0
+
+
+def test_constructions_need_exact_flags(bb84_squashed):
+    # a complete target whose flags are permuted is a valid POVM, but no
+    # construction may read element i's outcome off flag i
+    n = len(bb84_squashed)
+    shifted = []
+    for i, el in enumerate(bb84_squashed.elements):
+        blocks = {lab: el.block(lab) for lab in ("m=0", "m=1")}
+        blocks["flag"] = np.diag(np.eye(n)[(i + 1) % n])
+        shifted.append(BlockOperator(bb84_squashed.layout, blocks))
+    permuted = POVM(bb84_squashed.layout, shifted, bb84_squashed.events)
+    with pytest.raises(ValueError, match="target measurement must have exact flag states"):
+        dark_count_channel(dark_count_matrix([0.01] * 4), permuted)
+    with pytest.raises(ValueError, match="target measurement must have exact flag states"):
+        loss_channel(np.full(4, 0.8), 1.0, permuted)
+    with pytest.raises(ValueError, match="ideal measurement must have exact flag states"):
+        generic_channel(bb84_squashed, permuted, 0.1)
+    flagless = build_threshold_povm(passive_bb84_setup(0.8), 1)
+    with pytest.raises(ValueError, match="ideal measurement must have exact flag states"):
+        generic_channel(flagless, flagless, 0.1)
 
 
 # ----------------------------------------------------------- uniform mixing
@@ -390,9 +412,9 @@ def test_inf_norm_mixing_dominates_nearby_ideal():
             perturbed.append(BlockOperator(f_ideal.layout, blocks))
         if len(perturbed) != n:
             continue
-        from detcert import SquashedPOVM
+        from detcert import POVM
 
-        f_noise = SquashedPOVM(f_ideal.layout, perturbed, f_ideal.events)
+        f_noise = POVM(f_ideal.layout, perturbed, f_ideal.events)
         mixed = inf_norm_mixing(f_noise, delta)
         scale = 1.0 / (1.0 + n * delta)
         for a, b in zip(mixed.elements, f_ideal.elements):

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from helpers import random_block_povm, reference_checked_elements
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detcert import (
     DetectionSetup,
+    EventTable,
     active_bb84_setups,
     build_threshold_povm,
     enumerate_events,
@@ -10,7 +14,7 @@ from detcert import (
     verify_single_photon_assumption,
 )
 from detcert.detectors import POVM
-from detcert.fock import BlockOperator
+from detcert.fock import BlockOperator, SpaceLayout
 
 
 def test_enumerate_events_k1():
@@ -218,3 +222,85 @@ def test_assumption_vacuous_for_single_detector():
     setup = DetectionSetup(k=1, mode_map=np.array([[1.0]]), eta=np.array([0.5]))
     report = verify_single_photon_assumption(build_threshold_povm(setup, 1))
     assert report.passed
+
+
+def _random_measurement(rng, photon_dims, n, flags):
+    """Complete measurement with strictly positive blocks and, optionally, exact flags."""
+    blocks = [(f"m={m}", d) for m, d in enumerate(photon_dims)]
+    layout = SpaceLayout(tuple(blocks) + ((("flag", n),) if flags else ()))
+    per_block = random_block_povm(rng, photon_dims, n)
+    events = EventTable(
+        k=n - 1,
+        labels=tuple(f"e{i}" for i in range(n)),
+        classes=("no-click",) + ("single",) * (n - 1),
+        masks=(),
+    )
+    elements = []
+    for i in range(n):
+        parts = {lab: per_block[b][i] for b, (lab, _) in enumerate(blocks)}
+        if flags:
+            parts["flag"] = np.diag(np.eye(n)[i])
+        elements.append(parts)
+    return layout, elements, events
+
+
+def _verdict(build):
+    """``None`` if ``build()`` accepts, else the error message up to its number."""
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc).split("(")[0].split(" by ")[0]
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    photon_dims=st.sampled_from([(1, 2), (1, 3), (1, 2, 3), (1,)]),
+    n=st.integers(2, 4),
+    flags=st.booleans(),
+    psd_push=st.sampled_from([None, -0.01, -0.002, 0.002, 0.01]),
+    completeness_push=st.sampled_from([None, -0.01, -0.002, 0.002, 0.01]),
+)
+def test_povm_validation_matches_reference_loop(
+    seed, photon_dims, n, flags, psd_push, completeness_push
+):
+    # pushes move the smallest eigenvalue of one element, or one entry of
+    # the element sum, to a relative 0.2-1 % either side of its 1e-10 limit
+    rng = np.random.default_rng(seed)
+    layout, parts, events = _random_measurement(rng, photon_dims, n, flags)
+    i, j = rng.choice(n, size=2, replace=False)
+    lab = layout.photon_labels[rng.integers(len(photon_dims))]
+    if psd_push is not None:
+        vals, vecs = np.linalg.eigh(parts[i][lab])
+        move = (vals[0] + 1e-10 * (1.0 + psd_push)) * np.outer(vecs[:, 0], vecs[:, 0].conj())
+        parts[i][lab] = parts[i][lab] - move
+        parts[j][lab] = parts[j][lab] + move
+    if completeness_push is not None:
+        a = rng.integers(layout.dim(lab))
+        parts[j][lab] = parts[j][lab].copy()
+        parts[j][lab][a, a] += np.sign(rng.normal()) * 1e-10 * (1.0 + completeness_push)
+    elements = [BlockOperator(layout, blocks) for blocks in parts]
+
+    expected = _verdict(lambda: reference_checked_elements(layout, elements, events))
+    assert _verdict(lambda: POVM(layout, elements, events)) == expected
+    if expected is None:
+        povm = POVM(layout, elements, events)
+        stack = np.array([el.to_dense() for el in povm.elements])
+        assert povm.dense.dtype == stack.dtype
+        assert povm.dense.tobytes() == stack.tobytes()
+
+
+def test_povm_needs_one_flag_per_event():
+    # complete and PSD, but three events share two flags
+    layout = SpaceLayout((("m=0", 1), ("flag", 2)))
+    events = EventTable(
+        k=2, labels=("no-click", "a", "b"), classes=("no-click", "single", "single"), masks=()
+    )
+    elements = [
+        BlockOperator(layout, {"m=0": [[1.0]], "flag": np.diag([1.0, 0.0])}),
+        BlockOperator(layout, {"flag": np.diag([0.0, 1.0])}),
+        BlockOperator.zeros(layout),
+    ]
+    with pytest.raises(ValueError, match="flag dimension"):
+        POVM(layout, elements, events)

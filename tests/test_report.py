@@ -76,10 +76,22 @@ def test_descriptor_validation_errors():
             descriptor_from_dict({"setup": "custom", "k": 2, "mode_map": mode_map})
     with pytest.raises(DescriptorError, match="^k:"):
         descriptor_from_dict({"setup": "custom", "k": True, "mode_map": [[1.0]]})
+    with pytest.raises(DescriptorError, match=r"^k: .*\[1, 4\], got 5"):
+        descriptor_from_dict({"setup": "custom", "k": 5, "mode_map": [[1.0]] + [[0.0]] * 4})
+    for mode_map in ([[1.0, 0.0], [0.0]], [[1.0]], [[], []]):
+        with pytest.raises(DescriptorError, match="^mode_map: expected 2 rows"):
+            descriptor_from_dict({"setup": "custom", "k": 2, "mode_map": mode_map})
+    with pytest.raises(DescriptorError, match=r"^observed: .*'bogus'.*'0000'.*'multi'"):
+        descriptor_from_dict({**PASSIVE, "observed": {"event": "bogus", "probability": 0.1}})
+    with pytest.raises(DescriptorError, match=r"^observed: .*'multi'; expected one of \['0', '1'\]"):
+        descriptor_from_dict(
+            {"setup": "custom", "k": 1, "mode_map": [[1.0]],
+             "observed": {"event": "multi", "probability": 0.1}}
+        )
     assert descriptor_from_dict({**PASSIVE, "seed": 7.0, "cutoff": 1.0}).seed == 7
 
 
-@pytest.mark.parametrize("cmd", ["analyze", "choi-check"])
+@pytest.mark.parametrize("cmd", ["analyze", "choi-check", "weight"])
 @pytest.mark.parametrize(
     "extra,override",
     [({"seed": -1}, []), ({}, ["--seed", "-1"]), ({}, ["--tol", "nan"]),
@@ -89,10 +101,14 @@ def test_descriptor_validation_errors():
      ({"setup": "custom", "k": 1, "mode_map": [[[1.0, float("nan")]]]}, []),
      ({"eta": None}, []), ({"eta": "abcd"}, []), ({"eta_range": ["0.5", 0.6]}, []),
      ({"dark_range": [0.0, "x"]}, []), ({"seed": "x"}, []), ({"cutoff": "2"}, []),
-     ({"tol": "1e-9"}, [])],
+     ({"tol": "1e-9"}, []), ({"observed": {"event": "bogus", "probability": 0.1}}, [])],
 )
 def test_cli_rejects_bad_values_before_running(tmp_path, capsys, cmd, extra, override):
-    base = PASSIVE if cmd == "analyze" else {"setup": "active-bb84", "dark_range": [0.0, 0.05]}
+    base = {
+        "analyze": PASSIVE,
+        "choi-check": {"setup": "active-bb84", "dark_range": [0.0, 0.05]},
+        "weight": {**PASSIVE, "observed": {"event": "multi", "probability": 0.002}},
+    }[cmd]
     desc = _write_descriptor(tmp_path, {**base, **extra})
     assert cli.main([cmd, desc, *override]) == EXIT_TOOL_ERROR
     captured = capsys.readouterr()
@@ -208,6 +224,17 @@ def test_eta_corners_include_extremes():
     assert any(np.allclose(c, 0.5) for c in corners)
     assert any(np.allclose(c, 0.6) for c in corners)
     assert len(corners) <= desc.corner_limit
+    # binary-counter order, detector 1 first
+    assert [c.tolist() for c in corners] == [
+        [0.5] * 4, [0.6] * 4, [0.6, 0.5, 0.5, 0.5], [0.5, 0.6, 0.5, 0.5]
+    ]
+    # detectors with a point range take no part in the count: no corner repeats
+    ranges = [[0.5, 0.6], [0.5, 0.5], [0.5, 0.6], [0.5, 0.5]]
+    desc = descriptor_from_dict({**PASSIVE, "eta_range": ranges, "corner_limit": 16})
+    corners = eta_corners(desc)
+    assert [c.tolist() for c in corners] == [
+        [0.5] * 4, [0.6, 0.5, 0.6, 0.5], [0.6, 0.5, 0.5, 0.5], [0.5, 0.5, 0.6, 0.5]
+    ]
 
 
 def test_canonical_json_round_trip():

@@ -17,7 +17,6 @@ from detcert import (
 )
 from detcert.detectors import POVM
 from detcert.fock import BlockOperator, SpaceLayout
-from detcert.squashing import SquashedPOVM
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +27,7 @@ def bb84_povm():
 def test_flag_target_structure(bb84_povm):
     sq = flag_state_target(bb84_povm, 1)
     assert sq.layout.labels == ("m=0", "m=1", "flag")
-    assert sq.flag_dim == 16
+    assert sq.layout.dim("flag") == 16
     for i, el in enumerate(sq.elements):
         flag = el.block("flag")
         assert flag[i, i] == 1.0
@@ -39,7 +38,7 @@ def test_flag_target_coarse_grained(bb84_povm):
     cg = multiclick_coarse_graining(bb84_povm.events)
     coarse = apply_postprocessing(cg, bb84_povm)
     sq = flag_state_target(coarse, 1)
-    assert sq.flag_dim == 6
+    assert sq.layout.dim("flag") == 6
     # the merged multi element keeps nothing below two photons
     multi = sq.elements[-1]
     assert np.abs(multi.block("m=0")).max() == 0.0
@@ -198,7 +197,7 @@ def test_squashed_povm_flag_invariant():
         sq.layout, {"m=0": broken[0].block("m=0"), "flag": flag}
     )
     with pytest.raises(ValueError):
-        SquashedPOVM(sq.layout, broken, sq.events)
+        POVM(sq.layout, broken, sq.events)
 
 
 def test_min_weight_over_eta_grid():
