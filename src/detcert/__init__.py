@@ -74,6 +74,7 @@ from .feasibility import (
     FeasibilityResult,
     choi_feasibility,
     verify_choi_witness,
+    verify_farkas_ray,
 )
 from .report import (
     Certificate,
@@ -137,6 +138,7 @@ __all__ = [
     "validate_dark_count_pp",
     "verify_choi_witness",
     "verify_cptp",
+    "verify_farkas_ray",
     "verify_single_photon_assumption",
     "verify_statistics_equivalence",
     "weight_bound",

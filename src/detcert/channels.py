@@ -505,16 +505,14 @@ def _hermitian_part(diff: np.ndarray) -> np.ndarray:
     return (diff + diff.conj().transpose(0, 2, 1)) / 2.0
 
 
-def _hermitian_score(herm: np.ndarray, weight: np.ndarray | None = None) -> np.ndarray:
+def _hermitian_score(herm: np.ndarray) -> np.ndarray:
     """Per matrix ``D`` of a Hermitian stack: ``max(|D_aa|, 2|Re D_ab|, 2|Im D_ab|)``.
 
     For ``D`` the Hermitian part of ``Phi^dag(F) - G`` this is the largest
     mismatch ``|Tr[F Phi(rho)] - Tr[G rho]|`` over the Hermitian matrix-unit
-    basis ``rho``, which spans every input operator.  ``weight`` is the
-    factor ``2 - I``, passed in by callers that score many stacks.
+    basis ``rho``, which spans every input operator.
     """
-    if weight is None:
-        weight = 2.0 - np.eye(herm.shape[-1])
+    weight = 2.0 - np.eye(herm.shape[-1])
     entry = np.maximum(np.abs(herm.real), np.abs(herm.imag)) * weight
     return entry.max(axis=(1, 2))
 

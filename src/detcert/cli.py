@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from .channels import bb84_qubit_measurement
-from .feasibility import choi_feasibility, verify_choi_witness
+from .feasibility import choi_feasibility, verify_choi_witness, verify_farkas_ray
 from .report import (
     EXIT_NOT_REDUCIBLE,
     EXIT_OK,
@@ -137,28 +137,21 @@ def _cmd_choi_check(desc, args) -> int:
     ok = True
     for basis in ("Z", "X"):
         povm = bb84_qubit_measurement(basis)
-        feas = choi_feasibility(
-            result.matrix, povm, povm, tol=desc.feas_tol, seed=desc.seed
-        )
+        feas = choi_feasibility(result.matrix, povm, povm, tol=desc.feas_tol)
         entry = {
             "verdict": feas.verdict,
             "residual": feas.residual,
             "iterations": feas.iterations,
+            "stop": feas.stop,
         }
+        ok = ok and feas.witness is not None
         if feas.witness is not None:
-            report = verify_choi_witness(
-                feas.witness, result.matrix, povm, povm, desc.feas_tol
-            )
-            entry["witness_report"] = {
-                "hermiticity_dev": report.hermiticity_dev,
-                "psd_residual": report.psd_residual,
-                "trace_preservation_dev": report.trace_preservation_dev,
-                "linear_residual": report.linear_residual,
-                "passed": report.passed,
-            }
+            report = verify_choi_witness(feas.witness, result.matrix, povm, povm, desc.feas_tol)
+            entry["witness_report"] = asdict(report)
             ok = ok and report.passed
-        else:
-            ok = False
+        if feas.ray is not None:
+            ray = verify_farkas_ray(feas.ray, result.matrix, povm, povm, desc.feas_tol)
+            entry["farkas_report"] = asdict(ray)
         payload["bases"][basis] = entry
     _emit(payload, args.out)
     return EXIT_OK if ok else EXIT_NOT_REDUCIBLE

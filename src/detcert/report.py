@@ -92,6 +92,8 @@ class SetupDescriptor:
             raise DescriptorError(f"cutoff: must be 1, 2 or 3, got {self.cutoff}")
         if self.coarse_grain not in ("none", "multiclick"):
             raise DescriptorError(f"coarse_grain: unknown mode {self.coarse_grain!r}")
+        if self.coarse_grain == "multiclick" and self.k < 2:
+            raise DescriptorError("coarse_grain: multiclick needs at least 2 detectors, got k=1")
         for name, ranges in (("eta_range", self.eta_range), ("dark_range", self.dark_range)):
             if len(ranges) != self.k:
                 raise DescriptorError(f"{name}: expected {self.k} ranges")
@@ -223,10 +225,11 @@ def descriptor_from_dict(data: dict) -> SetupDescriptor:
     if not isinstance(data, dict):
         raise DescriptorError("descriptor must be a JSON object")
     setup = data.get("setup")
-    if setup == "active-bb84":
-        k = 2
-    elif setup == "passive-bb84":
-        k = 4
+    if setup in ("active-bb84", "passive-bb84"):
+        k = 2 if setup == "active-bb84" else 4
+        for name in ("k", "mode_map"):
+            if name in data:
+                raise DescriptorError(f"{name}: fixed by the {setup} setup, not a descriptor field")
     elif setup == "custom":
         k = data.get("k")
         if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= MAX_DETECTORS:

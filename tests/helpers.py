@@ -3,8 +3,6 @@
 import numpy as np
 
 from detcert import POVM, EventTable
-from detcert.channels import _heisenberg, _transpose_kron_sum
-from detcert.feasibility import _PLATEAU_REL, _PLATEAU_WINDOW
 from detcert.fock import BlockOperator, SpaceLayout, min_eigenvalue
 
 SMALL_LAYOUT = SpaceLayout((("m=0", 1), ("m=1", 2), ("flag", 3)))
@@ -95,70 +93,6 @@ def hermitian_basis(dim):
             asym[b, a] = 1.0j
             basis.append(asym)
     return basis
-
-
-def reference_probe(system, tol=1e-6, max_iter=10_000, seed=0, restarts=3):
-    """The feasibility probe's loop in plain numpy steps, the reference for ``choi_feasibility``.
-
-    Each step is written out: ``tensordot`` for the affine coefficients,
-    the distance to the cone after every projection, the defect
-    re-symmetrised by the score.  Returns the iterates, their residuals and
-    the final cone gap of each restart on the given ``ChoiConstraintSystem``.
-    """
-
-    def defect(j):
-        diff = _heisenberg(j, system.d_in, system.d_out, system.ops) - system.targets
-        return (diff + diff.conj().transpose(0, 2, 1)) / 2.0
-
-    def project_affine(j, defect):
-        coeffs = np.tensordot(system._solver, defect, axes=1)
-        return j - _transpose_kron_sum(coeffs, system.ops).reshape(system.dim, system.dim)
-
-    def project_face_psd(mat):
-        u = system.face_basis
-        compressed = u.conj().T @ mat @ u
-        vals, vecs = np.linalg.eigh((compressed + compressed.conj().T) / 2.0)
-        clipped = np.clip(vals, 0.0, None)
-        proj_small = (vecs * clipped) @ vecs.conj().T
-        proj = u @ proj_small @ u.conj().T
-        gap = float(np.linalg.norm(mat - proj))
-        return proj, gap
-
-    def hermitian_score(diff):
-        diff = (diff + diff.conj().transpose(0, 2, 1)) / 2.0
-        entry = np.maximum(np.abs(diff.real), np.abs(diff.imag)) * (2.0 - np.eye(diff.shape[-1]))
-        return entry.max(axis=(1, 2))
-
-    d = system.dim
-    rng = np.random.default_rng(seed)
-    iterates, residuals, final_gaps = [], [], []
-    for _ in range(max(1, restarts)):
-        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        start = g @ g.conj().T
-        start *= system.d_in / np.trace(start).real
-        x = start
-        defect_x = defect(x)
-        correction = np.zeros_like(x)
-        history = []
-        gap = np.inf
-        for _ in range(max_iter):
-            y = project_affine(x, defect_x)
-            z, gap = project_face_psd(y + correction)
-            correction = (y + correction) - z
-            x = z
-            defect_x = defect(z)
-            residual = float(hermitian_score(defect_x).max())
-            iterates.append(z)
-            residuals.append(residual)
-            if residual < tol:
-                return iterates, residuals, tuple(final_gaps) + (gap,)
-            history.append(residual)
-            if len(history) > _PLATEAU_WINDOW:
-                old = history[-_PLATEAU_WINDOW - 1]
-                if old - residual < _PLATEAU_REL * old:
-                    break
-        final_gaps.append(gap)
-    return iterates, residuals, tuple(final_gaps)
 
 
 def mix_povms(f_ideal, q_povm, q0):

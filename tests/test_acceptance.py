@@ -169,12 +169,12 @@ def test_criterion_7_weight_propagation():
 
 
 def test_criterion_8_choi_feasibility():
-    with criterion(8, "Choi feasibility probe with verified witness", 20.0):
+    with criterion(8, "Choi feasibility probe with verified witness", 5.0):
         p_dc = dc.bb84_squashed_dark_matrix(0.05)
         for basis in ("Z", "X"):
             povm = dc.bb84_qubit_measurement(basis)
             result = dc.choi_feasibility(
-                p_dc, povm, povm, tol=1e-6, max_iter=10_000, seed=0
+                p_dc, povm, povm, tol=1e-6, max_iter=10_000
             )
             assert result.verdict == "feasible-at-tol"
             assert result.iterations <= 10_000
@@ -184,11 +184,11 @@ def test_criterion_8_choi_feasibility():
             [[1.0, 0.0, 0.0], [0.0, -0.2, 1.2], [0.0, 1.2, -0.2]]
         )
         povm = dc.bb84_qubit_measurement("Z")
-        for seed in range(3):
+        for _ in range(3):
             result = dc.choi_feasibility(
-                adversarial, povm, povm, tol=1e-6, max_iter=4000, seed=seed
+                adversarial, povm, povm, tol=1e-6, max_iter=4000
             )
-            assert result.verdict != "feasible-at-tol"
+            assert result.verdict == "infeasible-at-tol"
 
 
 def test_criterion_9_deterministic_certificates(tmp_path):

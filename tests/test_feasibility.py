@@ -1,6 +1,8 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
-from helpers import hermitian_basis, random_squashed_povm, reference_probe
+from helpers import random_squashed_povm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,10 +16,13 @@ from detcert import (
     flag_state_target,
     passive_bb84_setup,
     verify_choi_witness,
+    verify_farkas_ray,
 )
+from detcert import cli
 from detcert.channels import (
     QuantumChannel,
-    _hermitian_score,
+    _heisenberg,
+    _transpose_kron_sum,
     verify_cptp,
     verify_statistics_equivalence,
 )
@@ -37,7 +42,7 @@ ADVERSARIAL = np.array(
 def test_bb84_case_is_feasible_with_verified_witness(basis):
     p_dc = bb84_squashed_dark_matrix(0.05)
     povm = bb84_qubit_measurement(basis)
-    result = choi_feasibility(p_dc, povm, povm, tol=1e-6, max_iter=10_000, seed=0)
+    result = choi_feasibility(p_dc, povm, povm, tol=1e-6, max_iter=10_000)
     assert result.verdict == "feasible-at-tol"
     assert result.iterations <= 10_000
     report = verify_choi_witness(result.witness, p_dc, povm, povm, 1e-6)
@@ -51,7 +56,7 @@ def test_bb84_case_is_feasible_with_verified_witness(basis):
 
 def test_identity_postprocessing_is_feasible():
     povm = bb84_qubit_measurement("Z")
-    result = choi_feasibility(np.eye(3), povm, povm, tol=1e-6, seed=0)
+    result = choi_feasibility(np.eye(3), povm, povm, tol=1e-6)
     assert result.verdict == "feasible-at-tol"
     report = verify_choi_witness(result.witness, np.eye(3), povm, povm, 1e-6)
     assert report.passed
@@ -64,7 +69,7 @@ def test_agreement_with_explicit_channel():
         p_dc = bb84_squashed_dark_matrix(d)
         for basis in ("Z", "X"):
             povm = bb84_qubit_measurement(basis)
-            result = choi_feasibility(p_dc, povm, povm, tol=1e-6, seed=0)
+            result = choi_feasibility(p_dc, povm, povm, tol=1e-6)
             assert result.verdict == "feasible-at-tol"
             explicit = bb84_simple_noise_channel(d).choi
             report = verify_choi_witness(explicit, p_dc, povm, povm, 1e-9)
@@ -75,18 +80,19 @@ def test_adversarial_demand_never_feasible():
     # columns sum to one but demand a negative outcome probability, which
     # no PSD Choi matrix can produce
     povm = bb84_qubit_measurement("Z")
-    result = choi_feasibility(ADVERSARIAL, povm, povm, tol=1e-6, max_iter=4000, seed=0)
+    result = choi_feasibility(ADVERSARIAL, povm, povm, tol=1e-6, max_iter=4000)
     assert result.verdict in ("infeasible-at-tol", "undetermined")
     assert result.verdict != "feasible-at-tol"
     assert result.witness is None
     assert result.residual > 0.1
+    assert verify_farkas_ray(result.ray, ADVERSARIAL, povm, povm, 1e-6).passed
 
 
 def test_determinism_under_fixed_seed():
     p_dc = bb84_squashed_dark_matrix(0.05)
     povm = bb84_qubit_measurement("Z")
-    a = choi_feasibility(p_dc, povm, povm, tol=1e-6, seed=42)
-    b = choi_feasibility(p_dc, povm, povm, tol=1e-6, seed=42)
+    a = choi_feasibility(p_dc, povm, povm, tol=1e-6)
+    b = choi_feasibility(p_dc, povm, povm, tol=1e-6)
     assert a.verdict == b.verdict
     assert a.iterations == b.iterations
     assert a.residual == b.residual
@@ -122,7 +128,7 @@ def test_fine_grained_passive_layout_runs():
     # fine-grained passive BB84: 16 events on layout dim 19, a 361 x 361 Choi matrix
     sq = flag_state_target(build_threshold_povm(passive_bb84_setup(1.0), 1), 1)
     assert sq.layout.total_dim == 19
-    result = choi_feasibility(np.eye(16), sq, sq, tol=1e-6, max_iter=1, restarts=1)
+    result = choi_feasibility(np.eye(16), sq, sq, tol=1e-6, max_iter=1)
     assert isinstance(result, FeasibilityResult)
     assert result.iterations == 1
     assert np.isfinite(result.residual)
@@ -159,133 +165,149 @@ def test_probe_agrees_with_dark_channel_construction(coarse_dark_case):
     # the probe must report feasible wherever the explicit channel exists,
     # here on the coarse-grained four-detector setup
     p_dc, squashed, _ = coarse_dark_case
-    result = choi_feasibility(p_dc, squashed, squashed, tol=1e-6, seed=0)
+    result = choi_feasibility(p_dc, squashed, squashed, tol=1e-6)
     assert result.verdict == "feasible-at-tol"
     assert verify_choi_witness(result.witness, p_dc, squashed, squashed, 1e-6).passed
 
 
-def _dense_row_projection(p, before, after, j):
-    """Reference: one constraint row ``Tr[H J] = b`` per Hermitian basis element.
-
-    Rows ``rho^T (x) F_i`` with ``b = sum_j P_ij Tr[F_before_j rho]`` and
-    ``sigma (x) I`` with ``b = Tr[sigma]``; the projection pseudo-inverts the
-    dense Gram matrix of all rows.
-    """
-    d_in, d_out = before[0].shape[0], after[0].shape[0]
-    rows, rhs = [], []
-    for rho in hermitian_basis(d_in):
-        probs = np.array([np.trace(f @ rho).real for f in before])
-        for f, target in zip(after, p @ probs):
-            rows.append(np.kron(rho.T, f))
-            rhs.append(target)
-    for sigma in hermitian_basis(d_in):
-        rows.append(np.kron(sigma, np.eye(d_out)))
-        rhs.append(np.trace(sigma).real)
-    h = np.array(rows)
-    gram = np.einsum("rab,sba->rs", h, h).real
-    gap = np.einsum("rab,ba->r", h, j).real - np.array(rhs)
-    coeffs = np.linalg.pinv(gram, rcond=1e-12) @ gap
-    return j - np.einsum("r,rab->ab", coeffs, h)
-
-
-@settings(max_examples=20, deadline=None)
-@given(seed=st.integers(0, 2**16))
-def test_heisenberg_projection_equals_dense_rows(seed):
-    rng = np.random.default_rng(seed)
-    f_before = random_squashed_povm(rng)
-    f_after = random_squashed_povm(rng)
-    n = len(f_after)
-    p = rng.dirichlet(np.ones(n), size=n).T  # column-stochastic
-    system = ChoiConstraintSystem(p, f_before, f_after)
-    g = rng.normal(size=(system.dim,) * 2) + 1j * rng.normal(size=(system.dim,) * 2)
-    j = (g + g.conj().T) / 2.0
-    y = system.project_affine(j, system.defect(j))
-    before = [el.to_dense() for el in f_before.elements]
-    after = [el.to_dense() for el in f_after.elements]
-    assert np.abs(y - _dense_row_projection(p, before, after, j)).max() <= 1e-12
-    assert np.abs(system.project_affine(y, system.defect(y)) - y).max() <= 1e-12
-    assert _hermitian_score(system.defect(y)).max() <= 1e-12
-    report = verify_choi_witness(y, p, f_before, f_after, 1e-12)
-    assert report.linear_residual <= 1e-12
-    assert report.trace_preservation_dev <= 1e-12
-
-
-@pytest.mark.parametrize(
-    "log_d,basis,iterations",
-    [(-1.25, "Z", 151), (-1.25, "X", 113), (-1.75, "Z", 980), (-1.75, "X", 760),
-     (-2.25, "Z", 4708), (-2.25, "X", 3664)],
-)
-def test_probe_iterations_pinned_on_active_strata(log_d, basis, iterations):
-    # the choi-check probe on the benchmark's active strata (seed 7)
-    d = 10.0**log_d
-    desc = descriptor_from_dict({"setup": "active-bb84", "dark_range": [[0, d], [0, d]], "seed": 7})
-    _, lp = active_swap_lp(desc)
-    povm = bb84_qubit_measurement(basis)
-    result = choi_feasibility(lp.matrix, povm, povm, tol=desc.feas_tol, seed=desc.seed)
-    assert result.verdict == "feasible-at-tol"
-    assert result.iterations == iterations
-
-
-def test_capped_probe_pinned_on_active_stratum():
-    # the benchmark's known-defect op: every restart runs to the iteration cap
-    d = 10.0**-2.75
-    desc = descriptor_from_dict({"setup": "active-bb84", "dark_range": [[0, d], [0, d]], "seed": 7})
-    _, lp = active_swap_lp(desc)
-    povm = bb84_qubit_measurement("Z")
-    result = choi_feasibility(lp.matrix, povm, povm, tol=desc.feas_tol, seed=desc.seed)
-    assert result.verdict == "undetermined"
-    assert result.iterations == 30000
-    assert result.stops == ("cap", "cap", "cap")
-    assert result.witness is None
-    assert result.residual == pytest.approx(9.13874925906528e-06, rel=1e-9)
-    gaps = (7.3237725801770415, 9.986458005712, 6.49714486667369)
-    assert result.cone_gaps == pytest.approx(gaps, rel=1e-9)
-
-
-def test_stops_name_why_each_restart_ended():
-    povm = bb84_qubit_measurement("Z")
-    feasible = choi_feasibility(bb84_squashed_dark_matrix(0.05), povm, povm, seed=0)
-    assert feasible.stops[-1] == "tol" and len(feasible.stops) == len(feasible.cone_gaps)
-    assert set(feasible.stops[:-1]) <= {"plateau", "cap"}
-    adversarial = choi_feasibility(ADVERSARIAL, povm, povm, max_iter=4000, seed=0)
-    assert adversarial.stops == ("plateau",) * 3
-    capped = choi_feasibility(ADVERSARIAL, povm, povm, max_iter=100, seed=0, restarts=2)
-    assert capped.verdict == "undetermined"
-    assert capped.stops == ("cap", "cap")
+def _bent_dark_matrix(eps):
+    # column 1 of the dark-count map, bent to demand probability -eps of event 2
+    p = bb84_squashed_dark_matrix(0.05).entries.copy()
+    p[1, 1] += p[2, 1] + eps
+    p[2, 1] = -eps
+    return p
 
 
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 2**16))
-def test_probe_loop_matches_reference_loop(seed):
+def test_dual_gradient_is_the_defect(seed):
+    # theta(Y) = 1/2 ||Pi_+(sum_k Y_k^T (x) F_k)||^2 - sum_k Re Tr[G_k Y_k] has
+    # gradient D(J(Y)); central differences along a random Hermitian direction
     rng = np.random.default_rng(seed)
-    f_before = random_squashed_povm(rng)
-    # a rotated output measurement gives the face a complex basis
-    f_after = random_squashed_povm(rng)
-    d = f_after.layout.total_dim
-    v, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-    f_after = [v @ el.to_dense() @ v.conj().T for el in f_after.elements]
-    n = len(f_after)
-    # column-stochastic; its zeros make the face proper
+    f_before, f_after = random_squashed_povm(rng), random_squashed_povm(rng)
+    n = len(f_after.elements)
     p = rng.dirichlet(np.ones(n), size=n).T * (rng.random((n, n)) < 0.6)
     p[rng.integers(n, size=n), range(n)] += 1e-3
     p /= p.sum(axis=0)
-    iterates = []
-    project = ChoiConstraintSystem.project_face_psd
-
-    def recording(self, mat):
-        iterates.append(project(self, mat))
-        return iterates[-1]
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ChoiConstraintSystem, "project_face_psd", recording)
-        result = choi_feasibility(p, f_before, f_after, max_iter=50, seed=seed, restarts=1)
     system = ChoiConstraintSystem(p, f_before, f_after)
-    ref_iterates, ref_residuals, ref_gaps = reference_probe(
-        system, max_iter=50, seed=seed, restarts=1
-    )
-    assert len(iterates) == len(ref_iterates) == result.iterations
-    assert max(np.abs(a - b).max() for a, b in zip(iterates, ref_iterates)) <= 1e-12
-    residuals = [_hermitian_score(system.defect(z), system.score_weight).max() for z in iterates]
-    assert np.abs(np.subtract(residuals, ref_residuals)).max() <= 1e-12
-    assert abs(result.residual - min(ref_residuals)) <= 1e-12
-    assert result.cone_gaps == pytest.approx(ref_gaps, abs=1e-12)
+
+    def hermitian_stack():
+        g = rng.normal(size=system.targets.shape) + 1j * rng.normal(size=system.targets.shape)
+        return g + g.conj().transpose(0, 2, 1)
+
+    def theta(y):
+        j = system.project_face_psd(_transpose_kron_sum(y, system.ops).reshape(system.dim, -1))
+        return 0.5 * np.vdot(j, j).real - np.vdot(system.targets, y).real, j
+
+    y, step = hermitian_stack(), hermitian_stack()
+    _, j = theta(y)
+    slope = np.vdot(system.defect(j), step).real
+    h = 1e-6
+    numeric = (theta(y + h * step)[0] - theta(y - h * step)[0]) / (2 * h)
+    assert abs(numeric - slope) <= 1e-6 * max(1.0, abs(slope))
+
+
+def _random_cptp_choi(rng, d):
+    # random rank, rescaled so that Tr_out J = I
+    rank = int(rng.integers(1, d * d + 1))
+    g = rng.normal(size=(d * d, rank)) + 1j * rng.normal(size=(d * d, rank))
+    j = g @ g.conj().T
+    vals, vecs = np.linalg.eigh(np.einsum("aibi->ab", j.reshape(d, d, d, d)))
+    s = np.kron((vecs / np.sqrt(vals)) @ vecs.conj().T, np.eye(d))
+    return s @ j @ s.conj().T
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**16))
+def test_feasible_by_construction(seed):
+    # F_before = Phi^dag(F_after) for a random channel Phi, and P = I
+    rng = np.random.default_rng(seed)
+    f_after = random_squashed_povm(rng)
+    d = f_after.layout.total_dim
+    f_before = _heisenberg(_random_cptp_choi(rng, d), d, d, f_after.dense)
+    p = np.eye(len(f_before))
+    result = choi_feasibility(p, f_before, f_after, tol=1e-6)
+    assert result.verdict == "feasible-at-tol" and result.stop == "tol"
+    assert result.ray is None
+    assert verify_choi_witness(result.witness, p, f_before, f_after, 1e-6).passed
+
+
+@pytest.mark.parametrize("basis", ["Z", "X"])
+@pytest.mark.parametrize("eps", [0.05, 1e-4])
+def test_bent_dark_matrix_is_infeasible_with_verified_ray(basis, eps):
+    p = _bent_dark_matrix(eps)
+    povm = bb84_qubit_measurement(basis)
+    result = choi_feasibility(p, povm, povm, tol=1e-6)
+    assert result.verdict == "infeasible-at-tol" and result.stop == "farkas"
+    assert result.witness is None
+    report = verify_farkas_ray(result.ray, p, povm, povm, 1e-6)
+    assert report.passed and report.margin > 1e-6
+
+
+def test_broken_ray_fails_verification():
+    povm = bb84_qubit_measurement("Z")
+    p = _bent_dark_matrix(0.05)
+    ray = choi_feasibility(p, povm, povm, tol=1e-6).ray
+    assert verify_farkas_ray(ray, p, povm, povm, 1e-6).passed
+    flipped = verify_farkas_ray(-ray, p, povm, povm, 1e-6)
+    assert not flipped.passed and flipped.margin < 0
+    # the ray certifies this matrix, not the unbent one
+    assert not verify_farkas_ray(ray, bb84_squashed_dark_matrix(0.05), povm, povm, 1e-6).passed
+    # an event block pushed up by a large multiple of the identity
+    big = 10.0 * np.abs(ray).max() * np.eye(ray.shape[-1])
+    for k in range(len(ray) - 1):
+        bent = ray.copy()
+        bent[k] += big
+        assert not verify_farkas_ray(bent, p, povm, povm, 1e-6).passed
+    # the trace-preservation block absorbs an identity shift exactly, and
+    # only the Hermitian part of a block counts
+    margin = verify_farkas_ray(ray, p, povm, povm, 1e-6).margin
+    shifted = ray.copy()
+    shifted[-1] += big
+    shifted[0, 0, 1] += 1e-3
+    shifted[0, 1, 0] -= 1e-3
+    assert verify_farkas_ray(shifted, p, povm, povm, 1e-6).margin == pytest.approx(margin, rel=1e-9)
+    with pytest.raises(ValueError, match="shape"):
+        verify_farkas_ray(ray[:-1], p, povm, povm, 1e-6)
+
+
+@pytest.mark.parametrize("basis", ["Z", "X"])
+@pytest.mark.parametrize("log_d", [-1.25, -1.75, -2.25, -2.75, -3.5])
+def test_probe_feasible_with_verified_witness_on_active_strata(log_d, basis):
+    # choi-check's probe on the active strata, down to d = 10^-3.5
+    d = 10.0**log_d
+    desc = descriptor_from_dict({"setup": "active-bb84", "dark_range": [[0, d], [0, d]], "seed": 7})
+    _, lp = active_swap_lp(desc)
+    povm = bb84_qubit_measurement(basis)
+    result = choi_feasibility(lp.matrix, povm, povm, tol=desc.feas_tol)
+    assert result.verdict == "feasible-at-tol" and result.stop == "tol"
+    assert result.iterations <= 100
+    assert verify_choi_witness(result.witness, lp.matrix, povm, povm, desc.feas_tol).passed
+
+
+def test_stop_names_why_the_probe_ended():
+    povm = bb84_qubit_measurement("Z")
+    feasible = choi_feasibility(bb84_squashed_dark_matrix(0.05), povm, povm)
+    assert feasible.stop == "tol" and feasible.grad_norm < 1e-5
+    infeasible = choi_feasibility(ADVERSARIAL, povm, povm)
+    assert infeasible.stop == "farkas" and infeasible.verdict == "infeasible-at-tol"
+    capped = choi_feasibility(bb84_squashed_dark_matrix(0.05), povm, povm, max_iter=3)
+    assert capped.stop == "cap" and capped.verdict == "undetermined"
+    assert capped.iterations == 3
+    assert capped.witness is None and capped.ray is None
+    assert capped.grad_norm > 1e-6
+    # below the precision floor the solver stops on its own and says why
+    floored = choi_feasibility(bb84_squashed_dark_matrix(0.05), povm, povm, tol=1e-300)
+    assert floored.verdict == "undetermined" and floored.stop not in ("tol", "farkas", "cap")
+    assert floored.witness is None and floored.ray is None
+    for bad in ({"tol": 0.0}, {"tol": float("nan")}, {"max_iter": 0}):
+        with pytest.raises(ValueError, match="tol > 0 and max_iter >= 1"):
+            choi_feasibility(bb84_squashed_dark_matrix(0.05), povm, povm, **bad)
+
+
+def test_choi_check_is_byte_deterministic(tmp_path):
+    descriptor = Path(__file__).resolve().parents[1] / "descriptors" / "active_bb84.json"
+    outs = [tmp_path / "run1.json", tmp_path / "run2.json"]
+    for out in outs:
+        assert cli.main(["choi-check", str(descriptor), "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()

@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -89,6 +90,12 @@ def test_descriptor_validation_errors():
              "observed": {"event": "multi", "probability": 0.1}}
         )
     assert descriptor_from_dict({**PASSIVE, "seed": 7.0, "cutoff": 1.0}).seed == 7
+    for setup in ("active-bb84", "passive-bb84"):
+        for name, value in (("mode_map", [[1.0, 0.0]]), ("k", 7), ("k", 2 if setup == "active-bb84" else 4)):
+            with pytest.raises(DescriptorError, match=f"^{name}: fixed by the {setup} setup"):
+                descriptor_from_dict({"setup": setup, name: value})
+    with pytest.raises(DescriptorError, match="^coarse_grain: multiclick needs at least 2 detectors"):
+        descriptor_from_dict({"setup": "custom", "k": 1, "mode_map": [[1.0]], "coarse_grain": "multiclick"})
 
 
 @pytest.mark.parametrize("cmd", ["analyze", "choi-check", "weight"])
@@ -101,7 +108,10 @@ def test_descriptor_validation_errors():
      ({"setup": "custom", "k": 1, "mode_map": [[[1.0, float("nan")]]]}, []),
      ({"eta": None}, []), ({"eta": "abcd"}, []), ({"eta_range": ["0.5", 0.6]}, []),
      ({"dark_range": [0.0, "x"]}, []), ({"seed": "x"}, []), ({"cutoff": "2"}, []),
-     ({"tol": "1e-9"}, []), ({"observed": {"event": "bogus", "probability": 0.1}}, [])],
+     ({"tol": "1e-9"}, []), ({"observed": {"event": "bogus", "probability": 0.1}}, []),
+     ({"mode_map": [[1.0, 0.0]]}, []), ({"k": 7}, []),
+     ({"setup": "custom", "k": 1, "mode_map": [[1.0]], "coarse_grain": "multiclick"}, []),
+     ({"setup": "custom", "k": 1, "mode_map": [[1.0]]}, ["--coarse-grain", "multiclick"])],
 )
 def test_cli_rejects_bad_values_before_running(tmp_path, capsys, cmd, extra, override):
     base = {
@@ -364,3 +374,19 @@ def test_cli_choi_check(tmp_path, capsys):
     for basis in ("Z", "X"):
         assert payload["bases"][basis]["verdict"] == "feasible-at-tol"
         assert payload["bases"][basis]["witness_report"]["passed"]
+
+
+def test_cli_choi_check_reports_verified_farkas_ray(tmp_path, capsys, monkeypatch):
+    # a post-processing demanding a negative probability, in place of the swap LP's
+    adversarial = np.array([[1.0, 0.0, 0.0], [0.0, -0.2, 1.2], [0.0, 1.2, -0.2]])
+    lp = SimpleNamespace(feasible=True, matrix=adversarial, residual=0.0)
+    monkeypatch.setattr(cli, "active_swap_lp", lambda desc: (np.zeros(2), lp))
+    desc = _write_descriptor(tmp_path, {"setup": "active-bb84", "dark_range": [0.0, 0.05]})
+    assert cli.main(["choi-check", desc]) == EXIT_NOT_REDUCIBLE
+    payload = json.loads(capsys.readouterr().out)
+    for basis in ("Z", "X"):
+        entry = payload["bases"][basis]
+        assert entry["verdict"] == "infeasible-at-tol"
+        assert "witness_report" not in entry
+        assert entry["farkas_report"]["passed"]
+        assert entry["farkas_report"]["margin"] > 1e-6
