@@ -46,7 +46,10 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("descriptor", help="path to the JSON setup descriptor")
         cmd.add_argument("--tol", type=float, default=None, help="certification tolerance")
-        cmd.add_argument("--seed", type=int, default=None, help="seed override")
+        cmd.add_argument(
+            "--seed", type=int, default=None,
+            help="seed override; only echoed into the certificate, changes no computation",
+        )
         cmd.add_argument("--eta-star", type=float, default=None, help="common efficiency")
         cmd.add_argument(
             "--coarse-grain", choices=("none", "multiclick"), default=None,

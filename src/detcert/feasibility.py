@@ -13,6 +13,7 @@ Choi space (:func:`verify_choi_witness`, :func:`verify_farkas_ray`).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -82,8 +83,8 @@ class FeasibilityResult:
     ``residual`` and ``grad_norm`` score the last primal point's defect, the
     dual gradient; ``iterations`` counts primal points.  ``witness`` is set
     exactly on a feasible verdict, ``ray`` (the dual iterate) on an
-    infeasible one.  ``stop``: ``"tol"``, ``"farkas"``, ``"cap"`` or the
-    solver's message.
+    infeasible one.  ``stop``: ``"tol"``, ``"farkas"``, ``"cap"`` or why the
+    L-BFGS run ended on its own.
     """
 
     verdict: str  # "feasible-at-tol" | "infeasible-at-tol" | "undetermined"
@@ -97,21 +98,70 @@ class FeasibilityResult:
 
 
 class _Decided(Exception):
-    """Ends the solver run from inside the objective, naming why."""
+    """Ends the minimisation from inside the objective, naming why."""
+
+
+_LBFGS_MEMORY = 10
+_ARMIJO = 1e-4
+_MAX_HALVINGS = 40
+
+
+def _lbfgs(fun, x: np.ndarray) -> tuple[np.ndarray, str]:
+    """Minimise ``fun`` (returning value and gradient) by limited-memory BFGS.
+
+    The two-loop recursion (Nocedal, Math. Comp. 35, 773 (1980)) over the
+    last ``_LBFGS_MEMORY`` pairs scales its initial inverse Hessian by
+    ``1 / ||g||`` on the first step, then by ``s^T y / y^T y``; pairs with
+    ``s^T y <= 1e-12 y^T y`` are skipped.  Each step backtracks by halving
+    until the Armijo condition holds with a strict decrease; when no step
+    does, the memory is cleared and the scaled gradient tried, and when that
+    fails too the run stops.  Returns the last accepted point and why it
+    stopped; ``fun`` may also end the run by raising.
+    """
+    f, g = fun(x)
+    pairs = deque(maxlen=_LBFGS_MEMORY)
+    scale = 1.0 / np.linalg.norm(g)
+    while True:
+        d = g.copy()
+        alphas = []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * (s @ d))
+            d -= alphas[-1] * y
+        d *= scale
+        for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+            d += (alpha - rho * (y @ d)) * s
+        d = -d
+        slope = g @ d
+        step = 1.0
+        for _ in range(_MAX_HALVINGS):
+            x_new = x + step * d
+            f_new, g_new = fun(x_new)
+            if f_new < f and f_new <= f + _ARMIJO * step * slope:
+                break
+            step /= 2.0
+        else:
+            if not pairs:
+                return x, "line search made no progress"
+            pairs.clear()  # retry along the scaled gradient
+            continue
+        s, y = x_new - x, g_new - g
+        sy, yy = s @ y, y @ y
+        if sy > 1e-12 * yy:
+            pairs.append((s, y, 1.0 / sy))
+            scale = sy / yy
+        x, f, g = x_new, f_new, g_new
 
 
 def choi_feasibility(p_dc, f_eta, f_target, tol: float = 1e-6, max_iter: int = 10_000) -> FeasibilityResult:
     """Probe for a Choi matrix reproducing the post-processed statistics.
 
-    L-BFGS-B from ``Y = 0`` minimises, over Hermitian ``Y_k`` (real and
+    L-BFGS from ``Y = 0`` minimises, over Hermitian ``Y_k`` (real and
     imaginary parts as the vector), ``theta(Y) = 1/2 ||J||^2 - sum_k Re
     Tr[G_k Y_k]`` with ``J = Pi(sum_k Y_k^T (x) F_k)`` projected onto the PSD
     matrices on the face; its gradient is the defect of ``J``.  Feasible once
     ``J`` meets every identity to ``tol``, infeasible once ``Y`` passes
     :func:`verify_farkas_ray`, else undetermined.
     """
-    from scipy.optimize import minimize
-
     if not (tol > 0 and max_iter >= 1):
         raise ValueError(f"need tol > 0 and max_iter >= 1, got {tol} and {max_iter}")
     system = ChoiConstraintSystem(p_dc, f_eta, f_target)
@@ -136,10 +186,8 @@ def choi_feasibility(p_dc, f_eta, f_target, tol: float = 1e-6, max_iter: int = 1
             raise _Decided("cap")
         return value, defect.view(float).ravel()
 
-    options = {"maxiter": max_iter, "maxfun": max_iter, "ftol": 0.0, "gtol": 0.0}
-    x0 = np.zeros(2 * system.targets.size)
     try:
-        stop = minimize(theta, x0, jac=True, method="L-BFGS-B", options=options).message
+        _, stop = _lbfgs(theta, np.zeros(2 * system.targets.size))
     except _Decided as reason:
         stop = str(reason)
     j, defect = last["j"], last["defect"]

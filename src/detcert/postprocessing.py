@@ -23,6 +23,10 @@ from .fock import BlockOperator
 _ENTRY_TOL = 1e-12
 _COLSUM_TOL = 1e-10
 SWAP_FEASIBILITY_TOL = 1e-9
+_PIVOT_TOL = 1e-9
+_COST_TOL = 1e-9
+_MAX_PIVOTS = 5000
+_REFRESH = 10
 
 
 class StochasticMatrix:
@@ -230,13 +234,73 @@ class SwapLPResult:
     ``residual`` is the smallest achievable worst-case violation of
     ``P_sq' . P_db = P_dc . P_sq`` over all column-stochastic ``P_dc``; a
     residual far above tolerance signals structural infeasibility rather
-    than numerical noise.
+    than numerical noise.  ``dual_bound`` is set exactly on an infeasible
+    verdict: a lower bound on that violation for every column-stochastic
+    ``P_dc``, computed from the LP's dual weights without the solver.
     """
 
     feasible: bool
     matrix: StochasticMatrix | None
     residual: float
     tolerance: float = SWAP_FEASIBILITY_TOL
+    dual_bound: float | None = None
+
+
+def _pivot(b_inv: np.ndarray, direction: np.ndarray, row: int) -> None:
+    """Update ``b_inv`` in place for the column ``B^-1 a_j = direction`` entering at ``row``."""
+    b_inv[row] /= direction[row]
+    direction[row] = 0.0
+    b_inv -= np.outer(direction, b_inv[row])
+
+
+def _simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray, basis: np.ndarray, n_cols: int):
+    """Move the feasible basis of ``a x = b, x >= 0`` to one minimising ``cost . x``.
+
+    Dense simplex with Bland's rule: the entering column is the lowest-index
+    one with a negative reduced cost, the leaving row the ratio-test tie with
+    the lowest-index basic variable, which cannot cycle (Bland, Math. Oper.
+    Res. 2, 103 (1977)).  Only the first ``n_cols`` columns may enter.  Each
+    pivot updates the basis inverse, which is inverted afresh from ``a``
+    every ``_REFRESH`` pivots and before optimality is accepted.  Returns the
+    basis inverse, the basic values and the reduced costs.
+    """
+    since = _REFRESH
+    for _ in range(_MAX_PIVOTS):
+        if since >= _REFRESH:
+            b_inv, since = np.linalg.inv(a[:, basis]), 0
+        x_b = b_inv @ b
+        reduced = cost - (cost[basis] @ b_inv) @ a
+        negative = reduced[:n_cols] < -_COST_TOL
+        if not negative.any():
+            if since == 0:
+                return b_inv, x_b, reduced
+            since = _REFRESH
+            continue
+        col = np.argmax(negative)
+        direction = b_inv @ a[:, col]
+        rows = np.flatnonzero(direction > _PIVOT_TOL)
+        if rows.size == 0:
+            raise RuntimeError("LP solver failed: unbounded")
+        ratios = np.maximum(x_b[rows], 0.0) / direction[rows]
+        ties = rows[ratios <= ratios.min() + _PIVOT_TOL]
+        row = ties[np.argmin(basis[ties])]
+        _pivot(b_inv, direction, row)
+        basis[row] = col
+        since += 1
+    raise RuntimeError(f"LP solver failed: no optimum after {_MAX_PIVOTS} pivots")
+
+
+def _dual_bound(w: np.ndarray, s: np.ndarray, target: np.ndarray) -> float:
+    """Lower bound on ``max |P S - target|`` over column-stochastic ``P``.
+
+    For any weights ``W``, ``<W, P S - target> >= sum_c min_i (W S^T)_ic -
+    <W, target>`` because each column of ``P`` is a distribution, and the
+    left side is at most ``||W||_1 max |P S - target|``.
+    """
+    norm = float(np.abs(w).sum())
+    if norm == 0.0:
+        return 0.0
+    return float((w @ s.T).min(axis=0).sum() - np.vdot(w, target)) / norm
 
 
 def solve_swap_lp(
@@ -248,14 +312,13 @@ def solve_swap_lp(
     """Find ``P_dc`` with ``P_sq' . P_db = P_dc . P_sq``, or certify failure.
 
     Solves ``min t`` subject to entrywise ``|P_dc . P_sq - P_sq' . P_db| <= t``
-    with ``P_dc`` column-stochastic; feasible iff the optimum is within
-    ``tol``.  The returned residual is re-verified independently of the
-    solver.
+    with ``P_dc`` column-stochastic, by a two-phase dense simplex
+    (:func:`_simplex`); feasible iff the optimum is within ``tol``.  Either
+    verdict is re-verified without the solver: the residual is recomputed
+    from ``P_dc``, and an infeasible verdict needs the optimal basis's dual
+    weights to prove, by :func:`_dual_bound`, a violation above ``tol`` for
+    every ``P_dc``.
     """
-    # Imported here: scipy.optimize is most of the package's import time,
-    # and only the swap LP needs it.
-    from scipy.optimize import linprog
-
     if p_sq_prime is None:
         p_sq_prime = p_sq
     if p_sq_prime.shape[1] != p_db.shape[0]:
@@ -268,48 +331,60 @@ def solve_swap_lp(
     target = p_sq_prime.entries @ p_db.entries
     n_out, n_in = target.shape
     s = p_sq.entries
-    n_var = n_out * n_out + 1  # vec(P_dc) then the residual bound t
+    n_p = n_out * n_out  # vec(P_dc), row-major, then t, then the slacks
+    n_ub = 2 * n_out * n_in
+    n_cols = n_p + 1 + n_ub
+    m = n_ub + n_out
 
-    # |(P_dc S)[i, j] - target[i, j]| <= t, P_dc >= 0, column sums exactly 1.
-    rows_ub = []
-    rhs_ub = []
-    for i in range(n_out):
-        for j in range(n_in):
-            coeff = np.zeros(n_var)
-            coeff[i * n_out : (i + 1) * n_out] = s[:, j]
-            coeff[-1] = -1.0
-            rows_ub.append(coeff.copy())
-            rhs_ub.append(target[i, j])
-            coeff = -coeff
-            coeff[-1] = -1.0
-            rows_ub.append(coeff)
-            rhs_ub.append(-target[i, j])
-    rows_eq = []
-    rhs_eq = []
-    for col in range(n_out):
-        coeff = np.zeros(n_var)
-        for row in range(n_out):
-            coeff[row * n_out + col] = 1.0
-        rows_eq.append(coeff)
-        rhs_eq.append(1.0)
+    # Rows: -+(P_dc S - target) - t + slack = 0, then the column sums of P_dc
+    # equal to 1.  The rows with a negative right-hand side are negated, and
+    # they and the equalities get an artificial variable as their basis.
+    act = np.kron(np.eye(n_out), s.T)  # vec(P_dc) -> vec(P_dc S)
+    a = np.zeros((m, n_cols))
+    a[:n_ub, :n_p] = np.concatenate([-act, act])
+    a[:n_ub, n_p] = -1.0
+    a[:n_ub, n_p + 1 :] = np.eye(n_ub)
+    a[n_ub:, :n_p] = np.kron(np.ones(n_out), np.eye(n_out))
+    b = np.concatenate([-target.ravel(), target.ravel(), np.ones(n_out)])
+    art_rows = np.flatnonzero((b < 0.0) | (np.arange(m) >= n_ub))
+    a[b < 0.0] *= -1.0
 
-    cost = np.zeros(n_var)
-    cost[-1] = 1.0
-    res = linprog(
-        cost,
-        A_ub=np.array(rows_ub),
-        b_ub=np.array(rhs_ub),
-        A_eq=np.array(rows_eq),
-        b_eq=np.array(rhs_eq),
-        bounds=[(0, None)] * n_var,
-        method="highs",
-    )
-    if not res.success:
-        raise RuntimeError(f"LP solver failed: {res.message}")
-    p_dc = res.x[:-1].reshape(n_out, n_out)
+    a = np.column_stack([a, np.eye(m)[:, art_rows]])
+    b = np.abs(b)
+    basis = np.arange(m) + n_p + 1
+    basis[art_rows] = n_cols + np.arange(len(art_rows))
+    phase1 = np.zeros(a.shape[1])
+    phase1[n_cols:] = 1.0
+    b_inv, x_b, _ = _simplex(a, b, phase1, basis, n_cols)
+    if x_b[basis >= n_cols].sum() > _COST_TOL * m:
+        raise RuntimeError("LP solver failed: phase 1 found no feasible point")
+    # An artificial still basic (at zero) leaves on any nonzero entry of its
+    # row: the slack and column-sum rows have full rank.
+    for row in np.flatnonzero(basis >= n_cols):
+        col = np.argmax(np.abs(b_inv[row] @ a[:, :n_cols]))
+        _pivot(b_inv, b_inv @ a[:, col], row)
+        basis[row] = col
+    cost = np.zeros(a.shape[1])
+    cost[n_p] = 1.0  # t
+    _, x_b, reduced = _simplex(a, b, cost, basis, n_cols)
+
+    x = np.zeros(n_cols)
+    x[basis] = x_b
+    p_dc = x[:n_p].reshape(n_out, n_out)
     residual = float(np.abs(p_dc @ s - target).max())
     if residual > tol:
-        return SwapLPResult(feasible=False, matrix=None, residual=residual, tolerance=tol)
+        # The dual of a <= row is minus its slack's reduced cost.
+        lam = -reduced[n_p + 1 : n_cols]
+        w = (lam[: n_ub // 2] - lam[n_ub // 2 :]).reshape(n_out, n_in)
+        bound = _dual_bound(w, s, target)
+        if not bound > tol:
+            raise RuntimeError(
+                f"LP solver failed: residual {residual:.3e} above tolerance, "
+                f"but the dual bound {bound:.3e} does not prove it"
+            )
+        return SwapLPResult(
+            feasible=False, matrix=None, residual=residual, tolerance=tol, dual_bound=bound
+        )
     p_dc = np.clip(p_dc, 0.0, None)
     p_dc = p_dc / p_dc.sum(axis=0, keepdims=True)
     matrix = StochasticMatrix(

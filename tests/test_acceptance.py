@@ -34,7 +34,7 @@ def criterion(num, text, budget_s):
 
 
 def test_criterion_1_swap_lp_reproduction():
-    with criterion(1, "swap LP reproduces the squashed dark-count map", 1.0):
+    with criterion(1, "swap LP reproduces the squashed dark-count map", 0.25):
         squasher = dc.bb84_qubit_squasher()
         for d in (0.01, 0.05, 0.1):
             result = dc.solve_swap_lp(dc.dark_count_matrix([d, d]), squasher)
@@ -169,7 +169,7 @@ def test_criterion_7_weight_propagation():
 
 
 def test_criterion_8_choi_feasibility():
-    with criterion(8, "Choi feasibility probe with verified witness", 5.0):
+    with criterion(8, "Choi feasibility probe with verified witness", 1.0):
         p_dc = dc.bb84_squashed_dark_matrix(0.05)
         for basis in ("Z", "X"):
             povm = dc.bb84_qubit_measurement(basis)

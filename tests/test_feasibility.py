@@ -8,12 +8,17 @@ from hypothesis import strategies as st
 
 from detcert import (
     FeasibilityResult,
+    apply_postprocessing,
     bb84_qubit_measurement,
     bb84_simple_noise_channel,
     bb84_squashed_dark_matrix,
     build_threshold_povm,
     choi_feasibility,
+    coarse_grained_dc_ansatz,
+    dark_count_channel,
+    dark_count_matrix,
     flag_state_target,
+    multiclick_coarse_graining,
     passive_bb84_setup,
     verify_choi_witness,
     verify_farkas_ray,
@@ -26,7 +31,7 @@ from detcert.channels import (
     verify_cptp,
     verify_statistics_equivalence,
 )
-from detcert.feasibility import ChoiConstraintSystem
+from detcert.feasibility import ChoiConstraintSystem, _lbfgs
 from detcert.report import active_swap_lp, descriptor_from_dict
 
 ADVERSARIAL = np.array(
@@ -134,25 +139,20 @@ def test_fine_grained_passive_layout_runs():
     assert np.isfinite(result.residual)
 
 
+def _passive_case(coarse_grain):
+    # four-detector passive BB84, multiclick (Choi 81) or fine-grained (Choi 361)
+    povm = build_threshold_povm(passive_bb84_setup([0.8, 0.85, 0.9, 0.75]), 1)
+    p_db = dark_count_matrix([0.08, 0.05, 0.1, 0.07])
+    if not coarse_grain:
+        return p_db, flag_state_target(povm, 1)
+    cg = multiclick_coarse_graining(povm.events)
+    return coarse_grained_dc_ansatz(p_db, cg), flag_state_target(apply_postprocessing(cg, povm), 1)
+
+
 @pytest.fixture(scope="module")
 def coarse_dark_case():
-    from detcert import (
-        apply_postprocessing,
-        build_threshold_povm,
-        coarse_grained_dc_ansatz,
-        dark_count_channel,
-        dark_count_matrix,
-        flag_state_target,
-        multiclick_coarse_graining,
-        passive_bb84_setup,
-    )
-
-    povm = build_threshold_povm(passive_bb84_setup([0.8, 0.85, 0.9, 0.75]), 1)
-    cg = multiclick_coarse_graining(povm.events)
-    squashed = flag_state_target(apply_postprocessing(cg, povm), 1)
-    p_dc = coarse_grained_dc_ansatz(dark_count_matrix([0.08, 0.05, 0.1, 0.07]), cg)
-    channel = dark_count_channel(p_dc, squashed)
-    return p_dc, squashed, channel
+    p_dc, squashed = _passive_case(coarse_grain=True)
+    return p_dc, squashed, dark_count_channel(p_dc, squashed)
 
 
 def test_dark_channel_choi_passes_witness_check(coarse_dark_case):
@@ -271,8 +271,14 @@ def test_broken_ray_fails_verification():
         verify_farkas_ray(ray[:-1], p, povm, povm, 1e-6)
 
 
+# Primal points per case in ROADMAP item 2's table of the dual probe; the
+# probe may take at most half as many again.
+TABLE_SLACK = 1.5
+ACTIVE_TABLE_POINTS = {-1.25: 9, -1.75: 8, -2.25: 9, -2.75: 15, -3.5: 27}
+
+
 @pytest.mark.parametrize("basis", ["Z", "X"])
-@pytest.mark.parametrize("log_d", [-1.25, -1.75, -2.25, -2.75, -3.5])
+@pytest.mark.parametrize("log_d", list(ACTIVE_TABLE_POINTS))
 def test_probe_feasible_with_verified_witness_on_active_strata(log_d, basis):
     # choi-check's probe on the active strata, down to d = 10^-3.5
     d = 10.0**log_d
@@ -281,8 +287,53 @@ def test_probe_feasible_with_verified_witness_on_active_strata(log_d, basis):
     povm = bb84_qubit_measurement(basis)
     result = choi_feasibility(lp.matrix, povm, povm, tol=desc.feas_tol)
     assert result.verdict == "feasible-at-tol" and result.stop == "tol"
-    assert result.iterations <= 100
+    assert result.iterations <= TABLE_SLACK * ACTIVE_TABLE_POINTS[log_d]
     assert verify_choi_witness(result.witness, lp.matrix, povm, povm, desc.feas_tol).passed
+
+
+@pytest.mark.parametrize(
+    "case, verdict, table_points",
+    [
+        ("adversarial", "infeasible-at-tol", 7),
+        ("bent-Z", "infeasible-at-tol", 33),
+        ("bent-X", "infeasible-at-tol", 33),
+        ("choi-81", "feasible-at-tol", 88),
+        ("choi-361", "feasible-at-tol", 209),
+    ],
+)
+def test_probe_table_cases(case, verdict, table_points):
+    # the rest of the table: the adversarial matrix, the dark map bent to
+    # demand probability -1e-5, and passive multiclick and fine-grained
+    if case == "adversarial":
+        p, povm = ADVERSARIAL, bb84_qubit_measurement("Z")
+    elif case.startswith("bent"):
+        p, povm = _bent_dark_matrix(1e-5), bb84_qubit_measurement(case[-1])
+    else:
+        p, povm = _passive_case(coarse_grain=case == "choi-81")
+        assert povm.layout.total_dim**2 == int(case[5:])
+    result = choi_feasibility(p, povm, povm, tol=1e-6)
+    assert result.verdict == verdict
+    assert result.iterations <= TABLE_SLACK * table_points
+    if verdict == "feasible-at-tol":
+        assert verify_choi_witness(result.witness, p, povm, povm, 1e-6).passed
+    else:
+        assert verify_farkas_ray(result.ray, p, povm, povm, 1e-6).passed
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**16), n=st.integers(1, 30), log_cond=st.floats(0.0, 4.0))
+def test_lbfgs_reaches_minimiser_of_convex_quadratic(seed, n, log_cond):
+    # with no stop from the objective, the run ends where no step decreases
+    # it: f carries rounding of about eps * cond * |x*|^2, which limits |x - x*|
+    # to about 1e-6 |x*| at condition 1e4
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    a = (q * np.logspace(0.0, log_cond, n)) @ q.T
+    b = rng.normal(size=n)
+    x, stop = _lbfgs(lambda v: (0.5 * v @ a @ v - b @ v, a @ v - b), np.zeros(n))
+    assert stop == "line search made no progress"
+    x_star = np.linalg.solve(a, b)
+    assert np.linalg.norm(x - x_star) <= 1e-5 * max(1.0, np.linalg.norm(x_star))
 
 
 def test_stop_names_why_the_probe_ended():

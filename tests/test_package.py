@@ -1,6 +1,13 @@
-"""The package's public namespace."""
+"""The package's public namespace and its import footprint."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import detcert
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_star_import_resolves_every_export():
@@ -9,3 +16,27 @@ def test_star_import_resolves_every_export():
     assert len(set(detcert.__all__)) == len(detcert.__all__)
     for name in detcert.__all__:
         assert namespace[name] is getattr(detcert, name)
+
+
+SOLVER_FREE_RUN = """
+import sys
+import detcert
+from detcert import cli
+
+descriptor, out = sys.argv[1], sys.argv[2]
+codes = [cli.main([cmd, descriptor, "--out", out]) for cmd in ("analyze", "choi-check", "swap-lp")]
+assert codes == [0, 0, 0], codes
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert not loaded, f"{len(loaded)} scipy modules loaded: {loaded[:3]}"
+"""
+
+
+def test_active_commands_import_no_scipy(tmp_path):
+    # a fresh interpreter: the test session itself has scipy loaded
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    descriptor = ROOT / "descriptors" / "active_bb84.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", SOLVER_FREE_RUN, str(descriptor), str(tmp_path / "out.json")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
+import detcert.postprocessing as postprocessing
 from detcert import (
     StochasticMatrix,
     bb84_qubit_squasher,
@@ -196,6 +200,81 @@ def test_swap_lp_solution_reverified_independently():
     ).max()
     assert residual <= 1e-9
     assert residual == pytest.approx(result.residual, abs=1e-12)
+
+
+def test_swap_lp_infeasible_verdict_carries_dual_bound():
+    # strong duality: the bound from the final tableau's dual weights is the optimum
+    result = solve_swap_lp(dark_count_matrix([0.01, 0.02]), bb84_qubit_squasher())
+    assert not result.feasible
+    assert result.dual_bound == pytest.approx(result.residual, abs=1e-12)
+    assert solve_swap_lp(dark_count_matrix([0.05, 0.05]), bb84_qubit_squasher()).dual_bound is None
+
+
+def test_swap_lp_unproved_infeasibility_raises(monkeypatch):
+    # an infeasible verdict stands only on a dual bound above tolerance
+    monkeypatch.setattr(postprocessing, "_dual_bound", lambda w, s, target: 0.0)
+    with pytest.raises(RuntimeError, match="dual bound"):
+        solve_swap_lp(dark_count_matrix([0.01, 0.02]), bb84_qubit_squasher())
+    feasible = solve_swap_lp(dark_count_matrix([0.05, 0.05]), bb84_qubit_squasher())
+    assert feasible.feasible
+
+
+def _reference_swap_lp(p_db, p_sq):
+    """HiGHS on the same min-t LP, one row per entry and sign."""
+    target = p_sq @ p_db
+    n_out, n_in = target.shape
+    n_var = n_out * n_out + 1
+    rows, rhs = [], []
+    for i in range(n_out):
+        for j in range(n_in):
+            for sign in (1.0, -1.0):
+                coeff = np.zeros(n_var)
+                coeff[i * n_out : (i + 1) * n_out] = sign * p_sq[:, j]
+                coeff[-1] = -1.0
+                rows.append(coeff)
+                rhs.append(sign * target[i, j])
+    a_eq = np.zeros((n_out, n_var))
+    for col in range(n_out):
+        a_eq[col, col : n_out * n_out : n_out] = 1.0
+    cost = np.zeros(n_var)
+    cost[-1] = 1.0
+    res = linprog(cost, A_ub=np.array(rows), b_ub=rhs, A_eq=a_eq, b_eq=np.ones(n_out),
+                  bounds=[(0, None)] * n_var, method="highs")
+    assert res.success, res.message
+    return res.fun
+
+
+def _random_stochastic(rng, n_rows, n_cols):
+    # sparse, coarsely quantised entries and repeated rows give degenerate pivots
+    kind = rng.integers(3)
+    if kind == 0:
+        a = rng.random((n_rows, n_cols))
+    elif kind == 1:
+        a = rng.integers(0, 3, size=(n_rows, n_cols)).astype(float)
+    else:
+        a = rng.random((n_rows, n_cols)) * (rng.random((n_rows, n_cols)) < 0.4)
+    if n_rows > 1 and rng.random() < 0.5:
+        a[rng.integers(n_rows)] = a[rng.integers(n_rows)]
+    a[rng.integers(n_rows, size=n_cols), range(n_cols)] += 1.0
+    return a / a.sum(axis=0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_in=st.integers(1, 5), n_out=st.integers(1, 6))
+def test_swap_lp_matches_reference_solver(seed, n_in, n_out):
+    rng = np.random.default_rng(seed)
+    p_sq = _random_stochastic(rng, n_out, n_in)
+    p_db = np.eye(n_in) if rng.random() < 0.25 else _random_stochastic(rng, n_in, n_in)
+    optimum = _reference_swap_lp(p_db, p_sq)
+    result = solve_swap_lp(StochasticMatrix(p_db), StochasticMatrix(p_sq))
+    assert result.feasible == (optimum <= result.tolerance)
+    assert result.residual == pytest.approx(optimum, abs=1e-9)
+    if not result.feasible:
+        assert result.dual_bound == pytest.approx(optimum, abs=1e-9)
+        # the bound holds for every column-stochastic P, not only the optimum
+        target = p_sq @ p_db
+        for p in rng.dirichlet(np.ones(n_out), size=(20, n_out)).transpose(0, 2, 1):
+            assert np.abs(p @ p_sq - target).max() >= result.dual_bound - 1e-12
 
 
 def test_swap_lp_rejects_dimension_mismatch():
