@@ -21,21 +21,19 @@ povm = dc.build_threshold_povm(setup, cutoff=2)
 print(f"\n{len(povm)} click patterns, blocks {povm.layout.labels}")
 
 print("\nvacuum never clicks:")
-print("  P(no-click | vacuum) =", povm.elements[0].block("m=0")[0, 0].real)
+print("  P(no-click | vacuum) =", povm.block("m=0")[0, 0, 0].real)
 
 print("\none-photon block of the first single-click element (rank one):")
 idx = povm.events.single_indices[0]
-print(povm.elements[idx].block("m=1").real)
+print(povm.block("m=1")[idx].real)
 
 print("\nmulti-click elements vanish below two photons:")
-worst = max(
-    abs(povm.elements[i].block("m=1")).max() for i in povm.events.multi_indices
-)
+worst = abs(povm.block("m=1")[list(povm.events.multi_indices)]).max()
 print("  largest one-photon entry over all multi-click elements:", worst)
 
 report = dc.verify_single_photon_assumption(povm)
 print("\nclick-count assumption:", "pass" if report.passed else "FAIL")
 
-total = sum(el.block("m=2") for el in povm.elements)
+total = povm.block("m=2").sum(axis=0)
 print("completeness on the two-photon block (should be identity):")
 print(total.real)

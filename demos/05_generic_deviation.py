@@ -11,7 +11,7 @@ import numpy as np
 
 import detcert as dc
 from detcert import POVM, EventTable
-from detcert.fock import BlockOperator, SpaceLayout
+from detcert.fock import SpaceLayout
 
 rng = np.random.default_rng(5)
 layout = SpaceLayout((("m=0", 1), ("m=1", 2), ("flag", 3)))
@@ -32,26 +32,18 @@ def random_target(rng):
         ]
         w = np.linalg.inv(np.linalg.cholesky(sum(raw)))
         mats[lab] = [w @ m @ w.conj().T for m in raw]
-    elements = []
+    dense = np.zeros((3, 6, 6), dtype=complex)
     for i in range(3):
-        flag = np.zeros((3, 3))
-        flag[i, i] = 1.0
-        elements.append(
-            BlockOperator(
-                layout, {"m=0": mats["m=0"][i], "m=1": mats["m=1"][i], "flag": flag}
-            )
-        )
-    return POVM(layout, elements, events)
+        dense[i, 0, 0] = mats["m=0"][i][0, 0]
+        dense[i, 1:3, 1:3] = mats["m=1"][i]
+        dense[i, 3 + i, 3 + i] = 1.0  # the flag |i><i|
+    return POVM(layout, dense, events)
 
 
 f_ideal = random_target(rng)
 q_povm = random_target(rng)
 q0 = 0.25
-f_noise = POVM(
-    layout,
-    [(1 - q0) * a + q0 * b for a, b in zip(f_ideal.elements, q_povm.elements)],
-    events,
-)
+f_noise = POVM(layout, (1 - q0) * f_ideal.dense + q0 * q_povm.dense, events)
 
 q_min = dc.min_deviation_q(f_noise, f_ideal)
 print(f"measurement mixed with weight {q0}: smallest admissible q = {q_min:.6f}")
@@ -62,7 +54,7 @@ stats = dc.verify_statistics_equivalence(None, f_noise, f_ideal, channel)
 print(f"noisy statistics from the ideal measurement: residual {stats.max_residual:.1e}")
 
 proj = layout.projector(("m=0", "m=1"))
-rho = dc.random_density(layout, rng).to_dense()
+rho = np.diag(rng.dirichlet(np.ones(layout.total_dim)))  # a random diagonal state
 kept = np.trace(proj @ channel.apply_dense(rho)).real / np.trace(proj @ rho).real
 print(f"preserved weight scales by exactly 1 - q: {kept:.6f} vs {1 - q_min:.6f}")
 
@@ -70,8 +62,5 @@ delta = 0.05
 mixed = dc.inf_norm_mixing(f_noise, delta)
 scale = 1.0 / (1.0 + len(f_noise) * delta)
 print(f"\noperator-norm route at delta = {delta}:")
-ok = all(
-    dc.psd_check(a - scale * b, 1e-10)
-    for a, b in zip(mixed.elements, f_noise.elements)
-)
+ok = np.linalg.eigvalsh(mixed.dense - scale * f_noise.dense)[:, 0].min() >= -1e-10
 print("mixed measurement dominates the scaled original elementwise:", ok)

@@ -12,18 +12,7 @@ re-verified without their solvers.
 
 __version__ = "0.1.0"
 
-from .fock import (
-    BlockOperator,
-    DensityLike,
-    SpaceLayout,
-    direct_sum,
-    flag_state,
-    min_eigenvalue,
-    pair_trace,
-    psd_check,
-    random_density,
-    vacuum_state,
-)
+from .fock import SpaceLayout
 from .detectors import (
     DetectionSetup,
     EventTable,
@@ -57,7 +46,6 @@ from .squashing import (
 )
 from .channels import (
     QuantumChannel,
-    apply_channel,
     bb84_qubit_measurement,
     bb84_simple_noise_channel,
     compose,
@@ -85,10 +73,8 @@ from .report import (
 )
 
 __all__ = [
-    "BlockOperator",
     "Certificate",
     "CoarseGraining",
-    "DensityLike",
     "DetectionSetup",
     "EventTable",
     "FeasibilityResult",
@@ -99,7 +85,6 @@ __all__ = [
     "StochasticMatrix",
     "WeightBound",
     "active_bb84_setups",
-    "apply_channel",
     "apply_postprocessing",
     "bb84_qubit_measurement",
     "bb84_qubit_squasher",
@@ -111,11 +96,9 @@ __all__ = [
     "compose",
     "dark_count_channel",
     "dark_count_matrix",
-    "direct_sum",
     "emit_certificate",
     "enumerate_events",
     "eta_star_range",
-    "flag_state",
     "flag_state_target",
     "generic_channel",
     "inf_norm_mixing",
@@ -123,18 +106,13 @@ __all__ = [
     "loss_channel",
     "loss_split_matrix",
     "min_deviation_q",
-    "min_eigenvalue",
     "min_weight_over_eta_grid",
     "multiclick_coarse_graining",
-    "pair_trace",
     "passive_bb84_setup",
     "propagate_weight",
-    "psd_check",
-    "random_density",
     "run_analysis",
     "single_photon_loss_matrix",
     "solve_swap_lp",
-    "vacuum_state",
     "validate_dark_count_pp",
     "verify_choi_witness",
     "verify_cptp",

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detectors import POVM, EventTable, verify_single_photon_assumption
-from .fock import FLAG_LABEL, BlockOperator, DensityLike, SpaceLayout, photon_label
+from .fock import FLAG_LABEL, SpaceLayout, photon_label
 from .postprocessing import StochasticMatrix, validate_dark_count_pp
 from .squashing import eta_star_range
 
@@ -140,20 +140,6 @@ def compose(outer: QuantumChannel, inner: QuantumChannel) -> QuantumChannel:
     return QuantumChannel.from_choi(j, inner.input_layout, outer.output_layout)
 
 
-def apply_channel(ch: QuantumChannel, rho: DensityLike) -> DensityLike:
-    """Apply ``ch`` to a block-diagonal state and re-wrap the output."""
-    if rho.layout != ch.input_layout:
-        raise ValueError("state layout does not match the channel input")
-    dense = ch.apply_dense(rho.to_dense())
-    out_layout = ch.output_layout
-    blocks = {}
-    for lab in out_layout.labels:
-        s = out_layout.slice_of(lab)
-        block = dense[s, s]
-        blocks[lab] = (block + block.conj().T) / 2.0
-    return DensityLike(BlockOperator(out_layout, blocks))
-
-
 def _diagonal_states(d: int, positions, coeffs) -> np.ndarray:
     """Stack of diagonal operators, entry ``r`` being ``sum_i coeffs[r, i] |p_i><p_i|``.
 
@@ -197,16 +183,17 @@ def bb84_qubit_measurement(basis: str) -> POVM:
         kets = (np.array([s, s]), np.array([s, -s]))
     else:
         raise ValueError(f"unknown basis {basis!r}")
-    elements = [BlockOperator(layout, {_M0: np.array([[1.0]])})]
-    for ket in kets:
-        elements.append(BlockOperator(layout, {_M1: np.outer(ket, ket.conj())}))
+    dense = np.zeros((3, 3, 3), dtype=complex)
+    dense[0, 0, 0] = 1.0
+    for i, ket in enumerate(kets, start=1):
+        dense[i, 1:, 1:] = np.outer(ket, ket.conj())
     events = EventTable(
         k=2,
         labels=("no-click", f"{basis}0", f"{basis}1"),
         classes=("no-click", "single", "single"),
         masks=(),
     )
-    return POVM(layout, elements, events)
+    return POVM(layout, dense, events)
 
 
 def _require_exact_flags(povm: POVM, role: str):
@@ -331,7 +318,7 @@ def loss_channel(eta, eta_star: float, f_lossless: POVM) -> QuantumChannel:
     """
     _require_one_photon_target(f_lossless)
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    if (eta <= 0).any() or (eta > 1).any():
+    if not ((eta > 0) & (eta <= 1)).all():  # NaN fails too
         raise ValueError("efficiencies must lie in (0, 1]")
     lo, hi = eta_star_range(float(eta.min()), float(eta.max()))
     if not lo - 1e-12 <= eta_star <= hi + 1e-12:
@@ -453,9 +440,8 @@ def inf_norm_mixing(f_noise: POVM, delta: float) -> POVM:
         raise ValueError("delta must be nonnegative")
     n = len(f_noise)
     scale = 1.0 / (1.0 + n * delta)
-    ident = BlockOperator.identity(f_noise.layout)
-    elements = [scale * el + (delta * scale) * ident for el in f_noise.elements]
-    return POVM(f_noise.layout, elements, f_noise.events)
+    ident = np.eye(f_noise.layout.total_dim)
+    return POVM(f_noise.layout, scale * f_noise.dense + (delta * scale) * ident, f_noise.events)
 
 
 def _cptp_residuals(j: np.ndarray, d_in: int, d_out: int) -> tuple[float, float, float]:

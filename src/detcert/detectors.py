@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fock import FLAG_LABEL, BlockOperator, SpaceLayout, photon_label
+from .fock import FLAG_LABEL, SpaceLayout, photon_label
 
 NO_CLICK = "no-click"
 SINGLE = "single"
@@ -114,7 +114,7 @@ class DetectionSetup:
             raise ValueError("mode_map columns are not orthonormal (not an isometry)")
         if eta.shape != (self.k,):
             raise ValueError(f"eta must have length {self.k}")
-        if (eta < 0).any() or (eta > 1).any():
+        if not ((eta >= 0) & (eta <= 1)).all():  # NaN fails too
             raise ValueError("efficiencies must lie in [0, 1]")
         object.__setattr__(self, "mode_map", mm)
         object.__setattr__(self, "eta", eta)
@@ -169,45 +169,56 @@ def active_bb84_setups(eta=1.0) -> dict[str, DetectionSetup]:
 class POVM:
     """Measurement on photon-number blocks, optionally followed by flags.
 
-    One Hermitian element per event, PSD to -1e-10 and summing to the
-    identity to 1e-10.  A layout ending in a ``flag`` block (a flag-state
-    target) carries one classical flag per event.  ``dense`` is the stack of
-    the elements as dense matrices: it is validated in one batched pass, and
-    every check reads it.
+    ``dense`` is the ``(n, d, d)`` stack of the elements, one per event, on
+    the ``d``-dimensional space of ``layout``.  It is validated once, in
+    one batched pass: finite, exactly zero off the layout's blocks,
+    Hermitian to 1e-12, PSD to -1e-10 and summing to the identity to 1e-10.
+    A layout ending in a ``flag`` block (a flag-state target) carries one
+    classical flag per event.  The stack is read-only, and every check
+    reads it.
     """
 
-    __slots__ = ("layout", "elements", "events", "dense")
+    __slots__ = ("layout", "events", "dense")
 
-    def __init__(self, layout: SpaceLayout, elements, events: EventTable):
-        elements = tuple(elements)
-        if len(elements) != events.n_events:
-            raise ValueError(f"{len(elements)} elements for {events.n_events} events")
-        for i, el in enumerate(elements):
-            if el.layout != layout:
-                raise ValueError(f"element {i} lives on a different layout")
+    def __init__(self, layout: SpaceLayout, dense, events: EventTable):
+        dense = np.array(dense, dtype=complex)
+        d = layout.total_dim
+        if dense.shape != (events.n_events, d, d):
+            raise ValueError(
+                f"element stack has shape {dense.shape}, want {(events.n_events, d, d)}"
+            )
         if layout.has(FLAG_LABEL) and layout.dim(FLAG_LABEL) != events.n_events:
             raise ValueError("flag dimension must equal the event count")
-        dense = np.array([el.to_dense() for el in elements])
+        labels = events.labels
+
+        def reject(bad: np.ndarray, why):
+            if bad.any():
+                i = int(np.flatnonzero(bad)[0])
+                raise ValueError(f"element {labels[i]!r} {why(i)}")
+
+        reject(~np.isfinite(dense).all(axis=(1, 2)), lambda i: "has a non-finite entry")
+        owner = np.repeat(np.arange(len(layout.blocks)), [dim for _, dim in layout.blocks])
+        off = np.abs(dense[:, owner[:, None] != owner]).max(axis=1, initial=0.0)
+        reject(off != 0.0, lambda i: f"is not zero off its blocks (entry {off[i]:.3e})")
+        herm = np.abs(dense - dense.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+        reject(herm > 1e-12, lambda i: f"is not Hermitian (deviation {herm[i]:.3e})")
         lows = np.linalg.eigvalsh(dense)[:, 0]
-        bad = np.flatnonzero(~(lows >= -1e-10))  # NaN fails too
-        if bad.size:
-            i = bad[0]
-            raise ValueError(
-                f"element {events.labels[i]!r} is not PSD (eigenvalue {lows[i]:.3e})"
-            )
-        dev = np.abs(dense.sum(axis=0) - np.eye(layout.total_dim)).max()
+        reject(lows < -1e-10, lambda i: f"is not PSD (eigenvalue {lows[i]:.3e})")
+        dev = np.abs(dense.sum(axis=0) - np.eye(d)).max()
         if not dev <= 1e-10:
             raise ValueError(f"completeness violated by {dev:.3e}")
+        dense.flags.writeable = False
         self.layout = layout
-        self.elements = elements
         self.events = events
         self.dense = dense
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.dense)
 
-    def element(self, label: str) -> BlockOperator:
-        return self.elements[self.events.index_of(label)]
+    def block(self, label: str) -> np.ndarray:
+        """The ``(n, d_b, d_b)`` view of every element's block ``label``."""
+        s = self.layout.slice_of(label)
+        return self.dense[:, s, s]
 
 
 def _occupations(n_modes: int, total: int):
@@ -271,12 +282,11 @@ def build_threshold_povm(setup: DetectionSetup, cutoff: int) -> POVM:
 
     events = enumerate_events(setup.k)
     one_minus_eta = 1.0 - setup.eta
-    blocks_per_event: list[dict[str, np.ndarray]] = [dict() for _ in events.labels]
-    layout_blocks = []
-    for m in range(cutoff + 1):
-        v, det_occs, in_occs = _lift_isometry(setup.mode_map, m)
-        dim = len(in_occs)
-        layout_blocks.append((photon_label(m), dim))
+    lifts = [_lift_isometry(setup.mode_map, m) for m in range(cutoff + 1)]
+    layout = SpaceLayout(tuple((photon_label(m), len(lift[2])) for m, lift in enumerate(lifts)))
+    dense = np.zeros((events.n_events, layout.total_dim, layout.total_dim), dtype=complex)
+    for m, (v, det_occs, _) in enumerate(lifts):
+        s = layout.slice_of(photon_label(m))
         # Survival probabilities per detector occupation: detector i with n_i
         # photons stays dark with probability (1 - eta_i)^(n_i).
         dark = np.array(
@@ -290,11 +300,8 @@ def build_threshold_povm(setup: DetectionSetup, cutoff: int) -> POVM:
             if not weights.any():
                 continue
             block = v.conj().T @ (weights[:, None] * v)
-            blocks_per_event[e][photon_label(m)] = (block + block.conj().T) / 2.0
-
-    layout = SpaceLayout(tuple(layout_blocks))
-    elements = [BlockOperator(layout, blocks) for blocks in blocks_per_event]
-    return POVM(layout, elements, events)
+            dense[e, s, s] = (block + block.conj().T) / 2.0
+    return POVM(layout, dense, events)
 
 
 @dataclass(frozen=True)
@@ -321,14 +328,14 @@ def verify_single_photon_assumption(povm: POVM) -> SinglePhotonAssumptionReport:
     events = povm.events
     entries = []
     m0, m1 = photon_label(0), photon_label(1)
+    vac = np.abs(povm.block(m0)).max(axis=(1, 2))
+    one = np.abs(povm.block(m1)).max(axis=(1, 2)) if povm.layout.has(m1) else None
     for i in events.multi_indices:
-        el = povm.elements[i]
-        entries.append((events.labels[i], m0, float(np.abs(el.block(m0)).max())))
-        if povm.layout.has(m1):
-            entries.append((events.labels[i], m1, float(np.abs(el.block(m1)).max())))
+        entries.append((events.labels[i], m0, float(vac[i])))
+        if one is not None:
+            entries.append((events.labels[i], m1, float(one[i])))
     for i in events.single_indices:
-        el = povm.elements[i]
-        entries.append((events.labels[i], m0, float(np.abs(el.block(m0)).max())))
+        entries.append((events.labels[i], m0, float(vac[i])))
     worst = max((v for _, _, v in entries), default=0.0)
     return SinglePhotonAssumptionReport(
         passed=worst <= _ASSUMPTION_TOL, max_violation=worst, entries=tuple(entries)

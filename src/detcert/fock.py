@@ -1,13 +1,13 @@
-"""Photon-number block spaces and Hermitian operators on them.
+"""Photon-number block spaces.
 
-Every operator in this package is block-diagonal in total photon number,
+Every measurement in this package is block-diagonal in total photon number,
 with an optional extra "flag" block of orthonormal classical pointer states.
-A ``SpaceLayout`` records the ordered blocks, a ``BlockOperator`` stores one
-Hermitian matrix per block (absent blocks are implicit zeros), and a
-``DensityLike`` wraps a block operator that is a valid state.
+A ``SpaceLayout`` records the ordered blocks; operators on it are plain
+dense matrices, and a block is the slice ``layout.slice_of(label)`` of both
+of their indices.
 
-Blocks are stored dense.  The intended scale is small (cutoff <= 3, at most
-four detectors), where dense eigensolves are both exact enough and fast.
+The intended scale is small (cutoff <= 3, at most four detectors), where
+dense eigensolves are both exact enough and fast.
 """
 
 from __future__ import annotations
@@ -15,10 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-HERMITICITY_TOL = 1e-12
-DENSITY_TRACE_TOL = 1e-10
-DENSITY_PSD_TOL = 1e-10
 
 FLAG_LABEL = "flag"
 
@@ -101,203 +97,3 @@ class SpaceLayout:
             s = self.slice_of(lab)
             p[s, s] = np.eye(self.dim(lab))
         return p
-
-
-class BlockOperator:
-    """Hermitian operator block-diagonal over a ``SpaceLayout``.
-
-    Blocks not stored are zero.  Each stored block must be Hermitian to
-    within ``HERMITICITY_TOL`` (max entry of ``A - A^dag``).
-    """
-
-    __slots__ = ("layout", "_blocks")
-
-    def __init__(self, layout: SpaceLayout, blocks: dict[str, np.ndarray]):
-        clean: dict[str, np.ndarray] = {}
-        for lab, mat in blocks.items():
-            if not layout.has(lab):
-                raise ValueError(f"block {lab!r} not in layout {layout.labels}")
-            a = np.asarray(mat, dtype=complex)
-            if a.ndim != 2 or a.shape[0] != a.shape[1]:
-                raise ValueError(f"block {lab!r} is not a square matrix")
-            if a.shape[0] != layout.dim(lab):
-                raise ValueError(
-                    f"block {lab!r} has shape {a.shape}, layout wants {layout.dim(lab)}"
-                )
-            dev = np.abs(a - a.conj().T).max() if a.size else 0.0
-            if dev > HERMITICITY_TOL:
-                raise ValueError(f"block {lab!r} is not Hermitian (deviation {dev:.3e})")
-            clean[lab] = a.copy()
-        self.layout = layout
-        self._blocks = clean
-
-    @classmethod
-    def zeros(cls, layout: SpaceLayout) -> "BlockOperator":
-        return cls(layout, {})
-
-    @classmethod
-    def identity(cls, layout: SpaceLayout) -> "BlockOperator":
-        return cls(layout, {lab: np.eye(layout.dim(lab)) for lab in layout.labels})
-
-    @property
-    def stored_labels(self) -> tuple[str, ...]:
-        return tuple(lab for lab in self.layout.labels if lab in self._blocks)
-
-    def block(self, label: str) -> np.ndarray:
-        """Dense block for ``label`` (zeros if absent)."""
-        if label in self._blocks:
-            return self._blocks[label].copy()
-        d = self.layout.dim(label)
-        return np.zeros((d, d), dtype=complex)
-
-    def trace(self) -> float:
-        return float(sum(np.trace(b).real for b in self._blocks.values()))
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.layout.total_dim,) * 2, dtype=complex)
-        for lab, b in self._blocks.items():
-            s = self.layout.slice_of(lab)
-            out[s, s] = b
-        return out
-
-    def __add__(self, other: "BlockOperator") -> "BlockOperator":
-        self._check_layout(other)
-        labels = set(self._blocks) | set(other._blocks)
-        return BlockOperator(
-            self.layout, {lab: self.block(lab) + other.block(lab) for lab in labels}
-        )
-
-    def __sub__(self, other: "BlockOperator") -> "BlockOperator":
-        self._check_layout(other)
-        labels = set(self._blocks) | set(other._blocks)
-        return BlockOperator(
-            self.layout, {lab: self.block(lab) - other.block(lab) for lab in labels}
-        )
-
-    def __mul__(self, scalar) -> "BlockOperator":
-        s = float(scalar)
-        return BlockOperator(self.layout, {lab: s * b for lab, b in self._blocks.items()})
-
-    __rmul__ = __mul__
-
-    def _check_layout(self, other: "BlockOperator"):
-        if self.layout != other.layout:
-            raise ValueError("operators live on different layouts")
-
-
-def pair_trace(a: BlockOperator, b: BlockOperator) -> float:
-    """Tr[A B] for Hermitian block operators (real by construction)."""
-    if a.layout != b.layout:
-        raise ValueError("operators live on different layouts")
-    total = 0.0
-    for lab in a.stored_labels:
-        if lab in b._blocks:
-            total += np.trace(a._blocks[lab] @ b._blocks[lab]).real
-    return float(total)
-
-
-def direct_sum(parts) -> BlockOperator:
-    """Assemble an operator from ``(label, matrix)`` parts, in order.
-
-    Realizes the direct-sum notation used throughout: the result lives on a
-    fresh layout listing the parts in the given order.
-    """
-    parts = list(parts)
-    if not parts:
-        raise ValueError("direct_sum of nothing")
-    blocks = []
-    mats = {}
-    for lab, mat in parts:
-        a = np.asarray(mat, dtype=complex)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"part {lab!r} is not a square matrix")
-        if a.shape[0] == 0:
-            raise ValueError(f"part {lab!r} has dimension zero")
-        blocks.append((lab, int(a.shape[0])))
-        mats[lab] = a
-    layout = SpaceLayout(tuple(blocks))
-    return BlockOperator(layout, mats)
-
-
-def min_eigenvalue(op: BlockOperator) -> float:
-    """Smallest eigenvalue of ``op`` across all layout blocks.
-
-    Blocks absent from the operator are implicit zeros and contribute an
-    eigenvalue of 0.  Stored blocks are symmetrized before the eigensolve.
-    """
-    smallest = None
-    for lab in op.layout.labels:
-        if lab in op._blocks:
-            a = op._blocks[lab]
-            a = (a + a.conj().T) / 2.0
-            lo = float(np.linalg.eigvalsh(a)[0])
-        else:
-            lo = 0.0
-        smallest = lo if smallest is None else min(smallest, lo)
-    return smallest
-
-
-def psd_check(op: BlockOperator, tol: float) -> bool:
-    """True iff ``op`` is positive semidefinite up to ``-tol``."""
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
-    return min_eigenvalue(op) >= -tol
-
-
-class DensityLike:
-    """A block operator claimed to be a state: unit trace and PSD."""
-
-    __slots__ = ("op",)
-
-    def __init__(self, op: BlockOperator):
-        tr = op.trace()
-        if abs(tr - 1.0) > DENSITY_TRACE_TOL:
-            raise ValueError(f"trace {tr} is not 1 within {DENSITY_TRACE_TOL}")
-        lo = min_eigenvalue(op)
-        if lo < -DENSITY_PSD_TOL:
-            raise ValueError(f"not PSD: smallest eigenvalue {lo:.3e}")
-        self.op = op
-
-    @property
-    def layout(self) -> SpaceLayout:
-        return self.op.layout
-
-    def block(self, label: str) -> np.ndarray:
-        return self.op.block(label)
-
-    def to_dense(self) -> np.ndarray:
-        return self.op.to_dense()
-
-    def trace(self) -> float:
-        return self.op.trace()
-
-
-def vacuum_state(layout: SpaceLayout) -> DensityLike:
-    return DensityLike(BlockOperator(layout, {photon_label(0): np.array([[1.0]])}))
-
-
-def flag_state(layout: SpaceLayout, index: int) -> DensityLike:
-    """The classical pointer state |index><index| in the flag block."""
-    d = layout.dim(FLAG_LABEL)
-    if not 0 <= index < d:
-        raise ValueError(f"flag index {index} outside [0, {d})")
-    mat = np.zeros((d, d))
-    mat[index, index] = 1.0
-    return DensityLike(BlockOperator(layout, {FLAG_LABEL: mat}))
-
-
-def random_density(layout: SpaceLayout, rng: np.random.Generator) -> DensityLike:
-    """Random block-diagonal state: random PSD block per label, random weights."""
-    weights = rng.dirichlet(np.ones(len(layout.labels)))
-    blocks = {}
-    for w, lab in zip(weights, layout.labels):
-        d = layout.dim(lab)
-        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        a = g @ g.conj().T
-        blocks[lab] = w * a / np.trace(a).real
-    return DensityLike(BlockOperator(layout, blocks))
-
-
-def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return (g + g.conj().T) / 2.0

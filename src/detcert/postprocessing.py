@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detectors import MULTI, NO_CLICK, SINGLE, EventTable, POVM, enumerate_events
-from .fock import BlockOperator
 
 _ENTRY_TOL = 1e-12
 _COLSUM_TOL = 1e-10
@@ -42,8 +41,8 @@ class StochasticMatrix:
         a = np.asarray(entries, dtype=float)
         if a.ndim != 2:
             raise ValueError("entries must be a matrix")
-        if a.min() < -_ENTRY_TOL:
-            raise ValueError(f"negative entry {a.min():.3e} below tolerance")
+        if not (a >= -_ENTRY_TOL).all():  # NaN fails too
+            raise ValueError(f"negative or NaN entry: smallest {a.min():.3e}")
         a = np.clip(a, 0.0, None)
         colsums = a.sum(axis=0)
         if np.abs(colsums - 1.0).max() > _COLSUM_TOL:
@@ -106,7 +105,7 @@ def dark_count_matrix(dark_rates) -> StochasticMatrix:
     rate ``d_i``.  For one detector this is ``[[1-d, 0], [d, 1]]``.
     """
     d = np.atleast_1d(np.asarray(dark_rates, dtype=float))
-    if (d < 0).any() or (d > 1).any():
+    if not ((d >= 0) & (d <= 1)).all():  # NaN fails too
         raise ValueError("dark rates must lie in [0, 1]")
     k = d.size
     events = enumerate_events(k)
@@ -133,7 +132,7 @@ def single_photon_loss_matrix(eta) -> StochasticMatrix:
     or decays to no-click.  For one detector this is ``[[1, 1-eta], [0, eta]]``.
     """
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    if (eta <= 0).any() or (eta > 1).any():
+    if not ((eta > 0) & (eta <= 1)).all():  # NaN fails too
         raise ValueError("efficiencies must lie in (0, 1]")
     k = eta.size
     p = np.eye(k + 1)
@@ -216,15 +215,12 @@ def apply_postprocessing(p: StochasticMatrix, povm: POVM, events: EventTable | N
         events = getattr(p, "row_table", None)
     if events is None:
         raise ValueError("no event table for the output POVM")
-    elements = []
-    for i in range(p.shape[0]):
-        acc = BlockOperator.zeros(povm.layout)
-        for j, el in enumerate(povm.elements):
-            w = p.entries[i, j]
-            if w != 0.0:
-                acc = acc + w * el
-        elements.append(acc)
-    return POVM(povm.layout, elements, events)
+    # Summed term by term in column order, skipping zero weights.
+    dense = np.zeros((p.shape[0],) + povm.dense.shape[1:], dtype=complex)
+    for i, row in enumerate(p.entries):
+        for j in np.flatnonzero(row):
+            dense[i] += row[j] * povm.dense[j]
+    return POVM(povm.layout, dense, events)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detectors import POVM, DetectionSetup, EventTable, build_threshold_povm
-from .fock import FLAG_LABEL, BlockOperator, SpaceLayout, photon_label
+from .fock import FLAG_LABEL, SpaceLayout, photon_label
 
 
 def flag_state_target(povm: POVM, cutoff: int) -> POVM:
@@ -35,14 +35,13 @@ def flag_state_target(povm: POVM, cutoff: int) -> POVM:
     layout = SpaceLayout(
         tuple((lab, povm.layout.dim(lab)) for lab in preserved) + ((FLAG_LABEL, n),)
     )
-    elements = []
-    for i, el in enumerate(povm.elements):
-        blocks = {lab: el.block(lab) for lab in preserved}
-        flag = np.zeros((n, n))
-        flag[i, i] = 1.0
-        blocks[FLAG_LABEL] = flag
-        elements.append(BlockOperator(layout, blocks))
-    return POVM(layout, elements, povm.events)
+    dense = np.zeros((n, layout.total_dim, layout.total_dim), dtype=complex)
+    for lab in preserved:
+        s = layout.slice_of(lab)
+        dense[:, s, s] = povm.block(lab)
+    flags = layout.offset(FLAG_LABEL) + np.arange(n)
+    dense[np.arange(n), flags, flags] = 1.0
+    return POVM(layout, dense, povm.events)
 
 
 @dataclass(frozen=True)
@@ -70,10 +69,15 @@ def _resolve_event(events: EventTable, event) -> tuple[int, ...]:
             return idx
         return (events.index_of(event),)
     if isinstance(event, (int, np.integer)):
+        if not 0 <= event < events.n_events:
+            raise ValueError(f"event index {event} outside [0, {events.n_events})")
         return (int(event),)
     out = []
     for e in event:
-        out.extend(_resolve_event(events, e))
+        for i in _resolve_event(events, e):
+            if i in out:
+                raise ValueError(f"event {events.labels[i]!r} is listed twice")
+            out.append(i)
     return tuple(out)
 
 
@@ -98,15 +102,13 @@ def weight_bound(povm: POVM, event, p_observed: float, cutoff: int) -> WeightBou
     if not outside:
         raise ValueError(f"POVM has no blocks above the cutoff {cutoff}")
     idx = _resolve_event(povm.events, event)
-    gamma = BlockOperator.zeros(povm.layout)
-    for i in idx:
-        gamma = gamma + povm.elements[i]
+    gamma = sum(povm.dense[i] for i in idx)
 
     def block_min(ms):
         lo = None
         for m in ms:
-            lab = photon_label(m)
-            a = gamma.block(lab)
+            s = povm.layout.slice_of(photon_label(m))
+            a = gamma[s, s]
             a = (a + a.conj().T) / 2.0
             val = float(np.linalg.eigvalsh(a)[0])
             lo = val if lo is None else min(lo, val)

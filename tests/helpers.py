@@ -1,9 +1,9 @@
-"""Shared fixtures for channel-level tests: random POVMs with flag structure."""
+"""Shared fixtures for channel-level tests: random states and POVMs with flag structure."""
 
 import numpy as np
 
 from detcert import POVM, EventTable
-from detcert.fock import BlockOperator, SpaceLayout, min_eigenvalue
+from detcert.fock import SpaceLayout
 
 SMALL_LAYOUT = SpaceLayout((("m=0", 1), ("m=1", 2), ("flag", 3)))
 SMALL_EVENTS = EventTable(
@@ -12,6 +12,19 @@ SMALL_EVENTS = EventTable(
     classes=("no-click", "single", "single"),
     masks=(),
 )
+
+
+def random_density(layout: SpaceLayout, rng) -> np.ndarray:
+    """Random block-diagonal state: random PSD block per label, random weights."""
+    weights = rng.dirichlet(np.ones(len(layout.labels)))
+    rho = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
+    for w, lab in zip(weights, layout.labels):
+        d = layout.dim(lab)
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        a = g @ g.conj().T
+        s = layout.slice_of(lab)
+        rho[s, s] = w * a / np.trace(a).real
+    return rho
 
 
 def random_block_povm(rng, dims, n, floor=0.05):
@@ -28,52 +41,82 @@ def random_block_povm(rng, dims, n, floor=0.05):
     return per_block
 
 
+def stack_blocks(layout: SpaceLayout, parts) -> np.ndarray:
+    """Dense ``(n, d, d)`` stack from one ``{label: block}`` dict per element."""
+    dense = np.zeros((len(parts), layout.total_dim, layout.total_dim), dtype=complex)
+    for i, blocks in enumerate(parts):
+        for lab, mat in blocks.items():
+            s = layout.slice_of(lab)
+            dense[i, s, s] = mat
+    return dense
+
+
 def random_squashed_povm(rng, layout=SMALL_LAYOUT, events=SMALL_EVENTS, floor=0.05):
     """Random flag-state measurement: positive preserved blocks, exact flags."""
     n = events.n_events
     dims = [layout.dim(lab) for lab in layout.photon_labels]
     per_block = random_block_povm(rng, dims, n, floor=floor)
-    elements = []
+    parts = []
     for i in range(n):
         blocks = {
             lab: per_block[b][i] for b, lab in enumerate(layout.photon_labels)
         }
-        flag = np.zeros((n, n))
-        flag[i, i] = 1.0
-        blocks["flag"] = flag
-        elements.append(BlockOperator(layout, blocks))
-    return POVM(layout, elements, events)
+        blocks["flag"] = np.diag(np.eye(n)[i])
+        parts.append(blocks)
+    return POVM(layout, stack_blocks(layout, parts), events)
 
 
-def reference_checked_elements(layout: SpaceLayout, elements, events: EventTable) -> tuple:
-    """``elements`` as a tuple after checking they form a measurement.
+def reference_checked_elements(layout: SpaceLayout, dense, events: EventTable) -> np.ndarray:
+    """``dense`` as a complex stack after checking it forms a measurement.
 
-    One element per event, each on ``layout`` and PSD (to -1e-10), summing
-    to the identity on every block (to 1e-10).
+    One element per event, each finite, zero off the blocks of ``layout``,
+    Hermitian (to 1e-12) and PSD (to -1e-10) on every block, the elements
+    summing to the identity on every block (to 1e-10).
 
-    A per-element loop, the reference for ``POVM``'s batched validation of
-    its dense stack.
+    A per-element, per-block loop, the reference for ``POVM``'s batched
+    validation of its dense stack.  Each check runs over every element
+    before the next starts, the order in which ``POVM`` reports them.
     """
-    elements = tuple(elements)
-    if len(elements) != events.n_events:
-        raise ValueError(f"{len(elements)} elements for {events.n_events} events")
-    total = BlockOperator.zeros(layout)
-    for i, el in enumerate(elements):
-        if el.layout != layout:
-            raise ValueError(f"element {i} lives on a different layout")
-        lo = min_eigenvalue(el)
+    dense = np.array(dense, dtype=complex)
+    if dense.shape != (events.n_events, layout.total_dim, layout.total_dim):
+        raise ValueError(f"element stack has shape {dense.shape}")
+    slices = [layout.slice_of(lab) for lab in layout.labels]
+
+    def each_element(check):
+        for i, el in enumerate(dense):
+            why = check(el)
+            if why:
+                raise ValueError(f"element {events.labels[i]!r} {why}")
+
+    def finite(el):
+        if not np.isfinite(el).all():
+            return "has a non-finite entry"
+
+    def off_block_zero(el):
+        worst = max(
+            (np.abs(el[r, c]).max() for r in slices for c in slices if r != c), default=0.0
+        )
+        if worst != 0.0:
+            return f"is not zero off its blocks (entry {worst:.3e})"
+
+    def hermitian(el):
+        dev = max(np.abs(el[s, s] - el[s, s].conj().T).max() for s in slices)
+        if dev > 1e-12:
+            return f"is not Hermitian (deviation {dev:.3e})"
+
+    def psd(el):
+        lo = min(np.linalg.eigvalsh((el[s, s] + el[s, s].conj().T) / 2)[0] for s in slices)
         if lo < -1e-10:
-            raise ValueError(
-                f"element {events.labels[i]!r} is not PSD (eigenvalue {lo:.3e})"
-            )
-        total = total + el
-    ident = BlockOperator.identity(layout)
+            return f"is not PSD (eigenvalue {lo:.3e})"
+
+    for check in (finite, off_block_zero, hermitian, psd):
+        each_element(check)
     dev = max(
-        np.abs(total.block(lab) - ident.block(lab)).max() for lab in layout.labels
+        np.abs(sum(el[s, s] for el in dense) - np.eye(s.stop - s.start)).max() for s in slices
     )
     if dev > 1e-10:
         raise ValueError(f"completeness violated by {dev:.3e}")
-    return elements
+    return dense
 
 
 def hermitian_basis(dim):
@@ -97,10 +140,7 @@ def hermitian_basis(dim):
 
 def mix_povms(f_ideal, q_povm, q0):
     """The deviation-q0 mixture of two measurements on one layout."""
-    elements = [
-        (1.0 - q0) * a + q0 * b for a, b in zip(f_ideal.elements, q_povm.elements)
-    ]
-    return POVM(f_ideal.layout, elements, f_ideal.events)
+    return POVM(f_ideal.layout, (1.0 - q0) * f_ideal.dense + q0 * q_povm.dense, f_ideal.events)
 
 
 def pinv_sqrt(mat, cutoff=1e-12):
@@ -121,10 +161,8 @@ def deviation_q_oracle(f_noise, f_ideal, cap=1.0):
     1 - min over elements of those t, clipped to [0, 1].
     """
     t_overall = np.inf
-    for a, b in zip(f_noise.elements, f_ideal.elements):
-        for lab in a.layout.labels:
-            noise_block = a.block(lab)
-            ideal_block = b.block(lab)
+    for lab in f_noise.layout.labels:
+        for noise_block, ideal_block in zip(f_noise.block(lab), f_ideal.block(lab)):
             if np.abs(ideal_block).max() < 1e-300:
                 continue
             x, (vecs, support) = pinv_sqrt(noise_block)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import deviation_q_oracle, mix_povms, random_squashed_povm
+from helpers import deviation_q_oracle, mix_povms, random_density, random_squashed_povm
 
 import detcert as dc
 from detcert import cli
@@ -75,7 +75,7 @@ def test_criterion_3_dark_count_channel_certification():
             assert stats.passed
             p00 = p_db.entries[0, 0]
             for _ in range(50):
-                rho = dc.random_density(squashed.layout, rng).to_dense()
+                rho = random_density(squashed.layout, rng)
                 lhs = np.trace(proj @ channel.apply_dense(rho)).real
                 rhs = p00 * np.trace(proj @ rho).real
                 assert abs(lhs - rhs) <= 1e-12
@@ -107,7 +107,7 @@ def test_criterion_4_loss_channel_certification():
             p1 = layout.projector("m=1")
             p01 = layout.projector(("m=0", "m=1"))
             for _ in range(50):
-                rho = dc.random_density(layout, rng).to_dense()
+                rho = random_density(layout, rng)
                 lhs = np.trace(p01 @ channel.apply_dense(rho)).real
                 rhs = np.trace(p0 @ rho).real + ratio * np.trace(p1 @ rho).real
                 assert abs(lhs - rhs) <= 1e-12
@@ -131,7 +131,7 @@ def test_criterion_5_deviation_and_generic_channel():
             assert stats.passed
             proj = f_ideal.layout.projector(("m=0", "m=1"))
             for _ in range(20):
-                rho = dc.random_density(f_ideal.layout, rng).to_dense()
+                rho = random_density(f_ideal.layout, rng)
                 lhs = np.trace(proj @ channel.apply_dense(rho)).real
                 rhs = (1.0 - q_min) * np.trace(proj @ rho).real
                 assert abs(lhs - rhs) <= 1e-12

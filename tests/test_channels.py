@@ -4,12 +4,13 @@ from helpers import (
     SMALL_LAYOUT,
     deviation_q_oracle,
     mix_povms,
+    random_density,
     random_squashed_povm,
+    stack_blocks,
 )
 
 from detcert import (
     QuantumChannel,
-    apply_channel,
     bb84_qubit_measurement,
     bb84_simple_noise_channel,
     bb84_squashed_dark_matrix,
@@ -17,25 +18,19 @@ from detcert import (
     compose,
     dark_count_channel,
     dark_count_matrix,
-    flag_state,
     flag_state_target,
     generic_channel,
     inf_norm_mixing,
     loss_channel,
     loss_split_matrix,
     min_deviation_q,
-    min_eigenvalue,
     passive_bb84_setup,
-    psd_check,
-    random_density,
     single_photon_loss_matrix,
-    vacuum_state,
     verify_cptp,
     verify_statistics_equivalence,
 )
 from detcert.channels import _KeepBlocks
 from detcert.detectors import POVM
-from detcert.fock import BlockOperator, DensityLike
 
 
 @pytest.fixture(scope="module")
@@ -53,18 +48,14 @@ def test_bb84_channel_zero_rate_is_pinch():
     rng = np.random.default_rng(0)
     for _ in range(5):
         rho = random_density(ch.input_layout, rng)
-        out = apply_channel(ch, rho)
-        np.testing.assert_allclose(out.to_dense(), rho.to_dense(), atol=1e-12)
+        np.testing.assert_allclose(ch.apply_dense(rho), rho, atol=1e-12)
 
 
 def test_bb84_channel_vacuum_survival():
     ch = bb84_simple_noise_channel(0.05)
     povm = bb84_qubit_measurement("Z")
-    vac = vacuum_state(ch.input_layout)
-    out = apply_channel(ch, vac)
-    assert np.trace(
-        povm.elements[0].to_dense() @ out.to_dense()
-    ).real == pytest.approx(0.9025, abs=1e-12)
+    out = ch.apply_dense(ch.input_layout.projector("m=0"))
+    assert np.trace(povm.dense[0] @ out).real == pytest.approx(0.9025, abs=1e-12)
 
 
 @pytest.mark.parametrize("basis", ["Z", "X"])
@@ -91,7 +82,7 @@ def test_dark_channel_vacuum_image(bb84_squashed):
     d = rng.uniform(0, 0.1, 4)
     p_db = dark_count_matrix(d)
     ch = dark_count_channel(p_db, bb84_squashed)
-    out = ch.apply_dense(vacuum_state(bb84_squashed.layout).to_dense())
+    out = ch.apply_dense(bb84_squashed.layout.projector("m=0"))
     layout = bb84_squashed.layout
     assert out[0, 0].real == pytest.approx(p_db.entries[0, 0], abs=1e-14)
     off = layout.offset("flag")
@@ -116,9 +107,9 @@ def test_dark_channel_classical_reprep_is_normalized(bb84_squashed):
         g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         one = g @ g.conj().T
         one /= np.trace(one).real
-        rho = DensityLike(BlockOperator(layout, {"m=1": one}))
-        out = ch.apply_dense(rho.to_dense())
-        tau = (out - p00 * rho.to_dense()) / (1.0 - p00)
+        rho = stack_blocks(layout, [{"m=1": one}])[0]
+        out = ch.apply_dense(rho)
+        tau = (out - p00 * rho) / (1.0 - p00)
         assert np.trace(tau).real == pytest.approx(1.0, abs=1e-12)
         # the mixture lives entirely in the flag block
         proj = layout.projector(("m=0", "m=1"))
@@ -133,7 +124,7 @@ def test_dark_channel_weight_relation(bb84_squashed):
         p00 = p_db.entries[0, 0]
         ch = dark_count_channel(p_db, bb84_squashed)
         for _ in range(10):
-            rho = random_density(bb84_squashed.layout, rng).to_dense()
+            rho = random_density(bb84_squashed.layout, rng)
             lhs = np.trace(proj @ ch.apply_dense(rho)).real
             assert lhs == pytest.approx(p00 * np.trace(proj @ rho).real, abs=1e-12)
 
@@ -142,8 +133,9 @@ def test_dark_channel_flag_states_stay_flags(bb84_squashed):
     p_db = dark_count_matrix([0.05, 0.1, 0.02, 0.08])
     ch = dark_count_channel(p_db, bb84_squashed)
     proj = bb84_squashed.layout.projector(("m=0", "m=1"))
+    flags = bb84_squashed.layout.offset("flag") + np.arange(16)
     for i in range(16):
-        out = ch.apply_dense(flag_state(bb84_squashed.layout, i).to_dense())
+        out = ch.apply_dense(np.diag(np.eye(bb84_squashed.layout.total_dim)[flags[i]]))
         assert np.abs(proj @ out @ proj).max() == pytest.approx(0.0, abs=1e-14)
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
 
@@ -161,7 +153,7 @@ def test_dark_channel_zero_rate_drops_reprep_branch(bb84_squashed):
     # with no dark counts the channel degenerates to the flag-basis pinch
     ch = dark_count_channel(dark_count_matrix(np.zeros(4)), bb84_squashed)
     rng = np.random.default_rng(5)
-    rho = random_density(bb84_squashed.layout, rng).to_dense()
+    rho = random_density(bb84_squashed.layout, rng)
     out = ch.apply_dense(rho)
     layout = bb84_squashed.layout
     for lab in ("m=0", "m=1"):
@@ -213,9 +205,7 @@ def test_loss_channel_equal_efficiencies_is_pinch():
     ch = loss_channel(np.full(4, 0.7), 0.7, f_lossless)
     rng = np.random.default_rng(7)
     rho = random_density(f_lossless.layout, rng)
-    np.testing.assert_allclose(
-        apply_channel(ch, rho).to_dense(), rho.to_dense(), atol=1e-12
-    )
+    np.testing.assert_allclose(ch.apply_dense(rho), rho, atol=1e-12)
 
 
 def test_loss_channel_weight_relation():
@@ -231,7 +221,7 @@ def test_loss_channel_weight_relation():
         p1 = layout.projector("m=1")
         p01 = layout.projector(("m=0", "m=1"))
         for _ in range(10):
-            rho = random_density(layout, rng).to_dense()
+            rho = random_density(layout, rng)
             lhs = np.trace(p01 @ ch.apply_dense(rho)).real
             rhs = np.trace(p0 @ rho).real + ratio * np.trace(p1 @ rho).real
             assert lhs == pytest.approx(rhs, abs=1e-12)
@@ -268,9 +258,7 @@ def test_generic_channel_zero_deviation_is_pinch():
     f = random_squashed_povm(rng)
     ch = generic_channel(f, f, 0.0)
     rho = random_density(f.layout, rng)
-    np.testing.assert_allclose(
-        apply_channel(ch, rho).to_dense(), rho.to_dense(), atol=1e-12
-    )
+    np.testing.assert_allclose(ch.apply_dense(rho), rho, atol=1e-12)
     report = verify_statistics_equivalence(None, f, f, ch, tol=1e-12)
     assert report.passed
 
@@ -287,7 +275,7 @@ def test_generic_channel_certifies_explicit_mixture(q0):
     assert stats.max_residual <= 1e-9
     proj = f_ideal.layout.projector(("m=0", "m=1"))
     for _ in range(10):
-        rho = random_density(f_ideal.layout, rng).to_dense()
+        rho = random_density(f_ideal.layout, rng)
         lhs = np.trace(proj @ ch.apply_dense(rho)).real
         assert lhs == pytest.approx((1 - q0) * np.trace(proj @ rho).real, abs=1e-12)
 
@@ -330,20 +318,16 @@ def test_min_deviation_q_trivial_single_element():
 
     layout = SpaceLayout((("m=0", 1), ("flag", 1)))
     events = EventTable(k=1, labels=("no-click",), classes=("no-click",), masks=())
-    ident = BlockOperator.identity(layout)
-    povm = POVM(layout, [ident], events)
+    povm = POVM(layout, [np.eye(2)], events)
     assert min_deviation_q(povm, povm) == 0.0
 
 
 def test_constructions_need_exact_flags(bb84_squashed):
     # a complete target whose flags are permuted is a valid POVM, but no
     # construction may read element i's outcome off flag i
-    n = len(bb84_squashed)
-    shifted = []
-    for i, el in enumerate(bb84_squashed.elements):
-        blocks = {lab: el.block(lab) for lab in ("m=0", "m=1")}
-        blocks["flag"] = np.diag(np.eye(n)[(i + 1) % n])
-        shifted.append(BlockOperator(bb84_squashed.layout, blocks))
+    shifted = np.array(bb84_squashed.dense)
+    flags = bb84_squashed.layout.slice_of("flag")
+    shifted[:, flags, flags] = np.roll(bb84_squashed.block("flag"), 1, axis=0)
     permuted = POVM(bb84_squashed.layout, shifted, bb84_squashed.events)
     with pytest.raises(ValueError, match="target measurement must have exact flag states"):
         dark_count_channel(dark_count_matrix([0.01] * 4), permuted)
@@ -363,8 +347,7 @@ def test_inf_norm_mixing_zero_delta():
     rng = np.random.default_rng(12)
     f = random_squashed_povm(rng)
     mixed = inf_norm_mixing(f, 0.0)
-    for a, b in zip(mixed.elements, f.elements):
-        np.testing.assert_allclose(a.to_dense(), b.to_dense(), atol=1e-15)
+    np.testing.assert_allclose(mixed.dense, f.dense, atol=1e-15)
 
 
 def test_inf_norm_mixing_weights():
@@ -374,12 +357,10 @@ def test_inf_norm_mixing_weights():
     n = len(f)
     mixed = inf_norm_mixing(f, delta)
     expected = (
-        (1 / (1 + n * delta)) * f.elements[0]
-        + (delta / (1 + n * delta)) * BlockOperator.identity(f.layout)
+        (1 / (1 + n * delta)) * f.dense[0]
+        + (delta / (1 + n * delta)) * np.eye(f.layout.total_dim)
     )
-    np.testing.assert_allclose(
-        mixed.elements[0].to_dense(), expected.to_dense(), atol=1e-15
-    )
+    np.testing.assert_allclose(mixed.dense[0], expected, atol=1e-15)
 
 
 def test_inf_norm_mixing_dominates_nearby_ideal():
@@ -398,27 +379,24 @@ def test_inf_norm_mixing_dominates_nearby_ideal():
             h = (g + g.conj().T) / 2
             h *= delta / max(np.abs(np.linalg.eigvalsh(h)).max(), 1e-9) * rng.uniform(0.2, 1.0)
             shifts.append((lab, h))
-        for i, el in enumerate(f_ideal.elements):
-            blocks = {lab: el.block(lab) for lab in f_ideal.layout.labels}
+        for i, el in enumerate(f_ideal.dense):
+            el = el.copy()
             sign = 1.0 if i == 0 else (-1.0 / (n - 1))
             ok = True
             for lab, h in shifts:
-                cand = blocks[lab] + sign * h
-                if np.linalg.eigvalsh(cand)[0] < 0:
+                s = f_ideal.layout.slice_of(lab)
+                el[s, s] += sign * h
+                if np.linalg.eigvalsh(el[s, s])[0] < 0:
                     ok = False
-                blocks[lab] = cand
             if not ok:
                 break
-            perturbed.append(BlockOperator(f_ideal.layout, blocks))
+            perturbed.append(el)
         if len(perturbed) != n:
             continue
-        from detcert import POVM
-
         f_noise = POVM(f_ideal.layout, perturbed, f_ideal.events)
         mixed = inf_norm_mixing(f_noise, delta)
         scale = 1.0 / (1.0 + n * delta)
-        for a, b in zip(mixed.elements, f_ideal.elements):
-            assert psd_check(a - scale * b, 1e-10)
+        assert np.linalg.eigvalsh(mixed.dense - scale * f_ideal.dense)[:, 0].min() >= -1e-10
 
 
 # ------------------------------------------------------- application, CPTP
@@ -431,9 +409,7 @@ def test_apply_channel_identity_and_pinch():
         layout, layout, ((_KeepBlocks(1.0, np.eye(layout.total_dim)),),)
     )
     rho = random_density(layout, rng)
-    np.testing.assert_allclose(
-        apply_channel(ident, rho).to_dense(), rho.to_dense(), atol=1e-14
-    )
+    np.testing.assert_allclose(ident.apply_dense(rho), rho, atol=1e-14)
     pinch = QuantumChannel(
         layout,
         layout,
@@ -443,16 +419,8 @@ def test_apply_channel_identity_and_pinch():
             ),
         ),
     )
-    out = apply_channel(pinch, rho)  # block-diagonal states are fixed points
-    np.testing.assert_allclose(out.to_dense(), rho.to_dense(), atol=1e-14)
-
-
-def test_apply_channel_layout_mismatch():
-    rng = np.random.default_rng(16)
-    ch = bb84_simple_noise_channel(0.1)
-    rho = random_density(SMALL_LAYOUT, rng)
-    with pytest.raises(ValueError, match="layout"):
-        apply_channel(ch, rho)
+    out = pinch.apply_dense(rho)  # block-diagonal states are fixed points
+    np.testing.assert_allclose(out, rho, atol=1e-14)
 
 
 def test_apply_channel_preserves_trace_and_psd(bb84_squashed):
@@ -460,9 +428,9 @@ def test_apply_channel_preserves_trace_and_psd(bb84_squashed):
     p_db = dark_count_matrix(rng.uniform(0, 0.2, 4))
     ch = dark_count_channel(p_db, bb84_squashed)
     for _ in range(5):
-        out = apply_channel(ch, random_density(bb84_squashed.layout, rng))
-        assert out.trace() == pytest.approx(1.0, abs=1e-10)
-        assert min_eigenvalue(out.op) >= -1e-9
+        out = ch.apply_dense(random_density(bb84_squashed.layout, rng))
+        assert np.trace(out).real == pytest.approx(1.0, abs=1e-10)
+        assert np.linalg.eigvalsh((out + out.conj().T) / 2)[0] >= -1e-9
 
 
 def test_verify_cptp_identity_channel():
@@ -524,7 +492,7 @@ def test_composed_dark_and_loss_channels(bb84_squashed):
         p00 = p_db.entries[0, 0]
         ratio = 0.75 / eta_star
         for _ in range(5):
-            rho = random_density(layout, rng).to_dense()
+            rho = random_density(layout, rng)
             lhs = np.trace(proj01 @ combined.apply_dense(rho)).real
             assert lhs <= 1.0 + 1e-12
             assert lhs >= p00 * ratio * np.trace(proj01 @ rho).real - 1e-12

@@ -9,7 +9,7 @@ inputs, which block-diagonal test states cannot reach.
 
 import numpy as np
 import pytest
-from helpers import hermitian_basis, mix_povms, random_squashed_povm
+from helpers import hermitian_basis, mix_povms, random_density, random_squashed_povm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -92,8 +92,7 @@ def test_choi_from_terms_matches_matrix_unit_reference(name):
 
 
 def _dense(measurement):
-    elements = getattr(measurement, "elements", measurement)
-    return [el.to_dense() if hasattr(el, "to_dense") else el for el in elements]
+    return list(getattr(measurement, "dense", measurement))
 
 
 def _basis_loop_per_event(p_mat, before, after, j):
@@ -147,7 +146,7 @@ def test_kernel_per_event_equals_hermitian_basis_loop(dark, eta, shift, seed):
     f_noise = mix_povms(f_ideal, random_squashed_povm(rng), 0.3)
     generic_ch = dc.generic_channel(f_noise, f_ideal, 0.3)
     d = f_noise.layout.total_dim
-    shifted = [el.to_dense() + shift * _random_hermitian(rng, d) for el in f_noise.elements]
+    shifted = [el + shift * _random_hermitian(rng, d) for el in f_noise.dense]
     for p, before, after, channel in (
         (p_mat, f_eta, f_eta, dark_ch),
         (np.eye(n) + shift * np.ones((n, n)), f_eta, f_lossless, loss_ch),
@@ -169,7 +168,7 @@ def test_witness_linear_residual_equals_basis_loop(seed, scale):
         rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
     )
     report_ = dc.verify_choi_witness(j, p_dc, povm, povm, 1e-6)
-    reference = _basis_loop_per_event(p_dc.entries, povm.elements, povm.elements, j).max()
+    reference = _basis_loop_per_event(p_dc.entries, povm, povm, j).max()
     assert report_.linear_residual == pytest.approx(reference, rel=1e-12, abs=1e-15)
 
 
@@ -230,7 +229,7 @@ def test_off_block_fault_is_invisible_to_block_diagonal_states():
     proj01 = f.layout.projector(("m=0", "m=1"))
     rng = np.random.default_rng(22)
     for _ in range(10):
-        rho = dc.random_density(f.layout, rng).to_dense()
+        rho = random_density(f.layout, rng)
         assert np.trace(proj01 @ faulty.apply_dense(rho)).real == pytest.approx(
             np.trace(proj01 @ clean.apply_dense(rho)).real, abs=1e-15
         )

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
-from helpers import random_block_povm, reference_checked_elements
-from hypothesis import given, settings
+from helpers import random_block_povm, reference_checked_elements, stack_blocks
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from detcert import (
@@ -14,7 +14,7 @@ from detcert import (
     verify_single_photon_assumption,
 )
 from detcert.detectors import POVM
-from detcert.fock import BlockOperator, SpaceLayout
+from detcert.fock import SpaceLayout
 
 
 def test_enumerate_events_k1():
@@ -49,23 +49,23 @@ def test_enumerate_events_rejects_bad_k():
 
 def test_vacuum_block_is_no_click():
     povm = build_threshold_povm(passive_bb84_setup(0.7), 1)
-    assert povm.elements[0].block("m=0")[0, 0] == pytest.approx(1.0)
-    for el in povm.elements[1:]:
-        assert np.abs(el.block("m=0")).max() == pytest.approx(0.0, abs=1e-15)
+    vac = povm.block("m=0")
+    assert vac[0, 0, 0] == pytest.approx(1.0)
+    assert np.abs(vac[1:]).max() == pytest.approx(0.0, abs=1e-15)
 
 
 def test_single_detector_click_probability():
     setup = DetectionSetup(k=1, mode_map=np.array([[1.0]]), eta=np.array([0.8]))
     povm = build_threshold_povm(setup, 1)
-    no_click, click = povm.elements
-    assert click.block("m=1")[0, 0] == pytest.approx(0.8)
-    assert no_click.block("m=1")[0, 0] == pytest.approx(0.2)
+    no_click, click = povm.block("m=1")
+    assert click[0, 0] == pytest.approx(0.8)
+    assert no_click[0, 0] == pytest.approx(0.2)
 
 
 def test_completeness_all_blocks():
     povm = build_threshold_povm(passive_bb84_setup([0.5, 0.7, 0.9, 0.6]), 3)
     for lab in povm.layout.labels:
-        total = sum(el.block(lab) for el in povm.elements)
+        total = povm.block(lab).sum(axis=0)
         np.testing.assert_allclose(total, np.eye(povm.layout.dim(lab)), atol=1e-10)
 
 
@@ -81,22 +81,20 @@ def test_single_photon_blocks_match_path_oracle():
     for s, idx in zip(range(4), povm.events.single_indices):
         row = u[s, :]
         expected = eta[s] * np.outer(row.conj(), row)
-        np.testing.assert_allclose(povm.elements[idx].block("m=1"), expected, atol=1e-12)
+        np.testing.assert_allclose(povm.block("m=1")[idx], expected, atol=1e-12)
         expected_no_click -= expected
-    np.testing.assert_allclose(povm.elements[0].block("m=1"), expected_no_click, atol=1e-12)
+    np.testing.assert_allclose(povm.block("m=1")[0], expected_no_click, atol=1e-12)
 
 
 def test_multiclick_one_photon_blocks_vanish():
     povm = build_threshold_povm(passive_bb84_setup(0.85), 2)
-    for i in povm.events.multi_indices:
-        assert np.abs(povm.elements[i].block("m=1")).max() == 0.0
+    assert np.abs(povm.block("m=1")[list(povm.events.multi_indices)]).max() == 0.0
 
 
 def test_m0_blocks_independent_of_eta():
     a = build_threshold_povm(passive_bb84_setup(0.3), 1)
     b = build_threshold_povm(passive_bb84_setup(0.95), 1)
-    for ea, eb in zip(a.elements, b.elements):
-        np.testing.assert_allclose(ea.block("m=0"), eb.block("m=0"), atol=1e-12)
+    np.testing.assert_allclose(a.block("m=0"), b.block("m=0"), atol=1e-12)
 
 
 def test_k1_matches_loss_postprocessing():
@@ -109,10 +107,8 @@ def test_k1_matches_loss_postprocessing():
     lossy = build_threshold_povm(setup.with_eta(0.6), 1)
     p = single_photon_loss_matrix([0.6]).entries
     for lab in ("m=0", "m=1"):
-        stack = np.array([el.block(lab) for el in lossless.elements])
-        mixed = np.einsum("ij,jab->iab", p, stack)
-        built = np.array([el.block(lab) for el in lossy.elements])
-        np.testing.assert_allclose(built, mixed, atol=1e-12)
+        mixed = np.einsum("ij,jab->iab", p, lossless.block(lab))
+        np.testing.assert_allclose(lossy.block(lab), mixed, atol=1e-12)
 
 
 def _random_isometry(rng, k, n_in):
@@ -142,9 +138,7 @@ def test_detector_relabelling_permutes_elements(seed):
         new_idx = b.events.masks.index(new_mask)
         for lab in ("m=0", "m=1", "m=2"):
             np.testing.assert_allclose(
-                b.elements[new_idx].block(lab),
-                a.elements[old_idx].block(lab),
-                atol=1e-12,
+                b.block(lab)[new_idx], a.block(lab)[old_idx], atol=1e-12
             )
 
 
@@ -164,15 +158,10 @@ def test_active_bb84_single_photon_projectors():
     povm = build_threshold_povm(active_bb84_setups(eta)["X"], 1)
     plus = np.array([1.0, 1.0]) / np.sqrt(2)
     minus = np.array([1.0, -1.0]) / np.sqrt(2)
-    np.testing.assert_allclose(
-        povm.element("01").block("m=1"), eta * np.outer(plus, plus), atol=1e-12
-    )
-    np.testing.assert_allclose(
-        povm.element("10").block("m=1"), eta * np.outer(minus, minus), atol=1e-12
-    )
-    np.testing.assert_allclose(
-        povm.element("00").block("m=1"), (1 - eta) * np.eye(2), atol=1e-12
-    )
+    one = dict(zip(povm.events.labels, povm.block("m=1")))
+    np.testing.assert_allclose(one["01"], eta * np.outer(plus, plus), atol=1e-12)
+    np.testing.assert_allclose(one["10"], eta * np.outer(minus, minus), atol=1e-12)
+    np.testing.assert_allclose(one["00"], (1 - eta) * np.eye(2), atol=1e-12)
 
 
 def test_desk_scale_guards():
@@ -205,13 +194,12 @@ def test_assumption_report_catches_injected_violation():
     # element, keeping PSD-ness and completeness intact
     s = povm.events.single_indices[0]
     m = povm.events.multi_indices[0]
-    bump = 0.1 * povm.elements[s].block("m=1")
-    elements = list(povm.elements)
-    elements[s] = BlockOperator(
-        povm.layout, {"m=1": povm.elements[s].block("m=1") - bump}
-    )
-    elements[m] = elements[m] + BlockOperator(povm.layout, {"m=1": bump})
-    edited = POVM(povm.layout, elements, povm.events)
+    dense = np.array(povm.dense)
+    one = povm.layout.slice_of("m=1")
+    bump = 0.1 * dense[s, one, one]
+    dense[s, one, one] -= bump
+    dense[m, one, one] += bump
+    edited = POVM(povm.layout, dense, povm.events)
     report = verify_single_photon_assumption(edited)
     assert not report.passed
     offending = {label for label, _, _ in report.violations}
@@ -253,7 +241,7 @@ def _verdict(build):
     return None
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
     seed=st.integers(0, 2**16),
     photon_dims=st.sampled_from([(1, 2), (1, 3), (1, 2, 3), (1,)]),
@@ -261,12 +249,34 @@ def _verdict(build):
     flags=st.booleans(),
     psd_push=st.sampled_from([None, -0.01, -0.002, 0.002, 0.01]),
     completeness_push=st.sampled_from([None, -0.01, -0.002, 0.002, 0.01]),
+    structure_push=st.sampled_from(
+        [None, ("upper", -0.1), ("upper", 0.1), ("off-block", -0.1), ("off-block", 0.1)]
+    ),
+)
+@example(
+    seed=3, photon_dims=(1, 2), n=3, flags=False, psd_push=None, completeness_push=None,
+    structure_push=("upper", -0.1),
+)
+@example(
+    seed=3, photon_dims=(1, 2), n=3, flags=False, psd_push=None, completeness_push=None,
+    structure_push=("upper", 0.1),
+)
+@example(
+    seed=3, photon_dims=(1, 2), n=3, flags=False, psd_push=None, completeness_push=None,
+    structure_push=("off-block", -0.1),
+)
+@example(
+    seed=3, photon_dims=(1, 2), n=3, flags=False, psd_push=None, completeness_push=None,
+    structure_push=("off-block", 0.1),
 )
 def test_povm_validation_matches_reference_loop(
-    seed, photon_dims, n, flags, psd_push, completeness_push
+    seed, photon_dims, n, flags, psd_push, completeness_push, structure_push
 ):
     # pushes move the smallest eigenvalue of one element, or one entry of
-    # the element sum, to a relative 0.2-1 % either side of its 1e-10 limit
+    # the element sum, to a relative 0.2-1 % either side of its 1e-10 limit;
+    # a structure push adds 0.9e-12 or 1.1e-12 to one upper-triangle entry of
+    # another element, inside a block (the Hermiticity limit is 1e-12) or
+    # off the blocks (where any nonzero entry is rejected)
     rng = np.random.default_rng(seed)
     layout, parts, events = _random_measurement(rng, photon_dims, n, flags)
     i, j = rng.choice(n, size=2, replace=False)
@@ -280,13 +290,25 @@ def test_povm_validation_matches_reference_loop(
         a = rng.integers(layout.dim(lab))
         parts[j][lab] = parts[j][lab].copy()
         parts[j][lab][a, a] += np.sign(rng.normal()) * 1e-10 * (1.0 + completeness_push)
-    elements = [BlockOperator(layout, blocks) for blocks in parts]
+    dense = stack_blocks(layout, parts)
+    if structure_push is not None:
+        where, push = structure_push
+        owner = np.repeat(np.arange(len(layout.blocks)), [d for _, d in layout.blocks])
+        same = owner[:, None] == owner
+        rows, cols = np.nonzero(np.triu(same if where == "upper" else ~same, k=1))
+        if rows.size:
+            pick = rng.integers(rows.size)
+            dense[j, rows[pick], cols[pick]] += 1e-12 * (1.0 + push)
 
-    expected = _verdict(lambda: reference_checked_elements(layout, elements, events))
-    assert _verdict(lambda: POVM(layout, elements, events)) == expected
+    expected = _verdict(lambda: reference_checked_elements(layout, dense, events))
+    assert _verdict(lambda: POVM(layout, dense, events)) == expected
+    if structure_push is not None and structure_push[0] == "off-block" and rows.size:
+        assert expected.endswith("is not zero off its blocks ")
+    if structure_push == ("upper", 0.1) and rows.size:
+        assert expected.endswith("is not Hermitian ")
     if expected is None:
-        povm = POVM(layout, elements, events)
-        stack = np.array([el.to_dense() for el in povm.elements])
+        povm = POVM(layout, dense, events)
+        stack = reference_checked_elements(layout, dense, events)
         assert povm.dense.dtype == stack.dtype
         assert povm.dense.tobytes() == stack.tobytes()
 
@@ -297,10 +319,9 @@ def test_povm_needs_one_flag_per_event():
     events = EventTable(
         k=2, labels=("no-click", "a", "b"), classes=("no-click", "single", "single"), masks=()
     )
-    elements = [
-        BlockOperator(layout, {"m=0": [[1.0]], "flag": np.diag([1.0, 0.0])}),
-        BlockOperator(layout, {"flag": np.diag([0.0, 1.0])}),
-        BlockOperator.zeros(layout),
-    ]
+    dense = stack_blocks(
+        layout,
+        [{"m=0": [[1.0]], "flag": np.diag([1.0, 0.0])}, {"flag": np.diag([0.0, 1.0])}, {}],
+    )
     with pytest.raises(ValueError, match="flag dimension"):
-        POVM(layout, elements, events)
+        POVM(layout, dense, events)

@@ -185,7 +185,7 @@ def test_dual_gradient_is_the_defect(seed):
     # gradient D(J(Y)); central differences along a random Hermitian direction
     rng = np.random.default_rng(seed)
     f_before, f_after = random_squashed_povm(rng), random_squashed_povm(rng)
-    n = len(f_after.elements)
+    n = len(f_after)
     p = rng.dirichlet(np.ones(n), size=n).T * (rng.random((n, n)) < 0.6)
     p[rng.integers(n, size=n), range(n)] += 1e-3
     p /= p.sum(axis=0)

@@ -1,150 +1,143 @@
 import numpy as np
 import pytest
+from helpers import SMALL_EVENTS, SMALL_LAYOUT, random_density, random_squashed_povm
 
-from detcert import (
-    BlockOperator,
-    DensityLike,
-    SpaceLayout,
-    direct_sum,
-    flag_state,
-    min_eigenvalue,
-    pair_trace,
-    psd_check,
-    random_density,
-    vacuum_state,
-)
+from detcert import POVM, SpaceLayout
 from detcert.detectors import build_threshold_povm, passive_bb84_setup
-from detcert.fock import random_hermitian
 
 
 def test_direct_sum_identity_blocks():
-    op = direct_sum([("m=0", np.array([[1.0]])), ("m=1", np.eye(2))])
-    assert op.layout.total_dim == 3
-    assert op.trace() == pytest.approx(3.0)
+    # the projector onto the direct sum of every block is the identity
+    layout = SpaceLayout((("m=0", 1), ("m=1", 2)))
+    assert layout.total_dim == 3
+    np.testing.assert_array_equal(layout.projector(layout.labels), np.eye(3))
 
 
 def test_direct_sum_flag_structure():
-    # The target-measurement shape: preserved blocks plus one flag projector.
-    flag = np.zeros((4, 4))
-    flag[2, 2] = 1.0
-    op = direct_sum(
-        [("m=0", np.array([[0.0]])), ("m=1", 0.5 * np.eye(2)), ("flag", flag)]
-    )
-    assert op.layout.labels == ("m=0", "m=1", "flag")
-    assert op.block("flag")[2, 2] == 1.0
-    assert op.trace() == pytest.approx(2.0)
+    # the target-measurement shape: preserved blocks plus the flag block
+    layout = SpaceLayout((("m=0", 1), ("m=1", 2), ("flag", 4)))
+    assert layout.labels == ("m=0", "m=1", "flag")
+    assert layout.photon_labels == ("m=0", "m=1")
+    assert layout.slice_of("flag") == slice(3, 7)
+    np.testing.assert_array_equal(np.diag(layout.projector("flag")), [0, 0, 0, 1, 1, 1, 1])
+    assert np.trace(layout.projector(("m=0", "m=1"))) == 3.0
 
 
 def test_direct_sum_zero_blocks():
-    op = direct_sum([("m=0", np.zeros((1, 1))), ("m=1", np.zeros((3, 3)))])
-    assert min_eigenvalue(op) == 0.0
+    # an element that is zero on every block has eigenvalues 0, and passes
+    layout = SpaceLayout((("m=0", 1), ("m=1", 3)))
+    povm = POVM(layout, [np.eye(4), np.zeros((4, 4)), np.zeros((4, 4))], SMALL_EVENTS)
+    assert not povm.dense[1:].any()
 
 
 def test_direct_sum_rejects_bad_parts():
-    with pytest.raises(ValueError):
-        direct_sum([("m=0", np.zeros((0, 0)))])
-    with pytest.raises(ValueError):
-        direct_sum([("m=1", np.zeros((2, 3)))])
-    with pytest.raises(ValueError):
-        direct_sum([("m=1", np.eye(2)), ("m=1", np.eye(2))])
+    with pytest.raises(ValueError, match="invalid dimension"):
+        SpaceLayout((("m=1", 0),))
+    with pytest.raises(ValueError, match="duplicate"):
+        SpaceLayout((("m=1", 2), ("m=1", 2)))
+    with pytest.raises(ValueError, match="element stack has shape"):
+        POVM(SpaceLayout((("m=1", 2),)), np.zeros((3, 2, 3)), SMALL_EVENTS)
 
 
-def test_min_eigenvalue_identity():
-    layout = SpaceLayout((("m=0", 1), ("m=1", 3)))
-    assert min_eigenvalue(BlockOperator.identity(layout)) == pytest.approx(1.0)
-
-
-def test_min_eigenvalue_diagonal():
-    op = direct_sum([("m=1", np.diag([0.2, 0.7]))])
-    assert min_eigenvalue(op) == pytest.approx(0.2)
+def test_min_eigenvalue_of_direct_sum_is_min_of_parts():
+    # the batched eigensolve of the dense stack sees the smallest eigenvalue
+    # of every block
+    rng = np.random.default_rng(11)
+    layout = SpaceLayout((("m=1", 2), ("m=2", 3)))
+    for _ in range(25):
+        parts = []
+        for d in (2, 3):
+            g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            parts.append(0.1 * (g + g.conj().T) / 2)
+        expected = min(np.linalg.eigvalsh(part)[0] for part in parts)
+        el = np.zeros((5, 5), dtype=complex)
+        el[:2, :2], el[2:, 2:] = parts
+        if expected >= -1e-10:
+            continue
+        message = rf"element 'a' is not PSD \(eigenvalue {expected:.3e}\)"
+        with pytest.raises(ValueError, match=message):
+            POVM(layout, [2 * np.eye(5), el, -np.eye(5) - el], SMALL_EVENTS)
 
 
 def test_min_eigenvalue_multiclick_compression_vanishes():
     # Multi-click elements of passive BB84 carry nothing below two photons,
     # verified here by a brute-force eigensolve of the compressed blocks.
     povm = build_threshold_povm(passive_bb84_setup(1.0), 1)
-    for i in povm.events.multi_indices:
-        el = povm.elements[i]
-        for lab in ("m=0", "m=1"):
-            block = el.block(lab)
+    multis = list(povm.events.multi_indices)
+    for lab in ("m=0", "m=1"):
+        for block in povm.block(lab)[multis]:
             vals = np.linalg.eigvalsh((block + block.conj().T) / 2)
             assert np.abs(vals).max() == pytest.approx(0.0, abs=1e-14)
-        assert min_eigenvalue(el) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_min_eigenvalue_counts_absent_blocks():
-    layout = SpaceLayout((("m=0", 1), ("m=1", 2)))
-    op = BlockOperator(layout, {"m=1": np.eye(2)})
-    assert min_eigenvalue(op) == 0.0
+    assert np.abs(np.linalg.eigvalsh(povm.dense[multis])).max() == pytest.approx(0.0, abs=1e-14)
 
 
 def test_psd_check_basic():
+    # POVM accepts PSD elements and rejects an eigenvalue of -1e-6, naming the event
     layout = SpaceLayout((("m=1", 2),))
-    assert psd_check(BlockOperator.identity(layout), 1e-9)
-    op = BlockOperator(layout, {"m=1": np.diag([1.0, -1e-6])})
-    assert not psd_check(op, 1e-9)
-
-
-def test_psd_check_monotone_in_tol():
-    rng = np.random.default_rng(3)
-    layout = SpaceLayout((("m=1", 3),))
-    for _ in range(20):
-        op = BlockOperator(layout, {"m=1": random_hermitian(3, rng) * 0.1})
-        for t1, t2 in [(1e-9, 1e-6), (1e-3, 1e-1)]:
-            if psd_check(op, t1):
-                assert psd_check(op, t2)
-
-
-def test_psd_check_rejects_negative_tol():
-    layout = SpaceLayout((("m=1", 2),))
-    with pytest.raises(ValueError):
-        psd_check(BlockOperator.identity(layout), -1e-9)
+    events = SMALL_EVENTS
+    dense = np.zeros((3, 2, 2))
+    dense[0] = np.diag([1.0, 0.0])
+    dense[1] = np.diag([0.0, 1.0])
+    POVM(layout, dense, events)
+    dense[1] = np.diag([1e-6, 1.0])
+    dense[2] = np.diag([-1e-6, 0.0])
+    with pytest.raises(ValueError, match="element 'b' is not PSD"):
+        POVM(layout, dense, events)
 
 
 def test_block_roundtrip():
     rng = np.random.default_rng(5)
-    parts = [("m=0", np.array([[0.3]])), ("m=1", random_hermitian(2, rng))]
-    op = direct_sum(parts)
-    for lab, mat in parts:
-        np.testing.assert_allclose(op.block(lab), mat, atol=1e-15)
-
-
-def test_min_eigenvalue_of_direct_sum_is_min_of_parts():
-    rng = np.random.default_rng(11)
-    for _ in range(25):
-        a = random_hermitian(2, rng)
-        b = random_hermitian(3, rng)
-        whole = direct_sum([("m=1", a), ("m=2", b)])
-        expected = min(np.linalg.eigvalsh(a)[0], np.linalg.eigvalsh(b)[0])
-        assert min_eigenvalue(whole) == pytest.approx(expected, abs=1e-12)
+    povm = random_squashed_povm(rng)
+    for lab in SMALL_LAYOUT.labels:
+        s = SMALL_LAYOUT.slice_of(lab)
+        assert povm.block(lab).shape == (3, s.stop - s.start, s.stop - s.start)
+        np.testing.assert_array_equal(povm.block(lab), povm.dense[:, s, s])
+    np.testing.assert_array_equal(povm.block("flag"), np.eye(3)[:, None, :] * np.eye(3)[:, :, None])
 
 
 def test_hermiticity_enforced():
     layout = SpaceLayout((("m=1", 2),))
-    bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ValueError, match="Hermitian"):
-        BlockOperator(layout, {"m=1": bad})
+    dense = np.zeros((3, 2, 2))
+    dense[0] = np.eye(2)
+    dense[1, 0, 1] = 1.0  # upper triangle only: eigvalsh alone would miss it
+    with pytest.raises(ValueError, match="element 'a' is not Hermitian"):
+        POVM(layout, dense, SMALL_EVENTS)
 
 
-def test_density_validation():
-    layout = SpaceLayout((("m=0", 1), ("m=1", 2)))
-    with pytest.raises(ValueError, match="trace"):
-        DensityLike(BlockOperator(layout, {"m=0": np.array([[0.5]])}))
-    with pytest.raises(ValueError, match="PSD"):
-        DensityLike(
-            BlockOperator(layout, {"m=0": np.array([[1.5]]), "m=1": np.diag([-0.5, 0.0])})
-        )
+def test_off_block_entries_rejected():
+    rng = np.random.default_rng(8)
+    dense = np.array(random_squashed_povm(rng).dense)
+    dense[2, 0, 1] = dense[2, 1, 0] = 1e-3  # Hermitian, but couples m=0 and m=1
+    with pytest.raises(ValueError, match="element 'b' is not zero off its blocks"):
+        POVM(SMALL_LAYOUT, dense, SMALL_EVENTS)
 
 
-def test_vacuum_and_flag_states():
-    layout = SpaceLayout((("m=0", 1), ("m=1", 2), ("flag", 3)))
-    vac = vacuum_state(layout)
-    assert vac.block("m=0")[0, 0] == 1.0
-    fl = flag_state(layout, 2)
-    assert fl.block("flag")[2, 2] == 1.0
-    assert fl.trace() == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        flag_state(layout, 3)
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_entry_rejected(value):
+    rng = np.random.default_rng(9)
+    dense = np.array(random_squashed_povm(rng).dense)
+    dense[1, 1, 1] = value
+    with pytest.raises(ValueError, match="element 'a' has a non-finite entry"):
+        POVM(SMALL_LAYOUT, dense, SMALL_EVENTS)
+
+
+def test_stack_shape_checked():
+    with pytest.raises(ValueError, match="element stack has shape"):
+        POVM(SMALL_LAYOUT, np.zeros((3, 5, 5)), SMALL_EVENTS)
+    with pytest.raises(ValueError, match="element stack has shape"):
+        POVM(SMALL_LAYOUT, np.zeros((2, 6, 6)), SMALL_EVENTS)
+
+
+def test_dense_is_read_only_copy():
+    rng = np.random.default_rng(4)
+    source = np.array(random_squashed_povm(rng).dense)
+    povm = POVM(SMALL_LAYOUT, source, SMALL_EVENTS)
+    source[0, 0, 0] = 7.0  # the caller's array stays writable and unshared
+    assert povm.dense[0, 0, 0] != 7.0
+    with pytest.raises(ValueError, match="read-only"):
+        povm.dense[0, 0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        povm.block("m=1")[0] = 0.0
 
 
 def test_random_density_is_valid_state():
@@ -152,17 +145,14 @@ def test_random_density_is_valid_state():
     layout = SpaceLayout((("m=0", 1), ("m=1", 2), ("flag", 4)))
     for _ in range(5):
         rho = random_density(layout, rng)
-        assert rho.trace() == pytest.approx(1.0, abs=1e-12)
-        assert min_eigenvalue(rho.op) >= -1e-12
-
-
-def test_pair_trace_matches_dense():
-    rng = np.random.default_rng(23)
-    layout = SpaceLayout((("m=0", 1), ("m=1", 3)))
-    a = BlockOperator(layout, {"m=0": [[1.0]], "m=1": random_hermitian(3, rng)})
-    b = BlockOperator(layout, {"m=1": random_hermitian(3, rng)})
-    dense = np.trace(a.to_dense() @ b.to_dense()).real
-    assert pair_trace(a, b) == pytest.approx(dense, abs=1e-12)
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(rho - rho.conj().T).max() <= 1e-15
+        assert np.linalg.eigvalsh(rho)[0] >= -1e-12
+        off = np.ones_like(rho, dtype=bool)
+        for lab in layout.labels:
+            s = layout.slice_of(lab)
+            off[s, s] = False
+        assert not rho[off].any()
 
 
 def test_layout_validation():

@@ -13,6 +13,7 @@ from detcert import (
     dark_count_matrix,
     enumerate_events,
     multiclick_coarse_graining,
+    passive_bb84_setup,
     single_photon_loss_matrix,
     solve_swap_lp,
     validate_dark_count_pp,
@@ -84,6 +85,23 @@ def test_stochastic_matrix_validation():
         StochasticMatrix([[0.5, 0.0], [0.4, 1.0]])
     with pytest.raises(ValueError, match="negative"):
         StochasticMatrix([[1.1, 0.0], [-0.1, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: StochasticMatrix([[np.nan]]), "NaN"),
+        (lambda: StochasticMatrix([[1.0, np.nan], [0.0, 1.0]]), "NaN"),
+        (lambda: dark_count_matrix([np.nan]), "dark rates"),
+        (lambda: dark_count_matrix([0.01, np.nan]), "dark rates"),
+        (lambda: single_photon_loss_matrix([np.nan]), "efficiencies"),
+        (lambda: passive_bb84_setup([np.nan, 0.5, 0.5, 0.5]), "efficiencies"),
+    ],
+    ids=["stochastic", "stochastic-column", "dark", "dark-second", "loss", "passive-setup"],
+)
+def test_range_checks_reject_nan(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
 
 
 def test_dark_conditions_hold_for_any_rates():

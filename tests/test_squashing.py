@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import stack_blocks
 from scipy.optimize import brentq
 
 from detcert import (
@@ -10,13 +11,12 @@ from detcert import (
     flag_state_target,
     min_weight_over_eta_grid,
     multiclick_coarse_graining,
-    pair_trace,
     passive_bb84_setup,
     propagate_weight,
     weight_bound,
 )
 from detcert.detectors import POVM
-from detcert.fock import BlockOperator, SpaceLayout
+from detcert.fock import SpaceLayout
 
 
 @pytest.fixture(scope="module")
@@ -28,8 +28,7 @@ def test_flag_target_structure(bb84_povm):
     sq = flag_state_target(bb84_povm, 1)
     assert sq.layout.labels == ("m=0", "m=1", "flag")
     assert sq.layout.dim("flag") == 16
-    for i, el in enumerate(sq.elements):
-        flag = el.block("flag")
+    for i, flag in enumerate(sq.block("flag")):
         assert flag[i, i] == 1.0
         assert np.abs(flag).sum() == 1.0
 
@@ -40,15 +39,14 @@ def test_flag_target_coarse_grained(bb84_povm):
     sq = flag_state_target(coarse, 1)
     assert sq.layout.dim("flag") == 6
     # the merged multi element keeps nothing below two photons
-    multi = sq.elements[-1]
-    assert np.abs(multi.block("m=0")).max() == 0.0
-    assert np.abs(multi.block("m=1")).max() == 0.0
+    assert np.abs(sq.block("m=0")[-1]).max() == 0.0
+    assert np.abs(sq.block("m=1")[-1]).max() == 0.0
 
 
 def test_flag_target_completeness(bb84_povm):
     sq = flag_state_target(bb84_povm, 1)
     for lab in sq.layout.labels:
-        total = sum(el.block(lab) for el in sq.elements)
+        total = sq.block(lab).sum(axis=0)
         np.testing.assert_allclose(total, np.eye(sq.layout.dim(lab)), atol=1e-10)
 
 
@@ -62,12 +60,13 @@ def test_flag_target_preserves_low_photon_statistics(bb84_povm):
         one = g @ g.conj().T
         one /= 2 * np.trace(one).real
         blocks = {"m=0": np.array([[0.5]]), "m=1": one}
-        rho_full = BlockOperator(bb84_povm.layout, blocks)
-        rho_squashed = BlockOperator(sq.layout, blocks)
-        for el_full, el_sq in zip(bb84_povm.elements, sq.elements):
-            assert pair_trace(el_sq, rho_squashed) == pytest.approx(
-                pair_trace(el_full, rho_full), abs=1e-10
-            )
+        rho_full = stack_blocks(bb84_povm.layout, [blocks])[0]
+        rho_squashed = stack_blocks(sq.layout, [blocks])[0]
+        np.testing.assert_allclose(
+            np.einsum("nab,ba->n", sq.dense, rho_squashed).real,
+            np.einsum("nab,ba->n", bb84_povm.dense, rho_full).real,
+            atol=1e-10,
+        )
 
 
 def test_flag_target_needs_cutoff_block(bb84_povm):
@@ -84,9 +83,7 @@ def test_weight_bound_zero_numerator(bb84_povm):
 def test_weight_bound_multiclick_matches_eigensolve(bb84_povm):
     # Oracle: compress the multi-click union onto the two-photon block and
     # eigensolve directly.
-    gamma2 = sum(
-        bb84_povm.elements[i].block("m=2") for i in bb84_povm.events.multi_indices
-    )
+    gamma2 = bb84_povm.block("m=2")[list(bb84_povm.events.multi_indices)].sum(axis=0)
     lam_out = np.linalg.eigvalsh((gamma2 + gamma2.conj().T) / 2)[0]
     p_obs = 0.004
     wb = weight_bound(bb84_povm, "multi", p_obs, 1)
@@ -114,9 +111,8 @@ def test_weight_bound_matches_two_point_oracle():
         a1 = g @ g.conj().T
         a1 = a1 / (np.linalg.eigvalsh(a1)[-1] + 0.5)
         a0 = np.array([[rng.uniform(0.0, 0.2)]])
-        el = BlockOperator(layout, {"m=0": a0, "m=1": a1})
-        complement = BlockOperator.identity(layout) - el
-        povm = POVM(layout, [complement, el], events)
+        el = stack_blocks(layout, [{"m=0": a0, "m=1": a1}])[0]
+        povm = POVM(layout, [np.eye(4) - el, el], events)
         lam_in = a0[0, 0]
         lam_out = np.linalg.eigvalsh(a1)[0]
         if lam_out - lam_in < 1e-3:
@@ -137,6 +133,24 @@ def test_weight_bound_matches_two_point_oracle():
 def test_weight_bound_rejects_uninformative_event(bb84_povm):
     with pytest.raises(ValueError, match="uninformative"):
         weight_bound(bb84_povm, 0, 0.5, 1)  # no-click: inside eigenvalue too close
+
+
+def test_weight_bound_rejects_repeated_or_unknown_events():
+    # a repeated event would be counted twice in the event operator and
+    # lower the bound (here 0.2552 -> 0.1766)
+    povm = build_threshold_povm(passive_bb84_setup([0.6, 0.9, 0.7, 0.8]), 2)
+    assert weight_bound(povm, [1, 2], 0.05, 1).value == pytest.approx(0.2552, abs=1e-4)
+    multi = povm.events.labels[povm.events.multi_indices[0]]
+    for event, named in (
+        ([1, 2, 2], povm.events.labels[2]),
+        ([1, povm.events.labels[1]], povm.events.labels[1]),
+        (["multi", multi], multi),
+        (-1, "-1"),
+        (16, "16"),
+        ([1, 16], "16"),
+    ):
+        with pytest.raises(ValueError, match=f"event.*{named}"):
+            weight_bound(povm, event, 0.05, 1)
 
 
 def test_weight_bound_needs_outside_blocks():
@@ -189,13 +203,10 @@ def test_eta_star_range_validation():
 def test_squashed_povm_flag_invariant():
     povm = build_threshold_povm(passive_bb84_setup(1.0), 1)
     sq = flag_state_target(povm, 1)
-    broken = list(sq.elements)
-    flag = np.zeros((16, 16))
-    flag[0, 0] = 0.5
-    flag[1, 1] = 0.5
-    broken[0] = BlockOperator(
-        sq.layout, {"m=0": broken[0].block("m=0"), "flag": flag}
-    )
+    broken = np.array(sq.dense)
+    one, flags = sq.layout.slice_of("m=1"), sq.layout.slice_of("flag")
+    broken[0, one, one] = 0.0
+    broken[0, flags, flags] = np.diag([0.5, 0.5] + [0.0] * 14)
     with pytest.raises(ValueError):
         POVM(sq.layout, broken, sq.events)
 

@@ -1,0 +1,53 @@
+"""The benchmark's span instrumentation still finds what it wraps.
+
+``bench/spans.py`` patches the library by module, function and method
+name.  A refactor that removes one of them would break a traced benchmark
+run (``bench/run.py --trace 1``) without failing any library test; this
+test runs one traced ``analyze`` op in process and fails instead.
+"""
+
+from pathlib import Path
+
+from detcert import cli
+from detcert.channels import QuantumChannel
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_traced_analyze_records_library_spans(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import spans
+
+    choi, apply_dense = QuantumChannel.__dict__["choi"], QuantumChannel.__dict__["apply_dense"]
+    tracer = spans.Tracer()
+    instrumentation = spans.Instrumentation(tracer)
+    instrumentation.install()
+    try:
+        with tracer.op("analyze"):
+            code = cli.main(
+                [
+                    "analyze",
+                    str(ROOT / "descriptors" / "passive_bb84.json"),
+                    "--out",
+                    str(tmp_path / "certificate.json"),
+                ]
+            )
+    finally:
+        instrumentation.uninstall()
+
+    assert code == 0
+    assert QuantumChannel.__dict__["choi"] is choi
+    assert QuantumChannel.__dict__["apply_dense"] is apply_dense
+    names = {span[3] for span in tracer.spans}
+    for name in (
+        "channels.QuantumChannel.choi",
+        "channels.verify_cptp",
+        "channels.verify_statistics_equivalence",
+        "detectors.build_threshold_povm",
+        "squashing.flag_state_target",
+        "report.emit_certificate",
+    ):
+        assert name in names, name
+    metrics = spans.layer_metrics(tracer)
+    assert metrics["channels.choi_calls"][0] > 0
+    assert 0.0 < metrics["trace.coverage"][0] <= 1.0
