@@ -11,22 +11,25 @@ flag ``|i><i|`` exactly.  A construction checks that, and that clicks never
 outnumber photons, then reads operator blocks off the measurement's dense
 stack with the block projectors of its layout.
 
-A channel is held as its Choi matrix ``J``, assembled directly from the
-completely positive terms of its construction; application, composition
-(the link product) and every certificate read ``J``.  A certificate checks
-one of two things: that ``J`` is CPTP (Hermitian, PSD, ``Tr_out J = I``),
-or an operator identity ``Phi^dag(F_after_i) = sum_j P_ij F_before_j`` in
-the Heisenberg picture.  The identity is compared entry by entry, so it
-holds for every input operator, off-block-diagonal ones included, rather
-than on sampled states.
+A channel is held as its Choi matrix ``J``, the sum of the Choi matrices of
+the completely positive terms of its construction; application,
+composition (the link product) and every certificate read ``J``.  A
+certificate checks one of two things: that ``J`` is CPTP (Hermitian, PSD,
+``Tr_out J = I``), or an operator identity
+``Phi^dag(F_after_i) = sum_j P_ij F_before_j`` in the Heisenberg picture.
+``ChoiConstraintSystem`` holds those identities, trace preservation last,
+and is the one kernel that scores them, for the statistics checks here and
+for the feasibility probe and its witness and Farkas checks.  The identity
+is compared entry by entry, so it holds for every input operator,
+off-block-diagonal ones included, rather than on sampled states.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -90,27 +93,25 @@ def _link(inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
 class QuantumChannel:
     """Linear map between two block layouts, held as its Choi matrix.
 
-    ``stages`` lists tuples of completely positive terms; the terms of a
-    stage are summed and stages apply in sequence.  The Choi matrix is
-    assembled from the terms on first use and cached; ``from_choi`` and
-    ``compose`` set it directly.
+    ``terms`` lists completely positive terms whose sum is the channel.  The
+    Choi matrix is assembled from the terms on first use and cached;
+    ``from_choi`` and ``compose`` set it directly.
     """
 
-    __slots__ = ("input_layout", "output_layout", "stages", "_choi")
+    __slots__ = ("input_layout", "output_layout", "terms", "_choi")
 
-    def __init__(self, input_layout: SpaceLayout, output_layout: SpaceLayout, stages):
+    def __init__(self, input_layout: SpaceLayout, output_layout: SpaceLayout, terms):
         self.input_layout = input_layout
         self.output_layout = output_layout
-        self.stages = tuple(tuple(stage) for stage in stages)
+        self.terms = tuple(terms)
         self._choi = None
 
     @property
     def choi(self) -> np.ndarray:
         """Choi matrix ``sum_ab |a><b| (x) Phi(|a><b|)`` (input factor first)."""
         if self._choi is None:
-            tensors = (sum(term.choi() for term in stage) for stage in self.stages)
             d = self.input_layout.total_dim * self.output_layout.total_dim
-            self._choi = functools.reduce(_link, tensors).reshape(d, d)
+            self._choi = sum(term.choi() for term in self.terms).reshape(d, d)
         return self._choi
 
     def _tensor(self) -> np.ndarray:
@@ -170,7 +171,7 @@ def bb84_simple_noise_channel(d: float) -> QuantumChannel:
     )
     keep_qubit = _KeepBlocks(weight=1.0 - d, projector=qubit_proj)
     depolarize = _MeasurePrepare(ops=(qubit_proj,), preps=((d / 2.0) * qubit_proj,))
-    return QuantumChannel(layout, layout, ((vac_branch, keep_qubit, depolarize),))
+    return QuantumChannel(layout, layout, (vac_branch, keep_qubit, depolarize))
 
 
 def bb84_qubit_measurement(basis: str) -> POVM:
@@ -280,7 +281,7 @@ def dark_count_channel(p_db: StochasticMatrix, f_eta: POVM) -> QuantumChannel:
     ops = proj_flag @ f_eta.dense @ proj_flag
     terms.append(_MeasurePrepare(ops=ops, preps=_diagonal_states(d, flags, p.T)))
 
-    return QuantumChannel(layout, layout, (tuple(terms),))
+    return QuantumChannel(layout, layout, terms)
 
 
 def loss_split_matrix(eta, eta_star: float) -> StochasticMatrix:
@@ -346,7 +347,7 @@ def loss_channel(eta, eta_star: float, f_lossless: POVM) -> QuantumChannel:
         preps = _diagonal_states(layout.total_dim, flags, (1.0 - ratio) * np.eye(len(carriers)))
         terms.append(_MeasurePrepare(ops=ops, preps=preps))
 
-    return QuantumChannel(layout, layout, (tuple(terms),))
+    return QuantumChannel(layout, layout, terms)
 
 
 def _deviation(f_noise: POVM, f_ideal: POVM, q: float) -> tuple[np.ndarray, np.ndarray]:
@@ -390,7 +391,7 @@ def generic_channel(f_noise: POVM, f_ideal: POVM, q: float) -> QuantumChannel:
         flags = layout.offset(FLAG_LABEL) + np.arange(n)
         preps = _diagonal_states(layout.total_dim, flags, q * np.eye(n))
         terms.append(_MeasurePrepare(ops=ops, preps=preps))
-    return QuantumChannel(layout, layout, (tuple(terms),))
+    return QuantumChannel(layout, layout, terms)
 
 
 def min_deviation_q(
@@ -452,31 +453,6 @@ def _cptp_residuals(j: np.ndarray, d_in: int, d_out: int) -> tuple[float, float,
     return herm, min_eig, float(np.abs(partial - np.eye(d_in)).max())
 
 
-def _identity_targets(p, f_before, f_after) -> tuple[np.ndarray, np.ndarray]:
-    """The stacks ``F_after_i`` and ``G_i = sum_j P_ij F_before_j`` of an identity.
-
-    ``p`` is ``None`` (identity), a ``StochasticMatrix`` or an array of shape
-    ``(len(f_after), len(f_before))``.  A ``POVM`` contributes its ``dense``
-    stack; anything else is taken as a stack of dense operators.
-    """
-    before, after = (
-        f.dense if isinstance(f, POVM) else np.asarray(f, dtype=complex)
-        for f in (f_before, f_after)
-    )
-    if p is None:
-        p_mat = np.eye(len(after))
-    elif isinstance(p, StochasticMatrix):
-        p_mat = p.entries
-    else:
-        p_mat = np.asarray(p, dtype=float)
-    if p_mat.shape != (len(after), len(before)):
-        raise ValueError(
-            f"post-processing shape {p_mat.shape} does not map "
-            f"{len(before)} -> {len(after)} events"
-        )
-    return after, np.tensordot(p_mat, before, axes=1)
-
-
 def _heisenberg(j: np.ndarray, d_in: int, d_out: int, ops: np.ndarray) -> np.ndarray:
     """``Phi_J^dag(F)`` for each ``F`` of the stack ``ops``.
 
@@ -503,14 +479,78 @@ def _hermitian_score(herm: np.ndarray) -> np.ndarray:
     return entry.max(axis=(1, 2))
 
 
-def _identity_residuals(
-    j: np.ndarray, d_in: int, d_out: int, after: np.ndarray, targets: np.ndarray
-) -> np.ndarray:
-    """Per-event score of ``Phi_J^dag(F_after_i) = G_i``.
+class ChoiConstraintSystem:
+    """The identities ``Phi_J^dag(F_k) = G_k`` on a candidate Choi matrix ``J``.
 
-    ``after`` and ``targets`` are the stacks of :func:`_identity_targets`.
+    Built from a post-processing ``p`` and the measurements before and after
+    the channel: ``F_k = F_after_k`` and ``G_k = sum_j P_kj F_before_j``.
+    ``p`` is ``None`` (identity), a ``StochasticMatrix`` or an array of shape
+    ``(len(f_after), len(f_before))``; a ``POVM`` contributes its ``dense``
+    stack, anything else is taken as a stack of dense operators.  The stacks
+    ``ops`` and ``targets`` hold the ``n`` events and, last, trace
+    preservation as ``F = I_out``, ``G = I_in``.  The map
+    ``J -> (Phi_J^dag(F_k))_k`` has adjoint ``Y -> sum_k Y_k^T (x) F_k``.
+
+    A target ``G_k`` with ``<a|G_k|a> = 0`` for PSD ``F_k`` is the
+    homogeneous constraint ``Tr[(|a><a| (x) F_k) J] = 0``, which forces any
+    PSD solution onto a face of the cone (``J`` supported in the kernel of
+    ``|a><a| (x) F_k``), extracted on first use: without it every feasible
+    point sits on the cone boundary, where the dual has no minimiser.
     """
-    return _hermitian_score(_hermitian_part(_heisenberg(j, d_in, d_out, after) - targets))
+
+    def __init__(self, p, f_before, f_after):
+        before, after = (
+            f.dense if isinstance(f, POVM) else np.asarray(f, dtype=complex)
+            for f in (f_before, f_after)
+        )
+        if p is None:
+            p_mat = np.eye(len(after))
+        elif isinstance(p, StochasticMatrix):
+            p_mat = p.entries
+        else:
+            p_mat = np.asarray(p, dtype=float)
+        if p_mat.shape != (len(after), len(before)):
+            raise ValueError(
+                f"post-processing shape {p_mat.shape} does not map "
+                f"{len(before)} -> {len(after)} events"
+            )
+        targets = np.tensordot(p_mat, before, axes=1)
+        self.d_in, self.d_out = targets.shape[-1], after.shape[-1]
+        self.dim = self.d_in * self.d_out
+        self.ops = np.concatenate([after, np.eye(self.d_out)[None]])
+        self.targets = np.concatenate([targets, np.eye(self.d_in)[None]])
+
+    @cached_property
+    def face_basis(self) -> np.ndarray:
+        """Orthonormal basis of the joint kernel of the homogeneous PSD constraints."""
+        after, targets = self.ops[:-1], self.targets[:-1]
+        psd = np.linalg.eigvalsh(after)[:, 0] > -1e-12
+        zero = (np.abs(np.diagonal(targets, axis1=1, axis2=2)) < 1e-14) & psd[:, None]
+        face = np.zeros((self.dim, self.dim), dtype=complex)
+        for pairs, f_k in zip(zero, after):
+            face += np.kron(np.diag(pairs), f_k)
+        vals, vecs = np.linalg.eigh(face)
+        return vecs[:, vals <= 1e-12 * max(1.0, float(vals[-1]))]
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        """``sum_k Y_k^T (x) F_k`` for a stack ``y`` shaped like ``targets``, as a Choi matrix."""
+        return _transpose_kron_sum(y, self.ops).reshape(self.dim, self.dim)
+
+    def defect(self, j: np.ndarray) -> np.ndarray:
+        """Hermitian parts of ``Phi_J^dag(F_k) - G_k``, trace preservation last."""
+        return _hermitian_part(_heisenberg(j, self.d_in, self.d_out, self.ops) - self.targets)
+
+    def residuals(self, j: np.ndarray) -> np.ndarray:
+        """Per-identity score of :meth:`defect`: the worst mismatch over a Hermitian input basis."""
+        return _hermitian_score(self.defect(j))
+
+    def project_face_psd(self, mat: np.ndarray) -> np.ndarray:
+        """Project onto the PSD matrices supported on the feasible face."""
+        u = self.face_basis
+        compressed = u.conj().T @ mat @ u
+        vals, vecs = np.linalg.eigh((compressed + compressed.conj().T) / 2.0)
+        w = u @ vecs
+        return (w * np.maximum(vals, 0.0)) @ w.conj().T
 
 
 @dataclass(frozen=True)
@@ -566,12 +606,14 @@ def verify_statistics_equivalence(
     channel input, off-diagonal pairs included, so passing here extends to
     every density matrix by linearity.
     """
-    worst = _identity_residuals(
-        ch.choi,
-        ch.input_layout.total_dim,
-        ch.output_layout.total_dim,
-        *_identity_targets(p, f_before, f_after),
-    )
+    system = ChoiConstraintSystem(p, f_before, f_after)
+    dims = (ch.input_layout.total_dim, ch.output_layout.total_dim)
+    if (system.d_in, system.d_out) != dims:
+        raise ValueError(
+            f"measurements act on dimensions {(system.d_in, system.d_out)} "
+            f"but the channel maps {dims[0]} -> {dims[1]}"
+        )
+    worst = system.residuals(ch.choi)[:-1]
     max_res = float(worst.max())
     return EquivalenceReport(
         max_residual=max_res,

@@ -2,7 +2,7 @@
 
 Every subcommand reads the same JSON setup descriptor and emits JSON
 (stdout or ``--out``).  Exit codes: 0 all checks pass, 2 framework
-preconditions unmet or checks failed, 1 tool error.
+preconditions unmet or checks failed, 1 tool error (usage, descriptor, I/O).
 """
 
 from __future__ import annotations
@@ -170,7 +170,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_TOOL_ERROR
     try:
         desc = _apply_overrides(load_descriptor(args.descriptor), args)
         return _COMMANDS[args.command](desc, args)

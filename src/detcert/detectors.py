@@ -101,7 +101,6 @@ class DetectionSetup:
     k: int
     mode_map: np.ndarray
     eta: np.ndarray
-    basis_tag: str | None = None
 
     def __post_init__(self):
         mm = np.asarray(self.mode_map, dtype=complex)
@@ -156,13 +155,8 @@ def passive_bb84_setup(eta=1.0) -> DetectionSetup:
 def active_bb84_setups(eta=1.0) -> dict[str, DetectionSetup]:
     """Active BB84: one two-detector setup per basis choice."""
     s = 1.0 / math.sqrt(2.0)
-    z = DetectionSetup(k=2, mode_map=np.eye(2), eta=_broadcast_eta(eta, 2), basis_tag="Z")
-    x = DetectionSetup(
-        k=2,
-        mode_map=np.array([[s, s], [s, -s]]),
-        eta=_broadcast_eta(eta, 2),
-        basis_tag="X",
-    )
+    z = DetectionSetup(k=2, mode_map=np.eye(2), eta=_broadcast_eta(eta, 2))
+    x = DetectionSetup(k=2, mode_map=np.array([[s, s], [s, -s]]), eta=_broadcast_eta(eta, 2))
     return {"Z": z, "X": x}
 
 

@@ -5,7 +5,8 @@ for every ``rho`` is, in the Heisenberg picture, the set of operator
 identities ``Phi_J^dag(F_k) = G_k`` with ``G_k = sum_j P_kj F_before_j``
 (``F_k = F_after_k``), plus ``Phi_J^dag(I_out) = I_in`` for trace
 preservation: a semidefinite feasibility question on the Choi matrix
-``J``.  L-BFGS on the dual of the nearest-point problem (Malick, SIAM J.
+``J``, posed by the ``ChoiConstraintSystem`` that the channel certificates
+read too.  L-BFGS on the dual of the nearest-point problem (Malick, SIAM J.
 Matrix Anal. Appl. 26, 272 (2004)) ends in a witness ``J`` or a Farkas ray
 ``Y``, each re-verified without the solver by one eigensolve on the full
 Choi space (:func:`verify_choi_witness`, :func:`verify_farkas_ray`).
@@ -15,65 +16,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .channels import (
-    _cptp_residuals,
-    _hermitian_part,
-    _hermitian_score,
-    _heisenberg,
-    _identity_residuals,
-    _identity_targets,
-    _transpose_kron_sum,
-)
-
-
-class ChoiConstraintSystem:
-    """The affine set ``Phi_J^dag(F_k) = G_k`` of a candidate Choi matrix ``J``.
-
-    The stacks ``ops`` and ``targets`` hold the ``n`` events and, last,
-    trace preservation as ``F = I_out``, ``G = I_in``.  The map
-    ``J -> Phi_J^dag(F)`` has adjoint ``M -> M^T (x) F``.
-
-    A target ``G_k`` with ``<a|G_k|a> = 0`` for PSD ``F_k`` is the
-    homogeneous constraint ``Tr[(|a><a| (x) F_k) J] = 0``, which forces any
-    PSD solution onto a face of the cone (``J`` supported in the kernel of
-    ``|a><a| (x) F_k``), extracted on first use: without it every feasible
-    point sits on the cone boundary, where the dual has no minimiser.
-    """
-
-    def __init__(self, p, f_before, f_after):
-        after, targets = _identity_targets(p, f_before, f_after)
-        self.d_in, self.d_out = targets.shape[-1], after.shape[-1]
-        self.dim = self.d_in * self.d_out
-        self.ops = np.concatenate([after, np.eye(self.d_out)[None]])
-        self.targets = np.concatenate([targets, np.eye(self.d_in)[None]])
-
-    @cached_property
-    def face_basis(self) -> np.ndarray:
-        """Orthonormal basis of the joint kernel of the homogeneous PSD constraints."""
-        after, targets = self.ops[:-1], self.targets[:-1]
-        psd = np.linalg.eigvalsh(after)[:, 0] > -1e-12
-        zero = (np.abs(np.diagonal(targets, axis1=1, axis2=2)) < 1e-14) & psd[:, None]
-        face = np.zeros((self.dim, self.dim), dtype=complex)
-        for pairs, f_k in zip(zero, after):
-            face += np.kron(np.diag(pairs), f_k)
-        vals, vecs = np.linalg.eigh(face)
-        return vecs[:, vals <= 1e-12 * max(1.0, float(vals[-1]))]
-
-    def defect(self, j: np.ndarray) -> np.ndarray:
-        """Hermitian parts of ``Phi_J^dag(F_k) - G_k``, trace preservation last."""
-        return _hermitian_part(_heisenberg(j, self.d_in, self.d_out, self.ops) - self.targets)
-
-    def project_face_psd(self, mat: np.ndarray) -> np.ndarray:
-        """Project onto the PSD matrices supported on the feasible face."""
-        u = self.face_basis
-        compressed = u.conj().T @ mat @ u
-        vals, vecs = np.linalg.eigh((compressed + compressed.conj().T) / 2.0)
-        w = u @ vecs
-        return (w * np.maximum(vals, 0.0)) @ w.conj().T
+from .channels import ChoiConstraintSystem, _cptp_residuals, _hermitian_part, _hermitian_score
 
 
 @dataclass(frozen=True)
@@ -172,7 +118,7 @@ def choi_feasibility(p_dc, f_eta, f_target, tol: float = 1e-6, max_iter: int = 1
 
     def theta(x):
         y = x.view(complex).reshape(system.targets.shape)
-        j = system.project_face_psd(_transpose_kron_sum(y, system.ops).reshape(system.dim, -1))
+        j = system.project_face_psd(system.adjoint(y))
         defect = system.defect(j)
         value = 0.5 * np.vdot(j, j).real - np.vdot(system.targets, y).real
         residual = float(_hermitian_score(defect).max())
@@ -223,15 +169,14 @@ def verify_choi_witness(j, p_dc, f_eta, f_target, tol: float) -> ChoiWitnessRepo
     against the identity, and the worst statistics constraint over the full
     operator space.
     """
-    after, targets = _identity_targets(p_dc, f_eta, f_target)
-    d_in, d_out = targets.shape[-1], after.shape[-1]
+    system = ChoiConstraintSystem(p_dc, f_eta, f_target)
     j = np.asarray(j, dtype=complex)
-    if j.shape != (d_in * d_out, d_in * d_out):
+    if j.shape != (system.dim, system.dim):
         raise ValueError("Choi matrix shape does not match the measurements")
 
-    herm, min_eig, tp_dev = _cptp_residuals(j, d_in, d_out)
+    herm, min_eig, tp_dev = _cptp_residuals(j, system.d_in, system.d_out)
     psd_residual = max(0.0, -min_eig)
-    linear = float(_identity_residuals(j, d_in, d_out, after, targets).max())
+    linear = float(system.residuals(j)[:-1].max())
     passed = herm <= tol and psd_residual <= tol and tp_dev <= tol and linear <= tol
     return ChoiWitnessReport(
         hermiticity_dev=herm,
@@ -271,8 +216,7 @@ def verify_farkas_ray(ray, p_dc, f_eta, f_target, tol: float) -> FarkasReport:
     if ray.shape != system.targets.shape:
         raise ValueError(f"Farkas ray shape {ray.shape} does not match {system.targets.shape}")
     y = _hermitian_part(ray)
-    full = _transpose_kron_sum(y, system.ops).reshape(system.dim, system.dim)
-    lam = float(np.linalg.eigvalsh(full)[-1])
+    lam = float(np.linalg.eigvalsh(system.adjoint(y))[-1])
     y[-1] -= max(lam, 0.0) * np.eye(system.d_in)
     norm = float(np.abs(np.triu(y).view(float)).sum())
     margin = float(np.vdot(system.targets, y).real) / norm if norm > 0 else 0.0

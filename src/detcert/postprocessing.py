@@ -29,15 +29,15 @@ _REFRESH = 10
 
 
 class StochasticMatrix:
-    """Column-stochastic real matrix with optional event labels.
+    """Column-stochastic real matrix.
 
     Entries must be nonnegative up to ``1e-12`` (tiny negatives are clamped
     to zero) and every column must sum to 1 within ``1e-10``.
     """
 
-    __slots__ = ("entries", "row_events", "col_events")
+    __slots__ = ("entries",)
 
-    def __init__(self, entries, row_events=None, col_events=None):
+    def __init__(self, entries):
         a = np.asarray(entries, dtype=float)
         if a.ndim != 2:
             raise ValueError("entries must be a matrix")
@@ -50,35 +50,15 @@ class StochasticMatrix:
                 f"columns must sum to 1 (worst deviation {np.abs(colsums - 1.0).max():.3e})"
             )
         self.entries = a
-        self.row_events = tuple(row_events) if row_events is not None else None
-        self.col_events = tuple(col_events) if col_events is not None else None
-        if self.row_events is not None and len(self.row_events) != a.shape[0]:
-            raise ValueError("row_events length mismatch")
-        if self.col_events is not None and len(self.col_events) != a.shape[1]:
-            raise ValueError("col_events length mismatch")
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.entries.shape
 
-    @classmethod
-    def identity(cls, n: int, events=None) -> "StochasticMatrix":
-        return cls(np.eye(n), row_events=events, col_events=events)
-
     def __matmul__(self, other: "StochasticMatrix") -> "StochasticMatrix":
         if self.shape[1] != other.shape[0]:
             raise ValueError("dimension mismatch in composition")
-        if (
-            self.col_events is not None
-            and other.row_events is not None
-            and self.col_events != other.row_events
-        ):
-            raise ValueError("event labels do not chain")
-        return StochasticMatrix(
-            self.entries @ other.entries,
-            row_events=self.row_events,
-            col_events=other.col_events,
-        )
+        return StochasticMatrix(self.entries @ other.entries)
 
 
 class CoarseGraining(StochasticMatrix):
@@ -86,8 +66,8 @@ class CoarseGraining(StochasticMatrix):
 
     __slots__ = ("row_table",)
 
-    def __init__(self, entries, row_events=None, col_events=None, row_table=None):
-        super().__init__(entries, row_events=row_events, col_events=col_events)
+    def __init__(self, entries, row_table=None):
+        super().__init__(entries)
         a = self.entries
         if not np.all((a == 0.0) | (a == 1.0)):
             raise ValueError("coarse graining entries must be 0 or 1")
@@ -121,7 +101,7 @@ def dark_count_matrix(dark_rates) -> StochasticMatrix:
                     continue
                 prob *= d[det] if (c_out >> det) & 1 else 1.0 - d[det]
             p[i, j] = prob
-    return StochasticMatrix(p, row_events=events.labels, col_events=events.labels)
+    return StochasticMatrix(p)
 
 
 def single_photon_loss_matrix(eta) -> StochasticMatrix:
@@ -139,8 +119,7 @@ def single_photon_loss_matrix(eta) -> StochasticMatrix:
     p[0, 1:] = 1.0 - eta
     for s in range(k):
         p[s + 1, s + 1] = eta[s]
-    labels = enumerate_events(k).labels[: k + 1]
-    return StochasticMatrix(p, row_events=labels, col_events=labels)
+    return StochasticMatrix(p)
 
 
 @dataclass(frozen=True)
@@ -202,17 +181,17 @@ def multiclick_coarse_graining(events: EventTable) -> CoarseGraining:
     row_labels = (events.labels[0],) + tuple(events.labels[s] for s in singles) + (MULTI,)
     row_classes = (NO_CLICK,) + (SINGLE,) * n_s + (MULTI,)
     table = EventTable(k=events.k, labels=row_labels, classes=row_classes, masks=())
-    return CoarseGraining(
-        m, row_events=row_labels, col_events=events.labels, row_table=table
-    )
+    return CoarseGraining(m, row_table=table)
 
 
-def apply_postprocessing(p: StochasticMatrix, povm: POVM, events: EventTable | None = None) -> POVM:
-    """Post-processed measurement ``G' = P G`` (element-wise mixing)."""
+def apply_postprocessing(p: StochasticMatrix, povm: POVM) -> POVM:
+    """Post-processed measurement ``G' = P G`` (element-wise mixing).
+
+    The output events are the row table of ``p``, which must carry one.
+    """
     if p.shape[1] != len(povm):
         raise ValueError("matrix columns must match the POVM element count")
-    if events is None:
-        events = getattr(p, "row_table", None)
+    events = getattr(p, "row_table", None)
     if events is None:
         raise ValueError("no event table for the output POVM")
     # Summed term by term in column order, skipping zero weights.
@@ -383,9 +362,7 @@ def solve_swap_lp(
         )
     p_dc = np.clip(p_dc, 0.0, None)
     p_dc = p_dc / p_dc.sum(axis=0, keepdims=True)
-    matrix = StochasticMatrix(
-        p_dc, row_events=p_sq_prime.row_events, col_events=p_sq.row_events
-    )
+    matrix = StochasticMatrix(p_dc)
     residual = float(np.abs(matrix.entries @ s - target).max())
     return SwapLPResult(feasible=True, matrix=matrix, residual=residual, tolerance=tol)
 
@@ -402,9 +379,6 @@ def coarse_grained_dc_ansatz(
     """
     if cg.shape[1] != p_db.shape[0] or p_db.shape[0] != p_db.shape[1]:
         raise ValueError("coarse graining does not match the dark-count map")
-    table = cg.row_table
-    if table is None:
-        raise ValueError("coarse graining carries no output event table")
     # Column j of cg has its single 1 in the row that event j merges into.
     merged_row = cg.entries.argmax(axis=0)
     multi_row = cg.shape[0] - 1
@@ -425,7 +399,7 @@ def coarse_grained_dc_ansatz(
     out[:n, :n] = a[np.ix_(non_multi_cols, non_multi_cols)]
     out[n, :n] = a[np.ix_(multi_cols, non_multi_cols)].sum(axis=0)
     out[n, n] = 1.0
-    return StochasticMatrix(out, row_events=table.labels, col_events=table.labels)
+    return StochasticMatrix(out)
 
 
 def bb84_qubit_squasher() -> StochasticMatrix:
@@ -434,7 +408,6 @@ def bb84_qubit_squasher() -> StochasticMatrix:
     Maps a double click to a uniformly random single click in the same
     basis; no-click and single clicks pass through.
     """
-    fine = enumerate_events(2)
     entries = np.array(
         [
             [1.0, 0.0, 0.0, 0.0],
@@ -442,9 +415,7 @@ def bb84_qubit_squasher() -> StochasticMatrix:
             [0.0, 0.0, 1.0, 0.5],
         ]
     )
-    return StochasticMatrix(
-        entries, row_events=fine.labels[:3], col_events=fine.labels
-    )
+    return StochasticMatrix(entries)
 
 
 def bb84_squashed_dark_matrix(d: float) -> StochasticMatrix:
@@ -462,5 +433,4 @@ def bb84_squashed_dark_matrix(d: float) -> StochasticMatrix:
             [d * (1.0 - d / 2.0), d / 2.0, 1.0 - d / 2.0],
         ]
     )
-    labels = enumerate_events(2).labels[:3]
-    return StochasticMatrix(entries, row_events=labels, col_events=labels)
+    return StochasticMatrix(entries)

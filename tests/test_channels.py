@@ -406,18 +406,14 @@ def test_apply_channel_identity_and_pinch():
     rng = np.random.default_rng(15)
     layout = SMALL_LAYOUT
     ident = QuantumChannel(
-        layout, layout, ((_KeepBlocks(1.0, np.eye(layout.total_dim)),),)
+        layout, layout, (_KeepBlocks(1.0, np.eye(layout.total_dim)),)
     )
     rho = random_density(layout, rng)
     np.testing.assert_allclose(ident.apply_dense(rho), rho, atol=1e-14)
     pinch = QuantumChannel(
         layout,
         layout,
-        (
-            tuple(
-                _KeepBlocks(1.0, layout.projector(lab)) for lab in layout.labels
-            ),
-        ),
+        tuple(_KeepBlocks(1.0, layout.projector(lab)) for lab in layout.labels),
     )
     out = pinch.apply_dense(rho)  # block-diagonal states are fixed points
     np.testing.assert_allclose(out, rho, atol=1e-14)
@@ -436,7 +432,7 @@ def test_apply_channel_preserves_trace_and_psd(bb84_squashed):
 def test_verify_cptp_identity_channel():
     layout = SMALL_LAYOUT
     ident = QuantumChannel(
-        layout, layout, ((_KeepBlocks(1.0, np.eye(layout.total_dim)),),)
+        layout, layout, (_KeepBlocks(1.0, np.eye(layout.total_dim)),)
     )
     report = verify_cptp(ident, 1e-9)
     assert report.passed
@@ -446,7 +442,7 @@ def test_verify_cptp_identity_channel():
 def test_verify_cptp_catches_trace_leak():
     layout = SMALL_LAYOUT
     leaky = QuantumChannel(
-        layout, layout, ((_KeepBlocks(0.9, np.eye(layout.total_dim)),),)
+        layout, layout, (_KeepBlocks(0.9, np.eye(layout.total_dim)),)
     )
     report = verify_cptp(leaky, 1e-9)
     assert not report.passed
@@ -457,7 +453,7 @@ def test_statistics_equivalence_identity_channel():
     rng = np.random.default_rng(18)
     f = random_squashed_povm(rng)
     ident = QuantumChannel(
-        f.layout, f.layout, ((_KeepBlocks(1.0, np.eye(f.layout.total_dim)),),)
+        f.layout, f.layout, (_KeepBlocks(1.0, np.eye(f.layout.total_dim)),)
     )
     report = verify_statistics_equivalence(None, f, f, ident, tol=1e-12)
     assert report.max_residual == pytest.approx(0.0, abs=1e-14)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import detcert as dc
 from detcert import report
-from detcert.channels import QuantumChannel, _KeepBlocks, _MeasurePrepare
+from detcert.channels import ChoiConstraintSystem, QuantumChannel, _KeepBlocks, _MeasurePrepare
 
 PASSIVE = {
     "setup": "passive-bb84",
@@ -67,11 +67,11 @@ def _oracle_cases():
     generic = dc.generic_channel(f_noise, f_ideal, 0.3)
     bb84 = dc.bb84_simple_noise_channel(0.05)
     return {
-        "dark": (dark, dark.stages),
-        "loss": (loss, loss.stages),
-        "generic": (generic, generic.stages),
-        "bb84": (bb84, bb84.stages),
-        "composed": (dc.compose(loss, dark), dark.stages + loss.stages),
+        "dark": (dark, (dark.terms,)),
+        "loss": (loss, (loss.terms,)),
+        "generic": (generic, (generic.terms,)),
+        "bb84": (bb84, (bb84.terms,)),
+        "composed": (dc.compose(loss, dark), (dark.terms, loss.terms)),
     }
 
 
@@ -172,6 +172,35 @@ def test_witness_linear_residual_equals_basis_loop(seed, scale):
     assert report_.linear_residual == pytest.approx(reference, rel=1e-12, abs=1e-15)
 
 
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**16))
+def test_system_adjoint_is_adjoint_of_heisenberg_map(seed):
+    # Re <adjoint(Y), J> = Re sum_k <Y_k, Phi_J^dag(F_k)> for every J and Y,
+    # with Phi_J^dag read off its definition Tr[Phi_J^dag(F) X] = Tr[F Phi_J(X)]
+    # on unequal input and output dimensions, trace preservation included
+    rng = np.random.default_rng(seed)
+    f_before, f_after = random_squashed_povm(rng), dc.bb84_qubit_measurement("X")
+    p = rng.dirichlet(np.ones(3), size=3).T
+    system = ChoiConstraintSystem(p, f_before, f_after)
+    d_in, d_out = system.d_in, system.d_out
+    assert (d_in, d_out) == (6, 3)
+    j = rng.normal(size=(system.dim,) * 2) + 1j * rng.normal(size=(system.dim,) * 2)
+    y = rng.normal(size=system.targets.shape) + 1j * rng.normal(size=system.targets.shape)
+    j4 = j.reshape(d_in, d_out, d_in, d_out)
+    reference = sum(
+        np.trace(f_k @ np.einsum("ab,aibj->ij", y_k.conj().T, j4)).real
+        for y_k, f_k in zip(y, system.ops)
+    )
+    assert np.vdot(system.adjoint(y), j).real == pytest.approx(reference, rel=1e-12, abs=1e-12)
+
+
+def test_statistics_check_names_a_layout_mismatch():
+    f = random_squashed_povm(np.random.default_rng(23))
+    channel = dc.bb84_simple_noise_channel(0.05)
+    with pytest.raises(ValueError, match=r"dimensions \(6, 6\) but the channel maps 3 -> 3"):
+        dc.verify_statistics_equivalence(None, f, f, channel)
+
+
 def _faulty(build, fault_op):
     """``build`` with a term of size 1e-6 added to the channel it returns."""
 
@@ -182,7 +211,7 @@ def _faulty(build, fault_op):
         out[0, 0] = 1e-6  # onto the vacuum, off the last flag: trace preserved
         out[-1, -1] = -1e-6
         fault = _MeasurePrepare(ops=(fault_op(layout),), preps=(out,))
-        return QuantumChannel(layout, layout, (channel.stages[0] + (fault,),))
+        return QuantumChannel(layout, layout, channel.terms + (fault,))
 
     return wrapped
 

@@ -27,7 +27,6 @@ from detcert import cli
 from detcert.channels import (
     QuantumChannel,
     _heisenberg,
-    _transpose_kron_sum,
     verify_cptp,
     verify_statistics_equivalence,
 )
@@ -196,7 +195,7 @@ def test_dual_gradient_is_the_defect(seed):
         return g + g.conj().transpose(0, 2, 1)
 
     def theta(y):
-        j = system.project_face_psd(_transpose_kron_sum(y, system.ops).reshape(system.dim, -1))
+        j = system.project_face_psd(system.adjoint(y))
         return 0.5 * np.vdot(j, j).real - np.vdot(system.targets, y).real, j
 
     y, step = hermitian_stack(), hermitian_stack()

@@ -201,8 +201,7 @@ def test_swap_lp_unequal_rates_infeasible():
 
 
 def test_swap_lp_identity_case():
-    events = enumerate_events(2)
-    ident = StochasticMatrix.identity(4, events.labels)
+    ident = StochasticMatrix(np.eye(4))
     result = solve_swap_lp(ident, bb84_qubit_squasher())
     assert result.feasible
     np.testing.assert_allclose(result.matrix.entries, np.eye(3), atol=1e-9)

@@ -126,6 +126,24 @@ def test_cli_rejects_bad_values_before_running(tmp_path, capsys, cmd, extra, ove
     assert captured.err.startswith("descriptor error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze"], ["analyze", "desc.json", "--tol", "abc"],
+     ["analyze", "desc.json", "--bogus"], ["bogus", "desc.json"]],
+)
+def test_cli_usage_error_exits_as_tool_error(capsys, argv):
+    # exit 2 is reserved for "not reducible"; argparse's own code must not leak
+    assert cli.main(argv) == EXIT_TOOL_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err
+
+
+def test_cli_help_exits_zero(capsys):
+    assert cli.main(["--help"]) == EXIT_OK
+    assert "usage:" in capsys.readouterr().out
+
+
 def test_analysis_passive_bb84_values():
     cert = run_analysis(descriptor_from_dict(PASSIVE))
     assert cert.status == "reducible"
