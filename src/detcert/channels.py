@@ -55,8 +55,8 @@ class _KeepBlocks:
 
     def choi(self) -> np.ndarray:
         """``weight |v><v|`` with ``v = sum_a |a> (x) P|a>``."""
-        v = np.asarray(self.projector, dtype=complex).T
-        return self.weight * np.multiply.outer(v, v.conj())
+        v = np.asarray(self.projector, dtype=complex).T.ravel()
+        return self.weight * np.outer(v, v.conj())
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ class _MeasurePrepare:
 
 
 def _transpose_kron_sum(ops: np.ndarray, preps: np.ndarray) -> np.ndarray:
-    """Choi tensor ``sum_k ops_k^T (x) preps_k`` of ``rho -> sum_k Tr[ops_k rho] preps_k``.
+    """Choi matrix ``sum_k ops_k^T (x) preps_k`` of ``rho -> sum_k Tr[ops_k rho] preps_k``.
 
     Transpose, not adjoint: ops may be complex.  It is also the adjoint of
     ``J -> (Phi_J^dag(preps_k))_k`` applied to the stack ``ops``.
@@ -82,7 +82,8 @@ def _transpose_kron_sum(ops: np.ndarray, preps: np.ndarray) -> np.ndarray:
     n, d_in, _ = ops.shape
     d_out = preps.shape[-1]
     flat = ops.transpose(0, 2, 1).reshape(n, -1).T @ preps.reshape(n, -1)
-    return flat.reshape(d_in, d_in, d_out, d_out).transpose(0, 2, 1, 3)
+    tensor = flat.reshape(d_in, d_in, d_out, d_out).transpose(0, 2, 1, 3)
+    return tensor.reshape(d_in * d_out, d_in * d_out)
 
 
 def _link(inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
@@ -110,8 +111,7 @@ class QuantumChannel:
     def choi(self) -> np.ndarray:
         """Choi matrix ``sum_ab |a><b| (x) Phi(|a><b|)`` (input factor first)."""
         if self._choi is None:
-            d = self.input_layout.total_dim * self.output_layout.total_dim
-            self._choi = sum(term.choi() for term in self.terms).reshape(d, d)
+            self._choi = sum(term.choi() for term in self.terms)
         return self._choi
 
     def _tensor(self) -> np.ndarray:
@@ -445,10 +445,42 @@ def inf_norm_mixing(f_noise: POVM, delta: float) -> POVM:
     return POVM(f_noise.layout, scale * f_noise.dense + (delta * scale) * ident, f_noise.events)
 
 
+def _component_min_eigenvalue(h: np.ndarray) -> float:
+    """Smallest eigenvalue of the Hermitian ``h``, one connected component at a time.
+
+    The components of the graph of ``h``'s exact nonzero pattern permute
+    ``h`` into a block diagonal, so its spectrum is the union of theirs:
+    exact, with no tolerance.  Labels propagate the smallest index over
+    the edges, with pointer jumping, until every component carries its
+    smallest index; then one batched ``eigvalsh`` runs per component size.
+    A non-finite ``h`` has no smallest eigenvalue: NaN.
+    """
+    if not np.isfinite(h).all():
+        return math.nan
+    n = len(h)
+    edges = h != 0
+    lab = np.arange(n)
+    while True:
+        new = np.where(edges, lab, n).min(axis=1)
+        np.minimum(new, lab, out=new)
+        new = new[new]
+        if (new == lab).all():
+            break
+        lab = new
+    sizes = np.bincount(lab, minlength=n)
+    lows = []
+    for size in np.flatnonzero(np.bincount(sizes)[1:]) + 1:
+        roots = np.flatnonzero(sizes == size)
+        idx = np.nonzero(lab[None, :] == roots[:, None])[1].reshape(-1, size)
+        lows.append(np.linalg.eigvalsh(h[idx[:, :, None], idx[:, None, :]])[:, 0])
+    return float(np.concatenate(lows).min())
+
+
 def _cptp_residuals(j: np.ndarray, d_in: int, d_out: int) -> tuple[float, float, float]:
     """Hermiticity deviation, smallest eigenvalue and ``max |Tr_out J - I|`` of ``J``."""
-    herm = float(np.abs(j - j.conj().T).max())
-    min_eig = float(np.linalg.eigvalsh((j + j.conj().T) / 2.0)[0])
+    j_h = j.conj().T
+    herm = float(np.abs(j - j_h).max())
+    min_eig = _component_min_eigenvalue((j + j_h) / 2.0)
     partial = np.einsum("aibi->ab", j.reshape(d_in, d_out, d_in, d_out))
     return herm, min_eig, float(np.abs(partial - np.eye(d_in)).max())
 
@@ -534,7 +566,7 @@ class ChoiConstraintSystem:
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """``sum_k Y_k^T (x) F_k`` for a stack ``y`` shaped like ``targets``, as a Choi matrix."""
-        return _transpose_kron_sum(y, self.ops).reshape(self.dim, self.dim)
+        return _transpose_kron_sum(y, self.ops)
 
     def defect(self, j: np.ndarray) -> np.ndarray:
         """Hermitian parts of ``Phi_J^dag(F_k) - G_k``, trace preservation last."""
@@ -565,10 +597,9 @@ class CPTPReport:
 
     @property
     def residual(self) -> float:
-        """The largest of the three violations; ``passed`` iff it is within tolerance."""
-        return max(
-            0.0, -self.min_choi_eigenvalue, self.trace_preservation_dev, self.hermiticity_dev
-        )
+        """The largest of the three violations, NaN if any is; ``passed`` iff within tolerance."""
+        violations = (-self.min_choi_eigenvalue, self.trace_preservation_dev, self.hermiticity_dev)
+        return float(np.max((0.0, *violations)))
 
 
 def verify_cptp(ch: QuantumChannel, tol: float) -> CPTPReport:

@@ -276,25 +276,23 @@ def build_threshold_povm(setup: DetectionSetup, cutoff: int) -> POVM:
 
     events = enumerate_events(setup.k)
     one_minus_eta = 1.0 - setup.eta
+    clicks = ((np.array(events.masks)[:, None, None] >> np.arange(setup.k)) & 1).astype(bool)
     lifts = [_lift_isometry(setup.mode_map, m) for m in range(cutoff + 1)]
     layout = SpaceLayout(tuple((photon_label(m), len(lift[2])) for m, lift in enumerate(lifts)))
     dense = np.zeros((events.n_events, layout.total_dim, layout.total_dim), dtype=complex)
     for m, (v, det_occs, _) in enumerate(lifts):
         s = layout.slice_of(photon_label(m))
         # Survival probabilities per detector occupation: detector i with n_i
-        # photons stays dark with probability (1 - eta_i)^(n_i).
-        dark = np.array(
-            [[one_minus_eta[i] ** occ[i] for i in range(setup.k)] for occ in det_occs]
-        )
-        for e, mask in enumerate(events.masks):
-            weights = np.ones(len(det_occs))
-            for i in range(setup.k):
-                col = dark[:, i]
-                weights = weights * ((1.0 - col) if (mask >> i) & 1 else col)
-            if not weights.any():
-                continue
-            block = v.conj().T @ (weights[:, None] * v)
-            dense[e, s, s] = (block + block.conj().T) / 2.0
+        # photons stays dark with probability (1 - eta_i)^(n_i).  An event's
+        # weight multiplies, detector by detector, the click or dark factor
+        # its mask names; all events of the block at once.
+        dark = one_minus_eta ** np.array(det_occs)
+        factors = np.where(clicks, 1.0 - dark, dark)
+        weights = factors[..., 0]
+        for i in range(1, setup.k):
+            weights = weights * factors[..., i]
+        blocks = v.conj().T @ (weights[:, :, None] * v)
+        dense[:, s, s] = (blocks + blocks.conj().transpose(0, 2, 1)) / 2.0
     return POVM(layout, dense, events)
 
 

@@ -175,7 +175,7 @@ def verify_choi_witness(j, p_dc, f_eta, f_target, tol: float) -> ChoiWitnessRepo
         raise ValueError("Choi matrix shape does not match the measurements")
 
     herm, min_eig, tp_dev = _cptp_residuals(j, system.d_in, system.d_out)
-    psd_residual = max(0.0, -min_eig)
+    psd_residual = float(np.maximum(0.0, -min_eig))
     linear = float(system.residuals(j)[:-1].max())
     passed = herm <= tol and psd_residual <= tol and tp_dev <= tol and linear <= tol
     return ChoiWitnessReport(

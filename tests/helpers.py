@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from detcert import POVM, EventTable
+from detcert import POVM, EventTable, enumerate_events
+from detcert.detectors import _lift_isometry
 from detcert.fock import SpaceLayout
 
 SMALL_LAYOUT = SpaceLayout((("m=0", 1), ("m=1", 2), ("flag", 3)))
@@ -116,6 +117,37 @@ def reference_checked_elements(layout: SpaceLayout, dense, events: EventTable) -
     )
     if dev > 1e-10:
         raise ValueError(f"completeness violated by {dev:.3e}")
+    return dense
+
+
+def reference_threshold_povm(setup, cutoff: int) -> np.ndarray:
+    """Dense element stack of the threshold POVM, one click mask at a time.
+
+    The per-mask, per-detector loop that ``build_threshold_povm`` batches:
+    detector ``i`` holding ``n_i`` photons stays dark with probability
+    ``(1 - eta_i)^(n_i)``, and an event's block on photon number ``m`` is
+    ``V^dag diag(w) V`` for its survival weights ``w``.
+    """
+    events = enumerate_events(setup.k)
+    one_minus_eta = 1.0 - setup.eta
+    lifts = [_lift_isometry(setup.mode_map, m) for m in range(cutoff + 1)]
+    sizes = [len(in_occs) for _, _, in_occs in lifts]
+    offsets = np.cumsum([0] + sizes)
+    dense = np.zeros((events.n_events, offsets[-1], offsets[-1]), dtype=complex)
+    for m, (v, det_occs, _) in enumerate(lifts):
+        s = slice(offsets[m], offsets[m + 1])
+        dark = np.array(
+            [[one_minus_eta[i] ** occ[i] for i in range(setup.k)] for occ in det_occs]
+        )
+        for e, mask in enumerate(events.masks):
+            weights = np.ones(len(det_occs))
+            for i in range(setup.k):
+                col = dark[:, i]
+                weights = weights * ((1.0 - col) if (mask >> i) & 1 else col)
+            if not weights.any():
+                continue
+            block = v.conj().T @ (weights[:, None] * v)
+            dense[e, s, s] = (block + block.conj().T) / 2.0
     return dense
 
 

@@ -10,12 +10,18 @@ inputs, which block-diagonal test states cannot reach.
 import numpy as np
 import pytest
 from helpers import hermitian_basis, mix_povms, random_density, random_squashed_povm
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import detcert as dc
 from detcert import report
-from detcert.channels import ChoiConstraintSystem, QuantumChannel, _KeepBlocks, _MeasurePrepare
+from detcert.channels import (
+    ChoiConstraintSystem,
+    QuantumChannel,
+    _component_min_eigenvalue,
+    _KeepBlocks,
+    _MeasurePrepare,
+)
 
 PASSIVE = {
     "setup": "passive-bb84",
@@ -265,3 +271,80 @@ def test_off_block_fault_is_invisible_to_block_diagonal_states():
     projs = [f.layout.projector("m=0"), f.layout.projector("m=1")]
     relation = dc.verify_statistics_equivalence([[1.0, 0.5]], projs, [proj01], faulty, tol=1e-12)
     assert relation.max_residual == pytest.approx(2e-6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    sizes=st.lists(st.integers(1, 8), min_size=1, max_size=12),
+    zero_rows=st.integers(0, 4),
+    scale=st.sampled_from([1e-9, 1.0, 1e3]),
+    fill=st.sampled_from([0.0, 0.3, 1.0]),
+)
+@example(seed=5, sizes=[8], zero_rows=0, scale=1.0, fill=1.0)  # one dense component
+@example(seed=6, sizes=[1], zero_rows=3, scale=1.0, fill=1.0)
+@example(seed=7, sizes=[8, 8, 3], zero_rows=1, scale=1.0, fill=0.0)
+def test_component_eigenvalue_equals_full_eigensolve(seed, sizes, zero_rows, scale, fill):
+    # a block diagonal with zero rows, hidden by a random permutation; each
+    # block is connected through a path in random order plus a share
+    # ``fill`` of its other entries, so labels take several passes to settle
+    rng = np.random.default_rng(seed)
+    n = sum(sizes) + zero_rows
+    h = np.zeros((n, n), dtype=complex)
+    start = 0
+    for size in sizes:
+        keep = np.triu(rng.uniform(size=(size, size)) < fill)
+        order = rng.permutation(size)
+        keep[order[:-1], order[1:]] = True
+        keep = keep | keep.T | np.eye(size, dtype=bool)
+        block = scale * _random_hermitian(rng, size) * keep
+        h[start : start + size, start : start + size] = block
+        start += size
+    perm = rng.permutation(n)
+    h = h[perm][:, perm]
+    full = np.linalg.eigvalsh(h)[0]
+    tol = 1e-12 * max(1.0, float(np.linalg.norm(h, 2)))
+    assert abs(_component_min_eigenvalue(h) - full) <= tol
+
+
+def _coarse_dark_channel():
+    povm = dc.build_threshold_povm(dc.passive_bb84_setup([0.8, 0.85, 0.9, 0.75]), 1)
+    p_dc = dc.coarse_grained_dc_ansatz(dc.dark_count_matrix([0.08, 0.05, 0.1, 0.07]), _CG)
+    squashed = dc.flag_state_target(dc.apply_postprocessing(_CG, povm), 1)
+    return p_dc, squashed, dc.dark_count_channel(p_dc, squashed)
+
+
+@pytest.mark.parametrize("where", [(0, 0), (4, 4), (0, 4), (10, 3), (80, 79)])
+def test_nan_in_choi_fails_cptp_and_witness(where):
+    p_dc, squashed, channel = _coarse_dark_channel()
+    j = channel.choi.copy()
+    j[where] = np.nan
+    bad = QuantumChannel.from_choi(j, channel.input_layout, channel.output_layout)
+    report = dc.verify_cptp(bad, 1e-9)
+    assert np.isnan(report.min_choi_eigenvalue)
+    assert np.isnan(report.residual)
+    assert not report.passed
+    witness = dc.verify_choi_witness(j, p_dc, squashed, squashed, 1e-9)
+    assert np.isnan(witness.psd_residual)
+    assert not witness.passed
+
+
+def test_hidden_negative_component_fails_cptp_and_witness():
+    # a 2 x 2 component with eigenvalues +-1e-6 on two zero rows of the dark
+    # Choi 81 whose output indices differ: Hermitian, trace preserving, not PSD
+    p_dc, squashed, channel = _coarse_dark_channel()
+    j = channel.choi.copy()
+    d_out = channel.output_layout.total_dim
+    zero = np.flatnonzero(~j.any(axis=1))
+    p = zero[0]
+    q = next(r for r in zero if r % d_out != p % d_out)
+    j[p, q] = j[q, p] = 1e-6
+    bad = QuantumChannel.from_choi(j, channel.input_layout, channel.output_layout)
+    report = dc.verify_cptp(bad, 1e-9)
+    assert report.trace_preservation_dev == dc.verify_cptp(channel, 1e-9).trace_preservation_dev
+    assert report.hermiticity_dev == 0.0
+    assert report.residual == pytest.approx(1e-6, abs=1e-15)
+    assert not report.passed
+    witness = dc.verify_choi_witness(j, p_dc, squashed, squashed, 1e-9)
+    assert witness.psd_residual == pytest.approx(1e-6, abs=1e-15)
+    assert not witness.passed

@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
-from helpers import random_block_povm, reference_checked_elements, stack_blocks
+from helpers import (
+    random_block_povm,
+    reference_checked_elements,
+    reference_threshold_povm,
+    stack_blocks,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -140,6 +145,29 @@ def test_detector_relabelling_permutes_elements(seed):
             np.testing.assert_allclose(
                 b.block(lab)[new_idx], a.block(lab)[old_idx], atol=1e-12
             )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    k=st.integers(1, 4),
+    cutoff=st.integers(1, 3),
+    eta_kind=st.lists(st.sampled_from(["zero", "one", "random"]), min_size=4, max_size=4),
+)
+@example(seed=0, k=4, cutoff=3, eta_kind=["zero", "one", "random", "random"])
+@example(seed=1, k=1, cutoff=2, eta_kind=["zero"] * 4)
+@example(seed=2, k=3, cutoff=3, eta_kind=["one"] * 4)
+def test_threshold_povm_matches_per_mask_loop(seed, k, cutoff, eta_kind):
+    # random isometric mode map of k detector modes by 1..k input modes
+    rng = np.random.default_rng(seed)
+    n_in = int(rng.integers(1, k + 1))
+    g = rng.normal(size=(k, n_in)) + 1j * rng.normal(size=(k, n_in))
+    mode_map = np.linalg.qr(g)[0]
+    pick = {"zero": 0.0, "one": 1.0}
+    eta = np.array([pick.get(kind, rng.uniform()) for kind in eta_kind[:k]])
+    setup = DetectionSetup(k=k, mode_map=mode_map, eta=eta)
+    povm = build_threshold_povm(setup, cutoff)
+    assert np.abs(povm.dense - reference_threshold_povm(setup, cutoff)).max() <= 1e-14
 
 
 def test_active_bb84_setups_are_unitary():
