@@ -289,19 +289,19 @@ def loss_split_matrix(eta, eta_star: float) -> StochasticMatrix:
 
     ``r = eta_min / eta_star``; the returned ``Q`` keeps single click ``s``
     with probability ``eta_star (eta_s - eta_min) / (eta_star - eta_min)``.
-    Entries stay in [0, 1] exactly when ``eta_star`` is admissible.
+    Entries stay in [0, 1] exactly when ``eta_star`` is admissible
+    (:func:`eta_star_range`, to ``1e-12`` as in :func:`loss_channel`); near
+    its lower end the ill-conditioned keep probability is clipped to 1.
     """
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
     eta_min = float(eta.min())
     if eta_star <= eta_min:
         raise ValueError("the split needs eta_star above eta_min")
+    lo, _ = eta_star_range(eta_min, float(eta.max()))
+    if eta_star < lo - 1e-12:
+        raise ValueError(f"eta_star {eta_star} is below the admissible range [{lo}, 1.0]")
     k = eta.size
     keep = eta_star * (eta - eta_min) / (eta_star - eta_min)
-    if keep.max() > 1.0 + 1e-12:
-        raise ValueError(
-            f"eta_star {eta_star} is below the admissible range: "
-            f"keep probability {keep.max():.6f} exceeds 1"
-        )
     q = np.eye(k + 1)
     q[0, 1:] = 1.0 - keep
     for s in range(k):
@@ -476,13 +476,11 @@ def _component_min_eigenvalue(h: np.ndarray) -> float:
     return float(np.concatenate(lows).min())
 
 
-def _cptp_residuals(j: np.ndarray, d_in: int, d_out: int) -> tuple[float, float, float]:
-    """Hermiticity deviation, smallest eigenvalue and ``max |Tr_out J - I|`` of ``J``."""
+def _psd_residuals(j: np.ndarray) -> tuple[float, float]:
+    """Hermiticity deviation of ``J`` and the smallest eigenvalue of its Hermitian part."""
     j_h = j.conj().T
     herm = float(np.abs(j - j_h).max())
-    min_eig = _component_min_eigenvalue((j + j_h) / 2.0)
-    partial = np.einsum("aibi->ab", j.reshape(d_in, d_out, d_in, d_out))
-    return herm, min_eig, float(np.abs(partial - np.eye(d_in)).max())
+    return herm, _component_min_eigenvalue((j + j_h) / 2.0)
 
 
 def _heisenberg(j: np.ndarray, d_in: int, d_out: int, ops: np.ndarray) -> np.ndarray:
@@ -603,10 +601,11 @@ class CPTPReport:
 
 
 def verify_cptp(ch: QuantumChannel, tol: float) -> CPTPReport:
-    """Check PSD-ness of the Choi matrix and ``Tr_out J = I``."""
-    herm, min_eig, tp_dev = _cptp_residuals(
-        ch.choi, ch.input_layout.total_dim, ch.output_layout.total_dim
-    )
+    """Check that ``J`` is PSD and ``Phi_J^dag(I_out) = I_in``, scored as kernel identities."""
+    d_in, d_out = ch.input_layout.total_dim, ch.output_layout.total_dim
+    herm, min_eig = _psd_residuals(ch.choi)
+    defect = _heisenberg(ch.choi, d_in, d_out, np.eye(d_out)[None]) - np.eye(d_in)
+    tp_dev = float(_hermitian_score(_hermitian_part(defect))[0])
     return CPTPReport(
         min_choi_eigenvalue=min_eig,
         trace_preservation_dev=tp_dev,

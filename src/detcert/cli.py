@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 from .channels import bb84_qubit_measurement
 from .feasibility import choi_feasibility, verify_choi_witness, verify_farkas_ray
@@ -60,15 +60,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(desc, args):
-    updates = {}
-    if args.tol is not None:
-        updates["tol"] = args.tol
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.eta_star is not None:
-        updates["eta_star"] = args.eta_star
-    if args.coarse_grain is not None:
-        updates["coarse_grain"] = args.coarse_grain
+    """The descriptor with each flag that was given in place of its field of the same name."""
+    names = {f.name for f in fields(desc)}
+    updates = {n: v for n, v in vars(args).items() if n in names and v is not None}
     return replace(desc, **updates) if updates else desc
 
 
@@ -91,8 +85,6 @@ def _cmd_analyze(desc, args) -> int:
 
 
 def _cmd_swap_lp(desc, args) -> int:
-    if desc.setup != "active-bb84":
-        raise DescriptorError("swap-lp: supported for the active-bb84 qubit squasher")
     d_vec, result = active_swap_lp(desc)
     payload = {
         "dark": d_vec.tolist(),
@@ -123,8 +115,6 @@ def _cmd_weight(desc, args) -> int:
 
 
 def _cmd_choi_check(desc, args) -> int:
-    if desc.setup != "active-bb84":
-        raise DescriptorError("choi-check: supported for the active-bb84 qubit squasher")
     d_vec, result = active_swap_lp(desc)
     if not result.feasible:
         _emit(
@@ -176,6 +166,8 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_TOOL_ERROR
     try:
         desc = _apply_overrides(load_descriptor(args.descriptor), args)
+        if args.command in ("swap-lp", "choi-check") and desc.setup != "active-bb84":
+            raise DescriptorError(f"{args.command}: supported for the active-bb84 qubit squasher")
         return _COMMANDS[args.command](desc, args)
     except DescriptorError as exc:
         print(f"descriptor error: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChoiConstraintSystem, _cptp_residuals, _hermitian_part, _hermitian_score
+from .channels import ChoiConstraintSystem, _hermitian_part, _hermitian_score, _psd_residuals
 
 
 @dataclass(frozen=True)
@@ -165,18 +165,20 @@ def verify_choi_witness(j, p_dc, f_eta, f_target, tol: float) -> ChoiWitnessRepo
     """Re-check a Choi matrix against all defining constraints.
 
     Residuals are computed directly from the matrix by the same kernel that
-    certifies channels: Hermiticity, most negative eigenvalue, partial trace
-    against the identity, and the worst statistics constraint over the full
-    operator space.
+    certifies channels: Hermiticity, most negative eigenvalue, and the
+    scores of the kernel's identities, trace preservation apart from the
+    worst statistics constraint over the full operator space.
     """
     system = ChoiConstraintSystem(p_dc, f_eta, f_target)
     j = np.asarray(j, dtype=complex)
     if j.shape != (system.dim, system.dim):
         raise ValueError("Choi matrix shape does not match the measurements")
 
-    herm, min_eig, tp_dev = _cptp_residuals(j, system.d_in, system.d_out)
+    herm, min_eig = _psd_residuals(j)
     psd_residual = float(np.maximum(0.0, -min_eig))
-    linear = float(system.residuals(j)[:-1].max())
+    residuals = system.residuals(j)
+    tp_dev = float(residuals[-1])
+    linear = float(residuals[:-1].max())
     passed = herm <= tol and psd_residual <= tol and tp_dev <= tol and linear <= tol
     return ChoiWitnessReport(
         hermiticity_dev=herm,

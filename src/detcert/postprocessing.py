@@ -6,7 +6,7 @@ one input event), matching how every displayed post-processing acts on
 POVM vectors via ``G' = P G``.  This module builds the dark-count map, the
 single-photon loss map, coarse grainings, and solves the swap equation
 
-    P_sq' . P_db = P_dc . P_sq
+    P_sq . P_db = P_dc . P_sq
 
 for ``P_dc`` as a small linear program.
 """
@@ -194,12 +194,7 @@ def apply_postprocessing(p: StochasticMatrix, povm: POVM) -> POVM:
     events = getattr(p, "row_table", None)
     if events is None:
         raise ValueError("no event table for the output POVM")
-    # Summed term by term in column order, skipping zero weights.
-    dense = np.zeros((p.shape[0],) + povm.dense.shape[1:], dtype=complex)
-    for i, row in enumerate(p.entries):
-        for j in np.flatnonzero(row):
-            dense[i] += row[j] * povm.dense[j]
-    return POVM(povm.layout, dense, events)
+    return POVM(povm.layout, np.tensordot(p.entries, povm.dense, axes=1), events)
 
 
 @dataclass(frozen=True)
@@ -207,7 +202,7 @@ class SwapLPResult:
     """Outcome of the swap-equation linear program.
 
     ``residual`` is the smallest achievable worst-case violation of
-    ``P_sq' . P_db = P_dc . P_sq`` over all column-stochastic ``P_dc``; a
+    ``P_sq . P_db = P_dc . P_sq`` over all column-stochastic ``P_dc``; a
     residual far above tolerance signals structural infeasibility rather
     than numerical noise.  ``dual_bound`` is set exactly on an infeasible
     verdict: a lower bound on that violation for every column-stochastic
@@ -278,15 +273,19 @@ def _dual_bound(w: np.ndarray, s: np.ndarray, target: np.ndarray) -> float:
     return float((w @ s.T).min(axis=0).sum() - np.vdot(w, target)) / norm
 
 
+def swap_residual(p_dc: np.ndarray, p_sq: np.ndarray, p_db: np.ndarray) -> float:
+    """Worst entry of ``|P_dc . P_sq - P_sq . P_db|``, the violation of the swap equation."""
+    return float(np.abs(p_dc @ p_sq - p_sq @ p_db).max())
+
+
 def solve_swap_lp(
     p_db: StochasticMatrix,
     p_sq: StochasticMatrix,
-    p_sq_prime: StochasticMatrix | None = None,
     tol: float = SWAP_FEASIBILITY_TOL,
 ) -> SwapLPResult:
-    """Find ``P_dc`` with ``P_sq' . P_db = P_dc . P_sq``, or certify failure.
+    """Find ``P_dc`` with ``P_sq . P_db = P_dc . P_sq``, or certify failure.
 
-    Solves ``min t`` subject to entrywise ``|P_dc . P_sq - P_sq' . P_db| <= t``
+    Solves ``min t`` subject to entrywise ``|P_dc . P_sq - P_sq . P_db| <= t``
     with ``P_dc`` column-stochastic, by a two-phase dense simplex
     (:func:`_simplex`); feasible iff the optimum is within ``tol``.  Either
     verdict is re-verified without the solver: the residual is recomputed
@@ -294,18 +293,12 @@ def solve_swap_lp(
     weights to prove, by :func:`_dual_bound`, a violation above ``tol`` for
     every ``P_dc``.
     """
-    if p_sq_prime is None:
-        p_sq_prime = p_sq
-    if p_sq_prime.shape[1] != p_db.shape[0]:
-        raise ValueError("P_sq' columns must match P_db rows")
-    if p_sq.shape[1] != p_db.shape[1]:
+    if p_db.shape != (p_sq.shape[1],) * 2:
         raise ValueError("P_sq and P_db must act on the same input events")
-    if p_sq_prime.shape[0] != p_sq.shape[0]:
-        raise ValueError("P_sq' and P_sq must have the same output events")
 
-    target = p_sq_prime.entries @ p_db.entries
-    n_out, n_in = target.shape
     s = p_sq.entries
+    target = s @ p_db.entries
+    n_out, n_in = target.shape
     n_p = n_out * n_out  # vec(P_dc), row-major, then t, then the slacks
     n_ub = 2 * n_out * n_in
     n_cols = n_p + 1 + n_ub
@@ -346,7 +339,7 @@ def solve_swap_lp(
     x = np.zeros(n_cols)
     x[basis] = x_b
     p_dc = x[:n_p].reshape(n_out, n_out)
-    residual = float(np.abs(p_dc @ s - target).max())
+    residual = swap_residual(p_dc, s, p_db.entries)
     if residual > tol:
         # The dual of a <= row is minus its slack's reduced cost.
         lam = -reduced[n_p + 1 : n_cols]
@@ -363,7 +356,7 @@ def solve_swap_lp(
     p_dc = np.clip(p_dc, 0.0, None)
     p_dc = p_dc / p_dc.sum(axis=0, keepdims=True)
     matrix = StochasticMatrix(p_dc)
-    residual = float(np.abs(matrix.entries @ s - target).max())
+    residual = swap_residual(matrix.entries, s, p_db.entries)
     return SwapLPResult(feasible=True, matrix=matrix, residual=residual, tolerance=tol)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +42,7 @@ from .postprocessing import (
     multiclick_coarse_graining,
     apply_postprocessing,
     solve_swap_lp,
+    swap_residual,
     validate_dark_count_pp,
 )
 from .squashing import (
@@ -64,26 +65,100 @@ class DescriptorError(ValueError):
     """Malformed setup descriptor (field named in the message)."""
 
 
+def _number(value, name: str, k: int = 0) -> float:
+    """A JSON number (not a bool, null or string) as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DescriptorError(f"{name}: expected a number, got {value!r}")
+    return float(value)
+
+
+def _optional_number(value, name: str, k: int) -> float | None:
+    return None if value is None else _number(value, name)
+
+
+def _integer(value, name: str, k: int = 0) -> int:
+    """A JSON number with an integral value as an int."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DescriptorError(f"{name}: expected an integer, got {value!r}")
+    return value
+
+
+def _text(value, name: str, k: int) -> str:
+    return str(value)
+
+
+def _per_detector_ranges(value, name: str, k: int):
+    """A shared ``[lo, hi]`` (kept as one range) or a list of ``k`` ranges."""
+    if not isinstance(value, (list, tuple)):
+        raise DescriptorError(f"{name}: expected a range or list of ranges")
+    if len(value) == 2 and not any(isinstance(v, (list, tuple)) for v in value):
+        return ((_number(value[0], name), _number(value[1], name)),)
+    out = []
+    for entry in value:
+        if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
+            raise DescriptorError(f"{name}: malformed range entry {entry!r}")
+        out.append((_number(entry[0], name), _number(entry[1], name)))
+    if len(out) != k:
+        raise DescriptorError(f"{name}: expected {k} ranges, got {len(out)}")
+    return tuple(out)
+
+
+def _point(value, name: str, k: int):
+    """One number per detector, or one number shared by all ``k``."""
+    if not isinstance(value, (list, tuple)):
+        return (_number(value, name),) * k
+    if len(value) != k:
+        raise DescriptorError(f"{name}: expected {k} values")
+    return tuple(_number(v, name) for v in value)
+
+
+def _parse_mode_map(raw, name: str, k: int):
+    """Rows of numbers or ``[re, im]`` pairs as complex tuples."""
+    if not (isinstance(raw, (list, tuple)) and all(isinstance(r, (list, tuple)) for r in raw)):
+        raise DescriptorError("mode_map: expected a list of rows")
+    rows = []
+    for row in raw:
+        parsed = []
+        for entry in row:
+            pair = entry if isinstance(entry, (list, tuple)) and len(entry) == 2 else (entry, 0.0)
+            parsed.append(complex(*(_number(v, "mode_map") for v in pair)))
+        rows.append(tuple(parsed))
+    return tuple(rows)
+
+
+def _observed(value, name: str, k: int) -> tuple[str, float]:
+    if not isinstance(value, dict) or "event" not in value or "probability" not in value:
+        raise DescriptorError("observed: needs fields 'event' and 'probability'")
+    return (str(value["event"]), _number(value["probability"], "observed"))
+
+
+def _field(parse, default):
+    """A descriptor field: its default and ``parse(value, name, k)`` reading its JSON value."""
+    return field(default=default, metadata={"parse": parse})
+
+
 @dataclass(frozen=True)
 class SetupDescriptor:
-    """Validated description of a detection setup and parameter ranges."""
+    """Validated description of a detection setup; attributes are named as the JSON fields."""
 
     setup: str  # "active-bb84" | "passive-bb84" | "custom"
     k: int
-    eta_range: tuple[tuple[float, float], ...]  # per detector (lo, hi)
-    dark_range: tuple[tuple[float, float], ...]  # per detector (lo, hi)
-    cutoff: int = 1
-    eta_star: float | None = None
-    coarse_grain: str = "none"
-    tol: float = 1e-9
-    feas_tol: float = 1e-6
-    seed: int = 0
-    weight_in: float = 0.0
-    mode_map: tuple = ()
-    eta_point: tuple[float, ...] | None = None
-    dark_point: tuple[float, ...] | None = None
-    observed: tuple[str, float] | None = None
-    corner_limit: int = 4
+    eta_range: tuple[tuple[float, float], ...] = _field(_per_detector_ranges, ((1.0, 1.0),))
+    dark_range: tuple[tuple[float, float], ...] = _field(_per_detector_ranges, ((0.0, 0.0),))
+    cutoff: int = _field(_integer, 1)
+    eta_star: float | None = _field(_optional_number, None)
+    coarse_grain: str = _field(_text, "none")
+    tol: float = _field(_number, 1e-9)
+    feas_tol: float = _field(_number, 1e-6)
+    seed: int = _field(_integer, 0)
+    weight_in: float = _field(_number, 0.0)
+    mode_map: tuple = _field(_parse_mode_map, ())
+    eta: tuple[float, ...] | None = _field(_point, None)
+    dark: tuple[float, ...] | None = _field(_point, None)
+    observed: tuple[str, float] | None = _field(_observed, None)
+    corner_limit: int = _field(_integer, 4)
 
     def __post_init__(self):
         if self.setup not in ("active-bb84", "passive-bb84", "custom"):
@@ -94,7 +169,11 @@ class SetupDescriptor:
             raise DescriptorError(f"coarse_grain: unknown mode {self.coarse_grain!r}")
         if self.coarse_grain == "multiclick" and self.k < 2:
             raise DescriptorError("coarse_grain: multiclick needs at least 2 detectors, got k=1")
-        for name, ranges in (("eta_range", self.eta_range), ("dark_range", self.dark_range)):
+        for name in ("eta_range", "dark_range"):
+            ranges = getattr(self, name)
+            if len(ranges) == 1:  # one range shared by every detector
+                ranges = ranges * self.k
+                object.__setattr__(self, name, ranges)
             if len(ranges) != self.k:
                 raise DescriptorError(f"{name}: expected {self.k} ranges")
             for lo, hi in ranges:
@@ -113,8 +192,8 @@ class SetupDescriptor:
         if self.corner_limit < 2:
             raise DescriptorError(f"corner_limit: must be at least 2, got {self.corner_limit}")
         for name, values in (
-            ("eta", self.eta_point),
-            ("dark", self.dark_point),
+            ("eta", self.eta),
+            ("dark", self.dark),
             ("mode_map", [z for row in self.mode_map for z in row]),
             ("observed", None if self.observed is None else [self.observed[1]]),
         ):
@@ -149,76 +228,14 @@ class SetupDescriptor:
         return np.array([hi for _, hi in self.dark_range])
 
     def to_dict(self) -> dict:
-        out = {
-            "setup": self.setup,
-            "k": self.k,
-            "eta_range": [list(r) for r in self.eta_range],
-            "dark_range": [list(r) for r in self.dark_range],
-            "cutoff": self.cutoff,
-            "eta_star": self.eta_star,
-            "coarse_grain": self.coarse_grain,
-            "tol": self.tol,
-            "feas_tol": self.feas_tol,
-            "seed": self.seed,
-            "weight_in": self.weight_in,
-            "corner_limit": self.corner_limit,
-        }
-        if self.mode_map:
-            out["mode_map"] = [
-                [[z.real, z.imag] for z in row] for row in self.mode_map
-            ]
-        if self.eta_point is not None:
-            out["eta"] = list(self.eta_point)
-        if self.dark_point is not None:
-            out["dark"] = list(self.dark_point)
+        """The JSON fields; unset optional ones are left out, ``eta_star`` echoed even as null."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.setup != "custom":
+            del out["k"]  # fixed by the setup
+        out["mode_map"] = [[[z.real, z.imag] for z in row] for row in self.mode_map]
         if self.observed is not None:
             out["observed"] = {"event": self.observed[0], "probability": self.observed[1]}
-        return out
-
-
-def _number(value, name: str) -> float:
-    """A JSON number (not a bool, null or string) as a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DescriptorError(f"{name}: expected a number, got {value!r}")
-    return float(value)
-
-
-def _integer(value, name: str) -> int:
-    """A JSON number with an integral value as an int."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DescriptorError(f"{name}: expected an integer, got {value!r}")
-    return value
-
-
-def _per_detector_ranges(value, k: int, name: str):
-    if not isinstance(value, (list, tuple)):
-        raise DescriptorError(f"{name}: expected a range or list of ranges")
-    if len(value) == 2 and not any(isinstance(v, (list, tuple)) for v in value):
-        return ((_number(value[0], name), _number(value[1], name)),) * k
-    out = []
-    for entry in value:
-        if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
-            raise DescriptorError(f"{name}: malformed range entry {entry!r}")
-        out.append((_number(entry[0], name), _number(entry[1], name)))
-    if len(out) != k:
-        raise DescriptorError(f"{name}: expected {k} ranges, got {len(out)}")
-    return tuple(out)
-
-
-def _parse_mode_map(raw):
-    """Rows of numbers or ``[re, im]`` pairs as complex tuples."""
-    if not (isinstance(raw, (list, tuple)) and all(isinstance(r, (list, tuple)) for r in raw)):
-        raise DescriptorError("mode_map: expected a list of rows")
-    rows = []
-    for row in raw:
-        parsed = []
-        for entry in row:
-            pair = entry if isinstance(entry, (list, tuple)) and len(entry) == 2 else (entry, 0.0)
-            parsed.append(complex(*(_number(v, "mode_map") for v in pair)))
-        rows.append(tuple(parsed))
-    return tuple(rows)
+        return {name: v for name, v in out.items() if v not in (None, []) or name == "eta_star"}
 
 
 def descriptor_from_dict(data: dict) -> SetupDescriptor:
@@ -241,51 +258,15 @@ def descriptor_from_dict(data: dict) -> SetupDescriptor:
     else:
         raise DescriptorError(f"setup: unknown kind {setup!r}")
 
-    known = {
-        "setup", "k", "mode_map", "eta_range", "dark_range", "cutoff", "eta_star",
-        "coarse_grain", "tol", "feas_tol", "seed", "weight_in", "eta", "dark",
-        "observed", "corner_limit",
-    }
-    unknown = set(data) - known
+    unknown = set(data) - {f.name for f in fields(SetupDescriptor)}
     if unknown:
         raise DescriptorError(f"unknown descriptor fields: {sorted(unknown)}")
-
-    observed = None
-    if "observed" in data:
-        obs = data["observed"]
-        if not isinstance(obs, dict) or "event" not in obs or "probability" not in obs:
-            raise DescriptorError("observed: needs fields 'event' and 'probability'")
-        observed = (str(obs["event"]), _number(obs["probability"], "observed"))
-
-    def _point(name):
-        if name not in data:
-            return None
-        arr = data[name]
-        if not isinstance(arr, (list, tuple)):
-            return (_number(arr, name),) * k
-        if len(arr) != k:
-            raise DescriptorError(f"{name}: expected {k} values")
-        return tuple(_number(v, name) for v in arr)
-
-    eta_star = data.get("eta_star")
-    return SetupDescriptor(
-        setup=setup,
-        k=k,
-        eta_range=_per_detector_ranges(data.get("eta_range", [1.0, 1.0]), k, "eta_range"),
-        dark_range=_per_detector_ranges(data.get("dark_range", [0.0, 0.0]), k, "dark_range"),
-        cutoff=_integer(data.get("cutoff", 1), "cutoff"),
-        eta_star=None if eta_star is None else _number(eta_star, "eta_star"),
-        coarse_grain=str(data.get("coarse_grain", "none")),
-        tol=_number(data.get("tol", 1e-9), "tol"),
-        feas_tol=_number(data.get("feas_tol", 1e-6), "feas_tol"),
-        seed=_integer(data.get("seed", 0), "seed"),
-        weight_in=_number(data.get("weight_in", 0.0), "weight_in"),
-        mode_map=_parse_mode_map(data["mode_map"]) if "mode_map" in data else (),
-        eta_point=_point("eta"),
-        dark_point=_point("dark"),
-        observed=observed,
-        corner_limit=_integer(data.get("corner_limit", 4), "corner_limit"),
-    )
+    parsed = {
+        f.name: f.metadata["parse"](data[f.name], f.name, k)
+        for f in fields(SetupDescriptor)
+        if f.metadata and f.name in data
+    }
+    return SetupDescriptor(setup=setup, k=k, **parsed)
 
 
 def load_descriptor(path) -> SetupDescriptor:
@@ -370,14 +351,7 @@ class Certificate:
         return self.status == "reducible" and all(c["passed"] for c in self.checks)
 
     def to_dict(self) -> dict:
-        return {
-            "tool": self.tool,
-            "descriptor": self.descriptor,
-            "derived": self.derived,
-            "checks": self.checks,
-            "status": self.status,
-            "failed_requirement": self.failed_requirement,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def exit_code(self) -> int:
@@ -449,23 +423,46 @@ def _certify_channel(cert, kind, channel, tol, suffix, inputs, statistics, weigh
         )
 
 
+def _common_efficiency(desc: SetupDescriptor, eta_lo, eta_hi, derived: dict) -> float:
+    """The descriptor's ``eta_star`` (else 1), admissible over the box ``[eta_lo, eta_hi]``.
+
+    At one ``eta`` the loss split is stochastic iff ``eta_star`` lies in
+    ``[f, 1]``, ``f = eta_min / D`` with ``D = 1 - (eta_max - eta_min)``
+    (:func:`eta_star_range`).  ``df/deta_min = (1 - eta_max) / D^2`` and
+    ``df/deta_max = eta_min / D^2`` are nonnegative, so the all-high corner
+    binds, given a positive ``eta_lo``.  ``eta_star`` and the interval go to
+    ``derived``; raises ``ValueError`` if the interval is empty or excludes it.
+    """
+    if not np.min(eta_lo) > 0.0:
+        raise ValueError(
+            "admissible common-efficiency interval is empty: need 0 < eta_min <= eta_max <= 1"
+        )
+    star_lo, star_hi = eta_star_range(float(np.min(eta_hi)), float(np.max(eta_hi)))
+    eta_star = desc.eta_star if desc.eta_star is not None else star_hi
+    derived.update(eta_star=eta_star, eta_star_range=[star_lo, star_hi])
+    if not star_lo - 1e-12 <= eta_star <= star_hi + 1e-12:
+        raise ValueError(
+            f"common efficiency {eta_star} outside the admissible interval [{star_lo}, {star_hi}] "
+            f"at efficiencies {np.asarray(eta_hi).tolist()} required by the loss reduction"
+        )
+    return eta_star
+
+
+def _record_weight(desc: SetupDescriptor, cert: Certificate, p00: float, eta_star: float):
+    """Record ``p00``, the ratio ``eta_min / eta_star`` and the weight after both channels."""
+    eta_min = float(desc.eta_lo.min())
+    cert.derived["p_no_dark"] = p00
+    cert.derived["efficiency_ratio"] = eta_min / eta_star
+    cert.derived["weight_in"] = desc.weight_in
+    cert.derived["weight_out"] = propagate_weight(desc.weight_in, p00, eta_min, eta_star)
+
+
 def _analyze_flag_state(desc: SetupDescriptor, cert: Certificate) -> Certificate:
     d_max = desc.dark_max
-    eta_min = float(desc.eta_lo.min())
-    eta_max_hi = float(desc.eta_hi.max())
     try:
-        star_lo, star_hi = eta_star_range(eta_min, eta_max_hi)
+        eta_star = _common_efficiency(desc, desc.eta_lo, desc.eta_hi, cert.derived)
     except ValueError as exc:
-        cert.downgrade(f"admissible common-efficiency interval is empty: {exc}")
-        return cert
-    eta_star = desc.eta_star if desc.eta_star is not None else star_hi
-    cert.derived["eta_star"] = eta_star
-    cert.derived["eta_star_range"] = [star_lo, star_hi]
-    if not star_lo - 1e-12 <= eta_star <= star_hi + 1e-12:
-        cert.downgrade(
-            "common efficiency outside the admissible interval "
-            f"[{star_lo}, {star_hi}] required by the loss reduction"
-        )
+        cert.downgrade(str(exc))
         return cert
 
     cg = multiclick_coarse_graining(enumerate_events(desc.k)) if desc.coarse_grain == "multiclick" else None
@@ -480,9 +477,7 @@ def _analyze_flag_state(desc: SetupDescriptor, cert: Certificate) -> Certificate
     p_fine = dark_count_matrix(d_max)
     if cg is not None:
         p_db = coarse_grained_dc_ansatz(p_fine, cg)
-        swap_dev = float(
-            np.abs(cg.entries @ p_fine.entries - p_db.entries @ cg.entries).max()
-        )
+        swap_dev = swap_residual(p_db.entries, cg.entries, p_fine.entries)
         cert.add_check(
             "coarse-grain-swap", "coarse_grained_dc_ansatz",
             {"dark": d_max.tolist()}, swap_dev, 1e-12, swap_dev <= 1e-12,
@@ -505,13 +500,7 @@ def _analyze_flag_state(desc: SetupDescriptor, cert: Certificate) -> Certificate
         return cert
 
     p00 = float(p_db.entries[0, 0])
-    ratio = float(desc.eta_lo.min()) / eta_star
-    cert.derived["p_no_dark"] = p00
-    cert.derived["efficiency_ratio"] = ratio
-    cert.derived["weight_in"] = desc.weight_in
-    cert.derived["weight_out"] = propagate_weight(
-        desc.weight_in, p00, float(desc.eta_lo.min()), eta_star
-    )
+    _record_weight(desc, cert, p00, eta_star)
 
     # Lossless and common-efficiency targets are corner independent.
     lossless_povm, lossless_report = squash(build_threshold_povm(build_setup(desc, 1.0), desc.cutoff))
@@ -544,17 +533,6 @@ def _analyze_flag_state(desc: SetupDescriptor, cert: Certificate) -> Certificate
             statistics=(p_db, f_eta, f_eta),
             weight_relation=([[p00]], [proj01], [proj01]),
         )
-        if np.min(eta_vec) <= 0.0:
-            cert.downgrade("loss reduction needs strictly positive efficiencies")
-            return cert
-        corner_lo, corner_hi = eta_star_range(float(np.min(eta_vec)), float(np.max(eta_vec)))
-        if not corner_lo - 1e-12 <= eta_star <= corner_hi + 1e-12:
-            cert.downgrade(
-                f"common efficiency {eta_star} outside the admissible interval "
-                f"[{corner_lo}, {corner_hi}] of efficiency corner{idx} {eta_vec.tolist()} "
-                "required by the loss reduction"
-            )
-            return cert
         _certify_channel(
             cert, "loss", loss_channel(eta_vec, eta_star, f_lossless), desc.tol, suffix, inputs,
             statistics=(None, f_eta, f_star),
@@ -569,7 +547,7 @@ def active_swap_lp(desc: SetupDescriptor):
     The rates are ``dark`` when given, else the top of ``dark_range``.
     Returns ``(rates, SwapLPResult)``.
     """
-    d_vec = np.array(desc.dark_point) if desc.dark_point is not None else desc.dark_max
+    d_vec = np.array(desc.dark) if desc.dark is not None else desc.dark_max
     return d_vec, solve_swap_lp(dark_count_matrix(d_vec), bb84_qubit_squasher(), tol=desc.tol)
 
 
@@ -586,16 +564,13 @@ def _analyze_active_bb84(desc: SetupDescriptor, cert: Certificate) -> Certificat
         )
         return cert
 
+    try:
+        eta_star = _common_efficiency(desc, desc.eta_lo, desc.eta_hi, cert.derived)
+    except ValueError as exc:
+        cert.downgrade(str(exc))
+        return cert
+    _record_weight(desc, cert, float(result.matrix.entries[0, 0]), eta_star)
     d = float(d_vec[0])
-    eta_min = float(desc.eta_lo.min())
-    eta_star = desc.eta_star if desc.eta_star is not None else 1.0
-    p00 = float(result.matrix.entries[0, 0])
-    cert.derived["p_no_dark"] = p00
-    cert.derived["eta_star"] = eta_star
-    cert.derived["efficiency_ratio"] = eta_min / eta_star
-    cert.derived["weight_in"] = desc.weight_in
-    cert.derived["weight_out"] = propagate_weight(desc.weight_in, p00, eta_min, eta_star)
-
     channel = bb84_simple_noise_channel(d)
     cptp = verify_cptp(channel, desc.tol)
     cert.add_check(
@@ -618,7 +593,7 @@ def run_analysis(desc: SetupDescriptor) -> Certificate:
             "cutoff: the channel constructions act on vacuum + one photon + "
             "flags; analyze needs cutoff 1 (higher cutoffs serve weight estimation)"
         )
-    cert = Certificate(descriptor=desc.to_dict(), derived={"seed": desc.seed})
+    cert = Certificate(descriptor={"k": desc.k, **desc.to_dict()}, derived={"seed": desc.seed})
     if desc.setup == "active-bb84":
         return _analyze_active_bb84(desc, cert)
     return _analyze_flag_state(desc, cert)
@@ -631,12 +606,15 @@ def run_weight(desc: SetupDescriptor) -> dict:
     if desc.cutoff > 2:
         raise DescriptorError("cutoff: weight estimation needs cutoff <= 2")
     event, prob = desc.observed
-    eta_vec = np.array(desc.eta_point) if desc.eta_point is not None else desc.eta_lo
+    eta_vec = np.array(desc.eta) if desc.eta is not None else desc.eta_lo
+    try:
+        eta_star = _common_efficiency(desc, eta_vec, eta_vec, {})
+    except ValueError as exc:
+        raise DescriptorError(f"eta_star: {exc}") from exc
     povm = build_threshold_povm(build_setup(desc, eta_vec), desc.cutoff + 1)
     wb = weight_bound(povm, event, prob, desc.cutoff)
-    d_vec = np.array(desc.dark_point) if desc.dark_point is not None else desc.dark_max
+    d_vec = np.array(desc.dark) if desc.dark is not None else desc.dark_max
     p00 = float(dark_count_matrix(d_vec).entries[0, 0])
-    eta_star = desc.eta_star if desc.eta_star is not None else 1.0
     propagated = propagate_weight(wb.value, p00, float(eta_vec.min()), eta_star)
     return {
         "event": list(wb.event),

@@ -361,3 +361,23 @@ def test_choi_check_is_byte_deterministic(tmp_path):
     for out in outs:
         assert cli.main(["choi-check", str(descriptor), "--out", str(out)]) == 0
     assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_trace_preservation_scores_an_off_diagonal_fault_like_every_identity():
+    # Tr_out J picks up delta at (a, b) and its conjugate at (b, a): on the
+    # Hermitian matrix-unit basis the worst mismatch is 2 max(|Re|, |Im|)
+    d = 0.05
+    channel = bb84_simple_noise_channel(d)
+    povm = bb84_qubit_measurement("Z")
+    d_in = d_out = channel.input_layout.total_dim
+    delta = (1 + 2j) * 1e-7
+    j = channel.choi.copy()
+    a, b, i = 0, 2, 1
+    j[a * d_out + i, b * d_out + i] += delta
+    j[b * d_out + i, a * d_out + i] += np.conj(delta)
+    want = 2 * max(abs(delta.real), abs(delta.imag))
+    faulty = QuantumChannel.from_choi(j, channel.input_layout, channel.output_layout)
+    assert verify_cptp(faulty, 1e-9).trace_preservation_dev == pytest.approx(want, rel=1e-12)
+    report = verify_choi_witness(j, bb84_squashed_dark_matrix(d), povm, povm, 1e-9)
+    assert report.trace_preservation_dev == pytest.approx(want, rel=1e-12)
+    assert not report.passed

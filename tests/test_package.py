@@ -1,11 +1,14 @@
 """The package's public namespace and its import footprint."""
 
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import detcert
+from detcert.report import SetupDescriptor
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -40,3 +43,14 @@ def test_active_commands_import_no_scipy(tmp_path):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_names_exactly_the_descriptor_fields():
+    # README's descriptor section is the one place besides SetupDescriptor
+    # that lists the schema: the keys of its JSON block plus the fields
+    # quoted in backticks in its "Optional fields" paragraph
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("All subcommands share one JSON descriptor:", 1)[1].split("```", 2)[1]
+    paragraph = readme.split("Optional fields:", 1)[1].split("\n\n", 1)[0]
+    named = set(re.findall(r'^\s*"(\w+)"\s*:', block, re.M)) | set(re.findall(r'`"(\w+)"`', paragraph))
+    assert named == {f.name for f in fields(SetupDescriptor)}

@@ -7,8 +7,10 @@ from scipy.optimize import linprog
 import detcert.postprocessing as postprocessing
 from detcert import (
     StochasticMatrix,
+    apply_postprocessing,
     bb84_qubit_squasher,
     bb84_squashed_dark_matrix,
+    build_threshold_povm,
     coarse_grained_dc_ansatz,
     dark_count_matrix,
     enumerate_events,
@@ -339,3 +341,23 @@ def test_coarse_ansatz_rejects_demoting_map():
     entries[3, 3] -= 0.2
     with pytest.raises(ValueError, match="demotes"):
         coarse_grained_dc_ansatz(StochasticMatrix(entries), cg)
+
+
+def _summed_term_by_term(p: np.ndarray, dense: np.ndarray) -> np.ndarray:
+    """Reference ``G' = P G``: each output element summed in column order, zero weights skipped."""
+    out = np.zeros((p.shape[0],) + dense.shape[1:], dtype=complex)
+    for i, row in enumerate(p):
+        for j in np.flatnonzero(row):
+            out[i] += row[j] * dense[j]
+    return out
+
+
+@pytest.mark.parametrize("cutoff", [1, 2])
+def test_coarse_graining_contraction_equals_term_by_term_sum(cutoff):
+    cg = multiclick_coarse_graining(enumerate_events(4))
+    rng = np.random.default_rng(cutoff)
+    for eta in (np.ones(4), rng.uniform(0.05, 1.0, 4)):
+        povm = build_threshold_povm(passive_bb84_setup(eta), cutoff)
+        merged = apply_postprocessing(cg, povm)
+        np.testing.assert_array_equal(merged.dense, _summed_term_by_term(cg.entries, povm.dense))
+        assert merged.events is cg.row_table

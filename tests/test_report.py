@@ -1,9 +1,23 @@
 import json
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from detcert import (
+    apply_postprocessing,
+    build_threshold_povm,
+    enumerate_events,
+    flag_state_target,
+    loss_channel,
+    multiclick_coarse_graining,
+    passive_bb84_setup,
+    verify_cptp,
+    verify_statistics_equivalence,
+)
 from detcert import cli
 from detcert.report import (
     EXIT_NOT_REDUCIBLE,
@@ -215,11 +229,126 @@ def test_analysis_downgrades_eta_star_inadmissible_at_a_corner(tmp_path, capsys)
     data = {**PASSIVE, "eta_range": [0.5, 0.9], "eta_star": 0.85}
     cert = run_analysis(descriptor_from_dict(data))
     assert cert.status == "not reducible under this framework"
-    assert "corner1 [0.9, 0.9, 0.9, 0.9]" in cert.failed_requirement
+    assert "[0.9, 0.9, 0.9, 0.9]" in cert.failed_requirement
     assert "[0.9, 1.0]" in cert.failed_requirement
     assert cert.exit_code == EXIT_NOT_REDUCIBLE
     assert cli.main(["analyze", _write_descriptor(tmp_path, data)]) == EXIT_NOT_REDUCIBLE
     assert capsys.readouterr().err == ""
+
+
+ACTIVE_NARROW = {"setup": "active-bb84", "eta_range": [0.6, 0.7], "dark_range": [0, 0.05]}
+
+
+@pytest.mark.parametrize("eta_star", [0.5, 0.65])
+def test_active_analysis_downgrades_eta_star_inadmissible_over_the_box(tmp_path, capsys, eta_star):
+    # the split at eta = (0.7, 0.7) admits only [0.7, 1]
+    data = {**ACTIVE_NARROW, "eta_star": eta_star}
+    assert cli.main(["analyze", _write_descriptor(tmp_path, data)]) == EXIT_NOT_REDUCIBLE
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    cert = json.loads(captured.out)
+    assert cert["status"] == "not reducible under this framework"
+    assert "[0.7, 1.0]" in cert["failed_requirement"]
+    assert cert["derived"]["eta_star_range"] == [0.7, 1]
+    assert [c["name"] for c in cert["checks"]] == ["swap-equation-lp"]
+
+
+def test_weight_rejects_eta_star_inadmissible_at_its_efficiencies(tmp_path, capsys):
+    observed = {"event": "multi", "probability": 0.002}
+    data = {**PASSIVE, "eta_star": 0.4, "observed": observed}
+    assert cli.main(["weight", _write_descriptor(tmp_path, data)]) == EXIT_TOOL_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("descriptor error: eta_star:")
+    assert "[0.5, 1.0]" in captured.err
+    # an explicit point is what weight evaluates, so it sets the interval
+    point = {**data, "eta": [0.3, 0.35, 0.4, 0.3]}
+    assert run_weight(descriptor_from_dict(point))["eta_star"] == 0.4
+    with pytest.raises(DescriptorError, match="^eta_star: .*at efficiencies \\[0.5, 0.5, 0.5, 0.5\\]"):
+        run_weight(descriptor_from_dict({**data, "eta_star": 0.45}))
+
+
+_CG = multiclick_coarse_graining(enumerate_events(4))
+
+
+def _target(eta):
+    return flag_state_target(apply_postprocessing(_CG, build_threshold_povm(passive_bb84_setup(eta), 1)), 1)
+
+
+_F_LOSSLESS = _target(1.0)
+_EFFICIENCY = st.floats(1e-3, 1.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_eta_star_interval_is_admissible_at_every_efficiency_of_the_box(data):
+    ranges = [sorted(data.draw(st.tuples(_EFFICIENCY, _EFFICIENCY))) for _ in range(4)]
+    desc = descriptor_from_dict({**PASSIVE, "eta_range": ranges, "eta_star": None})
+    cert = run_analysis(desc)
+    hi = [h for _, h in ranges]
+    box_lo = min(hi) / (1.0 - (max(hi) - min(hi)))  # the all-high corner binds
+    assert cert.derived["eta_star_range"] == [pytest.approx(box_lo, rel=1e-12), 1.0]
+    box_lo = cert.derived["eta_star_range"][0]
+    eta = np.array([data.draw(st.floats(lo, h)) for lo, h in ranges])
+    channel = loss_channel(eta, box_lo, _F_LOSSLESS)
+    assert verify_cptp(channel, 1e-9).passed
+    assert verify_statistics_equivalence(None, _target(eta), _target(box_lo), channel).passed
+    below = run_analysis(replace(desc, eta_star=box_lo * (1 - 1e-6)))
+    assert below.status == "not reducible under this framework"
+    assert "admissible interval" in below.failed_requirement
+    assert below.checks == []
+
+
+_FINITE = st.floats(-10.0, 10.0)
+_UNIT = st.floats(0.0, 1.0)
+
+
+@st.composite
+def _descriptor_json(draw):
+    setup = draw(st.sampled_from(["active-bb84", "passive-bb84", "custom"]))
+    data = {"setup": setup}
+    k = {"active-bb84": 2, "passive-bb84": 4}.get(setup)
+    if k is None:
+        k = data["k"] = draw(st.integers(1, 4))
+        width = draw(st.integers(1, 3))
+        data["mode_map"] = [
+            [draw(st.one_of(_FINITE, st.tuples(_FINITE, _FINITE).map(list))) for _ in range(width)]
+            for _ in range(k)
+        ]
+    for name in ("eta_range", "dark_range"):
+        one = st.tuples(_UNIT, _UNIT).map(sorted)
+        if draw(st.booleans()):
+            data[name] = draw(st.one_of(one, st.lists(one, min_size=k, max_size=k)))
+    for name in ("eta", "dark"):
+        if draw(st.booleans()):
+            data[name] = draw(st.one_of(_UNIT, st.lists(_UNIT, min_size=k, max_size=k)))
+    optional = {
+        "cutoff": st.integers(1, 3),
+        "eta_star": st.one_of(st.none(), _UNIT),
+        "coarse_grain": st.sampled_from(["none", "multiclick"] if k > 1 else ["none"]),
+        "tol": st.floats(1e-15, 1.0),
+        "feas_tol": st.floats(1e-15, 1.0),
+        "seed": st.integers(0, 2**31),
+        "weight_in": _UNIT,
+        "corner_limit": st.integers(2, 64),
+    }
+    for name, values in optional.items():
+        if draw(st.booleans()):
+            data[name] = draw(values)
+    if draw(st.booleans()):
+        events = enumerate_events(k)
+        labels = events.labels + (("multi",) if events.multi_indices else ())
+        data["observed"] = {"event": draw(st.sampled_from(labels)), "probability": draw(_UNIT)}
+    return data
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=_descriptor_json())
+def test_descriptor_json_round_trip(data):
+    desc = descriptor_from_dict(data)
+    echoed = json.loads(json.dumps(desc.to_dict()))
+    assert descriptor_from_dict(echoed) == desc
+    assert "eta_star" in echoed  # echoed even when null
 
 
 def test_analysis_custom_setup():
