@@ -40,7 +40,6 @@ from .squashing import (
     WeightBound,
     eta_star_range,
     flag_state_target,
-    min_weight_over_eta_grid,
     propagate_weight,
     weight_bound,
 )
@@ -106,7 +105,6 @@ __all__ = [
     "loss_channel",
     "loss_split_matrix",
     "min_deviation_q",
-    "min_weight_over_eta_grid",
     "multiclick_coarse_graining",
     "passive_bb84_setup",
     "propagate_weight",

@@ -35,7 +35,7 @@ import numpy as np
 
 from .detectors import POVM, EventTable, verify_single_photon_assumption
 from .fock import FLAG_LABEL, SpaceLayout, photon_label
-from .postprocessing import StochasticMatrix, validate_dark_count_pp
+from .postprocessing import StochasticMatrix, single_photon_loss_matrix, validate_dark_count_pp
 from .squashing import eta_star_range
 
 _M0 = photon_label(0)
@@ -248,7 +248,6 @@ def dark_count_channel(p_db: StochasticMatrix, f_eta: POVM) -> QuantumChannel:
     d = layout.total_dim
     p = p_db.entries
     p00 = float(p[0, 0])
-    singles = list(events.single_indices)
     multis = list(events.multi_indices)
     # Diagonal position of each event's flag state, and of the state that
     # records it when raised from the preserved blocks (the vacuum for no-click).
@@ -260,16 +259,11 @@ def dark_count_channel(p_db: StochasticMatrix, f_eta: POVM) -> QuantumChannel:
     terms = [_KeepBlocks(weight=p00, projector=proj1)]
 
     if p00 < 1.0:
-        # Measure the one-photon block and flag the outcome; each prepared
-        # mixture has trace 1 - P[0|0] so the branch weight is built in.
+        # Measure the one-photon block and flag the outcome.  Outcome j
+        # prepares column j of P less the p00 kept coherently, a mixture of
+        # trace 1 - P[0|0], so the branch weight is built in.
         measured = [j for j in range(n) if j not in multis]
-        coeffs = np.zeros((len(measured), n))
-        for row, j in enumerate(measured):
-            coeffs[row, multis] = p[multis, j]
-            if j == 0:
-                coeffs[row, singles] = p[singles, 0]
-            else:
-                coeffs[row, j] = p[j, j] - p00
+        coeffs = p.T[measured] - p00 * np.eye(n)[measured]
         ops = proj1 @ f_eta.dense[measured] @ proj1
         terms.append(_MeasurePrepare(ops=ops, preps=_diagonal_states(d, raised, coeffs)))
 
@@ -300,13 +294,8 @@ def loss_split_matrix(eta, eta_star: float) -> StochasticMatrix:
     lo, _ = eta_star_range(eta_min, float(eta.max()))
     if eta_star < lo - 1e-12:
         raise ValueError(f"eta_star {eta_star} is below the admissible range [{lo}, 1.0]")
-    k = eta.size
     keep = eta_star * (eta - eta_min) / (eta_star - eta_min)
-    q = np.eye(k + 1)
-    q[0, 1:] = 1.0 - keep
-    for s in range(k):
-        q[s + 1, s + 1] = keep[s]
-    return StochasticMatrix(np.clip(q, 0.0, 1.0))
+    return single_photon_loss_matrix(np.clip(keep, 0.0, 1.0))
 
 
 def loss_channel(eta, eta_star: float, f_lossless: POVM) -> QuantumChannel:

@@ -8,7 +8,8 @@ single-photon loss map, coarse grainings, and solves the swap equation
 
     P_sq . P_db = P_dc . P_sq
 
-for ``P_dc`` as a small linear program.
+for ``P_dc``: in closed form when ``P_sq`` is a coarse graining, else as a
+small linear program.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ class StochasticMatrix:
 
 
 class CoarseGraining(StochasticMatrix):
-    """Deterministic merge of outcomes: a 0/1 matrix with one 1 per column."""
+    """Deterministic merge of outcomes: a 0/1 matrix with one 1 per column and no empty row."""
 
     __slots__ = ("row_table",)
 
@@ -73,6 +74,8 @@ class CoarseGraining(StochasticMatrix):
             raise ValueError("coarse graining entries must be 0 or 1")
         if not np.all(a.sum(axis=0) == 1.0):
             raise ValueError("each column must contain exactly one 1")
+        if not a.any(axis=1).all():
+            raise ValueError("each row must merge at least one outcome")
         self.row_table = row_table
 
 
@@ -88,20 +91,11 @@ def dark_count_matrix(dark_rates) -> StochasticMatrix:
     if not ((d >= 0) & (d <= 1)).all():  # NaN fails too
         raise ValueError("dark rates must lie in [0, 1]")
     k = d.size
-    events = enumerate_events(k)
-    n = events.n_events
-    p = np.zeros((n, n))
-    for j, c in enumerate(events.masks):
-        for i, c_out in enumerate(events.masks):
-            if c & ~c_out:
-                continue
-            prob = 1.0
-            for det in range(k):
-                if (c >> det) & 1:
-                    continue
-                prob *= d[det] if (c_out >> det) & 1 else 1.0 - d[det]
-            p[i, j] = prob
-    return StochasticMatrix(p)
+    # P[c', c] = prod_i D_i[c'_i, c_i], multiplied in detector order.
+    per_detector = np.array([[1.0 - d, np.zeros(k)], [d, np.ones(k)]])
+    bits = (np.asarray(enumerate_events(k).masks) >> np.arange(k)[:, None]) & 1
+    factors = per_detector[bits[:, :, None], bits[:, None, :], np.arange(k)[:, None, None]]
+    return StochasticMatrix(factors.prod(axis=0))
 
 
 def single_photon_loss_matrix(eta) -> StochasticMatrix:
@@ -112,29 +106,35 @@ def single_photon_loss_matrix(eta) -> StochasticMatrix:
     or decays to no-click.  For one detector this is ``[[1, 1-eta], [0, eta]]``.
     """
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    if not ((eta > 0) & (eta <= 1)).all():  # NaN fails too
-        raise ValueError("efficiencies must lie in (0, 1]")
-    k = eta.size
-    p = np.eye(k + 1)
+    if not ((eta >= 0) & (eta <= 1)).all():  # NaN fails too
+        raise ValueError("efficiencies must lie in [0, 1]")
+    p = np.diag(np.concatenate(([1.0], eta)))
     p[0, 1:] = 1.0 - eta
-    for s in range(k):
-        p[s + 1, s + 1] = eta[s]
     return StochasticMatrix(p)
 
 
 @dataclass(frozen=True)
 class DarkCountConditionsReport:
-    """Pass/fail of the three structural conditions a dark-count map obeys.
+    """The three structural conditions a dark-count map obeys, and their violations.
 
     1. no single-click event becomes a different single-click event,
     2. no click event becomes the no-click event,
     3. each single-click event survives at least as often as no-click does.
+
+    ``residual`` is the largest violation (entry of conditions 1 and 2,
+    shortfall ``P[0,0] - P[s,s]`` of condition 3), floored at 0; the tuples
+    list every violation above ``tolerance``.
     """
 
-    passed: bool
+    residual: float
+    tolerance: float
     single_to_single: tuple[tuple[int, int], ...]
     click_erased: tuple[tuple[int, int], ...]
     survival_violations: tuple[int, ...]
+
+    @property
+    def passed(self) -> bool:
+        return self.residual <= self.tolerance
 
 
 def validate_dark_count_pp(
@@ -145,18 +145,18 @@ def validate_dark_count_pp(
     n = events.n_events
     if a.shape != (n, n):
         raise ValueError(f"matrix shape {a.shape} does not match {n} events")
-    singles = events.single_indices
-    cond1 = tuple(
-        (s, s2) for s in singles for s2 in singles if s != s2 and a[s, s2] > tol
-    )
-    cond2 = tuple((0, i) for i in range(1, n) if a[0, i] > tol)
-    p00 = a[0, 0]
-    cond3 = tuple(s for s in singles if a[s, s] < p00 - tol)
+    singles = np.asarray(events.single_indices, dtype=int)
+    to_single = np.where(np.eye(singles.size, dtype=bool), 0.0, a[np.ix_(singles, singles)])
+    erased = a[0, 1:]
+    shortfall = a[0, 0] - np.diag(a)[singles]
     return DarkCountConditionsReport(
-        passed=not (cond1 or cond2 or cond3),
-        single_to_single=cond1,
-        click_erased=cond2,
-        survival_violations=cond3,
+        residual=float(np.concatenate(([0.0], to_single.ravel(), erased, shortfall)).max()),
+        tolerance=tol,
+        single_to_single=tuple(
+            (int(singles[r]), int(singles[c])) for r, c in np.argwhere(to_single > tol)
+        ),
+        click_erased=tuple((0, int(i) + 1) for i in np.flatnonzero(erased > tol)),
+        survival_violations=tuple(int(s) for s in singles[shortfall > tol]),
     )
 
 
@@ -363,36 +363,26 @@ def solve_swap_lp(
 def coarse_grained_dc_ansatz(
     p_db: StochasticMatrix, cg: CoarseGraining
 ) -> StochasticMatrix:
-    """Closed-form ``P_dc`` for the multi-click coarse graining.
+    """The unique ``P_dc`` with ``M . P_db = P_dc . M`` for a coarse graining ``M``.
 
-    Requires the dark-count map to never demote a multi-click (its
-    top-right block must vanish).  The result keeps the non-multi block of
-    ``P_db``, routes all multi mass into the last row via column sums, and
-    satisfies ``M_cg . P_db = P_dc . M_cg`` exactly.
+    ``M`` has full row rank, so column ``r`` of ``P_dc`` is forced to be the
+    mean of the columns of ``M . P_db`` that ``M`` merges into ``r``.  A
+    solution exists iff those columns agree (to ``1e-12``); otherwise raises
+    ``ValueError`` naming the column of ``M . P_db`` farthest from its mean.
     """
     if cg.shape[1] != p_db.shape[0] or p_db.shape[0] != p_db.shape[1]:
         raise ValueError("coarse graining does not match the dark-count map")
-    # Column j of cg has its single 1 in the row that event j merges into.
-    merged_row = cg.entries.argmax(axis=0)
-    multi_row = cg.shape[0] - 1
-    non_multi_cols = np.flatnonzero(merged_row != multi_row)
-    multi_cols = np.flatnonzero(merged_row == multi_row)
-
-    a = p_db.entries
-    bad = a[np.ix_(non_multi_cols, multi_cols)]
-    if bad.size and np.abs(bad).max() > _ENTRY_TOL:
-        i, j = np.unravel_index(np.abs(bad).argmax(), bad.shape)
+    m = cg.entries
+    merged = m @ p_db.entries
+    p_dc = (merged @ m.T) / m.sum(axis=1)
+    gaps = np.abs(merged - p_dc @ m).max(axis=0)
+    worst = int(gaps.argmax())
+    if gaps[worst] > _ENTRY_TOL:
         raise ValueError(
-            "dark-count map demotes a multi-click: entry "
-            f"[{non_multi_cols[i]}, {multi_cols[j]}] = {bad[i, j]:.3e}"
+            f"no swap solution for this coarse graining: column {worst} of M P_db is "
+            f"{gaps[worst]:.3e} from the mean of the columns merged with it"
         )
-
-    n = len(non_multi_cols)
-    out = np.zeros((n + 1, n + 1))
-    out[:n, :n] = a[np.ix_(non_multi_cols, non_multi_cols)]
-    out[n, :n] = a[np.ix_(multi_cols, non_multi_cols)].sum(axis=0)
-    out[n, n] = 1.0
-    return StochasticMatrix(out)
+    return StochasticMatrix(p_dc)
 
 
 def bb84_qubit_squasher() -> StochasticMatrix:

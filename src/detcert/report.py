@@ -329,8 +329,8 @@ class Certificate:
     failed_requirement: str | None = None
     tool: dict = field(default_factory=lambda: {"name": "detcert", "version": __version__})
 
-    def add_check(self, name: str, operation: str, inputs: dict, residual: float,
-                  tolerance: float, passed: bool):
+    def add_check(self, name: str, operation: str, inputs: dict, residual: float, tolerance: float):
+        """Record a check; it passes iff ``residual <= tolerance`` (NaN fails)."""
         self.checks.append(
             {
                 "name": name,
@@ -338,7 +338,7 @@ class Certificate:
                 "inputs": inputs,
                 "residual": residual,
                 "tolerance": tolerance,
-                "passed": bool(passed),
+                "passed": bool(residual <= tolerance),
             }
         )
 
@@ -409,9 +409,7 @@ def _certify_channel(cert, kind, channel, tol, suffix, inputs, statistics, weigh
     ``Phi^dag(F_after_i) = sum_j P_ij F_before_j`` over all input operators.
     """
     cptp = verify_cptp(channel, tol)
-    cert.add_check(
-        f"{kind}-channel-cptp{suffix}", "verify_cptp", inputs, cptp.residual, tol, cptp.passed
-    )
+    cert.add_check(f"{kind}-channel-cptp{suffix}", "verify_cptp", inputs, cptp.residual, tol)
     for check, identity, check_tol in (
         ("statistics", statistics, tol),
         ("weight-relation", weight_relation, _WEIGHT_TOL),
@@ -419,7 +417,7 @@ def _certify_channel(cert, kind, channel, tol, suffix, inputs, statistics, weigh
         report = verify_statistics_equivalence(*identity, channel, tol=check_tol)
         cert.add_check(
             f"{kind}-channel-{check}{suffix}", "verify_statistics_equivalence", inputs,
-            report.max_residual, check_tol, report.passed,
+            report.max_residual, check_tol,
         )
 
 
@@ -480,7 +478,7 @@ def _analyze_flag_state(desc: SetupDescriptor, cert: Certificate) -> Certificate
         swap_dev = swap_residual(p_db.entries, cg.entries, p_fine.entries)
         cert.add_check(
             "coarse-grain-swap", "coarse_grained_dc_ansatz",
-            {"dark": d_max.tolist()}, swap_dev, 1e-12, swap_dev <= 1e-12,
+            {"dark": d_max.tolist()}, swap_dev, 1e-12,
         )
         table = cg.row_table
     else:
@@ -489,8 +487,7 @@ def _analyze_flag_state(desc: SetupDescriptor, cert: Certificate) -> Certificate
     conditions = validate_dark_count_pp(p_db, table)
     cert.add_check(
         "dark-count-conditions", "validate_dark_count_pp",
-        {"dark": d_max.tolist()}, 0.0 if conditions.passed else 1.0,
-        0.0, conditions.passed,
+        {"dark": d_max.tolist()}, conditions.residual, conditions.tolerance,
     )
     if not conditions.passed:
         cert.downgrade(
@@ -522,7 +519,7 @@ def _analyze_flag_state(desc: SetupDescriptor, cert: Certificate) -> Certificate
         povm, report = squash(build_threshold_povm(build_setup(desc, eta_vec), desc.cutoff))
         cert.add_check(
             f"single-photon-assumption{suffix}", "verify_single_photon_assumption",
-            inputs, report.max_violation, report.tolerance, report.passed,
+            inputs, report.max_violation, report.tolerance,
         )
         if not report.passed:
             cert.downgrade("threshold POVM violates the click-count assumption")
@@ -555,7 +552,7 @@ def _analyze_active_bb84(desc: SetupDescriptor, cert: Certificate) -> Certificat
     d_vec, result = active_swap_lp(desc)
     cert.add_check(
         "swap-equation-lp", "solve_swap_lp", {"dark": d_vec.tolist()},
-        result.residual, result.tolerance, result.feasible,
+        result.residual, result.tolerance,
     )
     if not result.feasible:
         cert.downgrade(
@@ -573,15 +570,13 @@ def _analyze_active_bb84(desc: SetupDescriptor, cert: Certificate) -> Certificat
     d = float(d_vec[0])
     channel = bb84_simple_noise_channel(d)
     cptp = verify_cptp(channel, desc.tol)
-    cert.add_check(
-        "bb84-channel-cptp", "verify_cptp", {"dark": d}, cptp.residual, desc.tol, cptp.passed,
-    )
+    cert.add_check("bb84-channel-cptp", "verify_cptp", {"dark": d}, cptp.residual, desc.tol)
     for basis in ("Z", "X"):
         povm = bb84_qubit_measurement(basis)
         stats = verify_statistics_equivalence(result.matrix, povm, povm, channel, tol=desc.tol)
         cert.add_check(
             f"bb84-channel-statistics-{basis}", "verify_statistics_equivalence",
-            {"dark": d, "basis": basis}, stats.max_residual, desc.tol, stats.passed,
+            {"dark": d, "basis": basis}, stats.max_residual, desc.tol,
         )
     return cert
 
@@ -593,7 +588,7 @@ def run_analysis(desc: SetupDescriptor) -> Certificate:
             "cutoff: the channel constructions act on vacuum + one photon + "
             "flags; analyze needs cutoff 1 (higher cutoffs serve weight estimation)"
         )
-    cert = Certificate(descriptor={"k": desc.k, **desc.to_dict()}, derived={"seed": desc.seed})
+    cert = Certificate(descriptor=desc.to_dict(), derived={"seed": desc.seed})
     if desc.setup == "active-bb84":
         return _analyze_active_bb84(desc, cert)
     return _analyze_flag_state(desc, cert)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detectors import POVM, DetectionSetup, EventTable, build_threshold_povm
+from .detectors import POVM, EventTable
 from .fock import FLAG_LABEL, SpaceLayout, photon_label
 
 
@@ -170,47 +170,3 @@ def eta_star_range(eta_min: float, eta_max: float) -> tuple[float, float]:
             f"efficiencies too spread: admissible lower bound {lo} exceeds 1"
         )
     return (min(lo, 1.0), 1.0)
-
-
-@dataclass(frozen=True)
-class GridMinimumWeight:
-    """Smallest weight bound over a user-supplied efficiency grid.
-
-    A search heuristic only: the minimum over a grid is not a proof that
-    the bound holds for every admissible efficiency.
-    """
-
-    value: float
-    eta: tuple[float, ...]
-    bounds: tuple[WeightBound, ...]
-    note: str = "grid minimum over supplied efficiencies, not a certified bound"
-
-
-def min_weight_over_eta_grid(
-    setup: DetectionSetup,
-    event,
-    p_observed: float,
-    cutoff: int,
-    eta_grid,
-    build_cutoff: int | None = None,
-) -> GridMinimumWeight:
-    """Evaluate :func:`weight_bound` on each grid point and take the minimum.
-
-    The POVM is rebuilt at every grid efficiency with blocks up to
-    ``build_cutoff`` (default ``cutoff + 1``) so the outside compression is
-    represented.
-    """
-    build_n = build_cutoff if build_cutoff is not None else cutoff + 1
-    bounds = []
-    best = None
-    best_eta = None
-    for eta in eta_grid:
-        povm = build_threshold_povm(setup.with_eta(eta), build_n)
-        wb = weight_bound(povm, event, p_observed, cutoff)
-        bounds.append(wb)
-        if best is None or wb.value < best.value:
-            best = wb
-            best_eta = tuple(np.atleast_1d(np.asarray(eta, dtype=float)).tolist())
-    if best is None:
-        raise ValueError("empty efficiency grid")
-    return GridMinimumWeight(value=best.value, eta=best_eta, bounds=tuple(bounds))

@@ -151,6 +151,50 @@ def reference_threshold_povm(setup, cutoff: int) -> np.ndarray:
     return dense
 
 
+def reference_dark_count_matrix(dark_rates) -> np.ndarray:
+    """The dark-count map one entry at a time, the reference for ``dark_count_matrix``.
+
+    Entry ``[c', c]`` is zero unless ``c`` is a subset of ``c'``; otherwise it
+    multiplies, in detector order, ``d_i`` for each dark detector that fires
+    and ``1 - d_i`` for each that does not.
+    """
+    d = np.atleast_1d(np.asarray(dark_rates, dtype=float))
+    masks = enumerate_events(d.size).masks
+    p = np.zeros((len(masks), len(masks)))
+    for j, c in enumerate(masks):
+        for i, c_out in enumerate(masks):
+            if c & ~c_out:
+                continue
+            prob = 1.0
+            for det in range(d.size):
+                if (c >> det) & 1:
+                    continue
+                prob *= d[det] if (c_out >> det) & 1 else 1.0 - d[det]
+            p[i, j] = prob
+    return p
+
+
+def reference_multiclick_ansatz(p_db: np.ndarray, cg: np.ndarray) -> np.ndarray:
+    """``P_dc`` for the multi-click coarse graining ``cg``, built block by block.
+
+    The reference for ``coarse_grained_dc_ansatz`` on a map that never
+    demotes a multi-click: the non-multi block of ``P_db`` is kept, the multi
+    rows of each non-multi column are summed into the last row, and the multi
+    event stays put.
+    """
+    merged_row = cg.argmax(axis=0)
+    multi_row = cg.shape[0] - 1
+    non_multi = np.flatnonzero(merged_row != multi_row)
+    multi = np.flatnonzero(merged_row == multi_row)
+    assert not p_db[np.ix_(non_multi, multi)].any(), "the map demotes a multi-click"
+    n = len(non_multi)
+    out = np.zeros((n + 1, n + 1))
+    out[:n, :n] = p_db[np.ix_(non_multi, non_multi)]
+    out[n, :n] = p_db[np.ix_(multi, non_multi)].sum(axis=0)
+    out[n, n] = 1.0
+    return out
+
+
 def hermitian_basis(dim):
     """Matrix units folded into a real basis of the Hermitian operators."""
     basis = []

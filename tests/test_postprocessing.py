@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import reference_dark_count_matrix, reference_multiclick_ansatz
 from scipy.optimize import linprog
 
 import detcert.postprocessing as postprocessing
 from detcert import (
+    CoarseGraining,
     StochasticMatrix,
     apply_postprocessing,
     bb84_qubit_squasher,
@@ -69,6 +71,13 @@ def test_loss_matrix_values():
     np.testing.assert_allclose(
         single_photon_loss_matrix([0.8, 0.6]).entries,
         [[1.0, 0.2, 0.4], [0.0, 0.8, 0.0], [0.0, 0.0, 0.6]],
+    )
+
+
+def test_loss_matrix_accepts_zero_efficiency():
+    np.testing.assert_array_equal(
+        single_photon_loss_matrix([0.0, 0.5]).entries,
+        [[1.0, 1.0, 0.5], [0.0, 0.0, 0.0], [0.0, 0.0, 0.5]],
     )
 
 
@@ -333,14 +342,97 @@ def test_coarse_ansatz_satisfies_conditions(k):
         )
 
 
+def test_coarse_graining_rejects_an_output_no_outcome_merges_into():
+    # Full row rank is what makes the swap solution the column mean.
+    with pytest.raises(ValueError, match="each row must merge at least one outcome"):
+        CoarseGraining([[1.0, 1.0], [0.0, 0.0]])
+
+
 def test_coarse_ansatz_rejects_demoting_map():
+    # With one multi column the swap always has a solution; the demotion is
+    # rejected by the structural conditions, as click erasure.
     events = enumerate_events(2)
     cg = multiclick_coarse_graining(events)
     entries = dark_count_matrix([0.1, 0.1]).entries.copy()
     entries[0, 3] += 0.2  # multi-click demoted to no-click
     entries[3, 3] -= 0.2
-    with pytest.raises(ValueError, match="demotes"):
+    p_dc = coarse_grained_dc_ansatz(StochasticMatrix(entries), cg)
+    report = validate_dark_count_pp(p_dc, cg.row_table)
+    assert not report.passed
+    assert report.click_erased == ((0, 3),)
+
+
+def test_coarse_ansatz_names_the_column_without_swap_solution():
+    # k = 3: the multi columns are events 3, 5, 6 and 7.  Demoting event 5
+    # to a single click and no other leaves the merged columns unequal.
+    events = enumerate_events(3)
+    cg = multiclick_coarse_graining(events)
+    entries = dark_count_matrix([0.1, 0.05, 0.02]).entries.copy()
+    entries[1, 5] += 0.2
+    entries[5, 5] -= 0.2
+    with pytest.raises(ValueError, match=r"column 5 of M P_db is 1\.500e-01 from the mean"):
         coarse_grained_dc_ansatz(StochasticMatrix(entries), cg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_dark_matrix_is_bit_equal_to_the_loop(data):
+    k = data.draw(st.integers(1, 4))
+    rates = data.draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k))
+    assert np.array_equal(dark_count_matrix(rates).entries, reference_dark_count_matrix(rates))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_coarse_ansatz_is_bit_equal_to_the_block_construction(data):
+    k = data.draw(st.integers(2, 4))
+    rates = data.draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k))
+    cg = multiclick_coarse_graining(enumerate_events(k))
+    p_db = dark_count_matrix(rates)
+    assert np.array_equal(
+        coarse_grained_dc_ansatz(p_db, cg).entries,
+        reference_multiclick_ansatz(p_db.entries, cg.entries),
+    )
+
+
+def _inject_single_to_single(v):
+    entries = dark_count_matrix([0.1, 0.1]).entries.copy()
+    entries[1, 2], entries[2, 2] = v, entries[2, 2] - v
+    return entries, v
+
+
+def _inject_click_erased(v):
+    entries = dark_count_matrix([0.1, 0.1]).entries.copy()
+    entries[0, 3], entries[3, 3] = v, 1.0 - v
+    return entries, v
+
+
+def _inject_survival(v):
+    entries = dark_count_matrix([0.1, 0.1]).entries.copy()
+    entries[1, 1] = entries[0, 0] - v
+    entries[3, 1] = 1.0 - entries[1, 1]
+    return entries, entries[0, 0] - entries[1, 1]
+
+
+@pytest.mark.parametrize(
+    "inject, field, where",
+    [
+        (_inject_single_to_single, "single_to_single", (1, 2)),
+        (_inject_click_erased, "click_erased", (0, 3)),
+        (_inject_survival, "survival_violations", 1),
+    ],
+    ids=["single-to-single", "click-erased", "survival"],
+)
+@pytest.mark.parametrize("scale", [1.0 - 1e-6, 1.0 + 1e-6])
+def test_dark_conditions_residual_is_the_violation(inject, field, where, scale):
+    tol = 1e-9
+    entries, violation = inject(tol * scale)
+    report = validate_dark_count_pp(StochasticMatrix(entries), enumerate_events(2), tol)
+    assert report.residual == violation
+    assert violation == pytest.approx(tol * scale, rel=1e-8)
+    assert report.tolerance == tol
+    assert report.passed == (scale < 1.0)
+    assert getattr(report, field) == (() if scale < 1.0 else (where,))
 
 
 def _summed_term_by_term(p: np.ndarray, dense: np.ndarray) -> np.ndarray:

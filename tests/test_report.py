@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,9 +30,12 @@ from detcert.report import (
     descriptor_from_dict,
     emit_certificate,
     eta_corners,
+    load_descriptor,
     run_analysis,
     run_weight,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 PASSIVE = {
     "setup": "passive-bb84",
@@ -349,6 +353,33 @@ def test_descriptor_json_round_trip(data):
     echoed = json.loads(json.dumps(desc.to_dict()))
     assert descriptor_from_dict(echoed) == desc
     assert "eta_star" in echoed  # echoed even when null
+
+
+@pytest.mark.parametrize("name", ["passive_bb84", "active_bb84"])
+def test_certificate_descriptor_echo_round_trips(tmp_path, name):
+    path = ROOT / "descriptors" / f"{name}.json"
+    out = tmp_path / "certificate.json"
+    assert cli.main(["analyze", str(path), "--out", str(out)]) == EXIT_OK
+    cert = json.loads(out.read_text())
+    assert descriptor_from_dict(cert["descriptor"]) == load_descriptor(path)
+
+
+@pytest.mark.parametrize(
+    "residual, passed",
+    [(0.0, True), (1e-9, True), (1e-9 * (1 + 1e-15), False), (float("nan"), False)],
+)
+def test_add_check_passes_iff_residual_within_tolerance(residual, passed):
+    cert = Certificate(descriptor={}, derived={})
+    cert.add_check("check", "operation", {}, residual, 1e-9)
+    assert cert.checks[0]["passed"] is passed
+    assert cert.all_passed is passed
+
+
+def test_analysis_records_measured_dark_count_residual():
+    cert = run_analysis(descriptor_from_dict(PASSIVE))
+    (check,) = [c for c in cert.checks if c["name"] == "dark-count-conditions"]
+    assert (check["residual"], check["tolerance"], check["passed"]) == (0.0, 1e-9, True)
+    assert all(c["passed"] == (c["residual"] <= c["tolerance"]) for c in cert.checks)
 
 
 def test_analysis_custom_setup():

@@ -9,7 +9,6 @@ from detcert import (
     enumerate_events,
     eta_star_range,
     flag_state_target,
-    min_weight_over_eta_grid,
     multiclick_coarse_graining,
     passive_bb84_setup,
     propagate_weight,
@@ -209,12 +208,3 @@ def test_squashed_povm_flag_invariant():
     broken[0, flags, flags] = np.diag([0.5, 0.5] + [0.0] * 14)
     with pytest.raises(ValueError):
         POVM(sq.layout, broken, sq.events)
-
-
-def test_min_weight_over_eta_grid():
-    setup = passive_bb84_setup(1.0)
-    grid = [np.full(4, v) for v in (0.5, 0.7, 0.9)]
-    result = min_weight_over_eta_grid(setup, "multi", 0.002, 1, grid)
-    assert len(result.bounds) == 3
-    assert result.value == min(b.value for b in result.bounds)
-    assert "not a certified bound" in result.note
