@@ -4,9 +4,9 @@ The library builds threshold-detector POVMs on truncated photon-number
 blocks, models dark counts and loss as classical post-processing, squashes
 to flag-state target measurements, constructs the noise channels that
 absorb the imperfections, and certifies every claimed identity numerically.
-Channels are held as Choi matrices; CPTP, statistics equivalence and the
-weight relations are checked on them as exact operator identities over the
-whole input space, and the swap LP and the Choi feasibility probe are
+Channels are held as their Choi matrices' values on the support of their
+terms; CPTP, statistics equivalence and the weight relations are checked on
+them as exact operator identities over the whole input space, and the swap LP and the Choi feasibility probe are
 re-verified without their solvers.
 """
 

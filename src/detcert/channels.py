@@ -9,23 +9,34 @@ state to the flags.  The ideal measurement is a flag-state target: a
 ``POVM`` whose layout ends in a ``flag`` block, element ``i`` carrying the
 flag ``|i><i|`` exactly.  A construction checks that, and that clicks never
 outnumber photons, then reads operator blocks off the measurement's dense
-stack with the block projectors of its layout.
+stack with the block projectors of its layout.  The dark-count and loss
+constructions take a stack of measurements or efficiency vectors (one per
+efficiency corner) and return the stack of channels, one term formula for
+all of them.
 
-A channel is held as its Choi matrix ``J``, the sum of the Choi matrices of
-the completely positive terms of its construction; application,
-composition (the link product) and every certificate read ``J``.  A
-certificate checks one of two things: that ``J`` is CPTP (Hermitian, PSD,
-``Tr_out J = I``), or an operator identity
-``Phi^dag(F_after_i) = sum_j P_ij F_before_j`` in the Heisenberg picture.
-``ChoiConstraintSystem`` holds those identities, trace preservation last,
-and is the one kernel that scores them, for the statistics checks here and
-for the feasibility probe and its witness and Farkas checks.  The identity
+A channel is a sum of completely positive terms, and its Choi matrix ``J``
+is held on its support (``ChoiSupport``): the positions the term formulas
+can make nonzero, with the values there summed over the terms.  A
+keep-blocks term lives on the nonzeros of ``vec(P)``, a measure-prepare
+term on the products of its measured and prepared entries.  Channels on
+one layout, stacks included, can share one support, one row of values per
+channel; the dense ``J`` is built only on request, for application and
+composition (the link product).  A certificate checks one of two things:
+that ``J`` is CPTP (Hermitian, PSD, ``Tr_out J = I``), or an operator
+identity ``Phi^dag(F_after_i) = sum_j P_ij F_before_j`` in the Heisenberg
+picture.  ``ChoiConstraintSystem`` holds those identities, trace
+preservation last; ``ChoiSupport`` scores them for every channel of its
+stack in one contraction over the support, and takes the smallest
+eigenvalue one connected component of the support at a time.  The
+statistics checks here, the analysis, and the feasibility probe's witness
+check all read that kernel; one channel is its one-row case.  The identity
 is compared entry by entry, so it holds for every input operator,
 off-block-diagonal ones included, rather than on sampled states.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -35,55 +46,267 @@ import numpy as np
 
 from .detectors import POVM, EventTable, verify_single_photon_assumption
 from .fock import FLAG_LABEL, SpaceLayout, photon_label
-from .postprocessing import StochasticMatrix, single_photon_loss_matrix, validate_dark_count_pp
+from .postprocessing import StochasticMatrix, _single_photon_loss_entries, validate_dark_count_pp
 from .squashing import eta_star_range
 
 _M0 = photon_label(0)
 _M1 = photon_label(1)
 _FLAG_TOL = 1e-12
 
-# Choi tensors carry indices ``[a, i, b, j] = <a i| J |b j>``: input, output,
-# input, output.  The Choi matrix is the same array reshaped to two indices.
+# A Choi matrix has rows and columns ``(a, i)`` (input, output), flattened
+# to ``a * d_out + i``; a position on it is ``row * dim + col``.
 
 
 @dataclass(frozen=True)
 class _KeepBlocks:
-    """CP term ``rho -> weight * P rho P`` for a block projector ``P``."""
+    """CP term ``rho -> weight * P rho P`` for a block projector ``P``.
+
+    ``weight`` is a number, or one number per stack entry.
+    """
 
     weight: float
     projector: np.ndarray
 
-    def choi(self) -> np.ndarray:
-        """``weight |v><v|`` with ``v = sum_a |a> (x) P|a>``."""
-        v = np.asarray(self.projector, dtype=complex).T.ravel()
-        return self.weight * np.outer(v, v.conj())
+    def entries(self, d_in: int, d_out: int):
+        """``weight |v><v|``, ``v = sum_a |a> (x) P|a>``, on the nonzeros of ``v``.
+
+        Returns the positions and the values, shaped ``(depth or 1, nnz)``.
+        """
+        v = np.asarray(self.projector).T.ravel()
+        nz = np.flatnonzero(v)
+        keys = (nz[:, None] * v.size + nz).ravel()
+        outer = (v[nz, None] * v[nz].conj()).ravel()
+        return keys, np.multiply.outer(np.atleast_1d(self.weight), outer)
 
 
 @dataclass(frozen=True)
 class _MeasurePrepare:
-    """CP term ``rho -> sum_i Tr[op_i rho] prep_i`` (weights live in preps).
+    """CP term ``rho -> sum_k Tr[op_k rho] prep_k`` (weights live in ops and preps).
 
-    ``ops`` and ``preps`` are equally long stacks of dense operators.
+    ``ops`` ``(..., n, d_in, d_in)`` and ``preps`` ``(..., n, d_out, d_out)``
+    are equally long stacks of dense operators; either may lead with a
+    stack axis.
     """
 
     ops: np.ndarray
     preps: np.ndarray
 
-    def choi(self) -> np.ndarray:
-        return _transpose_kron_sum(np.asarray(self.ops), np.asarray(self.preps))
+    def entries(self, d_in: int, d_out: int):
+        """``J[(a, i), (b, j)] = sum_k ops_k[b, a] preps_k[i, j]`` (transpose, not adjoint).
+
+        Its support is every ``(a, b)`` some ``ops_k[b, a]`` and every
+        ``(i, j)`` some ``preps_k[i, j]`` makes nonzero, paired.  Returns the
+        positions and the values, shaped ``(depth or 1, nnz)``.
+        """
+        ops, preps = np.asarray(self.ops), np.asarray(self.preps)
+        n = ops.shape[-3]
+        flat_ops = ops.reshape(-1, n, d_in * d_in)  # entry b * d_in + a is ops_k[b, a]
+        flat_preps = preps.reshape(-1, n, d_out * d_out)
+        ba = np.flatnonzero(flat_ops.any(axis=(0, 1)))
+        ij = np.flatnonzero(flat_preps.any(axis=(0, 1)))
+        b, a = np.divmod(ba, d_in)
+        i, j = np.divmod(ij, d_out)
+        keys = np.ravel_multi_index((a[:, None], i, b[:, None], j), (d_in, d_out, d_in, d_out))
+        values = flat_ops[:, :, ba].swapaxes(1, 2) @ flat_preps[:, :, ij]
+        return keys.ravel(), values.reshape(len(values), -1)
 
 
-def _transpose_kron_sum(ops: np.ndarray, preps: np.ndarray) -> np.ndarray:
-    """Choi matrix ``sum_k ops_k^T (x) preps_k`` of ``rho -> sum_k Tr[ops_k rho] preps_k``.
+class _Pattern:
+    """The structure of one support: where each entry sits and what it feeds.
 
-    Transpose, not adjoint: ops may be complex.  It is also the adjoint of
-    ``J -> (Phi_J^dag(preps_k))_k`` applied to the stack ``ops``.
+    Built from the concatenated positions of a support's parts, in order;
+    ``keys`` are the distinct positions closed under transposition, sorted
+    by the Heisenberg target ``(b, a)`` of the row ``(a, i)`` and column
+    ``(b, j)``, then by position, and ``slot`` places each given position
+    among them.  A pure function of its arguments, so one instance serves
+    every support with the same positions (:func:`_pattern`).
     """
-    n, d_in, _ = ops.shape
-    d_out = preps.shape[-1]
-    flat = ops.transpose(0, 2, 1).reshape(n, -1).T @ preps.reshape(n, -1)
-    tensor = flat.reshape(d_in, d_in, d_out, d_out).transpose(0, 2, 1, 3)
-    return tensor.reshape(d_in * d_out, d_in * d_out)
+
+    def __init__(self, d_in: int, d_out: int, positions: np.ndarray):
+        self.d_in, self.d_out = d_in, d_out
+        self.dim = dim = d_in * d_out
+        keys = np.concatenate([positions, positions % dim * dim + positions // dim])
+        # One sort by (target, position) merges repeats and groups targets.
+        order = np.argsort(self._target(keys) * dim * dim + keys, kind="stable")
+        ordered = keys[order]
+        new = np.ones(len(ordered), dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+        slot = np.empty(len(keys), dtype=np.intp)
+        slot[order] = np.cumsum(new) - 1
+        self.slot = slot[: len(positions)]
+        self.keys = ordered[new]
+        self.rows, self.cols = np.divmod(self.keys, dim)
+        mirrors = self.cols * dim + self.rows
+        self.mirror = np.searchsorted(
+            self._target(self.keys) * dim * dim + self.keys, self._target(mirrors) * dim * dim + mirrors
+        )
+        # Heisenberg picture: entry ((a, i), (b, j)) adds J F[j, i] to <b|Phi^dag(F)|a>.
+        self.gather = self.cols % d_out * d_out + self.rows % d_out
+        target = self._target(self.keys)
+        firsts = np.ones(len(target), dtype=bool)
+        np.not_equal(target[1:], target[:-1], out=firsts[1:])
+        self.starts = np.flatnonzero(firsts)
+        self.targets = target[self.starts]
+        for shared in (self.slot, self.keys, self.rows, self.cols, self.mirror, self.gather,
+                       self.starts, self.targets):
+            shared.flags.writeable = False
+
+    def _target(self, keys: np.ndarray) -> np.ndarray:
+        """Flat index ``b * d_in + a`` in ``Phi^dag(F)`` that the position ``((a, i), (b, j))`` feeds."""
+        rows, cols = np.divmod(keys, self.dim)
+        return cols // self.d_out * self.d_in + rows // self.d_out
+
+    @cached_property
+    def components(self):
+        """The support's connected components, grouped by size.
+
+        Permuting the indices component by component turns every matrix on
+        the support into a block diagonal, whose spectrum is the union of
+        its blocks': exact, with no tolerance.  An index outside the support
+        is a zero row, eigenvalue 0.  Labels propagate the smallest index
+        over the entries, with pointer jumping, until each component carries
+        its smallest index.  Returns whether a zero row exists, and per size
+        ``(entries, component slot, local row, local column, count, size)``.
+        """
+        rows, cols = self.rows, self.cols
+        label = np.arange(self.dim)
+        while True:
+            new = label.copy()
+            np.minimum.at(new, rows, label[cols])
+            new = new[new]
+            if (new == label).all():
+                break
+            label = new
+        nodes = np.zeros(self.dim, dtype=bool)
+        nodes[rows] = True
+        nodes = np.flatnonzero(nodes)
+        size_of = np.bincount(label[nodes], minlength=self.dim)[label]
+        nodes = nodes[np.argsort((size_of[nodes] * self.dim + label[nodes]) * self.dim + nodes, kind="stable")]
+        root = label[nodes]
+        firsts = np.ones(len(nodes), dtype=bool)
+        np.not_equal(root[1:], root[:-1], out=firsts[1:])
+        comp = np.cumsum(firsts) - 1
+        starts = np.flatnonzero(firsts)
+        comp_of = np.empty(self.dim, dtype=np.intp)
+        comp_of[nodes] = comp
+        local = np.empty(self.dim, dtype=np.intp)
+        local[nodes] = np.arange(len(nodes)) - starts[comp]
+        sizes = size_of[nodes[starts]]
+        edges = np.flatnonzero(np.diff(sizes, prepend=-1))
+        entry_comp = comp_of[rows]
+        groups = []
+        for lo, hi in zip(edges, np.r_[edges[1:], len(sizes)]):
+            entries = np.flatnonzero((entry_comp >= lo) & (entry_comp < hi))
+            groups.append((
+                entries, entry_comp[entries] - lo, local[rows[entries]], local[cols[entries]],
+                hi - lo, int(sizes[lo]),
+            ))
+        return len(nodes) < self.dim, groups
+
+
+@functools.lru_cache(maxsize=16)
+def _pattern(d_in: int, d_out: int, positions: bytes) -> _Pattern:
+    """The :class:`_Pattern` of the positions given as the bytes of an ``intp`` array, kept for reuse."""
+    return _Pattern(d_in, d_out, np.frombuffer(positions, dtype=np.intp))
+
+
+class ChoiSupport:
+    """A stack of Choi matrices held as their values on one support.
+
+    ``keys`` are positions ``row * dim + col``, closed under transposition;
+    ``values`` is ``(depth, nnz)``, one row per Choi matrix, and entries off
+    the support are zero.  Built from ``parts``, ``(stack rows, positions,
+    values)`` triples whose values broadcast to their rows, repeated
+    positions summed in order (no position repeats within one part).  The
+    structure of the positions (:class:`_Pattern`) depends on them alone,
+    and supports with the same positions share it.
+    """
+
+    def __init__(self, d_in: int, d_out: int, depth: int, parts):
+        self.d_in, self.d_out, self.dim = d_in, d_out, d_in * d_out
+        positions = np.concatenate([k for _, k, _ in parts] + [np.zeros(0, dtype=np.intp)])
+        self._pattern = _pattern(d_in, d_out, positions.astype(np.intp).tobytes())
+        self.keys = self._pattern.keys
+        self.values = np.zeros((depth, len(self.keys)), dtype=complex)
+        start = 0
+        for stack_rows, k, v in parts:
+            self.values[stack_rows, self._pattern.slot[start : start + len(k)]] += v
+            start += len(k)
+
+    @classmethod
+    def of(cls, channels) -> "ChoiSupport":
+        """The Choi matrices of ``channels`` (stacks included), in order, on the union of their supports."""
+        first, parts, depth = channels[0], [], 0
+        for ch in channels:
+            if (ch.input_layout, ch.output_layout) != (first.input_layout, first.output_layout):
+                raise ValueError("channels on one support must share their layouts")
+            entries = ch._entries()
+            n = max([len(v) for _, v in entries], default=1)
+            parts += [(slice(depth, depth + n), k, v) for k, v in entries]
+            depth += n
+        return cls(first.input_layout.total_dim, first.output_layout.total_dim, depth, parts)
+
+    @classmethod
+    def from_dense(cls, choi, d_in: int, d_out: int) -> "ChoiSupport":
+        """A dense Choi matrix, or a stack of them, on the union of their nonzeros."""
+        stack = np.asarray(choi, dtype=complex).reshape(-1, (d_in * d_out) ** 2)
+        keys = np.flatnonzero((stack != 0).any(axis=0))
+        return cls(d_in, d_out, len(stack), [(slice(None), keys, stack[:, keys])])
+
+    def dense(self) -> np.ndarray:
+        """The ``(depth, dim, dim)`` dense Choi matrices."""
+        out = np.zeros((len(self.values), self.dim * self.dim), dtype=complex)
+        out[:, self.keys] = self.values
+        return out.reshape(-1, self.dim, self.dim)
+
+    def heisenberg(self, ops: np.ndarray) -> np.ndarray:
+        """``Phi_J^dag(F)`` for each ``F`` of ``ops`` ``(..., K, d_out, d_out)``, per Choi matrix.
+
+        ``<b|Phi^dag(F)|a> = Tr[F Phi(|a><b|)] = sum_ij F[j, i] J[(a, i), (b, j)]``,
+        gathered over the support: ``(depth, K, d_in, d_in)``.
+        """
+        ops, pattern = np.asarray(ops), self._pattern
+        terms = ops.reshape(*ops.shape[:-2], -1).take(pattern.gather, axis=-1) * self.values[:, None, :]
+        out = np.zeros((len(self.values), ops.shape[-3], self.d_in * self.d_in), dtype=complex)
+        if len(self.keys):
+            out[..., pattern.targets] = np.add.reduceat(terms, pattern.starts, axis=-1)
+        return out.reshape(*out.shape[:-1], self.d_in, self.d_in)
+
+    def residuals(self, ops: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """Per Choi matrix and identity ``Phi^dag(F_k) = G_k``, the worst mismatch over a Hermitian input basis.
+
+        ``ops`` and ``targets`` stack the ``F_k`` and ``G_k`` along their
+        third-last axis and broadcast over the stack: ``(depth, K)``.
+        """
+        return _hermitian_score(_hermitian_part(self.heisenberg(ops) - targets))
+
+    def psd_residuals(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per Choi matrix: ``max |J - J^dag|`` and the smallest eigenvalue of ``(J + J^dag)/2``.
+
+        The smallest eigenvalue is taken per connected component of the
+        support (exact: see :attr:`_Pattern.components`), batched over the
+        stack and over the components of one size; a non-finite matrix has
+        none, NaN.
+        """
+        mirrored = np.conj(self.values.take(self._pattern.mirror, axis=1))
+        herm = np.abs(self.values - mirrored).max(axis=1, initial=0.0)
+        h = (self.values + mirrored) / 2.0
+        finite = np.isfinite(h).all(axis=1)
+        if not finite.all():
+            h[~finite] = 0.0
+        zero_row, groups = self._pattern.components
+        low = np.full(len(h), 0.0 if zero_row else np.inf)
+        for entries, slot, row, col, count, size in groups:
+            if size == 1:  # a lone diagonal entry
+                lows = h.take(entries, axis=1).real.min(axis=1)
+            else:
+                blocks = np.zeros((len(h), count, size, size), dtype=complex)
+                blocks[:, slot, row, col] = h.take(entries, axis=1)
+                lows = np.linalg.eigvalsh(blocks)[..., 0].min(axis=1)
+            np.minimum(low, lows, out=low)
+        if not finite.all():
+            low[~finite] = math.nan
+        return herm, low
 
 
 def _link(inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
@@ -92,27 +315,44 @@ def _link(inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
 
 
 class QuantumChannel:
-    """Linear map between two block layouts, held as its Choi matrix.
+    """Linear map between two block layouts: a sum of completely positive terms.
 
-    ``terms`` lists completely positive terms whose sum is the channel.  The
-    Choi matrix is assembled from the terms on first use and cached;
-    ``from_choi`` and ``compose`` set it directly.
+    A term may lead with a stack axis; the object is then a stack of
+    channels on one layout, one per stack entry.  The Choi matrices are
+    held on their support (:class:`ChoiSupport`), assembled from the terms
+    on first use and cached; ``from_choi`` and ``compose`` set it from a
+    dense matrix.
     """
 
-    __slots__ = ("input_layout", "output_layout", "terms", "_choi")
+    __slots__ = ("input_layout", "output_layout", "terms", "_support")
 
     def __init__(self, input_layout: SpaceLayout, output_layout: SpaceLayout, terms):
         self.input_layout = input_layout
         self.output_layout = output_layout
         self.terms = tuple(terms)
-        self._choi = None
+        self._support = None
+
+    @property
+    def support(self) -> ChoiSupport:
+        if self._support is None:
+            self._support = ChoiSupport.of([self])
+        return self._support
+
+    def _entries(self):
+        """``(positions, values)`` of each term, or of the support once it is set."""
+        if self._support is not None:
+            return [(self._support.keys, self._support.values)]
+        d_in, d_out = self.input_layout.total_dim, self.output_layout.total_dim
+        return [term.entries(d_in, d_out) for term in self.terms]
 
     @property
     def choi(self) -> np.ndarray:
-        """Choi matrix ``sum_ab |a><b| (x) Phi(|a><b|)`` (input factor first)."""
-        if self._choi is None:
-            self._choi = sum(term.choi() for term in self.terms)
-        return self._choi
+        """Dense Choi matrix ``sum_ab |a><b| (x) Phi(|a><b|)`` (input factor first), built on request.
+
+        A stack of channels gives the ``(depth, dim, dim)`` stack.
+        """
+        dense = self.support.dense()
+        return dense[0] if len(dense) == 1 else dense
 
     def _tensor(self) -> np.ndarray:
         d_in, d_out = self.input_layout.total_dim, self.output_layout.total_dim
@@ -123,12 +363,13 @@ class QuantumChannel:
 
     @classmethod
     def from_choi(cls, choi, input_layout: SpaceLayout, output_layout: SpaceLayout):
+        """The channel with Choi matrix ``choi``, or the stack of channels of a ``(depth, dim, dim)`` stack."""
         j = np.asarray(choi, dtype=complex)
-        d = input_layout.total_dim * output_layout.total_dim
-        if j.shape != (d, d):
+        d_in, d_out = input_layout.total_dim, output_layout.total_dim
+        if j.shape[-2:] != (d_in * d_out,) * 2 or j.ndim not in (2, 3):
             raise ValueError("Choi matrix shape does not match the layouts")
         channel = cls(input_layout, output_layout, ())
-        channel._choi = j
+        channel._support = ChoiSupport.from_dense(j, d_in, d_out)
         return channel
 
 
@@ -165,13 +406,13 @@ def bb84_simple_noise_channel(d: float) -> QuantumChannel:
     layout = SpaceLayout(((_M0, 1), (_M1, 2)))
     vac = layout.projector(_M0)
     qubit_proj = layout.projector(_M1)
-    vac_branch = _MeasurePrepare(
-        ops=(vac,),
-        preps=((1.0 - d) ** 2 * vac + d * (1.0 - d / 2.0) * qubit_proj,),
+    # Measure vacuum or qubit: re-prepare the vacuum, or depolarize.
+    reprepare = _MeasurePrepare(
+        ops=np.array([vac, qubit_proj]),
+        preps=np.array([(1.0 - d) ** 2 * vac + d * (1.0 - d / 2.0) * qubit_proj, (d / 2.0) * qubit_proj]),
     )
     keep_qubit = _KeepBlocks(weight=1.0 - d, projector=qubit_proj)
-    depolarize = _MeasurePrepare(ops=(qubit_proj,), preps=((d / 2.0) * qubit_proj,))
-    return QuantumChannel(layout, layout, (vac_branch, keep_qubit, depolarize))
+    return QuantumChannel(layout, layout, (reprepare, keep_qubit))
 
 
 def bb84_qubit_measurement(basis: str) -> POVM:
@@ -198,14 +439,14 @@ def bb84_qubit_measurement(basis: str) -> POVM:
 
 
 def _require_exact_flags(povm: POVM, role: str):
-    """``povm`` must have a flag block, and element ``i`` the flag block ``|i><i|``."""
+    """``povm`` must have a flag block, and element ``i`` the flag block ``|i><i|`` (every stack entry)."""
     if povm.layout.has(FLAG_LABEL):
         n = len(povm)
         s = povm.layout.slice_of(FLAG_LABEL)
         want = np.zeros((n, n, n))
         idx = np.arange(n)
         want[idx, idx, idx] = 1.0
-        if np.abs(povm.dense[:, s, s] - want).max() <= _FLAG_TOL:
+        if np.abs(povm.dense[..., s, s] - want).max() <= _FLAG_TOL:
             return
     raise ValueError(f"{role} measurement must have exact flag states")
 
@@ -215,13 +456,22 @@ def _require_one_photon_target(povm: POVM):
     if povm.layout.photon_labels != (_M0, _M1):
         raise ValueError(f"need blocks (m=0, m=1, flag), got {povm.layout.labels}")
     _require_exact_flags(povm, "target")
-    report = verify_single_photon_assumption(povm)
-    if not report.passed:
-        label, block, weight = report.violations[0]
-        raise ValueError(
-            f"clicks outnumber photons: element {label!r} has weight {weight:.3e} "
-            f"on block {block}"
-        )
+    reports = verify_single_photon_assumption(povm)
+    for report in reports if povm.stacked else (reports,):
+        if not report.passed:
+            label, block, weight = report.violations[0]
+            raise ValueError(
+                f"clicks outnumber photons: element {label!r} has weight {weight:.3e} "
+                f"on block {block}"
+            )
+
+
+def _block_of(stack: np.ndarray, layout: SpaceLayout, label: str) -> np.ndarray:
+    """``P F P`` for each ``F`` of a stack, ``P`` the projector onto block ``label``."""
+    out = np.zeros_like(stack)
+    s = layout.slice_of(label)
+    out[..., s, s] = stack[..., s, s]
+    return out
 
 
 def dark_count_channel(p_db: StochasticMatrix, f_eta: POVM) -> QuantumChannel:
@@ -234,6 +484,8 @@ def dark_count_channel(p_db: StochasticMatrix, f_eta: POVM) -> QuantumChannel:
     as the no-click flag: a vacuum input stays vacuum unless a dark count
     fires, while flag inputs are post-processed with ``p_db`` entirely
     inside the flag block, so no weight re-enters the preserved blocks.
+    A stacked ``f_eta`` gives the stack of channels; ``p_db`` and the
+    preparations are shared, so they are built and validated once.
     """
     _require_one_photon_target(f_eta)
     events = f_eta.events
@@ -254,9 +506,8 @@ def dark_count_channel(p_db: StochasticMatrix, f_eta: POVM) -> QuantumChannel:
     flags = layout.offset(FLAG_LABEL) + np.arange(n)
     raised = flags.copy()
     raised[0] = layout.offset(_M0)
-    proj0, proj1, proj_flag = (layout.projector(lab) for lab in (_M0, _M1, FLAG_LABEL))
 
-    terms = [_KeepBlocks(weight=p00, projector=proj1)]
+    terms = [_KeepBlocks(weight=p00, projector=layout.projector(_M1))]
 
     if p00 < 1.0:
         # Measure the one-photon block and flag the outcome.  Outcome j
@@ -264,18 +515,25 @@ def dark_count_channel(p_db: StochasticMatrix, f_eta: POVM) -> QuantumChannel:
         # trace 1 - P[0|0], so the branch weight is built in.
         measured = [j for j in range(n) if j not in multis]
         coeffs = p.T[measured] - p00 * np.eye(n)[measured]
-        ops = proj1 @ f_eta.dense[measured] @ proj1
+        ops = _block_of(f_eta.dense[..., measured, :, :], layout, _M1)
         terms.append(_MeasurePrepare(ops=ops, preps=_diagonal_states(d, raised, coeffs)))
 
     # Vacuum sector: outcome 0 keeps the vacuum, dark counts raise flags.
-    ops = proj0 @ f_eta.dense @ proj0
+    ops = _block_of(f_eta.dense, layout, _M0)
     terms.append(_MeasurePrepare(ops=ops, preps=_diagonal_states(d, raised, p.T)))
 
     # Flag sector: post-process the recorded outcome, staying in flag space.
-    ops = proj_flag @ f_eta.dense @ proj_flag
+    ops = _block_of(f_eta.dense, layout, FLAG_LABEL)
     terms.append(_MeasurePrepare(ops=ops, preps=_diagonal_states(d, flags, p.T)))
 
     return QuantumChannel(layout, layout, terms)
+
+
+def _loss_split_entries(eta: np.ndarray, eta_star: float) -> np.ndarray:
+    """Entries of ``Q`` for each efficiency vector of a stack ``(..., k)`` with ``eta_min < eta_star``."""
+    eta_min = eta.min(axis=-1, keepdims=True)
+    keep = eta_star * (eta - eta_min) / (eta_star - eta_min)
+    return _single_photon_loss_entries(np.clip(keep, 0.0, 1.0))
 
 
 def loss_split_matrix(eta, eta_star: float) -> StochasticMatrix:
@@ -294,8 +552,7 @@ def loss_split_matrix(eta, eta_star: float) -> StochasticMatrix:
     lo, _ = eta_star_range(eta_min, float(eta.max()))
     if eta_star < lo - 1e-12:
         raise ValueError(f"eta_star {eta_star} is below the admissible range [{lo}, 1.0]")
-    keep = eta_star * (eta - eta_min) / (eta_star - eta_min)
-    return single_photon_loss_matrix(np.clip(keep, 0.0, 1.0))
+    return StochasticMatrix(_loss_split_entries(eta, eta_star))
 
 
 def loss_channel(eta, eta_star: float, f_lossless: POVM) -> QuantumChannel:
@@ -304,36 +561,45 @@ def loss_channel(eta, eta_star: float, f_lossless: POVM) -> QuantumChannel:
     Vacuum and flags pass through; the one-photon block survives with
     probability ``eta_min / eta_star`` and is otherwise measured with the
     residual-loss POVM and flagged.  ``f_lossless`` is the flag-state target
-    of the unit-efficiency setup.
+    of the unit-efficiency setup.  A stack ``(depth, k)`` of efficiency
+    vectors gives the stack of channels; the measure-prepare branch is
+    zero at the entries where ``eta_min / eta_star`` reaches 1.
     """
     _require_one_photon_target(f_lossless)
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
     if not ((eta > 0) & (eta <= 1)).all():  # NaN fails too
         raise ValueError("efficiencies must lie in (0, 1]")
-    lo, hi = eta_star_range(float(eta.min()), float(eta.max()))
-    if not lo - 1e-12 <= eta_star <= hi + 1e-12:
-        raise ValueError(
-            f"eta_star {eta_star} outside the admissible range [{lo}, {hi}]"
-        )
+    eta_min = eta.min(axis=-1)
+    for low, high in zip(np.ravel(eta_min).tolist(), np.ravel(eta.max(axis=-1)).tolist()):
+        lo, hi = eta_star_range(low, high)
+        if not lo - 1e-12 <= eta_star <= hi + 1e-12:
+            raise ValueError(
+                f"eta_star {eta_star} outside the admissible range [{lo}, {hi}]"
+            )
     layout = f_lossless.layout
     events = f_lossless.events
-    k = eta.size
-    if len(events.single_indices) != k:
+    if len(events.single_indices) != eta.shape[-1]:
         raise ValueError("efficiency vector does not match the single-click events")
-    ratio = float(eta.min()) / eta_star
-    proj1 = layout.projector(_M1)
+    ratio = eta_min / eta_star
 
     terms = [
         _KeepBlocks(weight=1.0, projector=layout.projector(_M0)),
-        _KeepBlocks(weight=min(ratio, 1.0), projector=proj1),
+        _KeepBlocks(weight=np.minimum(ratio, 1.0), projector=layout.projector(_M1)),
         _KeepBlocks(weight=1.0, projector=layout.projector(FLAG_LABEL)),
     ]
-    if ratio < 1.0 - 1e-15:
-        q = loss_split_matrix(eta, eta_star).entries
+    split = ratio < 1.0 - 1e-15
+    if split.any():
         carriers = [0, *events.single_indices]
-        ops = np.tensordot(q, proj1 @ f_lossless.dense[carriers] @ proj1, axes=1)
+        m = len(carriers)
+        q = np.zeros((*split.shape, m, m))
+        q[split] = _loss_split_entries(eta[split], eta_star)
+        blocks = _block_of(f_lossless.dense[carriers], layout, _M1)
+        # The branch weight 1 - ratio goes into the measurement, so the flag
+        # preparations are shared.
+        ops = (q @ blocks.reshape(m, -1)).reshape(*split.shape, *blocks.shape)
+        ops *= np.where(split, 1.0 - ratio, 0.0)[..., None, None, None]
         flags = layout.offset(FLAG_LABEL) + np.array(carriers)
-        preps = _diagonal_states(layout.total_dim, flags, (1.0 - ratio) * np.eye(len(carriers)))
+        preps = _diagonal_states(layout.total_dim, flags, np.eye(m))
         terms.append(_MeasurePrepare(ops=ops, preps=preps))
 
     return QuantumChannel(layout, layout, terms)
@@ -341,6 +607,8 @@ def loss_channel(eta, eta_star: float, f_lossless: POVM) -> QuantumChannel:
 
 def _deviation(f_noise: POVM, f_ideal: POVM, q: float) -> tuple[np.ndarray, np.ndarray]:
     """The stack ``F_noise_i - (1-q) F_ideal_i`` and the smallest eigenvalue of each."""
+    if f_noise.stacked or f_ideal.stacked:
+        raise ValueError("a deviation compares two measurements, not stacks of them")
     gap = f_noise.dense - (1.0 - q) * f_ideal.dense
     return gap, np.linalg.eigvalsh(gap)[:, 0]
 
@@ -434,56 +702,9 @@ def inf_norm_mixing(f_noise: POVM, delta: float) -> POVM:
     return POVM(f_noise.layout, scale * f_noise.dense + (delta * scale) * ident, f_noise.events)
 
 
-def _component_min_eigenvalue(h: np.ndarray) -> float:
-    """Smallest eigenvalue of the Hermitian ``h``, one connected component at a time.
-
-    The components of the graph of ``h``'s exact nonzero pattern permute
-    ``h`` into a block diagonal, so its spectrum is the union of theirs:
-    exact, with no tolerance.  Labels propagate the smallest index over
-    the edges, with pointer jumping, until every component carries its
-    smallest index; then one batched ``eigvalsh`` runs per component size.
-    A non-finite ``h`` has no smallest eigenvalue: NaN.
-    """
-    if not np.isfinite(h).all():
-        return math.nan
-    n = len(h)
-    edges = h != 0
-    lab = np.arange(n)
-    while True:
-        new = np.where(edges, lab, n).min(axis=1)
-        np.minimum(new, lab, out=new)
-        new = new[new]
-        if (new == lab).all():
-            break
-        lab = new
-    sizes = np.bincount(lab, minlength=n)
-    lows = []
-    for size in np.flatnonzero(np.bincount(sizes)[1:]) + 1:
-        roots = np.flatnonzero(sizes == size)
-        idx = np.nonzero(lab[None, :] == roots[:, None])[1].reshape(-1, size)
-        lows.append(np.linalg.eigvalsh(h[idx[:, :, None], idx[:, None, :]])[:, 0])
-    return float(np.concatenate(lows).min())
-
-
-def _psd_residuals(j: np.ndarray) -> tuple[float, float]:
-    """Hermiticity deviation of ``J`` and the smallest eigenvalue of its Hermitian part."""
-    j_h = j.conj().T
-    herm = float(np.abs(j - j_h).max())
-    return herm, _component_min_eigenvalue((j + j_h) / 2.0)
-
-
-def _heisenberg(j: np.ndarray, d_in: int, d_out: int, ops: np.ndarray) -> np.ndarray:
-    """``Phi_J^dag(F)`` for each ``F`` of the stack ``ops``.
-
-    ``<b|Phi^dag(F)|a> = Tr[F Phi(|a><b|)]``, one matrix product with ``J``.
-    """
-    t = j.reshape(d_in, d_out, d_in, d_out).transpose(3, 1, 2, 0).reshape(d_out * d_out, -1)
-    return (ops.reshape(len(ops), -1) @ t).reshape(-1, d_in, d_in)
-
-
 def _hermitian_part(diff: np.ndarray) -> np.ndarray:
     """``(D + D^dag) / 2`` per matrix of a stack, Hermitian to the bit."""
-    return (diff + diff.conj().transpose(0, 2, 1)) / 2.0
+    return (diff + diff.conj().swapaxes(-1, -2)) / 2.0
 
 
 def _hermitian_score(herm: np.ndarray) -> np.ndarray:
@@ -493,9 +714,24 @@ def _hermitian_score(herm: np.ndarray) -> np.ndarray:
     mismatch ``|Tr[F Phi(rho)] - Tr[G rho]|`` over the Hermitian matrix-unit
     basis ``rho``, which spans every input operator.
     """
-    weight = 2.0 - np.eye(herm.shape[-1])
-    entry = np.maximum(np.abs(herm.real), np.abs(herm.imag)) * weight
-    return entry.max(axis=(1, 2))
+    entry = np.maximum(np.abs(herm.real), np.abs(herm.imag)) * _off_diagonal_weight(herm.shape[-1])
+    return entry.max(axis=(-2, -1))
+
+
+@functools.lru_cache(maxsize=None)
+def _off_diagonal_weight(n: int) -> np.ndarray:
+    """``2 - I``: off-diagonal entries count for both of their Hermitian basis pairs."""
+    weight = 2.0 - np.eye(n)
+    weight.flags.writeable = False
+    return weight
+
+
+def _identities(stacks, lead: tuple) -> np.ndarray:
+    """Operator stacks ``(..., K_i, d, d)`` concatenated along ``K``, their leading shapes broadcast to ``lead``."""
+    return np.concatenate(
+        [a if a.shape[:-3] == lead else np.broadcast_to(a, (*lead, *a.shape[-3:])) for a in stacks],
+        axis=-3,
+    )
 
 
 class ChoiConstraintSystem:
@@ -505,39 +741,64 @@ class ChoiConstraintSystem:
     the channel: ``F_k = F_after_k`` and ``G_k = sum_j P_kj F_before_j``.
     ``p`` is ``None`` (identity), a ``StochasticMatrix`` or an array of shape
     ``(len(f_after), len(f_before))``; a ``POVM`` contributes its ``dense``
-    stack, anything else is taken as a stack of dense operators.  The stacks
-    ``ops`` and ``targets`` hold the ``n`` events and, last, trace
-    preservation as ``F = I_out``, ``G = I_in``.  The map
-    ``J -> (Phi_J^dag(F_k))_k`` has adjoint ``Y -> sum_k Y_k^T (x) F_k``.
+    stack, anything else is taken as a stack of dense operators.  Any of the
+    three may lead with a stack axis (one system per channel of a stack),
+    and the others broadcast to it.  The stacks ``ops`` and ``targets`` hold
+    the ``n`` events and, last, trace preservation as ``F = I_out``,
+    ``G = I_in``; :meth:`join` puts several systems' identities in one.
+    The map ``J -> (Phi_J^dag(F_k))_k`` has adjoint
+    ``Y -> sum_k Y_k^T (x) F_k``.
 
     A target ``G_k`` with ``<a|G_k|a> = 0`` for PSD ``F_k`` is the
     homogeneous constraint ``Tr[(|a><a| (x) F_k) J] = 0``, which forces any
     PSD solution onto a face of the cone (``J`` supported in the kernel of
     ``|a><a| (x) F_k``), extracted on first use: without it every feasible
-    point sits on the cone boundary, where the dual has no minimiser.
+    point sits on the cone boundary, where the dual has no minimiser.  The
+    face, the adjoint and the defect serve the probe, on one system.
     """
 
     def __init__(self, p, f_before, f_after):
-        before, after = (
+        before, after = [
             f.dense if isinstance(f, POVM) else np.asarray(f, dtype=complex)
             for f in (f_before, f_after)
-        )
+        ]
+        n_before, n_after = before.shape[-3], after.shape[-3]
         if p is None:
-            p_mat = np.eye(len(after))
+            p_mat = np.eye(n_after)
         elif isinstance(p, StochasticMatrix):
             p_mat = p.entries
         else:
             p_mat = np.asarray(p, dtype=float)
-        if p_mat.shape != (len(after), len(before)):
+        if p_mat.shape[-2:] != (n_after, n_before):
             raise ValueError(
                 f"post-processing shape {p_mat.shape} does not map "
-                f"{len(before)} -> {len(after)} events"
+                f"{n_before} -> {n_after} events"
             )
-        targets = np.tensordot(p_mat, before, axes=1)
+        targets = p_mat @ before.reshape(*before.shape[:-2], -1)
+        self._set(after, targets.reshape(*targets.shape[:-1], *before.shape[-2:]))
+
+    def _set(self, after: np.ndarray, targets: np.ndarray):
+        """Hold the identities ``after``/``targets`` and trace preservation after them."""
         self.d_in, self.d_out = targets.shape[-1], after.shape[-1]
         self.dim = self.d_in * self.d_out
-        self.ops = np.concatenate([after, np.eye(self.d_out)[None]])
-        self.targets = np.concatenate([targets, np.eye(self.d_in)[None]])
+        lead = max(after.shape[:-3], targets.shape[:-3], key=len)
+        self.ops = _identities([after, np.eye(self.d_out)[None]], lead)
+        self.targets = _identities([targets, np.eye(self.d_in)[None]], lead)
+
+    @classmethod
+    def join(cls, *systems) -> "ChoiConstraintSystem":
+        """The identities of ``systems`` in order, trace preservation once, last; stack axes broadcast."""
+        lead = max((s.ops.shape[:-3] for s in systems), key=len)
+        joined = cls.__new__(cls)
+        joined._set(
+            _identities([s.ops[..., :-1, :, :] for s in systems], lead),
+            _identities([s.targets[..., :-1, :, :] for s in systems], lead),
+        )
+        return joined
+
+    def residuals(self, choi: "ChoiSupport") -> np.ndarray:
+        """Per Choi matrix of ``choi`` and identity, the worst mismatch over a Hermitian input basis."""
+        return choi.residuals(self.ops, self.targets)
 
     @cached_property
     def face_basis(self) -> np.ndarray:
@@ -552,16 +813,25 @@ class ChoiConstraintSystem:
         return vecs[:, vals <= 1e-12 * max(1.0, float(vals[-1]))]
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
-        """``sum_k Y_k^T (x) F_k`` for a stack ``y`` shaped like ``targets``, as a Choi matrix."""
-        return _transpose_kron_sum(y, self.ops)
+        """``sum_k Y_k^T (x) F_k`` for a stack ``y`` shaped like ``targets``, as a dense Choi matrix.
+
+        Transpose, not adjoint: ``Y_k`` may be complex.
+        """
+        n, d_in, d_out = len(y), self.d_in, self.d_out
+        flat = y.transpose(0, 2, 1).reshape(n, -1).T @ self.ops.reshape(n, -1)
+        return flat.reshape(d_in, d_in, d_out, d_out).transpose(0, 2, 1, 3).reshape(self.dim, self.dim)
 
     def defect(self, j: np.ndarray) -> np.ndarray:
-        """Hermitian parts of ``Phi_J^dag(F_k) - G_k``, trace preservation last."""
-        return _hermitian_part(_heisenberg(j, self.d_in, self.d_out, self.ops) - self.targets)
+        """Hermitian parts of ``Phi_J^dag(F_k) - G_k`` for a dense ``J``, trace preservation last.
 
-    def residuals(self, j: np.ndarray) -> np.ndarray:
-        """Per-identity score of :meth:`defect`: the worst mismatch over a Hermitian input basis."""
-        return _hermitian_score(self.defect(j))
+        The probe's gradient at its iterate, which is a dense matrix: one
+        matrix product with ``J``.  Verdicts are scored on the support
+        (:meth:`residuals`).
+        """
+        d_in, d_out = self.d_in, self.d_out
+        t = j.reshape(d_in, d_out, d_in, d_out).transpose(3, 1, 2, 0).reshape(d_out * d_out, -1)
+        image = (self.ops.reshape(len(self.ops), -1) @ t).reshape(-1, d_in, d_in)
+        return _hermitian_part(image - self.targets)
 
     def project_face_psd(self, mat: np.ndarray) -> np.ndarray:
         """Project onto the PSD matrices supported on the feasible face."""
@@ -589,19 +859,40 @@ class CPTPReport:
         return float(np.max((0.0, *violations)))
 
 
+def cptp_reports(choi: ChoiSupport, trace_preservation_dev, tol: float) -> list[CPTPReport]:
+    """One :class:`CPTPReport` per Choi matrix of ``choi``, given its trace-preservation score.
+
+    The score is the trace-preservation identity's residual, which callers
+    take from the same contraction as their other identities.
+    """
+    herm, low = choi.psd_residuals()
+    return [
+        CPTPReport(
+            min_choi_eigenvalue=lo,
+            trace_preservation_dev=tp,
+            hermiticity_dev=h,
+            tolerance=tol,
+            passed=lo >= -tol and tp <= tol and h <= tol,
+        )
+        for lo, tp, h in zip(low.tolist(), np.asarray(trace_preservation_dev).tolist(), herm.tolist())
+    ]
+
+
+def _one(ch: QuantumChannel) -> ChoiSupport:
+    support = ch.support
+    if len(support.values) != 1:
+        raise ValueError(
+            f"a stack of {len(support.values)} channels: score it on its ChoiSupport"
+        )
+    return support
+
+
 def verify_cptp(ch: QuantumChannel, tol: float) -> CPTPReport:
-    """Check that ``J`` is PSD and ``Phi_J^dag(I_out) = I_in``, scored as kernel identities."""
-    d_in, d_out = ch.input_layout.total_dim, ch.output_layout.total_dim
-    herm, min_eig = _psd_residuals(ch.choi)
-    defect = _heisenberg(ch.choi, d_in, d_out, np.eye(d_out)[None]) - np.eye(d_in)
-    tp_dev = float(_hermitian_score(_hermitian_part(defect))[0])
-    return CPTPReport(
-        min_choi_eigenvalue=min_eig,
-        trace_preservation_dev=tp_dev,
-        hermiticity_dev=herm,
-        tolerance=tol,
-        passed=min_eig >= -tol and tp_dev <= tol and herm <= tol,
-    )
+    """Check that ``J`` is PSD and ``Phi_J^dag(I_out) = I_in``: the one-channel case of :func:`cptp_reports`."""
+    support = _one(ch)
+    eye_in, eye_out = np.eye(support.d_in), np.eye(support.d_out)
+    tp_dev = support.residuals(eye_out[None], eye_in[None])[:, 0]
+    return cptp_reports(support, tp_dev, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -632,11 +923,11 @@ def verify_statistics_equivalence(
             f"measurements act on dimensions {(system.d_in, system.d_out)} "
             f"but the channel maps {dims[0]} -> {dims[1]}"
         )
-    worst = system.residuals(ch.choi)[:-1]
+    worst = system.residuals(_one(ch))[0, :-1]
     max_res = float(worst.max())
     return EquivalenceReport(
         max_residual=max_res,
-        per_event=tuple(float(w) for w in worst),
+        per_event=tuple(worst.tolist()),
         tolerance=tol,
         passed=max_res <= tol,
     )

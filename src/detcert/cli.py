@@ -8,6 +8,7 @@ preconditions unmet or checks failed, 1 tool error (usage, descriptor, I/O).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import asdict, fields, replace
 
@@ -27,7 +28,9 @@ from .report import (
 )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="detcert",
         description=(

@@ -95,7 +95,9 @@ class DetectionSetup:
 
     ``mode_map`` is a ``k x n_in`` complex matrix whose columns are
     orthonormal: it embeds the input modes isometrically into the detector
-    modes, so photon number is conserved before loss.
+    modes, so photon number is conserved before loss.  ``eta`` is one
+    efficiency per detector, or a ``(depth, k)`` stack of such vectors,
+    for which :func:`build_threshold_povm` builds the stack of POVMs.
     """
 
     k: int
@@ -111,7 +113,7 @@ class DetectionSetup:
         gram = mm.conj().T @ mm
         if np.abs(gram - np.eye(n_in)).max() > _ISOMETRY_TOL:
             raise ValueError("mode_map columns are not orthonormal (not an isometry)")
-        if eta.shape != (self.k,):
+        if eta.ndim not in (1, 2) or eta.shape[-1] != self.k:
             raise ValueError(f"eta must have length {self.k}")
         if not ((eta >= 0) & (eta <= 1)).all():  # NaN fails too
             raise ValueError("efficiencies must lie in [0, 1]")
@@ -130,8 +132,8 @@ def _broadcast_eta(eta, k: int):
     arr = np.atleast_1d(np.asarray(eta, dtype=float))
     if arr.size == 1:
         return np.full(k, float(arr[0]))
-    if arr.size != k:
-        raise ValueError(f"expected {k} efficiencies, got {arr.size}")
+    if arr.shape[-1] != k:
+        raise ValueError(f"expected {k} efficiencies, got {arr.shape[-1]}")
     return arr
 
 
@@ -164,12 +166,13 @@ class POVM:
     """Measurement on photon-number blocks, optionally followed by flags.
 
     ``dense`` is the ``(n, d, d)`` stack of the elements, one per event, on
-    the ``d``-dimensional space of ``layout``.  It is validated once, in
-    one batched pass: finite, exactly zero off the layout's blocks,
-    Hermitian to 1e-12, PSD to -1e-10 and summing to the identity to 1e-10.
-    A layout ending in a ``flag`` block (a flag-state target) carries one
-    classical flag per event.  The stack is read-only, and every check
-    reads it.
+    the ``d``-dimensional space of ``layout``, or a ``(depth, n, d, d)``
+    stack of such measurements on one layout and event table (one per
+    efficiency corner, say).  It is validated once, in one batched pass:
+    finite, exactly zero off the layout's blocks, Hermitian to 1e-12, PSD
+    to -1e-10 and summing to the identity to 1e-10.  A layout ending in a
+    ``flag`` block (a flag-state target) carries one classical flag per
+    event.  The stack is read-only, and every check reads it.
     """
 
     __slots__ = ("layout", "events", "dense")
@@ -177,7 +180,7 @@ class POVM:
     def __init__(self, layout: SpaceLayout, dense, events: EventTable):
         dense = np.array(dense, dtype=complex)
         d = layout.total_dim
-        if dense.shape != (events.n_events, d, d):
+        if dense.shape[-3:] != (events.n_events, d, d) or dense.ndim not in (3, 4):
             raise ValueError(
                 f"element stack has shape {dense.shape}, want {(events.n_events, d, d)}"
             )
@@ -187,18 +190,19 @@ class POVM:
 
         def reject(bad: np.ndarray, why):
             if bad.any():
-                i = int(np.flatnonzero(bad)[0])
-                raise ValueError(f"element {labels[i]!r} {why(i)}")
+                at = tuple(int(x) for x in np.argwhere(bad)[0])
+                where = f" in stack entry {at[0]}" if len(at) > 1 else ""
+                raise ValueError(f"element {labels[at[-1]]!r}{where} {why(at)}")
 
-        reject(~np.isfinite(dense).all(axis=(1, 2)), lambda i: "has a non-finite entry")
+        reject(~np.isfinite(dense).all(axis=(-2, -1)), lambda at: "has a non-finite entry")
         owner = np.repeat(np.arange(len(layout.blocks)), [dim for _, dim in layout.blocks])
-        off = np.abs(dense[:, owner[:, None] != owner]).max(axis=1, initial=0.0)
-        reject(off != 0.0, lambda i: f"is not zero off its blocks (entry {off[i]:.3e})")
-        herm = np.abs(dense - dense.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-        reject(herm > 1e-12, lambda i: f"is not Hermitian (deviation {herm[i]:.3e})")
-        lows = np.linalg.eigvalsh(dense)[:, 0]
-        reject(lows < -1e-10, lambda i: f"is not PSD (eigenvalue {lows[i]:.3e})")
-        dev = np.abs(dense.sum(axis=0) - np.eye(d)).max()
+        off = np.abs(dense[..., owner[:, None] != owner]).max(axis=-1, initial=0.0)
+        reject(off != 0.0, lambda at: f"is not zero off its blocks (entry {off[at]:.3e})")
+        herm = np.abs(dense - dense.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+        reject(herm > 1e-12, lambda at: f"is not Hermitian (deviation {herm[at]:.3e})")
+        lows = np.linalg.eigvalsh(dense)[..., 0]
+        reject(lows < -1e-10, lambda at: f"is not PSD (eigenvalue {lows[at]:.3e})")
+        dev = np.abs(dense.sum(axis=-3) - np.eye(d)).max()
         if not dev <= 1e-10:
             raise ValueError(f"completeness violated by {dev:.3e}")
         dense.flags.writeable = False
@@ -207,12 +211,25 @@ class POVM:
         self.dense = dense
 
     def __len__(self) -> int:
-        return len(self.dense)
+        return self.dense.shape[-3]
+
+    @property
+    def stacked(self) -> bool:
+        """Whether this is a stack of measurements."""
+        return self.dense.ndim == 4
+
+    def take(self, index) -> "POVM":
+        """Stack entry ``index`` (an int), or the sub-stack ``index`` (a slice), already validated."""
+        if not self.stacked:
+            raise ValueError("not a stack of measurements")
+        out = POVM.__new__(POVM)
+        out.layout, out.events, out.dense = self.layout, self.events, self.dense[index]
+        return out
 
     def block(self, label: str) -> np.ndarray:
-        """The ``(n, d_b, d_b)`` view of every element's block ``label``."""
+        """The ``(..., n, d_b, d_b)`` view of every element's block ``label``."""
         s = self.layout.slice_of(label)
-        return self.dense[:, s, s]
+        return self.dense[..., s, s]
 
 
 def _occupations(n_modes: int, total: int):
@@ -265,7 +282,9 @@ def build_threshold_povm(setup: DetectionSetup, cutoff: int) -> POVM:
     Each input Fock state is pushed through the mode-map isometry; detector
     ``i`` then keeps each photon with probability ``eta_i`` and clicks iff at
     least one survives.  The ``m = 0`` blocks are independent of ``eta`` and
-    give the no-click event with certainty.
+    give the no-click event with certainty.  A ``(depth, k)`` stack of
+    efficiency vectors gives the stack of POVMs, from one set of mode-map
+    lifts and one event table.
     """
     if not isinstance(cutoff, int) or cutoff < 1:
         raise ValueError("cutoff must be an integer >= 1")
@@ -279,20 +298,21 @@ def build_threshold_povm(setup: DetectionSetup, cutoff: int) -> POVM:
     clicks = ((np.array(events.masks)[:, None, None] >> np.arange(setup.k)) & 1).astype(bool)
     lifts = [_lift_isometry(setup.mode_map, m) for m in range(cutoff + 1)]
     layout = SpaceLayout(tuple((photon_label(m), len(lift[2])) for m, lift in enumerate(lifts)))
-    dense = np.zeros((events.n_events, layout.total_dim, layout.total_dim), dtype=complex)
+    lead = one_minus_eta.shape[:-1]
+    dense = np.zeros((*lead, events.n_events, layout.total_dim, layout.total_dim), dtype=complex)
     for m, (v, det_occs, _) in enumerate(lifts):
         s = layout.slice_of(photon_label(m))
         # Survival probabilities per detector occupation: detector i with n_i
         # photons stays dark with probability (1 - eta_i)^(n_i).  An event's
         # weight multiplies, detector by detector, the click or dark factor
         # its mask names; all events of the block at once.
-        dark = one_minus_eta ** np.array(det_occs)
+        dark = one_minus_eta[..., None, None, :] ** np.array(det_occs)
         factors = np.where(clicks, 1.0 - dark, dark)
         weights = factors[..., 0]
         for i in range(1, setup.k):
             weights = weights * factors[..., i]
-        blocks = v.conj().T @ (weights[:, :, None] * v)
-        dense[:, s, s] = (blocks + blocks.conj().transpose(0, 2, 1)) / 2.0
+        blocks = v.conj().T @ (weights[..., None] * v)
+        dense[..., s, s] = (blocks + blocks.conj().swapaxes(-1, -2)) / 2.0
     return POVM(layout, dense, events)
 
 
@@ -315,20 +335,32 @@ class SinglePhotonAssumptionReport:
         return tuple(e for e in self.entries if e[2] > self.tolerance)
 
 
-def verify_single_photon_assumption(povm: POVM) -> SinglePhotonAssumptionReport:
-    """Report on the no-more-clicks-than-photons structure of ``povm``."""
+def verify_single_photon_assumption(povm: POVM):
+    """Report on the no-more-clicks-than-photons structure of ``povm``.
+
+    A stack of measurements is checked in one pass and gives a tuple of
+    reports, one per stack entry.
+    """
     events = povm.events
-    entries = []
     m0, m1 = photon_label(0), photon_label(1)
-    vac = np.abs(povm.block(m0)).max(axis=(1, 2))
-    one = np.abs(povm.block(m1)).max(axis=(1, 2)) if povm.layout.has(m1) else None
-    for i in events.multi_indices:
-        entries.append((events.labels[i], m0, float(vac[i])))
-        if one is not None:
-            entries.append((events.labels[i], m1, float(one[i])))
-    for i in events.single_indices:
-        entries.append((events.labels[i], m0, float(vac[i])))
-    worst = max((v for _, _, v in entries), default=0.0)
-    return SinglePhotonAssumptionReport(
-        passed=worst <= _ASSUMPTION_TOL, max_violation=worst, entries=tuple(entries)
+    largest = {
+        label: np.abs(povm.block(label)).max(axis=(-2, -1))
+        for label in (m0, m1) if povm.layout.has(label)
+    }
+    checked = [(i, block) for i in events.multi_indices for block in largest]
+    checked += [(i, m0) for i in events.single_indices]
+    values = np.stack([largest[block][..., i] for i, block in checked], axis=-1)
+    reports = tuple(
+        SinglePhotonAssumptionReport(
+            passed=worst <= _ASSUMPTION_TOL,
+            max_violation=worst,
+            entries=tuple(
+                (events.labels[i], block, value) for (i, block), value in zip(checked, row)
+            ),
+        )
+        for row, worst in zip(
+            values.reshape(-1, len(checked)).tolist(),
+            values.max(axis=-1).reshape(-1).tolist(),
+        )
     )
+    return reports if povm.stacked else reports[0]

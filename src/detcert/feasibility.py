@@ -8,8 +8,9 @@ preservation: a semidefinite feasibility question on the Choi matrix
 ``J``, posed by the ``ChoiConstraintSystem`` that the channel certificates
 read too.  L-BFGS on the dual of the nearest-point problem (Malick, SIAM J.
 Matrix Anal. Appl. 26, 272 (2004)) ends in a witness ``J`` or a Farkas ray
-``Y``, each re-verified without the solver by one eigensolve on the full
-Choi space (:func:`verify_choi_witness`, :func:`verify_farkas_ray`).
+``Y``, each re-verified without the solver: the witness by the kernel that
+certifies channels, on its nonzeros (:func:`verify_choi_witness`), the ray
+by one eigensolve on the full Choi space (:func:`verify_farkas_ray`).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChoiConstraintSystem, _hermitian_part, _hermitian_score, _psd_residuals
+from .channels import ChoiConstraintSystem, ChoiSupport, _hermitian_part, _hermitian_score
 
 
 @dataclass(frozen=True)
@@ -174,9 +175,10 @@ def verify_choi_witness(j, p_dc, f_eta, f_target, tol: float) -> ChoiWitnessRepo
     if j.shape != (system.dim, system.dim):
         raise ValueError("Choi matrix shape does not match the measurements")
 
-    herm, min_eig = _psd_residuals(j)
+    support = ChoiSupport.from_dense(j, system.d_in, system.d_out)
+    herm, min_eig = (float(x[0]) for x in support.psd_residuals())
     psd_residual = float(np.maximum(0.0, -min_eig))
-    residuals = system.residuals(j)
+    residuals = system.residuals(support)[0]
     tp_dev = float(residuals[-1])
     linear = float(residuals[:-1].max())
     passed = herm <= tol and psd_residual <= tol and tp_dev <= tol and linear <= tol

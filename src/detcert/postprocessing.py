@@ -108,9 +108,17 @@ def single_photon_loss_matrix(eta) -> StochasticMatrix:
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
     if not ((eta >= 0) & (eta <= 1)).all():  # NaN fails too
         raise ValueError("efficiencies must lie in [0, 1]")
-    p = np.diag(np.concatenate(([1.0], eta)))
-    p[0, 1:] = 1.0 - eta
-    return StochasticMatrix(p)
+    return StochasticMatrix(_single_photon_loss_entries(eta))
+
+
+def _single_photon_loss_entries(eta: np.ndarray) -> np.ndarray:
+    """Entries of the single-photon loss map for each efficiency vector of a stack ``(..., k)``."""
+    k = eta.shape[-1]
+    p = np.zeros(eta.shape[:-1] + (k + 1, k + 1))
+    p[..., 0, 0] = 1.0
+    p[..., range(1, k + 1), range(1, k + 1)] = eta
+    p[..., 0, 1:] = 1.0 - eta
+    return p
 
 
 @dataclass(frozen=True)
@@ -185,7 +193,7 @@ def multiclick_coarse_graining(events: EventTable) -> CoarseGraining:
 
 
 def apply_postprocessing(p: StochasticMatrix, povm: POVM) -> POVM:
-    """Post-processed measurement ``G' = P G`` (element-wise mixing).
+    """Post-processed measurement ``G' = P G`` (element-wise mixing), per stack entry.
 
     The output events are the row table of ``p``, which must carry one.
     """
@@ -194,7 +202,9 @@ def apply_postprocessing(p: StochasticMatrix, povm: POVM) -> POVM:
     events = getattr(p, "row_table", None)
     if events is None:
         raise ValueError("no event table for the output POVM")
-    return POVM(povm.layout, np.tensordot(p.entries, povm.dense, axes=1), events)
+    d = povm.layout.total_dim
+    flat = povm.dense.reshape(*povm.dense.shape[:-2], d * d)
+    return POVM(povm.layout, (p.entries @ flat).reshape(*flat.shape[:-2], -1, d, d), events)
 
 
 @dataclass(frozen=True)

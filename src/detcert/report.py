@@ -19,8 +19,11 @@ import numpy as np
 
 from . import __version__
 from .channels import (
+    ChoiConstraintSystem,
+    ChoiSupport,
     bb84_qubit_measurement,
     bb84_simple_noise_channel,
+    cptp_reports,
     dark_count_channel,
     loss_channel,
     verify_cptp,
@@ -401,26 +404,6 @@ def emit_certificate(cert: Certificate, path) -> Path:
     return out
 
 
-def _certify_channel(cert, kind, channel, tol, suffix, inputs, statistics, weight_relation):
-    """Record the CPTP, statistics and weight-relation checks of one channel.
-
-    ``statistics`` and ``weight_relation`` are ``(P, F_before, F_after)``
-    arguments of :func:`verify_statistics_equivalence`, each the identity
-    ``Phi^dag(F_after_i) = sum_j P_ij F_before_j`` over all input operators.
-    """
-    cptp = verify_cptp(channel, tol)
-    cert.add_check(f"{kind}-channel-cptp{suffix}", "verify_cptp", inputs, cptp.residual, tol)
-    for check, identity, check_tol in (
-        ("statistics", statistics, tol),
-        ("weight-relation", weight_relation, _WEIGHT_TOL),
-    ):
-        report = verify_statistics_equivalence(*identity, channel, tol=check_tol)
-        cert.add_check(
-            f"{kind}-channel-{check}{suffix}", "verify_statistics_equivalence", inputs,
-            report.max_residual, check_tol,
-        )
-
-
 def _common_efficiency(desc: SetupDescriptor, eta_lo, eta_hi, derived: dict) -> float:
     """The descriptor's ``eta_star`` (else 1), admissible over the box ``[eta_lo, eta_hi]``.
 
@@ -465,12 +448,6 @@ def _analyze_flag_state(desc: SetupDescriptor, cert: Certificate) -> Certificate
 
     cg = multiclick_coarse_graining(enumerate_events(desc.k)) if desc.coarse_grain == "multiclick" else None
 
-    def squash(povm):
-        if cg is not None:
-            povm = apply_postprocessing(cg, povm)
-        report = verify_single_photon_assumption(povm)
-        return povm, report
-
     # Dark-count post-processing at the top of the rate range.
     p_fine = dark_count_matrix(d_max)
     if cg is not None:
@@ -499,24 +476,34 @@ def _analyze_flag_state(desc: SetupDescriptor, cert: Certificate) -> Certificate
     p00 = float(p_db.entries[0, 0])
     _record_weight(desc, cert, p00, eta_star)
 
-    # Lossless and common-efficiency targets are corner independent.
-    lossless_povm, lossless_report = squash(build_threshold_povm(build_setup(desc, 1.0), desc.cutoff))
-    if not lossless_report.passed:
+    # One threshold build for every efficiency vector: the corners, then
+    # the lossless and common-efficiency targets, which are corner
+    # independent.
+    corners = eta_corners(desc)
+    n_corners = len(corners)
+    etas = np.array([*corners, np.ones(desc.k), np.full(desc.k, eta_star)])
+    povms = build_threshold_povm(build_setup(desc, etas), desc.cutoff)
+    if cg is not None:
+        povms = apply_postprocessing(cg, povms)
+    reports = verify_single_photon_assumption(povms)
+    if not reports[n_corners].passed:
         cert.downgrade("threshold POVM violates the click-count assumption")
         return cert
-    f_lossless = flag_state_target(lossless_povm, desc.cutoff)
-    star_povm, _ = squash(build_threshold_povm(build_setup(desc, eta_star), desc.cutoff))
-    f_star = flag_state_target(star_povm, desc.cutoff)
-    # Weight relations: Phi_dark^dag(P01) = p00 P01 and
-    # Phi_loss^dag(P01) = P0 + (eta_min / eta_star) P1.
-    proj0 = f_lossless.layout.projector(photon_label(0))
-    proj1 = f_lossless.layout.projector(photon_label(1))
-    proj01 = proj0 + proj1
+    targets = flag_state_target(povms, desc.cutoff)
+    f_lossless, f_star = targets.take(n_corners), targets.take(n_corners + 1)
+    # Corners before the first that violates the assumption get channels.
+    certified = next((i for i in range(n_corners) if not reports[i].passed), n_corners)
+    residuals = []
+    if certified:
+        residuals = _certify_corners(
+            p_db, etas[:certified], eta_star, targets.take(slice(0, certified)),
+            f_lossless, f_star, desc.tol,
+        )
 
-    for idx, eta_vec in enumerate(eta_corners(desc)):
+    for idx, eta_vec in enumerate(corners[: certified + 1]):
         suffix = f"-corner{idx}"
         inputs = {"eta": eta_vec.tolist(), "dark": d_max.tolist(), "eta_star": eta_star}
-        povm, report = squash(build_threshold_povm(build_setup(desc, eta_vec), desc.cutoff))
+        report = reports[idx]
         cert.add_check(
             f"single-photon-assumption{suffix}", "verify_single_photon_assumption",
             inputs, report.max_violation, report.tolerance,
@@ -524,18 +511,54 @@ def _analyze_flag_state(desc: SetupDescriptor, cert: Certificate) -> Certificate
         if not report.passed:
             cert.downgrade("threshold POVM violates the click-count assumption")
             return cert
-        f_eta = flag_state_target(povm, desc.cutoff)
-        _certify_channel(
-            cert, "dark", dark_count_channel(p_db, f_eta), desc.tol, suffix, inputs,
-            statistics=(p_db, f_eta, f_eta),
-            weight_relation=([[p00]], [proj01], [proj01]),
-        )
-        _certify_channel(
-            cert, "loss", loss_channel(eta_vec, eta_star, f_lossless), desc.tol, suffix, inputs,
-            statistics=(None, f_eta, f_star),
-            weight_relation=([[1.0, float(np.min(eta_vec)) / eta_star]], [proj0, proj1], [proj01]),
-        )
+        for kind, (cptp, statistics, weight) in zip(("dark", "loss"), residuals[idx]):
+            cert.add_check(f"{kind}-channel-cptp{suffix}", "verify_cptp", inputs, cptp, desc.tol)
+            cert.add_check(
+                f"{kind}-channel-statistics{suffix}", "verify_statistics_equivalence", inputs,
+                statistics, desc.tol,
+            )
+            cert.add_check(
+                f"{kind}-channel-weight-relation{suffix}", "verify_statistics_equivalence", inputs,
+                weight, _WEIGHT_TOL,
+            )
     return cert
+
+
+def _certify_corners(p_db, etas, eta_star, f_eta, f_lossless, f_star, tol):
+    """CPTP, statistics and weight-relation residuals of the dark and loss channels per corner.
+
+    ``f_eta`` stacks the targets at the efficiency vectors ``etas``.  Both
+    channel stacks share one support, scored in one pass: one component
+    eigensolve for CPTP and one contraction for every identity of each
+    channel, ``Phi^dag(F_after_i) = sum_j P_ij F_before_j`` over all input
+    operators, its weight relation, then trace preservation.  The weight
+    relations are ``Phi_dark^dag(P01) = p00 P01`` and
+    ``Phi_loss^dag(P01) = P0 + (eta_min / eta_star) P1``.  Returns, per
+    corner, ``((cptp, statistics, weight) dark, (...) loss)``.
+    """
+    layout = f_lossless.layout
+    proj0, proj1 = layout.projector(photon_label(0)), layout.projector(photon_label(1))
+    proj01 = proj0 + proj1
+    dark = dark_count_channel(p_db, f_eta)
+    loss = loss_channel(etas, eta_star, f_lossless)
+    ratios = etas.min(axis=1) / eta_star
+    loss_weights = np.stack([np.ones_like(ratios), ratios], axis=-1)[:, None, :]
+    dark_identities = ChoiConstraintSystem.join(
+        ChoiConstraintSystem(p_db, f_eta, f_eta),
+        ChoiConstraintSystem([[float(p_db.entries[0, 0])]], [proj01], [proj01]),
+    )
+    loss_identities = ChoiConstraintSystem.join(
+        ChoiConstraintSystem(None, f_eta, f_star),
+        ChoiConstraintSystem(loss_weights, [proj0, proj1], [proj01]),
+    )
+    support = ChoiSupport.of([dark, loss])
+    scores = support.residuals(
+        np.concatenate([dark_identities.ops, loss_identities.ops]),
+        np.concatenate([dark_identities.targets, loss_identities.targets]),
+    )
+    cptp = [r.residual for r in cptp_reports(support, scores[:, -1], tol)]
+    channels = list(zip(cptp, scores[:, :-2].max(axis=1).tolist(), scores[:, -2].tolist()))
+    return list(zip(channels[: len(etas)], channels[len(etas) :]))
 
 
 def active_swap_lp(desc: SetupDescriptor):

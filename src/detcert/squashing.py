@@ -25,7 +25,8 @@ def flag_state_target(povm: POVM, cutoff: int) -> POVM:
     Element ``i`` keeps the blocks ``m <= cutoff`` of the source element and
     appends the flag ``|i><i|``; blocks above the cutoff are dropped (their
     role is taken over by the flags).  The result is a ``POVM`` whose layout
-    ends in a ``flag`` block of one flag per event.
+    ends in a ``flag`` block of one flag per event.  A stack of
+    measurements gives the stack of targets.
     """
     numbers = povm.layout.photon_numbers()
     if cutoff not in numbers:
@@ -35,12 +36,12 @@ def flag_state_target(povm: POVM, cutoff: int) -> POVM:
     layout = SpaceLayout(
         tuple((lab, povm.layout.dim(lab)) for lab in preserved) + ((FLAG_LABEL, n),)
     )
-    dense = np.zeros((n, layout.total_dim, layout.total_dim), dtype=complex)
+    dense = np.zeros((*povm.dense.shape[:-2], layout.total_dim, layout.total_dim), dtype=complex)
     for lab in preserved:
         s = layout.slice_of(lab)
-        dense[:, s, s] = povm.block(lab)
+        dense[..., s, s] = povm.block(lab)
     flags = layout.offset(FLAG_LABEL) + np.arange(n)
-    dense[np.arange(n), flags, flags] = 1.0
+    dense[..., np.arange(n), flags, flags] = 1.0
     return POVM(layout, dense, povm.events)
 
 
@@ -101,6 +102,8 @@ def weight_bound(povm: POVM, event, p_observed: float, cutoff: int) -> WeightBou
     outside = [m for m in numbers if m > cutoff]
     if not outside:
         raise ValueError(f"POVM has no blocks above the cutoff {cutoff}")
+    if povm.stacked:
+        raise ValueError("weight_bound takes one measurement, not a stack of them")
     idx = _resolve_event(povm.events, event)
     gamma = sum(povm.dense[i] for i in idx)
 

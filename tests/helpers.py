@@ -252,3 +252,40 @@ def deviation_q_oracle(f_noise, f_ideal, cap=1.0):
                 t_overall = min(t_overall, 1.0 / lmax)
     t_overall = min(cap, t_overall)
     return float(min(1.0, max(0.0, 1.0 - t_overall)))
+
+
+def reference_choi(terms, d_in: int, d_out: int, depth: int = 1) -> np.ndarray:
+    """Dense ``(depth, dim, dim)`` Choi matrices of a sum of CP terms, term by term.
+
+    The dense assembly that ``ChoiSupport`` replaces: a keep-blocks term is
+    ``weight |v><v|`` with ``v = P^T.ravel()``, a measure-prepare term
+    ``sum_k ops_k^T (x) preps_k``, each per stack entry (a term without a
+    stack axis is the same at every entry).
+    """
+    dim = d_in * d_out
+    out = np.zeros((depth, dim, dim), dtype=complex)
+    for term in terms:
+        if hasattr(term, "projector"):
+            v = np.asarray(term.projector, dtype=complex).T.ravel()
+            weights = np.broadcast_to(np.asarray(term.weight, dtype=float), (depth,))
+            for c in range(depth):
+                out[c] += weights[c] * np.outer(v, v.conj())
+        else:
+            ops = np.asarray(term.ops, dtype=complex)
+            preps = np.asarray(term.preps, dtype=complex)
+            ops = np.broadcast_to(ops, (depth, *ops.shape[-3:]))
+            preps = np.broadcast_to(preps, (depth, *preps.shape[-3:]))
+            for c in range(depth):
+                for op, prep in zip(ops[c], preps[c]):
+                    out[c] += np.kron(op.T, prep)
+    return out
+
+
+def reference_heisenberg(j: np.ndarray, d_in: int, d_out: int, ops) -> np.ndarray:
+    """``Phi_J^dag(F)`` of a dense Choi matrix for each ``F`` of ``ops``, from the definition.
+
+    ``<b|Phi^dag(F)|a> = Tr[F Phi(|a><b|)]`` with ``Phi(|a><b|)`` the
+    ``(a, b)`` block of ``J``.
+    """
+    j4 = np.asarray(j).reshape(d_in, d_out, d_in, d_out)
+    return np.array([np.einsum("ji,aibj->ba", f, j4) for f in ops])

@@ -60,7 +60,7 @@ def test_criterion_2_bb84_channel_identity():
 
 
 def test_criterion_3_dark_count_channel_certification():
-    with criterion(3, "dark-count channel certified over random rates", 10.0):
+    with criterion(3, "dark-count channel certified over random rates", 5.0):
         setup = dc.passive_bb84_setup([0.8, 0.85, 0.9, 0.75])
         squashed = dc.flag_state_target(dc.build_threshold_povm(setup, 1), 1)
         proj = squashed.layout.projector(("m=0", "m=1"))
@@ -82,7 +82,7 @@ def test_criterion_3_dark_count_channel_certification():
 
 
 def test_criterion_4_loss_channel_certification():
-    with criterion(4, "loss channel certified at both admissible extremes", 5.0):
+    with criterion(4, "loss channel certified at both admissible extremes", 0.5):
         eta = np.array([0.5, 0.55, 0.6, 0.52])
         setup = dc.passive_bb84_setup(1.0)
         lo, hi = dc.eta_star_range(0.5, 0.6)
@@ -192,7 +192,7 @@ def test_criterion_8_choi_feasibility():
 
 
 def test_criterion_9_deterministic_certificates(tmp_path):
-    with criterion(9, "analyze is byte-deterministic at fixed seed", 5.0):
+    with criterion(9, "analyze is byte-deterministic at fixed seed", 0.25):
         out1 = tmp_path / "run1.json"
         out2 = tmp_path / "run2.json"
         assert cli.main(["analyze", str(DESCRIPTOR), "--out", str(out1)]) == 0

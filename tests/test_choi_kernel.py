@@ -9,16 +9,23 @@ inputs, which block-diagonal test states cannot reach.
 
 import numpy as np
 import pytest
-from helpers import hermitian_basis, mix_povms, random_density, random_squashed_povm
-from hypothesis import example, given, settings
+from helpers import (
+    hermitian_basis,
+    mix_povms,
+    random_density,
+    random_squashed_povm,
+    reference_choi,
+    reference_heisenberg,
+)
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import detcert as dc
 from detcert import report
 from detcert.channels import (
     ChoiConstraintSystem,
+    ChoiSupport,
     QuantumChannel,
-    _component_min_eigenvalue,
     _KeepBlocks,
     _MeasurePrepare,
 )
@@ -208,7 +215,7 @@ def test_statistics_check_names_a_layout_mismatch():
 
 
 def _faulty(build, fault_op):
-    """``build`` with a term of size 1e-6 added to the channel it returns."""
+    """``build`` with a term of size 1e-6 added to the channel, or to entry 0 of the stack, it returns."""
 
     def wrapped(*args):
         channel = build(*args)
@@ -216,7 +223,9 @@ def _faulty(build, fault_op):
         out = np.zeros((layout.total_dim,) * 2, dtype=complex)
         out[0, 0] = 1e-6  # onto the vacuum, off the last flag: trace preserved
         out[-1, -1] = -1e-6
-        fault = _MeasurePrepare(ops=(fault_op(layout),), preps=(out,))
+        ops = np.zeros((len(channel.support.values), 1, *out.shape), dtype=complex)
+        ops[0, 0] = fault_op(layout)
+        fault = _MeasurePrepare(ops=ops, preps=(out,))
         return QuantumChannel(layout, layout, channel.terms + (fault,))
 
     return wrapped
@@ -239,8 +248,11 @@ def _vacuum_one_photon_coherence(layout):
 @pytest.mark.parametrize("fault_op", [_one_photon_population, _vacuum_one_photon_coherence])
 @pytest.mark.parametrize("kind,factory", [("dark", "dark_count_channel"), ("loss", "loss_channel")])
 def test_injected_fault_fails_the_certificate(monkeypatch, kind, factory, fault_op):
+    # the analysis builds each channel once, for every corner: the fault
+    # sits at corner 0 of the stack and fails corner 0 only
     desc = report.descriptor_from_dict(PASSIVE)
-    assert report.run_analysis(desc).all_passed
+    clean = report.run_analysis(desc)
+    assert clean.all_passed
     monkeypatch.setattr(report, factory, _faulty(getattr(report, factory), fault_op))
     cert = report.run_analysis(desc)
     assert not cert.all_passed
@@ -248,6 +260,14 @@ def test_injected_fault_fails_the_certificate(monkeypatch, kind, factory, fault_
     failed = {c["name"] for c in cert.checks if not c["passed"]}
     for check in ("statistics", "weight-relation"):
         assert f"{kind}-channel-{check}-corner0" in failed
+    # the loss fault also prepares -1e-6 on a flag that no loss term touches
+    assert all(name.startswith(f"{kind}-channel-") and name.endswith("-corner0") for name in failed)
+    unchanged = [
+        (c["name"], c["residual"]) for c in cert.checks if not c["name"].endswith("corner0")
+    ]
+    assert unchanged == [
+        (c["name"], c["residual"]) for c in clean.checks if not c["name"].endswith("corner0")
+    ]
     weight = next(
         c for c in cert.checks if c["name"] == f"{kind}-channel-weight-relation-corner0"
     )
@@ -304,7 +324,8 @@ def test_component_eigenvalue_equals_full_eigensolve(seed, sizes, zero_rows, sca
     h = h[perm][:, perm]
     full = np.linalg.eigvalsh(h)[0]
     tol = 1e-12 * max(1.0, float(np.linalg.norm(h, 2)))
-    assert abs(_component_min_eigenvalue(h) - full) <= tol
+    low = ChoiSupport.from_dense(h, n, 1).psd_residuals()[1][0]
+    assert abs(low - full) <= tol
 
 
 def _coarse_dark_channel():
@@ -348,3 +369,167 @@ def test_hidden_negative_component_fails_cptp_and_witness():
     witness = dc.verify_choi_witness(j, p_dc, squashed, squashed, 1e-9)
     assert witness.psd_residual == pytest.approx(1e-6, abs=1e-15)
     assert not witness.passed
+
+
+def _sparse(rng, shape, fill):
+    """Random complex entries, each kept with probability ``fill``."""
+    values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return values * (rng.uniform(size=shape) < fill)
+
+
+@st.composite
+def _term_stacks(draw):
+    """Two stacks of random terms on one random layout pair, and the stack depth.
+
+    Supports are random; a stacked term is all zero at a random subset of
+    the entries (absent there), a keep-blocks weight is zero at some.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    depth = draw(st.integers(1, 16))
+    d_in, d_out = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    fill = draw(st.sampled_from([0.2, 0.5, 1.0]))
+    present = rng.uniform(size=depth) < 0.6
+    channels = []
+    for _ in range(2):
+        terms = []
+        for _ in range(draw(st.integers(0, 4))):
+            stacked = draw(st.booleans())
+            if d_in == d_out and draw(st.booleans()):
+                projector = np.diag((rng.uniform(size=d_in) < 0.6).astype(float))
+                weight = rng.uniform(size=depth) * present if stacked else float(rng.uniform())
+                terms.append(_KeepBlocks(weight=weight, projector=projector))
+                continue
+            n = draw(st.integers(1, 3))
+            ops = _sparse(rng, (depth, n, d_in, d_in) if stacked else (n, d_in, d_in), fill)
+            if stacked:
+                ops[~present] = 0.0
+            terms.append(_MeasurePrepare(ops=ops, preps=_sparse(rng, (n, d_out, d_out), fill)))
+        channels.append(terms)
+    return d_in, d_out, depth, channels
+
+
+def _layouts(d_in, d_out):
+    return dc.SpaceLayout((("flag", d_in),)), dc.SpaceLayout((("flag", d_out),))
+
+
+def _dense_score(defect):
+    herm = (defect + defect.conj().swapaxes(-1, -2)) / 2
+    weight = 2.0 - np.eye(herm.shape[-1])
+    return (np.maximum(np.abs(herm.real), np.abs(herm.imag)) * weight).max(axis=(-2, -1))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=_term_stacks(), seed=st.integers(0, 2**16))
+def test_support_kernel_matches_dense_oracle(case, seed):
+    # assembly, Hermiticity, smallest eigenvalue and identity scores of the
+    # support kernel against the dense term assembly and full eigensolves,
+    # for two stacks on one union support
+    d_in, d_out, depth, channels = case
+    layout_in, layout_out = _layouts(d_in, d_out)
+    built = [QuantumChannel(layout_in, layout_out, terms) for terms in channels]
+    support = ChoiSupport.of(built)
+    depths = [len(ch.support.values) for ch in built]
+    assert all(n in (1, depth) for n in depths)
+    reference = np.concatenate(
+        [reference_choi(terms, d_in, d_out, n) for terms, n in zip(channels, depths)]
+    )
+    scale = max(1.0, float(np.abs(reference).max()))
+    np.testing.assert_allclose(support.dense(), reference, rtol=0, atol=1e-13 * scale)
+    for ch, n, terms in zip(built, depths, channels):
+        expected = reference_choi(terms, d_in, d_out, n)
+        np.testing.assert_allclose(ch.choi, expected[0] if n == 1 else expected, rtol=0, atol=1e-13 * scale)
+
+    herm, low = support.psd_residuals()
+    adjoint = reference.conj().swapaxes(1, 2)
+    np.testing.assert_allclose(herm, np.abs(reference - adjoint).max(axis=(1, 2)), rtol=0, atol=1e-13 * scale)
+    np.testing.assert_allclose(low, np.linalg.eigvalsh((reference + adjoint) / 2)[:, 0], rtol=0, atol=1e-12 * scale)
+
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 4))
+    ops = _sparse(rng, (len(reference), k, d_out, d_out), 0.7)
+    targets = _sparse(rng, (k, d_in, d_in), 0.7)
+    images = np.array([reference_heisenberg(j, d_in, d_out, f) for j, f in zip(reference, ops)])
+    np.testing.assert_allclose(support.heisenberg(ops), images, rtol=0, atol=1e-12 * scale)
+    np.testing.assert_allclose(
+        support.residuals(ops, targets), _dense_score(images - targets), rtol=0, atol=1e-12 * scale
+    )
+
+
+def _inject_at_corner2(fault):
+    """A ``dark_count_channel`` for ``report`` whose Choi stack has ``fault`` applied at corner 2."""
+    build = report.dark_count_channel
+
+    def wrapped(p_db, f_eta):
+        channel = build(p_db, f_eta)
+        stack = channel.choi.copy()
+        zero_rows = np.flatnonzero(~stack.any(axis=(0, 2)))
+        fault(stack[2], zero_rows, channel.output_layout.total_dim)
+        return QuantumChannel.from_choi(stack, channel.input_layout, channel.output_layout)
+
+    return wrapped
+
+
+def _nan_entry(j, zero_rows, d_out):
+    j[4, 4] = np.nan
+
+
+def _hidden_negative_component(j, zero_rows, d_out):
+    # a 2 x 2 component with eigenvalues +-1e-6 on two rows that are zero at
+    # every corner, whose output indices differ: Hermitian, trace preserving
+    p = zero_rows[0]
+    q = next(r for r in zero_rows if r % d_out != p % d_out)
+    j[p, q] = j[q, p] = 1e-6
+
+
+@pytest.mark.parametrize("fault", [_nan_entry, _hidden_negative_component])
+def test_fault_at_one_corner_of_the_stack_fails_that_corner_only(monkeypatch, fault):
+    desc = report.descriptor_from_dict(PASSIVE)
+    clean = report.run_analysis(desc)
+    assert len([c for c in clean.checks if c["name"].startswith("single-photon")]) == 4
+    monkeypatch.setattr(report, "dark_count_channel", _inject_at_corner2(fault))
+    cert = report.run_analysis(desc)
+    failed = {c["name"] for c in cert.checks if not c["passed"]}
+    assert "dark-channel-cptp-corner2" in failed
+    assert all(name.startswith("dark-channel-") and name.endswith("-corner2") for name in failed)
+    cptp = next(c for c in cert.checks if c["name"] == "dark-channel-cptp-corner2")["residual"]
+    if fault is _nan_entry:
+        assert np.isnan(cptp)
+    else:
+        assert cptp == pytest.approx(1e-6, abs=1e-15)
+    assert [(c["name"], c["residual"]) for c in cert.checks if "corner2" not in c["name"]] == [
+        (c["name"], c["residual"]) for c in clean.checks if "corner2" not in c["name"]
+    ]
+
+
+def test_assumption_failing_at_a_later_corner_stops_there(monkeypatch):
+    # a POVM stack valid at every corner whose corner 2 moves 1e-3 of a
+    # single click's one-photon weight to a multi-click: the certificate
+    # keeps corners 0 and 1, records corner 2's failed assumption check and
+    # stops, in the order and with the message of a corner-by-corner run
+    desc = report.descriptor_from_dict(PASSIVE)
+    clean = report.run_analysis(desc)
+    build = report.build_threshold_povm
+
+    def bent(setup, cutoff):
+        povm = build(setup, cutoff)
+        dense = povm.dense.copy()
+        single, multi = povm.events.index_of("0001"), povm.events.index_of("0011")
+        dense[2, single, 1, 1] -= 1e-3
+        dense[2, multi, 1, 1] += 1e-3
+        return dc.POVM(povm.layout, dense, povm.events)
+
+    monkeypatch.setattr(report, "build_threshold_povm", bent)
+    cert = report.run_analysis(desc)
+    assert cert.status == "not reducible under this framework"
+    assert cert.failed_requirement == "threshold POVM violates the click-count assumption"
+    kept = [c for c in clean.checks if not c["name"].endswith(("corner2", "corner3"))]
+    assert cert.checks[:-1] == kept
+    last = cert.checks[-1]
+    assert (last["name"], last["passed"]) == ("single-photon-assumption-corner2", False)
+    assert last["residual"] == pytest.approx(1e-3, abs=1e-15)
+    assert [c["name"] for c in kept][-8:] == [
+        "loss-channel-weight-relation-corner0", "single-photon-assumption-corner1",
+        "dark-channel-cptp-corner1", "dark-channel-statistics-corner1",
+        "dark-channel-weight-relation-corner1", "loss-channel-cptp-corner1",
+        "loss-channel-statistics-corner1", "loss-channel-weight-relation-corner1",
+    ]

@@ -15,8 +15,11 @@ from detcert import (
     active_bb84_setups,
     build_threshold_povm,
     enumerate_events,
+    flag_state_target,
+    generic_channel,
     passive_bb84_setup,
     verify_single_photon_assumption,
+    weight_bound,
 )
 from detcert.detectors import POVM
 from detcert.fock import SpaceLayout
@@ -353,3 +356,29 @@ def test_povm_needs_one_flag_per_event():
     )
     with pytest.raises(ValueError, match="flag dimension"):
         POVM(layout, dense, events)
+
+
+def test_stacked_build_equals_one_build_per_efficiency_vector():
+    # one build over a stack of efficiency vectors: each entry is the POVM
+    # built at that vector alone, to the bit, and so are its assumption
+    # report and its flag-state target
+    etas = np.array([[0.5, 0.55, 0.6, 0.52], [1.0, 1.0, 1.0, 1.0], [0.9, 0.4, 0.7, 0.8]])
+    stack = build_threshold_povm(passive_bb84_setup(etas), 2)
+    assert stack.stacked and len(stack) == 16 and stack.dense.shape == (3, 16, 6, 6)
+    reports = verify_single_photon_assumption(stack)
+    targets = flag_state_target(stack, 1)
+    for c, eta in enumerate(etas):
+        single = build_threshold_povm(passive_bb84_setup(eta), 2)
+        np.testing.assert_array_equal(stack.take(c).dense, single.dense)
+        assert reports[c] == verify_single_photon_assumption(single)
+        np.testing.assert_array_equal(targets.take(c).dense, flag_state_target(single, 1).dense)
+    with pytest.raises(ValueError, match="not a stack"):
+        weight_bound(stack, "multi", 0.01, 1)
+    with pytest.raises(ValueError, match="not stacks"):
+        generic_channel(targets, targets, 0.1)
+    with pytest.raises(ValueError, match="not a stack"):
+        stack.take(0).take(0)
+    bent = stack.dense.copy()
+    bent[1, 5, 1, 1] = -1.0  # entry 1's element 5 is no longer PSD
+    with pytest.raises(ValueError, match=r"element '0011' in stack entry 1 is not PSD"):
+        POVM(stack.layout, bent, stack.events)

@@ -25,8 +25,8 @@ from detcert import (
 )
 from detcert import cli
 from detcert.channels import (
+    ChoiSupport,
     QuantumChannel,
-    _heisenberg,
     verify_cptp,
     verify_statistics_equivalence,
 )
@@ -223,7 +223,7 @@ def test_feasible_by_construction(seed):
     rng = np.random.default_rng(seed)
     f_after = random_squashed_povm(rng)
     d = f_after.layout.total_dim
-    f_before = _heisenberg(_random_cptp_choi(rng, d), d, d, f_after.dense)
+    f_before = ChoiSupport.from_dense(_random_cptp_choi(rng, d), d, d).heisenberg(f_after.dense)[0]
     p = np.eye(len(f_before))
     result = choi_feasibility(p, f_before, f_after, tol=1e-6)
     assert result.verdict == "feasible-at-tol" and result.stop == "tol"

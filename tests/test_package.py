@@ -54,3 +54,11 @@ def test_readme_names_exactly_the_descriptor_fields():
     paragraph = readme.split("Optional fields:", 1)[1].split("\n\n", 1)[0]
     named = set(re.findall(r'^\s*"(\w+)"\s*:', block, re.M)) | set(re.findall(r'`"(\w+)"`', paragraph))
     assert named == {f.name for f in fields(SetupDescriptor)}
+
+
+def test_importing_the_cli_builds_no_parser():
+    # the parser is built by the first ``main`` call, so set-up time stays import time
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    code = "from detcert import cli; assert cli._build_parser.cache_info().currsize == 0"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -162,6 +162,26 @@ def test_cli_help_exits_zero(capsys):
     assert "usage:" in capsys.readouterr().out
 
 
+def test_cli_calls_share_no_parsed_state(tmp_path, capsys):
+    # one parser serves every call in a process: overrides, usage errors
+    # and --help of one call must not reach the next
+    desc = _write_descriptor(tmp_path, PASSIVE)
+    assert cli.main(["analyze", desc, "--tol", "1e-6", "--coarse-grain", "none"]) == EXIT_OK
+    first = json.loads(capsys.readouterr().out)
+    assert first["descriptor"]["tol"] == 1e-6
+    assert first["descriptor"]["coarse_grain"] == "none"
+    assert cli.main(["analyze", desc]) == EXIT_OK
+    second = json.loads(capsys.readouterr().out)
+    expected = run_analysis(load_descriptor(desc)).to_dict()
+    assert second == json.loads(canonical_json(expected))
+    assert cli.main(["analyze", desc, "--tol", "abc"]) == EXIT_TOOL_ERROR
+    assert "usage:" in capsys.readouterr().err
+    assert cli.main(["--help"]) == EXIT_OK
+    assert "usage:" in capsys.readouterr().out
+    assert cli.main(["analyze", desc]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == second
+
+
 def test_analysis_passive_bb84_values():
     cert = run_analysis(descriptor_from_dict(PASSIVE))
     assert cert.status == "reducible"

@@ -40,14 +40,16 @@ def test_traced_analyze_records_library_spans(tmp_path, monkeypatch):
     assert QuantumChannel.__dict__["apply_dense"] is apply_dense
     names = {span[3] for span in tracer.spans}
     for name in (
-        "channels.QuantumChannel.choi",
-        "channels.verify_cptp",
-        "channels.verify_statistics_equivalence",
+        "channels.dark_count_channel",
+        "channels.loss_channel",
+        "channels.cptp_reports",
         "detectors.build_threshold_povm",
         "squashing.flag_state_target",
         "report.emit_certificate",
     ):
         assert name in names, name
     metrics = spans.layer_metrics(tracer)
-    assert metrics["channels.choi_calls"][0] > 0
+    # every corner is certified on the Choi support: no dense Choi matrix is built
+    assert metrics["channels.choi_calls"][0] == 0
+    assert metrics["detectors.povm_calls"][0] == 1
     assert 0.0 < metrics["trace.coverage"][0] <= 1.0
