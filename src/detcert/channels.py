@@ -25,13 +25,14 @@ composition (the link product).  A certificate checks one of two things:
 that ``J`` is CPTP (Hermitian, PSD, ``Tr_out J = I``), or an operator
 identity ``Phi^dag(F_after_i) = sum_j P_ij F_before_j`` in the Heisenberg
 picture.  ``ChoiConstraintSystem`` holds those identities, trace
-preservation last; ``ChoiSupport`` scores them for every channel of its
-stack in one contraction over the support, and takes the smallest
-eigenvalue one connected component of the support at a time.  The
-statistics checks here, the analysis, and the feasibility probe's witness
-check all read that kernel; one channel is its one-row case.  The identity
-is compared entry by entry, so it holds for every input operator,
-off-block-diagonal ones included, rather than on sampled states.
+preservation last, and ``certify_choi`` decides every verdict on them:
+``ChoiSupport`` scores the identities for every channel of its stack in one
+contraction over the support, and takes the smallest eigenvalue one
+connected component of the support at a time.  The CPTP and statistics
+checks here, the analysis, and the feasibility probe's witness check all
+call it; one channel is its one-row case.  The identity is compared entry
+by entry, so it holds for every input operator, off-block-diagonal ones
+included, rather than on sampled states.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -47,11 +48,13 @@ import numpy as np
 from .detectors import POVM, EventTable, verify_single_photon_assumption
 from .fock import FLAG_LABEL, SpaceLayout, photon_label
 from .postprocessing import StochasticMatrix, _single_photon_loss_entries, validate_dark_count_pp
-from .squashing import eta_star_range
+from .squashing import check_eta_star
 
 _M0 = photon_label(0)
 _M1 = photon_label(1)
 _FLAG_TOL = 1e-12
+_DEVIATION_TOL = 1e-9
+_DEVIATION_WIDTH = 1e-10
 
 # A Choi matrix has rows and columns ``(a, i)`` (input, output), flattened
 # to ``a * d_out + i``; a position on it is ``row * dim + col``.
@@ -542,16 +545,13 @@ def loss_split_matrix(eta, eta_star: float) -> StochasticMatrix:
     ``r = eta_min / eta_star``; the returned ``Q`` keeps single click ``s``
     with probability ``eta_star (eta_s - eta_min) / (eta_star - eta_min)``.
     Entries stay in [0, 1] exactly when ``eta_star`` is admissible
-    (:func:`eta_star_range`, to ``1e-12`` as in :func:`loss_channel`); near
-    its lower end the ill-conditioned keep probability is clipped to 1.
+    (:func:`check_eta_star`, as in :func:`loss_channel`); near its lower
+    end the ill-conditioned keep probability is clipped to 1.
     """
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    eta_min = float(eta.min())
-    if eta_star <= eta_min:
+    if eta_star <= float(eta.min()):
         raise ValueError("the split needs eta_star above eta_min")
-    lo, _ = eta_star_range(eta_min, float(eta.max()))
-    if eta_star < lo - 1e-12:
-        raise ValueError(f"eta_star {eta_star} is below the admissible range [{lo}, 1.0]")
+    check_eta_star(eta, eta_star)
     return StochasticMatrix(_loss_split_entries(eta, eta_star))
 
 
@@ -569,17 +569,12 @@ def loss_channel(eta, eta_star: float, f_lossless: POVM) -> QuantumChannel:
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
     if not ((eta > 0) & (eta <= 1)).all():  # NaN fails too
         raise ValueError("efficiencies must lie in (0, 1]")
-    eta_min = eta.min(axis=-1)
-    for low, high in zip(np.ravel(eta_min).tolist(), np.ravel(eta.max(axis=-1)).tolist()):
-        lo, hi = eta_star_range(low, high)
-        if not lo - 1e-12 <= eta_star <= hi + 1e-12:
-            raise ValueError(
-                f"eta_star {eta_star} outside the admissible range [{lo}, {hi}]"
-            )
+    check_eta_star(eta, eta_star)
     layout = f_lossless.layout
     events = f_lossless.events
     if len(events.single_indices) != eta.shape[-1]:
         raise ValueError("efficiency vector does not match the single-click events")
+    eta_min = eta.min(axis=-1)
     ratio = eta_min / eta_star
 
     terms = [
@@ -616,9 +611,9 @@ def _deviation(f_noise: POVM, f_ideal: POVM, q: float) -> tuple[np.ndarray, np.n
 def generic_channel(f_noise: POVM, f_ideal: POVM, q: float) -> QuantumChannel:
     """Noise channel for an arbitrary deviation ``q`` between two targets.
 
-    Requires every ``F_noise_i - (1-q) F_ideal_i`` to be PSD (tolerance
-    1e-9); the excess defines a POVM that the channel measures on the
-    preserved blocks, surrendering weight ``q`` to the flags.
+    Requires every ``F_noise_i - (1-q) F_ideal_i`` to be PSD to
+    ``_DEVIATION_TOL``; the excess defines a POVM that the channel measures
+    on the preserved blocks, surrendering weight ``q`` to the flags.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must lie in [0, 1]")
@@ -628,7 +623,7 @@ def generic_channel(f_noise: POVM, f_ideal: POVM, q: float) -> QuantumChannel:
         raise ValueError("element count mismatch")
     _require_exact_flags(f_ideal, "the ideal")
     gap, lows = _deviation(f_noise, f_ideal, q)
-    bad = np.flatnonzero(lows < -1e-9)
+    bad = np.flatnonzero(lows < -_DEVIATION_TOL)
     if bad.size:
         i = bad[0]
         raise ValueError(
@@ -651,22 +646,18 @@ def generic_channel(f_noise: POVM, f_ideal: POVM, q: float) -> QuantumChannel:
     return QuantumChannel(layout, layout, terms)
 
 
-def min_deviation_q(
-    f_noise: POVM,
-    f_ideal: POVM,
-    psd_tol: float = 1e-9,
-    width: float = 1e-10,
-) -> float:
+def min_deviation_q(f_noise: POVM, f_ideal: POVM) -> float:
     """Smallest deviation ``q`` admissible between two measurements.
 
     Bisects the monotone predicate "every ``F_noise_i - (1-q) F_ideal_i``
-    is PSD at tolerance ``psd_tol``" down to an interval of ``width``.
+    is PSD", :func:`generic_channel`'s requirement, down to an interval of
+    ``_DEVIATION_WIDTH``.
     """
     if f_noise.layout != f_ideal.layout or len(f_noise) != len(f_ideal):
         raise ValueError("measurements do not match")
 
     def admissible(q: float) -> bool:
-        return bool((_deviation(f_noise, f_ideal, q)[1] >= -psd_tol).all())
+        return bool((_deviation(f_noise, f_ideal, q)[1] >= -_DEVIATION_TOL).all())
 
     if admissible(0.0):
         return 0.0
@@ -678,7 +669,7 @@ def min_deviation_q(
         )
         return 1.0
     lo, hi = 0.0, 1.0
-    while hi - lo > width:
+    while hi - lo > _DEVIATION_WIDTH:
         mid = (lo + hi) / 2.0
         if admissible(mid):
             hi = mid
@@ -745,7 +736,8 @@ class ChoiConstraintSystem:
     three may lead with a stack axis (one system per channel of a stack),
     and the others broadcast to it.  The stacks ``ops`` and ``targets`` hold
     the ``n`` events and, last, trace preservation as ``F = I_out``,
-    ``G = I_in``; :meth:`join` puts several systems' identities in one.
+    ``G = I_in``; :meth:`join` puts several systems' identities in one,
+    :meth:`stack` several stacks of systems in one stack.
     The map ``J -> (Phi_J^dag(F_k))_k`` has adjoint
     ``Y -> sum_k Y_k^T (x) F_k``.
 
@@ -774,7 +766,7 @@ class ChoiConstraintSystem:
                 f"post-processing shape {p_mat.shape} does not map "
                 f"{n_before} -> {n_after} events"
             )
-        targets = p_mat @ before.reshape(*before.shape[:-2], -1)
+        targets = p_mat @ before.reshape(*before.shape[:-2], before.shape[-2] * before.shape[-1])
         self._set(after, targets.reshape(*targets.shape[:-1], *before.shape[-2:]))
 
     def _set(self, after: np.ndarray, targets: np.ndarray):
@@ -796,9 +788,15 @@ class ChoiConstraintSystem:
         )
         return joined
 
-    def residuals(self, choi: "ChoiSupport") -> np.ndarray:
-        """Per Choi matrix of ``choi`` and identity, the worst mismatch over a Hermitian input basis."""
-        return choi.residuals(self.ops, self.targets)
+    @classmethod
+    def stack(cls, *systems) -> "ChoiConstraintSystem":
+        """One stack of systems from the stacks of ``systems``, in order; each holds as many identities."""
+        stacked = cls.__new__(cls)
+        stacked._set(
+            np.concatenate([s.ops[..., :-1, :, :] for s in systems]),
+            np.concatenate([s.targets[..., :-1, :, :] for s in systems]),
+        )
+        return stacked
 
     @cached_property
     def face_basis(self) -> np.ndarray:
@@ -826,7 +824,7 @@ class ChoiConstraintSystem:
 
         The probe's gradient at its iterate, which is a dense matrix: one
         matrix product with ``J``.  Verdicts are scored on the support
-        (:meth:`residuals`).
+        (:func:`certify_choi`).
         """
         d_in, d_out = self.d_in, self.d_out
         t = j.reshape(d_in, d_out, d_in, d_out).transpose(3, 1, 2, 0).reshape(d_out * d_out, -1)
@@ -843,66 +841,80 @@ class ChoiConstraintSystem:
 
 
 @dataclass(frozen=True)
-class CPTPReport:
+class _Verdict:
+    """A report that passes iff its ``residual`` is within its ``tolerance`` (NaN fails)."""
+
+    def __post_init__(self):
+        object.__setattr__(self, "passed", bool(self.residual <= self.tolerance))
+
+
+@dataclass(frozen=True)
+class CPTPReport(_Verdict):
     """Choi-level certificate that a channel is CPTP at a tolerance."""
 
     min_choi_eigenvalue: float
     trace_preservation_dev: float
     hermiticity_dev: float
     tolerance: float
-    passed: bool
+    passed: bool = field(init=False)
 
     @property
     def residual(self) -> float:
-        """The largest of the three violations, NaN if any is; ``passed`` iff within tolerance."""
-        violations = (-self.min_choi_eigenvalue, self.trace_preservation_dev, self.hermiticity_dev)
-        return float(np.max((0.0, *violations)))
+        """The largest of the three violations and 0, NaN if any is."""
+        return float(np.max((0.0, -self.min_choi_eigenvalue, self.trace_preservation_dev, self.hermiticity_dev)))
 
 
-def cptp_reports(choi: ChoiSupport, trace_preservation_dev, tol: float) -> list[CPTPReport]:
-    """One :class:`CPTPReport` per Choi matrix of ``choi``, given its trace-preservation score.
+def certify_choi(
+    choi: ChoiSupport, system: ChoiConstraintSystem, tol: float
+) -> tuple[list[CPTPReport], np.ndarray]:
+    """Every verdict on the Choi matrices of ``choi``: CPTP and the identities of ``system``.
 
-    The score is the trace-preservation identity's residual, which callers
-    take from the same contraction as their other identities.
+    ``system`` holds one set of identities, or one per Choi matrix, trace
+    preservation last.  One component eigensolve and one contraction over
+    the support give, per Choi matrix, its :class:`CPTPReport` (trace
+    preservation included) and the residuals of the other identities.
     """
-    herm, low = choi.psd_residuals()
-    return [
-        CPTPReport(
-            min_choi_eigenvalue=lo,
-            trace_preservation_dev=tp,
-            hermiticity_dev=h,
-            tolerance=tol,
-            passed=lo >= -tol and tp <= tol and h <= tol,
-        )
-        for lo, tp, h in zip(low.tolist(), np.asarray(trace_preservation_dev).tolist(), herm.tolist())
-    ]
-
-
-def _one(ch: QuantumChannel) -> ChoiSupport:
-    support = ch.support
-    if len(support.values) != 1:
+    if (system.d_in, system.d_out) != (choi.d_in, choi.d_out):
         raise ValueError(
-            f"a stack of {len(support.values)} channels: score it on its ChoiSupport"
+            f"measurements act on dimensions {(system.d_in, system.d_out)} "
+            f"but the channel maps {choi.d_in} -> {choi.d_out}"
         )
-    return support
+    scores = choi.residuals(system.ops, system.targets)
+    herm, low = choi.psd_residuals()
+    reports = [
+        CPTPReport(min_choi_eigenvalue=lo, trace_preservation_dev=tp, hermiticity_dev=h, tolerance=tol)
+        for lo, tp, h in zip(low.tolist(), scores[:, -1].tolist(), herm.tolist())
+    ]
+    return reports, scores[:, :-1]
+
+
+def _certify_one(ch: QuantumChannel, system: ChoiConstraintSystem, tol: float):
+    """:func:`certify_choi` on a single channel: its report and its identity residuals."""
+    reports, residuals = certify_choi(ch.support, system, tol)
+    if len(reports) != 1:
+        raise ValueError(f"a stack of {len(reports)} channels: certify it with certify_choi")
+    return reports[0], residuals[0]
 
 
 def verify_cptp(ch: QuantumChannel, tol: float) -> CPTPReport:
-    """Check that ``J`` is PSD and ``Phi_J^dag(I_out) = I_in``: the one-channel case of :func:`cptp_reports`."""
-    support = _one(ch)
-    eye_in, eye_out = np.eye(support.d_in), np.eye(support.d_out)
-    tp_dev = support.residuals(eye_out[None], eye_in[None])[:, 0]
-    return cptp_reports(support, tp_dev, tol)[0]
+    """Check that ``J`` is PSD and ``Phi_J^dag(I_out) = I_in``: :func:`certify_choi` with no other identity."""
+    d_in, d_out = ch.input_layout.total_dim, ch.output_layout.total_dim
+    trace_only = ChoiConstraintSystem(None, np.zeros((0, d_in, d_in)), np.zeros((0, d_out, d_out)))
+    return _certify_one(ch, trace_only, tol)[0]
 
 
 @dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(_Verdict):
     """Worst-case statistics mismatch over the whole input operator space."""
 
     max_residual: float
     per_event: tuple[float, ...]
     tolerance: float
-    passed: bool
+    passed: bool = field(init=False)
+
+    @property
+    def residual(self) -> float:
+        return self.max_residual
 
 
 def verify_statistics_equivalence(
@@ -911,23 +923,10 @@ def verify_statistics_equivalence(
     """Certify ``P Tr[F_before rho] = Tr[F_after Phi(rho)]`` for every ``rho``.
 
     Checked as the Heisenberg-picture identity
-    ``Phi^dag(F_after_i) = sum_j P_ij F_before_j`` on the Choi matrix; the
-    per-event residual is the worst mismatch over a Hermitian basis of the
-    channel input, off-diagonal pairs included, so passing here extends to
-    every density matrix by linearity.
+    ``Phi^dag(F_after_i) = sum_j P_ij F_before_j`` on the Choi matrix
+    (:func:`certify_choi`); the per-event residual is the worst mismatch
+    over a Hermitian basis of the channel input, off-diagonal pairs
+    included, so passing here extends to every density matrix by linearity.
     """
-    system = ChoiConstraintSystem(p, f_before, f_after)
-    dims = (ch.input_layout.total_dim, ch.output_layout.total_dim)
-    if (system.d_in, system.d_out) != dims:
-        raise ValueError(
-            f"measurements act on dimensions {(system.d_in, system.d_out)} "
-            f"but the channel maps {dims[0]} -> {dims[1]}"
-        )
-    worst = system.residuals(_one(ch))[0, :-1]
-    max_res = float(worst.max())
-    return EquivalenceReport(
-        max_residual=max_res,
-        per_event=tuple(worst.tolist()),
-        tolerance=tol,
-        passed=max_res <= tol,
-    )
+    worst = _certify_one(ch, ChoiConstraintSystem(p, f_before, f_after), tol)[1]
+    return EquivalenceReport(max_residual=float(worst.max()), per_event=tuple(worst.tolist()), tolerance=tol)

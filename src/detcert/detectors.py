@@ -5,11 +5,13 @@ detectors: an isometry maps the input modes into the detector modes, each
 detector has an efficiency ``eta_i`` (a beam splitter of transmission
 ``sqrt(eta_i)`` in front of a lossless detector), and each detector reports
 click or no-click.  The POVM elements are computed exactly on truncated
-photon-number blocks by enumerating photon placements, with no dark counts.
+photon-number blocks, with no dark counts: the mode map acts on each block
+through permanents of its submatrices.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -120,10 +122,6 @@ class DetectionSetup:
         object.__setattr__(self, "mode_map", mm)
         object.__setattr__(self, "eta", eta)
 
-    @property
-    def n_in(self) -> int:
-        return self.mode_map.shape[1]
-
     def with_eta(self, eta) -> "DetectionSetup":
         return replace(self, eta=np.asarray(_broadcast_eta(eta, self.k), dtype=float))
 
@@ -232,48 +230,29 @@ class POVM:
         return self.dense[..., s, s]
 
 
-def _occupations(n_modes: int, total: int):
-    """All occupation tuples of ``n_modes`` modes with ``total`` photons."""
-    if n_modes == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _occupations(n_modes - 1, total - first):
-            yield (first,) + rest
-
-
 def _lift_isometry(mode_map: np.ndarray, m: int):
     """Second-quantized action of the mode map on the ``m``-photon block.
 
     Returns ``(V, det_occs, in_occs)`` where ``V[n, t]`` is the amplitude of
-    detector occupation ``n`` in the image of input occupation ``t``.
+    detector occupation ``n`` in the image of input occupation ``t``:
+    ``perm(U[n, t]) / sqrt(n! t!)``, with ``U[n, t]`` repeating row ``i`` of
+    the mode map ``n_i`` times and column ``j`` ``t_j`` times (Scheel,
+    quant-ph/0406127).  Occupations come in the order of their sorted mode
+    lists (``itertools.combinations_with_replacement``): descending
+    lexicographic order of the occupation tuples.
     """
     k, n_in = mode_map.shape
-    in_occs = list(_occupations(n_in, m))
-    det_occs = list(_occupations(k, m))
-    det_index = {occ: i for i, occ in enumerate(det_occs)}
-    v = np.zeros((len(det_occs), len(in_occs)), dtype=complex)
-    for col, t in enumerate(in_occs):
-        # Start from vacuum amplitudes over intermediate photon sectors and
-        # apply (sum_i U[i, j] b_i^dag) once per photon of input mode j.
-        amps = {(0,) * k: 1.0 + 0.0j}
-        for j, t_j in enumerate(t):
-            for _ in range(t_j):
-                nxt: dict[tuple, complex] = {}
-                for occ, a in amps.items():
-                    for i in range(k):
-                        coeff = mode_map[i, j]
-                        if coeff == 0:
-                            continue
-                        new = list(occ)
-                        new[i] += 1
-                        key = tuple(new)
-                        nxt[key] = nxt.get(key, 0.0) + a * coeff * math.sqrt(occ[i] + 1)
-                amps = nxt
-        norm = math.sqrt(math.prod(math.factorial(t_j) for t_j in t))
-        for occ, a in amps.items():
-            v[det_index[occ], col] = a / norm
-    return v, det_occs, in_occs
+    det_modes = list(itertools.combinations_with_replacement(range(k), m))
+    in_modes = list(itertools.combinations_with_replacement(range(n_in), m))
+    det_occs = [tuple(r.count(i) for i in range(k)) for r in det_modes]
+    in_occs = [tuple(c.count(j) for j in range(n_in)) for c in in_modes]
+    u, perms = mode_map.tolist(), list(itertools.permutations(range(m)))
+    perm = np.array([
+        [sum(math.prod([u[a][c[j]] for a, j in zip(r, p)]) for p in perms) for c in in_modes]
+        for r in det_modes
+    ], dtype=complex)
+    norms = [[math.prod(map(math.factorial, occ)) for occ in occs] for occs in (det_occs, in_occs)]
+    return perm / np.sqrt(np.outer(*norms)), det_occs, in_occs
 
 
 def build_threshold_povm(setup: DetectionSetup, cutoff: int) -> POVM:

@@ -16,11 +16,11 @@ by one eigensolve on the full Choi space (:func:`verify_farkas_ray`).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import ChoiConstraintSystem, ChoiSupport, _hermitian_part, _hermitian_score
+from .channels import ChoiConstraintSystem, ChoiSupport, _hermitian_part, _hermitian_score, _Verdict, certify_choi
 
 
 @dataclass(frozen=True)
@@ -151,7 +151,7 @@ def choi_feasibility(p_dc, f_eta, f_target, tol: float = 1e-6, max_iter: int = 1
 
 
 @dataclass(frozen=True)
-class ChoiWitnessReport:
+class ChoiWitnessReport(_Verdict):
     """Solver-independent residuals of a candidate Choi matrix."""
 
     hermiticity_dev: float
@@ -159,36 +159,34 @@ class ChoiWitnessReport:
     trace_preservation_dev: float
     linear_residual: float
     tolerance: float
-    passed: bool
+    passed: bool = field(init=False)
+
+    @property
+    def residual(self) -> float:
+        """The largest of the four residuals, NaN if any is."""
+        violations = (self.hermiticity_dev, self.psd_residual, self.trace_preservation_dev, self.linear_residual)
+        return float(np.max(violations))
 
 
 def verify_choi_witness(j, p_dc, f_eta, f_target, tol: float) -> ChoiWitnessReport:
     """Re-check a Choi matrix against all defining constraints.
 
-    Residuals are computed directly from the matrix by the same kernel that
-    certifies channels: Hermiticity, most negative eigenvalue, and the
-    scores of the kernel's identities, trace preservation apart from the
-    worst statistics constraint over the full operator space.
+    Residuals are computed from the matrix's nonzeros by the function that
+    certifies channels (:func:`certify_choi`): Hermiticity, most negative
+    eigenvalue, trace preservation, and the worst statistics constraint
+    over the full operator space.
     """
     system = ChoiConstraintSystem(p_dc, f_eta, f_target)
     j = np.asarray(j, dtype=complex)
     if j.shape != (system.dim, system.dim):
         raise ValueError("Choi matrix shape does not match the measurements")
-
-    support = ChoiSupport.from_dense(j, system.d_in, system.d_out)
-    herm, min_eig = (float(x[0]) for x in support.psd_residuals())
-    psd_residual = float(np.maximum(0.0, -min_eig))
-    residuals = system.residuals(support)[0]
-    tp_dev = float(residuals[-1])
-    linear = float(residuals[:-1].max())
-    passed = herm <= tol and psd_residual <= tol and tp_dev <= tol and linear <= tol
+    (cptp,), (linear,) = certify_choi(ChoiSupport.from_dense(j, system.d_in, system.d_out), system, tol)
     return ChoiWitnessReport(
-        hermiticity_dev=herm,
-        psd_residual=psd_residual,
-        trace_preservation_dev=tp_dev,
-        linear_residual=linear,
+        hermiticity_dev=cptp.hermiticity_dev,
+        psd_residual=float(np.maximum(0.0, -cptp.min_choi_eigenvalue)),
+        trace_preservation_dev=cptp.trace_preservation_dev,
+        linear_residual=float(linear.max()),
         tolerance=tol,
-        passed=passed,
     )
 
 

@@ -23,11 +23,9 @@ from .channels import (
     ChoiSupport,
     bb84_qubit_measurement,
     bb84_simple_noise_channel,
-    cptp_reports,
+    certify_choi,
     dark_count_channel,
     loss_channel,
-    verify_cptp,
-    verify_statistics_equivalence,
 )
 from .detectors import (
     MAX_DETECTORS,
@@ -49,6 +47,7 @@ from .postprocessing import (
     validate_dark_count_pp,
 )
 from .squashing import (
+    check_eta_star,
     eta_star_range,
     flag_state_target,
     propagate_weight,
@@ -194,14 +193,16 @@ class SetupDescriptor:
             raise DescriptorError(f"seed: must be a non-negative integer, got {self.seed}")
         if self.corner_limit < 2:
             raise DescriptorError(f"corner_limit: must be at least 2, got {self.corner_limit}")
+        entries = [z for row in self.mode_map for z in row]
+        if not np.isfinite(np.asarray(entries, dtype=complex)).all():
+            raise DescriptorError(f"mode_map: values must be finite, got {entries}")
         for name, values in (
             ("eta", self.eta),
             ("dark", self.dark),
-            ("mode_map", [z for row in self.mode_map for z in row]),
             ("observed", None if self.observed is None else [self.observed[1]]),
         ):
-            if values is not None and not np.isfinite(np.asarray(values, dtype=complex)).all():
-                raise DescriptorError(f"{name}: values must be finite, got {list(values)}")
+            if values is not None and not all(0.0 <= v <= 1.0 for v in values):  # NaN fails too
+                raise DescriptorError(f"{name}: values must lie in [0, 1], got {list(values)}")
         if self.setup == "custom":
             widths = [len(row) for row in self.mode_map]
             if len(widths) != self.k or len(set(widths)) != 1 or 0 in widths:
@@ -229,6 +230,16 @@ class SetupDescriptor:
     @property
     def dark_max(self) -> np.ndarray:
         return np.array([hi for _, hi in self.dark_range])
+
+    @property
+    def eta_point(self) -> np.ndarray:
+        """The efficiencies a point command evaluates: ``eta``, else the bottom of each range."""
+        return np.array(self.eta) if self.eta is not None else self.eta_lo
+
+    @property
+    def dark_point(self) -> np.ndarray:
+        """The dark rates a point command evaluates: ``dark``, else the top of each range."""
+        return np.array(self.dark) if self.dark is not None else self.dark_max
 
     def to_dict(self) -> dict:
         """The JSON fields; unset optional ones are left out, ``eta_star`` echoed even as null."""
@@ -412,7 +423,8 @@ def _common_efficiency(desc: SetupDescriptor, eta_lo, eta_hi, derived: dict) -> 
     (:func:`eta_star_range`).  ``df/deta_min = (1 - eta_max) / D^2`` and
     ``df/deta_max = eta_min / D^2`` are nonnegative, so the all-high corner
     binds, given a positive ``eta_lo``.  ``eta_star`` and the interval go to
-    ``derived``; raises ``ValueError`` if the interval is empty or excludes it.
+    ``derived``; raises ``ValueError`` if the interval is empty or excludes it
+    (:func:`check_eta_star`).
     """
     if not np.min(eta_lo) > 0.0:
         raise ValueError(
@@ -421,11 +433,7 @@ def _common_efficiency(desc: SetupDescriptor, eta_lo, eta_hi, derived: dict) -> 
     star_lo, star_hi = eta_star_range(float(np.min(eta_hi)), float(np.max(eta_hi)))
     eta_star = desc.eta_star if desc.eta_star is not None else star_hi
     derived.update(eta_star=eta_star, eta_star_range=[star_lo, star_hi])
-    if not star_lo - 1e-12 <= eta_star <= star_hi + 1e-12:
-        raise ValueError(
-            f"common efficiency {eta_star} outside the admissible interval [{star_lo}, {star_hi}] "
-            f"at efficiencies {np.asarray(eta_hi).tolist()} required by the loss reduction"
-        )
+    check_eta_star(eta_hi, eta_star)
     return eta_star
 
 
@@ -528,11 +536,11 @@ def _certify_corners(p_db, etas, eta_star, f_eta, f_lossless, f_star, tol):
     """CPTP, statistics and weight-relation residuals of the dark and loss channels per corner.
 
     ``f_eta`` stacks the targets at the efficiency vectors ``etas``.  Both
-    channel stacks share one support, scored in one pass: one component
-    eigensolve for CPTP and one contraction for every identity of each
-    channel, ``Phi^dag(F_after_i) = sum_j P_ij F_before_j`` over all input
-    operators, its weight relation, then trace preservation.  The weight
-    relations are ``Phi_dark^dag(P01) = p00 P01`` and
+    channel stacks share one support, scored in one :func:`certify_choi`
+    pass: one component eigensolve for CPTP and one contraction for every
+    identity of each channel, ``Phi^dag(F_after_i) = sum_j P_ij F_before_j``
+    over all input operators, its weight relation, then trace preservation.
+    The weight relations are ``Phi_dark^dag(P01) = p00 P01`` and
     ``Phi_loss^dag(P01) = P0 + (eta_min / eta_star) P1``.  Returns, per
     corner, ``((cptp, statistics, weight) dark, (...) loss)``.
     """
@@ -543,31 +551,27 @@ def _certify_corners(p_db, etas, eta_star, f_eta, f_lossless, f_star, tol):
     loss = loss_channel(etas, eta_star, f_lossless)
     ratios = etas.min(axis=1) / eta_star
     loss_weights = np.stack([np.ones_like(ratios), ratios], axis=-1)[:, None, :]
-    dark_identities = ChoiConstraintSystem.join(
-        ChoiConstraintSystem(p_db, f_eta, f_eta),
-        ChoiConstraintSystem([[float(p_db.entries[0, 0])]], [proj01], [proj01]),
+    identities = ChoiConstraintSystem.stack(
+        ChoiConstraintSystem.join(
+            ChoiConstraintSystem(p_db, f_eta, f_eta),
+            ChoiConstraintSystem([[float(p_db.entries[0, 0])]], [proj01], [proj01]),
+        ),
+        ChoiConstraintSystem.join(
+            ChoiConstraintSystem(None, f_eta, f_star),
+            ChoiConstraintSystem(loss_weights, [proj0, proj1], [proj01]),
+        ),
     )
-    loss_identities = ChoiConstraintSystem.join(
-        ChoiConstraintSystem(None, f_eta, f_star),
-        ChoiConstraintSystem(loss_weights, [proj0, proj1], [proj01]),
-    )
-    support = ChoiSupport.of([dark, loss])
-    scores = support.residuals(
-        np.concatenate([dark_identities.ops, loss_identities.ops]),
-        np.concatenate([dark_identities.targets, loss_identities.targets]),
-    )
-    cptp = [r.residual for r in cptp_reports(support, scores[:, -1], tol)]
-    channels = list(zip(cptp, scores[:, :-2].max(axis=1).tolist(), scores[:, -2].tolist()))
+    cptp, scores = certify_choi(ChoiSupport.of([dark, loss]), identities, tol)
+    channels = list(zip([r.residual for r in cptp], scores[:, :-1].max(axis=1).tolist(), scores[:, -1].tolist()))
     return list(zip(channels[: len(etas)], channels[len(etas) :]))
 
 
 def active_swap_lp(desc: SetupDescriptor):
     """Swap LP of the active-BB84 qubit squasher at the descriptor's dark rates.
 
-    The rates are ``dark`` when given, else the top of ``dark_range``.
-    Returns ``(rates, SwapLPResult)``.
+    The rates are :attr:`SetupDescriptor.dark_point`; returns ``(rates, SwapLPResult)``.
     """
-    d_vec = np.array(desc.dark) if desc.dark is not None else desc.dark_max
+    d_vec = desc.dark_point
     return d_vec, solve_swap_lp(dark_count_matrix(d_vec), bb84_qubit_squasher(), tol=desc.tol)
 
 
@@ -591,15 +595,16 @@ def _analyze_active_bb84(desc: SetupDescriptor, cert: Certificate) -> Certificat
         return cert
     _record_weight(desc, cert, float(result.matrix.entries[0, 0]), eta_star)
     d = float(d_vec[0])
-    channel = bb84_simple_noise_channel(d)
-    cptp = verify_cptp(channel, desc.tol)
+    # Both bases' statistics and trace preservation, scored in one contraction.
+    bases = [ChoiConstraintSystem(result.matrix, povm, povm) for povm in map(bb84_qubit_measurement, "ZX")]
+    (cptp,), (scores,) = certify_choi(
+        bb84_simple_noise_channel(d).support, ChoiConstraintSystem.join(*bases), desc.tol
+    )
     cert.add_check("bb84-channel-cptp", "verify_cptp", {"dark": d}, cptp.residual, desc.tol)
-    for basis in ("Z", "X"):
-        povm = bb84_qubit_measurement(basis)
-        stats = verify_statistics_equivalence(result.matrix, povm, povm, channel, tol=desc.tol)
+    for basis, stats in zip("ZX", np.split(scores, len(bases))):
         cert.add_check(
             f"bb84-channel-statistics-{basis}", "verify_statistics_equivalence",
-            {"dark": d, "basis": basis}, stats.max_residual, desc.tol,
+            {"dark": d, "basis": basis}, float(stats.max()), desc.tol,
         )
     return cert
 
@@ -624,15 +629,14 @@ def run_weight(desc: SetupDescriptor) -> dict:
     if desc.cutoff > 2:
         raise DescriptorError("cutoff: weight estimation needs cutoff <= 2")
     event, prob = desc.observed
-    eta_vec = np.array(desc.eta) if desc.eta is not None else desc.eta_lo
+    eta_vec = desc.eta_point
     try:
         eta_star = _common_efficiency(desc, eta_vec, eta_vec, {})
     except ValueError as exc:
         raise DescriptorError(f"eta_star: {exc}") from exc
     povm = build_threshold_povm(build_setup(desc, eta_vec), desc.cutoff + 1)
     wb = weight_bound(povm, event, prob, desc.cutoff)
-    d_vec = np.array(desc.dark) if desc.dark is not None else desc.dark_max
-    p00 = float(dark_count_matrix(d_vec).entries[0, 0])
+    p00 = float(dark_count_matrix(desc.dark_point).entries[0, 0])
     propagated = propagate_weight(wb.value, p00, float(eta_vec.min()), eta_star)
     return {
         "event": list(wb.event),

@@ -173,3 +173,18 @@ def eta_star_range(eta_min: float, eta_max: float) -> tuple[float, float]:
             f"efficiencies too spread: admissible lower bound {lo} exceeds 1"
         )
     return (min(lo, 1.0), 1.0)
+
+
+def check_eta_star(eta, eta_star: float) -> None:
+    """Raise ``ValueError`` unless ``eta_star`` lies in the :func:`eta_star_range` of every vector of ``eta``.
+
+    ``eta`` is one efficiency vector or a ``(..., k)`` stack; the interval is widened by ``1e-12``.
+    """
+    eta = np.asarray(eta, dtype=float).reshape(-1, np.shape(eta)[-1])
+    for vec, low, high in zip(eta.tolist(), eta.min(axis=1).tolist(), eta.max(axis=1).tolist()):
+        lo, hi = eta_star_range(low, high)  # NaN fails there
+        if not lo - 1e-12 <= eta_star <= hi + 1e-12:
+            raise ValueError(
+                f"common efficiency {eta_star} outside the admissible interval [{lo}, {hi}] "
+                f"at efficiencies {vec} required by the loss reduction"
+            )

@@ -246,8 +246,13 @@ def test_loss_channel_rejects_inadmissible_eta_star():
     setup = passive_bb84_setup(1.0)
     f_lossless = flag_state_target(build_threshold_povm(setup, 1), 1)
     eta = np.array([0.5, 0.55, 0.6, 0.52])
+    for eta_star in (0.52, 1.5):
+        with pytest.raises(ValueError, match="admissible"):
+            loss_channel(eta, eta_star, f_lossless)
+        with pytest.raises(ValueError, match="admissible"):
+            loss_split_matrix(eta, eta_star)
     with pytest.raises(ValueError, match="admissible"):
-        loss_channel(eta, 0.52, f_lossless)
+        loss_split_matrix([0.5, 0.6], 1.5)
 
 
 # ------------------------------------------------------------------ generic

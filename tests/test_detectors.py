@@ -1,3 +1,7 @@
+import functools
+import itertools
+import math
+
 import numpy as np
 import pytest
 from helpers import (
@@ -21,7 +25,7 @@ from detcert import (
     verify_single_photon_assumption,
     weight_bound,
 )
-from detcert.detectors import POVM
+from detcert.detectors import POVM, _lift_isometry
 from detcert.fock import SpaceLayout
 
 
@@ -123,6 +127,32 @@ def _random_isometry(rng, k, n_in):
     g = rng.normal(size=(k, n_in)) + 1j * rng.normal(size=(k, n_in))
     q, _ = np.linalg.qr(g)
     return q[:, :n_in]
+
+
+def _fock_state(occ) -> np.ndarray:
+    """The normalised Fock state ``occ`` in the tensor power of ``C^len(occ)``: the symmetrised product."""
+    modes = [i for i, n in enumerate(occ) for _ in range(n)]
+    state = np.zeros(len(occ) ** len(modes))
+    for order in itertools.permutations(modes):
+        state[np.ravel_multi_index(order, (len(occ),) * len(modes))] += 1.0
+    return state / math.sqrt(math.factorial(len(modes)) * math.prod(map(math.factorial, occ)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16), k=st.integers(1, 4), m=st.integers(0, 3))
+def test_lift_is_the_tensor_power_on_fock_states(seed, k, m):
+    # V[n, t] = <n| U^(x)m |t>: the m-photon action of the mode map U,
+    # with no permanent and no creation operators
+    rng = np.random.default_rng(seed)
+    u = _random_isometry(rng, k, int(rng.integers(1, k + 1)))
+    v, det_occs, in_occs = _lift_isometry(u, m)
+    for occs, n_modes in ((det_occs, k), (in_occs, u.shape[1])):
+        every = [o for o in itertools.product(range(m + 1), repeat=n_modes) if sum(o) == m]
+        assert sorted(occs) == sorted(every) and len(occs) == len(every)
+    power = functools.reduce(np.kron, [u] * m, np.ones((1, 1)))
+    det_states = np.array([_fock_state(occ) for occ in det_occs])
+    in_states = np.array([_fock_state(occ) for occ in in_occs])
+    assert np.abs(v - det_states @ power @ in_states.T).max() <= 1e-14
 
 
 @pytest.mark.parametrize("seed", [9, 10, 11])

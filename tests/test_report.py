@@ -9,8 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detcert import (
+    QuantumChannel,
     apply_postprocessing,
+    bb84_qubit_measurement,
     build_threshold_povm,
+    coarse_grained_dc_ansatz,
+    dark_count_matrix,
     enumerate_events,
     flag_state_target,
     loss_channel,
@@ -19,13 +23,17 @@ from detcert import (
     verify_cptp,
     verify_statistics_equivalence,
 )
-from detcert import cli
+from detcert import cli, report
+from detcert.channels import ChoiSupport, _MeasurePrepare
+from detcert.fock import photon_label
 from detcert.report import (
     EXIT_NOT_REDUCIBLE,
     EXIT_OK,
     EXIT_TOOL_ERROR,
     Certificate,
     DescriptorError,
+    active_swap_lp,
+    build_setup,
     canonical_json,
     descriptor_from_dict,
     emit_certificate,
@@ -129,7 +137,9 @@ def test_descriptor_validation_errors():
      ({"tol": "1e-9"}, []), ({"observed": {"event": "bogus", "probability": 0.1}}, []),
      ({"mode_map": [[1.0, 0.0]]}, []), ({"k": 7}, []),
      ({"setup": "custom", "k": 1, "mode_map": [[1.0]], "coarse_grain": "multiclick"}, []),
-     ({"setup": "custom", "k": 1, "mode_map": [[1.0]]}, ["--coarse-grain", "multiclick"])],
+     ({"setup": "custom", "k": 1, "mode_map": [[1.0]]}, ["--coarse-grain", "multiclick"]),
+     ({"eta": 1.5}, []), ({"dark": -0.1}, []), ({"dark": 2.0}, []),
+     ({"observed": {"event": "multi", "probability": 1.5}}, [])],
 )
 def test_cli_rejects_bad_values_before_running(tmp_path, capsys, cmd, extra, override):
     base = {
@@ -142,6 +152,9 @@ def test_cli_rejects_bad_values_before_running(tmp_path, capsys, cmd, extra, ove
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("descriptor error:")
+    for name in ("eta", "dark", "observed"):  # the field with the bad value is named
+        if name in extra:
+            assert captured.err.startswith(f"descriptor error: {name}:")
 
 
 @pytest.mark.parametrize(
@@ -393,6 +406,93 @@ def test_add_check_passes_iff_residual_within_tolerance(residual, passed):
     cert.add_check("check", "operation", {}, residual, 1e-9)
     assert cert.checks[0]["passed"] is passed
     assert cert.all_passed is passed
+
+
+def _replayed_channel_checks(desc, cert) -> dict:
+    """Each channel check of ``cert`` by name: the function it names and its residual on that corner's channel."""
+    tol, out = desc.tol, {}
+    if desc.setup == "active-bb84":
+        d_vec, lp = active_swap_lp(desc)
+        channel = report.bb84_simple_noise_channel(float(d_vec[0]))
+        out["bb84-channel-cptp"] = (verify_cptp, verify_cptp(channel, tol).residual)
+        for basis in "ZX":
+            povm = bb84_qubit_measurement(basis)
+            stats = verify_statistics_equivalence(lp.matrix, povm, povm, channel, tol)
+            out[f"bb84-channel-statistics-{basis}"] = (verify_statistics_equivalence, stats.max_residual)
+        return out
+    cg = multiclick_coarse_graining(enumerate_events(desc.k)) if desc.coarse_grain == "multiclick" else None
+
+    def target(eta):
+        povm = build_threshold_povm(build_setup(desc, eta), 1)
+        return flag_state_target(povm if cg is None else apply_postprocessing(cg, povm), 1)
+
+    p_db = dark_count_matrix(desc.dark_max)
+    p_db = p_db if cg is None else coarse_grained_dc_ansatz(p_db, cg)
+    eta_star = cert.derived["eta_star"]
+    f_lossless, f_star = target(np.ones(desc.k)), target(eta_star)
+    proj0, proj1 = (f_star.layout.projector(photon_label(m)) for m in (0, 1))
+    for check in cert.checks:
+        suffix = check["name"].removeprefix("single-photon-assumption")
+        if suffix == check["name"]:
+            continue
+        eta = np.array(check["inputs"]["eta"])
+        f_eta = target(eta)
+        for kind, channel, statistics, weight in (
+            ("dark", report.dark_count_channel(p_db, f_eta), (p_db, f_eta, f_eta),
+             ([[p_db.entries[0, 0]]], [proj0 + proj1], [proj0 + proj1])),
+            ("loss", report.loss_channel(eta, eta_star, f_lossless), (None, f_eta, f_star),
+             ([[1.0, eta.min() / eta_star]], [proj0, proj1], [proj0 + proj1])),
+        ):
+            out[f"{kind}-channel-cptp{suffix}"] = (verify_cptp, verify_cptp(channel, tol).residual)
+            for name, identities in (("statistics", statistics), ("weight-relation", weight)):
+                stats = verify_statistics_equivalence(*identities, channel, tol)
+                out[f"{kind}-channel-{name}{suffix}"] = (verify_statistics_equivalence, stats.max_residual)
+    return out
+
+
+def _with_fault(build):
+    """``build`` plus a term adding ``(1e-6 F[1, 1] + 3e-6 F[-1, -1]) |1><1|`` to each ``Phi^dag(F)``.
+
+    Trace preservation, the weight relations and the statistics then fail
+    by different amounts, so a residual scored against the wrong identity shows.
+    """
+
+    def wrapped(*args):
+        channel = build(*args)
+        d = channel.input_layout.total_dim
+        op, prep = np.zeros((2, 1, d, d))
+        op[0, 1, 1], prep[0, 1, 1], prep[0, -1, -1] = 1.0, 1e-6, 3e-6
+        fault = _MeasurePrepare(ops=op, preps=prep)
+        return QuantumChannel(channel.input_layout, channel.output_layout, channel.terms + (fault,))
+
+    return wrapped
+
+
+@pytest.mark.parametrize("faulty", [False, True])
+@pytest.mark.parametrize("name", ["passive_bb84", "active_bb84"])
+def test_certificate_checks_reproduce_through_the_operations_they_name(monkeypatch, name, faulty):
+    # analyze scores every channel in one eigensolve and one contraction;
+    # each channel check must still be what the public function it names
+    # gives on that corner's channel, exact or failing
+    if faulty:
+        for factory in ("bb84_simple_noise_channel", "dark_count_channel", "loss_channel"):
+            monkeypatch.setattr(report, factory, _with_fault(getattr(report, factory)))
+    desc = load_descriptor(ROOT / "descriptors" / f"{name}.json")
+    calls = []
+    with pytest.MonkeyPatch.context() as counting:
+        for method in ("residuals", "psd_residuals"):
+            scorer = getattr(ChoiSupport, method)
+            counting.setattr(ChoiSupport, method, lambda *a, _f=scorer: calls.append(_f.__name__) or _f(*a))
+        cert = run_analysis(desc)
+    assert sorted(calls) == ["psd_residuals", "residuals"]
+    assert cert.all_passed is not faulty
+    replayed = _replayed_channel_checks(desc, cert)
+    checks = [c for c in cert.checks if "-channel-" in c["name"]]
+    assert [c["name"] for c in checks] == list(replayed)
+    for check in checks:
+        operation, residual = replayed[check["name"]]
+        assert check["operation"] == operation.__name__
+        assert abs(check["residual"] - residual) <= 1e-15, check["name"]
 
 
 def test_analysis_records_measured_dark_count_residual():

@@ -42,7 +42,7 @@ def test_traced_analyze_records_library_spans(tmp_path, monkeypatch):
     for name in (
         "channels.dark_count_channel",
         "channels.loss_channel",
-        "channels.cptp_reports",
+        "channels.certify_choi",
         "detectors.build_threshold_povm",
         "squashing.flag_state_target",
         "report.emit_certificate",
