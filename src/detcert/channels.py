@@ -792,10 +792,9 @@ class ChoiConstraintSystem:
     def stack(cls, *systems) -> "ChoiConstraintSystem":
         """One stack of systems from the stacks of ``systems``, in order; each holds as many identities."""
         stacked = cls.__new__(cls)
-        stacked._set(
-            np.concatenate([s.ops[..., :-1, :, :] for s in systems]),
-            np.concatenate([s.targets[..., :-1, :, :] for s in systems]),
-        )
+        stacked.d_in, stacked.d_out, stacked.dim = systems[0].d_in, systems[0].d_out, systems[0].dim
+        stacked.ops = np.concatenate([s.ops for s in systems])
+        stacked.targets = np.concatenate([s.targets for s in systems])
         return stacked
 
     @cached_property
@@ -858,7 +857,7 @@ class CPTPReport(_Verdict):
     tolerance: float
     passed: bool = field(init=False)
 
-    @property
+    @cached_property
     def residual(self) -> float:
         """The largest of the three violations and 0, NaN if any is."""
         return float(np.max((0.0, -self.min_choi_eigenvalue, self.trace_preservation_dev, self.hermiticity_dev)))

@@ -237,22 +237,26 @@ def _lift_isometry(mode_map: np.ndarray, m: int):
     detector occupation ``n`` in the image of input occupation ``t``:
     ``perm(U[n, t]) / sqrt(n! t!)``, with ``U[n, t]`` repeating row ``i`` of
     the mode map ``n_i`` times and column ``j`` ``t_j`` times (Scheel,
-    quant-ph/0406127).  Occupations come in the order of their sorted mode
+    quant-ph/0406127), the permanent summed over the orderings of the input
+    photons' modes.  Occupations come in the order of their sorted mode
     lists (``itertools.combinations_with_replacement``): descending
     lexicographic order of the occupation tuples.
     """
     k, n_in = mode_map.shape
     det_modes = list(itertools.combinations_with_replacement(range(k), m))
     in_modes = list(itertools.combinations_with_replacement(range(n_in), m))
-    det_occs = [tuple(r.count(i) for i in range(k)) for r in det_modes]
-    in_occs = [tuple(c.count(j) for j in range(n_in)) for c in in_modes]
-    u, perms = mode_map.tolist(), list(itertools.permutations(range(m)))
-    perm = np.array([
-        [sum(math.prod([u[a][c[j]] for a, j in zip(r, p)]) for p in perms) for c in in_modes]
-        for r in det_modes
-    ], dtype=complex)
-    norms = [[math.prod(map(math.factorial, occ)) for occ in occs] for occs in (det_occs, in_occs)]
-    return perm / np.sqrt(np.outer(*norms)), det_occs, in_occs
+    det_occs = [tuple(map(r.count, range(k))) for r in det_modes]
+    in_occs = [tuple(map(c.count, range(n_in))) for c in in_modes]
+    u = mode_map.tolist()
+    v = [
+        [
+            sum(math.prod([u[a][b] for a, b in zip(r, order)]) for order in itertools.permutations(c))
+            / math.sqrt(math.prod(map(math.factorial, n + t)))
+            for c, t in zip(in_modes, in_occs)
+        ]
+        for r, n in zip(det_modes, det_occs)
+    ]
+    return np.array(v, dtype=complex), det_occs, in_occs
 
 
 def build_threshold_povm(setup: DetectionSetup, cutoff: int) -> POVM:

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .channels import ChoiConstraintSystem, ChoiSupport, _hermitian_part, _hermitian_score, _Verdict, certify_choi
+from .channels import ChoiConstraintSystem, ChoiSupport, _Verdict, _hermitian_part, _hermitian_score, certify_choi
 
 
 @dataclass(frozen=True)
@@ -161,7 +162,7 @@ class ChoiWitnessReport(_Verdict):
     tolerance: float
     passed: bool = field(init=False)
 
-    @property
+    @cached_property
     def residual(self) -> float:
         """The largest of the four residuals, NaN if any is."""
         violations = (self.hermiticity_dev, self.psd_residual, self.trace_preservation_dev, self.linear_residual)

@@ -30,6 +30,7 @@ from .channels import (
 from .detectors import (
     MAX_DETECTORS,
     DetectionSetup,
+    _broadcast_eta,
     build_threshold_povm,
     enumerate_events,
     passive_bb84_setup,
@@ -298,14 +299,11 @@ def load_descriptor(path) -> SetupDescriptor:
 
 
 def build_setup(desc: SetupDescriptor, eta) -> DetectionSetup:
-    eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    if eta.size == 1:
-        eta = np.full(desc.k, float(eta[0]))
     if desc.setup == "passive-bb84":
         return passive_bb84_setup(eta)
     if desc.setup == "custom":
         return DetectionSetup(
-            k=desc.k, mode_map=np.array(desc.mode_map, dtype=complex), eta=eta
+            k=desc.k, mode_map=np.array(desc.mode_map, dtype=complex), eta=_broadcast_eta(eta, desc.k)
         )
     raise DescriptorError(f"no single-table setup for {desc.setup!r}")
 
