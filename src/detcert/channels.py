@@ -45,7 +45,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .detectors import POVM, EventTable, verify_single_photon_assumption
+from .detectors import POVM, EventTable, _Verdict, verify_single_photon_assumption
 from .fock import FLAG_LABEL, SpaceLayout, photon_label
 from .postprocessing import StochasticMatrix, _single_photon_loss_entries, validate_dark_count_pp
 from .squashing import check_eta_star
@@ -837,14 +837,6 @@ class ChoiConstraintSystem:
         vals, vecs = np.linalg.eigh((compressed + compressed.conj().T) / 2.0)
         w = u @ vecs
         return (w * np.maximum(vals, 0.0)) @ w.conj().T
-
-
-@dataclass(frozen=True)
-class _Verdict:
-    """A report that passes iff its ``residual`` is within its ``tolerance`` (NaN fails)."""
-
-    def __post_init__(self):
-        object.__setattr__(self, "passed", bool(self.residual <= self.tolerance))
 
 
 @dataclass(frozen=True)

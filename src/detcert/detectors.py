@@ -300,7 +300,15 @@ def build_threshold_povm(setup: DetectionSetup, cutoff: int) -> POVM:
 
 
 @dataclass(frozen=True)
-class SinglePhotonAssumptionReport:
+class _Verdict:
+    """A report that passes iff its ``residual`` is within its ``tolerance`` (NaN fails)."""
+
+    def __post_init__(self):
+        object.__setattr__(self, "passed", bool(self.residual <= self.tolerance))
+
+
+@dataclass(frozen=True)
+class SinglePhotonAssumptionReport(_Verdict):
     """Check that clicks cannot outnumber photons.
 
     Lists, per multi-click element, the largest entry of its vacuum and
@@ -308,10 +316,14 @@ class SinglePhotonAssumptionReport:
     vacuum block.  All must vanish for the dark-count reduction to apply.
     """
 
-    passed: bool
     max_violation: float
     entries: tuple[tuple[str, str, float], ...] = field(repr=False)
     tolerance: float = _ASSUMPTION_TOL
+    passed: bool = field(init=False)
+
+    @property
+    def residual(self) -> float:
+        return self.max_violation
 
     @property
     def violations(self) -> tuple[tuple[str, str, float], ...]:
@@ -335,7 +347,6 @@ def verify_single_photon_assumption(povm: POVM):
     values = np.stack([largest[block][..., i] for i, block in checked], axis=-1)
     reports = tuple(
         SinglePhotonAssumptionReport(
-            passed=worst <= _ASSUMPTION_TOL,
             max_violation=worst,
             entries=tuple(
                 (events.labels[i], block, value) for (i, block), value in zip(checked, row)

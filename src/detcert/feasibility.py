@@ -21,7 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .channels import ChoiConstraintSystem, ChoiSupport, _Verdict, _hermitian_part, _hermitian_score, certify_choi
+from .channels import ChoiConstraintSystem, ChoiSupport, _hermitian_part, _hermitian_score, certify_choi
+from .detectors import _Verdict
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,11 @@ small linear program.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detectors import MULTI, NO_CLICK, SINGLE, EventTable, POVM, enumerate_events
+from .detectors import MULTI, NO_CLICK, SINGLE, EventTable, POVM, _Verdict, enumerate_events
 
 _ENTRY_TOL = 1e-12
 _COLSUM_TOL = 1e-10
@@ -26,7 +26,6 @@ SWAP_FEASIBILITY_TOL = 1e-9
 _PIVOT_TOL = 1e-9
 _COST_TOL = 1e-9
 _MAX_PIVOTS = 5000
-_REFRESH = 10
 
 
 class StochasticMatrix:
@@ -122,7 +121,7 @@ def _single_photon_loss_entries(eta: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DarkCountConditionsReport:
+class DarkCountConditionsReport(_Verdict):
     """The three structural conditions a dark-count map obeys, and their violations.
 
     1. no single-click event becomes a different single-click event,
@@ -139,10 +138,7 @@ class DarkCountConditionsReport:
     single_to_single: tuple[tuple[int, int], ...]
     click_erased: tuple[tuple[int, int], ...]
     survival_violations: tuple[int, ...]
-
-    @property
-    def passed(self) -> bool:
-        return self.residual <= self.tolerance
+    passed: bool = field(init=False)
 
 
 def validate_dark_count_pp(
@@ -211,12 +207,14 @@ def apply_postprocessing(p: StochasticMatrix, povm: POVM) -> POVM:
 class SwapLPResult:
     """Outcome of the swap-equation linear program.
 
-    ``residual`` is the smallest achievable worst-case violation of
-    ``P_sq . P_db = P_dc . P_sq`` over all column-stochastic ``P_dc``; a
-    residual far above tolerance signals structural infeasibility rather
-    than numerical noise.  ``dual_bound`` is set exactly on an infeasible
-    verdict: a lower bound on that violation for every column-stochastic
-    ``P_dc``, computed from the LP's dual weights without the solver.
+    ``residual`` is the worst-case violation of ``P_sq . P_db = P_dc . P_sq``
+    by the LP optimum, clipped and renormalised into a column-stochastic
+    ``P_dc`` (``matrix`` on a feasible verdict): the smallest achievable up to
+    rounding.  A residual far above tolerance signals structural
+    infeasibility rather than numerical noise.  ``dual_bound`` is set exactly
+    on an infeasible verdict: a lower bound on that violation for every
+    column-stochastic ``P_dc``, computed from the LP's dual weights without
+    the solver.
     """
 
     feasible: bool
@@ -226,36 +224,23 @@ class SwapLPResult:
     dual_bound: float | None = None
 
 
-def _pivot(b_inv: np.ndarray, direction: np.ndarray, row: int) -> None:
-    """Update ``b_inv`` in place for the column ``B^-1 a_j = direction`` entering at ``row``."""
-    b_inv[row] /= direction[row]
-    direction[row] = 0.0
-    b_inv -= np.outer(direction, b_inv[row])
-
-
-def _simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray, basis: np.ndarray, n_cols: int):
+def _simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray, basis: np.ndarray):
     """Move the feasible basis of ``a x = b, x >= 0`` to one minimising ``cost . x``.
 
     Dense simplex with Bland's rule: the entering column is the lowest-index
     one with a negative reduced cost, the leaving row the ratio-test tie with
     the lowest-index basic variable, which cannot cycle (Bland, Math. Oper.
-    Res. 2, 103 (1977)).  Only the first ``n_cols`` columns may enter.  Each
-    pivot updates the basis inverse, which is inverted afresh from ``a``
-    every ``_REFRESH`` pivots and before optimality is accepted.  Returns the
-    basis inverse, the basic values and the reduced costs.
+    Res. 2, 103 (1977)).  The basis is inverted afresh from ``a`` at every
+    pivot, so basic values and reduced costs carry no accumulated rounding.
+    Returns the basic values and the reduced costs.
     """
-    since = _REFRESH
     for _ in range(_MAX_PIVOTS):
-        if since >= _REFRESH:
-            b_inv, since = np.linalg.inv(a[:, basis]), 0
+        b_inv = np.linalg.inv(a[:, basis])
         x_b = b_inv @ b
         reduced = cost - (cost[basis] @ b_inv) @ a
-        negative = reduced[:n_cols] < -_COST_TOL
+        negative = reduced < -_COST_TOL
         if not negative.any():
-            if since == 0:
-                return b_inv, x_b, reduced
-            since = _REFRESH
-            continue
+            return x_b, reduced
         col = np.argmax(negative)
         direction = b_inv @ a[:, col]
         rows = np.flatnonzero(direction > _PIVOT_TOL)
@@ -263,10 +248,7 @@ def _simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray, basis: np.ndarray, 
             raise RuntimeError("LP solver failed: unbounded")
         ratios = np.maximum(x_b[rows], 0.0) / direction[rows]
         ties = rows[ratios <= ratios.min() + _PIVOT_TOL]
-        row = ties[np.argmin(basis[ties])]
-        _pivot(b_inv, direction, row)
-        basis[row] = col
-        since += 1
+        basis[ties[np.argmin(basis[ties])]] = col
     raise RuntimeError(f"LP solver failed: no optimum after {_MAX_PIVOTS} pivots")
 
 
@@ -296,12 +278,13 @@ def solve_swap_lp(
     """Find ``P_dc`` with ``P_sq . P_db = P_dc . P_sq``, or certify failure.
 
     Solves ``min t`` subject to entrywise ``|P_dc . P_sq - P_sq . P_db| <= t``
-    with ``P_dc`` column-stochastic, by a two-phase dense simplex
-    (:func:`_simplex`); feasible iff the optimum is within ``tol``.  Either
-    verdict is re-verified without the solver: the residual is recomputed
-    from ``P_dc``, and an infeasible verdict needs the optimal basis's dual
-    weights to prove, by :func:`_dual_bound`, a violation above ``tol`` for
-    every ``P_dc``.
+    with ``P_dc`` column-stochastic, by a one-phase dense simplex
+    (:func:`_simplex`) from the vertex ``P_dc = e_0 1^T``.  The optimum is
+    clipped and renormalised into the returned matrix, and that matrix's
+    :func:`swap_residual` is the reported residual: feasible iff it is within
+    ``tol``.  An infeasible verdict needs the optimal basis's dual weights to
+    prove, by :func:`_dual_bound`, a violation above ``tol`` for every
+    ``P_dc``.
     """
     if p_db.shape != (p_sq.shape[1],) * 2:
         raise ValueError("P_sq and P_db must act on the same input events")
@@ -311,63 +294,47 @@ def solve_swap_lp(
     n_out, n_in = target.shape
     n_p = n_out * n_out  # vec(P_dc), row-major, then t, then the slacks
     n_ub = 2 * n_out * n_in
-    n_cols = n_p + 1 + n_ub
-    m = n_ub + n_out
 
     # Rows: -+(P_dc S - target) - t + slack = 0, then the column sums of P_dc
-    # equal to 1.  The rows with a negative right-hand side are negated, and
-    # they and the equalities get an artificial variable as their basis.
+    # equal to 1.
     act = np.kron(np.eye(n_out), s.T)  # vec(P_dc) -> vec(P_dc S)
-    a = np.zeros((m, n_cols))
+    a = np.zeros((n_ub + n_out, n_p + 1 + n_ub))
     a[:n_ub, :n_p] = np.concatenate([-act, act])
     a[:n_ub, n_p] = -1.0
     a[:n_ub, n_p + 1 :] = np.eye(n_ub)
     a[n_ub:, :n_p] = np.kron(np.ones(n_out), np.eye(n_out))
     b = np.concatenate([-target.ravel(), target.ravel(), np.ones(n_out)])
-    art_rows = np.flatnonzero((b < 0.0) | (np.arange(m) >= n_ub))
-    a[b < 0.0] *= -1.0
-
-    a = np.column_stack([a, np.eye(m)[:, art_rows]])
-    b = np.abs(b)
-    basis = np.arange(m) + n_p + 1
-    basis[art_rows] = n_cols + np.arange(len(art_rows))
-    phase1 = np.zeros(a.shape[1])
-    phase1[n_cols:] = 1.0
-    b_inv, x_b, _ = _simplex(a, b, phase1, basis, n_cols)
-    if x_b[basis >= n_cols].sum() > _COST_TOL * m:
-        raise RuntimeError("LP solver failed: phase 1 found no feasible point")
-    # An artificial still basic (at zero) leaves on any nonzero entry of its
-    # row: the slack and column-sum rows have full rank.
-    for row in np.flatnonzero(basis >= n_cols):
-        col = np.argmax(np.abs(b_inv[row] @ a[:, :n_cols]))
-        _pivot(b_inv, b_inv @ a[:, col], row)
-        basis[row] = col
+    # Start at the vertex P_dc = e_0 1^T, where P_dc S = e_0 1^T as 1^T S = 1^T.
+    # Its basis: row 0 of P_dc (an identity on the column sums), t = max |D|
+    # for D = e_0 1^T - target, and every slack but one that this t makes
+    # zero; t's -1 covers that slack's row, so the basis is nonsingular.
+    gap = -target
+    gap[0] += 1.0
+    tight = np.argmin(np.concatenate([gap.ravel(), -gap.ravel()]))
+    basis = np.concatenate([np.arange(n_out), [n_p], n_p + 1 + np.delete(np.arange(n_ub), tight)])
     cost = np.zeros(a.shape[1])
     cost[n_p] = 1.0  # t
-    _, x_b, reduced = _simplex(a, b, cost, basis, n_cols)
+    x_b, reduced = _simplex(a, b, cost, basis)
 
-    x = np.zeros(n_cols)
+    x = np.zeros(a.shape[1])
     x[basis] = x_b
-    p_dc = x[:n_p].reshape(n_out, n_out)
-    residual = swap_residual(p_dc, s, p_db.entries)
-    if residual > tol:
-        # The dual of a <= row is minus its slack's reduced cost.
-        lam = -reduced[n_p + 1 : n_cols]
-        w = (lam[: n_ub // 2] - lam[n_ub // 2 :]).reshape(n_out, n_in)
-        bound = _dual_bound(w, s, target)
-        if not bound > tol:
-            raise RuntimeError(
-                f"LP solver failed: residual {residual:.3e} above tolerance, "
-                f"but the dual bound {bound:.3e} does not prove it"
-            )
-        return SwapLPResult(
-            feasible=False, matrix=None, residual=residual, tolerance=tol, dual_bound=bound
-        )
-    p_dc = np.clip(p_dc, 0.0, None)
-    p_dc = p_dc / p_dc.sum(axis=0, keepdims=True)
-    matrix = StochasticMatrix(p_dc)
+    p_dc = np.clip(x[:n_p].reshape(n_out, n_out), 0.0, None)
+    matrix = StochasticMatrix(p_dc / p_dc.sum(axis=0, keepdims=True))
     residual = swap_residual(matrix.entries, s, p_db.entries)
-    return SwapLPResult(feasible=True, matrix=matrix, residual=residual, tolerance=tol)
+    if residual <= tol:
+        return SwapLPResult(feasible=True, matrix=matrix, residual=residual, tolerance=tol)
+    # The dual of a <= row is minus its slack's reduced cost.
+    lam = -reduced[n_p + 1 :]
+    w = (lam[: n_ub // 2] - lam[n_ub // 2 :]).reshape(n_out, n_in)
+    bound = _dual_bound(w, s, target)
+    if not bound > tol:
+        raise RuntimeError(
+            f"LP solver failed: residual {residual:.3e} above tolerance, "
+            f"but the dual bound {bound:.3e} does not prove it"
+        )
+    return SwapLPResult(
+        feasible=False, matrix=None, residual=residual, tolerance=tol, dual_bound=bound
+    )
 
 
 def coarse_grained_dc_ansatz(

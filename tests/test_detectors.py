@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -265,6 +266,10 @@ def test_assumption_report_catches_injected_violation():
     assert not report.passed
     offending = {label for label, _, _ in report.violations}
     assert povm.events.labels[m] in offending
+    # the shared pass rule: residual <= tolerance, the residual being max_violation
+    assert report.residual == report.max_violation
+    assert dataclasses.replace(report, tolerance=report.max_violation).passed
+    assert not dataclasses.replace(report, tolerance=np.nextafter(report.max_violation, 0.0)).passed
 
 
 def test_assumption_vacuous_for_single_detector():

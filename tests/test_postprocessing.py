@@ -205,17 +205,34 @@ def test_swap_lp_reproduces_forced_solution(d):
 
 
 def test_swap_lp_unequal_rates_infeasible():
-    result = solve_swap_lp(dark_count_matrix([0.01, 0.02]), bb84_qubit_squasher())
+    p_db, p_sq = dark_count_matrix([0.01, 0.02]), bb84_qubit_squasher()
+    result = solve_swap_lp(p_db, p_sq)
     assert not result.feasible
     assert result.matrix is None
     assert result.residual > 100 * result.tolerance
+    # at tol = that residual the verdict flips, on the residual of the returned matrix
+    at_tol = solve_swap_lp(p_db, p_sq, tol=result.residual)
+    assert at_tol.feasible
+    assert at_tol.residual == result.residual
+    assert postprocessing.swap_residual(at_tol.matrix.entries, p_sq.entries, p_db.entries) == result.residual
 
 
-def test_swap_lp_identity_case():
-    ident = StochasticMatrix(np.eye(4))
-    result = solve_swap_lp(ident, bb84_qubit_squasher())
+@pytest.mark.parametrize(
+    ("p_sq", "expected"),
+    [
+        (bb84_qubit_squasher().entries, np.eye(3)),
+        # everything merged into row 0: the start vertex P_dc = e_0 1^T is
+        # optimal at t = 0, with a fully degenerate basis
+        (np.eye(3)[[0, 0, 0, 0]].T, np.eye(3)[[0, 0, 0]].T),
+        (np.ones((1, 4)), np.ones((1, 1))),  # one output
+    ],
+    ids=["squasher", "merged-into-row-0", "one-row"],
+)
+def test_swap_lp_identity_case(p_sq, expected):
+    result = solve_swap_lp(StochasticMatrix(np.eye(4)), StochasticMatrix(p_sq))
     assert result.feasible
-    np.testing.assert_allclose(result.matrix.entries, np.eye(3), atol=1e-9)
+    assert result.residual == pytest.approx(_reference_swap_lp(np.eye(4), p_sq), abs=1e-12)
+    np.testing.assert_allclose(result.matrix.entries, expected, atol=1e-9)
 
 
 def test_swap_lp_solution_reverified_independently():
@@ -297,7 +314,10 @@ def test_swap_lp_matches_reference_solver(seed, n_in, n_out):
     result = solve_swap_lp(StochasticMatrix(p_db), StochasticMatrix(p_sq))
     assert result.feasible == (optimum <= result.tolerance)
     assert result.residual == pytest.approx(optimum, abs=1e-9)
-    if not result.feasible:
+    if result.feasible:
+        # the verdict and the reported residual are those of the returned matrix
+        assert result.residual == postprocessing.swap_residual(result.matrix.entries, p_sq, p_db)
+    else:
         assert result.dual_bound == pytest.approx(optimum, abs=1e-9)
         # the bound holds for every column-stochastic P, not only the optimum
         target = p_sq @ p_db
