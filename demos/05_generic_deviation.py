@@ -2,8 +2,8 @@
 
 If the imperfect measurement dominates (1-q) times the ideal one
 elementwise, a noise channel exists that surrenders exactly weight q of
-the preserved state to the flags.  The best q is found by bisection, and
-an operator-norm error bound can always be converted into this form by
+the preserved state to the flags.  The best q has a closed form, and an
+operator-norm error bound can always be converted into this form by
 mixing in uniform noise.
 """
 

@@ -54,7 +54,10 @@ _M0 = photon_label(0)
 _M1 = photon_label(1)
 _FLAG_TOL = 1e-12
 _DEVIATION_TOL = 1e-9
-_DEVIATION_WIDTH = 1e-10
+# min_deviation_q's closed form is rounded up by this; every larger q is admissible.
+_DEVIATION_RADIUS = 1e-12
+# An eigenvalue of F_noise_i at or below this is off its support.
+_SUPPORT_TOL = 1e-12
 
 # A Choi matrix has rows and columns ``(a, i)`` (input, output), flattened
 # to ``a * d_out + i``; a position on it is ``row * dim + col``.
@@ -600,10 +603,14 @@ def loss_channel(eta, eta_star: float, f_lossless: POVM) -> QuantumChannel:
     return QuantumChannel(layout, layout, terms)
 
 
-def _deviation(f_noise: POVM, f_ideal: POVM, q: float) -> tuple[np.ndarray, np.ndarray]:
-    """The stack ``F_noise_i - (1-q) F_ideal_i`` and the smallest eigenvalue of each."""
+def _require_single(f_noise: POVM, f_ideal: POVM):
     if f_noise.stacked or f_ideal.stacked:
         raise ValueError("a deviation compares two measurements, not stacks of them")
+
+
+def _deviation(f_noise: POVM, f_ideal: POVM, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """The stack ``F_noise_i - (1-q) F_ideal_i`` and the smallest eigenvalue of each."""
+    _require_single(f_noise, f_ideal)
     gap = f_noise.dense - (1.0 - q) * f_ideal.dense
     return gap, np.linalg.eigvalsh(gap)[:, 0]
 
@@ -647,35 +654,38 @@ def generic_channel(f_noise: POVM, f_ideal: POVM, q: float) -> QuantumChannel:
 
 
 def min_deviation_q(f_noise: POVM, f_ideal: POVM) -> float:
-    """Smallest deviation ``q`` admissible between two measurements.
+    """Smallest deviation ``q`` admissible between two measurements, in closed form.
 
-    Bisects the monotone predicate "every ``F_noise_i - (1-q) F_ideal_i``
-    is PSD", :func:`generic_channel`'s requirement, down to an interval of
-    ``_DEVIATION_WIDTH``.
+    :func:`generic_channel` needs every ``F_noise_i - (1-q) F_ideal_i`` PSD.
+    The largest ``t`` with ``N = F_noise_i >= t F_ideal_i`` is
+    ``1 / lambda_max(N^{-1/2} F_ideal_i N^{-1/2})`` on the support of ``N``,
+    and 0 when ``F_ideal_i`` leaks off that support (Horn and Johnson,
+    *Matrix Analysis*, 2nd ed., section 7.7).  So ``q* = 1 - min_i t_i``,
+    returned rounded up by ``_DEVIATION_RADIUS`` to cover the rounding of
+    the eigensolves, and at most 1.  Identical measurements give 0.
     """
     if f_noise.layout != f_ideal.layout or len(f_noise) != len(f_ideal):
         raise ValueError("measurements do not match")
-
-    def admissible(q: float) -> bool:
-        return bool((_deviation(f_noise, f_ideal, q)[1] >= -_DEVIATION_TOL).all())
-
-    if admissible(0.0):
+    _require_single(f_noise, f_ideal)
+    noise, ideal = f_noise.dense, f_ideal.dense
+    if np.array_equal(noise, ideal):
         return 0.0
-    if not admissible(1.0):
+    vals, vecs = np.linalg.eigh(noise)
+    support = vals > _SUPPORT_TOL
+    # Eigenvectors v_j of N: as v_j / sqrt(lambda_j) on its support (0 off it), and off it.
+    whitened = vecs * np.where(support, 1.0 / np.sqrt(np.where(support, vals, 1.0)), 0.0)[:, None, :]
+    off = vecs * ~support[:, None, :]
+    lmax = np.linalg.eigvalsh(whitened.conj().swapaxes(1, 2) @ ideal @ whitened)[:, -1]
+    leaks = np.abs(off.conj().swapaxes(1, 2) @ ideal @ off).max(axis=(1, 2)) > _SUPPORT_TOL
+    if leaks.any():
         warnings.warn(
-            "no q <= 1 satisfies the deviation bound; the noisy measurement "
+            "no q < 1 satisfies the deviation bound; the noisy measurement "
             "has a support deficit (reporting q = 1)",
             stacklevel=2,
         )
         return 1.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > _DEVIATION_WIDTH:
-        mid = (lo + hi) / 2.0
-        if admissible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    t = 1.0 / lmax.max()
+    return float(min(1.0, max(0.0, 1.0 - t) + _DEVIATION_RADIUS))
 
 
 def inf_norm_mixing(f_noise: POVM, delta: float) -> POVM:

@@ -370,39 +370,92 @@ class Certificate:
         return EXIT_OK if self.all_passed else EXIT_NOT_REDUCIBLE
 
 
-def _fmt_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
+def _finite_text(x: float) -> str:
+    if not math.isfinite(x):
         raise ValueError(f"cannot serialize {x}")
-    return format(float(x), ".17g")
+    return format(x, ".17g")
+
+
+_escape = json.encoder.encode_basestring_ascii  # what ``json.dumps(str)`` calls
+# Exact type -> text of a scalar; subclasses and numpy scalars take the isinstance path.
+_SCALAR_TEXT = {
+    float: _finite_text,
+    str: _escape,
+    bool: {True: "true", False: "false"}.__getitem__,
+    int: int.__repr__,
+    type(None): lambda _: "null",
+}
+_scalar_text = _SCALAR_TEXT.get
+_CONTAINERS = (dict, list, tuple)
 
 
 def canonical_json(obj, indent: int = 0) -> str:
-    """Deterministic JSON: sorted keys, floats at 17 significant digits."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if obj is None:
-        return "null"
+    """Deterministic JSON: sorted keys, floats at 17 significant digits.
+
+    Keys are sorted and ASCII-escaped, one item per line at a 2-space indent
+    from ``indent``; floats are ``.17g`` and NaN or infinity raises
+    ``ValueError``; empty containers are ``[]`` and ``{}``.  A dict, list or
+    tuple that the tree holds at several places is rendered once per indent.
+    """
+    return _render(obj, indent, {})
+
+
+def _render(obj, level: int, memo: dict) -> str:
+    """``obj`` at indent ``level``; ``memo`` maps ``(id, level)`` to ``(obj, text)``.
+
+    The memo holds each container it keys, so no id in it is reused
+    while it lives.
+    """
+    kind = type(obj)
+    scalar = _scalar_text(kind)
+    if scalar is not None:
+        return scalar(obj)
+    if kind in _CONTAINERS:
+        key = (id(obj), level)
+        hit = memo.get(key)
+        if hit is None:
+            text = _render_dict(obj, level, memo) if kind is dict else _render_items(obj, level, memo)
+            hit = memo[key] = (obj, text)
+        return hit[1]
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
+        return _finite_text(float(obj))
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _escape(obj)
     if isinstance(obj, (list, tuple, np.ndarray)):
-        items = [canonical_json(v, indent + 1) for v in list(obj)]
-        if not items:
-            return "[]"
-        return "[\n" + ",\n".join(inner + it for it in items) + "\n" + pad + "]"
+        return _render_items(list(obj), level, memo)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        parts = []
-        for key in sorted(obj):
-            parts.append(f"{inner}{json.dumps(str(key))}: {canonical_json(obj[key], indent + 1)}")
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+        return _render_dict(obj, level, memo)
     raise TypeError(f"cannot serialize {type(obj)}")
+
+
+# The item loops render exact-type scalars inline, without a frame each.
+
+
+def _render_items(items, level: int, memo: dict) -> str:
+    if not items:
+        return "[]"
+    inner = "\n" + "  " * (level + 1)
+    texts = [
+        scalar(v) if (scalar := _scalar_text(type(v))) else _render(v, level + 1, memo)
+        for v in items
+    ]
+    return "[" + inner + ("," + inner).join(texts) + "\n" + "  " * level + "]"
+
+
+def _render_dict(obj, level: int, memo: dict) -> str:
+    if not obj:
+        return "{}"
+    inner = "\n" + "  " * (level + 1)
+    texts = [
+        _escape(str(key)) + ": "
+        + (scalar(v) if (scalar := _scalar_text(type(v := obj[key]))) else _render(v, level + 1, memo))
+        for key in sorted(obj)
+    ]
+    return "{" + inner + ("," + inner).join(texts) + "\n" + "  " * level + "}"
 
 
 def emit_certificate(cert: Certificate, path) -> Path:

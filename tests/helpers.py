@@ -1,5 +1,9 @@
 """Shared fixtures for channel-level tests: random states and POVMs with flag structure."""
 
+import json
+import math
+
+import mpmath
 import numpy as np
 
 from detcert import POVM, EventTable, enumerate_events
@@ -219,39 +223,47 @@ def mix_povms(f_ideal, q_povm, q0):
     return POVM(f_ideal.layout, (1.0 - q0) * f_ideal.dense + q0 * q_povm.dense, f_ideal.events)
 
 
-def pinv_sqrt(mat, cutoff=1e-12):
-    """Inverse square root on the support of a PSD matrix."""
-    vals, vecs = np.linalg.eigh((mat + mat.conj().T) / 2)
-    scale = max(1.0, float(vals[-1]))
-    inv = np.where(vals > cutoff * scale, 1.0 / np.sqrt(np.clip(vals, 1e-300, None)), 0.0)
-    support = vals > cutoff * scale
-    return (vecs * inv) @ vecs.conj().T, (vecs, support)
+def deviation_q_oracle(f_noise, f_ideal):
+    """The smallest admissible deviation ``q*``, eigensolved in ``mpmath`` at 50 digits.
 
-
-def deviation_q_oracle(f_noise, f_ideal, cap=1.0):
-    """Generalized-eigenvalue oracle for the smallest admissible deviation.
-
-    Per element, the largest t with F_noise >= t F_ideal equals
-    1 / lmax(N^{-1/2} F_ideal N^{-1/2}) on the support of N = F_noise,
-    provided F_ideal is supported there (else t = 0).  The smallest q is
-    1 - min over elements of those t, clipped to [0, 1].
+    Per element and block, the largest t with F_noise >= t F_ideal is
+    1 / lmax(N^{-1/2} F_ideal N^{-1/2}) on the support of N = F_noise
+    (its eigenvalues above 1e-30), provided F_ideal has no weight off that
+    support (else t = 0).  Returns ``1 - min(1, min t)`` as an ``mpf``,
+    exact for the stored doubles up to the working precision.
     """
-    t_overall = np.inf
-    for lab in f_noise.layout.labels:
-        for noise_block, ideal_block in zip(f_noise.block(lab), f_ideal.block(lab)):
-            if np.abs(ideal_block).max() < 1e-300:
-                continue
-            x, (vecs, support) = pinv_sqrt(noise_block)
-            off_support = vecs[:, ~support]
-            leak = np.linalg.norm(off_support.conj().T @ ideal_block @ off_support)
-            if leak > 1e-10:
-                t_overall = 0.0
-                continue
-            lmax = np.linalg.eigvalsh(x @ ideal_block @ x)[-1]
-            if lmax > 1e-300:
-                t_overall = min(t_overall, 1.0 / lmax)
-    t_overall = min(cap, t_overall)
-    return float(min(1.0, max(0.0, 1.0 - t_overall)))
+    with mpmath.workdps(50):
+        tiny = mpmath.mpf("1e-30")
+        t_min = mpmath.mpf(1)
+        for lab in f_noise.layout.labels:
+            for noise_block, ideal_block in zip(f_noise.block(lab), f_ideal.block(lab)):
+                n = mpmath.matrix(noise_block.tolist())
+                f = mpmath.matrix(ideal_block.tolist())
+                n, f = (n + n.H) / 2, (f + f.H) / 2
+                vals, vecs = mpmath.eigh(n)
+                on = [j for j in range(n.rows) if vals[j] > tiny]
+                off = [j for j in range(n.rows) if vals[j] <= tiny]
+                if off:
+                    q_off = _columns(vecs, off)
+                    if mpmath.mnorm(q_off.H * f * q_off, 1) > tiny:
+                        return mpmath.mpf(1)
+                if not on:
+                    continue
+                whitened = _columns(vecs, on) * mpmath.diag([1 / mpmath.sqrt(vals[j]) for j in on])
+                x = whitened.H * f * whitened
+                x = (x + x.H) / 2
+                lmax = max(mpmath.eigh(x, eigvals_only=True))
+                if lmax > tiny:
+                    t_min = min(t_min, 1 / lmax)
+        return 1 - t_min
+
+
+def _columns(mat, cols):
+    out = mpmath.matrix(mat.rows, len(cols))
+    for c_out, c in enumerate(cols):
+        for r in range(mat.rows):
+            out[r, c_out] = mat[r, c]
+    return out
 
 
 def reference_choi(terms, d_in: int, d_out: int, depth: int = 1) -> np.ndarray:
@@ -289,3 +301,42 @@ def reference_heisenberg(j: np.ndarray, d_in: int, d_out: int, ops) -> np.ndarra
     """
     j4 = np.asarray(j).reshape(d_in, d_out, d_in, d_out)
     return np.array([np.einsum("ji,aibj->ba", f, j4) for f in ops])
+
+
+def _reference_fmt_float(x: float) -> str:
+    if math.isnan(x) or math.isinf(x):
+        raise ValueError(f"cannot serialize {x}")
+    return format(float(x), ".17g")
+
+
+def reference_canonical_json(obj, indent: int = 0) -> str:
+    """Deterministic JSON: sorted keys, floats at 17 significant digits.
+
+    The recursive serializer that ``report.canonical_json`` replaces, kept
+    as the oracle for its bytes.
+    """
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if obj is None:
+        return "null"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _reference_fmt_float(float(obj))
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        items = [reference_canonical_json(v, indent + 1) for v in list(obj)]
+        if not items:
+            return "[]"
+        return "[\n" + ",\n".join(inner + it for it in items) + "\n" + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        parts = []
+        for key in sorted(obj):
+            parts.append(f"{inner}{json.dumps(str(key))}: {reference_canonical_json(obj[key], indent + 1)}")
+        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+    raise TypeError(f"cannot serialize {type(obj)}")

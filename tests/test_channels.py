@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from helpers import (
+    SMALL_EVENTS,
     SMALL_LAYOUT,
     deviation_q_oracle,
     mix_povms,
@@ -315,6 +318,42 @@ def test_min_deviation_q_mixture_and_oracle(q0):
     assert verify_cptp(ch, 1e-9).passed
     stats = verify_statistics_equivalence(None, f_noise, f_ideal, ch, tol=1e-9)
     assert stats.passed
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    q0=st.floats(0.01, 0.95),
+    floor=st.sampled_from([0.005, 0.05, 0.5]),
+)
+def test_min_deviation_q_bounds_the_exact_q(seed, q0, floor):
+    rng = np.random.default_rng(seed)
+    f_ideal = random_squashed_povm(rng, floor=floor)
+    f_noise = mix_povms(f_ideal, random_squashed_povm(rng, floor=floor), q0)
+    q = min_deviation_q(f_noise, f_ideal)
+    oracle = deviation_q_oracle(f_noise, f_ideal)
+    # never optimistic, and rounded up by no more than its radius and the eigensolves
+    assert oracle <= q <= oracle + 1e-11
+    assert verify_cptp(generic_channel(f_noise, f_ideal, q), 1e-9).residual <= 1e-14
+
+
+def test_min_deviation_q_support_deficit_reports_one():
+    half = np.eye(2) / 2.0
+    rank_one = np.diag([1.0, 0.0])
+    flags = np.eye(3)
+
+    def povm(m1_blocks):
+        parts = [
+            {"m=0": np.eye(1) / 3.0, "m=1": block, "flag": np.diag(flag)}
+            for block, flag in zip(m1_blocks, flags)
+        ]
+        return POVM(SMALL_LAYOUT, stack_blocks(SMALL_LAYOUT, parts), SMALL_EVENTS)
+
+    f_noise = povm([rank_one, np.eye(2) - rank_one, np.zeros((2, 2))])
+    f_ideal = povm([half, half, np.zeros((2, 2))])
+    with pytest.warns(UserWarning, match="support deficit"):
+        assert min_deviation_q(f_noise, f_ideal) == 1.0
+    assert deviation_q_oracle(f_noise, f_ideal) == 1
 
 
 def test_min_deviation_q_trivial_single_element():

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -42,6 +43,8 @@ from detcert.report import (
     run_analysis,
     run_weight,
 )
+
+from helpers import reference_canonical_json
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -580,6 +583,140 @@ def test_emit_certificate_missing_directory(tmp_path):
     cert = Certificate(descriptor={}, derived={})
     with pytest.raises(OSError):
         emit_certificate(cert, tmp_path / "missing" / "cert.json")
+
+
+# Leaves of every kind the certificate serializer accepts, exact and numpy.
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_TEXT = st.text(st.characters(codec="utf-8"), max_size=8) | st.sampled_from(["", "\x00\x1f\x7f", "é ∑ 😀", '"\\/'])
+_ARRAY_ROWS = st.integers(0, 3)
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    _FINITE,
+    _TEXT,
+    _FINITE.map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.lists(_FINITE, max_size=4).map(np.array),
+    st.lists(st.integers(-9, 9), max_size=4).map(lambda v: np.array(v, dtype=np.int64)),
+    st.lists(st.booleans(), max_size=4).map(lambda v: np.array(v, dtype=bool)),
+    st.tuples(_ARRAY_ROWS, _ARRAY_ROWS).flatmap(
+        lambda shape: st.lists(_FINITE, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1])
+        .map(lambda v: np.array(v, dtype=float).reshape(shape))
+    ),
+)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, children, max_size=4),
+        st.dictionaries(st.integers(-5, 5), children, max_size=3),
+        st.dictionaries(_FINITE, children, max_size=3),
+    ),
+    max_leaves=25,
+)
+
+
+@st.composite
+def _shared_trees(draw):
+    """A tree holding one container at two depths and at several places."""
+    shared = draw(st.one_of(
+        st.dictionaries(_TEXT, _TREES, max_size=3),
+        st.lists(_TREES, max_size=3),
+        st.lists(_TREES, max_size=3).map(tuple),
+    ))
+    other = draw(_TREES)
+    return {
+        "a": shared,
+        "b": [shared, {"c": shared, "d": other}, shared],
+        "e": (other, [shared]),
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=_TREES | _shared_trees(), indent=st.integers(0, 3))
+def test_canonical_json_matches_reference_bytes(tree, indent):
+    assert canonical_json(tree, indent) == reference_canonical_json(tree, indent)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "wrap",
+    [
+        lambda x: x,
+        np.float64,
+        lambda x: {"checks": [{"inputs": {"eta": [0.5]}, "residual": x}]},
+        lambda x: (1.0, [np.array([0.5, x])]),
+        lambda x: np.array([[0.0, x]]),
+    ],
+)
+def test_canonical_json_rejects_non_finite(bad, wrap):
+    with pytest.raises(ValueError, match="cannot serialize"):
+        reference_canonical_json(wrap(bad))
+    with pytest.raises(ValueError, match="cannot serialize"):
+        canonical_json(wrap(bad))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [object(), 1j, np.complex128(1.0), {1, 2}, b"bytes", np.array(0.5), np.array([1j]), [{"x": object()}]],
+)
+def test_canonical_json_rejects_unsupported_types(bad):
+    with pytest.raises(TypeError):
+        reference_canonical_json(bad)
+    with pytest.raises(TypeError):
+        canonical_json(bad)
+
+
+_BUILT_DESCRIPTORS = {
+    "passive-ranges": {
+        "setup": "passive-bb84",
+        "eta_range": [[0.4, 0.9], [0.55, 0.7], [0.6, 0.6], [0.45, 0.8]],
+        "dark_range": [[0.0, 0.02], [0.0, 0.01], [0.0, 0.03], [0.0, 0.0]],
+        "cutoff": 1,
+        "eta_star": 1.0,
+        "coarse_grain": "multiclick",
+        "seed": 3,
+    },
+    "passive-fine": {**PASSIVE, "coarse_grain": "none", "corner_limit": 8},
+    "passive-downgraded": {**PASSIVE, "eta_star": 0.55},
+    "active-equal": {
+        "setup": "active-bb84", "eta_range": [1.0, 1.0], "dark_range": [0.0, 0.002],
+        "cutoff": 1, "eta_star": 1.0, "seed": 5,
+    },
+    "active-unequal": {
+        "setup": "active-bb84", "eta_range": [[0.8, 0.9], [0.7, 0.95]],
+        "dark_range": [[0.0, 0.004], [0.0, 0.03]], "cutoff": 1, "eta_star": 1.0, "seed": 5,
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["descriptors/passive_bb84.json", "descriptors/active_bb84.json", *_BUILT_DESCRIPTORS],
+)
+def test_analyze_out_writes_reference_bytes(source, tmp_path):
+    if source in _BUILT_DESCRIPTORS:
+        path = tmp_path / "descriptor.json"
+        path.write_text(json.dumps(_BUILT_DESCRIPTORS[source]))
+    else:
+        path = ROOT / source
+    out = tmp_path / "certificate.json"
+    code = cli.main(["analyze", str(path), "--out", str(out)])
+    cert = run_analysis(load_descriptor(path))
+    assert code == cert.exit_code
+    assert out.read_text() == reference_canonical_json(cert.to_dict()) + "\n"
+
+
+def test_emit_certificate_with_nan_writes_nothing(tmp_path):
+    cert = run_analysis(descriptor_from_dict(PASSIVE))
+    cert.add_check("nan-residual", "verify_cptp", {"eta": [0.5]}, math.nan, 1e-9)
+    out = tmp_path / "cert.json"
+    with pytest.raises(ValueError, match="cannot serialize nan"):
+        emit_certificate(cert, out)
+    assert not out.exists()
 
 
 def test_run_weight_requires_observation():
