@@ -53,7 +53,6 @@ from .squashing import check_eta_star
 _M0 = photon_label(0)
 _M1 = photon_label(1)
 _FLAG_TOL = 1e-12
-_DEVIATION_TOL = 1e-9
 # min_deviation_q's closed form is rounded up by this; every larger q is admissible.
 _DEVIATION_RADIUS = 1e-12
 # An eigenvalue of F_noise_i at or below this is off its support.
@@ -496,8 +495,6 @@ def dark_count_channel(p_db: StochasticMatrix, f_eta: POVM) -> QuantumChannel:
     _require_one_photon_target(f_eta)
     events = f_eta.events
     n = len(f_eta)
-    if p_db.shape != (n, n):
-        raise ValueError(f"dark-count map shape {p_db.shape} does not match {n} events")
     report = validate_dark_count_pp(p_db, events)
     if not report.passed:
         raise ValueError(f"dark-count conditions violated: {report}")
@@ -570,8 +567,6 @@ def loss_channel(eta, eta_star: float, f_lossless: POVM) -> QuantumChannel:
     """
     _require_one_photon_target(f_lossless)
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    if not ((eta > 0) & (eta <= 1)).all():  # NaN fails too
-        raise ValueError("efficiencies must lie in (0, 1]")
     check_eta_star(eta, eta_star)
     layout = f_lossless.layout
     events = f_lossless.events
@@ -603,40 +598,48 @@ def loss_channel(eta, eta_star: float, f_lossless: POVM) -> QuantumChannel:
     return QuantumChannel(layout, layout, terms)
 
 
-def _require_single(f_noise: POVM, f_ideal: POVM):
+def _deviation_bound(f_noise: POVM, f_ideal: POVM) -> tuple[float, bool]:
+    """The unrounded smallest admissible deviation ``q*``, and whether ``F_noise`` has a support deficit.
+
+    The largest ``t`` with ``N = F_noise_i >= t F_ideal_i`` is
+    ``1 / lambda_max(N^{-1/2} F_ideal_i N^{-1/2})`` on the support of ``N``,
+    and 0 when ``F_ideal_i`` leaks off that support (Horn and Johnson,
+    *Matrix Analysis*, 2nd ed., section 7.7).  So ``q* = 1 - min_i t_i``:
+    1 on a support deficit, 0 for identical measurements.
+    """
+    if f_noise.layout != f_ideal.layout or len(f_noise) != len(f_ideal):
+        raise ValueError("measurements do not match")
     if f_noise.stacked or f_ideal.stacked:
         raise ValueError("a deviation compares two measurements, not stacks of them")
-
-
-def _deviation(f_noise: POVM, f_ideal: POVM, q: float) -> tuple[np.ndarray, np.ndarray]:
-    """The stack ``F_noise_i - (1-q) F_ideal_i`` and the smallest eigenvalue of each."""
-    _require_single(f_noise, f_ideal)
-    gap = f_noise.dense - (1.0 - q) * f_ideal.dense
-    return gap, np.linalg.eigvalsh(gap)[:, 0]
+    noise, ideal = f_noise.dense, f_ideal.dense
+    if np.array_equal(noise, ideal):
+        return 0.0, False
+    vals, vecs = np.linalg.eigh(noise)
+    support = vals > _SUPPORT_TOL
+    # Eigenvectors v_j of N: as v_j / sqrt(lambda_j) on its support (0 off it), and off it.
+    whitened = vecs * np.where(support, 1.0 / np.sqrt(np.where(support, vals, 1.0)), 0.0)[:, None, :]
+    off = vecs * ~support[:, None, :]
+    if (np.abs(off.conj().swapaxes(1, 2) @ ideal @ off).max(axis=(1, 2)) > _SUPPORT_TOL).any():
+        return 1.0, True
+    lmax = np.linalg.eigvalsh(whitened.conj().swapaxes(1, 2) @ ideal @ whitened)[:, -1]
+    return float(min(1.0, max(0.0, 1.0 - 1.0 / lmax.max()))), False
 
 
 def generic_channel(f_noise: POVM, f_ideal: POVM, q: float) -> QuantumChannel:
     """Noise channel for an arbitrary deviation ``q`` between two targets.
 
-    Requires every ``F_noise_i - (1-q) F_ideal_i`` to be PSD to
-    ``_DEVIATION_TOL``; the excess defines a POVM that the channel measures
-    on the preserved blocks, surrendering weight ``q`` to the flags.
+    Admits ``q`` exactly when ``q >= q*``, the deviation bound of
+    :func:`min_deviation_q` before its rounding, so every
+    ``F_noise_i - (1-q) F_ideal_i`` is PSD; the excess defines a POVM that
+    the channel measures on the preserved blocks, surrendering weight ``q``
+    to the flags.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must lie in [0, 1]")
-    if f_noise.layout != f_ideal.layout:
-        raise ValueError("the two measurements live on different layouts")
-    if len(f_noise) != len(f_ideal):
-        raise ValueError("element count mismatch")
     _require_exact_flags(f_ideal, "the ideal")
-    gap, lows = _deviation(f_noise, f_ideal, q)
-    bad = np.flatnonzero(lows < -_DEVIATION_TOL)
-    if bad.size:
-        i = bad[0]
-        raise ValueError(
-            f"element {i} violates the deviation bound: "
-            f"smallest eigenvalue {lows[i]:.3e} at q={q}"
-        )
+    q_star, _ = _deviation_bound(f_noise, f_ideal)
+    if q < q_star:
+        raise ValueError(f"q={q} violates the deviation bound q*={q_star!r}")
 
     layout = f_ideal.layout
     n = len(f_ideal)
@@ -646,6 +649,7 @@ def generic_channel(f_noise: POVM, f_ideal: POVM, q: float) -> QuantumChannel:
         _KeepBlocks(weight=1.0, projector=layout.projector(FLAG_LABEL)),
     ]
     if q > 1e-15:
+        gap = f_noise.dense - (1.0 - q) * f_ideal.dense
         ops = preserved @ (gap * (1.0 / q)) @ preserved
         flags = layout.offset(FLAG_LABEL) + np.arange(n)
         preps = _diagonal_states(layout.total_dim, flags, q * np.eye(n))
@@ -656,36 +660,22 @@ def generic_channel(f_noise: POVM, f_ideal: POVM, q: float) -> QuantumChannel:
 def min_deviation_q(f_noise: POVM, f_ideal: POVM) -> float:
     """Smallest deviation ``q`` admissible between two measurements, in closed form.
 
-    :func:`generic_channel` needs every ``F_noise_i - (1-q) F_ideal_i`` PSD.
-    The largest ``t`` with ``N = F_noise_i >= t F_ideal_i`` is
-    ``1 / lambda_max(N^{-1/2} F_ideal_i N^{-1/2})`` on the support of ``N``,
-    and 0 when ``F_ideal_i`` leaks off that support (Horn and Johnson,
-    *Matrix Analysis*, 2nd ed., section 7.7).  So ``q* = 1 - min_i t_i``,
-    returned rounded up by ``_DEVIATION_RADIUS`` to cover the rounding of
-    the eigensolves, and at most 1.  Identical measurements give 0.
+    The bound ``q*`` of :func:`generic_channel`, rounded up by
+    ``_DEVIATION_RADIUS`` to cover the rounding of the eigensolves, and at
+    most 1; a support deficit warns and gives 1.  Identical measurements
+    give 0.
     """
-    if f_noise.layout != f_ideal.layout or len(f_noise) != len(f_ideal):
-        raise ValueError("measurements do not match")
-    _require_single(f_noise, f_ideal)
-    noise, ideal = f_noise.dense, f_ideal.dense
-    if np.array_equal(noise, ideal):
-        return 0.0
-    vals, vecs = np.linalg.eigh(noise)
-    support = vals > _SUPPORT_TOL
-    # Eigenvectors v_j of N: as v_j / sqrt(lambda_j) on its support (0 off it), and off it.
-    whitened = vecs * np.where(support, 1.0 / np.sqrt(np.where(support, vals, 1.0)), 0.0)[:, None, :]
-    off = vecs * ~support[:, None, :]
-    lmax = np.linalg.eigvalsh(whitened.conj().swapaxes(1, 2) @ ideal @ whitened)[:, -1]
-    leaks = np.abs(off.conj().swapaxes(1, 2) @ ideal @ off).max(axis=(1, 2)) > _SUPPORT_TOL
-    if leaks.any():
+    q_star, deficit = _deviation_bound(f_noise, f_ideal)
+    if deficit:
         warnings.warn(
             "no q < 1 satisfies the deviation bound; the noisy measurement "
             "has a support deficit (reporting q = 1)",
             stacklevel=2,
         )
         return 1.0
-    t = 1.0 / lmax.max()
-    return float(min(1.0, max(0.0, 1.0 - t) + _DEVIATION_RADIUS))
+    if np.array_equal(f_noise.dense, f_ideal.dense):
+        return 0.0  # no eigensolve to round
+    return float(min(1.0, q_star + _DEVIATION_RADIUS))
 
 
 def inf_norm_mixing(f_noise: POVM, delta: float) -> POVM:
@@ -738,16 +728,17 @@ def _identities(stacks, lead: tuple) -> np.ndarray:
 class ChoiConstraintSystem:
     """The identities ``Phi_J^dag(F_k) = G_k`` on a candidate Choi matrix ``J``.
 
-    Built from a post-processing ``p`` and the measurements before and after
-    the channel: ``F_k = F_after_k`` and ``G_k = sum_j P_kj F_before_j``.
-    ``p`` is ``None`` (identity), a ``StochasticMatrix`` or an array of shape
-    ``(len(f_after), len(f_before))``; a ``POVM`` contributes its ``dense``
-    stack, anything else is taken as a stack of dense operators.  Any of the
-    three may lead with a stack axis (one system per channel of a stack),
-    and the others broadcast to it.  The stacks ``ops`` and ``targets`` hold
-    the ``n`` events and, last, trace preservation as ``F = I_out``,
-    ``G = I_in``; :meth:`join` puts several systems' identities in one,
-    :meth:`stack` several stacks of systems in one stack.
+    Built from ``(p, f_before, f_after)`` triples, one per group of
+    identities, in order: a post-processing ``p`` and the measurements
+    before and after the channel give ``F_k = F_after_k`` and
+    ``G_k = sum_j P_kj F_before_j``.  ``p`` is ``None`` (identity), a
+    ``StochasticMatrix`` or an array of shape ``(len(f_after), len(f_before))``;
+    a ``POVM`` contributes its ``dense`` stack, anything else is taken as a
+    stack of dense operators.  Any of them may lead with a stack axis (one
+    system per channel of a stack), and the others broadcast to it.  The
+    stacks ``ops`` and ``targets`` hold the identities of every triple and,
+    once, last, trace preservation as ``F = I_out``, ``G = I_in``;
+    :meth:`stack` puts several stacks of systems in one stack.
     The map ``J -> (Phi_J^dag(F_k))_k`` has adjoint
     ``Y -> sum_k Y_k^T (x) F_k``.
 
@@ -759,44 +750,33 @@ class ChoiConstraintSystem:
     face, the adjoint and the defect serve the probe, on one system.
     """
 
-    def __init__(self, p, f_before, f_after):
-        before, after = [
-            f.dense if isinstance(f, POVM) else np.asarray(f, dtype=complex)
-            for f in (f_before, f_after)
-        ]
-        n_before, n_after = before.shape[-3], after.shape[-3]
-        if p is None:
-            p_mat = np.eye(n_after)
-        elif isinstance(p, StochasticMatrix):
-            p_mat = p.entries
-        else:
-            p_mat = np.asarray(p, dtype=float)
-        if p_mat.shape[-2:] != (n_after, n_before):
-            raise ValueError(
-                f"post-processing shape {p_mat.shape} does not map "
-                f"{n_before} -> {n_after} events"
-            )
-        targets = p_mat @ before.reshape(*before.shape[:-2], before.shape[-2] * before.shape[-1])
-        self._set(after, targets.reshape(*targets.shape[:-1], *before.shape[-2:]))
-
-    def _set(self, after: np.ndarray, targets: np.ndarray):
-        """Hold the identities ``after``/``targets`` and trace preservation after them."""
-        self.d_in, self.d_out = targets.shape[-1], after.shape[-1]
+    def __init__(self, *identities):
+        afters, targets = [], []
+        for p, f_before, f_after in identities:
+            before, after = [
+                f.dense if isinstance(f, POVM) else np.asarray(f, dtype=complex)
+                for f in (f_before, f_after)
+            ]
+            n_before, n_after = before.shape[-3], after.shape[-3]
+            if p is None:
+                p_mat = np.eye(n_after)
+            elif isinstance(p, StochasticMatrix):
+                p_mat = p.entries
+            else:
+                p_mat = np.asarray(p, dtype=float)
+            if p_mat.shape[-2:] != (n_after, n_before):
+                raise ValueError(
+                    f"post-processing shape {p_mat.shape} does not map "
+                    f"{n_before} -> {n_after} events"
+                )
+            target = p_mat @ before.reshape(*before.shape[:-2], before.shape[-2] * before.shape[-1])
+            afters.append(after)
+            targets.append(target.reshape(*target.shape[:-1], *before.shape[-2:]))
+        self.d_in, self.d_out = targets[0].shape[-1], afters[0].shape[-1]
         self.dim = self.d_in * self.d_out
-        lead = max(after.shape[:-3], targets.shape[:-3], key=len)
-        self.ops = _identities([after, np.eye(self.d_out)[None]], lead)
-        self.targets = _identities([targets, np.eye(self.d_in)[None]], lead)
-
-    @classmethod
-    def join(cls, *systems) -> "ChoiConstraintSystem":
-        """The identities of ``systems`` in order, trace preservation once, last; stack axes broadcast."""
-        lead = max((s.ops.shape[:-3] for s in systems), key=len)
-        joined = cls.__new__(cls)
-        joined._set(
-            _identities([s.ops[..., :-1, :, :] for s in systems], lead),
-            _identities([s.targets[..., :-1, :, :] for s in systems], lead),
-        )
-        return joined
+        lead = max((a.shape[:-3] for a in afters + targets), key=len)
+        self.ops = _identities([*afters, np.eye(self.d_out)[None]], lead)
+        self.targets = _identities([*targets, np.eye(self.d_in)[None]], lead)
 
     @classmethod
     def stack(cls, *systems) -> "ChoiConstraintSystem":
@@ -900,7 +880,7 @@ def _certify_one(ch: QuantumChannel, system: ChoiConstraintSystem, tol: float):
 def verify_cptp(ch: QuantumChannel, tol: float) -> CPTPReport:
     """Check that ``J`` is PSD and ``Phi_J^dag(I_out) = I_in``: :func:`certify_choi` with no other identity."""
     d_in, d_out = ch.input_layout.total_dim, ch.output_layout.total_dim
-    trace_only = ChoiConstraintSystem(None, np.zeros((0, d_in, d_in)), np.zeros((0, d_out, d_out)))
+    trace_only = ChoiConstraintSystem((None, np.zeros((0, d_in, d_in)), np.zeros((0, d_out, d_out))))
     return _certify_one(ch, trace_only, tol)[0]
 
 
@@ -929,5 +909,5 @@ def verify_statistics_equivalence(
     over a Hermitian basis of the channel input, off-diagonal pairs
     included, so passing here extends to every density matrix by linearity.
     """
-    worst = _certify_one(ch, ChoiConstraintSystem(p, f_before, f_after), tol)[1]
+    worst = _certify_one(ch, ChoiConstraintSystem((p, f_before, f_after)), tol)[1]
     return EquivalenceReport(max_residual=float(worst.max()), per_event=tuple(worst.tolist()), tolerance=tol)

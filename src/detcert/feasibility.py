@@ -10,7 +10,7 @@ read too.  L-BFGS on the dual of the nearest-point problem (Malick, SIAM J.
 Matrix Anal. Appl. 26, 272 (2004)) ends in a witness ``J`` or a Farkas ray
 ``Y``, each re-verified without the solver: the witness by the kernel that
 certifies channels, on its nonzeros (:func:`verify_choi_witness`), the ray
-by one eigensolve on the full Choi space (:func:`verify_farkas_ray`).
+by the component eigensolve of that kernel (:func:`verify_farkas_ray`).
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ def choi_feasibility(p_dc, f_eta, f_target, tol: float = 1e-6, max_iter: int = 1
     """
     if not (tol > 0 and max_iter >= 1):
         raise ValueError(f"need tol > 0 and max_iter >= 1, got {tol} and {max_iter}")
-    system = ChoiConstraintSystem(p_dc, f_eta, f_target)
+    system = ChoiConstraintSystem((p_dc, f_eta, f_target))
     # A feasible J has ||J|| <= Tr J = d_in, so theta >= -d_in^2 / 2 on a
     # feasible system: only below that is an iterate tested as a Farkas ray.
     floor = -0.5 * system.d_in**2
@@ -126,9 +126,9 @@ def choi_feasibility(p_dc, f_eta, f_target, tol: float = 1e-6, max_iter: int = 1
         value = 0.5 * np.vdot(j, j).real - np.vdot(system.targets, y).real
         residual = float(_hermitian_score(defect).max())
         last.update(count=last["count"] + 1, j=j, defect=defect, residual=residual)
-        if residual < tol:
+        if residual <= tol:
             raise _Decided("tol")
-        if value < floor and verify_farkas_ray(y, p_dc, f_eta, f_target, tol).passed:
+        if value < floor and _farkas(system, y, tol).passed:
             last["ray"] = y.copy()
             raise _Decided("farkas")
         if last["count"] >= max_iter:
@@ -178,7 +178,7 @@ def verify_choi_witness(j, p_dc, f_eta, f_target, tol: float) -> ChoiWitnessRepo
     eigenvalue, trace preservation, and the worst statistics constraint
     over the full operator space.
     """
-    system = ChoiConstraintSystem(p_dc, f_eta, f_target)
+    system = ChoiConstraintSystem((p_dc, f_eta, f_target))
     j = np.asarray(j, dtype=complex)
     if j.shape != (system.dim, system.dim):
         raise ValueError("Choi matrix shape does not match the measurements")
@@ -206,21 +206,28 @@ def verify_farkas_ray(ray, p_dc, f_eta, f_target, tol: float) -> FarkasReport:
     """Re-check that ``ray`` proves no PSD Choi matrix meets the identities.
 
     ``ray`` stacks ``n + 1`` multipliers ``Y_k``, trace preservation last, of
-    which the Hermitian part is checked.  One ``eigvalsh`` of
-    ``M = sum_k Y_k^T (x) F_k`` on the full Choi space, with no face and no
-    solver: lowering ``Y_tp`` by ``max(0, lambda_max(M))`` makes ``M`` NSD,
-    so every PSD ``J`` has ``sum_k Re Tr[(G_k - Phi_J^dag(F_k)) Y_k] >=
-    sum_k Re Tr[G_k Y_k]`` for the lowered ``Y``.  Divided by the dual norm
-    of the per-event score, ``sum_k sum_{a<=b} |Re Y_ab| + |Im Y_ab|``, that
-    margin bounds the residual of every PSD ``J`` from below.  Passes when
-    the margin exceeds ``tol``.
+    which the Hermitian part is checked.  ``lambda_max`` of
+    ``M = sum_k Y_k^T (x) F_k`` comes from the component eigensolve of
+    :meth:`ChoiSupport.psd_residuals`, with no face and no solver: lowering
+    ``Y_tp`` by ``max(0, lambda_max(M))`` makes ``M`` NSD, so every PSD
+    ``J`` has ``sum_k Re Tr[(G_k - Phi_J^dag(F_k)) Y_k] >= sum_k Re Tr[G_k Y_k]``
+    for the lowered ``Y``.  Divided by the dual norm of the per-event score,
+    ``sum_k sum_{a<=b} |Re Y_ab| + |Im Y_ab|``, that margin bounds the
+    residual of every PSD ``J`` from below.  Passes when the margin exceeds
+    ``tol``.
     """
-    system = ChoiConstraintSystem(p_dc, f_eta, f_target)
+    system = ChoiConstraintSystem((p_dc, f_eta, f_target))
     ray = np.asarray(ray, dtype=complex)
     if ray.shape != system.targets.shape:
         raise ValueError(f"Farkas ray shape {ray.shape} does not match {system.targets.shape}")
+    return _farkas(system, ray, tol)
+
+
+def _farkas(system: ChoiConstraintSystem, ray: np.ndarray, tol: float) -> FarkasReport:
+    """:func:`verify_farkas_ray` on a built system and a ray of its shape."""
     y = _hermitian_part(ray)
-    lam = float(np.linalg.eigvalsh(system.adjoint(y))[-1])
+    (low,) = ChoiSupport.from_dense(-system.adjoint(y), system.d_in, system.d_out).psd_residuals()[1]
+    lam = 0.0 - float(low)  # +0.0, not -0.0, when the spectrum tops out at a zero row
     y[-1] -= max(lam, 0.0) * np.eye(system.d_in)
     norm = float(np.abs(np.triu(y).view(float)).sum())
     margin = float(np.vdot(system.targets, y).real) / norm if norm > 0 else 0.0

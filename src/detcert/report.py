@@ -603,14 +603,8 @@ def _certify_corners(p_db, etas, eta_star, f_eta, f_lossless, f_star, tol):
     ratios = etas.min(axis=1) / eta_star
     loss_weights = np.stack([np.ones_like(ratios), ratios], axis=-1)[:, None, :]
     identities = ChoiConstraintSystem.stack(
-        ChoiConstraintSystem.join(
-            ChoiConstraintSystem(p_db, f_eta, f_eta),
-            ChoiConstraintSystem([[float(p_db.entries[0, 0])]], [proj01], [proj01]),
-        ),
-        ChoiConstraintSystem.join(
-            ChoiConstraintSystem(None, f_eta, f_star),
-            ChoiConstraintSystem(loss_weights, [proj0, proj1], [proj01]),
-        ),
+        ChoiConstraintSystem((p_db, f_eta, f_eta), ([[float(p_db.entries[0, 0])]], [proj01], [proj01])),
+        ChoiConstraintSystem((None, f_eta, f_star), (loss_weights, [proj0, proj1], [proj01])),
     )
     cptp, scores = certify_choi(ChoiSupport.of([dark, loss]), identities, tol)
     channels = list(zip([r.residual for r in cptp], scores[:, :-1].max(axis=1).tolist(), scores[:, -1].tolist()))
@@ -647,10 +641,8 @@ def _analyze_active_bb84(desc: SetupDescriptor, cert: Certificate) -> Certificat
     _record_weight(desc, cert, float(result.matrix.entries[0, 0]), eta_star)
     d = float(d_vec[0])
     # Both bases' statistics and trace preservation, scored in one contraction.
-    bases = [ChoiConstraintSystem(result.matrix, povm, povm) for povm in map(bb84_qubit_measurement, "ZX")]
-    (cptp,), (scores,) = certify_choi(
-        bb84_simple_noise_channel(d).support, ChoiConstraintSystem.join(*bases), desc.tol
-    )
+    bases = [(result.matrix, povm, povm) for povm in map(bb84_qubit_measurement, "ZX")]
+    (cptp,), (scores,) = certify_choi(bb84_simple_noise_channel(d).support, ChoiConstraintSystem(*bases), desc.tol)
     cert.add_check("bb84-channel-cptp", "verify_cptp", {"dark": d}, cptp.residual, desc.tol)
     for basis, stats in zip("ZX", np.split(scores, len(bases))):
         cert.add_check(

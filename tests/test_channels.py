@@ -258,6 +258,19 @@ def test_loss_channel_rejects_inadmissible_eta_star():
         loss_split_matrix([0.5, 0.6], 1.5)
 
 
+
+@pytest.mark.parametrize("bad", [0.0, 1.2, float("nan")])
+def test_loss_channel_rejects_efficiencies_outside_unit_interval(bb84_squashed, bad):
+    eta = np.array([0.8, 0.85, bad, 0.75])
+    with pytest.raises(ValueError, match=r"need 0 < eta_min <= eta_max <= 1"):
+        loss_channel(eta, 1.0, bb84_squashed)
+
+
+def test_dark_count_channel_rejects_mis_shaped_map(bb84_squashed):
+    with pytest.raises(ValueError, match=r"shape \(3, 3\) does not match 16 events"):
+        dark_count_channel(bb84_squashed_dark_matrix(0.01), bb84_squashed)
+
+
 # ------------------------------------------------------------------ generic
 
 
@@ -296,6 +309,20 @@ def test_generic_channel_rejects_violated_bound():
     with pytest.raises(ValueError, match="deviation bound"):
         generic_channel(f_noise, f_ideal, 0.05)
 
+
+
+@pytest.mark.parametrize("seed", [3, 10, 21])
+def test_generic_channel_admits_exactly_the_closed_form_bound(seed):
+    # q* - 1e-9 gives a Choi eigenvalue of order -1e-10, inside any 1e-9
+    # eigenvalue test; the bound itself, as min_deviation_q rounds it, is CP
+    rng = np.random.default_rng(seed)
+    f_ideal = random_squashed_povm(rng)
+    f_noise = mix_povms(f_ideal, random_squashed_povm(rng), 0.4)
+    oracle = float(deviation_q_oracle(f_noise, f_ideal))
+    with pytest.raises(ValueError, match=r"deviation bound q\*=0\.\d+"):
+        generic_channel(f_noise, f_ideal, oracle - 1e-9)
+    q = min_deviation_q(f_noise, f_ideal)
+    assert verify_cptp(generic_channel(f_noise, f_ideal, q), 1e-9).residual <= 1e-14
 
 def test_min_deviation_q_identical_measurements():
     rng = np.random.default_rng(11)

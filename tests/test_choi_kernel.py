@@ -194,7 +194,7 @@ def test_system_adjoint_is_adjoint_of_heisenberg_map(seed):
     rng = np.random.default_rng(seed)
     f_before, f_after = random_squashed_povm(rng), dc.bb84_qubit_measurement("X")
     p = rng.dirichlet(np.ones(3), size=3).T
-    system = ChoiConstraintSystem(p, f_before, f_after)
+    system = ChoiConstraintSystem((p, f_before, f_after))
     d_in, d_out = system.d_in, system.d_out
     assert (d_in, d_out) == (6, 3)
     j = rng.normal(size=(system.dim,) * 2) + 1j * rng.normal(size=(system.dim,) * 2)

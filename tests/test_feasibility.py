@@ -188,7 +188,7 @@ def test_dual_gradient_is_the_defect(seed):
     p = rng.dirichlet(np.ones(n), size=n).T * (rng.random((n, n)) < 0.6)
     p[rng.integers(n, size=n), range(n)] += 1e-3
     p /= p.sum(axis=0)
-    system = ChoiConstraintSystem(p, f_before, f_after)
+    system = ChoiConstraintSystem((p, f_before, f_after))
 
     def hermitian_stack():
         g = rng.normal(size=system.targets.shape) + 1j * rng.normal(size=system.targets.shape)
@@ -269,6 +269,27 @@ def test_broken_ray_fails_verification():
     with pytest.raises(ValueError, match="shape"):
         verify_farkas_ray(ray[:-1], p, povm, povm, 1e-6)
 
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**16), sparse=st.booleans())
+def test_farkas_lambda_max_matches_dense_spectrum(seed, sparse):
+    # lambda_max(sum_k Y_k^T (x) F_k) from the component eigensolve against a
+    # dense eigvalsh of the Kronecker sum; a sparse ray leaves zero rows
+    rng = np.random.default_rng(seed)
+    povm = random_squashed_povm(rng)
+    n = len(povm)
+    p = rng.dirichlet(np.ones(n), size=n).T
+    d = povm.layout.total_dim
+    g = rng.normal(size=(n + 1, d, d)) + 1j * rng.normal(size=(n + 1, d, d))
+    if sparse:
+        g *= rng.random((n + 1, d, d)) < 0.2
+    ray = g + g.conj().transpose(0, 2, 1)
+    ops = [*povm.dense, np.eye(d)]
+    dense = sum(np.kron(y_k.T, f_k) for y_k, f_k in zip(ray, ops))
+    want = np.linalg.eigvalsh(dense)[-1]
+    got = verify_farkas_ray(ray, p, povm, povm, 1e-6).lambda_max
+    assert got == pytest.approx(want, rel=0.0, abs=1e-12)
 
 # Primal points per case in ROADMAP item 2's table of the dual probe; the
 # probe may take at most half as many again.
@@ -353,6 +374,11 @@ def test_stop_names_why_the_probe_ended():
     for bad in ({"tol": 0.0}, {"tol": float("nan")}, {"max_iter": 0}):
         with pytest.raises(ValueError, match="tol > 0 and max_iter >= 1"):
             choi_feasibility(bb84_squashed_dark_matrix(0.05), povm, povm, **bad)
+    # the iterates do not depend on tol, so a tol equal to the last residual
+    # stops at the same point: the probe passes at residual <= tol, as every report
+    at_residual = choi_feasibility(bb84_squashed_dark_matrix(0.05), povm, povm, tol=feasible.residual)
+    assert (at_residual.stop, at_residual.iterations) == ("tol", feasible.iterations)
+    assert at_residual.residual == feasible.residual
 
 
 def test_choi_check_is_byte_deterministic(tmp_path):

@@ -766,6 +766,40 @@ def test_cli_swap_lp_exit_codes(tmp_path):
     )
 
 
+
+def test_cli_choi_check_stops_at_an_infeasible_swap_equation(tmp_path, capsys):
+    desc = _write_descriptor(tmp_path, {"setup": "active-bb84", "dark_range": [[0.0, 0.01], [0.0, 0.03]]})
+    assert cli.main(["choi-check", desc]) == EXIT_NOT_REDUCIBLE
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verdict"] == "swap equation infeasible"
+    assert payload["residual"] == pytest.approx(2.5e-3, rel=1e-9)
+    assert payload["dark"] == [0.01, 0.03]
+
+
+def test_cli_swap_lp_rejects_the_passive_setup(capsys):
+    desc = str(ROOT / "descriptors" / "passive_bb84.json")
+    assert cli.main(["swap-lp", desc]) == EXIT_TOOL_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("descriptor error: swap-lp:")
+
+
+def test_cli_analyze_into_a_missing_directory_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    desc = str(ROOT / "descriptors" / "passive_bb84.json")
+    assert cli.main(["analyze", desc, "--out", str(out)]) == EXIT_TOOL_ERROR
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.parent.exists()
+
+
+def test_cli_analyze_with_zero_efficiency_has_no_common_efficiency(tmp_path, capsys):
+    data = {**json.loads((ROOT / "descriptors" / "passive_bb84.json").read_text()), "eta_range": [0.0, 0.5]}
+    assert cli.main(["analyze", _write_descriptor(tmp_path, data)]) == EXIT_NOT_REDUCIBLE
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["status"] == "not reducible under this framework"
+    assert payload["checks"] == []
+    assert payload["failed_requirement"].startswith("admissible common-efficiency interval is empty")
+
 def test_cli_rejects_malformed_descriptor(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
