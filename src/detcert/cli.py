@@ -13,16 +13,15 @@ import sys
 from dataclasses import asdict, fields, replace
 
 from .channels import bb84_qubit_measurement
+from .descriptor import DescriptorError, load_descriptor
 from .feasibility import choi_feasibility, verify_choi_witness, verify_farkas_ray
 from .report import (
     EXIT_NOT_REDUCIBLE,
     EXIT_OK,
     EXIT_TOOL_ERROR,
-    DescriptorError,
     active_swap_lp,
     canonical_json,
     emit_certificate,
-    load_descriptor,
     run_analysis,
     run_weight,
 )

@@ -185,7 +185,7 @@ def verify_choi_witness(j, p_dc, f_eta, f_target, tol: float) -> ChoiWitnessRepo
     (cptp,), (linear,) = certify_choi(ChoiSupport.from_dense(j, system.d_in, system.d_out), system, tol)
     return ChoiWitnessReport(
         hermiticity_dev=cptp.hermiticity_dev,
-        psd_residual=float(np.maximum(0.0, -cptp.min_choi_eigenvalue)),
+        psd_residual=float(np.maximum(0.0, 0.0 - cptp.min_choi_eigenvalue)),  # +0.0 at a zero row
         trace_preservation_dev=cptp.trace_preservation_dev,
         linear_residual=float(linear.max()),
         tolerance=tol,

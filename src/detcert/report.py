@@ -1,7 +1,6 @@
-"""Descriptor ingestion, analysis pipeline, and certificate emission.
+"""Analysis pipeline and certificate emission.
 
-A setup descriptor (JSON) names a detection setup, parameter ranges for the
-dark count rates and efficiencies, and tolerances.  ``run_analysis`` builds
+``run_analysis`` takes a :class:`~detcert.descriptor.SetupDescriptor`, builds
 the POVMs at the range corners, constructs the dark-count and loss noise
 channels, certifies them, and records every verdict with reproducible
 inputs in a certificate.  Serialization is deterministic: stable key order
@@ -27,8 +26,8 @@ from .channels import (
     dark_count_channel,
     loss_channel,
 )
+from .descriptor import DescriptorError, SetupDescriptor
 from .detectors import (
-    MAX_DETECTORS,
     DetectionSetup,
     _broadcast_eta,
     build_threshold_povm,
@@ -62,240 +61,6 @@ EXIT_NOT_REDUCIBLE = 2
 # The weight relations are exact linear identities of the constructions,
 # so they are held to rounding, not to the descriptor's tolerance.
 _WEIGHT_TOL = 1e-12
-
-
-class DescriptorError(ValueError):
-    """Malformed setup descriptor (field named in the message)."""
-
-
-def _number(value, name: str, k: int = 0) -> float:
-    """A JSON number (not a bool, null or string) as a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DescriptorError(f"{name}: expected a number, got {value!r}")
-    return float(value)
-
-
-def _optional_number(value, name: str, k: int) -> float | None:
-    return None if value is None else _number(value, name)
-
-
-def _integer(value, name: str, k: int = 0) -> int:
-    """A JSON number with an integral value as an int."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DescriptorError(f"{name}: expected an integer, got {value!r}")
-    return value
-
-
-def _text(value, name: str, k: int) -> str:
-    return str(value)
-
-
-def _per_detector_ranges(value, name: str, k: int):
-    """A shared ``[lo, hi]`` (kept as one range) or a list of ``k`` ranges."""
-    if not isinstance(value, (list, tuple)):
-        raise DescriptorError(f"{name}: expected a range or list of ranges")
-    if len(value) == 2 and not any(isinstance(v, (list, tuple)) for v in value):
-        return ((_number(value[0], name), _number(value[1], name)),)
-    out = []
-    for entry in value:
-        if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
-            raise DescriptorError(f"{name}: malformed range entry {entry!r}")
-        out.append((_number(entry[0], name), _number(entry[1], name)))
-    if len(out) != k:
-        raise DescriptorError(f"{name}: expected {k} ranges, got {len(out)}")
-    return tuple(out)
-
-
-def _point(value, name: str, k: int):
-    """One number per detector, or one number shared by all ``k``."""
-    if not isinstance(value, (list, tuple)):
-        return (_number(value, name),) * k
-    if len(value) != k:
-        raise DescriptorError(f"{name}: expected {k} values")
-    return tuple(_number(v, name) for v in value)
-
-
-def _parse_mode_map(raw, name: str, k: int):
-    """Rows of numbers or ``[re, im]`` pairs as complex tuples."""
-    if not (isinstance(raw, (list, tuple)) and all(isinstance(r, (list, tuple)) for r in raw)):
-        raise DescriptorError("mode_map: expected a list of rows")
-    rows = []
-    for row in raw:
-        parsed = []
-        for entry in row:
-            pair = entry if isinstance(entry, (list, tuple)) and len(entry) == 2 else (entry, 0.0)
-            parsed.append(complex(*(_number(v, "mode_map") for v in pair)))
-        rows.append(tuple(parsed))
-    return tuple(rows)
-
-
-def _observed(value, name: str, k: int) -> tuple[str, float]:
-    if not isinstance(value, dict) or "event" not in value or "probability" not in value:
-        raise DescriptorError("observed: needs fields 'event' and 'probability'")
-    return (str(value["event"]), _number(value["probability"], "observed"))
-
-
-def _field(parse, default):
-    """A descriptor field: its default and ``parse(value, name, k)`` reading its JSON value."""
-    return field(default=default, metadata={"parse": parse})
-
-
-@dataclass(frozen=True)
-class SetupDescriptor:
-    """Validated description of a detection setup; attributes are named as the JSON fields."""
-
-    setup: str  # "active-bb84" | "passive-bb84" | "custom"
-    k: int
-    eta_range: tuple[tuple[float, float], ...] = _field(_per_detector_ranges, ((1.0, 1.0),))
-    dark_range: tuple[tuple[float, float], ...] = _field(_per_detector_ranges, ((0.0, 0.0),))
-    cutoff: int = _field(_integer, 1)
-    eta_star: float | None = _field(_optional_number, None)
-    coarse_grain: str = _field(_text, "none")
-    tol: float = _field(_number, 1e-9)
-    feas_tol: float = _field(_number, 1e-6)
-    seed: int = _field(_integer, 0)
-    weight_in: float = _field(_number, 0.0)
-    mode_map: tuple = _field(_parse_mode_map, ())
-    eta: tuple[float, ...] | None = _field(_point, None)
-    dark: tuple[float, ...] | None = _field(_point, None)
-    observed: tuple[str, float] | None = _field(_observed, None)
-    corner_limit: int = _field(_integer, 4)
-
-    def __post_init__(self):
-        if self.setup not in ("active-bb84", "passive-bb84", "custom"):
-            raise DescriptorError(f"setup: unknown kind {self.setup!r}")
-        if self.cutoff not in (1, 2, 3):
-            raise DescriptorError(f"cutoff: must be 1, 2 or 3, got {self.cutoff}")
-        if self.coarse_grain not in ("none", "multiclick"):
-            raise DescriptorError(f"coarse_grain: unknown mode {self.coarse_grain!r}")
-        if self.coarse_grain == "multiclick" and self.k < 2:
-            raise DescriptorError("coarse_grain: multiclick needs at least 2 detectors, got k=1")
-        for name in ("eta_range", "dark_range"):
-            ranges = getattr(self, name)
-            if len(ranges) == 1:  # one range shared by every detector
-                ranges = ranges * self.k
-                object.__setattr__(self, name, ranges)
-            if len(ranges) != self.k:
-                raise DescriptorError(f"{name}: expected {self.k} ranges")
-            for lo, hi in ranges:
-                if not (0.0 <= lo <= hi <= 1.0):
-                    raise DescriptorError(f"{name}: range [{lo}, {hi}] not ordered in [0, 1]")
-        if not 0.0 <= self.weight_in <= 1.0:
-            raise DescriptorError("weight_in: must lie in [0, 1]")
-        for name in ("tol", "feas_tol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise DescriptorError(f"{name}: must be positive and finite, got {value}")
-        if self.eta_star is not None and not math.isfinite(self.eta_star):
-            raise DescriptorError(f"eta_star: must be finite, got {self.eta_star}")
-        if self.seed < 0:
-            raise DescriptorError(f"seed: must be a non-negative integer, got {self.seed}")
-        if self.corner_limit < 2:
-            raise DescriptorError(f"corner_limit: must be at least 2, got {self.corner_limit}")
-        entries = [z for row in self.mode_map for z in row]
-        if not np.isfinite(np.asarray(entries, dtype=complex)).all():
-            raise DescriptorError(f"mode_map: values must be finite, got {entries}")
-        for name, values in (
-            ("eta", self.eta),
-            ("dark", self.dark),
-            ("observed", None if self.observed is None else [self.observed[1]]),
-        ):
-            if values is not None and not all(0.0 <= v <= 1.0 for v in values):  # NaN fails too
-                raise DescriptorError(f"{name}: values must lie in [0, 1], got {list(values)}")
-        if self.setup == "custom":
-            widths = [len(row) for row in self.mode_map]
-            if len(widths) != self.k or len(set(widths)) != 1 or 0 in widths:
-                raise DescriptorError(
-                    f"mode_map: expected {self.k} rows of one nonzero length, "
-                    f"got row lengths {widths}"
-                )
-        if self.observed is not None:
-            events = enumerate_events(self.k)
-            allowed = events.labels + (("multi",) if events.multi_indices else ())
-            if self.observed[0] not in allowed:
-                raise DescriptorError(
-                    f"observed: no event labelled {self.observed[0]!r}; "
-                    f"expected one of {list(allowed)}"
-                )
-
-    @property
-    def eta_lo(self) -> np.ndarray:
-        return np.array([lo for lo, _ in self.eta_range])
-
-    @property
-    def eta_hi(self) -> np.ndarray:
-        return np.array([hi for _, hi in self.eta_range])
-
-    @property
-    def dark_max(self) -> np.ndarray:
-        return np.array([hi for _, hi in self.dark_range])
-
-    @property
-    def eta_point(self) -> np.ndarray:
-        """The efficiencies a point command evaluates: ``eta``, else the bottom of each range."""
-        return np.array(self.eta) if self.eta is not None else self.eta_lo
-
-    @property
-    def dark_point(self) -> np.ndarray:
-        """The dark rates a point command evaluates: ``dark``, else the top of each range."""
-        return np.array(self.dark) if self.dark is not None else self.dark_max
-
-    def to_dict(self) -> dict:
-        """The JSON fields; unset optional ones are left out, ``eta_star`` echoed even as null."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        if self.setup != "custom":
-            del out["k"]  # fixed by the setup
-        out["mode_map"] = [[[z.real, z.imag] for z in row] for row in self.mode_map]
-        if self.observed is not None:
-            out["observed"] = {"event": self.observed[0], "probability": self.observed[1]}
-        return {name: v for name, v in out.items() if v not in (None, []) or name == "eta_star"}
-
-
-def descriptor_from_dict(data: dict) -> SetupDescriptor:
-    if not isinstance(data, dict):
-        raise DescriptorError("descriptor must be a JSON object")
-    setup = data.get("setup")
-    if setup in ("active-bb84", "passive-bb84"):
-        k = 2 if setup == "active-bb84" else 4
-        for name in ("k", "mode_map"):
-            if name in data:
-                raise DescriptorError(f"{name}: fixed by the {setup} setup, not a descriptor field")
-    elif setup == "custom":
-        k = data.get("k")
-        if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= MAX_DETECTORS:
-            raise DescriptorError(
-                f"k: custom setups need a detector count in [1, {MAX_DETECTORS}], got {k!r}"
-            )
-        if "mode_map" not in data:
-            raise DescriptorError("mode_map: required for custom setups")
-    else:
-        raise DescriptorError(f"setup: unknown kind {setup!r}")
-
-    unknown = set(data) - {f.name for f in fields(SetupDescriptor)}
-    if unknown:
-        raise DescriptorError(f"unknown descriptor fields: {sorted(unknown)}")
-    parsed = {
-        f.name: f.metadata["parse"](data[f.name], f.name, k)
-        for f in fields(SetupDescriptor)
-        if f.metadata and f.name in data
-    }
-    return SetupDescriptor(setup=setup, k=k, **parsed)
-
-
-def load_descriptor(path) -> SetupDescriptor:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise DescriptorError(f"cannot read descriptor: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DescriptorError(
-            f"descriptor is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
-        ) from exc
-    return descriptor_from_dict(data)
 
 
 def build_setup(desc: SetupDescriptor, eta) -> DetectionSetup:

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 import detcert as dc
 from detcert import report
+from detcert.descriptor import descriptor_from_dict
 from detcert.channels import (
     ChoiConstraintSystem,
     ChoiSupport,
@@ -250,7 +251,7 @@ def _vacuum_one_photon_coherence(layout):
 def test_injected_fault_fails_the_certificate(monkeypatch, kind, factory, fault_op):
     # the analysis builds each channel once, for every corner: the fault
     # sits at corner 0 of the stack and fails corner 0 only
-    desc = report.descriptor_from_dict(PASSIVE)
+    desc = descriptor_from_dict(PASSIVE)
     clean = report.run_analysis(desc)
     assert clean.all_passed
     monkeypatch.setattr(report, factory, _faulty(getattr(report, factory), fault_op))
@@ -483,7 +484,7 @@ def _hidden_negative_component(j, zero_rows, d_out):
 
 @pytest.mark.parametrize("fault", [_nan_entry, _hidden_negative_component])
 def test_fault_at_one_corner_of_the_stack_fails_that_corner_only(monkeypatch, fault):
-    desc = report.descriptor_from_dict(PASSIVE)
+    desc = descriptor_from_dict(PASSIVE)
     clean = report.run_analysis(desc)
     assert len([c for c in clean.checks if c["name"].startswith("single-photon")]) == 4
     monkeypatch.setattr(report, "dark_count_channel", _inject_at_corner2(fault))
@@ -506,7 +507,7 @@ def test_assumption_failing_at_a_later_corner_stops_there(monkeypatch):
     # single click's one-photon weight to a multi-click: the certificate
     # keeps corners 0 and 1, records corner 2's failed assumption check and
     # stops, in the order and with the message of a corner-by-corner run
-    desc = report.descriptor_from_dict(PASSIVE)
+    desc = descriptor_from_dict(PASSIVE)
     clean = report.run_analysis(desc)
     build = report.build_threshold_povm
 

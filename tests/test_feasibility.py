@@ -31,7 +31,8 @@ from detcert.channels import (
     verify_statistics_equivalence,
 )
 from detcert.feasibility import ChoiConstraintSystem, _lbfgs
-from detcert.report import active_swap_lp, descriptor_from_dict
+from detcert.descriptor import descriptor_from_dict
+from detcert.report import active_swap_lp
 
 ADVERSARIAL = np.array(
     [

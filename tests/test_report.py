@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -13,6 +14,7 @@ from detcert import (
     QuantumChannel,
     apply_postprocessing,
     bb84_qubit_measurement,
+    choi_feasibility,
     build_threshold_povm,
     coarse_grained_dc_ansatz,
     dark_count_matrix,
@@ -21,25 +23,24 @@ from detcert import (
     loss_channel,
     multiclick_coarse_graining,
     passive_bb84_setup,
+    verify_choi_witness,
     verify_cptp,
     verify_statistics_equivalence,
 )
 from detcert import cli, report
 from detcert.channels import ChoiSupport, _MeasurePrepare
+from detcert.descriptor import DescriptorError, descriptor_from_dict, load_descriptor
 from detcert.fock import photon_label
 from detcert.report import (
     EXIT_NOT_REDUCIBLE,
     EXIT_OK,
     EXIT_TOOL_ERROR,
     Certificate,
-    DescriptorError,
     active_swap_lp,
     build_setup,
     canonical_json,
-    descriptor_from_dict,
     emit_certificate,
     eta_corners,
-    load_descriptor,
     run_analysis,
     run_weight,
 )
@@ -843,6 +844,22 @@ def test_cli_choi_check(tmp_path, capsys):
     for basis in ("Z", "X"):
         assert payload["bases"][basis]["verdict"] == "feasible-at-tol"
         assert payload["bases"][basis]["witness_report"]["passed"]
+
+
+def test_choi_check_prints_no_negative_zero(capsys):
+    # the shipped witness has a zero row, so its smallest Choi eigenvalue is 0
+    path = str(ROOT / "descriptors" / "active_bb84.json")
+    desc = load_descriptor(path)
+    _, lp = active_swap_lp(desc)
+    for basis in ("Z", "X"):
+        povm = bb84_qubit_measurement(basis)
+        witness = choi_feasibility(lp.matrix, povm, povm, tol=desc.feas_tol).witness
+        residual = verify_choi_witness(witness, lp.matrix, povm, povm, desc.feas_tol).psd_residual
+        assert math.copysign(1.0, residual) == 1.0
+    assert cli.main(["choi-check", path]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert '"psd_residual"' in out
+    assert re.findall(r"(?<![\w.])-0(?![\w.])", out) == []
 
 
 def test_cli_choi_check_reports_verified_farkas_ray(tmp_path, capsys, monkeypatch):
