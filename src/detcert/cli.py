@@ -20,10 +20,10 @@ from .report import (
     EXIT_OK,
     EXIT_TOOL_ERROR,
     active_swap_lp,
-    canonical_json,
     emit_certificate,
     run_analysis,
     run_weight,
+    write_json,
 )
 
 
@@ -68,21 +68,9 @@ def _apply_overrides(desc, args):
     return replace(desc, **updates) if updates else desc
 
 
-def _emit(payload: dict, out_path) -> None:
-    text = canonical_json(payload) + "\n"
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-
-
 def _cmd_analyze(desc, args) -> int:
     cert = run_analysis(desc)
-    if args.out is None:
-        _emit(cert.to_dict(), None)
-    else:
-        emit_certificate(cert, args.out)
+    emit_certificate(cert, args.out)
     return cert.exit_code
 
 
@@ -95,7 +83,7 @@ def _cmd_swap_lp(desc, args) -> int:
         "tolerance": result.tolerance,
         "matrix": result.matrix.entries.tolist() if result.matrix is not None else None,
     }
-    _emit(payload, args.out)
+    write_json(payload, args.out)
     return EXIT_OK if result.feasible else EXIT_NOT_REDUCIBLE
 
 
@@ -106,27 +94,20 @@ def _cmd_verify_channel(desc, args) -> int:
         "status": cert.status,
         "failed_requirement": cert.failed_requirement,
     }
-    _emit(payload, args.out)
+    write_json(payload, args.out)
     return cert.exit_code
 
 
 def _cmd_weight(desc, args) -> int:
-    payload = run_weight(desc)
-    _emit(payload, args.out)
+    write_json(run_weight(desc), args.out)
     return EXIT_OK
 
 
 def _cmd_choi_check(desc, args) -> int:
     d_vec, result = active_swap_lp(desc)
     if not result.feasible:
-        _emit(
-            {
-                "verdict": "swap equation infeasible",
-                "residual": result.residual,
-                "dark": d_vec.tolist(),
-            },
-            args.out,
-        )
+        payload = {"verdict": "swap equation infeasible", "residual": result.residual, "dark": d_vec.tolist()}
+        write_json(payload, args.out)
         return EXIT_NOT_REDUCIBLE
     payload = {"dark": d_vec.tolist(), "bases": {}}
     ok = True
@@ -148,7 +129,7 @@ def _cmd_choi_check(desc, args) -> int:
             ray = verify_farkas_ray(feas.ray, result.matrix, povm, povm, desc.feas_tol)
             entry["farkas_report"] = asdict(ray)
         payload["bases"][basis] = entry
-    _emit(payload, args.out)
+    write_json(payload, args.out)
     return EXIT_OK if ok else EXIT_NOT_REDUCIBLE
 
 
@@ -169,7 +150,9 @@ def main(argv=None) -> int:
     try:
         desc = _apply_overrides(load_descriptor(args.descriptor), args)
         if args.command in ("swap-lp", "choi-check") and desc.setup != "active-bb84":
-            raise DescriptorError(f"{args.command}: supported for the active-bb84 qubit squasher")
+            raise DescriptorError(
+                f"setup: {args.command} supports only the active-bb84 qubit squasher, got {desc.setup!r}"
+            )
         return _COMMANDS[args.command](desc, args)
     except DescriptorError as exc:
         print(f"descriptor error: {exc}", file=sys.stderr)

@@ -1,10 +1,10 @@
 """Setup descriptors: the JSON a certificate starts from, parsed and validated.
 
 A descriptor names a detection setup, the ranges within which an adversary
-may set the dark count rates and efficiencies, and tolerances.  Every field
-is parsed by the function in its ``metadata["parse"]`` and the whole is
-checked in :class:`SetupDescriptor`'s ``__post_init__``; a malformed field
-raises :class:`DescriptorError` naming it.
+may set the dark count rates and efficiencies, and tolerances.  A field's
+``metadata["parse"]`` only converts its JSON value; every value rule is in
+``SetupDescriptor.__post_init__``, so a malformed field raises
+:class:`DescriptorError` naming it however the descriptor is built.
 """
 
 from __future__ import annotations
@@ -23,18 +23,18 @@ class DescriptorError(ValueError):
     """Malformed setup descriptor (field named in the message)."""
 
 
-def _number(value, name: str, k: int = 0) -> float:
+def _number(value, name: str) -> float:
     """A JSON number (not a bool, null or string) as a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DescriptorError(f"{name}: expected a number, got {value!r}")
     return float(value)
 
 
-def _optional_number(value, name: str, k: int) -> float | None:
+def _optional_number(value, name: str) -> float | None:
     return None if value is None else _number(value, name)
 
 
-def _integer(value, name: str, k: int = 0) -> int:
+def _integer(value, name: str) -> int:
     """A JSON number with an integral value as an int."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
@@ -43,71 +43,69 @@ def _integer(value, name: str, k: int = 0) -> int:
     return value
 
 
-def _text(value, name: str, k: int) -> str:
-    return str(value)
-
-
-def _per_detector_ranges(value, name: str, k: int):
-    """A shared ``[lo, hi]`` (kept as one range) or a list of ``k`` ranges."""
+def _ranges(value, name: str):
+    """A shared ``[lo, hi]`` (kept as one range) or a list of ranges."""
     if not isinstance(value, (list, tuple)):
         raise DescriptorError(f"{name}: expected a range or list of ranges")
     if len(value) == 2 and not any(isinstance(v, (list, tuple)) for v in value):
-        return ((_number(value[0], name), _number(value[1], name)),)
+        value = [value]
     out = []
     for entry in value:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
             raise DescriptorError(f"{name}: malformed range entry {entry!r}")
         out.append((_number(entry[0], name), _number(entry[1], name)))
-    if len(out) != k:
-        raise DescriptorError(f"{name}: expected {k} ranges, got {len(out)}")
     return tuple(out)
 
 
-def _point(value, name: str, k: int):
-    """One number per detector, or one number shared by all ``k``."""
-    if not isinstance(value, (list, tuple)):
-        return (_number(value, name),) * k
-    if len(value) != k:
-        raise DescriptorError(f"{name}: expected {k} values")
-    return tuple(_number(v, name) for v in value)
+def _point(value, name: str):
+    """One number (kept as one value) or a list of numbers."""
+    values = value if isinstance(value, (list, tuple)) else [value]
+    return tuple(_number(v, name) for v in values)
 
 
-def _parse_mode_map(raw, name: str, k: int):
+def _parse_mode_map(raw, name: str):
     """Rows of numbers or ``[re, im]`` pairs as complex tuples."""
     if not (isinstance(raw, (list, tuple)) and all(isinstance(r, (list, tuple)) for r in raw)):
-        raise DescriptorError("mode_map: expected a list of rows")
+        raise DescriptorError(f"{name}: expected a list of rows")
     rows = []
     for row in raw:
         parsed = []
         for entry in row:
             pair = entry if isinstance(entry, (list, tuple)) and len(entry) == 2 else (entry, 0.0)
-            parsed.append(complex(*(_number(v, "mode_map") for v in pair)))
+            parsed.append(complex(*(_number(v, name) for v in pair)))
         rows.append(tuple(parsed))
     return tuple(rows)
 
 
-def _observed(value, name: str, k: int) -> tuple[str, float]:
+def _observed(value, name: str) -> tuple[str, float]:
     if not isinstance(value, dict) or "event" not in value or "probability" not in value:
-        raise DescriptorError("observed: needs fields 'event' and 'probability'")
-    return (str(value["event"]), _number(value["probability"], "observed"))
+        raise DescriptorError(f"{name}: needs fields 'event' and 'probability'")
+    return (str(value["event"]), _number(value["probability"], name))
 
 
 def _field(parse, default):
-    """A descriptor field: its default and ``parse(value, name, k)`` reading its JSON value."""
+    """A descriptor field: its default and ``parse(value, name)`` converting its JSON value."""
     return field(default=default, metadata={"parse": parse})
+
+
+_FIXED_K = {"active-bb84": 2, "passive-bb84": 4}  # a custom setup states k and mode_map
 
 
 @dataclass(frozen=True)
 class SetupDescriptor:
-    """Validated description of a detection setup; attributes are named as the JSON fields."""
+    """Validated description of a detection setup; attributes are named as the JSON fields.
+
+    ``eta_range``, ``dark_range``, ``eta`` and ``dark`` hold one entry per
+    detector, or one shared by all ``k``; ``k`` defaults to a fixed setup's.
+    """
 
     setup: str  # "active-bb84" | "passive-bb84" | "custom"
-    k: int
-    eta_range: tuple[tuple[float, float], ...] = _field(_per_detector_ranges, ((1.0, 1.0),))
-    dark_range: tuple[tuple[float, float], ...] = _field(_per_detector_ranges, ((0.0, 0.0),))
+    k: int | None = None
+    eta_range: tuple[tuple[float, float], ...] = _field(_ranges, ((1.0, 1.0),))
+    dark_range: tuple[tuple[float, float], ...] = _field(_ranges, ((0.0, 0.0),))
     cutoff: int = _field(_integer, 1)
     eta_star: float | None = _field(_optional_number, None)
-    coarse_grain: str = _field(_text, "none")
+    coarse_grain: str = "none"
     tol: float = _field(_number, 1e-9)
     feas_tol: float = _field(_number, 1e-6)
     seed: int = _field(_integer, 0)
@@ -119,8 +117,30 @@ class SetupDescriptor:
     corner_limit: int = _field(_integer, 4)
 
     def __post_init__(self):
-        if self.setup not in ("active-bb84", "passive-bb84", "custom"):
+        if self.setup not in (*_FIXED_K, "custom"):
             raise DescriptorError(f"setup: unknown kind {self.setup!r}")
+        fixed = _FIXED_K.get(self.setup)
+        if fixed is None:
+            if isinstance(self.k, bool) or not isinstance(self.k, int) or not 1 <= self.k <= MAX_DETECTORS:
+                raise DescriptorError(
+                    f"k: custom setups need a detector count in [1, {MAX_DETECTORS}], got {self.k!r}"
+                )
+        else:
+            if self.k not in (None, fixed):
+                raise DescriptorError(f"k: the {self.setup} setup has {fixed} detectors, got {self.k!r}")
+            object.__setattr__(self, "k", fixed)
+            if self.mode_map:
+                raise DescriptorError(f"mode_map: fixed by the {self.setup} setup, must be empty")
+        for name in ("eta_range", "dark_range", "eta", "dark"):
+            values = getattr(self, name)
+            if values is None:
+                continue
+            if len(values) == 1:  # one entry shared by every detector
+                values = values * self.k
+                object.__setattr__(self, name, values)
+            if len(values) != self.k:
+                unit = "ranges" if name.endswith("_range") else "values"
+                raise DescriptorError(f"{name}: expected {self.k} {unit}, got {len(values)}")
         if self.cutoff not in (1, 2, 3):
             raise DescriptorError(f"cutoff: must be 1, 2 or 3, got {self.cutoff}")
         if self.coarse_grain not in ("none", "multiclick"):
@@ -128,13 +148,7 @@ class SetupDescriptor:
         if self.coarse_grain == "multiclick" and self.k < 2:
             raise DescriptorError("coarse_grain: multiclick needs at least 2 detectors, got k=1")
         for name in ("eta_range", "dark_range"):
-            ranges = getattr(self, name)
-            if len(ranges) == 1:  # one range shared by every detector
-                ranges = ranges * self.k
-                object.__setattr__(self, name, ranges)
-            if len(ranges) != self.k:
-                raise DescriptorError(f"{name}: expected {self.k} ranges")
-            for lo, hi in ranges:
+            for lo, hi in getattr(self, name):
                 if not (0.0 <= lo <= hi <= 1.0):
                     raise DescriptorError(f"{name}: range [{lo}, {hi}] not ordered in [0, 1]")
         if not 0.0 <= self.weight_in <= 1.0:
@@ -209,34 +223,26 @@ class SetupDescriptor:
 
 
 def descriptor_from_dict(data: dict) -> SetupDescriptor:
+    """The descriptor a JSON object states; its values are checked by :class:`SetupDescriptor`."""
     if not isinstance(data, dict):
         raise DescriptorError("descriptor must be a JSON object")
     setup = data.get("setup")
-    if setup in ("active-bb84", "passive-bb84"):
-        k = 2 if setup == "active-bb84" else 4
+    if isinstance(setup, str) and setup in _FIXED_K:
         for name in ("k", "mode_map"):
             if name in data:
                 raise DescriptorError(f"{name}: fixed by the {setup} setup, not a descriptor field")
-    elif setup == "custom":
-        k = data.get("k")
-        if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= MAX_DETECTORS:
-            raise DescriptorError(
-                f"k: custom setups need a detector count in [1, {MAX_DETECTORS}], got {k!r}"
-            )
-        if "mode_map" not in data:
-            raise DescriptorError("mode_map: required for custom setups")
-    else:
-        raise DescriptorError(f"setup: unknown kind {setup!r}")
+    elif setup == "custom" and "mode_map" not in data:
+        raise DescriptorError("mode_map: required for custom setups")
 
     unknown = set(data) - {f.name for f in fields(SetupDescriptor)}
     if unknown:
         raise DescriptorError(f"unknown descriptor fields: {sorted(unknown)}")
     parsed = {
-        f.name: f.metadata["parse"](data[f.name], f.name, k)
+        f.name: parse(data[f.name], f.name) if (parse := f.metadata.get("parse")) else data[f.name]
         for f in fields(SetupDescriptor)
-        if f.metadata and f.name in data
+        if f.name in data
     }
-    return SetupDescriptor(setup=setup, k=k, **parsed)
+    return SetupDescriptor(**{**parsed, "setup": setup})
 
 
 def load_descriptor(path) -> SetupDescriptor:

@@ -69,10 +69,8 @@ class CoarseGraining(StochasticMatrix):
     def __init__(self, entries, row_table=None):
         super().__init__(entries)
         a = self.entries
-        if not np.all((a == 0.0) | (a == 1.0)):
+        if not np.all((a == 0.0) | (a == 1.0)):  # so each column, summing to 1, holds one 1
             raise ValueError("coarse graining entries must be 0 or 1")
-        if not np.all(a.sum(axis=0) == 1.0):
-            raise ValueError("each column must contain exactly one 1")
         if not a.any(axis=1).all():
             raise ValueError("each row must merge at least one outcome")
         self.row_table = row_table

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -70,7 +71,7 @@ def build_setup(desc: SetupDescriptor, eta) -> DetectionSetup:
         return DetectionSetup(
             k=desc.k, mode_map=np.array(desc.mode_map, dtype=complex), eta=_broadcast_eta(eta, desc.k)
         )
-    raise DescriptorError(f"no single-table setup for {desc.setup!r}")
+    raise DescriptorError(f"setup: no single-table setup for {desc.setup!r}")
 
 
 def eta_corners(desc: SetupDescriptor) -> list[np.ndarray]:
@@ -142,7 +143,7 @@ def _finite_text(x: float) -> str:
 
 
 _escape = json.encoder.encode_basestring_ascii  # what ``json.dumps(str)`` calls
-# Exact type -> text of a scalar; subclasses and numpy scalars take the isinstance path.
+# Exact type -> text of a scalar; numpy scalars are rendered as the Python scalar they hold.
 _SCALAR_TEXT = {
     float: _finite_text,
     str: _escape,
@@ -182,18 +183,12 @@ def _render(obj, level: int, memo: dict) -> str:
             text = _render_dict(obj, level, memo) if kind is dict else _render_items(obj, level, memo)
             hit = memo[key] = (obj, text)
         return hit[1]
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _finite_text(float(obj))
-    if isinstance(obj, str):
-        return _escape(obj)
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return _render_items(list(obj), level, memo)
-    if isinstance(obj, dict):
-        return _render_dict(obj, level, memo)
+    if isinstance(obj, np.generic):
+        scalar = _scalar_text(type(value := obj.item()))
+        if scalar is not None:
+            return scalar(value)
+    elif isinstance(obj, np.ndarray):
+        return _render_items(list(obj), level, memo)  # a 0-d array raises TypeError here
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
@@ -223,12 +218,20 @@ def _render_dict(obj, level: int, memo: dict) -> str:
     return "{" + inner + ("," + inner).join(texts) + "\n" + "  " * level + "}"
 
 
-def emit_certificate(cert: Certificate, path) -> Path:
-    """Write the certificate deterministically; returns the path written."""
+def write_json(payload, path=None) -> Path | None:
+    """Write ``canonical_json(payload)`` and a newline to ``path``, or to stdout; returns the path written."""
+    text = canonical_json(payload) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+        return None
     out = Path(path)
-    text = canonical_json(cert.to_dict()) + "\n"
     out.write_text(text)
     return out
+
+
+def emit_certificate(cert: Certificate, path=None) -> Path | None:
+    """Write the certificate deterministically (:func:`write_json`); returns the path written."""
+    return write_json(cert.to_dict(), path)
 
 
 def _common_efficiency(desc: SetupDescriptor, eta_lo, eta_hi, derived: dict) -> float:

@@ -534,3 +534,48 @@ def test_assumption_failing_at_a_later_corner_stops_there(monkeypatch):
         "dark-channel-weight-relation-corner1", "loss-channel-cptp-corner1",
         "loss-channel-statistics-corner1", "loss-channel-weight-relation-corner1",
     ]
+
+
+def test_dark_count_conditions_failing_stop_the_analysis(monkeypatch):
+    # a dark-count map that erases 1e-3 of a single click: the certificate
+    # records the failed conditions and certifies no channel
+    fine = report.dark_count_matrix
+
+    def bent(d_vec):
+        entries = fine(d_vec).entries.copy()
+        entries[1, 1] -= 1e-3
+        entries[0, 1] += 1e-3
+        return dc.StochasticMatrix(entries)
+
+    monkeypatch.setattr(report, "dark_count_matrix", bent)
+    cert = report.run_analysis(descriptor_from_dict(PASSIVE))
+    assert cert.status == "not reducible under this framework"
+    assert cert.failed_requirement.startswith("dark-count post-processing violates the structural conditions")
+    assert [(c["name"], c["passed"]) for c in cert.checks] == [
+        ("coarse-grain-swap", True), ("dark-count-conditions", False)
+    ]
+    assert cert.checks[-1]["residual"] == pytest.approx(1e-3, abs=1e-15)
+    assert "p_no_dark" not in cert.derived
+
+
+def test_lossless_target_breaking_the_assumption_stops_the_analysis(monkeypatch):
+    # the lossless POVM (stack entry after the corners) moves 1e-3 of a
+    # single click's one-photon weight to a multi-click: no corner is checked
+    desc = descriptor_from_dict(PASSIVE)
+    lossless = len(report.eta_corners(desc))
+    build = report.build_threshold_povm
+
+    def bent(setup, cutoff):
+        povm = build(setup, cutoff)
+        dense = povm.dense.copy()
+        single, multi = povm.events.index_of("0001"), povm.events.index_of("0011")
+        dense[lossless, single, 1, 1] -= 1e-3
+        dense[lossless, multi, 1, 1] += 1e-3
+        return dc.POVM(povm.layout, dense, povm.events)
+
+    monkeypatch.setattr(report, "build_threshold_povm", bent)
+    cert = report.run_analysis(desc)
+    assert cert.status == "not reducible under this framework"
+    assert cert.failed_requirement == "threshold POVM violates the click-count assumption"
+    assert [c["name"] for c in cert.checks] == ["coarse-grain-swap", "dark-count-conditions"]
+    assert cert.all_passed is False

@@ -29,7 +29,7 @@ from detcert import (
 )
 from detcert import cli, report
 from detcert.channels import ChoiSupport, _MeasurePrepare
-from detcert.descriptor import DescriptorError, descriptor_from_dict, load_descriptor
+from detcert.descriptor import DescriptorError, SetupDescriptor, descriptor_from_dict, load_descriptor
 from detcert.fock import photon_label
 from detcert.report import (
     EXIT_NOT_REDUCIBLE,
@@ -126,6 +126,78 @@ def test_descriptor_validation_errors():
                 descriptor_from_dict({"setup": setup, name: value})
     with pytest.raises(DescriptorError, match="^coarse_grain: multiclick needs at least 2 detectors"):
         descriptor_from_dict({"setup": "custom", "k": 1, "mode_map": [[1.0]], "coarse_grain": "multiclick"})
+
+
+@pytest.mark.parametrize(
+    "fields,prefix",
+    [
+        ({"setup": "passive-bb84", "k": 3}, "k:"),
+        ({"setup": "active-bb84", "k": 4}, "k:"),
+        ({"setup": "custom", "k": 6, "mode_map": ((1.0,),) + ((0.0,),) * 5}, "k:"),
+        ({"setup": "passive-bb84", "mode_map": ((1.0, 0.0),)}, "mode_map:"),
+        ({"setup": "active-bb84", "eta": (0.5, 0.6, 0.7)}, "eta: expected 2 values, got 3"),
+        ({"setup": "passive-bb84", "dark_range": ((0.0, 0.1),) * 3}, "dark_range: expected 4 ranges, got 3"),
+    ],
+)
+def test_setup_descriptor_checks_every_rule_however_built(fields, prefix):
+    # the rules hold for a descriptor built directly, not only for one read from JSON
+    with pytest.raises(DescriptorError, match=f"^{re.escape(prefix)}"):
+        SetupDescriptor(**fields)
+
+
+@pytest.mark.parametrize(
+    "fields,prefix",
+    [({"k": 3}, "k:"), ({"mode_map": ((1.0, 0.0),)}, "mode_map:"), ({"eta": (0.5,) * 3}, "eta:"),
+     ({"coarse_grain": "bogus"}, "coarse_grain:"), ({"tol": math.nan}, "tol:")],
+)
+def test_setup_descriptor_checks_every_rule_on_replace(fields, prefix):
+    # the path of the command-line overrides
+    with pytest.raises(DescriptorError, match=f"^{prefix}"):
+        replace(descriptor_from_dict(PASSIVE), **fields)
+
+
+def test_setup_descriptor_broadcasts_one_entry_to_every_detector():
+    built = SetupDescriptor(setup="passive-bb84", eta=(0.5,), dark_range=((0.0, 0.01),))
+    assert built.k == 4
+    assert built.eta == (0.5,) * 4
+    assert built.dark_range == ((0.0, 0.01),) * 4
+    assert built == descriptor_from_dict({"setup": "passive-bb84", "eta": 0.5, "dark_range": [0.0, 0.01]})
+    assert built == descriptor_from_dict({"setup": "passive-bb84", "eta": [0.5], "dark_range": [[0.0, 0.01]]})
+
+
+@pytest.mark.parametrize(
+    "data,prefix",
+    [
+        ([PASSIVE], "descriptor must be a JSON object"),
+        ({**PASSIVE, "eta_range": 5}, "eta_range: expected a range or list of ranges"),
+        ({**PASSIVE, "eta_range": [[0.5, 0.6, 0.7]] * 4}, "eta_range: malformed range entry"),
+        ({**PASSIVE, "eta_range": [[0.5, 0.6]] * 3}, "eta_range: expected 4 ranges, got 3"),
+        ({**PASSIVE, "eta": [0.5, 0.6]}, "eta: expected 4 values, got 2"),
+        ({**PASSIVE, "observed": 0.1}, "observed: needs fields 'event' and 'probability'"),
+        ({**PASSIVE, "coarse_grain": "bogus"}, "coarse_grain: unknown mode 'bogus'"),
+        ({**PASSIVE, "weight_in": 2.0}, "weight_in: must lie in [0, 1]"),
+    ],
+)
+def test_descriptor_from_dict_names_the_field(data, prefix):
+    with pytest.raises(DescriptorError, match=f"^{re.escape(prefix)}"):
+        descriptor_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "cmd,data",
+    [
+        ("weight", {"setup": "active-bb84", "observed": {"event": "01", "probability": 0.1}}),
+        ("swap-lp", PASSIVE),
+        ("choi-check", PASSIVE),
+        ("choi-check", {"setup": "custom", "k": 2, "mode_map": [[1.0, 0.0], [0.0, 1.0]]}),
+    ],
+)
+def test_cli_names_the_setup_a_command_does_not_support(tmp_path, capsys, cmd, data):
+    assert cli.main([cmd, _write_descriptor(tmp_path, data)]) == EXIT_TOOL_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("descriptor error: setup:")
+    assert f"'{data['setup']}'" in captured.err
 
 
 @pytest.mark.parametrize("cmd", ["analyze", "choi-check", "weight"])
@@ -782,7 +854,7 @@ def test_cli_swap_lp_rejects_the_passive_setup(capsys):
     assert cli.main(["swap-lp", desc]) == EXIT_TOOL_ERROR
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("descriptor error: swap-lp:")
+    assert captured.err.startswith("descriptor error: setup: swap-lp ")
 
 
 def test_cli_analyze_into_a_missing_directory_writes_nothing(tmp_path, capsys):

@@ -3,9 +3,11 @@
 ``bench/spans.py`` patches the library by module, function and method
 name.  A refactor that removes one of them would break a traced benchmark
 run (``bench/run.py --trace 1``) without failing any library test; this
-test runs one traced ``analyze`` op in process and fails instead.
+test runs one traced ``analyze`` op and one traced ``choi-check`` op in
+process and fails instead.
 """
 
+import json
 from pathlib import Path
 
 from detcert import cli
@@ -53,3 +55,38 @@ def test_traced_analyze_records_library_spans(tmp_path, monkeypatch):
     assert metrics["channels.choi_calls"][0] == 0
     assert metrics["detectors.povm_calls"][0] == 1
     assert 0.0 < metrics["trace.coverage"][0] <= 1.0
+
+
+def test_traced_choi_check_records_the_probe_and_the_writer(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import spans
+
+    from detcert import report
+
+    written = []
+    write_json = report.write_json
+    monkeypatch.setattr(
+        cli, "write_json", lambda payload, path: written.append(path) or write_json(payload, path)
+    )
+    out = tmp_path / "choi-check.json"
+    tracer = spans.Tracer()
+    instrumentation = spans.Instrumentation(tracer)
+    instrumentation.install()
+    try:
+        with tracer.op("choi-check"):
+            code = cli.main(["choi-check", str(ROOT / "descriptors" / "active_bb84.json"), "--out", str(out)])
+    finally:
+        instrumentation.uninstall()
+
+    assert code == 0
+    assert written == [str(out)]
+    names = [span[3] for span in tracer.spans]
+    for name in ("feasibility.choi_feasibility", "feasibility.verify_choi_witness", "report.canonical_json"):
+        assert name in names, name
+    # the writer serializes once, and what it wrote is the payload's canonical text
+    assert names.count("report.canonical_json") == 1
+    payload = json.loads(out.read_text())
+    assert out.read_text() == report.canonical_json(payload) + "\n"
+    metrics = spans.layer_metrics(tracer)
+    assert metrics["feasibility.probe_ms"][0] > 0.0
+    assert metrics["report.serialize_ms"][0] > 0.0
