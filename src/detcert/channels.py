@@ -577,10 +577,10 @@ def loss_channel(eta, eta_star: float, f_lossless: POVM) -> QuantumChannel:
 
     terms = [
         _KeepBlocks(weight=1.0, projector=layout.projector(_M0)),
-        _KeepBlocks(weight=np.minimum(ratio, 1.0), projector=layout.projector(_M1)),
+        _KeepBlocks(weight=ratio, projector=layout.projector(_M1)),
         _KeepBlocks(weight=1.0, projector=layout.projector(FLAG_LABEL)),
     ]
-    split = ratio < 1.0 - 1e-15
+    split = ratio < 1.0
     if split.any():
         carriers = [0, *events.single_indices]
         m = len(carriers)

@@ -100,7 +100,7 @@ class SetupDescriptor:
     """
 
     setup: str  # "active-bb84" | "passive-bb84" | "custom"
-    k: int | None = None
+    k: int | None = _field(_integer, None)
     eta_range: tuple[tuple[float, float], ...] = _field(_ranges, ((1.0, 1.0),))
     dark_range: tuple[tuple[float, float], ...] = _field(_ranges, ((0.0, 0.0),))
     cutoff: int = _field(_integer, 1)

@@ -238,12 +238,12 @@ def _common_efficiency(desc: SetupDescriptor, eta_lo, eta_hi, derived: dict) -> 
     """The descriptor's ``eta_star`` (else 1), admissible over the box ``[eta_lo, eta_hi]``.
 
     At one ``eta`` the loss split is stochastic iff ``eta_star`` lies in
-    ``[f, 1]``, ``f = eta_min / D`` with ``D = 1 - (eta_max - eta_min)``
+    ``[f, 1]``, ``f = eta_min / D`` with ``D = (1 - eta_max) + eta_min``
     (:func:`eta_star_range`).  ``df/deta_min = (1 - eta_max) / D^2`` and
-    ``df/deta_max = eta_min / D^2`` are nonnegative, so the all-high corner
-    binds, given a positive ``eta_lo``.  ``eta_star`` and the interval go to
-    ``derived``; raises ``ValueError`` if the interval is empty or excludes it
-    (:func:`check_eta_star`).
+    ``df/deta_max = eta_min / D^2`` are nonnegative and one rounding keeps the
+    order, so the all-high corner binds, given a positive ``eta_lo``.  ``eta_star``
+    and the interval go to ``derived``; raises ``ValueError`` if the interval is
+    empty or excludes it (:func:`check_eta_star`).
     """
     if not np.min(eta_lo) > 0.0:
         raise ValueError(
@@ -446,7 +446,10 @@ def run_weight(desc: SetupDescriptor) -> dict:
     except ValueError as exc:
         raise DescriptorError(f"eta_star: {exc}") from exc
     povm = build_threshold_povm(build_setup(desc, eta_vec), desc.cutoff + 1)
-    wb = weight_bound(povm, event, prob, desc.cutoff)
+    try:
+        wb = weight_bound(povm, event, prob, desc.cutoff)
+    except ValueError as exc:
+        raise DescriptorError(f"observed: {exc}") from exc
     p00 = float(dark_count_matrix(desc.dark_point).entries[0, 0])
     propagated = propagate_weight(wb.value, p00, float(eta_vec.min()), eta_star)
     return {

@@ -159,31 +159,27 @@ def propagate_weight(
 def eta_star_range(eta_min: float, eta_max: float) -> tuple[float, float]:
     """Admissible common efficiencies for the loss reduction.
 
-    The loss split stays stochastic exactly for
-    ``eta_star in [eta_min / (1 - (eta_max - eta_min)), 1]``.
+    The loss split stays stochastic exactly for ``eta_star`` in ``[f, 1]``,
+    ``f = eta_min / ((1 - eta_max) + eta_min)``, which lies in ``[eta_min, 1]``
+    and grows with both efficiencies; ``f`` is rounded once, which keeps both.
     """
     if not 0.0 < eta_min <= eta_max <= 1.0:
         raise ValueError("need 0 < eta_min <= eta_max <= 1")
-    spread = eta_max - eta_min
-    if spread >= 1.0:
-        raise ValueError("efficiency spread must be below 1")
-    lo = eta_min / (1.0 - spread)
-    if lo > 1.0 + 1e-12:
-        raise ValueError(
-            f"efficiencies too spread: admissible lower bound {lo} exceeds 1"
-        )
-    return (min(lo, 1.0), 1.0)
+    # Each float is n / d exactly, so only the int division rounds.
+    (n_min, d_min), (n_max, d_max) = (float(x).as_integer_ratio() for x in (eta_min, eta_max))
+    return (n_min * d_max / ((d_max - n_max) * d_min + n_min * d_max), 1.0)
 
 
 def check_eta_star(eta, eta_star: float) -> None:
     """Raise ``ValueError`` unless ``eta_star`` lies in the :func:`eta_star_range` of every vector of ``eta``.
 
-    ``eta`` is one efficiency vector or a ``(..., k)`` stack; the interval is widened by ``1e-12``.
+    ``eta`` is one efficiency vector or a ``(..., k)`` stack.  Both ends are admitted
+    exactly, with no slack: an admitted ``eta_star`` has ``0 < eta_min <= eta_star <= 1``.
     """
     eta = np.asarray(eta, dtype=float).reshape(-1, np.shape(eta)[-1])
     for vec, low, high in zip(eta.tolist(), eta.min(axis=1).tolist(), eta.max(axis=1).tolist()):
         lo, hi = eta_star_range(low, high)  # NaN fails there
-        if not lo - 1e-12 <= eta_star <= hi + 1e-12:
+        if not lo <= eta_star <= hi:
             raise ValueError(
                 f"common efficiency {eta_star} outside the admissible interval [{lo}, {hi}] "
                 f"at efficiencies {vec} required by the loss reduction"

@@ -190,14 +190,6 @@ CASES = {
     "zero eta_star": (
         lambda: propagate_weight(0.1, 0.9, 0.0, 0.0), ValueError, "eta_star must lie in (0, 1]",
     ),
-    # 1 - 1e-17 rounds to 1
-    "spread rounded to 1": (
-        lambda: eta_star_range(1e-17, 1.0), ValueError, "efficiency spread must be below 1",
-    ),
-    # 3e-13 / (1 - (1 - 3e-13)) rounds to 1.00006
-    "lower bound rounded above 1": (
-        lambda: eta_star_range(3e-13, 1.0), ValueError, "admissible lower bound 1.00005",
-    ),
     # fock
     "layout without blocks": (lambda: SpaceLayout(()), ValueError, "needs at least one block"),
     "dimension of an unknown block": (lambda: SMALL_LAYOUT.dim("m=5"), KeyError, "no block 'm=5'"),
@@ -216,6 +208,14 @@ CASES = {
         ),
         DescriptorError, "cutoff: weight estimation needs cutoff <= 2",
     ),
+    "weight from an uninformative event": (
+        lambda: run_weight(
+            descriptor_from_dict(
+                {"setup": "passive-bb84", "eta_range": [0.5, 0.5], "observed": {"event": "0000", "probability": 0.1}}
+            )
+        ),
+        DescriptorError, "observed: uninformative event",
+    ),
 }
 
 
@@ -225,3 +225,9 @@ def test_guard_rejects_its_input(name):
     with pytest.raises(error) as info:
         call()
     assert fragment in str(info.value)
+
+
+@pytest.mark.parametrize("eta_min", [1e-17, 3e-13])
+def test_eta_star_range_at_unit_efficiency_is_one(eta_min):
+    # 1 - (1 - eta_min) would round to 0 or cancel to 0.99994 eta_min; (1 - 1) + eta_min is exact
+    assert eta_star_range(eta_min, 1.0) == (1.0, 1.0)

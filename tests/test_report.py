@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import re
@@ -7,7 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from detcert import (
@@ -120,6 +122,9 @@ def test_descriptor_validation_errors():
              "observed": {"event": "multi", "probability": 0.1}}
         )
     assert descriptor_from_dict({**PASSIVE, "seed": 7.0, "cutoff": 1.0}).seed == 7
+    assert descriptor_from_dict({"setup": "custom", "k": 2.0, "mode_map": [[1, 0], [0, 1]]}).k == 2
+    with pytest.raises(DescriptorError, match="^k: expected an integer, got 2.5"):
+        descriptor_from_dict({"setup": "custom", "k": 2.5, "mode_map": [[1, 0], [0, 1]]})
     for setup in ("active-bb84", "passive-bb84"):
         for name, value in (("mode_map", [[1.0, 0.0]]), ("k", 7), ("k", 2 if setup == "active-bb84" else 4)):
             with pytest.raises(DescriptorError, match=f"^{name}: fixed by the {setup} setup"):
@@ -462,6 +467,54 @@ def test_descriptor_json_round_trip(data):
     echoed = json.loads(json.dumps(desc.to_dict()))
     assert descriptor_from_dict(echoed) == desc
     assert "eta_star" in echoed  # echoed even when null
+
+
+# Edge values of the efficiencies and dark rates, and of eta_star beyond [0, 1].
+_EDGES = [0.0, 1e-300, 3e-13, 1e-9, 1 - 1e-12, 1 - 5e-13, 1.0]
+_EDGE_OR_UNIT = st.one_of(st.sampled_from(_EDGES), _UNIT)
+
+
+@st.composite
+def _loadable_descriptor(draw):
+    setup = draw(st.sampled_from(["active-bb84", "passive-bb84", "custom"]))
+    data = {"setup": setup}
+    k = {"active-bb84": 2, "passive-bb84": 4}.get(setup)
+    if k is None:
+        k = data["k"] = draw(st.integers(1, 4))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        shape = (k, draw(st.integers(1, k)))
+        isometry = np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))[0]
+        data["mode_map"] = [[[z.real, z.imag] for z in row] for row in isometry.tolist()]
+    ranges = st.tuples(_EDGE_OR_UNIT, _EDGE_OR_UNIT).map(sorted)
+    for name in ("eta_range", "dark_range"):
+        data[name] = draw(st.one_of(ranges, st.lists(ranges, min_size=k, max_size=k)))
+    data["eta_star"] = draw(st.one_of(st.none(), st.sampled_from([*_EDGES, 1 + 5e-13]), _UNIT))
+    if k > 1 and draw(st.booleans()):
+        data["coarse_grain"] = "multiclick"
+    events = enumerate_events(k)
+    labels = events.labels + (("multi",) if events.multi_indices else ())
+    data["observed"] = {"event": draw(st.sampled_from(labels)), "probability": draw(_EDGE_OR_UNIT)}
+    return data
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_loadable_descriptor())
+@example(  # efficiencies one ulp apart, eta_star at the all-high corner's lower end rounded per operation
+    data={**PASSIVE, "eta_range": [[0.237207102422257, 0.23720710242225704]] + [[0.5970086087894079] * 2] * 3,
+          "eta_star": 0.37052118176069027, "observed": {"event": "multi", "probability": 0.01}},
+)
+def test_every_loadable_descriptor_ends_with_a_named_outcome(tmp_path_factory, data):
+    path = _write_descriptor(tmp_path_factory.mktemp("descriptor"), data)
+    commands = ["analyze", "verify-channel", "weight"] + (["swap-lp"] if data["setup"] == "active-bb84" else [])
+    for command in commands:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command, path])
+        if code == EXIT_TOOL_ERROR:
+            assert re.match(r"descriptor error: \w+: ", err.getvalue()), (command, err.getvalue())
+        else:
+            assert code in (EXIT_OK, EXIT_NOT_REDUCIBLE) and err.getvalue() == ""
+            json.loads(out.getvalue())
 
 
 @pytest.mark.parametrize("name", ["passive_bb84", "active_bb84"])

@@ -1,6 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from helpers import stack_blocks
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from detcert import (
@@ -9,6 +13,7 @@ from detcert import (
     enumerate_events,
     eta_star_range,
     flag_state_target,
+    loss_channel,
     multiclick_coarse_graining,
     passive_bb84_setup,
     propagate_weight,
@@ -197,6 +202,64 @@ def test_eta_star_range_validation():
         eta_star_range(0.0, 0.5)
     with pytest.raises(ValueError):
         eta_star_range(0.6, 0.5)
+
+
+# Efficiencies from the edges of the admissible domain, and in between.
+_EFFICIENCY = st.one_of(
+    st.sampled_from([1e-300, 3e-13, 1e-9, 1 - 1e-12, 1 - 5e-13, 1.0]),
+    st.floats(1e-300, 1.0),
+)
+# Corners whose efficiencies agree to an ulp: rounding each operation of
+# eta_min / ((1 - eta_max) + eta_min) orders these two the wrong way.
+_ULP_BOX = [(0.237207102422257, 0.23720710242225704)] + [(0.5970086087894079,) * 2] * 3
+
+
+def _oracle(eta_min, eta_max):
+    return Fraction(eta_min) / ((1 - Fraction(eta_max)) + Fraction(eta_min))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(_EFFICIENCY, _EFFICIENCY).map(sorted))
+@example((1e-300, 1.0))
+def test_eta_star_range_is_the_rounded_exact_bound(pair):
+    eta_min, eta_max = pair
+    lo, hi = eta_star_range(eta_min, eta_max)
+    assert lo == float(_oracle(eta_min, eta_max))  # rounded once, to nearest
+    assert eta_min <= lo <= hi == 1.0
+
+
+@st.composite
+def _box(draw, sizes=st.integers(1, 4)):
+    k = draw(sizes)
+    return [tuple(sorted(draw(st.tuples(_EFFICIENCY, _EFFICIENCY)))) for _ in range(k)]
+
+
+def _corners(box):
+    return np.array(np.meshgrid(*box, indexing="ij")).reshape(len(box), -1).T
+
+
+@settings(max_examples=200, deadline=None)
+@given(_box())
+@example(_ULP_BOX)
+def test_eta_star_range_is_largest_at_the_all_high_corner(box):
+    high = eta_star_range(min(h for _, h in box), max(h for _, h in box))[0]
+    for corner in _corners(box).tolist():
+        assert eta_star_range(min(corner), max(corner))[0] <= high
+
+
+_F_LOSSLESS = flag_state_target(build_threshold_povm(passive_bb84_setup(1.0), 1), 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(box=_box(st.just(4)), where=st.floats(0.0, 1.0))
+@example(box=_ULP_BOX, where=0.0)
+def test_every_eta_star_of_the_interval_serves_every_corner(box, where):
+    corners = _corners(box)
+    lo, hi = eta_star_range(corners[-1].min(), corners[-1].max())  # the all-high corner
+    for eta_star in (lo, hi, min(hi, lo + where * (hi - lo))):
+        loss_channel(corners, eta_star, _F_LOSSLESS)
+        for eta in corners:
+            assert 0.0 <= propagate_weight(0.5, 0.9, eta.min(), eta_star) <= 1.0
 
 
 def test_squashed_povm_flag_invariant():
