@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .detectors import MAX_DETECTORS, enumerate_events
+from .detectors import MAX_DETECTORS, enumerate_events, is_isometry
 
 
 class DescriptorError(ValueError):
@@ -180,6 +180,8 @@ class SetupDescriptor:
                     f"mode_map: expected {self.k} rows of one nonzero length, "
                     f"got row lengths {widths}"
                 )
+            if not is_isometry(self.mode_map):
+                raise DescriptorError("mode_map: columns are not orthonormal (not an isometry)")
         if self.observed is not None:
             events = enumerate_events(self.k)
             allowed = events.labels + (("multi",) if events.multi_indices else ())
@@ -189,27 +191,28 @@ class SetupDescriptor:
                     f"expected one of {list(allowed)}"
                 )
 
-    @property
-    def eta_lo(self) -> np.ndarray:
-        return np.array([lo for lo, _ in self.eta_range])
+    def points(self, box: bool) -> tuple[np.ndarray, np.ndarray]:
+        """The efficiencies and dark rates a command evaluates, as two ``(n, k)`` stacks.
 
-    @property
-    def eta_hi(self) -> np.ndarray:
-        return np.array([hi for _, hi in self.eta_range])
-
-    @property
-    def dark_max(self) -> np.ndarray:
-        return np.array([hi for _, hi in self.dark_range])
-
-    @property
-    def eta_point(self) -> np.ndarray:
-        """The efficiencies a point command evaluates: ``eta``, else the bottom of each range."""
-        return np.array(self.eta) if self.eta is not None else self.eta_lo
-
-    @property
-    def dark_point(self) -> np.ndarray:
-        """The dark rates a point command evaluates: ``dark``, else the top of each range."""
-        return np.array(self.dark) if self.dark is not None else self.dark_max
+        ``box=True`` samples the corners of ``eta_range``: all-low, all-high,
+        then mixed corners in binary-counter order over the detectors whose
+        range is not a single point (detector 1 first), so no corner repeats,
+        up to ``corner_limit`` in all.  Exact for quantities monotone in each
+        efficiency, a sample otherwise.  Its dark stack is one row, the top of
+        each ``dark_range``.  ``box=False`` is one point: ``eta``, else the
+        bottom of each range, and ``dark``, else the top of each range.
+        """
+        lo, hi = np.array(self.eta_range).T
+        top = np.array(self.dark_range)[:, 1]
+        if not box:
+            eta, dark = (lo if self.eta is None else self.eta), (top if self.dark is None else self.dark)
+            return np.array([eta]), np.array([dark])
+        free = np.flatnonzero(lo < hi)
+        last = 2**free.size - 1
+        patterns = np.array(([0, last, *range(1, last)] if last else [0])[: self.corner_limit])
+        high = np.zeros((patterns.size, self.k), dtype=bool)
+        high[:, free] = (patterns[:, None] >> np.arange(free.size)) & 1
+        return np.where(high, hi, lo), top[None]
 
     def to_dict(self) -> dict:
         """The JSON fields; unset optional ones are left out, ``eta_star`` echoed even as null."""

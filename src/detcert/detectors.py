@@ -111,9 +111,7 @@ class DetectionSetup:
         eta = np.asarray(self.eta, dtype=float)
         if mm.ndim != 2 or mm.shape[0] != self.k:
             raise ValueError(f"mode_map must be k x n_in with k={self.k}")
-        n_in = mm.shape[1]
-        gram = mm.conj().T @ mm
-        if np.abs(gram - np.eye(n_in)).max() > _ISOMETRY_TOL:
+        if not is_isometry(mm):
             raise ValueError("mode_map columns are not orthonormal (not an isometry)")
         if eta.ndim not in (1, 2) or eta.shape[-1] != self.k:
             raise ValueError(f"eta must have length {self.k}")
@@ -124,6 +122,12 @@ class DetectionSetup:
 
     def with_eta(self, eta) -> "DetectionSetup":
         return replace(self, eta=np.asarray(_broadcast_eta(eta, self.k), dtype=float))
+
+
+def is_isometry(mode_map) -> bool:
+    """Whether the columns of ``mode_map`` are orthonormal, to ``_ISOMETRY_TOL`` (NaN is not)."""
+    mm = np.asarray(mode_map, dtype=complex)
+    return bool(np.abs(mm.conj().T @ mm - np.eye(mm.shape[1])).max() <= _ISOMETRY_TOL)
 
 
 def _broadcast_eta(eta, k: int):

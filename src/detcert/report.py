@@ -30,7 +30,6 @@ from .channels import (
 from .descriptor import DescriptorError, SetupDescriptor
 from .detectors import (
     DetectionSetup,
-    _broadcast_eta,
     build_threshold_povm,
     enumerate_events,
     passive_bb84_setup,
@@ -68,32 +67,8 @@ def build_setup(desc: SetupDescriptor, eta) -> DetectionSetup:
     if desc.setup == "passive-bb84":
         return passive_bb84_setup(eta)
     if desc.setup == "custom":
-        return DetectionSetup(
-            k=desc.k, mode_map=np.array(desc.mode_map, dtype=complex), eta=_broadcast_eta(eta, desc.k)
-        )
+        return DetectionSetup(k=desc.k, mode_map=np.array(desc.mode_map, dtype=complex), eta=eta)
     raise DescriptorError(f"setup: no single-table setup for {desc.setup!r}")
-
-
-def eta_corners(desc: SetupDescriptor) -> list[np.ndarray]:
-    """Deterministic corner sample of the efficiency ranges.
-
-    Always includes the all-low and all-high corners; mixed corners follow
-    in binary-counter order over the detectors whose range is not a single
-    point, so no corner repeats, up to ``corner_limit`` total.  Exact for
-    quantities monotone in each efficiency; a heuristic sample otherwise.
-    """
-    lo, hi = desc.eta_lo, desc.eta_hi
-    free = np.flatnonzero(lo < hi)
-    if not free.size:
-        return [lo.copy()]
-    corners = [lo.copy(), hi.copy()]
-    for pattern in range(1, 2**free.size - 1):
-        if len(corners) >= desc.corner_limit:
-            break
-        high = np.zeros(desc.k, dtype=bool)
-        high[free] = [(pattern >> b) & 1 for b in range(free.size)]
-        corners.append(np.where(high, hi, lo))
-    return corners
 
 
 @dataclass
@@ -108,7 +83,11 @@ class Certificate:
     tool: dict = field(default_factory=lambda: {"name": "detcert", "version": __version__})
 
     def add_check(self, name: str, operation: str, inputs: dict, residual: float, tolerance: float):
-        """Record a check; it passes iff ``residual <= tolerance`` (NaN fails)."""
+        """Record a check; it passes iff ``residual <= tolerance`` (NaN fails).
+
+        The first failed check downgrades a certificate that is not yet downgraded.
+        """
+        passed = bool(residual <= tolerance)
         self.checks.append(
             {
                 "name": name,
@@ -116,17 +95,20 @@ class Certificate:
                 "inputs": inputs,
                 "residual": residual,
                 "tolerance": tolerance,
-                "passed": bool(residual <= tolerance),
+                "passed": passed,
             }
         )
+        if not passed and self.status == "reducible":
+            self.downgrade(f"check {name} failed: residual {residual:.3e} exceeds tolerance {tolerance:.3e}")
 
     def downgrade(self, requirement: str):
+        """Mark the setup not reducible, for ``requirement``: a precondition replaces a failed check's."""
         self.status = "not reducible under this framework"
         self.failed_requirement = requirement
 
     @property
     def all_passed(self) -> bool:
-        return self.status == "reducible" and all(c["passed"] for c in self.checks)
+        return self.status == "reducible"
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -234,18 +216,21 @@ def emit_certificate(cert: Certificate, path=None) -> Path | None:
     return write_json(cert.to_dict(), path)
 
 
-def _common_efficiency(desc: SetupDescriptor, eta_lo, eta_hi, derived: dict) -> float:
-    """The descriptor's ``eta_star`` (else 1), admissible over the box ``[eta_lo, eta_hi]``.
+def _common_efficiency(desc: SetupDescriptor, etas, derived: dict) -> float:
+    """The descriptor's ``eta_star`` (else 1), admissible over the evaluated ``(n, k)`` stack ``etas``.
 
-    At one ``eta`` the loss split is stochastic iff ``eta_star`` lies in
-    ``[f, 1]``, ``f = eta_min / D`` with ``D = (1 - eta_max) + eta_min``
-    (:func:`eta_star_range`).  ``df/deta_min = (1 - eta_max) / D^2`` and
-    ``df/deta_max = eta_min / D^2`` are nonnegative and one rounding keeps the
-    order, so the all-high corner binds, given a positive ``eta_lo``.  ``eta_star``
+    The stack holds its ends ``eta_lo = etas.min(0)`` and ``eta_hi = etas.max(0)``
+    (:meth:`SetupDescriptor.points`).  At one ``eta`` the loss split is
+    stochastic iff ``eta_star`` lies in ``[f, 1]``, ``f = eta_min / D`` with
+    ``D = (1 - eta_max) + eta_min`` (:func:`eta_star_range`).
+    ``df/deta_min = (1 - eta_max) / D^2`` and ``df/deta_max = eta_min / D^2``
+    are nonnegative and one rounding keeps the order, so the all-high corner
+    binds, given a positive ``eta_lo``.  ``eta_star``
     and the interval go to ``derived``; raises ``ValueError`` if the interval is
     empty or excludes it (:func:`check_eta_star`).
     """
-    if not np.min(eta_lo) > 0.0:
+    eta_hi = etas.max(axis=0)
+    if not etas.min() > 0.0:
         raise ValueError(
             "admissible common-efficiency interval is empty: need 0 < eta_min <= eta_max <= 1"
         )
@@ -256,9 +241,9 @@ def _common_efficiency(desc: SetupDescriptor, eta_lo, eta_hi, derived: dict) -> 
     return eta_star
 
 
-def _record_weight(desc: SetupDescriptor, cert: Certificate, p00: float, eta_star: float):
-    """Record ``p00``, the ratio ``eta_min / eta_star`` and the weight after both channels."""
-    eta_min = float(desc.eta_lo.min())
+def _record_weight(desc: SetupDescriptor, cert: Certificate, etas, p00: float, eta_star: float):
+    """Record ``p00``, the ratio ``eta_min / eta_star`` over ``etas`` and the weight after both channels."""
+    eta_min = float(etas.min())
     cert.derived["p_no_dark"] = p00
     cert.derived["efficiency_ratio"] = eta_min / eta_star
     cert.derived["weight_in"] = desc.weight_in
@@ -266,9 +251,9 @@ def _record_weight(desc: SetupDescriptor, cert: Certificate, p00: float, eta_sta
 
 
 def _analyze_flag_state(desc: SetupDescriptor, cert: Certificate) -> Certificate:
-    d_max = desc.dark_max
+    corners, (d_max,) = desc.points(box=True)
     try:
-        eta_star = _common_efficiency(desc, desc.eta_lo, desc.eta_hi, cert.derived)
+        eta_star = _common_efficiency(desc, corners, cert.derived)
     except ValueError as exc:
         cert.downgrade(str(exc))
         return cert
@@ -301,14 +286,13 @@ def _analyze_flag_state(desc: SetupDescriptor, cert: Certificate) -> Certificate
         return cert
 
     p00 = float(p_db.entries[0, 0])
-    _record_weight(desc, cert, p00, eta_star)
+    _record_weight(desc, cert, corners, p00, eta_star)
 
     # One threshold build for every efficiency vector: the corners, then
     # the lossless and common-efficiency targets, which are corner
     # independent.
-    corners = eta_corners(desc)
     n_corners = len(corners)
-    etas = np.array([*corners, np.ones(desc.k), np.full(desc.k, eta_star)])
+    etas = np.vstack([corners, np.ones(desc.k), np.full(desc.k, eta_star)])
     povms = build_threshold_povm(build_setup(desc, etas), desc.cutoff)
     if cg is not None:
         povms = apply_postprocessing(cg, povms)
@@ -382,9 +366,9 @@ def _certify_corners(p_db, etas, eta_star, f_eta, f_lossless, f_star, tol):
 def active_swap_lp(desc: SetupDescriptor):
     """Swap LP of the active-BB84 qubit squasher at the descriptor's dark rates.
 
-    The rates are :attr:`SetupDescriptor.dark_point`; returns ``(rates, SwapLPResult)``.
+    The rates are the one point of :meth:`SetupDescriptor.points`; returns ``(rates, SwapLPResult)``.
     """
-    d_vec = desc.dark_point
+    _, (d_vec,) = desc.points(box=False)
     return d_vec, solve_swap_lp(dark_count_matrix(d_vec), bb84_qubit_squasher(), tol=desc.tol)
 
 
@@ -401,12 +385,14 @@ def _analyze_active_bb84(desc: SetupDescriptor, cert: Certificate) -> Certificat
         )
         return cert
 
+    # The eta_star interval reads the box; the channel is built at the swap LP's point rates.
+    etas, _ = desc.points(box=True)
     try:
-        eta_star = _common_efficiency(desc, desc.eta_lo, desc.eta_hi, cert.derived)
+        eta_star = _common_efficiency(desc, etas, cert.derived)
     except ValueError as exc:
         cert.downgrade(str(exc))
         return cert
-    _record_weight(desc, cert, float(result.matrix.entries[0, 0]), eta_star)
+    _record_weight(desc, cert, etas, float(result.matrix.entries[0, 0]), eta_star)
     d = float(d_vec[0])
     # Both bases' statistics and trace preservation, scored in one contraction.
     bases = [(result.matrix, povm, povm) for povm in map(bb84_qubit_measurement, "ZX")]
@@ -440,18 +426,18 @@ def run_weight(desc: SetupDescriptor) -> dict:
     if desc.cutoff > 2:
         raise DescriptorError("cutoff: weight estimation needs cutoff <= 2")
     event, prob = desc.observed
-    eta_vec = desc.eta_point
+    etas, (d_vec,) = desc.points(box=False)
     try:
-        eta_star = _common_efficiency(desc, eta_vec, eta_vec, {})
+        eta_star = _common_efficiency(desc, etas, {})
     except ValueError as exc:
         raise DescriptorError(f"eta_star: {exc}") from exc
-    povm = build_threshold_povm(build_setup(desc, eta_vec), desc.cutoff + 1)
+    povm = build_threshold_povm(build_setup(desc, etas[0]), desc.cutoff + 1)
     try:
         wb = weight_bound(povm, event, prob, desc.cutoff)
     except ValueError as exc:
         raise DescriptorError(f"observed: {exc}") from exc
-    p00 = float(dark_count_matrix(desc.dark_point).entries[0, 0])
-    propagated = propagate_weight(wb.value, p00, float(eta_vec.min()), eta_star)
+    p00 = float(dark_count_matrix(d_vec).entries[0, 0])
+    propagated = propagate_weight(wb.value, p00, float(etas.min()), eta_star)
     return {
         "event": list(wb.event),
         "cutoff": wb.cutoff,

@@ -562,7 +562,7 @@ def test_lossless_target_breaking_the_assumption_stops_the_analysis(monkeypatch)
     # the lossless POVM (stack entry after the corners) moves 1e-3 of a
     # single click's one-photon weight to a multi-click: no corner is checked
     desc = descriptor_from_dict(PASSIVE)
-    lossless = len(report.eta_corners(desc))
+    lossless = len(desc.points(box=True)[0])
     build = report.build_threshold_povm
 
     def bent(setup, cutoff):

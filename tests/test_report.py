@@ -42,7 +42,6 @@ from detcert.report import (
     build_setup,
     canonical_json,
     emit_certificate,
-    eta_corners,
     run_analysis,
     run_weight,
 )
@@ -417,7 +416,6 @@ def test_eta_star_interval_is_admissible_at_every_efficiency_of_the_box(data):
     assert below.checks == []
 
 
-_FINITE = st.floats(-10.0, 10.0)
 _UNIT = st.floats(0.0, 1.0)
 
 
@@ -428,10 +426,12 @@ def _descriptor_json(draw):
     k = {"active-bb84": 2, "passive-bb84": 4}.get(setup)
     if k is None:
         k = data["k"] = draw(st.integers(1, 4))
-        width = draw(st.integers(1, 3))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        shape = (k, draw(st.integers(1, k)))
+        isometry = np.linalg.qr(rng.normal(size=shape) + 1j * draw(st.booleans()) * rng.normal(size=shape))[0]
+        # an entry is a number or a [re, im] pair
         data["mode_map"] = [
-            [draw(st.one_of(_FINITE, st.tuples(_FINITE, _FINITE).map(list))) for _ in range(width)]
-            for _ in range(k)
+            [[z.real, z.imag] if z.imag or draw(st.booleans()) else z.real for z in row] for row in isometry.tolist()
         ]
     for name in ("eta_range", "dark_range"):
         one = st.tuples(_UNIT, _UNIT).map(sorted)
@@ -484,10 +484,17 @@ def _loadable_descriptor(draw):
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         shape = (k, draw(st.integers(1, k)))
         isometry = np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))[0]
+        if draw(st.booleans()):  # a first column off unit norm: not an isometry
+            isometry[:, 0] *= draw(st.sampled_from([0.0, 1 + 1e-9, 2.0]))
         data["mode_map"] = [[[z.real, z.imag] for z in row] for row in isometry.tolist()]
     ranges = st.tuples(_EDGE_OR_UNIT, _EDGE_OR_UNIT).map(sorted)
     for name in ("eta_range", "dark_range"):
         data[name] = draw(st.one_of(ranges, st.lists(ranges, min_size=k, max_size=k)))
+    for name in ("eta", "dark"):
+        if draw(st.booleans()):
+            data[name] = draw(st.one_of(_EDGE_OR_UNIT, st.lists(_EDGE_OR_UNIT, min_size=k, max_size=k)))
+    if draw(st.booleans()):
+        data["corner_limit"] = draw(st.integers(2, 17))
     data["eta_star"] = draw(st.one_of(st.none(), st.sampled_from([*_EDGES, 1 + 5e-13]), _UNIT))
     if k > 1 and draw(st.booleans()):
         data["coarse_grain"] = "multiclick"
@@ -503,6 +510,10 @@ def _loadable_descriptor(draw):
     data={**PASSIVE, "eta_range": [[0.237207102422257, 0.23720710242225704]] + [[0.5970086087894079] * 2] * 3,
           "eta_star": 0.37052118176069027, "observed": {"event": "multi", "probability": 0.01}},
 )
+@example(  # near-equal dark rates: the swap LP passes, both statistics checks fail at 4.25e-9
+    data={"setup": "active-bb84", "dark_range": [[0.05, 0.05], [0.050000005, 0.050000005]],
+          "observed": {"event": "01", "probability": 0.01}},
+)
 def test_every_loadable_descriptor_ends_with_a_named_outcome(tmp_path_factory, data):
     path = _write_descriptor(tmp_path_factory.mktemp("descriptor"), data)
     commands = ["analyze", "verify-channel", "weight"] + (["swap-lp"] if data["setup"] == "active-bb84" else [])
@@ -514,7 +525,9 @@ def test_every_loadable_descriptor_ends_with_a_named_outcome(tmp_path_factory, d
             assert re.match(r"descriptor error: \w+: ", err.getvalue()), (command, err.getvalue())
         else:
             assert code in (EXIT_OK, EXIT_NOT_REDUCIBLE) and err.getvalue() == ""
-            json.loads(out.getvalue())
+            payload = json.loads(out.getvalue())
+            if command in ("analyze", "verify-channel"):
+                assert (payload["status"] == "reducible") == (code == EXIT_OK), command
 
 
 @pytest.mark.parametrize("name", ["passive_bb84", "active_bb84"])
@@ -555,7 +568,8 @@ def _replayed_channel_checks(desc, cert) -> dict:
         povm = build_threshold_povm(build_setup(desc, eta), 1)
         return flag_state_target(povm if cg is None else apply_postprocessing(cg, povm), 1)
 
-    p_db = dark_count_matrix(desc.dark_max)
+    _, (d_max,) = desc.points(box=True)
+    p_db = dark_count_matrix(d_max)
     p_db = p_db if cg is None else coarse_grained_dc_ansatz(p_db, cg)
     eta_star = cert.derived["eta_star"]
     f_lossless, f_star = target(np.ones(desc.k)), target(eta_star)
@@ -657,7 +671,8 @@ def test_analysis_needs_unit_cutoff():
 
 def test_eta_corners_include_extremes():
     desc = descriptor_from_dict(PASSIVE)
-    corners = eta_corners(desc)
+    corners, dark = desc.points(box=True)
+    assert dark.tolist() == [[0.01] * 4]
     assert any(np.allclose(c, 0.5) for c in corners)
     assert any(np.allclose(c, 0.6) for c in corners)
     assert len(corners) <= desc.corner_limit
@@ -668,10 +683,31 @@ def test_eta_corners_include_extremes():
     # detectors with a point range take no part in the count: no corner repeats
     ranges = [[0.5, 0.6], [0.5, 0.5], [0.5, 0.6], [0.5, 0.5]]
     desc = descriptor_from_dict({**PASSIVE, "eta_range": ranges, "corner_limit": 16})
-    corners = eta_corners(desc)
+    corners, _ = desc.points(box=True)
     assert [c.tolist() for c in corners] == [
         [0.5] * 4, [0.6, 0.5, 0.6, 0.5], [0.6, 0.5, 0.5, 0.5], [0.5, 0.5, 0.6, 0.5]
     ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ranges=st.lists(st.tuples(_UNIT, _UNIT).map(sorted), min_size=4, max_size=4),
+    corner_limit=st.integers(2, 20),
+)
+def test_corner_stack_ends_are_the_range_ends(ranges, corner_limit):
+    desc = descriptor_from_dict({**PASSIVE, "eta_range": ranges, "corner_limit": corner_limit})
+    corners, _ = desc.points(box=True)
+    lo, hi = np.array(ranges).T
+    assert corners.min(axis=0).tolist() == lo.tolist() and corners.max(axis=0).tolist() == hi.tolist()
+    assert len(corners) == min(corner_limit, 2 ** int((lo < hi).sum()))
+    assert len({tuple(c) for c in corners.tolist()}) == len(corners)
+
+
+def test_point_is_eta_and_dark_else_the_range_ends():
+    desc = descriptor_from_dict(PASSIVE)
+    assert [x.tolist() for x in desc.points(box=False)] == [[[0.5] * 4], [[0.01] * 4]]
+    desc = descriptor_from_dict({**PASSIVE, "eta": [0.51, 0.52, 0.53, 0.54], "dark": 0.002})
+    assert [x.tolist() for x in desc.points(box=False)] == [[[0.51, 0.52, 0.53, 0.54]], [[0.002] * 4]]
 
 
 def test_canonical_json_round_trip():
