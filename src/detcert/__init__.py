@@ -6,8 +6,8 @@ to flag-state target measurements, constructs the noise channels that
 absorb the imperfections, and certifies every claimed identity numerically.
 Channels are held as their Choi matrices' values on the support of their
 terms; CPTP, statistics equivalence and the weight relations are checked on
-them as exact operator identities over the whole input space, and the swap LP and the Choi feasibility probe are
-re-verified without their solvers.
+them as exact operator identities over the whole input space, and the swap LP and every
+Choi witness, closed-form or from the feasibility probe, are re-verified without a solver.
 """
 
 __version__ = "0.1.0"
@@ -55,7 +55,8 @@ _EXPORTS = {
         "verify_cptp",
         "verify_statistics_equivalence",
     ),
-    "feasibility": ("FeasibilityResult", "choi_feasibility", "verify_choi_witness", "verify_farkas_ray"),
+    "feasibility": ("FeasibilityResult", "choi_feasibility", "measure_prepare_witness", "verify_choi_witness",
+                    "verify_farkas_ray"),
     "descriptor": ("SetupDescriptor", "load_descriptor"),
     "report": ("Certificate", "emit_certificate", "run_analysis"),
 }

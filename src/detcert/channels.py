@@ -747,7 +747,7 @@ class ChoiConstraintSystem:
     PSD solution onto a face of the cone (``J`` supported in the kernel of
     ``|a><a| (x) F_k``), extracted on first use: without it every feasible
     point sits on the cone boundary, where the dual has no minimiser.  The
-    face, the adjoint and the defect serve the probe, on one system.
+    face and the defect serve the probe, the adjoint it and the closed-form witness.
     """
 
     def __init__(self, *identities):

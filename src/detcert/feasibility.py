@@ -1,4 +1,4 @@
-"""Numeric existence check for a noise channel at fixed device parameters.
+"""Existence of a noise channel at fixed device parameters, by Choi witnesses.
 
 The statistics requirement ``P_dc Tr[F_before rho] = Tr[F_after Phi(rho)]``
 for every ``rho`` is, in the Heisenberg picture, the set of operator
@@ -6,9 +6,11 @@ identities ``Phi_J^dag(F_k) = G_k`` with ``G_k = sum_j P_kj F_before_j``
 (``F_k = F_after_k``), plus ``Phi_J^dag(I_out) = I_in`` for trace
 preservation: a semidefinite feasibility question on the Choi matrix
 ``J``, posed by the ``ChoiConstraintSystem`` that the channel certificates
-read too.  L-BFGS on the dual of the nearest-point problem (Malick, SIAM J.
+read too.  A measure-and-prepare channel answers it in closed form when
+``F_after`` is orthogonal rank-one projectors (:func:`measure_prepare_witness`);
+in general L-BFGS on the dual of the nearest-point problem (Malick, SIAM J.
 Matrix Anal. Appl. 26, 272 (2004)) ends in a witness ``J`` or a Farkas ray
-``Y``, each re-verified without the solver: the witness by the kernel that
+``Y``.  Each is re-verified without the solver: a witness by the kernel that
 certifies channels, on its nonzeros (:func:`verify_choi_witness`), the ray
 by the component eigensolve of that kernel (:func:`verify_farkas_ray`).
 """
@@ -99,6 +101,18 @@ def _lbfgs(fun, x: np.ndarray) -> tuple[np.ndarray, str]:
             pairs.append((s, y, 1.0 / sy))
             scale = sy / yy
         x, f, g = x_new, f_new, g_new
+
+
+def measure_prepare_witness(p_dc, f_before, f_after) -> np.ndarray:
+    """Choi matrix of "measure ``f_before``, prepare ``F_after_k`` with probability ``P_kj``".
+
+    ``J = sum_k G_k^T (x) F_k``, the system's adjoint at its targets with no
+    trace-preservation term.  For ``f_after`` orthogonal rank-one projectors
+    ``Phi_J^dag(F_k) = G_k``.  ``J`` is a channel when ``P`` is column-stochastic
+    and ``f_before`` a POVM; when ``f_before = f_after``, no channel exists otherwise.
+    """
+    system = ChoiConstraintSystem((p_dc, f_before, f_after))
+    return system.adjoint(np.concatenate([system.targets[:-1], 0.0 * system.targets[-1:]]))
 
 
 def choi_feasibility(p_dc, f_eta, f_target, tol: float = 1e-6, max_iter: int = 10_000) -> FeasibilityResult:

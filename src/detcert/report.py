@@ -364,16 +364,15 @@ def _certify_corners(p_db, etas, eta_star, f_eta, f_lossless, f_star, tol):
 
 
 def active_swap_lp(desc: SetupDescriptor):
-    """Swap LP of the active-BB84 qubit squasher at the descriptor's dark rates.
-
-    The rates are the one point of :meth:`SetupDescriptor.points`; returns ``(rates, SwapLPResult)``.
-    """
+    """``(rates, SwapLPResult)`` of the active-BB84 qubit squasher at the one point of ``desc.points``."""
     _, (d_vec,) = desc.points(box=False)
     return d_vec, solve_swap_lp(dark_count_matrix(d_vec), bb84_qubit_squasher(), tol=desc.tol)
 
 
 def _analyze_active_bb84(desc: SetupDescriptor, cert: Certificate) -> Certificate:
-    d_vec, result = active_swap_lp(desc)
+    # The swap LP and the channel read the box's dark row; the eta_star interval reads its corners.
+    etas, (d_vec,) = desc.points(box=True)
+    result = solve_swap_lp(dark_count_matrix(d_vec), bb84_qubit_squasher(), tol=desc.tol)
     cert.add_check(
         "swap-equation-lp", "solve_swap_lp", {"dark": d_vec.tolist()},
         result.residual, result.tolerance,
@@ -385,8 +384,6 @@ def _analyze_active_bb84(desc: SetupDescriptor, cert: Certificate) -> Certificat
         )
         return cert
 
-    # The eta_star interval reads the box; the channel is built at the swap LP's point rates.
-    etas, _ = desc.points(box=True)
     try:
         eta_star = _common_efficiency(desc, etas, cert.derived)
     except ValueError as exc:

@@ -5,7 +5,6 @@ import math
 import re
 from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,13 +15,13 @@ from detcert import (
     QuantumChannel,
     apply_postprocessing,
     bb84_qubit_measurement,
-    choi_feasibility,
     build_threshold_povm,
     coarse_grained_dc_ansatz,
     dark_count_matrix,
     enumerate_events,
     flag_state_target,
     loss_channel,
+    measure_prepare_witness,
     multiclick_coarse_graining,
     passive_bb84_setup,
     verify_choi_witness,
@@ -316,6 +315,17 @@ def test_analysis_active_equal_rates_reducible():
     assert cert.derived["p_no_dark"] == pytest.approx(0.95**2, abs=1e-12)
 
 
+def test_analysis_active_reads_the_dark_box_not_the_point():
+    # a `dark` point outside the declared box: the box's dark row is what is certified
+    desc = descriptor_from_dict({"setup": "active-bb84", "dark_range": [0.04, 0.05], "dark": [0.0, 0.0]})
+    cert = run_analysis(desc)
+    assert cert.all_passed
+    swap, *channel = cert.checks
+    assert swap["name"] == "swap-equation-lp" and swap["inputs"]["dark"] == [0.05, 0.05]
+    assert [c["inputs"]["dark"] for c in channel] == [0.05] * 3
+    assert cert.derived["p_no_dark"] == pytest.approx(0.95**2, abs=1e-12)
+
+
 def test_analysis_degenerate_point_is_pinch():
     desc = descriptor_from_dict(
         {
@@ -496,6 +506,8 @@ def _loadable_descriptor(draw):
     if draw(st.booleans()):
         data["corner_limit"] = draw(st.integers(2, 17))
     data["eta_star"] = draw(st.one_of(st.none(), st.sampled_from([*_EDGES, 1 + 5e-13]), _UNIT))
+    if draw(st.booleans()):
+        data["feas_tol"] = draw(st.sampled_from([1e-15, 1e-9, 1e-6, 1e-2]))
     if k > 1 and draw(st.booleans()):
         data["coarse_grain"] = "multiclick"
     events = enumerate_events(k)
@@ -516,11 +528,12 @@ def _loadable_descriptor(draw):
 )
 def test_every_loadable_descriptor_ends_with_a_named_outcome(tmp_path_factory, data):
     path = _write_descriptor(tmp_path_factory.mktemp("descriptor"), data)
-    commands = ["analyze", "verify-channel", "weight"] + (["swap-lp"] if data["setup"] == "active-bb84" else [])
-    for command in commands:
+    active = data["setup"] == "active-bb84"
+    codes = {}
+    for command in ["analyze", "verify-channel", "weight"] + (["swap-lp", "choi-check"] if active else []):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main([command, path])
+            code = codes[command] = cli.main([command, path])
         if code == EXIT_TOOL_ERROR:
             assert re.match(r"descriptor error: \w+: ", err.getvalue()), (command, err.getvalue())
         else:
@@ -528,6 +541,8 @@ def test_every_loadable_descriptor_ends_with_a_named_outcome(tmp_path_factory, d
             payload = json.loads(out.getvalue())
             if command in ("analyze", "verify-channel"):
                 assert (payload["status"] == "reducible") == (code == EXIT_OK), command
+    if active:  # every drawn feas_tol is at least 1e-15, above the closed-form witness's rounding
+        assert (codes["choi-check"] == EXIT_OK) == (codes["swap-lp"] == EXIT_OK)
 
 
 @pytest.mark.parametrize("name", ["passive_bb84", "active_bb84"])
@@ -1014,7 +1029,7 @@ def test_choi_check_prints_no_negative_zero(capsys):
     _, lp = active_swap_lp(desc)
     for basis in ("Z", "X"):
         povm = bb84_qubit_measurement(basis)
-        witness = choi_feasibility(lp.matrix, povm, povm, tol=desc.feas_tol).witness
+        witness = measure_prepare_witness(lp.matrix, povm, povm)
         residual = verify_choi_witness(witness, lp.matrix, povm, povm, desc.feas_tol).psd_residual
         assert math.copysign(1.0, residual) == 1.0
     assert cli.main(["choi-check", path]) == EXIT_OK
@@ -1023,17 +1038,17 @@ def test_choi_check_prints_no_negative_zero(capsys):
     assert re.findall(r"(?<![\w.])-0(?![\w.])", out) == []
 
 
-def test_cli_choi_check_reports_verified_farkas_ray(tmp_path, capsys, monkeypatch):
-    # a post-processing demanding a negative probability, in place of the swap LP's
-    adversarial = np.array([[1.0, 0.0, 0.0], [0.0, -0.2, 1.2], [0.0, 1.2, -0.2]])
-    lp = SimpleNamespace(feasible=True, matrix=adversarial, residual=0.0)
-    monkeypatch.setattr(cli, "active_swap_lp", lambda desc: (np.zeros(2), lp))
-    desc = _write_descriptor(tmp_path, {"setup": "active-bb84", "dark_range": [0.0, 0.05]})
-    assert cli.main(["choi-check", desc]) == EXIT_NOT_REDUCIBLE
-    payload = json.loads(capsys.readouterr().out)
-    for basis in ("Z", "X"):
-        entry = payload["bases"][basis]
-        assert entry["verdict"] == "infeasible-at-tol"
-        assert "witness_report" not in entry
-        assert entry["farkas_report"]["passed"]
-        assert entry["farkas_report"]["margin"] > 1e-6
+def test_cli_choi_check_decides_at_the_feasibility_tolerance(tmp_path, capsys):
+    # the closed-form witness of the shipped descriptor misses by at most 4.4e-16 (X) and 0 (Z)
+    data = json.loads((ROOT / "descriptors" / "active_bb84.json").read_text())
+    assert cli.main(["choi-check", _write_descriptor(tmp_path, {**data, "feas_tol": 1e-15})]) == EXIT_OK
+    for entry in json.loads(capsys.readouterr().out)["bases"].values():
+        assert entry["verdict"] == "feasible-at-tol" and entry["witness_report"]["passed"]
+        assert set(entry) == {"verdict", "residual", "witness_report"}
+        assert entry["residual"] <= 1e-15
+    assert cli.main(["choi-check", _write_descriptor(tmp_path, {**data, "feas_tol": 1e-16})]) == EXIT_NOT_REDUCIBLE
+    bases = json.loads(capsys.readouterr().out)["bases"]
+    assert bases["Z"]["verdict"] == "feasible-at-tol"
+    assert bases["X"]["verdict"] == "undetermined"
+    assert not bases["X"]["witness_report"]["passed"]
+    assert bases["X"]["residual"] > 1e-16

@@ -57,7 +57,7 @@ def test_traced_analyze_records_library_spans(tmp_path, monkeypatch):
     assert 0.0 < metrics["trace.coverage"][0] <= 1.0
 
 
-def test_traced_choi_check_records_the_probe_and_the_writer(tmp_path, monkeypatch):
+def test_traced_choi_check_records_the_witness_and_the_writer(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     import spans
 
@@ -81,12 +81,12 @@ def test_traced_choi_check_records_the_probe_and_the_writer(tmp_path, monkeypatc
     assert code == 0
     assert written == [str(out)]
     names = [span[3] for span in tracer.spans]
-    for name in ("feasibility.choi_feasibility", "feasibility.verify_choi_witness", "report.canonical_json"):
+    for name in ("feasibility.measure_prepare_witness", "feasibility.verify_choi_witness", "report.canonical_json"):
         assert name in names, name
     # the writer serializes once, and what it wrote is the payload's canonical text
     assert names.count("report.canonical_json") == 1
     payload = json.loads(out.read_text())
     assert out.read_text() == report.canonical_json(payload) + "\n"
     metrics = spans.layer_metrics(tracer)
-    assert metrics["feasibility.probe_ms"][0] > 0.0
+    assert metrics["feasibility.probe_ms"][0] > 0.0  # the feasibility layer's bucket, the witness included
     assert metrics["report.serialize_ms"][0] > 0.0
