@@ -738,16 +738,9 @@ class ChoiConstraintSystem:
     system per channel of a stack), and the others broadcast to it.  The
     stacks ``ops`` and ``targets`` hold the identities of every triple and,
     once, last, trace preservation as ``F = I_out``, ``G = I_in``;
-    :meth:`stack` puts several stacks of systems in one stack.
-    The map ``J -> (Phi_J^dag(F_k))_k`` has adjoint
-    ``Y -> sum_k Y_k^T (x) F_k``.
-
-    A target ``G_k`` with ``<a|G_k|a> = 0`` for PSD ``F_k`` is the
-    homogeneous constraint ``Tr[(|a><a| (x) F_k) J] = 0``, which forces any
-    PSD solution onto a face of the cone (``J`` supported in the kernel of
-    ``|a><a| (x) F_k``), extracted on first use: without it every feasible
-    point sits on the cone boundary, where the dual has no minimiser.  The
-    face and the defect serve the probe, the adjoint it and the closed-form witness.
+    :meth:`stack` puts several stacks of systems in one stack.  The maps on
+    ``J`` are the kernel's: ``ChoiSupport.heisenberg`` gives ``Phi_J^dag(F_k)``,
+    and ``_MeasurePrepare(ops=Y, preps=ops)`` its adjoint ``sum_k Y_k^T (x) F_k``.
     """
 
     def __init__(self, *identities):
@@ -786,47 +779,6 @@ class ChoiConstraintSystem:
         stacked.ops = np.concatenate([s.ops for s in systems])
         stacked.targets = np.concatenate([s.targets for s in systems])
         return stacked
-
-    @cached_property
-    def face_basis(self) -> np.ndarray:
-        """Orthonormal basis of the joint kernel of the homogeneous PSD constraints."""
-        after, targets = self.ops[:-1], self.targets[:-1]
-        psd = np.linalg.eigvalsh(after)[:, 0] > -1e-12
-        zero = (np.abs(np.diagonal(targets, axis1=1, axis2=2)) < 1e-14) & psd[:, None]
-        face = np.zeros((self.dim, self.dim), dtype=complex)
-        for pairs, f_k in zip(zero, after):
-            face += np.kron(np.diag(pairs), f_k)
-        vals, vecs = np.linalg.eigh(face)
-        return vecs[:, vals <= 1e-12 * max(1.0, float(vals[-1]))]
-
-    def adjoint(self, y: np.ndarray) -> np.ndarray:
-        """``sum_k Y_k^T (x) F_k`` for a stack ``y`` shaped like ``targets``, as a dense Choi matrix.
-
-        Transpose, not adjoint: ``Y_k`` may be complex.
-        """
-        n, d_in, d_out = len(y), self.d_in, self.d_out
-        flat = y.transpose(0, 2, 1).reshape(n, -1).T @ self.ops.reshape(n, -1)
-        return flat.reshape(d_in, d_in, d_out, d_out).transpose(0, 2, 1, 3).reshape(self.dim, self.dim)
-
-    def defect(self, j: np.ndarray) -> np.ndarray:
-        """Hermitian parts of ``Phi_J^dag(F_k) - G_k`` for a dense ``J``, trace preservation last.
-
-        The probe's gradient at its iterate, which is a dense matrix: one
-        matrix product with ``J``.  Verdicts are scored on the support
-        (:func:`certify_choi`).
-        """
-        d_in, d_out = self.d_in, self.d_out
-        t = j.reshape(d_in, d_out, d_in, d_out).transpose(3, 1, 2, 0).reshape(d_out * d_out, -1)
-        image = (self.ops.reshape(len(self.ops), -1) @ t).reshape(-1, d_in, d_in)
-        return _hermitian_part(image - self.targets)
-
-    def project_face_psd(self, mat: np.ndarray) -> np.ndarray:
-        """Project onto the PSD matrices supported on the feasible face."""
-        u = self.face_basis
-        compressed = u.conj().T @ mat @ u
-        vals, vecs = np.linalg.eigh((compressed + compressed.conj().T) / 2.0)
-        w = u @ vecs
-        return (w * np.maximum(vals, 0.0)) @ w.conj().T
 
 
 @dataclass(frozen=True)

@@ -250,13 +250,11 @@ def descriptor_from_dict(data: dict) -> SetupDescriptor:
 
 def load_descriptor(path) -> SetupDescriptor:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise DescriptorError(f"cannot read descriptor: {exc}") from exc
-    try:
-        data = json.loads(text)
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DescriptorError(
             f"descriptor is not valid JSON (line {exc.lineno}, column {exc.colno}): {exc.msg}"
         ) from exc
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:  # unreadable, not UTF-8, or nested too deeply
+        raise DescriptorError(f"cannot read descriptor: {exc}") from exc
     return descriptor_from_dict(data)

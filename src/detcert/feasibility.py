@@ -13,6 +13,8 @@ Matrix Anal. Appl. 26, 272 (2004)) ends in a witness ``J`` or a Farkas ray
 ``Y``.  Each is re-verified without the solver: a witness by the kernel that
 certifies channels, on its nonzeros (:func:`verify_choi_witness`), the ray
 by the component eigensolve of that kernel (:func:`verify_farkas_ray`).
+The probe reads the kernel's maps: the adjoint is a measure-prepare term on its support and
+``Phi_J^dag`` is ``ChoiSupport.heisenberg``; only the face and its projection are its own.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .channels import ChoiConstraintSystem, ChoiSupport, _hermitian_part, _hermitian_score, certify_choi
+from .channels import ChoiConstraintSystem, ChoiSupport, _MeasurePrepare, certify_choi
+from .channels import _hermitian_part, _hermitian_score
 from .detectors import _Verdict
 
 
@@ -103,16 +106,54 @@ def _lbfgs(fun, x: np.ndarray) -> tuple[np.ndarray, str]:
         x, f, g = x_new, f_new, g_new
 
 
+def _measure_prepare(system: ChoiConstraintSystem, y: np.ndarray) -> ChoiSupport:
+    """The adjoint ``sum_k Y_k^T (x) F_k`` of the identities, for ``y`` shaped like ``targets``, on its support."""
+    keys, values = _MeasurePrepare(ops=y, preps=system.ops).entries(system.d_in, system.d_out)
+    return ChoiSupport(system.d_in, system.d_out, len(values), [(slice(None), keys, values)])
+
+
 def measure_prepare_witness(p_dc, f_before, f_after) -> np.ndarray:
     """Choi matrix of "measure ``f_before``, prepare ``F_after_k`` with probability ``P_kj``".
 
-    ``J = sum_k G_k^T (x) F_k``, the system's adjoint at its targets with no
-    trace-preservation term.  For ``f_after`` orthogonal rank-one projectors
+    ``J = sum_k G_k^T (x) F_k``, the adjoint of the system's identities at their targets
+    with no trace-preservation term.  For ``f_after`` orthogonal rank-one projectors
     ``Phi_J^dag(F_k) = G_k``.  ``J`` is a channel when ``P`` is column-stochastic
     and ``f_before`` a POVM; when ``f_before = f_after``, no channel exists otherwise.
     """
     system = ChoiConstraintSystem((p_dc, f_before, f_after))
-    return system.adjoint(np.concatenate([system.targets[:-1], 0.0 * system.targets[-1:]]))
+    return _measure_prepare(system, np.concatenate([system.targets[:-1], 0.0 * system.targets[-1:]])).dense()[0]
+
+
+def _face_basis(system: ChoiConstraintSystem) -> np.ndarray:
+    """Orthonormal basis of the face: the joint kernel of the homogeneous PSD constraints.
+
+    A target with ``<a|G_k|a> = 0`` for PSD ``F_k`` puts a PSD ``J`` in the kernel of ``|a><a| (x) F_k``;
+    without the face every feasible point is on the cone boundary, where the dual has no minimiser.
+    """
+    after, targets = system.ops[:-1], system.targets[:-1]
+    psd = np.linalg.eigvalsh(after)[:, 0] > -1e-12
+    zero = (np.abs(np.diagonal(targets, axis1=1, axis2=2)) < 1e-14) & psd[:, None]
+    face = np.zeros((system.dim, system.dim), dtype=complex)
+    for pairs, f_k in zip(zero, after):
+        face += np.kron(np.diag(pairs), f_k)
+    vals, vecs = np.linalg.eigh(face)
+    return vecs[:, vals <= 1e-12 * max(1.0, float(vals[-1]))]
+
+
+def _project_face_psd(face: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """Project onto the PSD matrices supported on the span of the orthonormal columns ``face``."""
+    compressed = face.conj().T @ mat @ face
+    vals, vecs = np.linalg.eigh((compressed + compressed.conj().T) / 2.0)
+    w = face @ vecs
+    return (w * np.maximum(vals, 0.0)) @ w.conj().T
+
+
+def _dual(system: ChoiConstraintSystem, face: np.ndarray, y: np.ndarray):
+    """The probe's ``theta(Y)``, its primal point ``J`` and the defect of ``J`` (the gradient), by the kernel."""
+    j = _project_face_psd(face, _measure_prepare(system, y).dense()[0])
+    image = ChoiSupport.from_dense(j, system.d_in, system.d_out).heisenberg(system.ops)[0]
+    value = 0.5 * np.vdot(j, j).real - np.vdot(system.targets, y).real
+    return value, j, _hermitian_part(image - system.targets)
 
 
 def choi_feasibility(p_dc, f_eta, f_target, tol: float = 1e-6, max_iter: int = 10_000) -> FeasibilityResult:
@@ -128,6 +169,7 @@ def choi_feasibility(p_dc, f_eta, f_target, tol: float = 1e-6, max_iter: int = 1
     if not (tol > 0 and max_iter >= 1):
         raise ValueError(f"need tol > 0 and max_iter >= 1, got {tol} and {max_iter}")
     system = ChoiConstraintSystem((p_dc, f_eta, f_target))
+    face = _face_basis(system)
     # A feasible J has ||J|| <= Tr J = d_in, so theta >= -d_in^2 / 2 on a
     # feasible system: only below that is an iterate tested as a Farkas ray.
     floor = -0.5 * system.d_in**2
@@ -135,9 +177,7 @@ def choi_feasibility(p_dc, f_eta, f_target, tol: float = 1e-6, max_iter: int = 1
 
     def theta(x):
         y = x.view(complex).reshape(system.targets.shape)
-        j = system.project_face_psd(system.adjoint(y))
-        defect = system.defect(j)
-        value = 0.5 * np.vdot(j, j).real - np.vdot(system.targets, y).real
+        value, j, defect = _dual(system, face, y)
         residual = float(_hermitian_score(defect).max())
         last.update(count=last["count"] + 1, j=j, defect=defect, residual=residual)
         if residual <= tol:
@@ -240,7 +280,7 @@ def verify_farkas_ray(ray, p_dc, f_eta, f_target, tol: float) -> FarkasReport:
 def _farkas(system: ChoiConstraintSystem, ray: np.ndarray, tol: float) -> FarkasReport:
     """:func:`verify_farkas_ray` on a built system and a ray of its shape."""
     y = _hermitian_part(ray)
-    (low,) = ChoiSupport.from_dense(-system.adjoint(y), system.d_in, system.d_out).psd_residuals()[1]
+    (low,) = _measure_prepare(system, -y).psd_residuals()[1]
     lam = 0.0 - float(low)  # +0.0, not -0.0, when the spectrum tops out at a zero row
     y[-1] -= max(lam, 0.0) * np.eye(system.d_in)
     norm = float(np.abs(np.triu(y).view(float)).sum())

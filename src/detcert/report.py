@@ -363,16 +363,24 @@ def _certify_corners(p_db, etas, eta_star, f_eta, f_lossless, f_star, tol):
     return list(zip(channels[: len(etas)], channels[len(etas) :]))
 
 
+def _swap_lp(d_vec, tol: float):
+    """The qubit squasher's swap LP at dark rates ``d_vec``; a ``tol`` it cannot decide is a descriptor error."""
+    try:
+        return solve_swap_lp(dark_count_matrix(d_vec), bb84_qubit_squasher(), tol=tol)
+    except RuntimeError as exc:
+        raise DescriptorError(f"tol: the swap LP cannot decide at {tol:g}: {exc}") from exc
+
+
 def active_swap_lp(desc: SetupDescriptor):
     """``(rates, SwapLPResult)`` of the active-BB84 qubit squasher at the one point of ``desc.points``."""
     _, (d_vec,) = desc.points(box=False)
-    return d_vec, solve_swap_lp(dark_count_matrix(d_vec), bb84_qubit_squasher(), tol=desc.tol)
+    return d_vec, _swap_lp(d_vec, desc.tol)
 
 
 def _analyze_active_bb84(desc: SetupDescriptor, cert: Certificate) -> Certificate:
     # The swap LP and the channel read the box's dark row; the eta_star interval reads its corners.
     etas, (d_vec,) = desc.points(box=True)
-    result = solve_swap_lp(dark_count_matrix(d_vec), bb84_qubit_squasher(), tol=desc.tol)
+    result = _swap_lp(d_vec, desc.tol)
     cert.add_check(
         "swap-equation-lp", "solve_swap_lp", {"dark": d_vec.tolist()},
         result.residual, result.tolerance,

@@ -30,6 +30,7 @@ from detcert.channels import (
     _KeepBlocks,
     _MeasurePrepare,
 )
+from detcert.feasibility import _measure_prepare
 
 PASSIVE = {
     "setup": "passive-bb84",
@@ -189,9 +190,11 @@ def test_witness_linear_residual_equals_basis_loop(seed, scale):
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**16))
 def test_system_adjoint_is_adjoint_of_heisenberg_map(seed):
-    # Re <adjoint(Y), J> = Re sum_k <Y_k, Phi_J^dag(F_k)> for every J and Y,
-    # with Phi_J^dag read off its definition Tr[Phi_J^dag(F) X] = Tr[F Phi_J(X)]
-    # on unequal input and output dimensions, trace preservation included
+    # Re <MP(Y, F), J> = Re sum_k <Y_k, Phi_J^dag(F_k)> for every J and complex,
+    # non-Hermitian Y, where MP(Y, F) = sum_k Y_k^T (x) F_k is the measure-prepare
+    # support and Phi_J^dag comes from ChoiSupport.heisenberg; both are read off
+    # the definition Tr[Phi_J^dag(F) X] = Tr[F Phi_J(X)] on unequal input and
+    # output dimensions, trace preservation included
     rng = np.random.default_rng(seed)
     f_before, f_after = random_squashed_povm(rng), dc.bb84_qubit_measurement("X")
     p = rng.dirichlet(np.ones(3), size=3).T
@@ -205,7 +208,11 @@ def test_system_adjoint_is_adjoint_of_heisenberg_map(seed):
         np.trace(f_k @ np.einsum("ab,aibj->ij", y_k.conj().T, j4)).real
         for y_k, f_k in zip(y, system.ops)
     )
-    assert np.vdot(system.adjoint(y), j).real == pytest.approx(reference, rel=1e-12, abs=1e-12)
+    adjoint = _measure_prepare(system, y).dense()[0]
+    assert np.vdot(adjoint, j).real == pytest.approx(reference, rel=1e-12, abs=1e-12)
+    (images,) = ChoiSupport.from_dense(j, d_in, d_out).heisenberg(system.ops)
+    np.testing.assert_allclose(images, np.einsum("kji,aibj->kba", system.ops, j4), rtol=1e-12, atol=1e-12)
+    assert np.vdot(y, images).real == pytest.approx(reference, rel=1e-12, abs=1e-12)
 
 
 def test_statistics_check_names_a_layout_mismatch():

@@ -27,10 +27,11 @@ from detcert import cli
 from detcert.channels import (
     ChoiSupport,
     QuantumChannel,
+    _hermitian_score,
     verify_cptp,
     verify_statistics_equivalence,
 )
-from detcert.feasibility import ChoiConstraintSystem, _lbfgs
+from detcert.feasibility import ChoiConstraintSystem, _dual, _face_basis, _lbfgs
 from detcert.descriptor import descriptor_from_dict
 from detcert.report import active_swap_lp
 
@@ -182,7 +183,8 @@ def _bent_dark_matrix(eps):
 @given(seed=st.integers(0, 2**16))
 def test_dual_gradient_is_the_defect(seed):
     # theta(Y) = 1/2 ||Pi_+(sum_k Y_k^T (x) F_k)||^2 - sum_k Re Tr[G_k Y_k] has
-    # gradient D(J(Y)); central differences along a random Hermitian direction
+    # gradient D(J(Y)), the defect the kernel scores; central differences of
+    # the probe's objective along a random Hermitian direction
     rng = np.random.default_rng(seed)
     f_before, f_after = random_squashed_povm(rng), random_squashed_povm(rng)
     n = len(f_after)
@@ -190,20 +192,19 @@ def test_dual_gradient_is_the_defect(seed):
     p[rng.integers(n, size=n), range(n)] += 1e-3
     p /= p.sum(axis=0)
     system = ChoiConstraintSystem((p, f_before, f_after))
+    face = _face_basis(system)
 
     def hermitian_stack():
         g = rng.normal(size=system.targets.shape) + 1j * rng.normal(size=system.targets.shape)
         return g + g.conj().transpose(0, 2, 1)
 
-    def theta(y):
-        j = system.project_face_psd(system.adjoint(y))
-        return 0.5 * np.vdot(j, j).real - np.vdot(system.targets, y).real, j
-
     y, step = hermitian_stack(), hermitian_stack()
-    _, j = theta(y)
-    slope = np.vdot(system.defect(j), step).real
+    _, j, defect = _dual(system, face, y)
+    support = ChoiSupport.from_dense(j, system.d_in, system.d_out)
+    np.testing.assert_array_equal(_hermitian_score(defect), support.residuals(system.ops, system.targets)[0])
+    slope = np.vdot(defect, step).real
     h = 1e-6
-    numeric = (theta(y + h * step)[0] - theta(y - h * step)[0]) / (2 * h)
+    numeric = (_dual(system, face, y + h * step)[0] - _dual(system, face, y - h * step)[0]) / (2 * h)
     assert abs(numeric - slope) <= 1e-6 * max(1.0, abs(slope))
 
 

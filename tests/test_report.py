@@ -15,6 +15,7 @@ from detcert import (
     QuantumChannel,
     apply_postprocessing,
     bb84_qubit_measurement,
+    bb84_qubit_squasher,
     build_threshold_povm,
     coarse_grained_dc_ansatz,
     dark_count_matrix,
@@ -24,6 +25,7 @@ from detcert import (
     measure_prepare_witness,
     multiclick_coarse_graining,
     passive_bb84_setup,
+    solve_swap_lp,
     verify_choi_witness,
     verify_cptp,
     verify_statistics_equivalence,
@@ -508,6 +510,8 @@ def _loadable_descriptor(draw):
     data["eta_star"] = draw(st.one_of(st.none(), st.sampled_from([*_EDGES, 1 + 5e-13]), _UNIT))
     if draw(st.booleans()):
         data["feas_tol"] = draw(st.sampled_from([1e-15, 1e-9, 1e-6, 1e-2]))
+    if draw(st.booleans()):
+        data["tol"] = draw(st.sampled_from([1e-300, 1e-16, 1e-9, 1.0]))
     if k > 1 and draw(st.booleans()):
         data["coarse_grain"] = "multiclick"
     events = enumerate_events(k)
@@ -524,6 +528,14 @@ def _loadable_descriptor(draw):
 )
 @example(  # near-equal dark rates: the swap LP passes, both statistics checks fail at 4.25e-9
     data={"setup": "active-bb84", "dark_range": [[0.05, 0.05], [0.050000005, 0.050000005]],
+          "observed": {"event": "01", "probability": 0.01}},
+)
+@example(  # a tol below the swap LP's rounding: its dual bound (0) cannot prove the residual
+    data={**json.loads((ROOT / "descriptors" / "active_bb84.json").read_text()), "tol": 1e-300,
+          "observed": {"event": "01", "probability": 0.01}},
+)
+@example(  # rates 1e-12 apart at tol 1e-16: the dual bound (-5e-13) cannot prove the residual
+    data={"setup": "active-bb84", "dark_range": [[0, 0], [0, 1e-12]], "tol": 1e-16,
           "observed": {"event": "01", "probability": 0.01}},
 )
 def test_every_loadable_descriptor_ends_with_a_named_outcome(tmp_path_factory, data):
@@ -983,6 +995,36 @@ def test_cli_rejects_malformed_descriptor(tmp_path):
     assert cli.main(["analyze", str(path)]) == EXIT_TOOL_ERROR
     missing = tmp_path / "nope.json"
     assert cli.main(["analyze", str(missing)]) == EXIT_TOOL_ERROR
+
+
+@pytest.mark.parametrize("content", [
+    b'{"setup": "active-bb84", "seed": 7, "note": "\xe9"}',  # Latin-1, not UTF-8
+    b"[" * 200_000,  # nested deeper than the JSON reader recurses
+], ids=["not-utf8", "deep"])
+@pytest.mark.parametrize("cmd", ["analyze", "swap-lp", "verify-channel", "weight", "choi-check"])
+def test_cli_names_an_unreadable_descriptor(tmp_path, capsys, cmd, content):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(content)
+    assert cli.main([cmd, str(path)]) == EXIT_TOOL_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("descriptor error: cannot read descriptor: ")
+
+
+@pytest.mark.parametrize("data", [
+    {**json.loads((ROOT / "descriptors" / "active_bb84.json").read_text()), "tol": 1e-300},
+    {"setup": "active-bb84", "dark_range": [[0, 0], [0, 1e-12]], "tol": 1e-16},
+], ids=["shipped-1e-300", "unequal-1e-12"])
+@pytest.mark.parametrize("cmd", ["analyze", "verify-channel", "swap-lp", "choi-check"])
+def test_cli_names_a_tolerance_the_swap_lp_cannot_decide(tmp_path, capsys, cmd, data):
+    # the LP's residual lies above tol, but its dual bound cannot prove the violation
+    assert cli.main([cmd, _write_descriptor(tmp_path, data)]) == EXIT_TOOL_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("descriptor error: tol: the swap LP cannot decide at ")
+    (d_vec,) = descriptor_from_dict(data).points(box=False)[1]
+    with pytest.raises(RuntimeError, match="dual bound"):  # the library keeps its own guard
+        solve_swap_lp(dark_count_matrix(d_vec), bb84_qubit_squasher(), tol=data["tol"])
 
 
 def test_cli_verify_channel(tmp_path, capsys):
