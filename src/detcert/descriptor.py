@@ -97,6 +97,7 @@ class SetupDescriptor:
 
     ``eta_range``, ``dark_range``, ``eta`` and ``dark`` hold one entry per
     detector, or one shared by all ``k``; ``k`` defaults to a fixed setup's.
+    A given ``eta`` or ``dark`` lies inside its range, detector by detector.
     """
 
     setup: str  # "active-bb84" | "passive-bb84" | "custom"
@@ -166,13 +167,14 @@ class SetupDescriptor:
         entries = [z for row in self.mode_map for z in row]
         if not np.isfinite(np.asarray(entries, dtype=complex)).all():
             raise DescriptorError(f"mode_map: values must be finite, got {entries}")
-        for name, values in (
-            ("eta", self.eta),
-            ("dark", self.dark),
-            ("observed", None if self.observed is None else [self.observed[1]]),
-        ):
-            if values is not None and not all(0.0 <= v <= 1.0 for v in values):  # NaN fails too
-                raise DescriptorError(f"{name}: values must lie in [0, 1], got {list(values)}")
+        for name, ranges in (("eta", self.eta_range), ("dark", self.dark_range)):
+            values = getattr(self, name)
+            if values is not None and not all(lo <= v <= hi for v, (lo, hi) in zip(values, ranges)):  # NaN fails too
+                raise DescriptorError(
+                    f"{name}: values must lie in {name}_range {[list(r) for r in ranges]}, got {list(values)}"
+                )
+        if self.observed is not None and not 0.0 <= self.observed[1] <= 1.0:
+            raise DescriptorError(f"observed: values must lie in [0, 1], got {[self.observed[1]]}")
         if self.setup == "custom":
             widths = [len(row) for row in self.mode_map]
             if len(widths) != self.k or len(set(widths)) != 1 or 0 in widths:

@@ -9,7 +9,10 @@ single-photon loss map, coarse grainings, and solves the swap equation
     P_sq . P_db = P_dc . P_sq
 
 for ``P_dc``: in closed form when ``P_sq`` is a coarse graining, else as a
-small linear program.
+small linear program.  The program's optimum and dual weights come in
+closed form when ``P_sq`` has full row rank and at most a one-dimensional
+kernel, as the qubit squasher has, and from a dense simplex otherwise;
+either way one re-verification of the ``(matrix, weights)`` pair decides.
 """
 
 from __future__ import annotations
@@ -208,11 +211,13 @@ class SwapLPResult:
     ``residual`` is the worst-case violation of ``P_sq . P_db = P_dc . P_sq``
     by the LP optimum, clipped and renormalised into a column-stochastic
     ``P_dc`` (``matrix`` on a feasible verdict): the smallest achievable up to
-    rounding.  A residual far above tolerance signals structural
-    infeasibility rather than numerical noise.  ``dual_bound`` is set exactly
-    on an infeasible verdict: a lower bound on that violation for every
-    column-stochastic ``P_dc``, computed from the LP's dual weights without
-    the solver.
+    rounding.  The optimum is the closed form on ``P_sq``'s kernel where that
+    applies, else the simplex's.  A residual far above tolerance signals
+    structural infeasibility rather than numerical noise.  ``dual_bound`` is
+    set exactly on an infeasible verdict: a lower bound on that violation
+    for every column-stochastic ``P_dc``, computed by :func:`_dual_bound`
+    from dual weights (the kernel weights ``-sign(c_i) e_i z^T`` of the
+    closed form, or the simplex's) without the solver.
     """
 
     feasible: bool
@@ -268,27 +273,47 @@ def swap_residual(p_dc: np.ndarray, p_sq: np.ndarray, p_db: np.ndarray) -> float
     return float(np.abs(p_dc @ p_sq - p_sq @ p_db).max())
 
 
-def solve_swap_lp(
-    p_db: StochasticMatrix,
-    p_sq: StochasticMatrix,
-    tol: float = SWAP_FEASIBILITY_TOL,
-) -> SwapLPResult:
-    """Find ``P_dc`` with ``P_sq . P_db = P_dc . P_sq``, or certify failure.
+def _kernel_pair(s: np.ndarray, target: np.ndarray):
+    """The optimal ``(P_dc, W)`` in closed form, or None where it does not apply.
 
-    Solves ``min t`` subject to entrywise ``|P_dc . P_sq - P_sq . P_db| <= t``
-    with ``P_dc`` column-stochastic, by a one-phase dense simplex
-    (:func:`_simplex`) from the vertex ``P_dc = e_0 1^T``.  The optimum is
-    clipped and renormalised into the returned matrix, and that matrix's
-    :func:`swap_residual` is the reported residual: feasible iff it is within
-    ``tol``.  An infeasible verdict needs the optimal basis's dual weights to
-    prove, by :func:`_dual_bound`, a violation above ``tol`` for every
-    ``P_dc``.
+    It applies when ``S`` has full row rank and a kernel of dimension at
+    most 1.  With a kernel, its vector is ``z_j = (-1)^j det S_{-j}``
+    (``S_{-j}`` drops column ``j``; ``S z = 0`` by Laplace expansion), and
+    ``P S`` ranges over exactly the matrices that vanish on ``z``.  So row
+    ``i`` of ``P S - target`` has ``z``-component ``-c_i`` for ``c = target
+    z``, and its largest entry is at least ``|c_i| / ||z||_1``.  The row
+    ``-c_i sign(z)^T / ||z||_1`` attains that bound.  The weights ``W =
+    -sign(c_i) e_i z^T`` at the worst row ``i`` give :func:`_dual_bound`
+    the same value, since ``W S^T = 0``.  ``P`` solves ``P S_{-j} = (target
+    - c sign(z)^T / ||z||_1)_{-j}`` for the ``j`` of largest ``|z_j|``.
+    Its columns sum to 1, as ``1^T S = 1^T`` and ``1^T c = 1^T z = 0``.
+    Without a kernel ``P = target S^-1`` and ``W = 0``.  The pair is
+    returned only if ``P`` is nonnegative up to ``_ENTRY_TOL``.
     """
-    if p_db.shape != (p_sq.shape[1],) * 2:
-        raise ValueError("P_sq and P_db must act on the same input events")
+    n_out, n_in = s.shape
+    if n_in - n_out not in (0, 1) or np.linalg.matrix_rank(s) < n_out:
+        return None
+    w = np.zeros_like(target)
+    keep = np.ones(n_in, dtype=bool)
+    if n_in > n_out:
+        drop_one = np.nonzero(~np.eye(n_in, dtype=bool))[1].reshape(n_in, n_out)  # row j: all but j
+        z = (-1.0) ** np.arange(n_in) * np.linalg.det(s[:, drop_one].swapaxes(0, 1))
+        c = target @ z
+        target = target - np.outer(c, np.sign(z)) / np.abs(z).sum()
+        worst = np.argmax(np.abs(c))
+        w[worst] = -np.sign(c[worst]) * z
+        keep[np.argmax(np.abs(z))] = False
+    p_dc = np.linalg.solve(s[:, keep].T, target[:, keep].T).T
+    return (p_dc, w) if (p_dc >= -_ENTRY_TOL).all() else None
 
-    s = p_sq.entries
-    target = s @ p_db.entries
+
+def _simplex_pair(s: np.ndarray, target: np.ndarray):
+    """An optimal ``(P_dc, W)`` of the swap LP by :func:`_simplex`, for any ``S``.
+
+    Solves ``min t`` subject to entrywise ``|P_dc S - target| <= t`` with
+    ``P_dc`` column-stochastic, from the vertex ``P_dc = e_0 1^T``.  ``W``
+    is the optimal basis's dual weights on the ``<=`` rows.
+    """
     n_out, n_in = target.shape
     n_p = n_out * n_out  # vec(P_dc), row-major, then t, then the slacks
     n_ub = 2 * n_out * n_in
@@ -316,14 +341,41 @@ def solve_swap_lp(
 
     x = np.zeros(a.shape[1])
     x[basis] = x_b
-    p_dc = np.clip(x[:n_p].reshape(n_out, n_out), 0.0, None)
+    # The dual of a <= row is minus its slack's reduced cost.
+    lam = -reduced[n_p + 1 :]
+    w = (lam[: n_ub // 2] - lam[n_ub // 2 :]).reshape(n_out, n_in)
+    return x[:n_p].reshape(n_out, n_out), w
+
+
+def solve_swap_lp(
+    p_db: StochasticMatrix,
+    p_sq: StochasticMatrix,
+    tol: float = SWAP_FEASIBILITY_TOL,
+) -> SwapLPResult:
+    """Find ``P_dc`` with ``P_sq . P_db = P_dc . P_sq``, or certify failure.
+
+    Minimises the worst entry of ``|P_dc . P_sq - P_sq . P_db|`` over
+    column-stochastic ``P_dc``.  The optimum and its dual weights come in
+    closed form (:func:`_kernel_pair`) when ``P_sq`` has full row rank and a
+    kernel of dimension at most 1, as the qubit squasher has, and from the
+    dense simplex (:func:`_simplex_pair`) otherwise.  Either way the pair is
+    re-verified without its source: the matrix, clipped and renormalised,
+    is returned with its :func:`swap_residual` as the residual, feasible iff
+    that is within ``tol``; an infeasible verdict needs the weights to
+    prove, by :func:`_dual_bound`, a violation above ``tol`` for every
+    ``P_dc``.
+    """
+    if p_db.shape != (p_sq.shape[1],) * 2:
+        raise ValueError("P_sq and P_db must act on the same input events")
+
+    s = p_sq.entries
+    target = s @ p_db.entries
+    p_dc, w = _kernel_pair(s, target) or _simplex_pair(s, target)
+    p_dc = np.clip(p_dc, 0.0, None)
     matrix = StochasticMatrix(p_dc / p_dc.sum(axis=0, keepdims=True))
     residual = swap_residual(matrix.entries, s, p_db.entries)
     if residual <= tol:
         return SwapLPResult(feasible=True, matrix=matrix, residual=residual, tolerance=tol)
-    # The dual of a <= row is minus its slack's reduced cost.
-    lam = -reduced[n_p + 1 :]
-    w = (lam[: n_ub // 2] - lam[n_ub // 2 :]).reshape(n_out, n_in)
     bound = _dual_bound(w, s, target)
     if not bound > tol:
         raise RuntimeError(

@@ -34,7 +34,7 @@ def criterion(num, text, budget_s):
 
 
 def test_criterion_1_swap_lp_reproduction():
-    with criterion(1, "swap LP reproduces the squashed dark-count map", 0.05):
+    with criterion(1, "swap LP reproduces the squashed dark-count map", 0.015):
         squasher = dc.bb84_qubit_squasher()
         for d in (0.01, 0.05, 0.1):
             result = dc.solve_swap_lp(dc.dark_count_matrix([d, d]), squasher)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from helpers import reference_dark_count_matrix, reference_multiclick_ansatz
 from scipy.optimize import linprog
@@ -323,6 +323,74 @@ def test_swap_lp_matches_reference_solver(seed, n_in, n_out):
         target = p_sq @ p_db
         for p in rng.dirichlet(np.ones(n_out), size=(20, n_out)).transpose(0, 2, 1):
             assert np.abs(p @ p_sq - target).max() >= result.dual_bound - 1e-12
+
+
+def _kernel_pair_scores(s, p_db):
+    """The closed form's pair scored as :func:`solve_swap_lp` scores it: (residual, dual bound), or None."""
+    target = s @ p_db
+    pair = postprocessing._kernel_pair(s, target)
+    if pair is None:
+        return None
+    p_dc, w = pair
+    p_dc = np.clip(p_dc, 0.0, None)
+    p_dc = p_dc / p_dc.sum(axis=0)
+    return postprocessing.swap_residual(p_dc, s, p_db), postprocessing._dual_bound(w, s, target)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_out=st.integers(1, 6), nullity=st.integers(0, 1))
+def test_closed_form_pair_is_optimal_for_full_row_rank_nullity_at_most_one(seed, n_out, nullity):
+    rng = np.random.default_rng(seed)
+    n_in = n_out + nullity
+    p_sq = _random_stochastic(rng, n_out, n_in)
+    assume(np.linalg.matrix_rank(p_sq) == n_out)
+    p_db = np.eye(n_in) if rng.random() < 0.25 else _random_stochastic(rng, n_in, n_in)
+    scores = _kernel_pair_scores(p_sq, p_db)
+    assume(scores is not None)  # a negative closed-form P_dc goes to the simplex
+    residual, bound = scores
+    assert residual == pytest.approx(bound, abs=1e-12)
+    assert residual == pytest.approx(_reference_swap_lp(p_db, p_sq), abs=1e-9)
+
+
+def test_squasher_swap_lp_never_reaches_the_simplex(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the simplex ran")
+
+    monkeypatch.setattr(postprocessing, "_simplex", refuse)
+    p_sq = bb84_qubit_squasher()
+    rates = [0.0, *np.logspace(-12, 0, 25)]
+    for d1 in rates:
+        for d2 in rates:
+            result = solve_swap_lp(dark_count_matrix([d1, d2]), p_sq)
+            # the optimum is |d1 - d2| / 8: the kernel vector (0, 1/2, 1/2, -1) meets rows 1 and 2
+            assert result.residual == pytest.approx(abs(d1 - d2) / 8, abs=1e-15)
+            assert result.feasible == (result.residual <= result.tolerance)
+            if not result.feasible:
+                assert result.dual_bound == pytest.approx(result.residual, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    ("p_sq", "p_db"),
+    [
+        # nullity 2: the squasher with its double-click column repeated
+        ([[1, 0, 0, 0, 0], [0, 1, 0, 0.5, 0.5], [0, 0, 1, 0.5, 0.5]],
+         np.block([[dark_count_matrix([0.01, 0.02]).entries, np.zeros((4, 1))], [np.zeros((1, 4)), 1.0]])),
+        # rank-deficient: two equal rows
+        ([[0.5, 0, 0.5, 0], [0.5, 0, 0.5, 0], [0, 1, 0, 1]], dark_count_matrix([0.01, 0.02]).entries),
+        # full row rank and nullity 1, but the closed-form P_dc is [[1.25, 0.25], [-0.25, 0.75]]
+        ([[1, 0, 0.5], [0, 1, 0.5]], [[1, 0, 1], [0, 1, 0], [0, 0, 0]]),
+    ],
+    ids=["nullity-2", "rank-deficient", "negative-closed-form"],
+)
+def test_swap_lp_falls_back_to_the_simplex(monkeypatch, p_sq, p_db):
+    p_sq, p_db = np.array(p_sq, dtype=float), np.array(p_db, dtype=float)
+    assert postprocessing._kernel_pair(p_sq, p_sq @ p_db) is None
+    calls = []
+    simplex = postprocessing._simplex
+    monkeypatch.setattr(postprocessing, "_simplex", lambda *args: calls.append(1) or simplex(*args))
+    result = solve_swap_lp(StochasticMatrix(p_db), StochasticMatrix(p_sq))
+    assert calls == [1]
+    assert result.residual == pytest.approx(_reference_swap_lp(p_db, p_sq), abs=1e-9)
 
 
 def test_swap_lp_rejects_dimension_mismatch():

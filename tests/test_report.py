@@ -162,12 +162,13 @@ def test_setup_descriptor_checks_every_rule_on_replace(fields, prefix):
 
 
 def test_setup_descriptor_broadcasts_one_entry_to_every_detector():
-    built = SetupDescriptor(setup="passive-bb84", eta=(0.5,), dark_range=((0.0, 0.01),))
+    built = SetupDescriptor(setup="passive-bb84", eta=(0.5,), eta_range=((0.5, 0.6),), dark_range=((0.0, 0.01),))
     assert built.k == 4
     assert built.eta == (0.5,) * 4
     assert built.dark_range == ((0.0, 0.01),) * 4
-    assert built == descriptor_from_dict({"setup": "passive-bb84", "eta": 0.5, "dark_range": [0.0, 0.01]})
-    assert built == descriptor_from_dict({"setup": "passive-bb84", "eta": [0.5], "dark_range": [[0.0, 0.01]]})
+    data = {"setup": "passive-bb84", "eta_range": [0.5, 0.6]}
+    assert built == descriptor_from_dict({**data, "eta": 0.5, "dark_range": [0.0, 0.01]})
+    assert built == descriptor_from_dict({**data, "eta": [0.5], "dark_range": [[0.0, 0.01]]})
 
 
 @pytest.mark.parametrize(
@@ -181,6 +182,10 @@ def test_setup_descriptor_broadcasts_one_entry_to_every_detector():
         ({**PASSIVE, "observed": 0.1}, "observed: needs fields 'event' and 'probability'"),
         ({**PASSIVE, "coarse_grain": "bogus"}, "coarse_grain: unknown mode 'bogus'"),
         ({**PASSIVE, "weight_in": 2.0}, "weight_in: must lie in [0, 1]"),
+        # a point inside [0, 1] but outside the declared box
+        ({**PASSIVE, "eta": 0.9}, "eta: values must lie in eta_range [[0.5, 0.6], "),
+        ({"setup": "active-bb84", "dark_range": [0.04, 0.05], "dark": [0, 0]},
+         "dark: values must lie in dark_range [[0.04, 0.05], [0.04, 0.05]], got [0.0, 0.0]"),
     ],
 )
 def test_descriptor_from_dict_names_the_field(data, prefix):
@@ -318,8 +323,8 @@ def test_analysis_active_equal_rates_reducible():
 
 
 def test_analysis_active_reads_the_dark_box_not_the_point():
-    # a `dark` point outside the declared box: the box's dark row is what is certified
-    desc = descriptor_from_dict({"setup": "active-bb84", "dark_range": [0.04, 0.05], "dark": [0.0, 0.0]})
+    # a `dark` point inside the declared box but not its top: the box's dark row is what is certified
+    desc = descriptor_from_dict({"setup": "active-bb84", "dark_range": [0.04, 0.05], "dark": [0.04, 0.04]})
     cert = run_analysis(desc)
     assert cert.all_passed
     swap, *channel = cert.checks
@@ -390,11 +395,11 @@ def test_weight_rejects_eta_star_inadmissible_at_its_efficiencies(tmp_path, caps
     assert captured.out == ""
     assert captured.err.startswith("descriptor error: eta_star:")
     assert "[0.5, 1.0]" in captured.err
-    # an explicit point is what weight evaluates, so it sets the interval
-    point = {**data, "eta": [0.3, 0.35, 0.4, 0.3]}
-    assert run_weight(descriptor_from_dict(point))["eta_star"] == 0.4
-    with pytest.raises(DescriptorError, match="^eta_star: .*at efficiencies \\[0.5, 0.5, 0.5, 0.5\\]"):
-        run_weight(descriptor_from_dict({**data, "eta_star": 0.45}))
+    # an explicit point is what weight evaluates, so it sets the interval: [0.5 / 0.9, 1] here
+    assert run_weight(descriptor_from_dict({**data, "eta_star": 0.52}))["eta_star"] == 0.52
+    point = {**data, "eta_star": 0.52, "eta": [0.5, 0.5, 0.5, 0.6]}
+    with pytest.raises(DescriptorError, match="^eta_star: .*at efficiencies \\[0.5, 0.5, 0.5, 0.6\\]"):
+        run_weight(descriptor_from_dict(point))
 
 
 _CG = multiclick_coarse_graining(enumerate_events(4))
@@ -431,6 +436,20 @@ def test_eta_star_interval_is_admissible_at_every_efficiency_of_the_box(data):
 _UNIT = st.floats(0.0, 1.0)
 
 
+def _draw_points(draw, data, k):
+    """Maybe an ``eta`` and a ``dark`` point, each inside its drawn range (or the default one)."""
+    for name, default in (("eta", [1.0, 1.0]), ("dark", [0.0, 0.0])):
+        if not draw(st.booleans()):
+            continue
+        ranges = data.get(f"{name}_range", default)
+        ranges = [ranges] if not isinstance(ranges[0], list) else ranges
+        inside = [st.one_of(st.sampled_from([lo, hi]), st.floats(lo, hi)) for lo, hi in ranges]
+        if len(inside) == 1 and draw(st.booleans()):
+            data[name] = draw(inside[0])  # one value shared by every detector
+        else:
+            data[name] = [draw(value) for value in (inside * k if len(inside) == 1 else inside)]
+
+
 @st.composite
 def _descriptor_json(draw):
     setup = draw(st.sampled_from(["active-bb84", "passive-bb84", "custom"]))
@@ -449,9 +468,7 @@ def _descriptor_json(draw):
         one = st.tuples(_UNIT, _UNIT).map(sorted)
         if draw(st.booleans()):
             data[name] = draw(st.one_of(one, st.lists(one, min_size=k, max_size=k)))
-    for name in ("eta", "dark"):
-        if draw(st.booleans()):
-            data[name] = draw(st.one_of(_UNIT, st.lists(_UNIT, min_size=k, max_size=k)))
+    _draw_points(draw, data, k)
     optional = {
         "cutoff": st.integers(1, 3),
         "eta_star": st.one_of(st.none(), _UNIT),
@@ -502,9 +519,7 @@ def _loadable_descriptor(draw):
     ranges = st.tuples(_EDGE_OR_UNIT, _EDGE_OR_UNIT).map(sorted)
     for name in ("eta_range", "dark_range"):
         data[name] = draw(st.one_of(ranges, st.lists(ranges, min_size=k, max_size=k)))
-    for name in ("eta", "dark"):
-        if draw(st.booleans()):
-            data[name] = draw(st.one_of(_EDGE_OR_UNIT, st.lists(_EDGE_OR_UNIT, min_size=k, max_size=k)))
+    _draw_points(draw, data, k)
     if draw(st.booleans()):
         data["corner_limit"] = draw(st.integers(2, 17))
     data["eta_star"] = draw(st.one_of(st.none(), st.sampled_from([*_EDGES, 1 + 5e-13]), _UNIT))
@@ -534,7 +549,7 @@ def _loadable_descriptor(draw):
     data={**json.loads((ROOT / "descriptors" / "active_bb84.json").read_text()), "tol": 1e-300,
           "observed": {"event": "01", "probability": 0.01}},
 )
-@example(  # rates 1e-12 apart at tol 1e-16: the dual bound (-5e-13) cannot prove the residual
+@example(  # rates 1e-12 apart at tol 1e-16: decided infeasible, its dual bound equal to the residual
     data={"setup": "active-bb84", "dark_range": [[0, 0], [0, 1e-12]], "tol": 1e-16,
           "observed": {"event": "01", "probability": 0.01}},
 )
@@ -1013,8 +1028,7 @@ def test_cli_names_an_unreadable_descriptor(tmp_path, capsys, cmd, content):
 
 @pytest.mark.parametrize("data", [
     {**json.loads((ROOT / "descriptors" / "active_bb84.json").read_text()), "tol": 1e-300},
-    {"setup": "active-bb84", "dark_range": [[0, 0], [0, 1e-12]], "tol": 1e-16},
-], ids=["shipped-1e-300", "unequal-1e-12"])
+], ids=["shipped-1e-300"])
 @pytest.mark.parametrize("cmd", ["analyze", "verify-channel", "swap-lp", "choi-check"])
 def test_cli_names_a_tolerance_the_swap_lp_cannot_decide(tmp_path, capsys, cmd, data):
     # the LP's residual lies above tol, but its dual bound cannot prove the violation
@@ -1025,6 +1039,26 @@ def test_cli_names_a_tolerance_the_swap_lp_cannot_decide(tmp_path, capsys, cmd, 
     (d_vec,) = descriptor_from_dict(data).points(box=False)[1]
     with pytest.raises(RuntimeError, match="dual bound"):  # the library keeps its own guard
         solve_swap_lp(dark_count_matrix(d_vec), bb84_qubit_squasher(), tol=data["tol"])
+
+
+@pytest.mark.parametrize("cmd", ["analyze", "verify-channel", "swap-lp", "choi-check"])
+def test_cli_decides_rates_1e_12_apart_at_tol_1e_16(tmp_path, capsys, cmd):
+    # the squasher's optimum is d/8 in closed form, with a dual bound equal to it
+    data = {"setup": "active-bb84", "dark_range": [[0, 0], [0, 1e-12]], "tol": 1e-16}
+    assert cli.main([cmd, _write_descriptor(tmp_path, data)]) == EXIT_NOT_REDUCIBLE
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    payload = json.loads(captured.out)
+    if cmd in ("analyze", "verify-channel"):
+        assert payload["status"] == "not reducible under this framework"
+        assert "P_sq' P_db = P_dc P_sq" in payload["failed_requirement"]
+    elif cmd == "swap-lp":
+        assert payload["feasible"] is False and payload["residual"] == pytest.approx(1.25e-13, rel=1e-3)
+    else:
+        assert payload["verdict"] == "swap equation infeasible"
+    result = solve_swap_lp(dark_count_matrix([0.0, 1e-12]), bb84_qubit_squasher(), tol=1e-16)
+    assert not result.feasible
+    assert result.dual_bound == pytest.approx(result.residual, rel=1e-12)
 
 
 def test_cli_verify_channel(tmp_path, capsys):
