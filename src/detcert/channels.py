@@ -52,6 +52,7 @@ from .squashing import check_eta_star
 
 _M0 = photon_label(0)
 _M1 = photon_label(1)
+_BB84_LAYOUT = SpaceLayout(((_M0, 1), (_M1, 2)))  # vacuum + qubit
 _FLAG_TOL = 1e-12
 # min_deviation_q's closed form is rounded up by this; every larger q is admissible.
 _DEVIATION_RADIUS = 1e-12
@@ -408,7 +409,7 @@ def bb84_simple_noise_channel(d: float) -> QuantumChannel:
     """
     if not 0.0 <= d <= 1.0:
         raise ValueError("dark rate must lie in [0, 1]")
-    layout = SpaceLayout(((_M0, 1), (_M1, 2)))
+    layout = _BB84_LAYOUT
     vac = layout.projector(_M0)
     qubit_proj = layout.projector(_M1)
     # Measure vacuum or qubit: re-prepare the vacuum, or depolarize.
@@ -421,18 +422,19 @@ def bb84_simple_noise_channel(d: float) -> QuantumChannel:
 
 
 def bb84_qubit_measurement(basis: str) -> POVM:
-    """Squashed BB84 measurement on vacuum + qubit for one basis choice."""
-    layout = SpaceLayout(((_M0, 1), (_M1, 2)))
-    if basis == "Z":
-        kets = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    elif basis == "X":
-        s = 1.0 / math.sqrt(2.0)
-        kets = (np.array([s, s]), np.array([s, -s]))
-    else:
+    """Squashed BB84 measurement on vacuum + qubit for one basis choice, built once per process."""
+    if basis not in ("Z", "X"):
         raise ValueError(f"unknown basis {basis!r}")
+    return _bb84_measurement(basis)
+
+
+@functools.cache
+def _bb84_measurement(basis: str) -> POVM:
+    s = 1.0 / math.sqrt(2.0)
+    kets = {"Z": (np.array([1.0, 0.0]), np.array([0.0, 1.0])), "X": (np.array([s, s]), np.array([s, -s]))}
     dense = np.zeros((3, 3, 3), dtype=complex)
     dense[0, 0, 0] = 1.0
-    for i, ket in enumerate(kets, start=1):
+    for i, ket in enumerate(kets[basis], start=1):
         dense[i, 1:, 1:] = np.outer(ket, ket.conj())
     events = EventTable(
         k=2,
@@ -440,7 +442,7 @@ def bb84_qubit_measurement(basis: str) -> POVM:
         classes=("no-click", "single", "single"),
         masks=(),
     )
-    return POVM(layout, dense, events)
+    return POVM(_BB84_LAYOUT, dense, events)
 
 
 def _require_exact_flags(povm: POVM, role: str):

@@ -11,6 +11,7 @@ through permanents of its submatrices.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -82,6 +83,12 @@ def enumerate_events(k: int) -> EventTable:
     """
     if not isinstance(k, int) or not 1 <= k <= 16:
         raise ValueError(f"detector count {k} outside [1, 16]")
+    return _events(int(k))
+
+
+@functools.cache
+def _events(k: int) -> EventTable:
+    """:func:`enumerate_events` of a valid ``k``, built once per process."""
     masks = sorted(range(2**k), key=lambda c: (bin(c).count("1"), c))
     classes = []
     for c in masks:
@@ -244,14 +251,22 @@ def _lift_isometry(mode_map: np.ndarray, m: int):
     quant-ph/0406127), the permanent summed over the orderings of the input
     photons' modes.  Occupations come in the order of their sorted mode
     lists (``itertools.combinations_with_replacement``): descending
-    lexicographic order of the occupation tuples.
+    lexicographic order of the occupation tuples.  Built once per process
+    for each mode map (its dtype, shape and bytes) and ``m``: ``V`` is
+    read-only and the occupations are tuples.
     """
-    k, n_in = mode_map.shape
+    mode_map = np.asarray(mode_map)
+    return _lift(mode_map.dtype.str, mode_map.shape, mode_map.tobytes(), m)
+
+
+@functools.lru_cache(maxsize=32)
+def _lift(dtype: str, shape: tuple[int, int], data: bytes, m: int):
+    k, n_in = shape
     det_modes = list(itertools.combinations_with_replacement(range(k), m))
     in_modes = list(itertools.combinations_with_replacement(range(n_in), m))
-    det_occs = [tuple(map(r.count, range(k))) for r in det_modes]
-    in_occs = [tuple(map(c.count, range(n_in))) for c in in_modes]
-    u = mode_map.tolist()
+    det_occs = tuple(tuple(map(r.count, range(k))) for r in det_modes)
+    in_occs = tuple(tuple(map(c.count, range(n_in))) for c in in_modes)
+    u = np.frombuffer(data, dtype=dtype).reshape(shape).tolist()
     v = [
         [
             sum(math.prod([u[a][b] for a, b in zip(r, order)]) for order in itertools.permutations(c))
@@ -260,7 +275,9 @@ def _lift_isometry(mode_map: np.ndarray, m: int):
         ]
         for r, n in zip(det_modes, det_occs)
     ]
-    return np.array(v, dtype=complex), det_occs, in_occs
+    v = np.array(v, dtype=complex)
+    v.flags.writeable = False
+    return v, det_occs, in_occs
 
 
 def build_threshold_povm(setup: DetectionSetup, cutoff: int) -> POVM:

@@ -12,6 +12,7 @@ dense eigensolves are both exact enough and fast.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,11 +90,15 @@ class SpaceLayout:
         return tuple(int(lab[2:]) for lab in self.photon_labels)
 
     def projector(self, labels) -> np.ndarray:
-        """Dense projector onto the direct sum of the given blocks."""
-        if isinstance(labels, str):
-            labels = (labels,)
-        p = np.zeros((self.total_dim, self.total_dim))
-        for lab in labels:
-            s = self.slice_of(lab)
-            p[s, s] = np.eye(self.dim(lab))
-        return p
+        """Dense projector onto the direct sum of the given blocks, read-only and built once per process."""
+        return _projector(self, (labels,) if isinstance(labels, str) else tuple(labels))
+
+
+@functools.lru_cache(maxsize=64)
+def _projector(layout: SpaceLayout, labels: tuple[str, ...]) -> np.ndarray:
+    p = np.zeros((layout.total_dim, layout.total_dim))
+    for lab in labels:
+        s = layout.slice_of(lab)
+        p[s, s] = np.eye(layout.dim(lab))
+    p.flags.writeable = False
+    return p

@@ -17,6 +17,7 @@ either way one re-verification of the ``(matrix, weights)`` pair decides.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,9 @@ _ENTRY_TOL = 1e-12
 _COLSUM_TOL = 1e-10
 SWAP_FEASIBILITY_TOL = 1e-9
 _PIVOT_TOL = 1e-9
+# Ratio-test ties: within this relative distance of the smallest ratio.  An
+# absolute band would tie the ratios of rates below it, which differ.
+_TIE_RTOL = 1e-13
 _COST_TOL = 1e-9
 _MAX_PIVOTS = 5000
 
@@ -170,7 +174,13 @@ def multiclick_coarse_graining(events: EventTable) -> CoarseGraining:
 
     The resulting ``(n_S + 2) x 2^k`` matrix is the identity on the no-click
     and single-click events and routes every multi-click column to one row.
+    It is built once per process for each event table, and read-only.
     """
+    return _multiclick_coarse_graining(events)
+
+
+@functools.lru_cache(maxsize=16)
+def _multiclick_coarse_graining(events: EventTable) -> CoarseGraining:
     if events.k < 2:
         raise ValueError("coarse graining needs at least 2 detectors (no multi events)")
     singles = events.single_indices
@@ -186,7 +196,9 @@ def multiclick_coarse_graining(events: EventTable) -> CoarseGraining:
     row_labels = (events.labels[0],) + tuple(events.labels[s] for s in singles) + (MULTI,)
     row_classes = (NO_CLICK,) + (SINGLE,) * n_s + (MULTI,)
     table = EventTable(k=events.k, labels=row_labels, classes=row_classes, masks=())
-    return CoarseGraining(m, row_table=table)
+    cg = CoarseGraining(m, row_table=table)
+    cg.entries.flags.writeable = False
+    return cg
 
 
 def apply_postprocessing(p: StochasticMatrix, povm: POVM) -> POVM:
@@ -233,8 +245,9 @@ def _simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray, basis: np.ndarray):
     Dense simplex with Bland's rule: the entering column is the lowest-index
     one with a negative reduced cost, the leaving row the ratio-test tie with
     the lowest-index basic variable, which cannot cycle (Bland, Math. Oper.
-    Res. 2, 103 (1977)).  The basis is inverted afresh from ``a`` at every
-    pivot, so basic values and reduced costs carry no accumulated rounding.
+    Res. 2, 103 (1977)); ratios tie within a relative ``_TIE_RTOL``.  The
+    basis is inverted afresh from ``a`` at every pivot, so basic values and
+    reduced costs carry no accumulated rounding.
     Returns the basic values and the reduced costs.
     """
     for _ in range(_MAX_PIVOTS):
@@ -250,7 +263,7 @@ def _simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray, basis: np.ndarray):
         if rows.size == 0:
             raise RuntimeError("LP solver failed: unbounded")
         ratios = np.maximum(x_b[rows], 0.0) / direction[rows]
-        ties = rows[ratios <= ratios.min() + _PIVOT_TOL]
+        ties = rows[ratios <= ratios.min() * (1.0 + _TIE_RTOL)]
         basis[ties[np.argmin(basis[ties])]] = col
     raise RuntimeError(f"LP solver failed: no optimum after {_MAX_PIVOTS} pivots")
 
@@ -288,23 +301,48 @@ def _kernel_pair(s: np.ndarray, target: np.ndarray):
     - c sign(z)^T / ||z||_1)_{-j}`` for the ``j`` of largest ``|z_j|``.
     Its columns sum to 1, as ``1^T S = 1^T`` and ``1^T c = 1^T z = 0``.
     Without a kernel ``P = target S^-1`` and ``W = 0``.  The pair is
-    returned only if ``P`` is nonnegative up to ``_ENTRY_TOL``.
+    returned only if ``P`` is nonnegative up to ``_ENTRY_TOL``.  What
+    depends on ``S`` alone comes from :func:`_kernel_plan`.
     """
-    n_out, n_in = s.shape
+    s = np.asarray(s, dtype=float)
+    plan = _kernel_plan(s.shape, s.tobytes())
+    if plan is None:
+        return None
+    kept, keep, z, sign_z, norm_z = plan
+    w = np.zeros_like(target)
+    if z is not None:
+        c = target @ z
+        target = target - np.outer(c, sign_z) / norm_z
+        worst = np.argmax(np.abs(c))
+        w[worst] = -np.sign(c[worst]) * z
+    p_dc = np.linalg.solve(kept.T, target[:, keep].T).T
+    return (p_dc, w) if (p_dc >= -_ENTRY_TOL).all() else None
+
+
+@functools.lru_cache(maxsize=16)
+def _kernel_plan(shape: tuple[int, int], data: bytes):
+    """The part of :func:`_kernel_pair` that reads ``S`` alone, given as the bytes of a float array.
+
+    None where the closed form does not apply, else ``(S_keep, keep, z,
+    sign(z), ||z||_1)``: the kept columns of ``S`` and their mask, and
+    ``z`` and its two reductions, all None without a kernel.  Kept for
+    reuse, read-only.
+    """
+    s = np.frombuffer(data).reshape(shape)
+    n_out, n_in = shape
     if n_in - n_out not in (0, 1) or np.linalg.matrix_rank(s) < n_out:
         return None
-    w = np.zeros_like(target)
     keep = np.ones(n_in, dtype=bool)
+    z = sign_z = norm_z = None
     if n_in > n_out:
         drop_one = np.nonzero(~np.eye(n_in, dtype=bool))[1].reshape(n_in, n_out)  # row j: all but j
         z = (-1.0) ** np.arange(n_in) * np.linalg.det(s[:, drop_one].swapaxes(0, 1))
-        c = target @ z
-        target = target - np.outer(c, np.sign(z)) / np.abs(z).sum()
-        worst = np.argmax(np.abs(c))
-        w[worst] = -np.sign(c[worst]) * z
+        sign_z, norm_z = np.sign(z), np.abs(z).sum()
         keep[np.argmax(np.abs(z))] = False
-    p_dc = np.linalg.solve(s[:, keep].T, target[:, keep].T).T
-    return (p_dc, w) if (p_dc >= -_ENTRY_TOL).all() else None
+        z.flags.writeable = sign_z.flags.writeable = False
+    kept = s[:, keep]
+    kept.flags.writeable = keep.flags.writeable = False
+    return kept, keep, z, sign_z, norm_z
 
 
 def _simplex_pair(s: np.ndarray, target: np.ndarray):
@@ -416,8 +454,14 @@ def bb84_qubit_squasher() -> StochasticMatrix:
     """Post-processing of the two-detector BB84 squasher, per basis.
 
     Maps a double click to a uniformly random single click in the same
-    basis; no-click and single clicks pass through.
+    basis; no-click and single clicks pass through.  Built once per
+    process, and read-only.
     """
+    return _bb84_qubit_squasher()
+
+
+@functools.cache
+def _bb84_qubit_squasher() -> StochasticMatrix:
     entries = np.array(
         [
             [1.0, 0.0, 0.0, 0.0],
@@ -425,7 +469,9 @@ def bb84_qubit_squasher() -> StochasticMatrix:
             [0.0, 0.0, 1.0, 0.5],
         ]
     )
-    return StochasticMatrix(entries)
+    squasher = StochasticMatrix(entries)
+    squasher.entries.flags.writeable = False
+    return squasher
 
 
 def bb84_squashed_dark_matrix(d: float) -> StochasticMatrix:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -265,7 +267,7 @@ def test_swap_lp_unproved_infeasibility_raises(monkeypatch):
 
 
 def _reference_swap_lp(p_db, p_sq):
-    """HiGHS on the same min-t LP, one row per entry and sign."""
+    """HiGHS on the same min-t LP, one row per entry and sign, at its tightest feasibility tolerances."""
     target = p_sq @ p_db
     n_out, n_in = target.shape
     n_var = n_out * n_out + 1
@@ -284,9 +286,68 @@ def _reference_swap_lp(p_db, p_sq):
     cost = np.zeros(n_var)
     cost[-1] = 1.0
     res = linprog(cost, A_ub=np.array(rows), b_ub=rhs, A_eq=a_eq, b_eq=np.ones(n_out),
-                  bounds=[(0, None)] * n_var, method="highs")
+                  bounds=[(0, None)] * n_var, method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10})
     assert res.success, res.message
     return res.fun
+
+
+def _exact_lp_min(a, b, cost):
+    """``min cost . x`` over ``a x = b, x >= 0`` in rationals: a two-phase tableau simplex, Bland's rule."""
+    m, n = len(a), len(cost)
+    # Each row scaled to a nonnegative right side, with its own artificial variable.
+    rows = [[v if rhs >= 0 else -v for v in (*row, *[Fraction(0)] * m, rhs)] for row, rhs in zip(a, b)]
+    for r in range(m):
+        rows[r][n + r] = Fraction(1)
+    basis = list(range(n, n + m))
+
+    def pivot(r, col):
+        rows[r] = [v / rows[r][col] for v in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
+        basis[r] = col
+
+    def run(c, columns):
+        while True:
+            duals = [c[j] for j in basis]
+            enter = next((j for j in range(columns) if c[j] < sum(y * row[j] for y, row in zip(duals, rows))), None)
+            if enter is None:
+                return sum(y * row[-1] for y, row in zip(duals, rows))
+            pivot(min((row[-1] / row[enter], basis[i], i) for i, row in enumerate(rows) if row[enter] > 0)[2], enter)
+
+    assert run([0] * n + [1] * m, n + m) == 0, "infeasible"
+    for r in range(m):  # artificials left in the basis are zero: pivot them out
+        if basis[r] >= n:
+            pivot(r, next(j for j in range(n) if rows[r][j]))
+    return run([*cost, *[0] * m], n)
+
+
+def _exact_swap_lp(p_db, p_sq):
+    """The swap LP's optimum for the given doubles, in exact rationals (:func:`_exact_lp_min`)."""
+    s = [[Fraction(float(x)) for x in row] for row in np.asarray(p_sq)]
+    q = [[Fraction(float(x)) for x in row] for row in np.asarray(p_db)]
+    n_out, n_in = len(s), len(q)
+    # Variables: P_dc row-major, t, one slack per entry and sign.
+    n_p, n_ub = n_out * n_out, 2 * n_out * n_in
+    n_var = n_p + 1 + n_ub
+    a, b = [], []
+    for i in range(n_out):
+        for j in range(n_in):
+            target = sum(s[i][l] * q[l][j] for l in range(n_in))
+            for sign in (1, -1):
+                row = [Fraction(0)] * n_var
+                for l in range(n_out):
+                    row[i * n_out + l] = sign * s[l][j]
+                row[n_p] = Fraction(-1)
+                row[n_p + 1 + len(a)] = Fraction(1)
+                a.append(row)
+                b.append(sign * target)
+    for col in range(n_out):
+        a.append([Fraction(int(v < n_p and v % n_out == col)) for v in range(n_var)])
+        b.append(Fraction(1))
+    return _exact_lp_min(a, b, [Fraction(int(v == n_p)) for v in range(n_var)])
 
 
 def _random_stochastic(rng, n_rows, n_cols):
@@ -325,16 +386,57 @@ def test_swap_lp_matches_reference_solver(seed, n_in, n_out):
             assert np.abs(p @ p_sq - target).max() >= result.dual_bound - 1e-12
 
 
-def _kernel_pair_scores(s, p_db):
-    """The closed form's pair scored as :func:`solve_swap_lp` scores it: (residual, dual bound), or None."""
-    target = s @ p_db
-    pair = postprocessing._kernel_pair(s, target)
-    if pair is None:
-        return None
+def _pair_scores(pair, s, p_db):
+    """A ``(P_dc, W)`` pair scored as :func:`solve_swap_lp` scores it: (residual, dual bound)."""
     p_dc, w = pair
     p_dc = np.clip(p_dc, 0.0, None)
     p_dc = p_dc / p_dc.sum(axis=0)
-    return postprocessing.swap_residual(p_dc, s, p_db), postprocessing._dual_bound(w, s, target)
+    return postprocessing.swap_residual(p_dc, s, p_db), postprocessing._dual_bound(w, s, s @ p_db)
+
+
+def _kernel_pair_scores(s, p_db):
+    """The closed form's pair scored by :func:`_pair_scores`, or None."""
+    pair = postprocessing._kernel_pair(s, s @ p_db)
+    return None if pair is None else _pair_scores(pair, s, p_db)
+
+
+def _kernel_pair_from_scratch(s, target):
+    """The closed-form pair with nothing kept between calls: the reference for the kept kernel plan."""
+    n_out, n_in = s.shape
+    if n_in - n_out not in (0, 1) or np.linalg.matrix_rank(s) < n_out:
+        return None
+    w = np.zeros_like(target)
+    keep = np.ones(n_in, dtype=bool)
+    if n_in > n_out:
+        drop_one = np.nonzero(~np.eye(n_in, dtype=bool))[1].reshape(n_in, n_out)
+        z = (-1.0) ** np.arange(n_in) * np.linalg.det(s[:, drop_one].swapaxes(0, 1))
+        c = target @ z
+        target = target - np.outer(c, np.sign(z)) / np.abs(z).sum()
+        worst = np.argmax(np.abs(c))
+        w[worst] = -np.sign(c[worst]) * z
+        keep[np.argmax(np.abs(z))] = False
+    p_dc = np.linalg.solve(s[:, keep].T, target[:, keep].T).T
+    return (p_dc, w) if (p_dc >= -postprocessing._ENTRY_TOL).all() else None
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_out=st.integers(1, 6), nullity=st.integers(0, 1),
+       fortran=st.booleans())
+def test_kept_kernel_plan_gives_the_pair_bit_for_bit(seed, n_out, nullity, fortran):
+    rng = np.random.default_rng(seed)
+    p_sq = _random_stochastic(rng, n_out, n_out + nullity)
+    assume(np.linalg.matrix_rank(p_sq) == n_out)
+    target = p_sq @ _random_stochastic(rng, n_out + nullity, n_out + nullity)
+    want = _kernel_pair_from_scratch(p_sq, target)
+    postprocessing._kernel_plan.cache_clear()
+    s = np.asfortranarray(p_sq) if fortran else p_sq
+    for _ in range(2):  # built, then found
+        got = postprocessing._kernel_pair(s, target)
+        if want is None:
+            assert got is None
+        else:
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert postprocessing._kernel_plan.cache_info().hits == 1
 
 
 @settings(max_examples=80, deadline=None)
@@ -391,6 +493,23 @@ def test_swap_lp_falls_back_to_the_simplex(monkeypatch, p_sq, p_db):
     result = solve_swap_lp(StochasticMatrix(p_db), StochasticMatrix(p_sq))
     assert calls == [1]
     assert result.residual == pytest.approx(_reference_swap_lp(p_db, p_sq), abs=1e-9)
+    assert result.residual == pytest.approx(float(_exact_swap_lp(p_db, p_sq)), abs=1e-15)
+
+
+NULLITY_2 = np.array([[1, 0, 0, 0, 0], [0, 1, 0, 0.5, 0.5], [0, 0, 1, 0.5, 0.5]])
+
+
+@pytest.mark.parametrize("d", [1e-3, 1e-6, 1e-9, 1e-12])
+def test_simplex_reaches_the_exact_optimum_at_small_rates(d):
+    # The squasher with its double-click column repeated, rates [0, d]: the
+    # exact optimum is d/8.  Ratios tying within an absolute 1e-9 made the
+    # simplex stop at residual d with dual bound 0 below about d = 1e-9.
+    p_db = np.block([[dark_count_matrix([0.0, d]).entries, np.zeros((4, 1))], [np.zeros((1, 4)), 1.0]])
+    optimum = float(_exact_swap_lp(p_db, NULLITY_2))
+    assert optimum == pytest.approx(d / 8, rel=1e-12)
+    residual, bound = _pair_scores(postprocessing._simplex_pair(NULLITY_2, NULLITY_2 @ p_db), NULLITY_2, p_db)
+    assert residual == pytest.approx(optimum, abs=1e-15)
+    assert bound == pytest.approx(optimum, abs=1e-15)
 
 
 def test_swap_lp_rejects_dimension_mismatch():

@@ -57,6 +57,33 @@ def test_traced_analyze_records_library_spans(tmp_path, monkeypatch):
     assert 0.0 < metrics["trace.coverage"][0] <= 1.0
 
 
+def test_traced_active_analyze_records_the_kept_builders(tmp_path, monkeypatch):
+    # The squasher and the BB84 measurements are built once per process, but
+    # their public builders are still called per op, so their time stays in
+    # their own layers rather than in report.self.
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import spans
+
+    tracer = spans.Tracer()
+    instrumentation = spans.Instrumentation(tracer)
+    instrumentation.install()
+    try:
+        for _ in range(2):  # a cold op, then a warm one
+            with tracer.op("analyze"):
+                code = cli.main(
+                    ["analyze", str(ROOT / "descriptors" / "active_bb84.json"), "--out", str(tmp_path / "a.json")]
+                )
+            assert code == 0
+    finally:
+        instrumentation.uninstall()
+
+    names = [span[3] for span in tracer.spans]
+    assert names.count("postprocessing.bb84_qubit_squasher") == 2
+    assert names.count("channels.bb84_qubit_measurement") == 4  # both bases, per op
+    assert "postprocessing.solve_swap_lp" in names
+    assert spans.layer_metrics(tracer)["detectors.povm_calls"][0] == 0
+
+
 def test_traced_choi_check_records_the_witness_and_the_writer(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     import spans
