@@ -10,9 +10,9 @@ single-photon loss map, coarse grainings, and solves the swap equation
 
 for ``P_dc``: in closed form when ``P_sq`` is a coarse graining, else as a
 small linear program.  The program's optimum and dual weights come in
-closed form when ``P_sq`` has full row rank and at most a one-dimensional
-kernel, as the qubit squasher has, and from a dense simplex otherwise;
-either way one re-verification of the ``(matrix, weights)`` pair decides.
+closed form on ``P_sq``'s kernel, for a ``P_sq`` of full row rank with at
+most a one-dimensional kernel, as the qubit squasher has; one
+re-verification of the ``(matrix, weights)`` pair decides.
 """
 
 from __future__ import annotations
@@ -27,12 +27,6 @@ from .detectors import MULTI, NO_CLICK, SINGLE, EventTable, POVM, _Verdict, enum
 _ENTRY_TOL = 1e-12
 _COLSUM_TOL = 1e-10
 SWAP_FEASIBILITY_TOL = 1e-9
-_PIVOT_TOL = 1e-9
-# Ratio-test ties: within this relative distance of the smallest ratio.  An
-# absolute band would tie the ratios of rates below it, which differ.
-_TIE_RTOL = 1e-13
-_COST_TOL = 1e-9
-_MAX_PIVOTS = 5000
 
 
 class StochasticMatrix:
@@ -223,13 +217,12 @@ class SwapLPResult:
     ``residual`` is the worst-case violation of ``P_sq . P_db = P_dc . P_sq``
     by the LP optimum, clipped and renormalised into a column-stochastic
     ``P_dc`` (``matrix`` on a feasible verdict): the smallest achievable up to
-    rounding.  The optimum is the closed form on ``P_sq``'s kernel where that
-    applies, else the simplex's.  A residual far above tolerance signals
-    structural infeasibility rather than numerical noise.  ``dual_bound`` is
-    set exactly on an infeasible verdict: a lower bound on that violation
-    for every column-stochastic ``P_dc``, computed by :func:`_dual_bound`
-    from dual weights (the kernel weights ``-sign(c_i) e_i z^T`` of the
-    closed form, or the simplex's) without the solver.
+    rounding.  The optimum is the closed form on ``P_sq``'s kernel.  A
+    residual far above tolerance signals structural infeasibility rather
+    than numerical noise.  ``dual_bound`` is set exactly on an infeasible
+    verdict: a lower bound on that violation for every column-stochastic
+    ``P_dc``, computed by :func:`_dual_bound` from the closed form's kernel
+    weights ``-sign(c_i) e_i z^T`` alone.
     """
 
     feasible: bool
@@ -237,35 +230,6 @@ class SwapLPResult:
     residual: float
     tolerance: float = SWAP_FEASIBILITY_TOL
     dual_bound: float | None = None
-
-
-def _simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray, basis: np.ndarray):
-    """Move the feasible basis of ``a x = b, x >= 0`` to one minimising ``cost . x``.
-
-    Dense simplex with Bland's rule: the entering column is the lowest-index
-    one with a negative reduced cost, the leaving row the ratio-test tie with
-    the lowest-index basic variable, which cannot cycle (Bland, Math. Oper.
-    Res. 2, 103 (1977)); ratios tie within a relative ``_TIE_RTOL``.  The
-    basis is inverted afresh from ``a`` at every pivot, so basic values and
-    reduced costs carry no accumulated rounding.
-    Returns the basic values and the reduced costs.
-    """
-    for _ in range(_MAX_PIVOTS):
-        b_inv = np.linalg.inv(a[:, basis])
-        x_b = b_inv @ b
-        reduced = cost - (cost[basis] @ b_inv) @ a
-        negative = reduced < -_COST_TOL
-        if not negative.any():
-            return x_b, reduced
-        col = np.argmax(negative)
-        direction = b_inv @ a[:, col]
-        rows = np.flatnonzero(direction > _PIVOT_TOL)
-        if rows.size == 0:
-            raise RuntimeError("LP solver failed: unbounded")
-        ratios = np.maximum(x_b[rows], 0.0) / direction[rows]
-        ties = rows[ratios <= ratios.min() * (1.0 + _TIE_RTOL)]
-        basis[ties[np.argmin(basis[ties])]] = col
-    raise RuntimeError(f"LP solver failed: no optimum after {_MAX_PIVOTS} pivots")
 
 
 def _dual_bound(w: np.ndarray, s: np.ndarray, target: np.ndarray) -> float:
@@ -345,46 +309,6 @@ def _kernel_plan(shape: tuple[int, int], data: bytes):
     return kept, keep, z, sign_z, norm_z
 
 
-def _simplex_pair(s: np.ndarray, target: np.ndarray):
-    """An optimal ``(P_dc, W)`` of the swap LP by :func:`_simplex`, for any ``S``.
-
-    Solves ``min t`` subject to entrywise ``|P_dc S - target| <= t`` with
-    ``P_dc`` column-stochastic, from the vertex ``P_dc = e_0 1^T``.  ``W``
-    is the optimal basis's dual weights on the ``<=`` rows.
-    """
-    n_out, n_in = target.shape
-    n_p = n_out * n_out  # vec(P_dc), row-major, then t, then the slacks
-    n_ub = 2 * n_out * n_in
-
-    # Rows: -+(P_dc S - target) - t + slack = 0, then the column sums of P_dc
-    # equal to 1.
-    act = np.kron(np.eye(n_out), s.T)  # vec(P_dc) -> vec(P_dc S)
-    a = np.zeros((n_ub + n_out, n_p + 1 + n_ub))
-    a[:n_ub, :n_p] = np.concatenate([-act, act])
-    a[:n_ub, n_p] = -1.0
-    a[:n_ub, n_p + 1 :] = np.eye(n_ub)
-    a[n_ub:, :n_p] = np.kron(np.ones(n_out), np.eye(n_out))
-    b = np.concatenate([-target.ravel(), target.ravel(), np.ones(n_out)])
-    # Start at the vertex P_dc = e_0 1^T, where P_dc S = e_0 1^T as 1^T S = 1^T.
-    # Its basis: row 0 of P_dc (an identity on the column sums), t = max |D|
-    # for D = e_0 1^T - target, and every slack but one that this t makes
-    # zero; t's -1 covers that slack's row, so the basis is nonsingular.
-    gap = -target
-    gap[0] += 1.0
-    tight = np.argmin(np.concatenate([gap.ravel(), -gap.ravel()]))
-    basis = np.concatenate([np.arange(n_out), [n_p], n_p + 1 + np.delete(np.arange(n_ub), tight)])
-    cost = np.zeros(a.shape[1])
-    cost[n_p] = 1.0  # t
-    x_b, reduced = _simplex(a, b, cost, basis)
-
-    x = np.zeros(a.shape[1])
-    x[basis] = x_b
-    # The dual of a <= row is minus its slack's reduced cost.
-    lam = -reduced[n_p + 1 :]
-    w = (lam[: n_ub // 2] - lam[n_ub // 2 :]).reshape(n_out, n_in)
-    return x[:n_p].reshape(n_out, n_out), w
-
-
 def solve_swap_lp(
     p_db: StochasticMatrix,
     p_sq: StochasticMatrix,
@@ -394,21 +318,30 @@ def solve_swap_lp(
 
     Minimises the worst entry of ``|P_dc . P_sq - P_sq . P_db|`` over
     column-stochastic ``P_dc``.  The optimum and its dual weights come in
-    closed form (:func:`_kernel_pair`) when ``P_sq`` has full row rank and a
-    kernel of dimension at most 1, as the qubit squasher has, and from the
-    dense simplex (:func:`_simplex_pair`) otherwise.  Either way the pair is
-    re-verified without its source: the matrix, clipped and renormalised,
-    is returned with its :func:`swap_residual` as the residual, feasible iff
-    that is within ``tol``; an infeasible verdict needs the weights to
-    prove, by :func:`_dual_bound`, a violation above ``tol`` for every
-    ``P_dc``.
+    closed form (:func:`_kernel_pair`), which needs ``P_sq`` of full row
+    rank with a kernel of dimension at most 1, as the qubit squasher has,
+    and a nonnegative closed-form ``P_dc``; any other ``P_sq`` is a
+    ``ValueError``.  The pair is re-verified apart from the closed form:
+    the matrix, clipped and renormalised, is returned with its
+    :func:`swap_residual` as the residual, feasible iff that is within
+    ``tol``; an infeasible verdict needs the weights to prove, by
+    :func:`_dual_bound`, a violation above ``tol`` for every ``P_dc``.
+    An undecided ``tol`` is a ``RuntimeError``.
     """
     if p_db.shape != (p_sq.shape[1],) * 2:
         raise ValueError("P_sq and P_db must act on the same input events")
+    if not 0.0 < tol < np.inf:  # NaN fails too
+        raise ValueError(f"tol must be positive and finite, got {tol}")
 
     s = p_sq.entries
     target = s @ p_db.entries
-    p_dc, w = _kernel_pair(s, target) or _simplex_pair(s, target)
+    pair = _kernel_pair(s, target)
+    if pair is None:
+        raise ValueError(
+            "P_sq is outside the closed form's domain: it needs full row rank, "
+            "a kernel of dimension at most 1 and a nonnegative closed-form P_dc"
+        )
+    p_dc, w = pair
     p_dc = np.clip(p_dc, 0.0, None)
     matrix = StochasticMatrix(p_dc / p_dc.sum(axis=0, keepdims=True))
     residual = swap_residual(matrix.entries, s, p_db.entries)
@@ -417,7 +350,7 @@ def solve_swap_lp(
     bound = _dual_bound(w, s, target)
     if not bound > tol:
         raise RuntimeError(
-            f"LP solver failed: residual {residual:.3e} above tolerance, "
+            f"residual {residual:.3e} above tolerance, "
             f"but the dual bound {bound:.3e} does not prove it"
         )
     return SwapLPResult(

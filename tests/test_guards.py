@@ -1,8 +1,11 @@
 """Every input guard of the library raises its error on the input it guards against.
 
 One case per guard: the call, the exception type and a fragment of its
-message.  The simplex's unbounded and pivot-cap guards and the dual
-bound's zero norm are left out: no valid LP reaches them.
+message.  The dual bound's zero norm is no guard: valid input reaches it.
+At equal dark rates the squasher's kernel vector meets no row of the
+target (``c = 0``), so the weights ``W`` are 0, and a ``tol`` below the
+residual's rounding, as the shipped active descriptor at ``tol: 1e-300``,
+is left undecided: ``tests/test_report.py`` checks that ``RuntimeError``.
 """
 
 import numpy as np
@@ -17,6 +20,7 @@ from detcert import (
     StochasticMatrix,
     apply_postprocessing,
     bb84_qubit_measurement,
+    bb84_qubit_squasher,
     bb84_simple_noise_channel,
     bb84_squashed_dark_matrix,
     build_threshold_povm,
@@ -35,6 +39,7 @@ from detcert import (
     multiclick_coarse_graining,
     passive_bb84_setup,
     propagate_weight,
+    solve_swap_lp,
     verify_choi_witness,
     verify_cptp,
     weight_bound,
@@ -65,6 +70,14 @@ def _single_detector_povm():
     return build_threshold_povm(DetectionSetup(k=1, mode_map=np.eye(1), eta=[0.9]), 2)
 
 
+def _swap_lp(p_sq, p_db=None, tol=1e-9):
+    """The swap LP of ``P_sq`` at ``P_db`` (unequal squasher dark rates by default)."""
+    p_db = dark_count_matrix([0.01, 0.02]) if p_db is None else StochasticMatrix(p_db)
+    return lambda: solve_swap_lp(p_db, StochasticMatrix(p_sq), tol)
+
+
+_OUT_OF_DOMAIN = "P_sq is outside the closed form's domain"
+_SQUASHER = bb84_qubit_squasher().entries
 _Z = bb84_qubit_measurement("Z")
 _EMPTY = QuantumChannel(SMALL_LAYOUT, SMALL_LAYOUT, ())
 
@@ -171,6 +184,20 @@ CASES = {
             dark_count_matrix([0.01] * 2), multiclick_coarse_graining(enumerate_events(4))
         ),
         ValueError, "coarse graining does not match the dark-count map",
+    ),
+    "swap LP of a rank-deficient P_sq": (
+        _swap_lp([[0.5, 0, 0.5, 0], [0.5, 0, 0.5, 0], [0, 1, 0, 1]]), ValueError, _OUT_OF_DOMAIN,
+    ),
+    "swap LP of a P_sq with a 2-dimensional kernel": (  # the squasher with its double-click column repeated
+        _swap_lp(np.hstack([_SQUASHER, _SQUASHER[:, 3:]]), np.eye(5)), ValueError, _OUT_OF_DOMAIN,
+    ),
+    "swap LP with a negative closed form": (  # P_dc would be [[1.25, 0.25], [-0.25, 0.75]]
+        _swap_lp([[1, 0, 0.5], [0, 1, 0.5]], [[1, 0, 1], [0, 1, 0], [0, 0, 0]]), ValueError, _OUT_OF_DOMAIN,
+    ),
+    "swap LP at a negative tol": (_swap_lp(_SQUASHER, tol=-1.0), ValueError, "tol must be positive and finite"),
+    "swap LP at a NaN tol": (_swap_lp(_SQUASHER, tol=float("nan")), ValueError, "tol must be positive and finite"),
+    "swap LP at an infinite tol": (
+        _swap_lp(_SQUASHER, tol=float("inf")), ValueError, "tol must be positive and finite",
     ),
     "squashed dark rate above 1": (
         lambda: bb84_squashed_dark_matrix(1.5), ValueError, "dark rate must lie in [0, 1]",

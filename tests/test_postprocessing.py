@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -223,14 +221,18 @@ def test_swap_lp_unequal_rates_infeasible():
     ("p_sq", "expected"),
     [
         (bb84_qubit_squasher().entries, np.eye(3)),
-        # everything merged into row 0: the start vertex P_dc = e_0 1^T is
-        # optimal at t = 0, with a fully degenerate basis
-        (np.eye(3)[[0, 0, 0, 0]].T, np.eye(3)[[0, 0, 0]].T),
-        (np.ones((1, 4)), np.ones((1, 1))),  # one output
+        # outside the closed form's domain: everything merged into row 0 has
+        # rank 1, and one output row has a kernel of dimension 3
+        (np.eye(3)[[0, 0, 0, 0]].T, None),
+        (np.ones((1, 4)), None),
     ],
     ids=["squasher", "merged-into-row-0", "one-row"],
 )
 def test_swap_lp_identity_case(p_sq, expected):
+    if expected is None:
+        with pytest.raises(ValueError, match="P_sq"):
+            solve_swap_lp(StochasticMatrix(np.eye(4)), StochasticMatrix(p_sq))
+        return
     result = solve_swap_lp(StochasticMatrix(np.eye(4)), StochasticMatrix(p_sq))
     assert result.feasible
     assert result.residual == pytest.approx(_reference_swap_lp(np.eye(4), p_sq), abs=1e-12)
@@ -250,7 +252,7 @@ def test_swap_lp_solution_reverified_independently():
 
 
 def test_swap_lp_infeasible_verdict_carries_dual_bound():
-    # strong duality: the bound from the final tableau's dual weights is the optimum
+    # strong duality: the bound from the kernel weights is the optimum
     result = solve_swap_lp(dark_count_matrix([0.01, 0.02]), bb84_qubit_squasher())
     assert not result.feasible
     assert result.dual_bound == pytest.approx(result.residual, abs=1e-12)
@@ -292,64 +294,6 @@ def _reference_swap_lp(p_db, p_sq):
     return res.fun
 
 
-def _exact_lp_min(a, b, cost):
-    """``min cost . x`` over ``a x = b, x >= 0`` in rationals: a two-phase tableau simplex, Bland's rule."""
-    m, n = len(a), len(cost)
-    # Each row scaled to a nonnegative right side, with its own artificial variable.
-    rows = [[v if rhs >= 0 else -v for v in (*row, *[Fraction(0)] * m, rhs)] for row, rhs in zip(a, b)]
-    for r in range(m):
-        rows[r][n + r] = Fraction(1)
-    basis = list(range(n, n + m))
-
-    def pivot(r, col):
-        rows[r] = [v / rows[r][col] for v in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
-        basis[r] = col
-
-    def run(c, columns):
-        while True:
-            duals = [c[j] for j in basis]
-            enter = next((j for j in range(columns) if c[j] < sum(y * row[j] for y, row in zip(duals, rows))), None)
-            if enter is None:
-                return sum(y * row[-1] for y, row in zip(duals, rows))
-            pivot(min((row[-1] / row[enter], basis[i], i) for i, row in enumerate(rows) if row[enter] > 0)[2], enter)
-
-    assert run([0] * n + [1] * m, n + m) == 0, "infeasible"
-    for r in range(m):  # artificials left in the basis are zero: pivot them out
-        if basis[r] >= n:
-            pivot(r, next(j for j in range(n) if rows[r][j]))
-    return run([*cost, *[0] * m], n)
-
-
-def _exact_swap_lp(p_db, p_sq):
-    """The swap LP's optimum for the given doubles, in exact rationals (:func:`_exact_lp_min`)."""
-    s = [[Fraction(float(x)) for x in row] for row in np.asarray(p_sq)]
-    q = [[Fraction(float(x)) for x in row] for row in np.asarray(p_db)]
-    n_out, n_in = len(s), len(q)
-    # Variables: P_dc row-major, t, one slack per entry and sign.
-    n_p, n_ub = n_out * n_out, 2 * n_out * n_in
-    n_var = n_p + 1 + n_ub
-    a, b = [], []
-    for i in range(n_out):
-        for j in range(n_in):
-            target = sum(s[i][l] * q[l][j] for l in range(n_in))
-            for sign in (1, -1):
-                row = [Fraction(0)] * n_var
-                for l in range(n_out):
-                    row[i * n_out + l] = sign * s[l][j]
-                row[n_p] = Fraction(-1)
-                row[n_p + 1 + len(a)] = Fraction(1)
-                a.append(row)
-                b.append(sign * target)
-    for col in range(n_out):
-        a.append([Fraction(int(v < n_p and v % n_out == col)) for v in range(n_var)])
-        b.append(Fraction(1))
-    return _exact_lp_min(a, b, [Fraction(int(v == n_p)) for v in range(n_var)])
-
-
 def _random_stochastic(rng, n_rows, n_cols):
     # sparse, coarsely quantised entries and repeated rows give degenerate pivots
     kind = rng.integers(3)
@@ -365,12 +309,28 @@ def _random_stochastic(rng, n_rows, n_cols):
     return a / a.sum(axis=0)
 
 
+def _random_swap_lp(rng, n_out, n_in):
+    """A drawn ``(P_sq, P_db)``, and whether ``P_sq`` lies in the closed form's domain at that ``P_db``."""
+    p_sq = _random_stochastic(rng, n_out, n_in)
+    p_db = np.eye(n_in) if rng.random() < 0.25 else _random_stochastic(rng, n_in, n_in)
+    return p_sq, p_db, _kernel_pair_from_scratch(p_sq, p_sq @ p_db) is not None
+
+
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_in=st.integers(1, 5), n_out=st.integers(1, 6))
 def test_swap_lp_matches_reference_solver(seed, n_in, n_out):
     rng = np.random.default_rng(seed)
-    p_sq = _random_stochastic(rng, n_out, n_in)
-    p_db = np.eye(n_in) if rng.random() < 0.25 else _random_stochastic(rng, n_in, n_in)
+    p_sq, p_db, in_domain = _random_swap_lp(rng, n_out, n_in)
+    if not in_domain:
+        with pytest.raises(ValueError, match="P_sq"):
+            solve_swap_lp(StochasticMatrix(p_db), StochasticMatrix(p_sq))
+        # and a pair redrawn into the domain, so that at least half the pairs checked lie in it
+        n_in = n_out + int(rng.integers(2))
+        for _ in range(50):
+            p_sq, p_db, in_domain = _random_swap_lp(rng, n_out, n_in)
+            if in_domain:
+                break
+        assume(in_domain)
     optimum = _reference_swap_lp(p_db, p_sq)
     result = solve_swap_lp(StochasticMatrix(p_db), StochasticMatrix(p_sq))
     assert result.feasible == (optimum <= result.tolerance)
@@ -448,17 +408,14 @@ def test_closed_form_pair_is_optimal_for_full_row_rank_nullity_at_most_one(seed,
     assume(np.linalg.matrix_rank(p_sq) == n_out)
     p_db = np.eye(n_in) if rng.random() < 0.25 else _random_stochastic(rng, n_in, n_in)
     scores = _kernel_pair_scores(p_sq, p_db)
-    assume(scores is not None)  # a negative closed-form P_dc goes to the simplex
+    assume(scores is not None)  # a negative closed-form P_dc leaves the domain
     residual, bound = scores
     assert residual == pytest.approx(bound, abs=1e-12)
     assert residual == pytest.approx(_reference_swap_lp(p_db, p_sq), abs=1e-9)
 
 
-def test_squasher_swap_lp_never_reaches_the_simplex(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the simplex ran")
-
-    monkeypatch.setattr(postprocessing, "_simplex", refuse)
+def test_squasher_swap_lp_never_reaches_the_simplex():
+    # every rate pair lies in the closed form's domain: no ValueError
     p_sq = bb84_qubit_squasher()
     rates = [0.0, *np.logspace(-12, 0, 25)]
     for d1 in rates:
@@ -469,47 +426,6 @@ def test_squasher_swap_lp_never_reaches_the_simplex(monkeypatch):
             assert result.feasible == (result.residual <= result.tolerance)
             if not result.feasible:
                 assert result.dual_bound == pytest.approx(result.residual, abs=1e-15)
-
-
-@pytest.mark.parametrize(
-    ("p_sq", "p_db"),
-    [
-        # nullity 2: the squasher with its double-click column repeated
-        ([[1, 0, 0, 0, 0], [0, 1, 0, 0.5, 0.5], [0, 0, 1, 0.5, 0.5]],
-         np.block([[dark_count_matrix([0.01, 0.02]).entries, np.zeros((4, 1))], [np.zeros((1, 4)), 1.0]])),
-        # rank-deficient: two equal rows
-        ([[0.5, 0, 0.5, 0], [0.5, 0, 0.5, 0], [0, 1, 0, 1]], dark_count_matrix([0.01, 0.02]).entries),
-        # full row rank and nullity 1, but the closed-form P_dc is [[1.25, 0.25], [-0.25, 0.75]]
-        ([[1, 0, 0.5], [0, 1, 0.5]], [[1, 0, 1], [0, 1, 0], [0, 0, 0]]),
-    ],
-    ids=["nullity-2", "rank-deficient", "negative-closed-form"],
-)
-def test_swap_lp_falls_back_to_the_simplex(monkeypatch, p_sq, p_db):
-    p_sq, p_db = np.array(p_sq, dtype=float), np.array(p_db, dtype=float)
-    assert postprocessing._kernel_pair(p_sq, p_sq @ p_db) is None
-    calls = []
-    simplex = postprocessing._simplex
-    monkeypatch.setattr(postprocessing, "_simplex", lambda *args: calls.append(1) or simplex(*args))
-    result = solve_swap_lp(StochasticMatrix(p_db), StochasticMatrix(p_sq))
-    assert calls == [1]
-    assert result.residual == pytest.approx(_reference_swap_lp(p_db, p_sq), abs=1e-9)
-    assert result.residual == pytest.approx(float(_exact_swap_lp(p_db, p_sq)), abs=1e-15)
-
-
-NULLITY_2 = np.array([[1, 0, 0, 0, 0], [0, 1, 0, 0.5, 0.5], [0, 0, 1, 0.5, 0.5]])
-
-
-@pytest.mark.parametrize("d", [1e-3, 1e-6, 1e-9, 1e-12])
-def test_simplex_reaches_the_exact_optimum_at_small_rates(d):
-    # The squasher with its double-click column repeated, rates [0, d]: the
-    # exact optimum is d/8.  Ratios tying within an absolute 1e-9 made the
-    # simplex stop at residual d with dual bound 0 below about d = 1e-9.
-    p_db = np.block([[dark_count_matrix([0.0, d]).entries, np.zeros((4, 1))], [np.zeros((1, 4)), 1.0]])
-    optimum = float(_exact_swap_lp(p_db, NULLITY_2))
-    assert optimum == pytest.approx(d / 8, rel=1e-12)
-    residual, bound = _pair_scores(postprocessing._simplex_pair(NULLITY_2, NULLITY_2 @ p_db), NULLITY_2, p_db)
-    assert residual == pytest.approx(optimum, abs=1e-15)
-    assert bound == pytest.approx(optimum, abs=1e-15)
 
 
 def test_swap_lp_rejects_dimension_mismatch():
