@@ -421,15 +421,7 @@ def bb84_simple_noise_channel(d: float) -> QuantumChannel:
     return QuantumChannel(layout, layout, (reprepare, keep_qubit))
 
 
-def bb84_qubit_measurement(basis: str) -> POVM:
-    """Squashed BB84 measurement on vacuum + qubit for one basis choice, built once per process."""
-    if basis not in ("Z", "X"):
-        raise ValueError(f"unknown basis {basis!r}")
-    return _bb84_measurement(basis)
-
-
-@functools.cache
-def _bb84_measurement(basis: str) -> POVM:
+def _squashed_bb84(basis: str) -> POVM:
     s = 1.0 / math.sqrt(2.0)
     kets = {"Z": (np.array([1.0, 0.0]), np.array([0.0, 1.0])), "X": (np.array([s, s]), np.array([s, -s]))}
     dense = np.zeros((3, 3, 3), dtype=complex)
@@ -443,6 +435,16 @@ def _bb84_measurement(basis: str) -> POVM:
         masks=(),
     )
     return POVM(_BB84_LAYOUT, dense, events)
+
+
+_BB84_MEASUREMENTS = {basis: _squashed_bb84(basis) for basis in "ZX"}
+
+
+def bb84_qubit_measurement(basis: str) -> POVM:
+    """Squashed BB84 measurement on vacuum + qubit for one basis choice, built once, at import."""
+    if basis not in ("Z", "X"):
+        raise ValueError(f"unknown basis {basis!r}")
+    return _BB84_MEASUREMENTS[basis]
 
 
 def _require_exact_flags(povm: POVM, role: str):

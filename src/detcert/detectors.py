@@ -38,7 +38,7 @@ class EventTable:
     For a fine-grained table the events are all ``2^k`` click patterns of
     ``k`` detectors, ordered by increasing click count and then by numeric
     mask.  Coarse-grained tables (for example all multi-clicks merged into
-    one event) have ``masks`` set to ``None`` for merged entries.
+    one event) have empty ``masks``.
     """
 
     k: int
@@ -74,21 +74,18 @@ class EventTable:
             raise KeyError(f"no event labelled {label!r}") from None
 
 
+@functools.lru_cache(typed=True)
 def enumerate_events(k: int) -> EventTable:
     """All ``2^k`` click patterns of ``k`` detectors, in canonical order.
 
     Ordering is by click count (popcount) and then by numeric mask; the
     class is no-click, single or multi according to the click count.  Labels
     are the patterns as bit strings, detector 1 in the rightmost position.
+    Built once per process, keyed on ``k`` and its type: a rejected ``1.0`` never finds ``1``'s table.
     """
     if not isinstance(k, int) or not 1 <= k <= 16:
         raise ValueError(f"detector count {k} outside [1, 16]")
-    return _events(int(k))
-
-
-@functools.cache
-def _events(k: int) -> EventTable:
-    """:func:`enumerate_events` of a valid ``k``, built once per process."""
+    k = int(k)  # True builds the k = 1 table
     masks = sorted(range(2**k), key=lambda c: (bin(c).count("1"), c))
     classes = []
     for c in masks:
@@ -252,8 +249,9 @@ def _lift_isometry(mode_map: np.ndarray, m: int):
     photons' modes.  Occupations come in the order of their sorted mode
     lists (``itertools.combinations_with_replacement``): descending
     lexicographic order of the occupation tuples.  Built once per process
-    for each mode map (its dtype, shape and bytes) and ``m``: ``V`` is
-    read-only and the occupations are tuples.
+    for each mode map and ``m``: ``V`` is read-only and the occupations are
+    tuples.  An array cannot key a cache, so this function keys
+    :func:`_lift` on the map's dtype, shape and bytes.
     """
     mode_map = np.asarray(mode_map)
     return _lift(mode_map.dtype.str, mode_map.shape, mode_map.tobytes(), m)
@@ -325,7 +323,11 @@ class _Verdict:
     """A report that passes iff its ``residual`` is within its ``tolerance`` (NaN fails)."""
 
     def __post_init__(self):
-        object.__setattr__(self, "passed", bool(self.residual <= self.tolerance))
+        object.__setattr__(self, "passed", self.passes(self.residual, self.tolerance))
+
+    @staticmethod
+    def passes(residual: float, tolerance: float) -> bool:
+        return bool(residual <= tolerance)
 
 
 @dataclass(frozen=True)

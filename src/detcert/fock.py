@@ -90,7 +90,7 @@ class SpaceLayout:
         return tuple(int(lab[2:]) for lab in self.photon_labels)
 
     def projector(self, labels) -> np.ndarray:
-        """Dense projector onto the direct sum of the given blocks, read-only and built once per process."""
+        """Read-only projector onto the given blocks, built once per ``(layout, tuple(labels))`` key."""
         return _projector(self, (labels,) if isinstance(labels, str) else tuple(labels))
 
 

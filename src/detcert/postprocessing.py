@@ -8,11 +8,12 @@ single-photon loss map, coarse grainings, and solves the swap equation
 
     P_sq . P_db = P_dc . P_sq
 
-for ``P_dc``: in closed form when ``P_sq`` is a coarse graining, else as a
-small linear program.  The program's optimum and dual weights come in
-closed form on ``P_sq``'s kernel, for a ``P_sq`` of full row rank with at
-most a one-dimensional kernel, as the qubit squasher has; one
-re-verification of the ``(matrix, weights)`` pair decides.
+for ``P_dc``: in closed form when ``P_sq`` is a coarse graining, else as
+the stochastic ``P_dc`` of smallest worst-entry violation.  That optimum
+and its dual weights also come in closed form, on ``P_sq``'s kernel, for
+a ``P_sq`` of full row rank with at most a one-dimensional kernel, as the
+qubit squasher has; one re-verification of the ``(matrix, weights)`` pair
+decides.
 """
 
 from __future__ import annotations
@@ -55,11 +56,6 @@ class StochasticMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return self.entries.shape
-
-    def __matmul__(self, other: "StochasticMatrix") -> "StochasticMatrix":
-        if self.shape[1] != other.shape[0]:
-            raise ValueError("dimension mismatch in composition")
-        return StochasticMatrix(self.entries @ other.entries)
 
 
 class CoarseGraining(StochasticMatrix):
@@ -163,6 +159,7 @@ def validate_dark_count_pp(
     )
 
 
+@functools.lru_cache(maxsize=16)
 def multiclick_coarse_graining(events: EventTable) -> CoarseGraining:
     """Merge all multi-click patterns into a single multi event.
 
@@ -170,11 +167,6 @@ def multiclick_coarse_graining(events: EventTable) -> CoarseGraining:
     and single-click events and routes every multi-click column to one row.
     It is built once per process for each event table, and read-only.
     """
-    return _multiclick_coarse_graining(events)
-
-
-@functools.lru_cache(maxsize=16)
-def _multiclick_coarse_graining(events: EventTable) -> CoarseGraining:
     if events.k < 2:
         raise ValueError("coarse graining needs at least 2 detectors (no multi events)")
     singles = events.single_indices
@@ -212,17 +204,17 @@ def apply_postprocessing(p: StochasticMatrix, povm: POVM) -> POVM:
 
 @dataclass(frozen=True)
 class SwapLPResult:
-    """Outcome of the swap-equation linear program.
+    """Outcome of the swap equation's best stochastic solution.
 
     ``residual`` is the worst-case violation of ``P_sq . P_db = P_dc . P_sq``
-    by the LP optimum, clipped and renormalised into a column-stochastic
-    ``P_dc`` (``matrix`` on a feasible verdict): the smallest achievable up to
-    rounding.  The optimum is the closed form on ``P_sq``'s kernel.  A
-    residual far above tolerance signals structural infeasibility rather
-    than numerical noise.  ``dual_bound`` is set exactly on an infeasible
-    verdict: a lower bound on that violation for every column-stochastic
-    ``P_dc``, computed by :func:`_dual_bound` from the closed form's kernel
-    weights ``-sign(c_i) e_i z^T`` alone.
+    by the closed form on ``P_sq``'s kernel, clipped and renormalised into a
+    column-stochastic ``P_dc`` (``matrix`` on a feasible verdict): the
+    smallest achievable up to rounding.  A residual far above tolerance
+    signals structural infeasibility rather than numerical noise.
+    ``dual_bound`` is set exactly on an infeasible verdict: a lower bound
+    on that violation for every column-stochastic ``P_dc``, computed by
+    :func:`_dual_bound` from the closed form's kernel weights
+    ``-sign(c_i) e_i z^T`` alone.
     """
 
     feasible: bool
@@ -383,28 +375,24 @@ def coarse_grained_dc_ansatz(
     return StochasticMatrix(p_dc)
 
 
+_QUBIT_SQUASHER = StochasticMatrix(
+    [
+        [1.0, 0.0, 0.0, 0.0],
+        [0.0, 1.0, 0.0, 0.5],
+        [0.0, 0.0, 1.0, 0.5],
+    ]
+)
+_QUBIT_SQUASHER.entries.flags.writeable = False
+
+
 def bb84_qubit_squasher() -> StochasticMatrix:
     """Post-processing of the two-detector BB84 squasher, per basis.
 
     Maps a double click to a uniformly random single click in the same
-    basis; no-click and single clicks pass through.  Built once per
-    process, and read-only.
+    basis; no-click and single clicks pass through.  Built once, at
+    import, and read-only.
     """
-    return _bb84_qubit_squasher()
-
-
-@functools.cache
-def _bb84_qubit_squasher() -> StochasticMatrix:
-    entries = np.array(
-        [
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, 1.0, 0.0, 0.5],
-            [0.0, 0.0, 1.0, 0.5],
-        ]
-    )
-    squasher = StochasticMatrix(entries)
-    squasher.entries.flags.writeable = False
-    return squasher
+    return _QUBIT_SQUASHER
 
 
 def bb84_squashed_dark_matrix(d: float) -> StochasticMatrix:

@@ -30,6 +30,7 @@ from .channels import (
 from .descriptor import DescriptorError, SetupDescriptor
 from .detectors import (
     DetectionSetup,
+    _Verdict,
     build_threshold_povm,
     enumerate_events,
     passive_bb84_setup,
@@ -61,6 +62,11 @@ EXIT_NOT_REDUCIBLE = 2
 # The weight relations are exact linear identities of the constructions,
 # so they are held to rounding, not to the descriptor's tolerance.
 _WEIGHT_TOL = 1e-12
+_CLICK_COUNT = "threshold POVM violates the click-count assumption"
+
+
+class _Stop(ValueError):
+    """Ends an analysis: the setup is not reducible, for the requirement this names."""
 
 
 def build_setup(desc: SetupDescriptor, eta) -> DetectionSetup:
@@ -82,12 +88,16 @@ class Certificate:
     failed_requirement: str | None = None
     tool: dict = field(default_factory=lambda: {"name": "detcert", "version": __version__})
 
-    def add_check(self, name: str, operation: str, inputs: dict, residual: float, tolerance: float):
-        """Record a check; it passes iff ``residual <= tolerance`` (NaN fails).
+    def add_check(
+        self, name: str, operation: str, inputs: dict, residual: float, tolerance: float,
+        requirement: str | None = None,
+    ):
+        """Record a check; it passes iff ``residual <= tolerance`` (:meth:`_Verdict.passes`; NaN fails).
 
-        The first failed check downgrades a certificate that is not yet downgraded.
+        A failed check ends the analysis by :class:`_Stop` if it carries a ``requirement``,
+        else downgrades a certificate that is not yet downgraded.
         """
-        passed = bool(residual <= tolerance)
+        passed = _Verdict.passes(residual, tolerance)
         self.checks.append(
             {
                 "name": name,
@@ -98,6 +108,8 @@ class Certificate:
                 "passed": passed,
             }
         )
+        if not passed and requirement is not None:
+            raise _Stop(requirement)
         if not passed and self.status == "reducible":
             self.downgrade(f"check {name} failed: residual {residual:.3e} exceeds tolerance {tolerance:.3e}")
 
@@ -226,18 +238,21 @@ def _common_efficiency(desc: SetupDescriptor, etas, derived: dict) -> float:
     ``df/deta_min = (1 - eta_max) / D^2`` and ``df/deta_max = eta_min / D^2``
     are nonnegative and one rounding keeps the order, so the all-high corner
     binds, given a positive ``eta_lo``.  ``eta_star``
-    and the interval go to ``derived``; raises ``ValueError`` if the interval is
-    empty or excludes it (:func:`check_eta_star`).
+    and the interval go to ``derived``; raises :class:`_Stop`, a ``ValueError``, if
+    the interval is empty or excludes it (:func:`check_eta_star`).
     """
     eta_hi = etas.max(axis=0)
     if not etas.min() > 0.0:
-        raise ValueError(
+        raise _Stop(
             "admissible common-efficiency interval is empty: need 0 < eta_min <= eta_max <= 1"
         )
     star_lo, star_hi = eta_star_range(float(np.min(eta_hi)), float(np.max(eta_hi)))
     eta_star = desc.eta_star if desc.eta_star is not None else star_hi
     derived.update(eta_star=eta_star, eta_star_range=[star_lo, star_hi])
-    check_eta_star(eta_hi, eta_star)
+    try:
+        check_eta_star(eta_hi, eta_star)
+    except ValueError as exc:
+        raise _Stop(str(exc)) from exc
     return eta_star
 
 
@@ -250,13 +265,9 @@ def _record_weight(desc: SetupDescriptor, cert: Certificate, etas, p00: float, e
     cert.derived["weight_out"] = propagate_weight(desc.weight_in, p00, eta_min, eta_star)
 
 
-def _analyze_flag_state(desc: SetupDescriptor, cert: Certificate) -> Certificate:
+def _analyze_flag_state(desc: SetupDescriptor, cert: Certificate):
     corners, (d_max,) = desc.points(box=True)
-    try:
-        eta_star = _common_efficiency(desc, corners, cert.derived)
-    except ValueError as exc:
-        cert.downgrade(str(exc))
-        return cert
+    eta_star = _common_efficiency(desc, corners, cert.derived)
 
     cg = multiclick_coarse_graining(enumerate_events(desc.k)) if desc.coarse_grain == "multiclick" else None
 
@@ -277,13 +288,9 @@ def _analyze_flag_state(desc: SetupDescriptor, cert: Certificate) -> Certificate
     cert.add_check(
         "dark-count-conditions", "validate_dark_count_pp",
         {"dark": d_max.tolist()}, conditions.residual, conditions.tolerance,
+        "dark-count post-processing violates the structural conditions "
+        "(single-to-single, click erasure, or survival ordering)",
     )
-    if not conditions.passed:
-        cert.downgrade(
-            "dark-count post-processing violates the structural conditions "
-            "(single-to-single, click erasure, or survival ordering)"
-        )
-        return cert
 
     p00 = float(p_db.entries[0, 0])
     _record_weight(desc, cert, corners, p00, eta_star)
@@ -298,8 +305,7 @@ def _analyze_flag_state(desc: SetupDescriptor, cert: Certificate) -> Certificate
         povms = apply_postprocessing(cg, povms)
     reports = verify_single_photon_assumption(povms)
     if not reports[n_corners].passed:
-        cert.downgrade("threshold POVM violates the click-count assumption")
-        return cert
+        raise _Stop(_CLICK_COUNT)
     targets = flag_state_target(povms, desc.cutoff)
     f_lossless, f_star = targets.take(n_corners), targets.take(n_corners + 1)
     # Corners before the first that violates the assumption get channels.
@@ -317,11 +323,8 @@ def _analyze_flag_state(desc: SetupDescriptor, cert: Certificate) -> Certificate
         report = reports[idx]
         cert.add_check(
             f"single-photon-assumption{suffix}", "verify_single_photon_assumption",
-            inputs, report.max_violation, report.tolerance,
+            inputs, report.max_violation, report.tolerance, _CLICK_COUNT,
         )
-        if not report.passed:
-            cert.downgrade("threshold POVM violates the click-count assumption")
-            return cert
         for kind, (cptp, statistics, weight) in zip(("dark", "loss"), residuals[idx]):
             cert.add_check(f"{kind}-channel-cptp{suffix}", "verify_cptp", inputs, cptp, desc.tol)
             cert.add_check(
@@ -332,7 +335,6 @@ def _analyze_flag_state(desc: SetupDescriptor, cert: Certificate) -> Certificate
                 f"{kind}-channel-weight-relation{suffix}", "verify_statistics_equivalence", inputs,
                 weight, _WEIGHT_TOL,
             )
-    return cert
 
 
 def _certify_corners(p_db, etas, eta_star, f_eta, f_lossless, f_star, tol):
@@ -377,26 +379,17 @@ def active_swap_lp(desc: SetupDescriptor):
     return d_vec, _swap_lp(d_vec, desc.tol)
 
 
-def _analyze_active_bb84(desc: SetupDescriptor, cert: Certificate) -> Certificate:
+def _analyze_active_bb84(desc: SetupDescriptor, cert: Certificate):
     # The swap LP and the channel read the box's dark row; the eta_star interval reads its corners.
     etas, (d_vec,) = desc.points(box=True)
     result = _swap_lp(d_vec, desc.tol)
     cert.add_check(
         "swap-equation-lp", "solve_swap_lp", {"dark": d_vec.tolist()},
         result.residual, result.tolerance,
+        "the swap equation P_sq' P_db = P_dc P_sq has no stochastic solution "
+        "for the qubit squasher (it requires equal dark count rates)",
     )
-    if not result.feasible:
-        cert.downgrade(
-            "the swap equation P_sq' P_db = P_dc P_sq has no stochastic solution "
-            "for the qubit squasher (it requires equal dark count rates)"
-        )
-        return cert
-
-    try:
-        eta_star = _common_efficiency(desc, etas, cert.derived)
-    except ValueError as exc:
-        cert.downgrade(str(exc))
-        return cert
+    eta_star = _common_efficiency(desc, etas, cert.derived)
     _record_weight(desc, cert, etas, float(result.matrix.entries[0, 0]), eta_star)
     d = float(d_vec[0])
     # Both bases' statistics and trace preservation, scored in one contraction.
@@ -408,20 +401,22 @@ def _analyze_active_bb84(desc: SetupDescriptor, cert: Certificate) -> Certificat
             f"bb84-channel-statistics-{basis}", "verify_statistics_equivalence",
             {"dark": d, "basis": basis}, float(stats.max()), desc.tol,
         )
-    return cert
 
 
 def run_analysis(desc: SetupDescriptor) -> Certificate:
-    """Full pipeline: build, squash, post-process, construct, certify."""
+    """Full pipeline: build, squash, post-process, construct, certify; a :class:`_Stop` ends it, downgraded."""
     if desc.cutoff != 1:
         raise DescriptorError(
             "cutoff: the channel constructions act on vacuum + one photon + "
             "flags; analyze needs cutoff 1 (higher cutoffs serve weight estimation)"
         )
     cert = Certificate(descriptor=desc.to_dict(), derived={"seed": desc.seed})
-    if desc.setup == "active-bb84":
-        return _analyze_active_bb84(desc, cert)
-    return _analyze_flag_state(desc, cert)
+    analyze = _analyze_active_bb84 if desc.setup == "active-bb84" else _analyze_flag_state
+    try:
+        analyze(desc, cert)
+    except _Stop as stop:
+        cert.downgrade(str(stop))
+    return cert
 
 
 def run_weight(desc: SetupDescriptor) -> dict:

@@ -3,8 +3,10 @@
 A refactor that claims no output change is checked here: the exit code,
 status, check names and verdicts must match exactly, every residual and
 derived number to 1e-15 absolute, and the evaluated points exactly.
-``swap-lp`` and ``weight`` outputs are pinned the same way.  After a change
-that is meant to move the numbers, regenerate a golden file with
+``swap-lp``, ``weight``, ``choi-check`` and ``verify-channel`` outputs are
+pinned the same way (``choi-check`` on the active descriptor,
+``verify-channel`` on both).  After a change that is meant to move the
+numbers, regenerate each golden file with
 
     detcert <command> descriptors/<name>.json --out tests/golden/<command>_<name>.json
 
@@ -75,7 +77,13 @@ def _assert_matches(got, want, exact=False, path=""):
         assert got == want, path
 
 
-@pytest.mark.parametrize("command, name", [("swap-lp", "active_bb84"), ("weight", "passive_bb84")])
+@pytest.mark.parametrize("command, name", [
+    ("swap-lp", "active_bb84"),
+    ("weight", "passive_bb84"),
+    ("choi-check", "active_bb84"),
+    ("verify-channel", "passive_bb84"),
+    ("verify-channel", "active_bb84"),
+])
 def test_command_matches_golden_output(tmp_path, command, name):
     descriptor = json.loads((ROOT / "descriptors" / f"{name}.json").read_text())
     if command == "weight":

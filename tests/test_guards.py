@@ -164,10 +164,6 @@ CASES = {
     ),
     # postprocessing
     "stochastic vector": (lambda: StochasticMatrix([1.0]), ValueError, "entries must be a matrix"),
-    "composition of mismatched maps": (
-        lambda: StochasticMatrix(np.eye(2)) @ StochasticMatrix(np.eye(3)),
-        ValueError, "dimension mismatch in composition",
-    ),
     "fractional coarse graining": (
         lambda: CoarseGraining([[0.5, 1.0], [0.5, 0.0]]), ValueError, "entries must be 0 or 1",
     ),
@@ -258,3 +254,22 @@ def test_guard_rejects_its_input(name):
 def test_eta_star_range_at_unit_efficiency_is_one(eta_min):
     # 1 - (1 - eta_min) would round to 0 or cancel to 0.99994 eta_min; (1 - 1) + eta_min is exact
     assert eta_star_range(eta_min, 1.0) == (1.0, 1.0)
+
+
+def test_kept_objects_guard_keys_equal_to_cached_ones():
+    # valid keys are cached first: an argument equal to one of them that its
+    # guard rejects must not be answered from the cache (an untyped cache
+    # keys a lone positional int apart from a float, but not a keyword one)
+    enumerate_events(1), enumerate_events(2), enumerate_events(k=1), enumerate_events(k=2)
+    for k in (1.0, np.int64(2), 0):
+        for call in (lambda: enumerate_events(k), lambda: enumerate_events(k=k)):
+            with pytest.raises(ValueError, match="detector count"):
+                call()
+    assert enumerate_events(True) == enumerate_events(1)
+    multiclick_coarse_graining(enumerate_events(4))
+    with pytest.raises(ValueError, match="at least 2 detectors"):
+        multiclick_coarse_graining(enumerate_events(1))
+    bb84_qubit_measurement("Z")
+    for basis in ("Y", ["Z"]):
+        with pytest.raises(ValueError, match="unknown basis"):
+            bb84_qubit_measurement(basis)

@@ -50,9 +50,9 @@ def test_dark_matrix_composition_is_combined_rate():
         d = rng.uniform(0, 0.3, 3)
         dp = rng.uniform(0, 0.3, 3)
         combined = 1.0 - (1.0 - d) * (1.0 - dp)
-        product = dark_count_matrix(dp) @ dark_count_matrix(d)
+        product = dark_count_matrix(dp).entries @ dark_count_matrix(d).entries
         np.testing.assert_allclose(
-            product.entries, dark_count_matrix(combined).entries, atol=1e-12
+            product, dark_count_matrix(combined).entries, atol=1e-12
         )
 
 
@@ -86,7 +86,7 @@ def test_column_stochastic_under_composition():
     for _ in range(10):
         a = dark_count_matrix(rng.uniform(0, 0.5, 2))
         b = dark_count_matrix(rng.uniform(0, 0.5, 2))
-        prod = (a @ b).entries
+        prod = a.entries @ b.entries
         np.testing.assert_allclose(prod.sum(axis=0), np.ones(4), atol=1e-10)
         assert prod.min() >= 0.0
 
@@ -170,7 +170,7 @@ def test_multiclick_coarse_graining_idempotent_on_image():
     cg = multiclick_coarse_graining(enumerate_events(3))
     lifted = multiclick_coarse_graining(cg.row_table)
     np.testing.assert_allclose(
-        (lifted @ cg).entries, cg.entries, atol=1e-15
+        lifted.entries @ cg.entries, cg.entries, atol=1e-15
     )
 
 
@@ -184,7 +184,7 @@ def test_squasher_after_dark_counts_product():
     # double click into random singles, leaving the forced 3x3 block plus a
     # column (0, 1/2, 1/2) that a stochastic solution must reproduce
     d1, d2 = 0.04, 0.09
-    product = (bb84_qubit_squasher() @ dark_count_matrix([d1, d2])).entries
+    product = bb84_qubit_squasher().entries @ dark_count_matrix([d1, d2]).entries
     expected = np.array(
         [
             [(1 - d1) * (1 - d2), 0.0, 0.0, 0.0],

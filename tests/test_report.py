@@ -12,7 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from detcert import (
+    POVM,
     QuantumChannel,
+    StochasticMatrix,
     apply_postprocessing,
     bb84_qubit_measurement,
     bb84_qubit_squasher,
@@ -590,6 +592,94 @@ def test_add_check_passes_iff_residual_within_tolerance(residual, passed):
     cert.add_check("check", "operation", {}, residual, 1e-9)
     assert cert.checks[0]["passed"] is passed
     assert cert.all_passed is passed
+
+
+def test_add_check_with_a_requirement_stops_only_on_failure():
+    cert = Certificate(descriptor={}, derived={})
+    cert.add_check("held", "operation", {}, 1e-9, 1e-9, "the requirement")
+    assert cert.all_passed
+    with pytest.raises(ValueError, match="^the requirement$"):
+        cert.add_check("broken", "operation", {}, math.nan, 1e-9, "the requirement")
+    assert [(c["name"], c["passed"]) for c in cert.checks] == [("held", True), ("broken", False)]
+
+
+def _bent_dark_map(monkeypatch, desc):
+    # a dark-count map that erases 1e-3 of a single click
+    fine = report.dark_count_matrix
+
+    def bent(d_vec):
+        entries = fine(d_vec).entries.copy()
+        entries[1, 1] -= 1e-3
+        entries[0, 1] += 1e-3
+        return StochasticMatrix(entries)
+
+    monkeypatch.setattr(report, "dark_count_matrix", bent)
+
+
+def _bent_povm(entry):
+    """Move 1e-3 of a single click's one-photon weight to a multi-click in POVM stack entry ``entry(desc)``."""
+
+    def inject(monkeypatch, desc):
+        build, at = report.build_threshold_povm, entry(desc)
+
+        def bent(setup, cutoff):
+            povm = build(setup, cutoff)
+            dense = povm.dense.copy()
+            single, multi = povm.events.index_of("0001"), povm.events.index_of("0011")
+            dense[at, single, 1, 1] -= 1e-3
+            dense[at, multi, 1, 1] += 1e-3
+            return POVM(povm.layout, dense, povm.events)
+
+        monkeypatch.setattr(report, "build_threshold_povm", bent)
+
+    return inject
+
+
+_CLICK_COUNT = "threshold POVM violates the click-count assumption"
+# (descriptor, fault injector or None, failing check or None, start of the failed requirement)
+STOPS = {
+    "bent-dark-map": (
+        PASSIVE, _bent_dark_map, "dark-count-conditions",
+        "dark-count post-processing violates the structural conditions "
+        "(single-to-single, click erasure, or survival ordering)",
+    ),
+    "click-count-at-corner-2": (
+        PASSIVE, _bent_povm(lambda desc: 2), "single-photon-assumption-corner2", _CLICK_COUNT,
+    ),
+    "click-count-lossless": (
+        PASSIVE, _bent_povm(lambda desc: len(desc.points(box=True)[0])), None, _CLICK_COUNT,
+    ),
+    "eta-star-passive": ({**PASSIVE, "eta_star": 0.5}, None, None, "common efficiency 0.5 outside the admissible"),
+    "eta-star-active": (
+        {**ACTIVE_NARROW, "eta_star": 0.5}, None, None, "common efficiency 0.5 outside the admissible",
+    ),
+    "zero-efficiency": (
+        {**PASSIVE, "eta_range": [0.0, 0.5]}, None, None, "admissible common-efficiency interval is empty",
+    ),
+    "unequal-active-rates": (
+        {"setup": "active-bb84", "dark_range": [[0.0, 0.01], [0.0, 0.02]]}, None, "swap-equation-lp",
+        "the swap equation P_sq' P_db = P_dc P_sq has no stochastic solution "
+        "for the qubit squasher (it requires equal dark count rates)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(STOPS))
+def test_a_failed_requirement_ends_the_analysis_at_its_check(monkeypatch, name):
+    data, inject, failing, requirement = STOPS[name]
+    desc = descriptor_from_dict(data)
+    if inject is not None:
+        inject(monkeypatch, desc)
+    cert = run_analysis(desc)
+    assert cert.status == "not reducible under this framework"
+    assert cert.failed_requirement.startswith(requirement)
+    verdicts = [(c["name"], c["passed"]) for c in cert.checks]
+    # the failing check, where there is one, is the last recorded; every check before it passed
+    if failing is None:
+        assert all(passed for _, passed in verdicts)
+    else:
+        assert verdicts[-1] == (failing, False)
+        assert all(passed for _, passed in verdicts[:-1])
 
 
 def _replayed_channel_checks(desc, cert) -> dict:
