@@ -40,19 +40,19 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .detectors import POVM, EventTable, _Verdict, verify_single_photon_assumption
+from .detectors import POVM, _Verdict, active_bb84_setups, build_threshold_povm, verify_single_photon_assumption
 from .fock import FLAG_LABEL, SpaceLayout, photon_label
 from .postprocessing import StochasticMatrix, _single_photon_loss_entries, validate_dark_count_pp
+from .postprocessing import apply_postprocessing, bb84_qubit_squasher
 from .squashing import check_eta_star
 
 _M0 = photon_label(0)
 _M1 = photon_label(1)
-_BB84_LAYOUT = SpaceLayout(((_M0, 1), (_M1, 2)))  # vacuum + qubit
 _FLAG_TOL = 1e-12
 # min_deviation_q's closed form is rounded up by this; every larger q is admissible.
 _DEVIATION_RADIUS = 1e-12
@@ -421,27 +421,15 @@ def bb84_simple_noise_channel(d: float) -> QuantumChannel:
     return QuantumChannel(layout, layout, (reprepare, keep_qubit))
 
 
-def _squashed_bb84(basis: str) -> POVM:
-    s = 1.0 / math.sqrt(2.0)
-    kets = {"Z": (np.array([1.0, 0.0]), np.array([0.0, 1.0])), "X": (np.array([s, s]), np.array([s, -s]))}
-    dense = np.zeros((3, 3, 3), dtype=complex)
-    dense[0, 0, 0] = 1.0
-    for i, ket in enumerate(kets[basis], start=1):
-        dense[i, 1:, 1:] = np.outer(ket, ket.conj())
-    events = EventTable(
-        k=2,
-        labels=("no-click", f"{basis}0", f"{basis}1"),
-        classes=("no-click", "single", "single"),
-        masks=(),
-    )
-    return POVM(_BB84_LAYOUT, dense, events)
-
-
-_BB84_MEASUREMENTS = {basis: _squashed_bb84(basis) for basis in "ZX"}
+_BB84_MEASUREMENTS = {
+    basis: apply_postprocessing(bb84_qubit_squasher(), build_threshold_povm(setup, 1))
+    for basis, setup in active_bb84_setups().items()
+}
+_BB84_LAYOUT = _BB84_MEASUREMENTS["Z"].layout  # vacuum + qubit
 
 
 def bb84_qubit_measurement(basis: str) -> POVM:
-    """Squashed BB84 measurement on vacuum + qubit for one basis choice, built once, at import."""
+    """The squashed BB84 measurement of one basis: the squasher on its cutoff-1 threshold POVM, built at import."""
     if basis not in ("Z", "X"):
         raise ValueError(f"unknown basis {basis!r}")
     return _BB84_MEASUREMENTS[basis]
@@ -793,7 +781,6 @@ class CPTPReport(_Verdict):
     trace_preservation_dev: float
     hermiticity_dev: float
     tolerance: float
-    passed: bool = field(init=False)
 
     @cached_property
     def residual(self) -> float:
@@ -847,7 +834,6 @@ class EquivalenceReport(_Verdict):
     max_residual: float
     per_event: tuple[float, ...]
     tolerance: float
-    passed: bool = field(init=False)
 
     @property
     def residual(self) -> float:

@@ -320,7 +320,9 @@ def build_threshold_povm(setup: DetectionSetup, cutoff: int) -> POVM:
 
 @dataclass(frozen=True)
 class _Verdict:
-    """A report that passes iff its ``residual`` is within its ``tolerance`` (NaN fails)."""
+    """A report that passes iff ``residual <= tolerance`` (NaN fails): ``passed``, declared here only, says so."""
+
+    passed: bool = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "passed", self.passes(self.residual, self.tolerance))
@@ -342,7 +344,6 @@ class SinglePhotonAssumptionReport(_Verdict):
     max_violation: float
     entries: tuple[tuple[str, str, float], ...] = field(repr=False)
     tolerance: float = _ASSUMPTION_TOL
-    passed: bool = field(init=False)
 
     @property
     def residual(self) -> float:

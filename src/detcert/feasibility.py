@@ -20,7 +20,7 @@ The probe reads the kernel's maps: the adjoint is a measure-prepare term on its 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -215,7 +215,6 @@ class ChoiWitnessReport(_Verdict):
     trace_preservation_dev: float
     linear_residual: float
     tolerance: float
-    passed: bool = field(init=False)
 
     @cached_property
     def residual(self) -> float:

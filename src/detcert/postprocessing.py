@@ -19,7 +19,7 @@ decides.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,12 +34,13 @@ class StochasticMatrix:
     """Column-stochastic real matrix.
 
     Entries must be nonnegative up to ``1e-12`` (tiny negatives are clamped
-    to zero) and every column must sum to 1 within ``1e-10``.
+    to zero) and every column must sum to 1 within ``1e-10``.  ``row_table``,
+    when given, names the output events: :func:`apply_postprocessing` reads it.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "row_table")
 
-    def __init__(self, entries):
+    def __init__(self, entries, row_table: EventTable | None = None):
         a = np.asarray(entries, dtype=float)
         if a.ndim != 2:
             raise ValueError("entries must be a matrix")
@@ -52,6 +53,7 @@ class StochasticMatrix:
                 f"columns must sum to 1 (worst deviation {np.abs(colsums - 1.0).max():.3e})"
             )
         self.entries = a
+        self.row_table = row_table
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -61,16 +63,15 @@ class StochasticMatrix:
 class CoarseGraining(StochasticMatrix):
     """Deterministic merge of outcomes: a 0/1 matrix with one 1 per column and no empty row."""
 
-    __slots__ = ("row_table",)
+    __slots__ = ()
 
-    def __init__(self, entries, row_table=None):
-        super().__init__(entries)
+    def __init__(self, entries, row_table: EventTable | None = None):
+        super().__init__(entries, row_table)
         a = self.entries
         if not np.all((a == 0.0) | (a == 1.0)):  # so each column, summing to 1, holds one 1
             raise ValueError("coarse graining entries must be 0 or 1")
         if not a.any(axis=1).all():
             raise ValueError("each row must merge at least one outcome")
-        self.row_table = row_table
 
 
 def dark_count_matrix(dark_rates) -> StochasticMatrix:
@@ -133,7 +134,6 @@ class DarkCountConditionsReport(_Verdict):
     single_to_single: tuple[tuple[int, int], ...]
     click_erased: tuple[tuple[int, int], ...]
     survival_violations: tuple[int, ...]
-    passed: bool = field(init=False)
 
 
 def validate_dark_count_pp(
@@ -194,12 +194,11 @@ def apply_postprocessing(p: StochasticMatrix, povm: POVM) -> POVM:
     """
     if p.shape[1] != len(povm):
         raise ValueError("matrix columns must match the POVM element count")
-    events = getattr(p, "row_table", None)
-    if events is None:
+    if p.row_table is None:
         raise ValueError("no event table for the output POVM")
     d = povm.layout.total_dim
     flat = povm.dense.reshape(*povm.dense.shape[:-2], d * d)
-    return POVM(povm.layout, (p.entries @ flat).reshape(*flat.shape[:-2], -1, d, d), events)
+    return POVM(povm.layout, (p.entries @ flat).reshape(*flat.shape[:-2], -1, d, d), p.row_table)
 
 
 @dataclass(frozen=True)
@@ -380,7 +379,8 @@ _QUBIT_SQUASHER = StochasticMatrix(
         [1.0, 0.0, 0.0, 0.0],
         [0.0, 1.0, 0.0, 0.5],
         [0.0, 0.0, 1.0, 0.5],
-    ]
+    ],
+    EventTable(k=2, labels=enumerate_events(2).labels[:3], classes=(NO_CLICK, SINGLE, SINGLE), masks=()),
 )
 _QUBIT_SQUASHER.entries.flags.writeable = False
 
@@ -389,8 +389,8 @@ def bb84_qubit_squasher() -> StochasticMatrix:
     """Post-processing of the two-detector BB84 squasher, per basis.
 
     Maps a double click to a uniformly random single click in the same
-    basis; no-click and single clicks pass through.  Built once, at
-    import, and read-only.
+    basis; no-click and single clicks pass through, and its row table names
+    them as in :func:`enumerate_events`.  Built once, at import, and read-only.
     """
     return _QUBIT_SQUASHER
 

@@ -107,18 +107,13 @@ def weight_bound(povm: POVM, event, p_observed: float, cutoff: int) -> WeightBou
     idx = _resolve_event(povm.events, event)
     gamma = sum(povm.dense[i] for i in idx)
 
-    def block_min(ms):
-        lo = None
-        for m in ms:
-            s = povm.layout.slice_of(photon_label(m))
-            a = gamma[s, s]
-            a = (a + a.conj().T) / 2.0
-            val = float(np.linalg.eigvalsh(a)[0])
-            lo = val if lo is None else min(lo, val)
-        return lo
+    def block_min(m):
+        s = povm.layout.slice_of(photon_label(m))
+        a = gamma[s, s]
+        return float(np.linalg.eigvalsh((a + a.conj().T) / 2.0)[0])
 
-    lam_in = block_min(inside)
-    lam_out = block_min(outside)
+    lam_in = min(map(block_min, inside))
+    lam_out = min(map(block_min, outside))
     denom = lam_out - lam_in
     if denom <= 1e-12:
         raise ValueError(

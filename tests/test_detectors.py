@@ -26,8 +26,18 @@ from detcert import (
     verify_single_photon_assumption,
     weight_bound,
 )
-from detcert.detectors import POVM, _lift_isometry
+from detcert.channels import (
+    CPTPReport,
+    EquivalenceReport,
+    QuantumChannel,
+    _KeepBlocks,
+    verify_cptp,
+    verify_statistics_equivalence,
+)
+from detcert.detectors import POVM, SinglePhotonAssumptionReport, _lift_isometry, _Verdict
+from detcert.feasibility import ChoiWitnessReport, verify_choi_witness
 from detcert.fock import SpaceLayout
+from detcert.postprocessing import DarkCountConditionsReport, dark_count_matrix, validate_dark_count_pp
 
 
 def test_enumerate_events_k1():
@@ -270,6 +280,32 @@ def test_assumption_report_catches_injected_violation():
     assert report.residual == report.max_violation
     assert dataclasses.replace(report, tolerance=report.max_violation).passed
     assert not dataclasses.replace(report, tolerance=np.nextafter(report.max_violation, 0.0)).passed
+
+
+def _verdict_subclasses(cls=_Verdict):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _verdict_subclasses(sub)
+
+
+def test_every_verdict_declares_passed_once_as_a_computed_field():
+    events = enumerate_events(2)
+    povm = build_threshold_povm(active_bb84_setups()["Z"], 1)
+    identity = QuantumChannel(povm.layout, povm.layout, (_KeepBlocks(1.0, np.eye(3)),))
+    samples = {
+        SinglePhotonAssumptionReport: lambda: verify_single_photon_assumption(povm),
+        DarkCountConditionsReport: lambda: validate_dark_count_pp(dark_count_matrix([0.1, 0.2]), events),
+        CPTPReport: lambda: verify_cptp(identity, 1e-9),
+        EquivalenceReport: lambda: verify_statistics_equivalence(None, povm, povm, identity),
+        ChoiWitnessReport: lambda: verify_choi_witness(identity.choi, None, povm, povm, 1e-9),
+    }
+    assert set(_verdict_subclasses()) == set(samples)  # a new report needs a sample here
+    for cls, sample in samples.items():
+        (passed,) = [f for f in dataclasses.fields(cls) if f.name == "passed"]
+        assert passed.init is False and "passed" not in vars(cls).get("__annotations__", {})
+        report = sample()
+        assert type(report) is cls and report.passed
+        assert dataclasses.asdict(report)["passed"] is True
 
 
 def test_assumption_vacuous_for_single_detector():

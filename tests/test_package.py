@@ -1,5 +1,6 @@
 """The package's public namespace and its import footprint."""
 
+import json
 import os
 import re
 import subprocess
@@ -67,9 +68,9 @@ import sys
 import detcert
 from detcert import cli
 
-descriptor, out = sys.argv[1], sys.argv[2]
-codes = [cli.main([cmd, descriptor, "--out", out]) for cmd in ("analyze", "choi-check", "swap-lp")]
-assert codes == [0, 0, 0], codes
+descriptor, out, *commands = sys.argv[1:]
+codes = [cli.main([cmd, descriptor, "--out", out]) for cmd in commands]
+assert codes == [0] * len(commands), codes
 loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 assert not loaded, f"{len(loaded)} scipy modules loaded: {loaded[:3]}"
 """
@@ -78,7 +79,17 @@ assert not loaded, f"{len(loaded)} scipy modules loaded: {loaded[:3]}"
 def test_active_commands_import_no_scipy(tmp_path):
     # the test session itself has scipy loaded
     descriptor = ROOT / "descriptors" / "active_bb84.json"
-    proc = _python(SOLVER_FREE_RUN, str(descriptor), str(tmp_path / "out.json"))
+    proc = _python(SOLVER_FREE_RUN, str(descriptor), str(tmp_path / "out.json"), "analyze", "choi-check", "swap-lp")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_passive_commands_import_no_scipy(tmp_path):
+    # the shipped passive descriptor plus an observed event, which the weight command needs
+    descriptor = json.loads((ROOT / "descriptors" / "passive_bb84.json").read_text())
+    descriptor["observed"] = {"event": "multi", "probability": 0.01}
+    path = tmp_path / "observed.json"
+    path.write_text(json.dumps(descriptor))
+    proc = _python(SOLVER_FREE_RUN, str(path), str(tmp_path / "out.json"), "analyze", "verify-channel", "weight")
     assert proc.returncode == 0, proc.stderr
 
 
