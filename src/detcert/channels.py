@@ -45,7 +45,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .detectors import POVM, _Verdict, active_bb84_setups, build_threshold_povm, verify_single_photon_assumption
+from .detectors import POVM, _dtype, _Verdict, active_bb84_setups, build_threshold_povm, verify_single_photon_assumption
 from .fock import FLAG_LABEL, SpaceLayout, photon_label
 from .postprocessing import StochasticMatrix, _single_photon_loss_entries, validate_dark_count_pp
 from .postprocessing import apply_postprocessing, bb84_qubit_squasher
@@ -225,7 +225,9 @@ class ChoiSupport:
     values)`` triples whose values broadcast to their rows, repeated
     positions summed in order (no position repeats within one part).  The
     structure of the positions (:class:`_Pattern`) depends on them alone,
-    and supports with the same positions share it.
+    and supports with the same positions share it.  ``values`` take the
+    dtype of :func:`_dtype` over the parts' values: real terms give a
+    float64 stack, and one complex part a complex128 one.
     """
 
     def __init__(self, d_in: int, d_out: int, depth: int, parts):
@@ -233,7 +235,7 @@ class ChoiSupport:
         positions = np.concatenate([k for _, k, _ in parts] + [np.zeros(0, dtype=np.intp)])
         self._pattern = _pattern(d_in, d_out, positions.astype(np.intp).tobytes())
         self.keys = self._pattern.keys
-        self.values = np.zeros((depth, len(self.keys)), dtype=complex)
+        self.values = np.zeros((depth, len(self.keys)), dtype=_dtype(*[v for _, _, v in parts]))
         start = 0
         for stack_rows, k, v in parts:
             self.values[stack_rows, self._pattern.slot[start : start + len(k)]] += v
@@ -255,12 +257,16 @@ class ChoiSupport:
     @classmethod
     def from_dense(cls, choi, d_in: int, d_out: int) -> "ChoiSupport":
         """A dense Choi matrix, or a stack of them, on the union of their nonzeros."""
-        stack = np.asarray(choi, dtype=complex).reshape(-1, (d_in * d_out) ** 2)
+        stack = np.asarray(choi, dtype=_dtype(choi)).reshape(-1, (d_in * d_out) ** 2)
         keys = np.flatnonzero((stack != 0).any(axis=0))
         return cls(d_in, d_out, len(stack), [(slice(None), keys, stack[:, keys])])
 
     def dense(self) -> np.ndarray:
-        """The ``(depth, dim, dim)`` dense Choi matrices."""
+        """The ``(depth, dim, dim)`` dense Choi matrices, complex128 whatever the values' dtype.
+
+        The dense matrix is for application, composition and witnesses, whose
+        callers may add complex entries to a real channel's matrix.
+        """
         out = np.zeros((len(self.values), self.dim * self.dim), dtype=complex)
         out[:, self.keys] = self.values
         return out.reshape(-1, self.dim, self.dim)
@@ -273,7 +279,7 @@ class ChoiSupport:
         """
         ops, pattern = np.asarray(ops), self._pattern
         terms = ops.reshape(*ops.shape[:-2], -1).take(pattern.gather, axis=-1) * self.values[:, None, :]
-        out = np.zeros((len(self.values), ops.shape[-3], self.d_in * self.d_in), dtype=complex)
+        out = np.zeros((len(self.values), ops.shape[-3], self.d_in * self.d_in), dtype=terms.dtype)
         if len(self.keys):
             out[..., pattern.targets] = np.add.reduceat(terms, pattern.starts, axis=-1)
         return out.reshape(*out.shape[:-1], self.d_in, self.d_in)
@@ -294,6 +300,10 @@ class ChoiSupport:
         stack and over the components of one size; a non-finite matrix has
         none, NaN.
         """
+        # The blocks are complex Hermitian even for a real stack: LAPACK's
+        # real and complex solvers round differently, and a matrix must keep
+        # its eigenvalue bit for bit whether or not a complex stack-mate
+        # (an injected fault, say) makes the stack complex.
         mirrored = np.conj(self.values.take(self._pattern.mirror, axis=1))
         herm = np.abs(self.values - mirrored).max(axis=1, initial=0.0)
         h = (self.values + mirrored) / 2.0
@@ -370,7 +380,7 @@ class QuantumChannel:
     @classmethod
     def from_choi(cls, choi, input_layout: SpaceLayout, output_layout: SpaceLayout):
         """The channel with Choi matrix ``choi``, or the stack of channels of a ``(depth, dim, dim)`` stack."""
-        j = np.asarray(choi, dtype=complex)
+        j = np.asarray(choi)
         d_in, d_out = input_layout.total_dim, output_layout.total_dim
         if j.shape[-2:] != (d_in * d_out,) * 2 or j.ndim not in (2, 3):
             raise ValueError("Choi matrix shape does not match the layouts")
@@ -394,7 +404,7 @@ def _diagonal_states(d: int, positions, coeffs) -> np.ndarray:
     ``p_i`` is the basis vector at index ``positions[i]`` of the ``d``-dimensional space.
     """
     coeffs = np.asarray(coeffs)
-    states = np.zeros((len(coeffs), d, d), dtype=complex)
+    states = np.zeros((len(coeffs), d, d), dtype=_dtype(coeffs))
     states[:, positions, positions] = coeffs
     return states
 
@@ -527,7 +537,10 @@ def dark_count_channel(p_db: StochasticMatrix, f_eta: POVM) -> QuantumChannel:
 def _loss_split_entries(eta: np.ndarray, eta_star: float) -> np.ndarray:
     """Entries of ``Q`` for each efficiency vector of a stack ``(..., k)`` with ``eta_min < eta_star``."""
     eta_min = eta.min(axis=-1, keepdims=True)
-    keep = eta_star * (eta - eta_min) / (eta_star - eta_min)
+    # Divided by (eta_star - eta_min) / eta_star, which lies in (0, 1], not
+    # multiplied by eta_star first, which underflows at subnormal
+    # efficiencies; at eta_star = 1 the two agree bit for bit.
+    keep = (eta - eta_min) / ((eta_star - eta_min) / eta_star)
     return _single_photon_loss_entries(np.clip(keep, 0.0, 1.0))
 
 
@@ -739,7 +752,7 @@ class ChoiConstraintSystem:
         afters, targets = [], []
         for p, f_before, f_after in identities:
             before, after = [
-                f.dense if isinstance(f, POVM) else np.asarray(f, dtype=complex)
+                f.dense if isinstance(f, POVM) else np.asarray(f, dtype=_dtype(f))
                 for f in (f_before, f_after)
             ]
             n_before, n_after = before.shape[-3], after.shape[-3]

@@ -99,11 +99,14 @@ def enumerate_events(k: int) -> EventTable:
 class DetectionSetup:
     """Passive linear-optics front end plus per-detector efficiencies.
 
-    ``mode_map`` is a ``k x n_in`` complex matrix whose columns are
-    orthonormal: it embeds the input modes isometrically into the detector
-    modes, so photon number is conserved before loss.  ``eta`` is one
-    efficiency per detector, or a ``(depth, k)`` stack of such vectors,
-    for which :func:`build_threshold_povm` builds the stack of POVMs.
+    ``mode_map`` is a ``k x n_in`` matrix whose columns are orthonormal:
+    it embeds the input modes isometrically into the detector modes, so
+    photon number is conserved before loss.  It keeps the dtype it is
+    given, by the rule of :func:`_dtype`: a real map is float64 and makes
+    every POVM, target and Choi stack built from it float64, a complex map
+    complex128.  ``eta`` is one efficiency per detector, or a ``(depth,
+    k)`` stack of such vectors, for which :func:`build_threshold_povm`
+    builds the stack of POVMs.
     """
 
     k: int
@@ -111,7 +114,7 @@ class DetectionSetup:
     eta: np.ndarray
 
     def __post_init__(self):
-        mm = np.asarray(self.mode_map, dtype=complex)
+        mm = np.asarray(self.mode_map, dtype=_dtype(self.mode_map))
         eta = np.asarray(self.eta, dtype=float)
         if mm.ndim != 2 or mm.shape[0] != self.k:
             raise ValueError(f"mode_map must be k x n_in with k={self.k}")
@@ -128,9 +131,18 @@ class DetectionSetup:
         return replace(self, eta=np.asarray(_broadcast_eta(eta, self.k), dtype=float))
 
 
+def _dtype(*arrays) -> np.dtype:
+    """The dtype of every stack on the certificate path: complex128 if one of ``arrays`` is complex, else float64.
+
+    That is their result type, at least float64 and at most complex128, the
+    widest types LAPACK takes: real inputs give real arithmetic.
+    """
+    return np.dtype(np.complex128 if any(map(np.iscomplexobj, arrays)) else np.float64)
+
+
 def is_isometry(mode_map) -> bool:
     """Whether the columns of ``mode_map`` are orthonormal, to ``_ISOMETRY_TOL`` (NaN is not)."""
-    mm = np.asarray(mode_map, dtype=complex)
+    mm = np.asarray(mode_map, dtype=_dtype(mode_map))
     return bool(np.abs(mm.conj().T @ mm - np.eye(mm.shape[1])).max() <= _ISOMETRY_TOL)
 
 
@@ -174,7 +186,9 @@ class POVM:
     ``dense`` is the ``(n, d, d)`` stack of the elements, one per event, on
     the ``d``-dimensional space of ``layout``, or a ``(depth, n, d, d)``
     stack of such measurements on one layout and event table (one per
-    efficiency corner, say).  It is validated once, in one batched pass:
+    efficiency corner, say), float64 if the elements given are real and
+    complex128 if they are complex (:func:`_dtype`).  It is validated
+    once, in one batched pass:
     finite, exactly zero off the layout's blocks, Hermitian to 1e-12, PSD
     to -1e-10 and summing to the identity to 1e-10.  A layout ending in a
     ``flag`` block (a flag-state target) carries one classical flag per
@@ -184,7 +198,7 @@ class POVM:
     __slots__ = ("layout", "events", "dense")
 
     def __init__(self, layout: SpaceLayout, dense, events: EventTable):
-        dense = np.array(dense, dtype=complex)
+        dense = np.array(dense, dtype=_dtype(dense))
         d = layout.total_dim
         if dense.shape[-3:] != (events.n_events, d, d) or dense.ndim not in (3, 4):
             raise ValueError(
@@ -249,11 +263,12 @@ def _lift_isometry(mode_map: np.ndarray, m: int):
     photons' modes.  Occupations come in the order of their sorted mode
     lists (``itertools.combinations_with_replacement``): descending
     lexicographic order of the occupation tuples.  Built once per process
-    for each mode map and ``m``: ``V`` is read-only and the occupations are
-    tuples.  An array cannot key a cache, so this function keys
-    :func:`_lift` on the map's dtype, shape and bytes.
+    for each mode map and ``m``: ``V`` is read-only, in the map's dtype (at
+    least float64, :func:`_dtype`), and the occupations are tuples.  An
+    array cannot key a cache, so this function keys :func:`_lift` on the
+    map's dtype, shape and bytes.
     """
-    mode_map = np.asarray(mode_map)
+    mode_map = np.asarray(mode_map, dtype=_dtype(mode_map))
     return _lift(mode_map.dtype.str, mode_map.shape, mode_map.tobytes(), m)
 
 
@@ -273,7 +288,7 @@ def _lift(dtype: str, shape: tuple[int, int], data: bytes, m: int):
         ]
         for r, n in zip(det_modes, det_occs)
     ]
-    v = np.array(v, dtype=complex)
+    v = np.array(v, dtype=dtype)
     v.flags.writeable = False
     return v, det_occs, in_occs
 
@@ -301,7 +316,7 @@ def build_threshold_povm(setup: DetectionSetup, cutoff: int) -> POVM:
     lifts = [_lift_isometry(setup.mode_map, m) for m in range(cutoff + 1)]
     layout = SpaceLayout(tuple((photon_label(m), len(lift[2])) for m, lift in enumerate(lifts)))
     lead = one_minus_eta.shape[:-1]
-    dense = np.zeros((*lead, events.n_events, layout.total_dim, layout.total_dim), dtype=complex)
+    dense = np.zeros((*lead, events.n_events, layout.total_dim, layout.total_dim), dtype=setup.mode_map.dtype)
     for m, (v, det_occs, _) in enumerate(lifts):
         s = layout.slice_of(photon_label(m))
         # Survival probabilities per detector occupation: detector i with n_i

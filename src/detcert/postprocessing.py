@@ -191,14 +191,18 @@ def apply_postprocessing(p: StochasticMatrix, povm: POVM) -> POVM:
     """Post-processed measurement ``G' = P G`` (element-wise mixing), per stack entry.
 
     The output events are the row table of ``p``, which must carry one.
+    The output keeps the dtype of ``povm``.
     """
     if p.shape[1] != len(povm):
         raise ValueError("matrix columns must match the POVM element count")
     if p.row_table is None:
         raise ValueError("no event table for the output POVM")
-    d = povm.layout.total_dim
-    flat = povm.dense.reshape(*povm.dense.shape[:-2], d * d)
-    return POVM(povm.layout, (p.entries @ flat).reshape(*flat.shape[:-2], -1, d, d), p.row_table)
+    # einsum, not BLAS: it sums over the input elements in column order,
+    # equal to the term-by-term sum bit for bit, where a real matmul rounds
+    # otherwise.  P is real, so a complex stack is mixed as its float view.
+    dense = povm.dense
+    mixed = np.einsum("ij,...jab->...iab", p.entries, dense.view(np.float64)).view(dense.dtype)
+    return POVM(povm.layout, mixed, p.row_table)
 
 
 @dataclass(frozen=True)

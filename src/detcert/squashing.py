@@ -25,8 +25,8 @@ def flag_state_target(povm: POVM, cutoff: int) -> POVM:
     Element ``i`` keeps the blocks ``m <= cutoff`` of the source element and
     appends the flag ``|i><i|``; blocks above the cutoff are dropped (their
     role is taken over by the flags).  The result is a ``POVM`` whose layout
-    ends in a ``flag`` block of one flag per event.  A stack of
-    measurements gives the stack of targets.
+    ends in a ``flag`` block of one flag per event, in the source's dtype.
+    A stack of measurements gives the stack of targets.
     """
     numbers = povm.layout.photon_numbers()
     if cutoff not in numbers:
@@ -36,7 +36,7 @@ def flag_state_target(povm: POVM, cutoff: int) -> POVM:
     layout = SpaceLayout(
         tuple((lab, povm.layout.dim(lab)) for lab in preserved) + ((FLAG_LABEL, n),)
     )
-    dense = np.zeros((*povm.dense.shape[:-2], layout.total_dim, layout.total_dim), dtype=complex)
+    dense = np.zeros((*povm.dense.shape[:-2], layout.total_dim, layout.total_dim), dtype=povm.dense.dtype)
     for lab in preserved:
         s = layout.slice_of(lab)
         dense[..., s, s] = povm.block(lab)
@@ -92,8 +92,8 @@ def weight_bound(povm: POVM, event, p_observed: float, cutoff: int) -> WeightBou
 
     clamped to [0, 1], where the extremal eigenvalues are taken over the
     blocks at or below the cutoff and strictly above it.  The POVM must
-    carry at least one block above the cutoff; a nearly equal pair of
-    eigenvalues makes the event uninformative and is rejected.
+    carry at least one block on each side of the cutoff; a nearly equal
+    pair of eigenvalues makes the event uninformative and is rejected.
     """
     if not 0.0 <= p_observed <= 1.0:
         raise ValueError("observed probability must lie in [0, 1]")
@@ -102,6 +102,8 @@ def weight_bound(povm: POVM, event, p_observed: float, cutoff: int) -> WeightBou
     outside = [m for m in numbers if m > cutoff]
     if not outside:
         raise ValueError(f"POVM has no blocks above the cutoff {cutoff}")
+    if not inside:
+        raise ValueError(f"POVM has no blocks at or below the cutoff {cutoff}")
     if povm.stacked:
         raise ValueError("weight_bound takes one measurement, not a stack of them")
     idx = _resolve_event(povm.events, event)

@@ -34,7 +34,7 @@ def criterion(num, text, budget_s):
 
 
 def test_criterion_1_swap_lp_reproduction():
-    with criterion(1, "swap LP reproduces the squashed dark-count map", 0.015):
+    with criterion(1, "swap LP reproduces the squashed dark-count map", 0.008):
         squasher = dc.bb84_qubit_squasher()
         for d in (0.01, 0.05, 0.1):
             result = dc.solve_swap_lp(dc.dark_count_matrix([d, d]), squasher)
@@ -46,7 +46,7 @@ def test_criterion_1_swap_lp_reproduction():
 
 
 def test_criterion_2_bb84_channel_identity():
-    with criterion(2, "simple BB84 noise channel certified in both bases", 1.0):
+    with criterion(2, "simple BB84 noise channel certified in both bases", 0.016):
         for d in (0.01, 0.05, 0.1):
             channel = dc.bb84_simple_noise_channel(d)
             assert dc.verify_cptp(channel, 1e-9).passed
@@ -114,7 +114,7 @@ def test_criterion_4_loss_channel_certification():
 
 
 def test_criterion_5_deviation_and_generic_channel():
-    with criterion(5, "minimum deviation q and the generic channel agree", 10.0):
+    with criterion(5, "minimum deviation q and the generic channel agree", 0.19):
         for q0 in (0.1, 0.3, 0.7):
             rng = np.random.default_rng(int(q0 * 10))
             f_ideal = random_squashed_povm(rng)
@@ -138,7 +138,7 @@ def test_criterion_5_deviation_and_generic_channel():
 
 
 def test_criterion_6_coarse_graining_algebra():
-    with criterion(6, "coarse-grained dark-count map satisfies the swap", 5.0):
+    with criterion(6, "coarse-grained dark-count map satisfies the swap", 0.1):
         for k in (2, 3, 4):
             rng = np.random.default_rng(k)
             events = dc.enumerate_events(k)
@@ -154,7 +154,7 @@ def test_criterion_6_coarse_graining_algebra():
 
 
 def test_criterion_7_weight_propagation():
-    with criterion(7, "weight propagation reproduces the combined relation", 5.0):
+    with criterion(7, "weight propagation reproduces the combined relation", 0.012):
         p00 = (1.0 - 0.01) ** 2
         value = dc.propagate_weight(0.0, p00, 0.9, 1.0)
         assert abs(value - 0.11791) <= 1e-12
@@ -169,7 +169,7 @@ def test_criterion_7_weight_propagation():
 
 
 def test_criterion_8_choi_feasibility():
-    with criterion(8, "Choi feasibility probe with verified witness", 1.0):
+    with criterion(8, "Choi feasibility probe with verified witness", 0.062):
         p_dc = dc.bb84_squashed_dark_matrix(0.05)
         for basis in ("Z", "X"):
             povm = dc.bb84_qubit_measurement(basis)
@@ -192,7 +192,7 @@ def test_criterion_8_choi_feasibility():
 
 
 def test_criterion_9_deterministic_certificates(tmp_path):
-    with criterion(9, "analyze is byte-deterministic at fixed seed", 0.25):
+    with criterion(9, "analyze is byte-deterministic at fixed seed", 0.056):
         out1 = tmp_path / "run1.json"
         out2 = tmp_path / "run2.json"
         assert cli.main(["analyze", str(DESCRIPTOR), "--out", str(out1)]) == 0

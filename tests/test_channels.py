@@ -82,11 +82,12 @@ def test_bb84_measurement_is_the_vacuum_and_the_basis_projectors(basis):
     # derived from the threshold POVM and the squasher, yet bit for bit the projectors on vacuum + qubit
     s = 1.0 / np.sqrt(2.0)
     kets = {"Z": ([1.0, 0.0], [0.0, 1.0]), "X": ([s, s], [s, -s])}[basis]
-    want = np.zeros((3, 3, 3), dtype=complex)
+    want = np.zeros((3, 3, 3))
     want[0, 0, 0] = 1.0
     for i, ket in enumerate(kets, start=1):
         want[i, 1:, 1:] = np.outer(ket, ket)
     povm = bb84_qubit_measurement(basis)
+    assert povm.dense.dtype == np.float64  # both bases' mode maps are real
     assert povm.dense.tobytes() == want.tobytes()
     assert povm.layout.blocks == (("m=0", 1), ("m=1", 2))
     assert povm.events.classes == ("no-click", "single", "single")

@@ -400,7 +400,7 @@ def _exact_keep(eta, eta_star):
     return np.array([float(min(1, _EXACT["keep"](Fraction(e), lo, Fraction(eta_star)))) for e in eta])
 
 
-# From 1e-100 up, eta_star (eta_s - eta_min) is 0 or at least 1e-216: it cannot underflow.
+# Over efficiencies in [1e-100, 1]; the subnormal ones are the next test's.
 @settings(max_examples=100, deadline=None)
 @given(eta=st.lists(st.floats(1e-100, 1.0), min_size=2, max_size=4), u=st.floats(0.0, 1.0))
 def test_loss_split_builder_is_its_stated_formula(eta, u):
@@ -409,8 +409,11 @@ def test_loss_split_builder_is_its_stated_formula(eta, u):
     np.testing.assert_allclose(keep, _exact_keep(eta, eta_star), rtol=0, atol=1e-15)
 
 
-@pytest.mark.xfail(strict=True, reason="eta_star (eta_s - eta_min) underflows at subnormal efficiencies")
 def test_loss_split_builder_is_its_stated_formula_at_subnormal_efficiencies():
-    eta, eta_star = [1e-323, 0.3], 2e-323  # eta_star is admissible: f rounds to 1.5e-323
-    keep = np.diag(loss_split_matrix(eta, eta_star).entries)[1:]
-    np.testing.assert_allclose(keep, _exact_keep(eta, eta_star), rtol=0, atol=1e-15)
+    # eta_star (eta_s - eta_min) would underflow here; both eta_star are
+    # admissible, as f rounds to 1.5e-323, and keep 0.6 and 0.9
+    eta = [1e-323, 0.3]
+    for eta_star, want in ((2e-323, 0.6), (1.5e-323, 0.9)):
+        keep = np.diag(loss_split_matrix(eta, eta_star).entries)[1:]
+        np.testing.assert_allclose(keep, _exact_keep(eta, eta_star), rtol=0, atol=1e-15)
+        assert keep[1] == pytest.approx(want, rel=1e-15)

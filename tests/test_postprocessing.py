@@ -8,6 +8,7 @@ from scipy.optimize import linprog
 import detcert.postprocessing as postprocessing
 from detcert import (
     CoarseGraining,
+    DetectionSetup,
     StochasticMatrix,
     apply_postprocessing,
     bb84_qubit_squasher,
@@ -572,7 +573,12 @@ def test_coarse_graining_contraction_equals_term_by_term_sum(cutoff):
     cg = multiclick_coarse_graining(enumerate_events(4))
     rng = np.random.default_rng(cutoff)
     for eta in (np.ones(4), rng.uniform(0.05, 1.0, 4)):
-        povm = build_threshold_povm(passive_bb84_setup(eta), cutoff)
-        merged = apply_postprocessing(cg, povm)
-        np.testing.assert_array_equal(merged.dense, _summed_term_by_term(cg.entries, povm.dense))
-        assert merged.events is cg.row_table
+        real = passive_bb84_setup(eta)
+        # input-mode phases make the elements complex: P mixes their real and imaginary parts alike
+        phased = DetectionSetup(k=4, mode_map=real.mode_map * np.exp(1j * np.array([0.3, 1.1])), eta=eta)
+        for setup in (real, phased):
+            povm = build_threshold_povm(setup, cutoff)
+            merged = apply_postprocessing(cg, povm)
+            assert merged.dense.dtype == povm.dense.dtype
+            np.testing.assert_array_equal(merged.dense, _summed_term_by_term(cg.entries, povm.dense))
+            assert merged.events is cg.row_table

@@ -163,6 +163,12 @@ def test_weight_bound_needs_outside_blocks():
         weight_bound(povm, "multi", 0.01, 1)
 
 
+def test_weight_bound_needs_blocks_at_or_below_the_cutoff():
+    povm = build_threshold_povm(passive_bb84_setup(0.8), 2)
+    with pytest.raises(ValueError, match="no blocks at or below the cutoff -1"):
+        weight_bound(povm, "multi", 0.1, -1)
+
+
 def test_propagate_weight_worked_value():
     p00 = (1 - 0.01) ** 2
     assert propagate_weight(0.0, p00, 0.9, 1.0) == pytest.approx(0.11791, abs=1e-12)
