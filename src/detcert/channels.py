@@ -710,16 +710,8 @@ def _hermitian_score(herm: np.ndarray) -> np.ndarray:
     mismatch ``|Tr[F Phi(rho)] - Tr[G rho]|`` over the Hermitian matrix-unit
     basis ``rho``, which spans every input operator.
     """
-    entry = np.maximum(np.abs(herm.real), np.abs(herm.imag)) * _off_diagonal_weight(herm.shape[-1])
+    entry = np.maximum(np.abs(herm.real), np.abs(herm.imag)) * (2.0 - np.eye(herm.shape[-1]))
     return entry.max(axis=(-2, -1))
-
-
-@functools.lru_cache(maxsize=None)
-def _off_diagonal_weight(n: int) -> np.ndarray:
-    """``2 - I``: off-diagonal entries count for both of their Hermitian basis pairs."""
-    weight = 2.0 - np.eye(n)
-    weight.flags.writeable = False
-    return weight
 
 
 def _identities(stacks, lead: tuple) -> np.ndarray:

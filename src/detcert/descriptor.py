@@ -228,7 +228,7 @@ class SetupDescriptor:
 
 
 def descriptor_from_dict(data: dict) -> SetupDescriptor:
-    """The descriptor a JSON object states; its values are checked by :class:`SetupDescriptor`."""
+    """The descriptor a JSON object states; the reader checks which fields appear, not their values."""
     if not isinstance(data, dict):
         raise DescriptorError("descriptor must be a JSON object")
     setup = data.get("setup")
@@ -236,8 +236,6 @@ def descriptor_from_dict(data: dict) -> SetupDescriptor:
         for name in ("k", "mode_map"):
             if name in data:
                 raise DescriptorError(f"{name}: fixed by the {setup} setup, not a descriptor field")
-    elif setup == "custom" and "mode_map" not in data:
-        raise DescriptorError("mode_map: required for custom setups")
 
     unknown = set(data) - {f.name for f in fields(SetupDescriptor)}
     if unknown:

@@ -324,10 +324,7 @@ def build_threshold_povm(setup: DetectionSetup, cutoff: int) -> POVM:
         # weight multiplies, detector by detector, the click or dark factor
         # its mask names; all events of the block at once.
         dark = one_minus_eta[..., None, None, :] ** np.array(det_occs)
-        factors = np.where(clicks, 1.0 - dark, dark)
-        weights = factors[..., 0]
-        for i in range(1, setup.k):
-            weights = weights * factors[..., i]
+        weights = np.where(clicks, 1.0 - dark, dark).prod(axis=-1)
         blocks = v.conj().T @ (weights[..., None] * v)
         dense[..., s, s] = (blocks + blocks.conj().swapaxes(-1, -2)) / 2.0
     return POVM(layout, dense, events)
@@ -351,22 +348,19 @@ class _Verdict:
 class SinglePhotonAssumptionReport(_Verdict):
     """Check that clicks cannot outnumber photons.
 
-    Lists, per multi-click element, the largest entry of its vacuum and
+    Checks, per multi-click element, the largest entry of its vacuum and
     one-photon blocks, and per single-click element the largest entry of its
-    vacuum block.  All must vanish for the dark-count reduction to apply.
+    vacuum block.  All must vanish for the dark-count reduction to apply;
+    ``violations`` lists those above the tolerance as ``(event, block, value)``.
     """
 
     max_violation: float
-    entries: tuple[tuple[str, str, float], ...] = field(repr=False)
+    violations: tuple[tuple[str, str, float], ...] = field(repr=False)
     tolerance: float = _ASSUMPTION_TOL
 
     @property
     def residual(self) -> float:
         return self.max_violation
-
-    @property
-    def violations(self) -> tuple[tuple[str, str, float], ...]:
-        return tuple(e for e in self.entries if e[2] > self.tolerance)
 
 
 def verify_single_photon_assumption(povm: POVM):
@@ -387,8 +381,9 @@ def verify_single_photon_assumption(povm: POVM):
     reports = tuple(
         SinglePhotonAssumptionReport(
             max_violation=worst,
-            entries=tuple(
-                (events.labels[i], block, value) for (i, block), value in zip(checked, row)
+            violations=tuple(
+                (events.labels[i], block, value)
+                for (i, block), value in zip(checked, row) if value > _ASSUMPTION_TOL
             ),
         )
         for row, worst in zip(

@@ -276,7 +276,10 @@ def _analyze_flag_state(desc: SetupDescriptor, cert: Certificate):
     # Dark-count post-processing at the top of the rate range.
     p_fine = dark_count_matrix(d_max)
     if cg is not None:
-        p_db = coarse_grained_dc_ansatz(p_fine, cg)
+        try:
+            p_db = coarse_grained_dc_ansatz(p_fine, cg)
+        except ValueError as exc:
+            raise _Stop(str(exc)) from exc
         swap_dev = swap_residual(p_db.entries, cg.entries, p_fine.entries)
         cert.add_check(
             "coarse-grain-swap", "coarse_grained_dc_ansatz",
@@ -315,7 +318,7 @@ def _analyze_flag_state(desc: SetupDescriptor, cert: Certificate):
     residuals = []
     if certified:
         residuals = _certify_corners(
-            p_db, etas[:certified], eta_star, targets.take(slice(0, certified)),
+            p_db, p00, etas[:certified], eta_star, targets.take(slice(0, certified)),
             f_lossless, f_star, desc.tol,
         )
 
@@ -339,7 +342,7 @@ def _analyze_flag_state(desc: SetupDescriptor, cert: Certificate):
             )
 
 
-def _certify_corners(p_db, etas, eta_star, f_eta, f_lossless, f_star, tol):
+def _certify_corners(p_db, p00, etas, eta_star, f_eta, f_lossless, f_star, tol):
     """CPTP, statistics and weight-relation residuals of the dark and loss channels per corner.
 
     ``f_eta`` stacks the targets at the efficiency vectors ``etas``.  Both
@@ -347,7 +350,7 @@ def _certify_corners(p_db, etas, eta_star, f_eta, f_lossless, f_star, tol):
     pass: one component eigensolve for CPTP and one contraction for every
     identity of each channel, ``Phi^dag(F_after_i) = sum_j P_ij F_before_j``
     over all input operators, its weight relation, then trace preservation.
-    The weight relations are ``Phi_dark^dag(P01) = p00 P01`` and
+    The weight relations are ``Phi_dark^dag(P01) = p00 P01``, ``p00 = P_db[0, 0]``, and
     ``Phi_loss^dag(P01) = P0 + (eta_min / eta_star) P1``.  Returns, per
     corner, ``((cptp, statistics, weight) dark, (...) loss)``.
     """
@@ -359,7 +362,7 @@ def _certify_corners(p_db, etas, eta_star, f_eta, f_lossless, f_star, tol):
     ratios = etas.min(axis=1) / eta_star
     loss_weights = np.stack([np.ones_like(ratios), ratios], axis=-1)[:, None, :]
     identities = ChoiConstraintSystem.stack(
-        ChoiConstraintSystem((p_db, f_eta, f_eta), ([[float(p_db.entries[0, 0])]], [proj01], [proj01])),
+        ChoiConstraintSystem((p_db, f_eta, f_eta), ([[p00]], [proj01], [proj01])),
         ChoiConstraintSystem((None, f_eta, f_star), (loss_weights, [proj0, proj1], [proj01])),
     )
     cptp, scores = certify_choi(ChoiSupport.of([dark, loss]), identities, tol)
@@ -433,7 +436,11 @@ def run_weight(desc: SetupDescriptor) -> dict:
         eta_star = _common_efficiency(desc, etas, {})
     except ValueError as exc:
         raise DescriptorError(f"eta_star: {exc}") from exc
-    povm = build_threshold_povm(build_setup(desc, etas[0]), desc.cutoff + 1)
+    setup = build_setup(desc, etas[0])
+    try:  # a map within the isometry rule can lift to a non-measurement on more photons
+        povm = build_threshold_povm(setup, desc.cutoff + 1)
+    except ValueError as exc:
+        raise DescriptorError(f"mode_map: its {desc.cutoff + 1}-photon lift is not a measurement: {exc}") from exc
     try:
         wb = weight_bound(povm, event, prob, desc.cutoff)
     except ValueError as exc:

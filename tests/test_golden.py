@@ -2,16 +2,17 @@
 
 A refactor that claims no output change is checked here: the exit code,
 status, check names and verdicts must match exactly, every residual and
-derived number to 1e-15 absolute, and the evaluated points exactly.
-``swap-lp``, ``weight``, ``choi-check`` and ``verify-channel`` outputs are
-pinned the same way (``choi-check`` on the active descriptor,
-``verify-channel`` on both).  After a change that is meant to move the
-numbers, regenerate each golden file with
+derived number to 1e-15 absolute, and the evaluated points exactly.  The
+outputs of each case in ``CASES`` are pinned the same way: every command
+on a shipped descriptor, and paths the shipped descriptors miss (fine
+grained passive ``analyze``, two custom setups, unequal active rates and a
+cutoff-2 ``weight``).  After a change that is meant to move the numbers,
+regenerate each golden file with
 
     detcert <command> descriptors/<name>.json --out tests/golden/<command>_<name>.json
 
-(for ``weight``, the shipped descriptor plus ``"observed": {"event": "multi",
-"probability": 0.01}``).
+and each case of ``CASES`` by writing its descriptor to a file and running
+``detcert <command> <file> <flags> --out tests/golden/<command>_<name>.json``.
 """
 
 import json
@@ -21,7 +22,7 @@ import numpy as np
 import pytest
 
 from detcert import cli
-from detcert.report import EXIT_OK
+from detcert.report import EXIT_NOT_REDUCIBLE, EXIT_OK
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -77,19 +78,38 @@ def _assert_matches(got, want, exact=False, path=""):
         assert got == want, path
 
 
-@pytest.mark.parametrize("command, name", [
-    ("swap-lp", "active_bb84"),
-    ("weight", "passive_bb84"),
-    ("choi-check", "active_bb84"),
-    ("verify-channel", "passive_bb84"),
-    ("verify-channel", "active_bb84"),
-])
-def test_command_matches_golden_output(tmp_path, command, name):
-    descriptor = json.loads((ROOT / "descriptors" / f"{name}.json").read_text())
-    if command == "weight":
-        descriptor["observed"] = {"event": "multi", "probability": 0.01}
+def _shipped(name: str, **edits) -> dict:
+    return {**json.loads((ROOT / "descriptors" / f"{name}.json").read_text()), **edits}
+
+
+_CUSTOM = {"setup": "custom", "k": 2, "eta_range": [[0.6, 0.7], [0.5, 0.8]], "dark_range": [[0, 0.01], [0, 0.03]]}
+_UNEQUAL = _shipped("active_bb84", dark_range=[[0, 0.01], [0, 0.02]])
+
+# (command, golden name, descriptor, extra flags, exit code)
+CASES = [
+    ("swap-lp", "active_bb84", _shipped("active_bb84"), [], EXIT_OK),
+    ("weight", "passive_bb84", _shipped("passive_bb84", observed={"event": "multi", "probability": 0.01}), [], EXIT_OK),
+    ("choi-check", "active_bb84", _shipped("active_bb84"), [], EXIT_OK),
+    ("verify-channel", "passive_bb84", _shipped("passive_bb84"), [], EXIT_OK),
+    ("verify-channel", "active_bb84", _shipped("active_bb84"), [], EXIT_OK),
+    ("analyze", "passive_bb84_fine", _shipped("passive_bb84"), ["--coarse-grain", "none"], EXIT_OK),
+    ("analyze", "custom_identity", {**_CUSTOM, "mode_map": [[1, 0], [0, 1]]}, [], EXIT_OK),
+    ("analyze", "custom_complex", {**_CUSTOM, "mode_map": [[[0.6, 0], [0, 0.8]], [[0, 0.8], [0.6, 0]]]}, [], EXIT_OK),
+    ("swap-lp", "active_unequal", _UNEQUAL, [], EXIT_NOT_REDUCIBLE),
+    ("choi-check", "active_unequal", _UNEQUAL, [], EXIT_NOT_REDUCIBLE),
+    (
+        "weight", "passive_bb84_cutoff2",
+        _shipped("passive_bb84", cutoff=2, observed={"event": "multi", "probability": 0.001}), [], EXIT_OK,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "command, name, descriptor, flags, code", CASES, ids=[f"{command}-{name}" for command, name, *_ in CASES]
+)
+def test_command_matches_golden_output(tmp_path, command, name, descriptor, flags, code):
     path, out = tmp_path / "descriptor.json", tmp_path / "output.json"
     path.write_text(json.dumps(descriptor))
-    assert cli.main([command, str(path), "--out", str(out)]) == EXIT_OK
+    assert cli.main([command, str(path), *flags, "--out", str(out)]) == code
     want = json.loads((ROOT / "tests" / "golden" / f"{command}_{name}.json").read_text())
     _assert_matches(json.loads(out.read_text()), want)

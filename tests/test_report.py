@@ -404,6 +404,20 @@ def test_weight_rejects_eta_star_inadmissible_at_its_efficiencies(tmp_path, caps
         run_weight(descriptor_from_dict(point))
 
 
+def test_weight_names_the_mode_map_whose_lift_is_not_a_measurement(tmp_path, capsys):
+    # a 50/50 splitter typed to 10 digits: an isometry to 3.8e-11, but its 3-photon lift misses completeness
+    s = 0.7071067812
+    data = {
+        "setup": "custom", "k": 2, "mode_map": [[s, s], [s, -s]], "eta_range": [0.5, 0.9],
+        "dark_range": [0, 0.01], "observed": {"event": "multi", "probability": 0.01}, "cutoff": 2,
+    }
+    assert run_analysis(descriptor_from_dict({**data, "cutoff": 1})).status == "reducible"
+    assert cli.main(["weight", _write_descriptor(tmp_path, data)]) == EXIT_TOOL_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("descriptor error: mode_map: its 3-photon lift is not a measurement: ")
+
+
 _CG = multiclick_coarse_graining(enumerate_events(4))
 
 
@@ -603,17 +617,22 @@ def test_add_check_with_a_requirement_stops_only_on_failure():
     assert [(c["name"], c["passed"]) for c in cert.checks] == [("held", True), ("broken", False)]
 
 
-def _bent_dark_map(monkeypatch, desc):
-    # a dark-count map that erases 1e-3 of a single click
-    fine = report.dark_count_matrix
+def _bent_dark_map(pattern, to):
+    """Move 1e-3 of click pattern ``pattern``'s weight in the fine dark-count map to pattern ``to``."""
 
-    def bent(d_vec):
-        entries = fine(d_vec).entries.copy()
-        entries[1, 1] -= 1e-3
-        entries[0, 1] += 1e-3
-        return StochasticMatrix(entries)
+    def inject(monkeypatch, desc):
+        fine, events = report.dark_count_matrix, enumerate_events(desc.k)
+        src, dst = events.index_of(pattern), events.index_of(to)
 
-    monkeypatch.setattr(report, "dark_count_matrix", bent)
+        def bent(d_vec):
+            entries = fine(d_vec).entries.copy()
+            entries[src, src] -= 1e-3
+            entries[dst, src] += 1e-3
+            return StochasticMatrix(entries)
+
+        monkeypatch.setattr(report, "dark_count_matrix", bent)
+
+    return inject
 
 
 def _bent_povm(entry):
@@ -639,9 +658,14 @@ _CLICK_COUNT = "threshold POVM violates the click-count assumption"
 # (descriptor, fault injector or None, failing check or None, start of the failed requirement)
 STOPS = {
     "bent-dark-map": (
-        PASSIVE, _bent_dark_map, "dark-count-conditions",
+        PASSIVE, _bent_dark_map("0001", "0000"), "dark-count-conditions",
         "dark-count post-processing violates the structural conditions "
         "(single-to-single, click erasure, or survival ordering)",
+    ),
+    # a multi click demoted to a single one: the multiclick graining has no swap solution
+    "graining-without-swap": (
+        PASSIVE, _bent_dark_map("0011", "0001"), None,
+        "no swap solution for this coarse graining: column 5 of M P_db is 9.091e-04 from the mean",
     ),
     "click-count-at-corner-2": (
         PASSIVE, _bent_povm(lambda desc: 2), "single-photon-assumption-corner2", _CLICK_COUNT,
