@@ -1,15 +1,26 @@
-"""Shared fixtures for channel-level tests: random states and POVMs with flag structure."""
+"""Shared test helpers: random states and POVMs with flag structure, reference
+implementations, and the pinned ``detcert`` cases with their two runners."""
 
+import contextlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
 
-from detcert import POVM, EventTable, enumerate_events
+from detcert import POVM, EventTable, cli, enumerate_events
 from detcert.detectors import _lift_isometry
 from detcert.fock import SpaceLayout
+from detcert.report import EXIT_NOT_REDUCIBLE, EXIT_OK, EXIT_TOOL_ERROR
 
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
 SMALL_LAYOUT = SpaceLayout((("m=0", 1), ("m=1", 2), ("flag", 3)))
 SMALL_EVENTS = EventTable(
     k=2,
@@ -340,3 +351,111 @@ def reference_canonical_json(obj, indent: int = 0) -> str:
             parts.append(f"{inner}{json.dumps(str(key))}: {reference_canonical_json(obj[key], indent + 1)}")
         return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
     raise TypeError(f"cannot serialize {type(obj)}")
+
+
+class Case(NamedTuple):
+    command: str
+    name: str
+    descriptor: dict
+    flags: tuple = ()
+    code: int = EXIT_OK
+    stderr: str = ""  # exit 1: the start of stderr, up to the field name
+
+    @property
+    def golden(self) -> Path | None:
+        """The pinned ``--out`` file; a case that exits 1 writes none."""
+        return None if self.code == EXIT_TOOL_ERROR else GOLDEN / f"{self.command}_{self.name}.json"
+
+    def check(self, code: int, stderr: str) -> None:
+        """Raise unless ``code`` is this case's exit code and ``stderr`` starts as pinned."""
+        if (code, stderr[: len(self.stderr)]) != (self.code, self.stderr):
+            raise AssertionError(f"{self.command} {self.name}: exit {code}, stderr {stderr!r}")
+
+
+def _shipped(name: str, **edits) -> dict:
+    return {**json.loads((ROOT / "descriptors" / f"{name}.json").read_text()), **edits}
+
+
+_CUSTOM = {"setup": "custom", "k": 2, "eta_range": [[0.6, 0.7], [0.5, 0.8]], "dark_range": [[0, 0.01], [0, 0.03]]}
+_UNEQUAL = _shipped("active_bb84", dark_range=[[0, 0.01], [0, 0.02]])
+# Benchmark traffic, copied from bench/workloads.py at seed 1, round 0: the
+# passive-multiclick op, and active-mixed's stratum-0 pair (d = 10^-2.75).
+_BENCH_PASSIVE = {
+    "setup": "passive-bb84",
+    "eta_range": [[0.4619580914245449, 0.6271038798652054], [0.9131979809674523, 0.9285367729793353],
+                  [0.7046162431920123, 0.9325390746777851], [0.5164522026804729, 0.5876851581834588]],
+    "dark_range": [[0.0, 0.04439624988786646], [0.0, 0.03645476833456769],
+                   [0.0, 0.014821440833560308], [0.0, 0.04967960399943554]],
+    "cutoff": 1, "coarse_grain": "multiclick", "weight_in": 0.0, "seed": 738880427,
+}
+_BENCH_EQUAL = {
+    "setup": "active-bb84", "eta_range": [[0.709547627957535, 0.8619580501245503], [0.5021584117378343, 0.9558413305129557]],
+    "dark_range": [[0.0, 0.0017782794100389228], [0.0, 0.0017782794100389228]], "cutoff": 1, "seed": 7,
+}
+_BENCH_UNEQUAL = {
+    "setup": "active-bb84", "eta_range": [[0.42774841012195675, 0.8977149379184453], [0.7917962515718204, 0.9053129382842037]],
+    "dark_range": [[0.0, 0.0017782794100389228], [0.0, 0.004024672528129039]], "cutoff": 1, "seed": 7,
+}
+_SPLITTER = {
+    "setup": "custom", "k": 2, "mode_map": [[0.7071067812, 0.7071067812], [0.7071067812, -0.7071067812]],
+    "eta_range": [0.5, 0.9], "dark_range": [0, 0.01], "observed": {"event": "multi", "probability": 0.01}, "cutoff": 2,
+}
+
+CASES = [
+    Case("analyze", "passive_bb84", _shipped("passive_bb84")),
+    Case("analyze", "active_bb84", _shipped("active_bb84")),
+    Case("swap-lp", "active_bb84", _shipped("active_bb84")),
+    Case("weight", "passive_bb84", _shipped("passive_bb84", observed={"event": "multi", "probability": 0.01})),
+    Case("choi-check", "active_bb84", _shipped("active_bb84")),
+    Case("verify-channel", "passive_bb84", _shipped("passive_bb84")),
+    Case("verify-channel", "active_bb84", _shipped("active_bb84")),
+    Case("analyze", "passive_bb84_fine", _shipped("passive_bb84"), ("--coarse-grain", "none")),
+    Case("analyze", "custom_identity", {**_CUSTOM, "mode_map": [[1, 0], [0, 1]]}),
+    Case("analyze", "custom_complex", {**_CUSTOM, "mode_map": [[[0.6, 0], [0, 0.8]], [[0, 0.8], [0.6, 0]]]}),
+    Case("analyze", "custom_k3", {"setup": "custom", "k": 3, "mode_map": [[0.6, 0], [0.8, 0], [0, 1]], "eta_range": [0.5, 0.9],
+                                  "dark_range": [0, 0.02], "cutoff": 1, "coarse_grain": "multiclick"}),
+    Case("swap-lp", "active_unequal", _UNEQUAL, code=EXIT_NOT_REDUCIBLE),
+    Case("choi-check", "active_unequal", _UNEQUAL, code=EXIT_NOT_REDUCIBLE),
+    Case("weight", "passive_bb84_cutoff2",
+         _shipped("passive_bb84", cutoff=2, observed={"event": "multi", "probability": 0.001})),
+    # the swap optimum |d1 - d2| / 8 = 1.25e-7, far above tol
+    Case("swap-lp", "active_near_equal", {"setup": "active-bb84", "dark_range": [[0, 0], [0, 1e-6]]}, code=EXIT_NOT_REDUCIBLE),
+    # the whole dark box: its top corner, equal rates 1, is in the closed form's domain at residual 0
+    Case("swap-lp", "active_full_box", {"setup": "active-bb84", "dark_range": [[0, 1], [0, 1]]}),
+    Case("swap-lp", "active_tiny_tol", _shipped("active_bb84", tol=1e-300),
+         code=EXIT_TOOL_ERROR, stderr="descriptor error: tol: "),
+    # within the isometry rule, but weight's 3-photon lift is not a measurement
+    Case("weight", "custom_splitter", _SPLITTER, code=EXIT_TOOL_ERROR, stderr="descriptor error: mode_map: "),
+    Case("analyze", "bench_passive_multiclick", _BENCH_PASSIVE),
+    Case("analyze", "bench_active_equal", _BENCH_EQUAL),
+    Case("choi-check", "bench_active_equal", _BENCH_EQUAL),
+    Case("analyze", "bench_active_unequal", _BENCH_UNEQUAL, code=EXIT_NOT_REDUCIBLE),
+    Case("choi-check", "bench_active_unequal", _BENCH_UNEQUAL, code=EXIT_NOT_REDUCIBLE),
+]
+
+
+def _argv(case: Case, work: Path) -> tuple[list[str], Path]:
+    """The case's arguments, its descriptor written into ``work``, and its ``--out`` path, not yet written."""
+    stem = f"{case.command}_{case.name}"
+    path, out = work / f"{stem}.descriptor.json", work / f"{stem}.json"
+    path.write_text(json.dumps(case.descriptor))
+    out.unlink(missing_ok=True)
+    return [case.command, str(path), *case.flags, "--out", str(out)], out
+
+
+def run_fresh(case: Case, work: Path, console=(sys.executable, "-m", "detcert.cli")):
+    """``case`` run by ``console`` in a new process, checked: ``(exit code, stdout, stderr, --out text or None)``."""
+    argv, out = _argv(case, work)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([*console, *argv], env=env, capture_output=True, text=True, timeout=120)
+    case.check(proc.returncode, proc.stderr)
+    return proc.returncode, proc.stdout, proc.stderr, out.read_text() if out.exists() else None
+
+
+def run_in_process(case: Case, work: Path):
+    """``case`` run through ``cli.main`` in this process: ``(exit code, stdout, stderr, --out text or None)``."""
+    argv, out = _argv(case, work)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    return code, stdout.getvalue(), stderr.getvalue(), out.read_text() if out.exists() else None

@@ -1,61 +1,47 @@
-"""``analyze`` on the shipped descriptors against pinned certificates.
+"""Every pinned ``detcert`` case, compared with the output it wrote.
 
-A refactor that claims no output change is checked here: the exit code,
-status, check names and verdicts must match exactly, every residual and
-derived number to 1e-15 absolute, and the evaluated points exactly.  The
-outputs of each case in ``CASES`` are pinned the same way: every command
-on a shipped descriptor, and paths the shipped descriptors miss (fine
-grained passive ``analyze``, two custom setups, unequal active rates and a
-cutoff-2 ``weight``).  After a change that is meant to move the numbers,
-regenerate each golden file with
-
-    detcert <command> descriptors/<name>.json --out tests/golden/<command>_<name>.json
-
-and each case of ``CASES`` by writing its descriptor to a file and running
-``detcert <command> <file> <flags> --out tests/golden/<command>_<name>.json``.
+The cases are one list, ``helpers.CASES``.  A case is one command on one
+descriptor, with its flags and exit code.  A case that exits 0 or 2 has one
+golden file, ``golden/<command>_<name>.json``: the ``--out`` bytes a fresh
+``python -m detcert.cli`` process wrote.  A case that exits 1 pins its
+stderr up to the field name.  On the build recorded in
+``golden/BUILD.json`` (numpy, its BLAS build, the SIMD extensions found, the
+machine) the output must equal its file byte for byte; on another build,
+structure and evaluated points exactly and other numbers to 1e-15.  A change
+that claims no output change cites this test.  After a change meant to move
+the output, ``python tests/test_golden.py`` (package installed, or
+``PYTHONPATH=src``) rewrites every golden file and ``BUILD.json``.
+``tests/test_caches.py`` and CI run the same cases.
 """
 
 import json
+import platform
+import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from detcert import cli
-from detcert.report import EXIT_NOT_REDUCIBLE, EXIT_OK
+from detcert.report import EXIT_NOT_REDUCIBLE, EXIT_OK, EXIT_TOOL_ERROR
+from helpers import CASES, GOLDEN, run_fresh, run_in_process
 
-ROOT = Path(__file__).resolve().parents[1]
-
-
-def _numbers(value):
-    """The numbers of a JSON value, flattened in order."""
-    if isinstance(value, (list, tuple)):
-        return [x for item in value for x in _numbers(item)]
-    return [value]
+BUILD = GOLDEN / "BUILD.json"
 
 
-@pytest.mark.parametrize("name", ["passive_bb84", "active_bb84"])
-def test_analyze_matches_golden_certificate(tmp_path, name):
-    out = tmp_path / "certificate.json"
-    assert cli.main(["analyze", str(ROOT / "descriptors" / f"{name}.json"), "--out", str(out)]) == EXIT_OK
-    got = json.loads(out.read_text())
-    want = json.loads((ROOT / "tests" / "golden" / f"analyze_{name}.json").read_text())
-
-    assert (got["status"], got["failed_requirement"]) == (want["status"], want["failed_requirement"])
-    assert [(c["name"], c["passed"]) for c in got["checks"]] == [
-        (c["name"], c["passed"]) for c in want["checks"]
-    ]
-    np.testing.assert_allclose(
-        [c["residual"] for c in got["checks"]],
-        [c["residual"] for c in want["checks"]],
-        rtol=0.0, atol=1e-15,
-    )
-    assert [c["inputs"] for c in got["checks"]] == [c["inputs"] for c in want["checks"]]
-    assert got["derived"].keys() == want["derived"].keys()
-    for key, value in want["derived"].items():
-        np.testing.assert_allclose(
-            _numbers(got["derived"][key]), _numbers(value), rtol=0.0, atol=1e-15, err_msg=key
-        )
+def build_key() -> dict | None:
+    """What fixes the last bits of a float result: numpy, its BLAS build, the SIMD extensions found, the machine."""
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # an older numpy's show_config takes no mode
+        return None
+    blas = config["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")},
+        "simd": config["SIMD Extensions"]["found"],
+        "machine": platform.machine(),
+    }
 
 
 # The evaluated points: compared exactly wherever they appear.
@@ -78,38 +64,52 @@ def _assert_matches(got, want, exact=False, path=""):
         assert got == want, path
 
 
-def _shipped(name: str, **edits) -> dict:
-    return {**json.loads((ROOT / "descriptors" / f"{name}.json").read_text()), **edits}
+def compare(got: str, want: str, exact: bool) -> None:
+    """``got`` is ``want`` byte for byte if ``exact``, else by :func:`_assert_matches`."""
+    if exact:
+        assert got == want
+    else:
+        _assert_matches(json.loads(got), json.loads(want))
 
 
-_CUSTOM = {"setup": "custom", "k": 2, "eta_range": [[0.6, 0.7], [0.5, 0.8]], "dark_range": [[0, 0.01], [0, 0.03]]}
-_UNEQUAL = _shipped("active_bb84", dark_range=[[0, 0.01], [0, 0.02]])
-
-# (command, golden name, descriptor, extra flags, exit code)
-CASES = [
-    ("swap-lp", "active_bb84", _shipped("active_bb84"), [], EXIT_OK),
-    ("weight", "passive_bb84", _shipped("passive_bb84", observed={"event": "multi", "probability": 0.01}), [], EXIT_OK),
-    ("choi-check", "active_bb84", _shipped("active_bb84"), [], EXIT_OK),
-    ("verify-channel", "passive_bb84", _shipped("passive_bb84"), [], EXIT_OK),
-    ("verify-channel", "active_bb84", _shipped("active_bb84"), [], EXIT_OK),
-    ("analyze", "passive_bb84_fine", _shipped("passive_bb84"), ["--coarse-grain", "none"], EXIT_OK),
-    ("analyze", "custom_identity", {**_CUSTOM, "mode_map": [[1, 0], [0, 1]]}, [], EXIT_OK),
-    ("analyze", "custom_complex", {**_CUSTOM, "mode_map": [[[0.6, 0], [0, 0.8]], [[0, 0.8], [0.6, 0]]]}, [], EXIT_OK),
-    ("swap-lp", "active_unequal", _UNEQUAL, [], EXIT_NOT_REDUCIBLE),
-    ("choi-check", "active_unequal", _UNEQUAL, [], EXIT_NOT_REDUCIBLE),
-    (
-        "weight", "passive_bb84_cutoff2",
-        _shipped("passive_bb84", cutoff=2, observed={"event": "multi", "probability": 0.001}), [], EXIT_OK,
-    ),
-]
+@pytest.mark.parametrize("case", CASES, ids=[f"{case.command}-{case.name}" for case in CASES])
+def test_command_matches_golden_output(tmp_path, case):
+    code, _, stderr, text = run_in_process(case, tmp_path)
+    case.check(code, stderr)
+    if case.golden is None:
+        assert text is None
+    else:
+        compare(text, case.golden.read_text(), build_key() == json.loads(BUILD.read_text()))
 
 
-@pytest.mark.parametrize(
-    "command, name, descriptor, flags, code", CASES, ids=[f"{command}-{name}" for command, name, *_ in CASES]
-)
-def test_command_matches_golden_output(tmp_path, command, name, descriptor, flags, code):
-    path, out = tmp_path / "descriptor.json", tmp_path / "output.json"
-    path.write_text(json.dumps(descriptor))
-    assert cli.main([command, str(path), *flags, "--out", str(out)]) == code
-    want = json.loads((ROOT / "tests" / "golden" / f"{command}_{name}.json").read_text())
-    _assert_matches(json.loads(out.read_text()), want)
+def test_cases_cover_every_command_setup_and_exit_code():
+    assert {case.command for case in CASES} == {"analyze", "swap-lp", "verify-channel", "weight", "choi-check"}
+    assert {case.descriptor["setup"] for case in CASES} == {"passive-bb84", "active-bb84", "custom"}
+    assert {case.code for case in CASES} == {EXIT_OK, EXIT_TOOL_ERROR, EXIT_NOT_REDUCIBLE}
+    # each golden file belongs to exactly one case, and each case that writes --out has its file
+    files = sorted(path.name for path in GOLDEN.iterdir() if path != BUILD)
+    assert sorted(case.golden.name for case in CASES if case.golden) == files
+
+
+def test_exact_rule_rejects_a_last_digit_the_tolerance_rule_accepts():
+    want = (GOLDEN / "analyze_passive_bb84.json").read_text()
+    # the first nonzero residual, its last digit moved by one
+    got, n = re.subn(r'("residual": [1-9]\.\d*)(\d)e', lambda m: f"{m[1]}{(int(m[2]) + 1) % 10}e", want, count=1)
+    assert n == 1
+    with pytest.raises(AssertionError):
+        compare(got, want, exact=True)
+    compare(got, want, exact=False)
+
+
+def regenerate() -> None:
+    """Write every case's golden file, each from a fresh interpreter, and ``BUILD.json``."""
+    with tempfile.TemporaryDirectory() as work:
+        for case in CASES:
+            text = run_fresh(case, Path(work))[3]
+            if case.golden is not None:
+                case.golden.write_text(text)
+    BUILD.write_text(json.dumps(build_key(), indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    regenerate()

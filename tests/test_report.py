@@ -4,7 +4,6 @@ import json
 import math
 import re
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,9 +48,7 @@ from detcert.report import (
     run_weight,
 )
 
-from helpers import reference_canonical_json
-
-ROOT = Path(__file__).resolve().parents[1]
+from helpers import ROOT, reference_canonical_json
 
 PASSIVE = {
     "setup": "passive-bb84",
@@ -1069,19 +1066,20 @@ def test_cli_analyze_deterministic(tmp_path):
 
 
 def test_cli_swap_lp_exit_codes(tmp_path):
-    good = _write_descriptor(
-        tmp_path, {"setup": "active-bb84", "dark_range": [0.0, 0.05]}
-    )
-    assert cli.main(["swap-lp", good, "--out", str(tmp_path / "a.json")]) == EXIT_OK
-    bad = str(tmp_path / "desc2.json")
-    with open(bad, "w") as fh:
-        json.dump(
-            {"setup": "active-bb84", "dark_range": [[0.0, 0.01], [0.0, 0.02]]}, fh
-        )
-    assert (
-        cli.main(["swap-lp", bad, "--out", str(tmp_path / "b.json")])
-        == EXIT_NOT_REDUCIBLE
-    )
+    # The whole dark box reads its top corner, equal rates 1, at residual 0; rates
+    # [0, 1e-6] leave the swap optimum |d1 - d2| / 8 = 1.25e-7.  Both hold on any build.
+    for dark, code, residual in [
+        ([0.0, 0.05], EXIT_OK, None),
+        ([[0.0, 0.01], [0.0, 0.02]], EXIT_NOT_REDUCIBLE, None),
+        ([[0, 1], [0, 1]], EXIT_OK, 0.0),
+        ([[0, 0], [0, 1e-6]], EXIT_NOT_REDUCIBLE, 1.25e-7),
+    ]:
+        desc, out = _write_descriptor(tmp_path, {"setup": "active-bb84", "dark_range": dark}), tmp_path / "lp.json"
+        assert cli.main(["swap-lp", desc, "--out", str(out)]) == code
+        result = json.loads(out.read_text())
+        assert result["feasible"] is (code == EXIT_OK)
+        if residual is not None:
+            assert result["residual"] == pytest.approx(residual, rel=1e-9, abs=0)
 
 
 
