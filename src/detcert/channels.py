@@ -7,12 +7,13 @@ efficiencies into a probabilistic split of the loss post-processing, and a
 generic deviation ``q`` into a branch that surrenders part of the preserved
 state to the flags.  The ideal measurement is a flag-state target: a
 ``POVM`` whose layout ends in a ``flag`` block, element ``i`` carrying the
-flag ``|i><i|`` exactly.  A construction checks that, and that clicks never
-outnumber photons, then reads operator blocks off the measurement's dense
-stack with the block projectors of its layout.  The dark-count and loss
-constructions take a stack of measurements or efficiency vectors (one per
-efficiency corner) and return the stack of channels, one term formula for
-all of them.
+flag ``|i><i|`` exactly.  The public builders check that, and that clicks
+never outnumber photons; the analysis decides each precondition once and
+calls the constructions, which read operator blocks off the measurement's
+dense stack with the block projectors of its layout.  The dark-count and
+loss constructions take a stack of measurements or efficiency vectors (one
+per efficiency corner) and return the stack of channels, one term formula
+for all of them.
 
 A channel is a sum of completely positive terms, and its Choi matrix ``J``
 is held on its support (``ChoiSupport``): the positions the term formulas
@@ -495,17 +496,20 @@ def dark_count_channel(p_db: StochasticMatrix, f_eta: POVM) -> QuantumChannel:
     preparations are shared, so they are built and validated once.
     """
     _require_one_photon_target(f_eta)
-    events = f_eta.events
-    n = len(f_eta)
-    report = validate_dark_count_pp(p_db, events)
+    report = validate_dark_count_pp(p_db, f_eta.events)
     if not report.passed:
         raise ValueError(f"dark-count conditions violated: {report}")
+    return _dark_count_channel(p_db, f_eta)
 
+
+def _dark_count_channel(p_db: StochasticMatrix, f_eta: POVM) -> QuantumChannel:
+    """The construction of :func:`dark_count_channel`, on inputs that pass its guards."""
+    n = len(f_eta)
     layout = f_eta.layout
     d = layout.total_dim
     p = p_db.entries
     p00 = float(p[0, 0])
-    multis = list(events.multi_indices)
+    multis = list(f_eta.events.multi_indices)
     # Diagonal position of each event's flag state, and of the state that
     # records it when raised from the preserved blocks (the vacuum for no-click).
     flags = layout.offset(FLAG_LABEL) + np.arange(n)
@@ -573,10 +577,14 @@ def loss_channel(eta, eta_star: float, f_lossless: POVM) -> QuantumChannel:
     _require_one_photon_target(f_lossless)
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
     check_eta_star(eta, eta_star)
-    layout = f_lossless.layout
-    events = f_lossless.events
-    if len(events.single_indices) != eta.shape[-1]:
+    if len(f_lossless.events.single_indices) != eta.shape[-1]:
         raise ValueError("efficiency vector does not match the single-click events")
+    return _loss_channel(eta, eta_star, f_lossless)
+
+
+def _loss_channel(eta: np.ndarray, eta_star: float, f_lossless: POVM) -> QuantumChannel:
+    """The construction of :func:`loss_channel`, on a float ``eta`` stack that passes its guards."""
+    layout = f_lossless.layout
     eta_min = eta.min(axis=-1)
     ratio = eta_min / eta_star
 
@@ -587,7 +595,7 @@ def loss_channel(eta, eta_star: float, f_lossless: POVM) -> QuantumChannel:
     ]
     split = ratio < 1.0
     if split.any():
-        carriers = [0, *events.single_indices]
+        carriers = [0, *f_lossless.events.single_indices]
         m = len(carriers)
         q = np.zeros((*split.shape, m, m))
         q[split] = _loss_split_entries(eta[split], eta_star)

@@ -21,11 +21,11 @@ from . import __version__
 from .channels import (
     ChoiConstraintSystem,
     ChoiSupport,
+    _dark_count_channel,
+    _loss_channel,
     bb84_qubit_measurement,
     bb84_simple_noise_channel,
     certify_choi,
-    dark_count_channel,
-    loss_channel,
 )
 from .descriptor import DescriptorError, SetupDescriptor
 from .detectors import (
@@ -312,17 +312,10 @@ def _analyze_flag_state(desc: SetupDescriptor, cert: Certificate):
     if not reports[n_corners].passed:
         raise _Stop(_CLICK_COUNT)
     targets = flag_state_target(povms, desc.cutoff)
-    f_lossless, f_star = targets.take(n_corners), targets.take(n_corners + 1)
-    # Corners before the first that violates the assumption get channels.
-    certified = next((i for i in range(n_corners) if not reports[i].passed), n_corners)
-    residuals = []
-    if certified:
-        residuals = _certify_corners(
-            p_db, p00, etas[:certified], eta_star, targets.take(slice(0, certified)),
-            f_lossless, f_star, desc.tol,
-        )
+    # Every corner is certified; recording stops at the first that violates the assumption.
+    residuals = _certify_corners(p_db, p00, corners, eta_star, targets, desc.tol)
 
-    for idx, eta_vec in enumerate(corners[: certified + 1]):
+    for idx, eta_vec in enumerate(corners):
         suffix = f"-corner{idx}"
         inputs = {"eta": eta_vec.tolist(), "dark": d_max.tolist(), "eta_star": eta_star}
         report = reports[idx]
@@ -342,23 +335,24 @@ def _analyze_flag_state(desc: SetupDescriptor, cert: Certificate):
             )
 
 
-def _certify_corners(p_db, p00, etas, eta_star, f_eta, f_lossless, f_star, tol):
+def _certify_corners(p_db, p00, etas, eta_star, targets, tol):
     """CPTP, statistics and weight-relation residuals of the dark and loss channels per corner.
 
-    ``f_eta`` stacks the targets at the efficiency vectors ``etas``.  Both
-    channel stacks share one support, scored in one :func:`certify_choi`
-    pass: one component eigensolve for CPTP and one contraction for every
-    identity of each channel, ``Phi^dag(F_after_i) = sum_j P_ij F_before_j``
-    over all input operators, its weight relation, then trace preservation.
-    The weight relations are ``Phi_dark^dag(P01) = p00 P01``, ``p00 = P_db[0, 0]``, and
+    ``targets`` stacks the targets at the efficiency vectors ``etas``, then the
+    lossless and the ``eta_star`` target.  Both channel stacks share one support,
+    scored in one :func:`certify_choi` pass: one component eigensolve for CPTP and
+    one contraction for every identity of each channel, ``Phi^dag(F_after_i) =
+    sum_j P_ij F_before_j`` over all input operators, its weight relation, then trace
+    preservation.  The weight relations are ``Phi_dark^dag(P01) = p00 P01``, ``p00 = P_db[0, 0]``, and
     ``Phi_loss^dag(P01) = P0 + (eta_min / eta_star) P1``.  Returns, per
     corner, ``((cptp, statistics, weight) dark, (...) loss)``.
     """
-    layout = f_lossless.layout
-    proj0, proj1 = layout.projector(photon_label(0)), layout.projector(photon_label(1))
+    n = len(etas)
+    f_eta, f_lossless, f_star = targets.take(slice(0, n)), targets.take(n), targets.take(n + 1)
+    proj0, proj1 = (targets.layout.projector(photon_label(m)) for m in (0, 1))
     proj01 = proj0 + proj1
-    dark = dark_count_channel(p_db, f_eta)
-    loss = loss_channel(etas, eta_star, f_lossless)
+    dark = _dark_count_channel(p_db, f_eta)
+    loss = _loss_channel(etas, eta_star, f_lossless)
     ratios = etas.min(axis=1) / eta_star
     loss_weights = np.stack([np.ones_like(ratios), ratios], axis=-1)[:, None, :]
     identities = ChoiConstraintSystem.stack(
@@ -367,7 +361,7 @@ def _certify_corners(p_db, p00, etas, eta_star, f_eta, f_lossless, f_star, tol):
     )
     cptp, scores = certify_choi(ChoiSupport.of([dark, loss]), identities, tol)
     channels = list(zip([r.residual for r in cptp], scores[:, :-1].max(axis=1).tolist(), scores[:, -1].tolist()))
-    return list(zip(channels[: len(etas)], channels[len(etas) :]))
+    return list(zip(channels[:n], channels[n:]))
 
 
 def _swap_lp(d_vec, tol: float):

@@ -261,7 +261,9 @@ def test_injected_fault_fails_the_certificate(monkeypatch, kind, factory, fault_
     desc = descriptor_from_dict(PASSIVE)
     clean = report.run_analysis(desc)
     assert clean.all_passed
-    monkeypatch.setattr(report, factory, _faulty(getattr(report, factory), fault_op))
+    # the analysis calls the constructions behind the public builders
+    private = f"_{factory}"
+    monkeypatch.setattr(report, private, _faulty(getattr(report, private), fault_op))
     cert = report.run_analysis(desc)
     assert not cert.all_passed
     assert cert.exit_code == report.EXIT_NOT_REDUCIBLE
@@ -464,8 +466,8 @@ def test_support_kernel_matches_dense_oracle(case, seed):
 
 
 def _inject_at_corner2(fault):
-    """A ``dark_count_channel`` for ``report`` whose Choi stack has ``fault`` applied at corner 2."""
-    build = report.dark_count_channel
+    """A dark-count construction for ``report`` whose Choi stack has ``fault`` applied at corner 2."""
+    build = report._dark_count_channel
 
     def wrapped(p_db, f_eta):
         channel = build(p_db, f_eta)
@@ -494,7 +496,7 @@ def test_fault_at_one_corner_of_the_stack_fails_that_corner_only(monkeypatch, fa
     desc = descriptor_from_dict(PASSIVE)
     clean = report.run_analysis(desc)
     assert len([c for c in clean.checks if c["name"].startswith("single-photon")]) == 4
-    monkeypatch.setattr(report, "dark_count_channel", _inject_at_corner2(fault))
+    monkeypatch.setattr(report, "_dark_count_channel", _inject_at_corner2(fault))
     cert = report.run_analysis(desc)
     failed = {c["name"] for c in cert.checks if not c["passed"]}
     assert "dark-channel-cptp-corner2" in failed
@@ -509,11 +511,13 @@ def test_fault_at_one_corner_of_the_stack_fails_that_corner_only(monkeypatch, fa
     ]
 
 
-def test_assumption_failing_at_a_later_corner_stops_there(monkeypatch):
-    # a POVM stack valid at every corner whose corner 2 moves 1e-3 of a
-    # single click's one-photon weight to a multi-click: the certificate
-    # keeps corners 0 and 1, records corner 2's failed assumption check and
-    # stops, in the order and with the message of a corner-by-corner run
+@pytest.mark.parametrize("corner", range(4))
+def test_assumption_failing_at_a_later_corner_stops_there(monkeypatch, corner):
+    # a POVM stack valid at every corner but one, which moves 1e-3 of a
+    # single click's one-photon weight to a multi-click: every corner is
+    # certified, but the certificate keeps the corners before it, records its
+    # failed assumption check and stops, in the order and with the message
+    # of a corner-by-corner run
     desc = descriptor_from_dict(PASSIVE)
     clean = report.run_analysis(desc)
     build = report.build_threshold_povm
@@ -522,25 +526,25 @@ def test_assumption_failing_at_a_later_corner_stops_there(monkeypatch):
         povm = build(setup, cutoff)
         dense = povm.dense.copy()
         single, multi = povm.events.index_of("0001"), povm.events.index_of("0011")
-        dense[2, single, 1, 1] -= 1e-3
-        dense[2, multi, 1, 1] += 1e-3
+        dense[corner, single, 1, 1] -= 1e-3
+        dense[corner, multi, 1, 1] += 1e-3
         return dc.POVM(povm.layout, dense, povm.events)
 
     monkeypatch.setattr(report, "build_threshold_povm", bent)
     cert = report.run_analysis(desc)
     assert cert.status == "not reducible under this framework"
     assert cert.failed_requirement == "threshold POVM violates the click-count assumption"
-    kept = [c for c in clean.checks if not c["name"].endswith(("corner2", "corner3"))]
+    kept = [c for c in clean.checks if not c["name"].endswith(tuple(f"corner{i}" for i in range(corner, 4)))]
     assert cert.checks[:-1] == kept
     last = cert.checks[-1]
-    assert (last["name"], last["passed"]) == ("single-photon-assumption-corner2", False)
+    assert (last["name"], last["passed"]) == (f"single-photon-assumption-corner{corner}", False)
     assert last["residual"] == pytest.approx(1e-3, abs=1e-15)
-    assert [c["name"] for c in kept][-8:] == [
-        "loss-channel-weight-relation-corner0", "single-photon-assumption-corner1",
-        "dark-channel-cptp-corner1", "dark-channel-statistics-corner1",
-        "dark-channel-weight-relation-corner1", "loss-channel-cptp-corner1",
-        "loss-channel-statistics-corner1", "loss-channel-weight-relation-corner1",
-    ]
+    before = [f"{kind}-channel-{check}-corner{corner - 1}" for kind in ("dark", "loss")
+              for check in ("cptp", "statistics", "weight-relation")]
+    assert [c["name"] for c in kept][-7:] == (
+        [f"single-photon-assumption-corner{corner - 1}", *before] if corner
+        else ["coarse-grain-swap", "dark-count-conditions"]
+    )
 
 
 def test_dark_count_conditions_failing_stop_the_analysis(monkeypatch):

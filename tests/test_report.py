@@ -3,11 +3,12 @@ import io
 import json
 import math
 import re
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from detcert import (
@@ -17,8 +18,10 @@ from detcert import (
     apply_postprocessing,
     bb84_qubit_measurement,
     bb84_qubit_squasher,
+    bb84_simple_noise_channel,
     build_threshold_povm,
     coarse_grained_dc_ansatz,
+    dark_count_channel,
     dark_count_matrix,
     enumerate_events,
     flag_state_target,
@@ -703,12 +706,16 @@ def test_a_failed_requirement_ends_the_analysis_at_its_check(monkeypatch, name):
         assert all(passed for _, passed in verdicts[:-1])
 
 
-def _replayed_channel_checks(desc, cert) -> dict:
-    """Each channel check of ``cert`` by name: the function it names and its residual on that corner's channel."""
+def _replayed_channel_checks(desc, cert, wrap) -> dict:
+    """Each channel check of ``cert`` by name: the function it names and its residual on that corner's channel.
+
+    The channels come from the public builders, each passed through ``wrap``.
+    """
     tol, out = desc.tol, {}
+    bb84, dark, loss = map(wrap, (bb84_simple_noise_channel, dark_count_channel, loss_channel))
     if desc.setup == "active-bb84":
         d_vec, lp = active_swap_lp(desc)
-        channel = report.bb84_simple_noise_channel(float(d_vec[0]))
+        channel = bb84(float(d_vec[0]))
         out["bb84-channel-cptp"] = (verify_cptp, verify_cptp(channel, tol).residual)
         for basis in "ZX":
             povm = bb84_qubit_measurement(basis)
@@ -734,9 +741,9 @@ def _replayed_channel_checks(desc, cert) -> dict:
         eta = np.array(check["inputs"]["eta"])
         f_eta = target(eta)
         for kind, channel, statistics, weight in (
-            ("dark", report.dark_count_channel(p_db, f_eta), (p_db, f_eta, f_eta),
+            ("dark", dark(p_db, f_eta), (p_db, f_eta, f_eta),
              ([[p_db.entries[0, 0]]], [proj0 + proj1], [proj0 + proj1])),
-            ("loss", report.loss_channel(eta, eta_star, f_lossless), (None, f_eta, f_star),
+            ("loss", loss(eta, eta_star, f_lossless), (None, f_eta, f_star),
              ([[1.0, eta.min() / eta_star]], [proj0, proj1], [proj0 + proj1])),
         ):
             out[f"{kind}-channel-cptp{suffix}"] = (verify_cptp, verify_cptp(channel, tol).residual)
@@ -769,9 +776,11 @@ def _with_fault(build):
 def test_certificate_checks_reproduce_through_the_operations_they_name(monkeypatch, name, faulty):
     # analyze scores every channel in one eigensolve and one contraction;
     # each channel check must still be what the public function it names
-    # gives on that corner's channel, exact or failing
+    # gives on that corner's channel, exact or failing; the analysis calls
+    # the constructions behind the dark and loss builders
+    wrap = _with_fault if faulty else (lambda build: build)
     if faulty:
-        for factory in ("bb84_simple_noise_channel", "dark_count_channel", "loss_channel"):
+        for factory in ("bb84_simple_noise_channel", "_dark_count_channel", "_loss_channel"):
             monkeypatch.setattr(report, factory, _with_fault(getattr(report, factory)))
     desc = load_descriptor(ROOT / "descriptors" / f"{name}.json")
     calls = []
@@ -782,13 +791,60 @@ def test_certificate_checks_reproduce_through_the_operations_they_name(monkeypat
         cert = run_analysis(desc)
     assert sorted(calls) == ["psd_residuals", "residuals"]
     assert cert.all_passed is not faulty
-    replayed = _replayed_channel_checks(desc, cert)
+    replayed = _replayed_channel_checks(desc, cert, wrap)
     checks = [c for c in cert.checks if "-channel-" in c["name"]]
     assert [c["name"] for c in checks] == list(replayed)
     for check in checks:
         operation, residual = replayed[check["name"]]
         assert check["operation"] == operation.__name__
         assert abs(check["residual"] - residual) <= 1e-15, check["name"]
+
+
+# The preconditions of the dark and loss channels, and the builder guards that would decide them again.
+_DECISIONS = {
+    "verify_single_photon_assumption": 1,
+    "validate_dark_count_pp": 1,
+    "check_eta_star": 1,
+    "_require_one_photon_target": 0,
+    "_require_exact_flags": 0,
+}
+
+
+def test_each_channel_precondition_is_decided_once(monkeypatch):
+    # the click-count assumption (one call on the stack of corners, lossless
+    # and eta_star), the dark-count conditions and eta_star's admissibility
+    # are each decided by the check that records them, and by nothing else
+    counts, wrapped = dict.fromkeys(_DECISIONS, 0), set()
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "detcert"]:
+        for name in _DECISIONS.keys() & vars(module).keys():
+
+            def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+            wrapped.add(name)
+    assert wrapped == set(_DECISIONS)
+    assert run_analysis(load_descriptor(ROOT / "descriptors" / "passive_bb84.json")).all_passed
+    assert counts == _DECISIONS
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=_descriptor_json().filter(lambda data: data["setup"] != "active-bb84"))
+def test_public_builders_accept_what_the_analysis_constructs(data):
+    # the analysis calls the constructions behind the dark and loss builders;
+    # on the exact inputs it passes, every guard of the builder holds and the
+    # builder's Choi values are the construction's, bit for bit
+    calls = []
+    with pytest.MonkeyPatch.context() as recording:
+        for public, private in ((dark_count_channel, "_dark_count_channel"), (loss_channel, "_loss_channel")):
+            build = getattr(report, private)
+            recording.setattr(report, private, lambda *a, _p=public, _b=build: calls.append((_p, _b, a)) or _b(*a))
+        run_analysis(descriptor_from_dict({**data, "cutoff": 1}))
+    assume(calls)
+    for public, private, args in calls:
+        built, constructed = public(*args).support.values, private(*args).support.values
+        assert (built.dtype, built.shape, built.tobytes()) == (constructed.dtype, constructed.shape, constructed.tobytes())
 
 
 def test_analysis_records_measured_dark_count_residual():

@@ -10,6 +10,9 @@ process and fails instead.
 import json
 from pathlib import Path
 
+import numpy as np
+
+import detcert as dc
 from detcert import cli
 from detcert.channels import QuantumChannel
 
@@ -42,8 +45,6 @@ def test_traced_analyze_records_library_spans(tmp_path, monkeypatch):
     assert QuantumChannel.__dict__["apply_dense"] is apply_dense
     names = {span[3] for span in tracer.spans}
     for name in (
-        "channels.dark_count_channel",
-        "channels.loss_channel",
         "channels.certify_choi",
         "detectors.build_threshold_povm",
         "squashing.flag_state_target",
@@ -55,6 +56,21 @@ def test_traced_analyze_records_library_spans(tmp_path, monkeypatch):
     assert metrics["channels.choi_calls"][0] == 0
     assert metrics["detectors.povm_calls"][0] == 1
     assert 0.0 < metrics["trace.coverage"][0] <= 1.0
+
+    # analyze calls the constructions behind the dark and loss builders; a
+    # direct call of each public builder is still traced
+    f_lossless = dc.flag_state_target(dc.build_threshold_povm(dc.passive_bb84_setup(np.ones(4)), 1), 1)
+    builders = spans.Tracer()
+    instrumentation = spans.Instrumentation(builders)
+    instrumentation.install()
+    try:
+        with builders.op("build"):
+            dc.dark_count_channel(dc.dark_count_matrix([0.01] * 4), f_lossless)
+            dc.loss_channel(np.full(4, 0.5), 1.0, f_lossless)
+    finally:
+        instrumentation.uninstall()
+    names = {span[3] for span in builders.spans}
+    assert {"channels.dark_count_channel", "channels.loss_channel"} <= names
 
 
 def test_traced_active_analyze_records_the_kept_builders(tmp_path, monkeypatch):
