@@ -46,7 +46,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .detectors import POVM, _dtype, _Verdict, active_bb84_setups, build_threshold_povm, verify_single_photon_assumption
+from .detectors import POVM, _dtype, _hermitian_part, _require_unit, _Verdict, active_bb84_setups
+from .detectors import build_threshold_povm, verify_single_photon_assumption
 from .fock import FLAG_LABEL, SpaceLayout, photon_label
 from .postprocessing import StochasticMatrix, _single_photon_loss_entries, validate_dark_count_pp
 from .postprocessing import apply_postprocessing, bb84_qubit_squasher
@@ -418,8 +419,7 @@ def bb84_simple_noise_channel(d: float) -> QuantumChannel:
     vacuum is re-prepared as ``(1-d)^2`` vacuum plus ``d (1 - d/2)`` times
     the maximally mixed qubit (times 2, as an unnormalized projector).
     """
-    if not 0.0 <= d <= 1.0:
-        raise ValueError("dark rate must lie in [0, 1]")
+    _require_unit(d, "dark rate")
     layout = _BB84_LAYOUT
     vac = layout.projector(_M0)
     qubit_proj = layout.projector(_M1)
@@ -647,8 +647,7 @@ def generic_channel(f_noise: POVM, f_ideal: POVM, q: float) -> QuantumChannel:
     the channel measures on the preserved blocks, surrendering weight ``q``
     to the flags.
     """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("q must lie in [0, 1]")
+    _require_unit(q, "q")
     _require_exact_flags(f_ideal, "the ideal")
     q_star, _ = _deviation_bound(f_noise, f_ideal)
     if q < q_star:
@@ -704,11 +703,6 @@ def inf_norm_mixing(f_noise: POVM, delta: float) -> POVM:
     scale = 1.0 / (1.0 + n * delta)
     ident = np.eye(f_noise.layout.total_dim)
     return POVM(f_noise.layout, scale * f_noise.dense + (delta * scale) * ident, f_noise.events)
-
-
-def _hermitian_part(diff: np.ndarray) -> np.ndarray:
-    """``(D + D^dag) / 2`` per matrix of a stack, Hermitian to the bit."""
-    return (diff + diff.conj().swapaxes(-1, -2)) / 2.0
 
 
 def _hermitian_score(herm: np.ndarray) -> np.ndarray:

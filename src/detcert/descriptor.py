@@ -2,9 +2,9 @@
 
 A descriptor names a detection setup, the ranges within which an adversary
 may set the dark count rates and efficiencies, and tolerances.  A field's
-``metadata["parse"]`` only converts its JSON value; every value rule is in
-``SetupDescriptor.__post_init__``, so a malformed field raises
-:class:`DescriptorError` naming it however the descriptor is built.
+``metadata["parse"]`` only converts its JSON value, as ``__post_init__``
+converts a scalar or ``observed`` given in Python; every value rule is there,
+so a malformed field raises :class:`DescriptorError` naming it however built.
 """
 
 from __future__ import annotations
@@ -118,14 +118,20 @@ class SetupDescriptor:
     corner_limit: int = _field(_integer, 4)
 
     def __post_init__(self):
+        for f in fields(self):  # a scalar of the wrong type, built in Python, as the JSON reader rejects it
+            value, parse = getattr(self, f.name), f.metadata.get("parse")
+            if parse in (_integer, _number, _optional_number) and not (value is None and f.default is None):
+                object.__setattr__(self, f.name, parse(value, f.name))
+        if self.observed is not None:
+            if not (isinstance(self.observed, tuple) and len(self.observed) == 2):
+                raise DescriptorError(f"observed: expected an (event, probability) pair, got {self.observed!r}")
+            object.__setattr__(self, "observed", (self.observed[0], _number(self.observed[1], "observed")))
         if self.setup not in (*_FIXED_K, "custom"):
             raise DescriptorError(f"setup: unknown kind {self.setup!r}")
         fixed = _FIXED_K.get(self.setup)
         if fixed is None:
-            if isinstance(self.k, bool) or not isinstance(self.k, int) or not 1 <= self.k <= MAX_DETECTORS:
-                raise DescriptorError(
-                    f"k: custom setups need a detector count in [1, {MAX_DETECTORS}], got {self.k!r}"
-                )
+            if self.k is None or not 1 <= self.k <= MAX_DETECTORS:
+                raise DescriptorError(f"k: custom setups need a detector count in [1, {MAX_DETECTORS}], got {self.k!r}")
         else:
             if self.k not in (None, fixed):
                 raise DescriptorError(f"k: the {self.setup} setup has {fixed} detectors, got {self.k!r}")

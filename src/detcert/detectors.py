@@ -122,8 +122,7 @@ class DetectionSetup:
             raise ValueError("mode_map columns are not orthonormal (not an isometry)")
         if eta.ndim not in (1, 2) or eta.shape[-1] != self.k:
             raise ValueError(f"eta must have length {self.k}")
-        if not ((eta >= 0) & (eta <= 1)).all():  # NaN fails too
-            raise ValueError("efficiencies must lie in [0, 1]")
+        _require_unit(eta, "efficiencies")
         object.__setattr__(self, "mode_map", mm)
         object.__setattr__(self, "eta", eta)
 
@@ -138,6 +137,17 @@ def _dtype(*arrays) -> np.dtype:
     widest types LAPACK takes: real inputs give real arithmetic.
     """
     return np.dtype(np.complex128 if any(map(np.iscomplexobj, arrays)) else np.float64)
+
+
+def _require_unit(values, what: str) -> None:
+    """Raise ``ValueError`` naming ``what`` unless every entry of ``values`` lies in ``[0, 1]`` (NaN does not)."""
+    if not np.all((values >= 0.0) & (values <= 1.0)):
+        raise ValueError(f"{what} must lie in [0, 1]")
+
+
+def _hermitian_part(diff: np.ndarray) -> np.ndarray:
+    """``(D + D^dag) / 2`` per matrix of a stack, Hermitian to the bit."""
+    return (diff + diff.conj().swapaxes(-1, -2)) / 2.0
 
 
 def is_isometry(mode_map) -> bool:
@@ -326,7 +336,7 @@ def build_threshold_povm(setup: DetectionSetup, cutoff: int) -> POVM:
         dark = one_minus_eta[..., None, None, :] ** np.array(det_occs)
         weights = np.where(clicks, 1.0 - dark, dark).prod(axis=-1)
         blocks = v.conj().T @ (weights[..., None] * v)
-        dense[..., s, s] = (blocks + blocks.conj().swapaxes(-1, -2)) / 2.0
+        dense[..., s, s] = _hermitian_part(blocks)
     return POVM(layout, dense, events)
 
 

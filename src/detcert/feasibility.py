@@ -26,8 +26,8 @@ from functools import cached_property
 import numpy as np
 
 from .channels import ChoiConstraintSystem, ChoiSupport, _MeasurePrepare, certify_choi
-from .channels import _hermitian_part, _hermitian_score
-from .detectors import _Verdict
+from .channels import _hermitian_score
+from .detectors import _hermitian_part, _Verdict
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,7 @@ def _face_basis(system: ChoiConstraintSystem) -> np.ndarray:
 def _project_face_psd(face: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """Project onto the PSD matrices supported on the span of the orthonormal columns ``face``."""
     compressed = face.conj().T @ mat @ face
-    vals, vecs = np.linalg.eigh((compressed + compressed.conj().T) / 2.0)
+    vals, vecs = np.linalg.eigh(_hermitian_part(compressed))
     w = face @ vecs
     return (w * np.maximum(vals, 0.0)) @ w.conj().T
 
@@ -180,7 +180,7 @@ def choi_feasibility(p_dc, f_eta, f_target, tol: float = 1e-6, max_iter: int = 1
         value, j, defect = _dual(system, face, y)
         residual = float(_hermitian_score(defect).max())
         last.update(count=last["count"] + 1, j=j, defect=defect, residual=residual)
-        if residual <= tol:
+        if _Verdict.passes(residual, tol):
             raise _Decided("tol")
         if value < floor and _farkas(system, y, tol).passed:
             last["ray"] = y.copy()
@@ -198,7 +198,7 @@ def choi_feasibility(p_dc, f_eta, f_target, tol: float = 1e-6, max_iter: int = 1
         verdict={"tol": "feasible-at-tol", "farkas": "infeasible-at-tol"}.get(stop, "undetermined"),
         residual=last["residual"],
         iterations=last["count"],
-        witness=(j + j.conj().T) / 2.0 if stop == "tol" else None,
+        witness=_hermitian_part(j) if stop == "tol" else None,
         tolerance=tol,
         ray=last["ray"],
         stop=stop,

@@ -8,12 +8,13 @@ single-photon loss map, coarse grainings, and solves the swap equation
 
     P_sq . P_db = P_dc . P_sq
 
-for ``P_dc``: in closed form when ``P_sq`` is a coarse graining, else as
-the stochastic ``P_dc`` of smallest worst-entry violation.  That optimum
-and its dual weights also come in closed form, on ``P_sq``'s kernel, for
-a ``P_sq`` of full row rank with at most a one-dimensional kernel, as the
-qubit squasher has; one re-verification of the ``(matrix, weights)`` pair
-decides.
+for ``P_dc``.  For a coarse graining ``P_sq`` the one candidate is built
+apart from its guard, so the analysis records the swap's residual as the
+check that decides; else ``P_dc`` is the stochastic matrix of smallest
+worst-entry violation.  That optimum and its dual weights come in closed
+form on ``P_sq``'s kernel, for a ``P_sq`` of full row rank with at most a
+one-dimensional kernel, as the qubit squasher has; one re-verification of
+the ``(matrix, weights)`` pair decides.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detectors import MULTI, NO_CLICK, SINGLE, EventTable, POVM, _Verdict, enumerate_events
+from .detectors import MULTI, NO_CLICK, SINGLE, EventTable, POVM, _require_unit, _Verdict, enumerate_events
 
 _ENTRY_TOL = 1e-12
 _COLSUM_TOL = 1e-10
@@ -83,8 +84,7 @@ def dark_count_matrix(dark_rates) -> StochasticMatrix:
     rate ``d_i``.  For one detector this is ``[[1-d, 0], [d, 1]]``.
     """
     d = np.atleast_1d(np.asarray(dark_rates, dtype=float))
-    if not ((d >= 0) & (d <= 1)).all():  # NaN fails too
-        raise ValueError("dark rates must lie in [0, 1]")
+    _require_unit(d, "dark rates")
     k = d.size
     # P[c', c] = prod_i D_i[c'_i, c_i], multiplied in detector order.
     per_detector = np.array([[1.0 - d, np.zeros(k)], [d, np.ones(k)]])
@@ -101,8 +101,7 @@ def single_photon_loss_matrix(eta) -> StochasticMatrix:
     or decays to no-click.  For one detector this is ``[[1, 1-eta], [0, eta]]``.
     """
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    if not ((eta >= 0) & (eta <= 1)).all():  # NaN fails too
-        raise ValueError("efficiencies must lie in [0, 1]")
+    _require_unit(eta, "efficiencies")
     return StochasticMatrix(_single_photon_loss_entries(eta))
 
 
@@ -340,7 +339,7 @@ def solve_swap_lp(
     p_dc = np.clip(p_dc, 0.0, None)
     matrix = StochasticMatrix(p_dc / p_dc.sum(axis=0, keepdims=True))
     residual = swap_residual(matrix.entries, s, p_db.entries)
-    if residual <= tol:
+    if _Verdict.passes(residual, tol):
         return SwapLPResult(feasible=True, matrix=matrix, residual=residual, tolerance=tol)
     bound = _dual_bound(w, s, target)
     if not bound > tol:
@@ -353,29 +352,33 @@ def solve_swap_lp(
     )
 
 
-def coarse_grained_dc_ansatz(
-    p_db: StochasticMatrix, cg: CoarseGraining
-) -> StochasticMatrix:
-    """The unique ``P_dc`` with ``M . P_db = P_dc . M`` for a coarse graining ``M``.
+def coarse_grained_dc_ansatz(p_db: StochasticMatrix, cg: CoarseGraining) -> StochasticMatrix:
+    """The unique ``P_dc`` with ``M . P_db = P_dc . M`` for a coarse graining ``M``, or ``ValueError``.
 
-    ``M`` has full row rank, so column ``r`` of ``P_dc`` is forced to be the
-    mean of the columns of ``M . P_db`` that ``M`` merges into ``r``.  A
-    solution exists iff those columns agree (to ``1e-12``); otherwise raises
-    ``ValueError`` naming the column of ``M . P_db`` farthest from its mean.
+    The guard of :func:`_coarse_grained_dc`: a solution exists iff the
+    columns of ``M . P_db`` that ``M`` merges agree (to ``1e-12``), else the
+    error names the column of ``M . P_db`` farthest from its mean.
     """
-    if cg.shape[1] != p_db.shape[0] or p_db.shape[0] != p_db.shape[1]:
-        raise ValueError("coarse graining does not match the dark-count map")
-    m = cg.entries
-    merged = m @ p_db.entries
-    p_dc = (merged @ m.T) / m.sum(axis=1)
-    gaps = np.abs(merged - p_dc @ m).max(axis=0)
+    p_dc = _coarse_grained_dc(p_db, cg)
+    gaps = np.abs(cg.entries @ p_db.entries - p_dc.entries @ cg.entries).max(axis=0)
     worst = int(gaps.argmax())
     if gaps[worst] > _ENTRY_TOL:
         raise ValueError(
             f"no swap solution for this coarse graining: column {worst} of M P_db is "
             f"{gaps[worst]:.3e} from the mean of the columns merged with it"
         )
-    return StochasticMatrix(p_dc)
+    return p_dc
+
+
+def _coarse_grained_dc(p_db: StochasticMatrix, cg: CoarseGraining) -> StochasticMatrix:
+    """The one candidate ``P_dc`` for ``M . P_db = P_dc . M``, untested: its :func:`swap_residual` decides.
+
+    ``M`` has full row rank, so column ``r`` of ``P_dc`` is the mean of the
+    columns of ``M . P_db`` that ``M`` merges into ``r``: a stochastic matrix.
+    """
+    if cg.shape[1] != p_db.shape[0] or p_db.shape[0] != p_db.shape[1]:
+        raise ValueError("coarse graining does not match the dark-count map")
+    return StochasticMatrix((cg.entries @ p_db.entries @ cg.entries.T) / cg.entries.sum(axis=1))
 
 
 _QUBIT_SQUASHER = StochasticMatrix(
@@ -405,8 +408,7 @@ def bb84_squashed_dark_matrix(d: float) -> StochasticMatrix:
     This is the unique solution of the swap equation for the two-detector
     qubit squasher when both dark count rates equal ``d``.
     """
-    if not 0.0 <= d <= 1.0:
-        raise ValueError("dark rate must lie in [0, 1]")
+    _require_unit(d, "dark rate")
     entries = np.array(
         [
             [(1.0 - d) ** 2, 0.0, 0.0],

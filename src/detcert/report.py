@@ -38,8 +38,9 @@ from .detectors import (
 )
 from .fock import photon_label
 from .postprocessing import (
+    _ENTRY_TOL,
+    _coarse_grained_dc,
     bb84_qubit_squasher,
-    coarse_grained_dc_ansatz,
     dark_count_matrix,
     multiclick_coarse_graining,
     apply_postprocessing,
@@ -276,14 +277,11 @@ def _analyze_flag_state(desc: SetupDescriptor, cert: Certificate):
     # Dark-count post-processing at the top of the rate range.
     p_fine = dark_count_matrix(d_max)
     if cg is not None:
-        try:
-            p_db = coarse_grained_dc_ansatz(p_fine, cg)
-        except ValueError as exc:
-            raise _Stop(str(exc)) from exc
-        swap_dev = swap_residual(p_db.entries, cg.entries, p_fine.entries)
+        p_db = _coarse_grained_dc(p_fine, cg)
         cert.add_check(
-            "coarse-grain-swap", "coarse_grained_dc_ansatz",
-            {"dark": d_max.tolist()}, swap_dev, 1e-12,
+            "coarse-grain-swap", "coarse_grained_dc_ansatz", {"dark": d_max.tolist()},
+            swap_residual(p_db.entries, cg.entries, p_fine.entries), _ENTRY_TOL,
+            "the coarse graining has no swap solution: no stochastic P_dc has M P_db = P_dc M",
         )
         table = cg.row_table
     else:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detectors import POVM, EventTable
+from .detectors import POVM, EventTable, _hermitian_part, _require_unit
 from .fock import FLAG_LABEL, SpaceLayout, photon_label
 
 
@@ -95,8 +95,7 @@ def weight_bound(povm: POVM, event, p_observed: float, cutoff: int) -> WeightBou
     carry at least one block on each side of the cutoff; a nearly equal
     pair of eigenvalues makes the event uninformative and is rejected.
     """
-    if not 0.0 <= p_observed <= 1.0:
-        raise ValueError("observed probability must lie in [0, 1]")
+    _require_unit(p_observed, "observed probability")
     numbers = povm.layout.photon_numbers()
     inside = [m for m in numbers if m <= cutoff]
     outside = [m for m in numbers if m > cutoff]
@@ -111,8 +110,7 @@ def weight_bound(povm: POVM, event, p_observed: float, cutoff: int) -> WeightBou
 
     def block_min(m):
         s = povm.layout.slice_of(photon_label(m))
-        a = gamma[s, s]
-        return float(np.linalg.eigvalsh((a + a.conj().T) / 2.0)[0])
+        return float(np.linalg.eigvalsh(_hermitian_part(gamma[s, s]))[0])
 
     lam_in = min(map(block_min, inside))
     lam_out = min(map(block_min, outside))
@@ -142,10 +140,8 @@ def propagate_weight(
     ``eta_min / eta_star`` is the single-photon survival of the loss
     channel:  ``W' = 1 - p_no_dark * (eta_min / eta_star) * (1 - W)``.
     """
-    if not 0.0 <= weight <= 1.0:
-        raise ValueError("weight must lie in [0, 1]")
-    if not 0.0 <= p_no_dark <= 1.0:
-        raise ValueError("p_no_dark must lie in [0, 1]")
+    _require_unit(weight, "weight")
+    _require_unit(p_no_dark, "p_no_dark")
     if not 0.0 < eta_star <= 1.0:
         raise ValueError("eta_star must lie in (0, 1]")
     if not 0.0 <= eta_min <= eta_star:

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,11 +19,15 @@ from detcert import (
     DetectionSetup,
     EventTable,
     active_bb84_setups,
+    bb84_simple_noise_channel,
+    bb84_squashed_dark_matrix,
     build_threshold_povm,
     enumerate_events,
     flag_state_target,
     generic_channel,
     passive_bb84_setup,
+    propagate_weight,
+    single_photon_loss_matrix,
     verify_single_photon_assumption,
     weight_bound,
 )
@@ -453,3 +458,33 @@ def test_stacked_build_equals_one_build_per_efficiency_vector():
     bent[1, 5, 1, 1] = -1.0  # entry 1's element 5 is no longer PSD
     with pytest.raises(ValueError, match=r"element '0011' in stack entry 1 is not PSD"):
         POVM(stack.layout, bent, stack.events)
+
+
+_TARGET = flag_state_target(build_threshold_povm(passive_bb84_setup(0.9), 1), 1)
+_TWO_PHOTON = build_threshold_povm(passive_bb84_setup(0.9), 2)
+# Every [0, 1] guard of the library: the call at the guarded value x, and its whole message.
+_UNIT_GUARDS = {
+    "DetectionSetup": (lambda x: DetectionSetup(k=1, mode_map=np.eye(1), eta=[x]), "efficiencies"),
+    "dark_count_matrix": (lambda x: dark_count_matrix([x]), "dark rates"),
+    "single_photon_loss_matrix": (lambda x: single_photon_loss_matrix([x]), "efficiencies"),
+    "bb84_squashed_dark_matrix": (bb84_squashed_dark_matrix, "dark rate"),
+    "bb84_simple_noise_channel": (bb84_simple_noise_channel, "dark rate"),
+    "generic_channel": (lambda x: generic_channel(_TARGET, _TARGET, x), "q"),
+    "weight_bound": (lambda x: weight_bound(_TWO_PHOTON, "multi", x, 1), "observed probability"),
+    "propagate_weight-weight": (lambda x: propagate_weight(x, 1.0, 0.5, 1.0), "weight"),
+    "propagate_weight-p_no_dark": (lambda x: propagate_weight(0.5, x, 0.5, 1.0), "p_no_dark"),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, -5e-324, 1.0 + 2.0**-52], ids=["nan", "below", "above"])
+@pytest.mark.parametrize("guard", list(_UNIT_GUARDS))
+def test_every_unit_interval_guard_rejects_what_lies_outside(guard, value):
+    call, what = _UNIT_GUARDS[guard]
+    with pytest.raises(ValueError, match=f"^{re.escape(what)} must lie in \\[0, 1\\]$"):
+        call(value)
+
+
+@pytest.mark.parametrize("value", [0.0, 1.0])
+@pytest.mark.parametrize("guard", list(_UNIT_GUARDS))
+def test_every_unit_interval_guard_admits_both_ends(guard, value):
+    _UNIT_GUARDS[guard][0](value)

@@ -38,6 +38,7 @@ from detcert import cli, report
 from detcert.channels import ChoiSupport, _MeasurePrepare
 from detcert.descriptor import DescriptorError, SetupDescriptor, descriptor_from_dict, load_descriptor
 from detcert.fock import photon_label
+from detcert.postprocessing import swap_residual
 from detcert.report import (
     EXIT_NOT_REDUCIBLE,
     EXIT_OK,
@@ -150,6 +151,17 @@ def test_setup_descriptor_checks_every_rule_however_built(fields, prefix):
     # the rules hold for a descriptor built directly, not only for one read from JSON
     with pytest.raises(DescriptorError, match=f"^{re.escape(prefix)}"):
         SetupDescriptor(**fields)
+
+
+@pytest.mark.parametrize(
+    "name,value",
+    [("corner_limit", 2.5), ("cutoff", True), ("seed", "x"), ("tol", "1e-9"), ("weight_in", None),
+     ("eta_star", "0.9"), ("observed", {"event": "multi", "probability": 0.1})],
+)
+def test_setup_descriptor_built_in_python_rejects_a_field_of_the_wrong_type(name, value):
+    # as the JSON reader does, naming the field, instead of failing later or with a bare TypeError
+    with pytest.raises(DescriptorError, match=f"^{name}: expected "):
+        SetupDescriptor(setup="passive-bb84", **{name: value})
 
 
 @pytest.mark.parametrize(
@@ -664,8 +676,8 @@ STOPS = {
     ),
     # a multi click demoted to a single one: the multiclick graining has no swap solution
     "graining-without-swap": (
-        PASSIVE, _bent_dark_map("0011", "0001"), None,
-        "no swap solution for this coarse graining: column 5 of M P_db is 9.091e-04 from the mean",
+        PASSIVE, _bent_dark_map("0011", "0001"), "coarse-grain-swap",
+        "the coarse graining has no swap solution: no stochastic P_dc has M P_db = P_dc M",
     ),
     "click-count-at-corner-2": (
         PASSIVE, _bent_povm(lambda desc: 2), "single-photon-assumption-corner2", _CLICK_COUNT,
@@ -704,6 +716,49 @@ def test_a_failed_requirement_ends_the_analysis_at_its_check(monkeypatch, name):
     else:
         assert verdicts[-1] == (failing, False)
         assert all(passed for _, passed in verdicts[:-1])
+
+
+_MULTICLICK = {k: multiclick_coarse_graining(enumerate_events(k)) for k in (2, 3, 4)}
+
+
+def test_a_graining_without_swap_records_the_gap_of_the_column_it_demotes(monkeypatch):
+    # 1e-3 leaves column 5 ("0011") of M P_db; the mean of the 11 merged columns moves by 1e-3 / 11
+    data, inject, _, _ = STOPS["graining-without-swap"]
+    desc = descriptor_from_dict(data)
+    inject(monkeypatch, desc)
+    check = run_analysis(desc).checks[-1]
+    assert abs(check["residual"] - 1e-3 * 10 / 11) <= 1e-15
+    with pytest.raises(ValueError, match=r"column 5 of M P_db is 9\.091e-04 from the mean"):
+        coarse_grained_dc_ansatz(report.dark_count_matrix(desc.points(box=True)[1][0]), _MULTICLICK[4])
+
+
+@pytest.mark.parametrize("bent", [False, True], ids=["kronecker", "bent"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_the_graining_check_passes_exactly_when_the_ansatz_returns(bent, data):
+    k = data.draw(st.integers(2, 4))
+    rates = data.draw(st.lists(st.floats(0.0, 0.5), min_size=k, max_size=k))  # every diagonal entry >= 1/16
+    mode_map = np.eye(k)[:, : data.draw(st.integers(1, k))].tolist()
+    desc = descriptor_from_dict(
+        {"setup": "custom", "k": k, "mode_map": mode_map, "coarse_grain": "multiclick",
+         "dark_range": [[0.0, d] for d in rates]}
+    )
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        if bent:  # a multi-click column bent to a single or no-click one parts from the columns merged with it
+            labels = enumerate_events(k).labels  # labels[k + 1:] are the multi-click patterns
+            pattern = data.draw(st.sampled_from(labels[k + 1:]) | st.sampled_from(labels))
+            to = data.draw((st.sampled_from(labels[: k + 1]) | st.sampled_from(labels)).filter(lambda x: x != pattern))
+            _bent_dark_map(pattern, to)(monkeypatch, desc)
+        p_db = report.dark_count_matrix(rates)
+        (check,) = [c for c in run_analysis(desc).checks if c["name"] == "coarse-grain-swap"]
+    cg = _MULTICLICK[k]
+    try:
+        p_dc = coarse_grained_dc_ansatz(p_db, cg)
+    except ValueError:
+        assert not check["passed"]
+    else:
+        assert check["passed"]
+        assert check["residual"] == swap_residual(p_dc.entries, cg.entries, p_db.entries)
 
 
 def _replayed_channel_checks(desc, cert, wrap) -> dict:
