@@ -697,8 +697,8 @@ def inf_norm_mixing(f_noise: POVM, delta: float) -> POVM:
     every ``F_i`` is within ``delta`` of an ideal element in operator norm,
     the result dominates ``F_ideal / (1 + n delta)`` elementwise.
     """
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
+    if not 0 <= delta < np.inf:  # NaN fails too
+        raise ValueError(f"delta must be nonnegative and finite, got {delta}")
     n = len(f_noise)
     scale = 1.0 / (1.0 + n * delta)
     ident = np.eye(f_noise.layout.total_dim)

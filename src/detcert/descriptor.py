@@ -2,9 +2,10 @@
 
 A descriptor names a detection setup, the ranges within which an adversary
 may set the dark count rates and efficiencies, and tolerances.  A field's
-``metadata["parse"]`` only converts its JSON value, as ``__post_init__``
-converts a scalar or ``observed`` given in Python; every value rule is there,
-so a malformed field raises :class:`DescriptorError` naming it however built.
+``metadata["parse"]`` converts its value, JSON or Python, and accepts its own
+output; ``__post_init__`` runs it once per field given and then every value
+rule, so a malformed field raises :class:`DescriptorError` naming it however
+built.  The JSON reader only checks which fields appear and rejects nulls.
 """
 
 from __future__ import annotations
@@ -64,27 +65,32 @@ def _point(value, name: str):
 
 
 def _parse_mode_map(raw, name: str):
-    """Rows of numbers or ``[re, im]`` pairs as complex tuples."""
+    """Rows of numbers, ``[re, im]`` pairs or complexes; an entry with imaginary part 0 is kept as a float."""
     if not (isinstance(raw, (list, tuple)) and all(isinstance(r, (list, tuple)) for r in raw)):
         raise DescriptorError(f"{name}: expected a list of rows")
     rows = []
     for row in raw:
         parsed = []
         for entry in row:
-            pair = entry if isinstance(entry, (list, tuple)) and len(entry) == 2 else (entry, 0.0)
-            parsed.append(complex(*(_number(v, name) for v in pair)))
+            pair = (entry.real, entry.imag) if isinstance(entry, complex) else entry
+            pair = pair if isinstance(pair, (list, tuple)) and len(pair) == 2 else (entry, 0.0)
+            real, imag = (_number(v, name) for v in pair)
+            parsed.append(complex(real, imag) if imag else real)
         rows.append(tuple(parsed))
     return tuple(rows)
 
 
 def _observed(value, name: str) -> tuple[str, float]:
-    if not isinstance(value, dict) or "event" not in value or "probability" not in value:
+    """A JSON ``{"event", "probability"}`` object or an ``(event, probability)`` tuple as ``(str, float)``."""
+    if isinstance(value, dict) and "event" in value and "probability" in value:
+        value = (value["event"], value["probability"])
+    elif not (isinstance(value, tuple) and len(value) == 2):
         raise DescriptorError(f"{name}: needs fields 'event' and 'probability'")
-    return (str(value["event"]), _number(value["probability"], name))
+    return (str(value[0]), _number(value[1], name))
 
 
 def _field(parse, default):
-    """A descriptor field: its default and ``parse(value, name)`` converting its JSON value."""
+    """A descriptor field: its default and ``parse(value, name)`` converting a value given for it."""
     return field(default=default, metadata={"parse": parse})
 
 
@@ -118,14 +124,10 @@ class SetupDescriptor:
     corner_limit: int = _field(_integer, 4)
 
     def __post_init__(self):
-        for f in fields(self):  # a scalar of the wrong type, built in Python, as the JSON reader rejects it
-            value, parse = getattr(self, f.name), f.metadata.get("parse")
-            if parse in (_integer, _number, _optional_number) and not (value is None and f.default is None):
-                object.__setattr__(self, f.name, parse(value, f.name))
-        if self.observed is not None:
-            if not (isinstance(self.observed, tuple) and len(self.observed) == 2):
-                raise DescriptorError(f"observed: expected an (event, probability) pair, got {self.observed!r}")
-            object.__setattr__(self, "observed", (self.observed[0], _number(self.observed[1], "observed")))
+        for f in fields(self):  # each value given, from JSON or Python, converted once
+            value = getattr(self, f.name)
+            if "parse" in f.metadata and value is not f.default:
+                object.__setattr__(self, f.name, f.metadata["parse"](value, f.name))
         if self.setup not in (*_FIXED_K, "custom"):
             raise DescriptorError(f"setup: unknown kind {self.setup!r}")
         fixed = _FIXED_K.get(self.setup)
@@ -195,8 +197,7 @@ class SetupDescriptor:
             allowed = events.labels + (("multi",) if events.multi_indices else ())
             if self.observed[0] not in allowed:
                 raise DescriptorError(
-                    f"observed: no event labelled {self.observed[0]!r}; "
-                    f"expected one of {list(allowed)}"
+                    f"observed: no event labelled {self.observed[0]!r}; expected one of {list(allowed)}"
                 )
 
     def points(self, box: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -234,7 +235,7 @@ class SetupDescriptor:
 
 
 def descriptor_from_dict(data: dict) -> SetupDescriptor:
-    """The descriptor a JSON object states; the reader checks which fields appear, not their values."""
+    """The descriptor a JSON object states; the reader checks which fields appear and rejects nulls, not values."""
     if not isinstance(data, dict):
         raise DescriptorError("descriptor must be a JSON object")
     setup = data.get("setup")
@@ -246,12 +247,10 @@ def descriptor_from_dict(data: dict) -> SetupDescriptor:
     unknown = set(data) - {f.name for f in fields(SetupDescriptor)}
     if unknown:
         raise DescriptorError(f"unknown descriptor fields: {sorted(unknown)}")
-    parsed = {
-        f.name: parse(data[f.name], f.name) if (parse := f.metadata.get("parse")) else data[f.name]
-        for f in fields(SetupDescriptor)
-        if f.name in data
-    }
-    return SetupDescriptor(**{**parsed, "setup": setup})
+    for f in fields(SetupDescriptor):
+        if f.name in data and data[f.name] is None and "parse" in f.metadata:
+            f.metadata["parse"](None, f.name)  # a null: its converter names the field (eta_star's admits it)
+    return SetupDescriptor(**{**data, "setup": setup})
 
 
 def load_descriptor(path) -> SetupDescriptor:

@@ -83,7 +83,9 @@ def enumerate_events(k: int) -> EventTable:
     are the patterns as bit strings, detector 1 in the rightmost position.
     Built once per process, keyed on ``k`` and its type: a rejected ``1.0`` never finds ``1``'s table.
     """
-    if not isinstance(k, int) or not 1 <= k <= 16:
+    if not isinstance(k, int):
+        raise ValueError(f"detector count must be an int, not {type(k).__name__}: {k!r}")
+    if not 1 <= k <= 16:
         raise ValueError(f"detector count {k} outside [1, 16]")
     k = int(k)  # True builds the k = 1 table
     masks = sorted(range(2**k), key=lambda c: (bin(c).count("1"), c))

@@ -71,12 +71,11 @@ class _Stop(ValueError):
 
 
 def build_setup(desc: SetupDescriptor, eta) -> DetectionSetup:
-    """The descriptor's setup at efficiencies ``eta``; a custom ``mode_map`` with no nonzero imaginary part is real."""
+    """The descriptor's setup at efficiencies ``eta``, a custom one with ``desc.mode_map`` as it is."""
     if desc.setup == "passive-bb84":
         return passive_bb84_setup(eta)
     if desc.setup == "custom":
-        mode_map = np.array(desc.mode_map, dtype=complex)
-        return DetectionSetup(k=desc.k, mode_map=mode_map if mode_map.imag.any() else mode_map.real, eta=eta)
+        return DetectionSetup(k=desc.k, mode_map=desc.mode_map, eta=eta)
     raise DescriptorError(f"setup: no single-table setup for {desc.setup!r}")
 
 

@@ -120,6 +120,8 @@ CASES = {
         lambda: generic_channel(_target(), _target(), 1.5), ValueError, "q must lie in [0, 1]",
     ),
     "negative mixing": (lambda: inf_norm_mixing(_Z, -0.1), ValueError, "delta must be nonnegative"),
+    "NaN mixing": (lambda: inf_norm_mixing(_Z, np.nan), ValueError, "delta must be nonnegative"),
+    "infinite mixing": (lambda: inf_norm_mixing(_Z, np.inf), ValueError, "delta must be nonnegative"),
     "post-processing of the wrong shape": (
         lambda: ChoiConstraintSystem((np.eye(2), _Z, _Z)),
         ValueError, "post-processing shape (2, 2) does not map 3 -> 3 events",
@@ -143,6 +145,17 @@ CASES = {
     "no-click event not first": (
         lambda: EventTable(k=1, labels=("1", "0"), classes=("single", "no-click")),
         ValueError, "exactly one no-click event",
+    ),
+    "no detectors": (lambda: enumerate_events(0), ValueError, "detector count 0 outside [1, 16]"),
+    "seventeen detectors": (lambda: enumerate_events(17), ValueError, "detector count 17 outside [1, 16]"),
+    # a count of another type is no count out of range: its message names the type
+    "numpy detector count": (
+        lambda: enumerate_events(np.int64(2)), ValueError, "detector count must be an int, not int64",
+    ),
+    "float detector count": (lambda: enumerate_events(2.0), ValueError, "detector count must be an int, not float"),
+    "setup with a numpy detector count": (
+        lambda: build_threshold_povm(DetectionSetup(k=np.int64(2), mode_map=np.eye(2), eta=[1.0] * 2), 1),
+        ValueError, "detector count must be an int, not int64",
     ),
     "unknown event label": (
         lambda: enumerate_events(2).index_of("bogus"), KeyError, "no event labelled 'bogus'",

@@ -156,12 +156,25 @@ def test_setup_descriptor_checks_every_rule_however_built(fields, prefix):
 @pytest.mark.parametrize(
     "name,value",
     [("corner_limit", 2.5), ("cutoff", True), ("seed", "x"), ("tol", "1e-9"), ("weight_in", None),
-     ("eta_star", "0.9"), ("observed", {"event": "multi", "probability": 0.1})],
+     ("eta_star", "0.9"), ("eta_range", [[0.5, "x"]]), ("dark_range", [[0.0, None]]), ("dark", "x"),
+     ("eta", ("x",)), ("mode_map", [["a"]]), ("observed", ("multi", "0.1"))],
 )
 def test_setup_descriptor_built_in_python_rejects_a_field_of_the_wrong_type(name, value):
     # as the JSON reader does, naming the field, instead of failing later or with a bare TypeError
     with pytest.raises(DescriptorError, match=f"^{name}: expected "):
         SetupDescriptor(setup="passive-bb84", **{name: value})
+
+
+@pytest.mark.parametrize(
+    "data",
+    [{**PASSIVE, "observed": {"event": "multi", "probability": 0.1}}, {**PASSIVE, "eta_range": [0.5, 0.6]},
+     {"setup": "custom", "k": 1, "mode_map": [[1.0]]}, {"setup": "custom", "k": 1, "mode_map": [[[0.0, 1.0]]]}],
+    ids=["observed-object", "one-shared-range", "real-map", "complex-map"],
+)
+def test_setup_descriptor_built_in_python_converts_as_the_json_reader(data):
+    built = SetupDescriptor(**data)
+    assert built == descriptor_from_dict(data)
+    assert hash(built) == hash(descriptor_from_dict(data))
 
 
 @pytest.mark.parametrize(
@@ -524,6 +537,15 @@ def test_descriptor_json_round_trip(data):
     echoed = json.loads(json.dumps(desc.to_dict()))
     assert descriptor_from_dict(echoed) == desc
     assert "eta_star" in echoed  # echoed even when null
+    # one conversion however built: in Python, by replace, and hashable
+    assert SetupDescriptor(**data) == desc
+    assert replace(desc) == desc
+    hash(desc)
+    if desc.setup == "custom":  # real exactly when no entry has a nonzero imaginary part
+        real = not any(isinstance(z, list) and z[1] for row in data["mode_map"] for z in row)
+        dtype = np.dtype(np.float64 if real else np.complex128)
+        assert np.asarray(desc.mode_map).dtype == dtype
+        assert build_setup(desc, desc.points(box=False)[0][0]).mode_map.dtype == dtype
 
 
 # Edge values of the efficiencies and dark rates, and of eta_star beyond [0, 1].
