@@ -86,7 +86,9 @@ def _observed(value, name: str) -> tuple[str, float]:
         value = (value["event"], value["probability"])
     elif not (isinstance(value, tuple) and len(value) == 2):
         raise DescriptorError(f"{name}: needs fields 'event' and 'probability'")
-    return (str(value[0]), _number(value[1], name))
+    if not isinstance(value[0], str):
+        raise DescriptorError(f"{name}: expected an event label, got {value[0]!r}")
+    return (value[0], _number(value[1], name))
 
 
 def _field(parse, default):

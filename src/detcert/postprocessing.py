@@ -24,7 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detectors import MULTI, NO_CLICK, SINGLE, EventTable, POVM, _require_unit, _Verdict, enumerate_events
+from .detectors import (
+    MAX_DETECTORS, MULTI, NO_CLICK, SINGLE, EventTable, POVM, _require_unit, _Verdict, enumerate_events,
+)
 
 _ENTRY_TOL = 1e-12
 _COLSUM_TOL = 1e-10
@@ -86,6 +88,8 @@ def dark_count_matrix(dark_rates) -> StochasticMatrix:
     d = np.atleast_1d(np.asarray(dark_rates, dtype=float))
     _require_unit(d, "dark rates")
     k = d.size
+    if k > MAX_DETECTORS:  # the map is (2^k, 2^k), built from a (k, 2^k, 2^k) stack
+        raise ValueError(f"{k} dark rates exceed {MAX_DETECTORS} detectors")
     # P[c', c] = prod_i D_i[c'_i, c_i], multiplied in detector order.
     per_detector = np.array([[1.0 - d, np.zeros(k)], [d, np.ones(k)]])
     bits = (np.asarray(enumerate_events(k).masks) >> np.arange(k)[:, None]) & 1

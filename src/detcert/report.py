@@ -1,10 +1,13 @@
-"""Analysis pipeline and certificate emission.
+"""Analysis pipeline, command payloads and their serialization.
 
 ``run_analysis`` takes a :class:`~detcert.descriptor.SetupDescriptor`, builds
 the POVMs at the range corners, constructs the dark-count and loss noise
 channels, certifies them, and records every verdict with reproducible
-inputs in a certificate.  Serialization is deterministic: stable key order
-and fixed 17-significant-digit floats.
+inputs in a certificate.  Each subcommand of :mod:`detcert.cli` is one
+function here, ``desc -> (payload, exit code)``: :func:`analyze`,
+:func:`verify_channel`, :func:`swap_lp`, :func:`weight` and
+:func:`choi_check`.  Serialization (:func:`write_json`) is deterministic:
+stable key order and fixed 17-significant-digit floats.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +39,7 @@ from .detectors import (
     passive_bb84_setup,
     verify_single_photon_assumption,
 )
+from .feasibility import measure_prepare_witness, verify_choi_witness
 from .fock import photon_label
 from .postprocessing import (
     _ENTRY_TOL,
@@ -407,9 +411,9 @@ def run_analysis(desc: SetupDescriptor) -> Certificate:
             "flags; analyze needs cutoff 1 (higher cutoffs serve weight estimation)"
         )
     cert = Certificate(descriptor=desc.to_dict(), derived={"seed": desc.seed})
-    analyze = _analyze_active_bb84 if desc.setup == "active-bb84" else _analyze_flag_state
+    route = _analyze_active_bb84 if desc.setup == "active-bb84" else _analyze_flag_state
     try:
-        analyze(desc, cert)
+        route(desc, cert)
     except _Stop as stop:
         cert.downgrade(str(stop))
     return cert
@@ -449,3 +453,54 @@ def run_weight(desc: SetupDescriptor) -> dict:
         "eta_star": eta_star,
         "weight_propagated": propagated,
     }
+
+
+def analyze(desc: SetupDescriptor) -> tuple[dict, int]:
+    """The certificate of :func:`run_analysis` and its exit code."""
+    cert = run_analysis(desc)
+    return cert.to_dict(), cert.exit_code
+
+
+def verify_channel(desc: SetupDescriptor) -> tuple[dict, int]:
+    """The channel checks of :func:`run_analysis`, with its status and exit code."""
+    cert = run_analysis(desc)
+    checks = [c for c in cert.checks if "channel" in c["name"]]
+    return {"checks": checks, "status": cert.status, "failed_requirement": cert.failed_requirement}, cert.exit_code
+
+
+def _active_point(desc: SetupDescriptor, command: str):
+    """:func:`active_swap_lp` for a point ``command``, which serves only the active-BB84 setup."""
+    if desc.setup != "active-bb84":
+        raise DescriptorError(f"setup: {command} supports only the active-bb84 qubit squasher, got {desc.setup!r}")
+    return active_swap_lp(desc)
+
+
+def swap_lp(desc: SetupDescriptor) -> tuple[dict, int]:
+    """The swap LP's verdict and solution at the descriptor's point; exit 0 iff feasible."""
+    d_vec, result = _active_point(desc, "swap-lp")
+    matrix = result.matrix.entries.tolist() if result.matrix is not None else None
+    payload = {"dark": d_vec.tolist(), "feasible": result.feasible, "matrix": matrix,
+               "residual": result.residual, "tolerance": result.tolerance}
+    return payload, EXIT_OK if result.feasible else EXIT_NOT_REDUCIBLE
+
+
+def weight(desc: SetupDescriptor) -> tuple[dict, int]:
+    """The weight bound of :func:`run_weight`; exit 0."""
+    return run_weight(desc), EXIT_OK
+
+
+def choi_check(desc: SetupDescriptor) -> tuple[dict, int]:
+    """Each basis's measure-and-prepare witness, re-verified at ``feas_tol``; exit 0 iff both pass."""
+    d_vec, result = _active_point(desc, "choi-check")
+    if not result.feasible:
+        payload = {"verdict": "swap equation infeasible", "residual": result.residual, "dark": d_vec.tolist()}
+        return payload, EXIT_NOT_REDUCIBLE
+    bases = {}
+    for basis in ("Z", "X"):
+        povm = bb84_qubit_measurement(basis)
+        witness = measure_prepare_witness(result.matrix, povm, povm)
+        report = verify_choi_witness(witness, result.matrix, povm, povm, desc.feas_tol)
+        verdict = "feasible-at-tol" if report.passed else "undetermined"
+        bases[basis] = {"verdict": verdict, "residual": report.residual, "witness_report": asdict(report)}
+    ok = all(entry["witness_report"]["passed"] for entry in bases.values())
+    return {"dark": d_vec.tolist(), "bases": bases}, EXIT_OK if ok else EXIT_NOT_REDUCIBLE

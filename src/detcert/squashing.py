@@ -11,6 +11,7 @@ event probability and propagated through the noise channels.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,12 +70,15 @@ def _resolve_event(events: EventTable, event) -> tuple[int, ...]:
                 raise ValueError("event table has no multi-click events")
             return idx
         return (events.index_of(event),)
-    if isinstance(event, (int, np.integer)):
+    if isinstance(event, (int, np.integer)) and not isinstance(event, bool):
         if not 0 <= event < events.n_events:
             raise ValueError(f"event index {event} outside [0, {events.n_events})")
         return (int(event),)
+    items = tuple(event) if isinstance(event, Iterable) else ()
+    if not items:  # a bool, another scalar or an empty iterable
+        raise ValueError(f"event {event!r}: expected an index, a label or a nonempty iterable of them")
     out = []
-    for e in event:
+    for e in items:
         for i in _resolve_event(events, e):
             if i in out:
                 raise ValueError(f"event {events.labels[i]!r} is listed twice")
@@ -85,8 +89,8 @@ def _resolve_event(events: EventTable, event) -> tuple[int, ...]:
 def weight_bound(povm: POVM, event, p_observed: float, cutoff: int) -> WeightBound:
     """Bound the weight outside blocks ``m <= cutoff`` from one observation.
 
-    ``event`` may be an index, a label, an iterable of either, or the string
-    ``"multi"`` for the union of all multi-click patterns.  The bound is
+    ``event`` may be an index (not a bool), a label, a nonempty iterable of
+    either, or the string ``"multi"`` for the union of all multi-click patterns.  The bound is
 
         (p - lmin_inside) / (lmin_outside - lmin_inside)
 

@@ -208,6 +208,7 @@ CASES = {
     "swap LP at an infinite tol": (
         _swap_lp(_SQUASHER, tol=float("inf")), ValueError, "tol must be positive and finite",
     ),
+    "five dark rates": (lambda: dark_count_matrix([0.01] * 5), ValueError, "5 dark rates exceed 4 detectors"),
     "squashed dark rate above 1": (
         lambda: bb84_squashed_dark_matrix(1.5), ValueError, "dark rate must lie in [0, 1]",
     ),
@@ -216,6 +217,14 @@ CASES = {
         lambda: weight_bound(_single_detector_povm(), "multi", 0.1, 1),
         ValueError, "event table has no multi-click events",
     ),
+    # an event is an index, a label or a nonempty iterable of them: a bool is no index
+    **{
+        f"event {event!r}": (
+            lambda event=event: weight_bound(_single_detector_povm(), event, 0.1, 1),
+            ValueError, f"event {event!r}: expected an index, a label or a nonempty iterable",
+        )
+        for event in ([], 1.5, None, True)
+    },
     "observed probability above 1": (
         lambda: weight_bound(_single_detector_povm(), 1, 1.5, 1),
         ValueError, "observed probability must lie in [0, 1]",

@@ -1,5 +1,6 @@
 """The package's public namespace and its import footprint."""
 
+import ast
 import json
 import os
 import re
@@ -61,6 +62,22 @@ def test_import_footprint(code, loaded):
     proc = _python(LOADED.format(code), str(ROOT / "descriptors" / "passive_bb84.json"))
     assert proc.returncode == 0, proc.stderr
     assert set(proc.stdout.split()) == loaded
+
+
+def test_cli_imports_only_the_descriptor_and_the_report():
+    # the command table reads every payload and exit code from the report
+    tree = ast.parse((ROOT / "src" / "detcert" / "cli.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names if a.name.split(".")[0] == "detcert"}
+        elif isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "detcert"):
+            module = ("." * node.level) + (node.module or "")
+            if module in (".", "detcert"):  # ``from . import x`` names modules
+                imported |= {f"detcert.{a.name}" for a in node.names}
+            else:
+                imported.add("detcert." + module.lstrip(".").removeprefix("detcert."))
+    assert imported == {"detcert.descriptor", "detcert.report"}
 
 
 SOLVER_FREE_RUN = """

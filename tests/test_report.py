@@ -107,6 +107,11 @@ def test_descriptor_validation_errors():
     ):
         with pytest.raises(DescriptorError, match=f"^{name}:"):
             descriptor_from_dict({**PASSIVE, name: bad})
+    # an event is a label, not a number or bool that reads as one
+    for setup, event in (({"setup": "custom", "k": 2, "mode_map": [[1.0, 0.0], [0.0, 1.0]]}, 10),
+                         ({"setup": "custom", "k": 1, "mode_map": [[1.0]]}, 1), (PASSIVE, True)):
+        with pytest.raises(DescriptorError, match=f"^observed: expected an event label, got {event}$"):
+            descriptor_from_dict({**setup, "observed": {"event": event, "probability": 0.1}})
     for mode_map in (5, [1.0, 2.0], [[1.0], ["1"]], [[1.0], [[1.0, None]]], [[True], [1.0]]):
         with pytest.raises(DescriptorError, match="^mode_map:"):
             descriptor_from_dict({"setup": "custom", "k": 2, "mode_map": mode_map})
@@ -157,7 +162,7 @@ def test_setup_descriptor_checks_every_rule_however_built(fields, prefix):
     "name,value",
     [("corner_limit", 2.5), ("cutoff", True), ("seed", "x"), ("tol", "1e-9"), ("weight_in", None),
      ("eta_star", "0.9"), ("eta_range", [[0.5, "x"]]), ("dark_range", [[0.0, None]]), ("dark", "x"),
-     ("eta", ("x",)), ("mode_map", [["a"]]), ("observed", ("multi", "0.1"))],
+     ("eta", ("x",)), ("mode_map", [["a"]]), ("observed", ("multi", "0.1")), ("observed", (10, 0.1))],
 )
 def test_setup_descriptor_built_in_python_rejects_a_field_of_the_wrong_type(name, value):
     # as the JSON reader does, naming the field, instead of failing later or with a bare TypeError
@@ -285,7 +290,13 @@ def test_cli_usage_error_exits_as_tool_error(capsys, argv):
 
 def test_cli_help_exits_zero(capsys):
     assert cli.main(["--help"]) == EXIT_OK
-    assert "usage:" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert out.startswith("usage:")
+    for cmd in ("analyze", "swap-lp", "verify-channel", "weight", "choi-check"):
+        assert f"\n    {cmd} " in out
+        assert cli.main([cmd, "--help"]) == EXIT_OK
+        text = " ".join(capsys.readouterr().out.split())  # argparse wraps at the terminal width
+        assert text.startswith(f"usage: detcert {cmd} ") and cli._COMMANDS[cmd][0] in text, cmd
 
 
 def test_cli_calls_share_no_parsed_state(tmp_path, capsys):

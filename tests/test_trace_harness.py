@@ -48,9 +48,11 @@ def test_traced_analyze_records_library_spans(tmp_path, monkeypatch):
         "channels.certify_choi",
         "detectors.build_threshold_povm",
         "squashing.flag_state_target",
-        "report.emit_certificate",
+        "report.canonical_json",
     ):
         assert name in names, name
+    # every command writes through write_json, which serializes once
+    assert [span[3] for span in tracer.spans].count("report.canonical_json") == 1
     metrics = spans.layer_metrics(tracer)
     # every corner is certified on the Choi support: no dense Choi matrix is built
     assert metrics["channels.choi_calls"][0] == 0
