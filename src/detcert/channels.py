@@ -39,6 +39,7 @@ included, rather than on sampled states.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -80,11 +81,20 @@ class _KeepBlocks:
 
         Returns the positions and the values, shaped ``(depth or 1, nnz)``.
         """
-        v = np.asarray(self.projector).T.ravel()
-        nz = np.flatnonzero(v)
-        keys = (nz[:, None] * v.size + nz).ravel()
-        outer = (v[nz, None] * v[nz].conj()).ravel()
+        p = np.asarray(self.projector)
+        keys, outer = _keep_support(p.dtype.str, p.shape, p.tobytes())
         return keys, np.multiply.outer(np.atleast_1d(self.weight), outer)
+
+
+@functools.lru_cache(maxsize=32)
+def _keep_support(dtype: str, shape: tuple[int, int], data: bytes):
+    """Read-only positions and values of ``|v><v|`` for one projector, keyed on its dtype, shape and bytes."""
+    v = np.frombuffer(data, dtype=dtype).reshape(shape).T.ravel()
+    nz = np.flatnonzero(v)
+    keys = (nz[:, None] * v.size + nz).ravel()
+    outer = (v[nz, None] * v[nz].conj()).ravel()
+    keys.flags.writeable = outer.flags.writeable = False
+    return keys, outer
 
 
 @dataclass(frozen=True)
@@ -718,10 +728,10 @@ def _hermitian_score(herm: np.ndarray) -> np.ndarray:
 
 def _identities(stacks, lead: tuple) -> np.ndarray:
     """Operator stacks ``(..., K_i, d, d)`` concatenated along ``K``, their leading shapes broadcast to ``lead``."""
-    return np.concatenate(
-        [a if a.shape[:-3] == lead else np.broadcast_to(a, (*lead, *a.shape[-3:])) for a in stacks],
-        axis=-3,
-    )
+    out = np.empty((*lead, sum(a.shape[-3] for a in stacks), *stacks[0].shape[-2:]), dtype=np.result_type(*stacks))
+    for a, end in zip(stacks, itertools.accumulate(a.shape[-3] for a in stacks)):
+        out[..., end - a.shape[-3] : end, :, :] = a  # broadcast over ``lead`` by the assignment
+    return out
 
 
 class ChoiConstraintSystem:
@@ -789,10 +799,11 @@ class CPTPReport(_Verdict):
     hermiticity_dev: float
     tolerance: float
 
-    @cached_property
+    @property
     def residual(self) -> float:
         """The largest of the three violations and 0, NaN if any is."""
-        return float(np.max((0.0, -self.min_choi_eigenvalue, self.trace_preservation_dev, self.hermiticity_dev)))
+        values = (0.0, -self.min_choi_eigenvalue, self.trace_preservation_dev, self.hermiticity_dev)
+        return float(max(values)) if all(v == v for v in values) else math.nan
 
 
 def certify_choi(

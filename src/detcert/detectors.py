@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fock import FLAG_LABEL, SpaceLayout, photon_label
+from .fock import FLAG_LABEL, SpaceLayout, _layout, photon_label
 
 NO_CLICK = "no-click"
 SINGLE = "single"
@@ -138,7 +138,7 @@ def _dtype(*arrays) -> np.dtype:
     That is their result type, at least float64 and at most complex128, the
     widest types LAPACK takes: real inputs give real arithmetic.
     """
-    return np.dtype(np.complex128 if any(map(np.iscomplexobj, arrays)) else np.float64)
+    return np.dtype(np.complex128 if any(np.asarray(a).dtype.kind == "c" for a in arrays) else np.float64)
 
 
 def _require_unit(values, what: str) -> None:
@@ -200,7 +200,7 @@ class POVM:
     stack of such measurements on one layout and event table (one per
     efficiency corner, say), float64 if the elements given are real and
     complex128 if they are complex (:func:`_dtype`).  It is validated
-    once, in one batched pass:
+    once, each rule tested on the whole stack at once:
     finite, exactly zero off the layout's blocks, Hermitian to 1e-12, PSD
     to -1e-10 and summing to the identity to 1e-10.  A layout ending in a
     ``flag`` block (a flag-state target) carries one classical flag per
@@ -220,27 +220,38 @@ class POVM:
             raise ValueError("flag dimension must equal the event count")
         labels = events.labels
 
+        # Each rule is tested once on the whole stack; only a failed one locates its element.
         def reject(bad: np.ndarray, why):
-            if bad.any():
-                at = tuple(int(x) for x in np.argwhere(bad)[0])
-                where = f" in stack entry {at[0]}" if len(at) > 1 else ""
-                raise ValueError(f"element {labels[at[-1]]!r}{where} {why(at)}")
+            at = tuple(int(x) for x in np.argwhere(bad)[0])
+            where = f" in stack entry {at[0]}" if len(at) > 1 else ""
+            raise ValueError(f"element {labels[at[-1]]!r}{where} {why(at)}")
 
-        reject(~np.isfinite(dense).all(axis=(-2, -1)), lambda at: "has a non-finite entry")
-        owner = np.repeat(np.arange(len(layout.blocks)), [dim for _, dim in layout.blocks])
-        off = np.abs(dense[..., owner[:, None] != owner]).max(axis=-1, initial=0.0)
-        reject(off != 0.0, lambda at: f"is not zero off its blocks (entry {off[at]:.3e})")
-        herm = np.abs(dense - dense.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-        reject(herm > 1e-12, lambda at: f"is not Hermitian (deviation {herm[at]:.3e})")
+        if not np.isfinite(dense).all():
+            reject(~np.isfinite(dense).all(axis=(-2, -1)), lambda at: "has a non-finite entry")
+        off = dense[..., layout.off_blocks]
+        if off.any():
+            off = np.abs(off).max(axis=-1)
+            reject(off != 0.0, lambda at: f"is not zero off its blocks (entry {off[at]:.3e})")
+        herm = np.abs(dense - dense.conj().swapaxes(-1, -2))
+        if herm.max() > 1e-12:
+            herm = herm.max(axis=(-2, -1))
+            reject(herm > 1e-12, lambda at: f"is not Hermitian (deviation {herm[at]:.3e})")
         lows = np.linalg.eigvalsh(dense)[..., 0]
-        reject(lows < -1e-10, lambda at: f"is not PSD (eigenvalue {lows[at]:.3e})")
+        if lows.min() < -1e-10:
+            reject(lows < -1e-10, lambda at: f"is not PSD (eigenvalue {lows[at]:.3e})")
         dev = np.abs(dense.sum(axis=-3) - np.eye(d)).max()
         if not dev <= 1e-10:
             raise ValueError(f"completeness violated by {dev:.3e}")
         dense.flags.writeable = False
-        self.layout = layout
-        self.events = events
-        self.dense = dense
+        self.layout, self.events, self.dense = layout, events, dense
+
+    @classmethod
+    def _validated(cls, layout: SpaceLayout, dense: np.ndarray, events: EventTable) -> "POVM":
+        """``dense``, made read-only, as a measurement: the one way to skip ``__init__``, for stacks that meet its rules."""
+        dense.flags.writeable = False
+        povm = cls.__new__(cls)
+        povm.layout, povm.events, povm.dense = layout, events, dense
+        return povm
 
     def __len__(self) -> int:
         return self.dense.shape[-3]
@@ -254,9 +265,7 @@ class POVM:
         """Stack entry ``index`` (an int), or the sub-stack ``index`` (a slice), already validated."""
         if not self.stacked:
             raise ValueError("not a stack of measurements")
-        out = POVM.__new__(POVM)
-        out.layout, out.events, out.dense = self.layout, self.events, self.dense[index]
-        return out
+        return POVM._validated(self.layout, self.dense[index], self.events)
 
     def block(self, label: str) -> np.ndarray:
         """The ``(..., n, d_b, d_b)`` view of every element's block ``label``."""
@@ -326,7 +335,7 @@ def build_threshold_povm(setup: DetectionSetup, cutoff: int) -> POVM:
     one_minus_eta = 1.0 - setup.eta
     clicks = ((np.array(events.masks)[:, None, None] >> np.arange(setup.k)) & 1).astype(bool)
     lifts = [_lift_isometry(setup.mode_map, m) for m in range(cutoff + 1)]
-    layout = SpaceLayout(tuple((photon_label(m), len(lift[2])) for m, lift in enumerate(lifts)))
+    layout = _layout(tuple((photon_label(m), len(lift[2])) for m, lift in enumerate(lifts)))
     lead = one_minus_eta.shape[:-1]
     dense = np.zeros((*lead, events.n_events, layout.total_dim, layout.total_dim), dtype=setup.mode_map.dtype)
     for m, (v, det_occs, _) in enumerate(lifts):

@@ -34,7 +34,8 @@ class SpaceLayout:
 
     ``blocks`` is a tuple of ``(label, dimension)`` pairs.  Labels are either
     photon-number labels ``m=0, m=1, ...`` or the literal ``"flag"``.  The
-    vacuum block ``m=0``, when present, must be one-dimensional.
+    vacuum block ``m=0``, when present, must be one-dimensional.  What
+    depends on ``blocks`` alone is computed on first use and kept.
     """
 
     blocks: tuple[tuple[str, int], ...]
@@ -53,36 +54,45 @@ class SpaceLayout:
         if photon_label(0) in labels and dict(self.blocks)[photon_label(0)] != 1:
             raise ValueError("the vacuum block m=0 must have dimension 1")
 
-    @property
+    @functools.cached_property
     def labels(self) -> tuple[str, ...]:
         return tuple(lab for lab, _ in self.blocks)
 
-    @property
+    @functools.cached_property
     def total_dim(self) -> int:
         return sum(dim for _, dim in self.blocks)
 
+    @functools.cached_property
+    def _slices(self) -> dict[str, slice]:
+        """Each block's slice of both indices, by label."""
+        ends = np.cumsum([dim for _, dim in self.blocks]).tolist()
+        return {lab: slice(end - dim, end) for (lab, dim), end in zip(self.blocks, ends)}
+
+    @functools.cached_property
+    def off_blocks(self) -> np.ndarray:
+        """Read-only ``(d, d)`` mask of the entries outside every block."""
+        owner = np.repeat(np.arange(len(self.blocks)), [dim for _, dim in self.blocks])
+        mask = owner[:, None] != owner
+        mask.flags.writeable = False
+        return mask
+
     def dim(self, label: str) -> int:
-        for lab, d in self.blocks:
-            if lab == label:
-                return d
-        raise KeyError(f"no block {label!r} in layout")
+        s = self.slice_of(label)
+        return s.stop - s.start
 
     def offset(self, label: str) -> int:
-        off = 0
-        for lab, d in self.blocks:
-            if lab == label:
-                return off
-            off += d
-        raise KeyError(f"no block {label!r} in layout")
+        return self.slice_of(label).start
 
     def slice_of(self, label: str) -> slice:
-        off = self.offset(label)
-        return slice(off, off + self.dim(label))
+        try:
+            return self._slices[label]
+        except KeyError:
+            raise KeyError(f"no block {label!r} in layout") from None
 
     def has(self, label: str) -> bool:
-        return label in self.labels
+        return label in self._slices
 
-    @property
+    @functools.cached_property
     def photon_labels(self) -> tuple[str, ...]:
         return tuple(lab for lab in self.labels if _is_photon_label(lab))
 
@@ -92,6 +102,12 @@ class SpaceLayout:
     def projector(self, labels) -> np.ndarray:
         """Read-only projector onto the given blocks, built once per ``(layout, tuple(labels))`` key."""
         return _projector(self, (labels,) if isinstance(labels, str) else tuple(labels))
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(blocks: tuple) -> SpaceLayout:
+    """``SpaceLayout(blocks)``, one per process for the builders, so what a layout keeps is built once."""
+    return SpaceLayout(blocks)
 
 
 @functools.lru_cache(maxsize=64)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detectors import POVM, EventTable, _hermitian_part, _require_unit
-from .fock import FLAG_LABEL, SpaceLayout, photon_label
+from .fock import FLAG_LABEL, _layout, photon_label
 
 
 def flag_state_target(povm: POVM, cutoff: int) -> POVM:
@@ -27,23 +27,22 @@ def flag_state_target(povm: POVM, cutoff: int) -> POVM:
     appends the flag ``|i><i|``; blocks above the cutoff are dropped (their
     role is taken over by the flags).  The result is a ``POVM`` whose layout
     ends in a ``flag`` block of one flag per event, in the source's dtype.
-    A stack of measurements gives the stack of targets.
+    A stack of measurements gives the stack of targets, not validated again:
+    validated blocks and exact 0/1 flags meet every rule by construction.
     """
     numbers = povm.layout.photon_numbers()
     if cutoff not in numbers:
         raise ValueError(f"source POVM has no block m={cutoff}")
     preserved = [photon_label(m) for m in numbers if m <= cutoff]
     n = len(povm)
-    layout = SpaceLayout(
-        tuple((lab, povm.layout.dim(lab)) for lab in preserved) + ((FLAG_LABEL, n),)
-    )
+    layout = _layout(tuple((lab, povm.layout.dim(lab)) for lab in preserved) + ((FLAG_LABEL, n),))
     dense = np.zeros((*povm.dense.shape[:-2], layout.total_dim, layout.total_dim), dtype=povm.dense.dtype)
     for lab in preserved:
         s = layout.slice_of(lab)
         dense[..., s, s] = povm.block(lab)
     flags = layout.offset(FLAG_LABEL) + np.arange(n)
     dense[..., np.arange(n), flags, flags] = 1.0
-    return POVM(layout, dense, povm.events)
+    return POVM._validated(layout, dense, povm.events)
 
 
 @dataclass(frozen=True)
@@ -94,10 +93,14 @@ def weight_bound(povm: POVM, event, p_observed: float, cutoff: int) -> WeightBou
 
         (p - lmin_inside) / (lmin_outside - lmin_inside)
 
-    clamped to [0, 1], where the extremal eigenvalues are taken over the
-    blocks at or below the cutoff and strictly above it.  The POVM must
-    carry at least one block on each side of the cutoff; a nearly equal
-    pair of eigenvalues makes the event uninformative and is rejected.
+    clamped to [0, 1], the eigenvalues taken over the blocks ``povm``
+    carries at or below the cutoff and strictly above it (at least one
+    each); a nearly equal pair makes the event uninformative and is
+    rejected.  Blocks it does not carry are not read, and nothing yet
+    proves that none has a smaller eigenvalue.  One mode on a 50/50
+    splitter clicks ``10`` with probability ``2^-m`` on ``m`` photons: built
+    to ``cutoff + 1``, as the ``weight`` command does, cutoff 1 and
+    ``p = 0.0625`` give 0.25, yet a 4-photon Fock state gives ``p``.
     """
     _require_unit(p_observed, "observed probability")
     numbers = povm.layout.photon_numbers()

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from detcert import (
+    DetectionSetup,
+    active_bb84_setups,
     apply_postprocessing,
     build_threshold_povm,
     enumerate_events,
@@ -19,6 +22,7 @@ from detcert import (
     propagate_weight,
     weight_bound,
 )
+from detcert.cli import main
 from detcert.detectors import POVM
 from detcert.fock import SpaceLayout
 
@@ -71,6 +75,54 @@ def test_flag_target_preserves_low_photon_statistics(bb84_povm):
             np.einsum("nab,ba->n", bb84_povm.dense, rho_full).real,
             atol=1e-10,
         )
+
+
+@st.composite
+def _measurements(draw):
+    """A validated threshold POVM, perhaps a stack or multiclick-grained, and a cutoff it has a block for.
+
+    Passive and active BB84 maps, and custom real or complex isometries, built to cutoff 1, 2 or 3.
+    """
+    kind = draw(st.sampled_from(["passive", "active", "custom"]))
+    if kind == "passive":
+        mode_map = passive_bb84_setup().mode_map
+    elif kind == "active":
+        mode_map = active_bb84_setups()[draw(st.sampled_from("ZX"))].mode_map
+    else:
+        k = draw(st.integers(1, 3))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        g = rng.normal(size=(k, draw(st.integers(1, k))))
+        mode_map = np.linalg.qr(g + 1j * rng.normal(size=g.shape) if draw(st.booleans()) else g)[0]
+    k = len(mode_map)
+    depth = draw(st.sampled_from([None, 1, 3]))
+    vector = st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k)
+    eta = draw(vector) if depth is None else draw(st.lists(vector, min_size=depth, max_size=depth))
+    built = draw(st.integers(1, 3))
+    povm = build_threshold_povm(DetectionSetup(k=k, mode_map=mode_map, eta=np.array(eta)), built)
+    if k >= 2 and draw(st.booleans()):
+        povm = apply_postprocessing(multiclick_coarse_graining(povm.events), povm)
+    return povm, draw(st.integers(1, built))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_measurements())
+def test_the_target_built_without_validation_is_the_validated_target(drawn):
+    povm, cutoff = drawn
+    target = flag_state_target(povm, cutoff)
+    assert not target.dense.flags.writeable
+    # every rule of POVM.__init__ holds, and validating changes no bit
+    validated = POVM(target.layout, target.dense, target.events)
+    assert validated.dense.dtype == target.dense.dtype == povm.dense.dtype
+    assert validated.dense.tobytes() == target.dense.tobytes()
+    assert target.stacked == povm.stacked and target.events is povm.events
+    # the source's blocks up to the cutoff, then one exact flag per event
+    assert target.layout.photon_numbers() == tuple(range(cutoff + 1))
+    for lab in target.layout.photon_labels:
+        np.testing.assert_array_equal(target.block(lab), povm.block(lab))
+    n = len(povm)
+    flags = np.zeros((n, n, n))
+    flags[np.arange(n), np.arange(n), np.arange(n)] = 1.0
+    np.testing.assert_array_equal(target.block("flag"), np.broadcast_to(flags, target.block("flag").shape))
 
 
 def test_flag_target_needs_cutoff_block(bb84_povm):
@@ -155,6 +207,22 @@ def test_weight_bound_rejects_repeated_or_unknown_events():
     ):
         with pytest.raises(ValueError, match=f"event.*{named}"):
             weight_bound(povm, event, 0.05, 1)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 18: lambda_outside is read off block cutoff + 1 alone")
+def test_weight_reports_no_bound_that_a_higher_block_breaks(tmp_path):
+    # One mode on a 50/50 splitter: event 10 clicks with probability 2^-m on
+    # the m-photon block.  A 4-photon Fock state gives the observed 0.0625
+    # with all of its weight above the cutoff, so no bound below 1 holds.
+    # Today weight exits 0 with weight_bound 0.24999999999999989, from m = 2.
+    desc = {
+        "setup": "custom", "k": 2, "mode_map": [[0.7071067811865476], [0.7071067811865476]], "eta": 1,
+        "cutoff": 1, "observed": {"event": "10", "probability": 0.0625},
+    }
+    path, out = tmp_path / "splitter.json", tmp_path / "weight.json"
+    path.write_text(json.dumps(desc))
+    code = main(["weight", str(path), "--out", str(out)])
+    assert code != 0 or json.loads(out.read_text()).get("weight_bound", 1.0) >= 1.0
 
 
 def test_weight_bound_needs_outside_blocks():
