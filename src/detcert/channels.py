@@ -38,7 +38,6 @@ included, rather than on sampled states.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import warnings
@@ -49,7 +48,7 @@ import numpy as np
 
 from .detectors import POVM, _dtype, _hermitian_part, _require_unit, _Verdict, active_bb84_setups
 from .detectors import build_threshold_povm, verify_single_photon_assumption
-from .fock import FLAG_LABEL, SpaceLayout, photon_label
+from .fock import FLAG_LABEL, SpaceLayout, _kept, photon_label
 from .postprocessing import StochasticMatrix, _single_photon_loss_entries, validate_dark_count_pp
 from .postprocessing import apply_postprocessing, bb84_qubit_squasher
 from .squashing import check_eta_star
@@ -81,20 +80,16 @@ class _KeepBlocks:
 
         Returns the positions and the values, shaped ``(depth or 1, nnz)``.
         """
-        p = np.asarray(self.projector)
-        keys, outer = _keep_support(p.dtype.str, p.shape, p.tobytes())
+        keys, outer = _keep_support(np.asarray(self.projector))
         return keys, np.multiply.outer(np.atleast_1d(self.weight), outer)
 
 
-@functools.lru_cache(maxsize=32)
-def _keep_support(dtype: str, shape: tuple[int, int], data: bytes):
-    """Read-only positions and values of ``|v><v|`` for one projector, keyed on its dtype, shape and bytes."""
-    v = np.frombuffer(data, dtype=dtype).reshape(shape).T.ravel()
+@_kept(maxsize=32)
+def _keep_support(projector: np.ndarray):
+    """Positions and values of ``|v><v|`` for one projector, kept for reuse (:func:`~detcert.fock._kept`)."""
+    v = projector.T.ravel()
     nz = np.flatnonzero(v)
-    keys = (nz[:, None] * v.size + nz).ravel()
-    outer = (v[nz, None] * v[nz].conj()).ravel()
-    keys.flags.writeable = outer.flags.writeable = False
-    return keys, outer
+    return (nz[:, None] * v.size + nz).ravel(), (v[nz, None] * v[nz].conj()).ravel()
 
 
 @dataclass(frozen=True)
@@ -165,9 +160,6 @@ class _Pattern:
         np.not_equal(target[1:], target[:-1], out=firsts[1:])
         self.starts = np.flatnonzero(firsts)
         self.targets = target[self.starts]
-        for shared in (self.slot, self.keys, self.rows, self.cols, self.mirror, self.gather,
-                       self.starts, self.targets):
-            shared.flags.writeable = False
 
     def _target(self, keys: np.ndarray) -> np.ndarray:
         """Flat index ``b * d_in + a`` in ``Phi^dag(F)`` that the position ``((a, i), (b, j))`` feeds."""
@@ -222,10 +214,7 @@ class _Pattern:
         return len(nodes) < self.dim, groups
 
 
-@functools.lru_cache(maxsize=16)
-def _pattern(d_in: int, d_out: int, positions: bytes) -> _Pattern:
-    """The :class:`_Pattern` of the positions given as the bytes of an ``intp`` array, kept for reuse."""
-    return _Pattern(d_in, d_out, np.frombuffer(positions, dtype=np.intp))
+_pattern = _kept(maxsize=16)(_Pattern)  # one per (d_in, d_out, positions)
 
 
 class ChoiSupport:
@@ -245,7 +234,7 @@ class ChoiSupport:
     def __init__(self, d_in: int, d_out: int, depth: int, parts):
         self.d_in, self.d_out, self.dim = d_in, d_out, d_in * d_out
         positions = np.concatenate([k for _, k, _ in parts] + [np.zeros(0, dtype=np.intp)])
-        self._pattern = _pattern(d_in, d_out, positions.astype(np.intp).tobytes())
+        self._pattern = _pattern(d_in, d_out, positions)
         self.keys = self._pattern.keys
         self.values = np.zeros((depth, len(self.keys)), dtype=_dtype(*[v for _, _, v in parts]))
         start = 0

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fock import FLAG_LABEL, SpaceLayout, _layout, photon_label
+from .fock import FLAG_LABEL, SpaceLayout, _kept, _layout, photon_label
 
 NO_CLICK = "no-click"
 SINGLE = "single"
@@ -152,8 +152,9 @@ def _hermitian_part(diff: np.ndarray) -> np.ndarray:
     return (diff + diff.conj().swapaxes(-1, -2)) / 2.0
 
 
+@_kept(maxsize=32)
 def is_isometry(mode_map) -> bool:
-    """Whether the columns of ``mode_map`` are orthonormal, to ``_ISOMETRY_TOL`` (NaN is not)."""
+    """Whether the columns of ``mode_map`` are orthonormal, to ``_ISOMETRY_TOL`` (NaN is not), tested once per map."""
     mm = np.asarray(mode_map, dtype=_dtype(mode_map))
     return bool(np.abs(mm.conj().T @ mm - np.eye(mm.shape[1])).max() <= _ISOMETRY_TOL)
 
@@ -273,6 +274,7 @@ class POVM:
         return self.dense[..., s, s]
 
 
+@_kept(maxsize=32)
 def _lift_isometry(mode_map: np.ndarray, m: int):
     """Second-quantized action of the mode map on the ``m``-photon block.
 
@@ -283,24 +285,16 @@ def _lift_isometry(mode_map: np.ndarray, m: int):
     quant-ph/0406127), the permanent summed over the orderings of the input
     photons' modes.  Occupations come in the order of their sorted mode
     lists (``itertools.combinations_with_replacement``): descending
-    lexicographic order of the occupation tuples.  Built once per process
-    for each mode map and ``m``: ``V`` is read-only, in the map's dtype (at
-    least float64, :func:`_dtype`), and the occupations are tuples.  An
-    array cannot key a cache, so this function keys :func:`_lift` on the
-    map's dtype, shape and bytes.
+    lexicographic order of the occupation tuples.  Kept per map and ``m``:
+    ``V`` is in the map's dtype (at least float64, :func:`_dtype`).
     """
     mode_map = np.asarray(mode_map, dtype=_dtype(mode_map))
-    return _lift(mode_map.dtype.str, mode_map.shape, mode_map.tobytes(), m)
-
-
-@functools.lru_cache(maxsize=32)
-def _lift(dtype: str, shape: tuple[int, int], data: bytes, m: int):
-    k, n_in = shape
+    k, n_in = mode_map.shape
     det_modes = list(itertools.combinations_with_replacement(range(k), m))
     in_modes = list(itertools.combinations_with_replacement(range(n_in), m))
     det_occs = tuple(tuple(map(r.count, range(k))) for r in det_modes)
     in_occs = tuple(tuple(map(c.count, range(n_in))) for c in in_modes)
-    u = np.frombuffer(data, dtype=dtype).reshape(shape).tolist()
+    u = mode_map.tolist()
     v = [
         [
             sum(math.prod([u[a][b] for a, b in zip(r, order)]) for order in itertools.permutations(c))
@@ -309,9 +303,7 @@ def _lift(dtype: str, shape: tuple[int, int], data: bytes, m: int):
         ]
         for r, n in zip(det_modes, det_occs)
     ]
-    v = np.array(v, dtype=dtype)
-    v.flags.writeable = False
-    return v, det_occs, in_occs
+    return np.array(v, dtype=mode_map.dtype), det_occs, in_occs
 
 
 def build_threshold_povm(setup: DetectionSetup, cutoff: int) -> POVM:

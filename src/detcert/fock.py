@@ -104,17 +104,41 @@ class SpaceLayout:
         return _projector(self, (labels,) if isinstance(labels, str) else tuple(labels))
 
 
-@functools.lru_cache(maxsize=64)
-def _layout(blocks: tuple) -> SpaceLayout:
-    """``SpaceLayout(blocks)``, one per process for the builders, so what a layout keeps is built once."""
-    return SpaceLayout(blocks)
+class _Bytes(tuple):
+    """An array argument of a :func:`_kept` function, as its ``(dtype, shape, bytes)``."""
 
 
-@functools.lru_cache(maxsize=64)
+def _kept(maxsize: int):
+    """Keep a function's value for each argument value, for the process, in an ``lru_cache`` of ``maxsize``.
+
+    An array argument keys on its dtype, shape and C-order bytes and reaches the function read-only; other
+    positional arguments key as themselves.  Arrays in the value, its items or attributes are made read-only.
+    """
+
+    def keep(fn):
+        @functools.lru_cache(maxsize=maxsize)
+        def build(*key):
+            value = fn(*[np.frombuffer(a[2], a[0]).reshape(a[1]) if type(a) is _Bytes else a for a in key])
+            for a in (value, *(value if isinstance(value, tuple) else getattr(value, "__dict__", {}).values())):
+                if isinstance(a, np.ndarray):
+                    a.flags.writeable = False
+            return value
+
+        @functools.wraps(fn, updated=())
+        def kept(*args):
+            return build(*[_Bytes((a.dtype, a.shape, a.tobytes())) if isinstance(a, np.ndarray) else a for a in args])
+        kept.cache_info, kept.cache_clear = build.cache_info, build.cache_clear
+        return kept
+
+    return keep
+
+
+_layout = _kept(maxsize=64)(SpaceLayout)  # the builders' layouts, so what a layout keeps is built once
+
+
+@_kept(maxsize=64)
 def _projector(layout: SpaceLayout, labels: tuple[str, ...]) -> np.ndarray:
     p = np.zeros((layout.total_dim, layout.total_dim))
-    for lab in labels:
-        s = layout.slice_of(lab)
-        p[s, s] = np.eye(layout.dim(lab))
-    p.flags.writeable = False
+    for s in map(layout.slice_of, labels):
+        p[s, s] = np.eye(s.stop - s.start)
     return p

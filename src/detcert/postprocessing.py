@@ -27,6 +27,7 @@ import numpy as np
 from .detectors import (
     MAX_DETECTORS, MULTI, NO_CLICK, SINGLE, EventTable, POVM, _require_unit, _Verdict, enumerate_events,
 )
+from .fock import _kept
 
 _ENTRY_TOL = 1e-12
 _COLSUM_TOL = 1e-10
@@ -266,8 +267,7 @@ def _kernel_pair(s: np.ndarray, target: np.ndarray):
     returned only if ``P`` is nonnegative up to ``_ENTRY_TOL``.  What
     depends on ``S`` alone comes from :func:`_kernel_plan`.
     """
-    s = np.asarray(s, dtype=float)
-    plan = _kernel_plan(s.shape, s.tobytes())
+    plan = _kernel_plan(np.asarray(s, dtype=float))
     if plan is None:
         return None
     kept, keep, z, sign_z, norm_z = plan
@@ -281,17 +281,15 @@ def _kernel_pair(s: np.ndarray, target: np.ndarray):
     return (p_dc, w) if (p_dc >= -_ENTRY_TOL).all() else None
 
 
-@functools.lru_cache(maxsize=16)
-def _kernel_plan(shape: tuple[int, int], data: bytes):
-    """The part of :func:`_kernel_pair` that reads ``S`` alone, given as the bytes of a float array.
+@_kept(maxsize=16)
+def _kernel_plan(s: np.ndarray):
+    """The part of :func:`_kernel_pair` that reads the float array ``S`` alone, kept for reuse.
 
     None where the closed form does not apply, else ``(S_keep, keep, z,
     sign(z), ||z||_1)``: the kept columns of ``S`` and their mask, and
-    ``z`` and its two reductions, all None without a kernel.  Kept for
-    reuse, read-only.
+    ``z`` and its two reductions, all None without a kernel.
     """
-    s = np.frombuffer(data).reshape(shape)
-    n_out, n_in = shape
+    n_out, n_in = s.shape
     if n_in - n_out not in (0, 1) or np.linalg.matrix_rank(s) < n_out:
         return None
     keep = np.ones(n_in, dtype=bool)
@@ -301,10 +299,7 @@ def _kernel_plan(shape: tuple[int, int], data: bytes):
         z = (-1.0) ** np.arange(n_in) * np.linalg.det(s[:, drop_one].swapaxes(0, 1))
         sign_z, norm_z = np.sign(z), np.abs(z).sum()
         keep[np.argmax(np.abs(z))] = False
-        z.flags.writeable = sign_z.flags.writeable = False
-    kept = s[:, keep]
-    kept.flags.writeable = keep.flags.writeable = False
-    return kept, keep, z, sign_z, norm_z
+    return s[:, keep], keep, z, sign_z, norm_z
 
 
 def solve_swap_lp(

@@ -249,9 +249,7 @@ def _common_efficiency(desc: SetupDescriptor, etas, derived: dict) -> float:
     """
     eta_hi = etas.max(axis=0)
     if not etas.min() > 0.0:
-        raise _Stop(
-            "admissible common-efficiency interval is empty: need 0 < eta_min <= eta_max <= 1"
-        )
+        raise _Stop("admissible common-efficiency interval is empty: need 0 < eta_min <= eta_max <= 1")
     star_lo, star_hi = eta_star_range(float(np.min(eta_hi)), float(np.max(eta_hi)))
     eta_star = desc.eta_star if desc.eta_star is not None else star_hi
     derived.update(eta_star=eta_star, eta_star_range=[star_lo, star_hi])
@@ -429,8 +427,9 @@ def run_weight(desc: SetupDescriptor) -> dict:
     etas, (d_vec,) = desc.points(box=False)
     try:
         eta_star = _common_efficiency(desc, etas, {})
-    except ValueError as exc:
-        raise DescriptorError(f"eta_star: {exc}") from exc
+    except ValueError as exc:  # an empty interval is the efficiencies', an excluded eta_star its own
+        blamed = "eta_star" if etas.min() > 0.0 else "eta_range" if desc.eta is None else "eta"
+        raise DescriptorError(f"{blamed}: {exc}") from exc
     setup = build_setup(desc, etas[0])
     try:  # a map within the isometry rule can lift to a non-measurement on more photons
         povm = build_threshold_povm(setup, desc.cutoff + 1)

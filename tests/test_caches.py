@@ -1,27 +1,34 @@
 """Objects that depend only on a setup's shape are built once per process.
 
-The BB84 measurements and squasher, the squasher's kernel plan, event
-tables, coarse grainings, the builders' layouts, block projectors and
-their keep-block supports, and mode-map lifts are kept and shared by every
-op of one process; a layout keeps its block slices and off-block mask.
-These tests check that sharing them changes nothing: every array they
-hold is read-only, and the golden cases of ``helpers.CASES`` run in any
-order in one process write the same exit code, stdout, stderr and
+The BB84 measurements and squasher, event tables and coarse graining are
+built once; every other shape-only object is kept by one rule,
+``fock._kept``, keyed on its arguments' values (an array on its dtype,
+shape and bytes) with every array it holds read-only: the builders'
+layouts, block projectors and their keep-block supports, mode-map lifts
+and isometry tests, Choi support patterns and the squasher's kernel plan.
+A layout keeps its block slices and off-block mask.  These tests check the
+rule itself, and that sharing these objects changes nothing: every array
+they hold is read-only, and the golden cases of ``helpers.CASES`` run in
+any order in one process write the same exit code, stdout, stderr and
 ``--out`` bytes as each case run alone in a fresh interpreter.
 """
 
 from dataclasses import FrozenInstanceError
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import detcert.postprocessing as postprocessing
 from detcert.channels import _keep_support, _KeepBlocks, bb84_qubit_measurement, bb84_simple_noise_channel
 from detcert.descriptor import load_descriptor
-from detcert.detectors import POVM, _lift_isometry, build_threshold_povm, enumerate_events, passive_bb84_setup
-from detcert.fock import SpaceLayout
+from detcert.detectors import (
+    POVM, _lift_isometry, build_threshold_povm, enumerate_events, is_isometry, passive_bb84_setup,
+)
+from detcert.fock import SpaceLayout, _kept
 from detcert.postprocessing import bb84_qubit_squasher, multiclick_coarse_graining
 from detcert.report import run_analysis
 from detcert.squashing import flag_state_target
@@ -44,16 +51,18 @@ def test_interleaved_ops_write_what_a_fresh_process_writes(fresh_outputs, order)
 
 
 def _kernel_plan_arrays():
-    s = bb84_qubit_squasher().entries
-    return postprocessing._kernel_plan(s.shape, s.tobytes())
+    return postprocessing._kernel_plan(bb84_qubit_squasher().entries)
 
 
 _LAYOUT = SpaceLayout((("m=0", 1), ("m=1", 2), ("flag", 3)))
 
 
 def _keep_support_arrays():
-    p = _LAYOUT.projector("m=1")
-    return _keep_support(p.dtype.str, p.shape, p.tobytes())
+    return _keep_support(_LAYOUT.projector("m=1"))
+
+
+def _pattern():
+    return bb84_simple_noise_channel(0.01).support._pattern
 
 
 # Every array a kept object holds.
@@ -68,6 +77,8 @@ KEPT_ARRAYS = {
     "keep-block-positions": lambda: _keep_support_arrays()[0],
     "keep-block-values": lambda: _keep_support_arrays()[1],
     "layout-off-blocks": lambda: _LAYOUT.off_blocks,
+    **{f"pattern-{name}": lambda name=name: getattr(_pattern(), name)
+       for name in ("slot", "keys", "rows", "cols", "mirror", "gather", "starts", "targets")},
     "lift": lambda: _lift_isometry(passive_bb84_setup().mode_map, 2)[0],
     "coarse-graining": lambda: multiclick_coarse_graining(enumerate_events(4)).entries,
     "measurement-Z": lambda: bb84_qubit_measurement("Z").dense,
@@ -126,3 +137,61 @@ def test_a_passive_analysis_validates_two_measurements(monkeypatch):
     monkeypatch.setattr(POVM, "__init__", counted)
     assert run_analysis(load_descriptor(ROOT / "descriptors" / "passive_bb84.json")).all_passed
     assert validated == [16, 6]
+
+
+@settings(max_examples=40, deadline=None)
+@given(values=arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=4),
+                     elements=st.floats(-1e3, 1e3, allow_nan=False)))
+@example(values=np.array([[1.0]]))  # the bytes of int64 4607182418800017408
+@example(values=np.arange(6.0).reshape(2, 3))
+def test_kept_keys_an_array_on_its_value_and_hands_out_only_read_only_arrays(values):
+    built = []
+
+    @_kept(maxsize=8)
+    def kept(a):
+        built.append((a.dtype, a.shape))
+        with pytest.raises(ValueError, match="read-only"):  # no write reaches the caller's array
+            a[(0,) * a.ndim] = 0
+        return a * 2, a.T.copy()
+
+    # equal values share one entry: C order, Fortran order and a strided view
+    wide = np.zeros((values.shape[0], 2 * values.shape[1]))
+    wide[:, ::2] = values
+    first = kept(values)
+    assert kept(np.asfortranarray(values)) is first and kept(wide[:, ::2]) is first
+    assert built == [(values.dtype, values.shape)]
+    # equal bytes of another dtype or shape do not
+    others = [values.view(np.int64)]
+    if values.shape[0] != values.shape[1]:
+        others.append(values.reshape(values.shape[::-1]))
+    for other in others:
+        assert other.tobytes() == values.tobytes() and kept(other) is not first
+    assert built[1:] == [(other.dtype, other.shape) for other in others]
+    # every array in the value is read-only: the value itself, a tuple's items and an object's attributes
+    summed = _kept(maxsize=1)(lambda a: SimpleNamespace(total=a.sum(axis=0), rows=len(a)))(values)
+    for array in (*first, summed.total, _kept(maxsize=1)(np.negative)(values)):
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 1.0
+    values[(0,) * values.ndim] = 1.0  # the caller's array stays writable
+
+
+def test_the_passive_map_is_tested_for_an_isometry_once():
+    is_isometry.cache_clear()
+    for _ in range(2):
+        assert run_analysis(load_descriptor(ROOT / "descriptors" / "passive_bb84.json")).all_passed
+    assert is_isometry.cache_info().misses == 1 and is_isometry.cache_info().hits >= 1
+
+
+@pytest.mark.parametrize("mode_map, want", [
+    (((1.0, 0.0), (0.0, 1.0)), True),  # a descriptor's tuple rows
+    (((0.6, 0.0), (0.0, 1.0)), False),
+    (((0.6 + 0.8j,), (0.0,)), True),
+    (np.array([[0.5, 0.5], [0.5, -0.5]]) * np.sqrt(2.0), True),  # an array, real or complex
+    (np.array([[1.0, 0.0], [0.0, 1j]]), True),
+    (np.array([[1.0, 0.0], [0.0, 2.0]]), False),
+    (np.array([[np.nan], [0.0]]), False),
+    (((float("nan"),), (0.0,)), False),
+])
+def test_kept_isometry_test_takes_tuple_rows_and_arrays(mode_map, want):
+    for _ in range(2):  # built, then found
+        assert is_isometry(mode_map) is want

@@ -76,6 +76,10 @@ def _swap_lp(p_sq, p_db=None, tol=1e-9):
     return lambda: solve_swap_lp(p_db, StochasticMatrix(p_sq), tol)
 
 
+_EMPTY_INTERVAL = {
+    "setup": "passive-bb84", "eta_range": [0.0, 0.6], "dark_range": [0, 0.01],
+    "observed": {"event": "multi", "probability": 0.01},
+}
 _OUT_OF_DOMAIN = "P_sq is outside the closed form's domain"
 _SQUASHER = bb84_qubit_squasher().entries
 _Z = bb84_qubit_measurement("Z")
@@ -260,6 +264,15 @@ CASES = {
             )
         ),
         DescriptorError, "observed: uninformative event",
+    ),
+    # an empty efficiency interval names the efficiencies, not an eta_star that was not given
+    "weight over an efficiency range reaching 0": (
+        lambda: run_weight(descriptor_from_dict(_EMPTY_INTERVAL)),
+        DescriptorError, "eta_range: admissible common-efficiency interval is empty",
+    ),
+    "weight at an efficiency point with a 0": (
+        lambda: run_weight(descriptor_from_dict({**_EMPTY_INTERVAL, "eta": [0.0, 0.5, 0.5, 0.5], "eta_star": 0.9})),
+        DescriptorError, "eta: admissible common-efficiency interval is empty",
     ),
 }
 

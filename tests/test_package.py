@@ -80,6 +80,19 @@ def test_cli_imports_only_the_descriptor_and_the_report():
     assert imported == {"detcert.descriptor", "detcert.report"}
 
 
+def test_only_the_keeping_rule_turns_arrays_into_bytes_and_back():
+    # one rule keys an array on its bytes and rebuilds it: ``fock._kept``
+    sites = []
+    for path in sorted((ROOT / "src" / "detcert").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                    if node.func.attr == "tobytes" or (node.func.attr == "frombuffer"
+                                                       and getattr(node.func.value, "id", None) == "np"):
+                        sites.append((path.stem, getattr(top, "name", None), node.func.attr))
+    assert sorted(sites) == [("fock", "_kept", "frombuffer"), ("fock", "_kept", "tobytes")]
+
+
 SOLVER_FREE_RUN = """
 import sys
 import detcert
