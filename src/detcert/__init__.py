@@ -13,8 +13,8 @@ Choi witness, closed-form or from the feasibility probe, are re-verified without
 __version__ = "0.1.0"
 
 # Each public name under the module that defines it.  A name's module is
-# imported on the name's first use, so loading a descriptor loads only
-# ``fock``, ``detectors`` and ``descriptor``.
+# imported on the name's first use, so loading a fixed setup's descriptor
+# loads only ``descriptor``, and no numpy.
 _EXPORTS = {
     "fock": ("SpaceLayout",),
     "detectors": (

@@ -6,18 +6,18 @@ may set the dark count rates and efficiencies, and tolerances.  A field's
 output; ``__post_init__`` runs it once per field given and then every value
 rule, so a malformed field raises :class:`DescriptorError` naming it however
 built.  The JSON reader only checks which fields appear and rejects nulls.
+The module imports no numeric code: a rule stated in :mod:`detcert.detectors`
+is imported by the branch that applies it, so loading a fixed setup's
+descriptor loads neither numpy nor the detectors.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-
-import numpy as np
-
-from .detectors import MAX_DETECTORS, enumerate_events, is_isometry
 
 
 class DescriptorError(ValueError):
@@ -126,7 +126,7 @@ class SetupDescriptor:
     corner_limit: int = _field(_integer, 4)
 
     def __post_init__(self):
-        for f in fields(self):  # each value given, from JSON or Python, converted once
+        for f in _FIELDS:  # each value given, from JSON or Python, converted once
             value = getattr(self, f.name)
             if "parse" in f.metadata and value is not f.default:
                 object.__setattr__(self, f.name, f.metadata["parse"](value, f.name))
@@ -134,6 +134,7 @@ class SetupDescriptor:
             raise DescriptorError(f"setup: unknown kind {self.setup!r}")
         fixed = _FIXED_K.get(self.setup)
         if fixed is None:
+            from .detectors import MAX_DETECTORS
             if self.k is None or not 1 <= self.k <= MAX_DETECTORS:
                 raise DescriptorError(f"k: custom setups need a detector count in [1, {MAX_DETECTORS}], got {self.k!r}")
         else:
@@ -158,6 +159,8 @@ class SetupDescriptor:
             raise DescriptorError(f"coarse_grain: unknown mode {self.coarse_grain!r}")
         if self.coarse_grain == "multiclick" and self.k < 2:
             raise DescriptorError("coarse_grain: multiclick needs at least 2 detectors, got k=1")
+        if self.coarse_grain != "none" and self.setup == "active-bb84":  # squashed per basis, never grained
+            raise DescriptorError(f"coarse_grain: the active-bb84 setup takes no graining, got {self.coarse_grain!r}")
         for name in ("eta_range", "dark_range"):
             for lo, hi in getattr(self, name):
                 if not (0.0 <= lo <= hi <= 1.0):
@@ -175,7 +178,7 @@ class SetupDescriptor:
         if self.corner_limit < 2:
             raise DescriptorError(f"corner_limit: must be at least 2, got {self.corner_limit}")
         entries = [z for row in self.mode_map for z in row]
-        if not np.isfinite(np.asarray(entries, dtype=complex)).all():
+        if not all(map(cmath.isfinite, entries)):
             raise DescriptorError(f"mode_map: values must be finite, got {entries}")
         for name, ranges in (("eta", self.eta_range), ("dark", self.dark_range)):
             values = getattr(self, name)
@@ -192,9 +195,11 @@ class SetupDescriptor:
                     f"mode_map: expected {self.k} rows of one nonzero length, "
                     f"got row lengths {widths}"
                 )
+            from .detectors import is_isometry
             if not is_isometry(self.mode_map):
                 raise DescriptorError("mode_map: columns are not orthonormal (not an isometry)")
         if self.observed is not None:
+            from .detectors import enumerate_events
             events = enumerate_events(self.k)
             allowed = events.labels + (("multi",) if events.multi_indices else ())
             if self.observed[0] not in allowed:
@@ -213,6 +218,7 @@ class SetupDescriptor:
         each ``dark_range``.  ``box=False`` is one point: ``eta``, else the
         bottom of each range, and ``dark``, else the top of each range.
         """
+        import numpy as np
         lo, hi = np.array(self.eta_range).T
         top = np.array(self.dark_range)[:, 1]
         if not box:
@@ -227,13 +233,17 @@ class SetupDescriptor:
 
     def to_dict(self) -> dict:
         """The JSON fields; unset optional ones are left out, ``eta_star`` echoed even as null."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out = {f.name: getattr(self, f.name) for f in _FIELDS}
         if self.setup != "custom":
             del out["k"]  # fixed by the setup
         out["mode_map"] = [[[z.real, z.imag] for z in row] for row in self.mode_map]
         if self.observed is not None:
             out["observed"] = {"event": self.observed[0], "probability": self.observed[1]}
         return {name: v for name, v in out.items() if v not in (None, []) or name == "eta_star"}
+
+
+_FIELDS = fields(SetupDescriptor)  # read once: every conversion, echo and flag override walks it
+FIELD_NAMES = frozenset(f.name for f in _FIELDS)
 
 
 def descriptor_from_dict(data: dict) -> SetupDescriptor:
@@ -246,10 +256,10 @@ def descriptor_from_dict(data: dict) -> SetupDescriptor:
             if name in data:
                 raise DescriptorError(f"{name}: fixed by the {setup} setup, not a descriptor field")
 
-    unknown = set(data) - {f.name for f in fields(SetupDescriptor)}
+    unknown = set(data) - FIELD_NAMES
     if unknown:
         raise DescriptorError(f"unknown descriptor fields: {sorted(unknown)}")
-    for f in fields(SetupDescriptor):
+    for f in _FIELDS:
         if f.name in data and data[f.name] is None and "parse" in f.metadata:
             f.metadata["parse"](None, f.name)  # a null: its converter names the field (eta_star's admits it)
     return SetupDescriptor(**{**data, "setup": setup})

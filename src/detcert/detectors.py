@@ -306,6 +306,12 @@ def _lift_isometry(mode_map: np.ndarray, m: int):
     return np.array(v, dtype=mode_map.dtype), det_occs, in_occs
 
 
+@_kept(maxsize=MAX_DETECTORS)
+def _click_table(k: int) -> np.ndarray:
+    """``(2^k, 1, k)`` table of which detectors click in each event of ``enumerate_events(k)``."""
+    return ((np.array(enumerate_events(k).masks)[:, None, None] >> np.arange(k)) & 1).astype(bool)
+
+
 def build_threshold_povm(setup: DetectionSetup, cutoff: int) -> POVM:
     """Exact threshold-detector POVM on photon blocks ``m = 0 .. cutoff``.
 
@@ -325,7 +331,7 @@ def build_threshold_povm(setup: DetectionSetup, cutoff: int) -> POVM:
 
     events = enumerate_events(setup.k)
     one_minus_eta = 1.0 - setup.eta
-    clicks = ((np.array(events.masks)[:, None, None] >> np.arange(setup.k)) & 1).astype(bool)
+    clicks = _click_table(setup.k)
     lifts = [_lift_isometry(setup.mode_map, m) for m in range(cutoff + 1)]
     layout = _layout(tuple((photon_label(m), len(lift[2])) for m, lift in enumerate(lifts)))
     lead = one_minus_eta.shape[:-1]

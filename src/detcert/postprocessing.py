@@ -93,9 +93,15 @@ def dark_count_matrix(dark_rates) -> StochasticMatrix:
         raise ValueError(f"{k} dark rates exceed {MAX_DETECTORS} detectors")
     # P[c', c] = prod_i D_i[c'_i, c_i], multiplied in detector order.
     per_detector = np.array([[1.0 - d, np.zeros(k)], [d, np.ones(k)]])
-    bits = (np.asarray(enumerate_events(k).masks) >> np.arange(k)[:, None]) & 1
-    factors = per_detector[bits[:, :, None], bits[:, None, :], np.arange(k)[:, None, None]]
+    factors = per_detector[_dark_count_index(k)]
     return StochasticMatrix(factors.prod(axis=0))
+
+
+@_kept(maxsize=MAX_DETECTORS)
+def _dark_count_index(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index of ``D_i[c'_i, c_i]`` in the ``(2, 2, k)`` per-detector maps, for every detector and event pair."""
+    bits = (np.asarray(enumerate_events(k).masks) >> np.arange(k)[:, None]) & 1
+    return bits[:, :, None], bits[:, None, :], np.arange(k)[:, None, None]
 
 
 def single_photon_loss_matrix(eta) -> StochasticMatrix:

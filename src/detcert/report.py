@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -129,7 +129,7 @@ class Certificate:
         return self.status == "reducible"
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return dict(vars(self))  # the fields, in their order
 
     @property
     def exit_code(self) -> int:

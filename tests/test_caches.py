@@ -5,7 +5,9 @@ built once; every other shape-only object is kept by one rule,
 ``fock._kept``, keyed on its arguments' values (an array on its dtype,
 shape and bytes) with every array it holds read-only: the builders'
 layouts, block projectors and their keep-block supports, mode-map lifts
-and isometry tests, Choi support patterns and the squasher's kernel plan.
+and isometry tests, the click table of each detector count and the
+dark-count map's index, Choi support patterns and the squasher's kernel
+plan.
 A layout keeps its block slices and off-block mask.  These tests check the
 rule itself, and that sharing these objects changes nothing: every array
 they hold is read-only, and the golden cases of ``helpers.CASES`` run in
@@ -26,7 +28,7 @@ import detcert.postprocessing as postprocessing
 from detcert.channels import _keep_support, _KeepBlocks, bb84_qubit_measurement, bb84_simple_noise_channel
 from detcert.descriptor import load_descriptor
 from detcert.detectors import (
-    POVM, _lift_isometry, build_threshold_povm, enumerate_events, is_isometry, passive_bb84_setup,
+    POVM, _click_table, _lift_isometry, build_threshold_povm, enumerate_events, is_isometry, passive_bb84_setup,
 )
 from detcert.fock import SpaceLayout, _kept
 from detcert.postprocessing import bb84_qubit_squasher, multiclick_coarse_graining
@@ -80,6 +82,8 @@ KEPT_ARRAYS = {
     **{f"pattern-{name}": lambda name=name: getattr(_pattern(), name)
        for name in ("slot", "keys", "rows", "cols", "mirror", "gather", "starts", "targets")},
     "lift": lambda: _lift_isometry(passive_bb84_setup().mode_map, 2)[0],
+    "click-table": lambda: _click_table(4),
+    **{f"dark-count-index-{i}": lambda i=i: postprocessing._dark_count_index(4)[i] for i in range(3)},
     "coarse-graining": lambda: multiclick_coarse_graining(enumerate_events(4)).entries,
     "measurement-Z": lambda: bb84_qubit_measurement("Z").dense,
     "measurement-X": lambda: bb84_qubit_measurement("X").dense,

@@ -14,6 +14,8 @@ import pytest
 import detcert
 from detcert.descriptor import SetupDescriptor
 
+from helpers import _BENCH_EQUAL, _BENCH_PASSIVE, _BENCH_UNEQUAL
+
 ROOT = Path(__file__).resolve().parents[1]
 # a fresh interpreter sees only the imports of the code it runs: this session has every module loaded
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
@@ -50,10 +52,7 @@ TRACED = {f"detcert.{m}" for m in ("fock", "detectors", "postprocessing", "squas
     "code, loaded",
     [
         ("import detcert; assert detcert.__version__", {"detcert"}),
-        (
-            "import detcert; detcert.load_descriptor(sys.argv[1])",
-            {"detcert", "detcert.fock", "detcert.detectors", "detcert.descriptor"},
-        ),
+        ("import detcert; detcert.load_descriptor(sys.argv[1])", {"detcert", "detcert.descriptor"}),
         ("import detcert.cli", {"detcert", "detcert.cli", "detcert.descriptor"} | TRACED),
     ],
     ids=["version", "load_descriptor", "cli"],
@@ -62,6 +61,51 @@ def test_import_footprint(code, loaded):
     proc = _python(LOADED.format(code), str(ROOT / "descriptors" / "passive_bb84.json"))
     assert proc.returncode == 0, proc.stderr
     assert set(proc.stdout.split()) == loaded
+
+
+NO_NUMPY_LOAD = """
+import json, sys
+import detcert
+for path in sys.argv[1:]:
+    detcert.load_descriptor(path)
+print(json.dumps(sorted(n for n in sys.modules if n.split(".")[0] in ("detcert", "numpy"))))
+"""
+
+
+def test_loading_a_fixed_setup_imports_no_numpy(tmp_path):
+    # the shipped descriptors and the benchmark's traffic: their rules are the schema's own
+    paths = [ROOT / "descriptors" / f"{name}_bb84.json" for name in ("passive", "active")]
+    for name, data in (("passive", _BENCH_PASSIVE), ("equal", _BENCH_EQUAL), ("unequal", _BENCH_UNEQUAL)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(data))
+    proc = _python(NO_NUMPY_LOAD, *map(str, paths))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["detcert", "detcert.descriptor"]
+
+
+CUSTOM_FAILURE = """
+import json, sys
+from detcert.descriptor import DescriptorError, descriptor_from_dict
+try:
+    descriptor_from_dict(json.loads(sys.argv[1]))
+except DescriptorError as exc:
+    print(json.dumps([str(exc), "detcert.detectors" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"setup": "custom", "k": 2, "mode_map": [[1.0, 0.0], [0.0, 2.0]]},
+     "mode_map: columns are not orthonormal (not an isometry)"),
+    ({"setup": "custom", "k": 5, "mode_map": [[1.0]] + [[0.0]] * 4},
+     "k: custom setups need a detector count in [1, 4], got 5"),
+    ({"setup": "custom", "k": 2, "mode_map": [[1.0], [0.0]], "observed": {"event": "bogus", "probability": 0.1}},
+     "observed: no event labelled 'bogus'; expected one of ['00', '01', '10', '11', 'multi']"),
+], ids=["isometry", "too-many-detectors", "observed-label"])
+def test_a_custom_descriptor_is_held_to_the_detectors_rules(data, message):
+    # from a fresh interpreter: the rule is imported from ``detectors`` by the branch that applies it
+    proc = _python(CUSTOM_FAILURE, json.dumps(data))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [message, True]
 
 
 def test_cli_imports_only_the_descriptor_and_the_report():

@@ -139,6 +139,28 @@ def test_descriptor_validation_errors():
                 descriptor_from_dict({"setup": setup, name: value})
     with pytest.raises(DescriptorError, match="^coarse_grain: multiclick needs at least 2 detectors"):
         descriptor_from_dict({"setup": "custom", "k": 1, "mode_map": [[1.0]], "coarse_grain": "multiclick"})
+    # the active route squashes each basis to a qubit and applies no graining
+    with pytest.raises(DescriptorError, match="^coarse_grain: the active-bb84 setup takes no graining, got 'multiclick'$"):
+        descriptor_from_dict({"setup": "active-bb84", "coarse_grain": "multiclick"})
+
+
+_PART = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([float("nan"), float("inf"), -float("inf")]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(entries=st.lists(st.tuples(_PART, _PART), min_size=1, max_size=4))
+@example(entries=[(1.0, float("nan"))])
+@example(entries=[(0.6, 0.8), (-float("inf"), 0.0)])
+def test_mode_map_finiteness_agrees_with_numpy(entries):
+    # the schema's scalar rule against numpy's, one [re, im] entry per row of a custom map
+    finite = bool(np.isfinite(np.asarray([complex(*z) for z in entries], dtype=complex)).all())
+    data = {"setup": "custom", "k": len(entries), "mode_map": [[list(z)] for z in entries]}
+    try:
+        descriptor_from_dict(data)
+        rejected = False
+    except DescriptorError as exc:
+        rejected = str(exc).startswith("mode_map: values must be finite")
+    assert rejected is not finite
 
 
 @pytest.mark.parametrize(
@@ -256,6 +278,7 @@ def test_cli_names_the_setup_a_command_does_not_support(tmp_path, capsys, cmd, d
      ({"mode_map": [[1.0, 0.0]]}, []), ({"k": 7}, []),
      ({"setup": "custom", "k": 1, "mode_map": [[1.0]], "coarse_grain": "multiclick"}, []),
      ({"setup": "custom", "k": 1, "mode_map": [[1.0]]}, ["--coarse-grain", "multiclick"]),
+     ({"setup": "active-bb84", "coarse_grain": "none"}, ["--coarse-grain", "multiclick"]),
      ({"eta": 1.5}, []), ({"dark": -0.1}, []), ({"dark": 2.0}, []),
      ({"observed": {"event": "multi", "probability": 1.5}}, [])],
 )
@@ -270,7 +293,7 @@ def test_cli_rejects_bad_values_before_running(tmp_path, capsys, cmd, extra, ove
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("descriptor error:")
-    for name in ("eta", "dark", "observed"):  # the field with the bad value is named
+    for name in ("eta", "dark", "observed", "coarse_grain"):  # the field with the bad value is named
         if name in extra:
             assert captured.err.startswith(f"descriptor error: {name}:")
 
@@ -524,7 +547,7 @@ def _descriptor_json(draw):
     optional = {
         "cutoff": st.integers(1, 3),
         "eta_star": st.one_of(st.none(), _UNIT),
-        "coarse_grain": st.sampled_from(["none", "multiclick"] if k > 1 else ["none"]),
+        "coarse_grain": st.sampled_from(["none", "multiclick"] if k > 1 and setup != "active-bb84" else ["none"]),
         "tol": st.floats(1e-15, 1.0),
         "feas_tol": st.floats(1e-15, 1.0),
         "seed": st.integers(0, 2**31),
@@ -588,7 +611,7 @@ def _loadable_descriptor(draw):
         data["feas_tol"] = draw(st.sampled_from([1e-15, 1e-9, 1e-6, 1e-2]))
     if draw(st.booleans()):
         data["tol"] = draw(st.sampled_from([1e-300, 1e-16, 1e-9, 1.0]))
-    if k > 1 and draw(st.booleans()):
+    if k > 1 and setup != "active-bb84" and draw(st.booleans()):
         data["coarse_grain"] = "multiclick"
     events = enumerate_events(k)
     labels = events.labels + (("multi",) if events.multi_indices else ())
