@@ -7,13 +7,15 @@ efficiencies into a probabilistic split of the loss post-processing, and a
 generic deviation ``q`` into a branch that surrenders part of the preserved
 state to the flags.  The ideal measurement is a flag-state target: a
 ``POVM`` whose layout ends in a ``flag`` block, element ``i`` carrying the
-flag ``|i><i|`` exactly.  The public builders check that, and that clicks
-never outnumber photons; the analysis decides each precondition once and
-calls the constructions, which read operator blocks off the measurement's
-dense stack with the block projectors of its layout.  The dark-count and
-loss constructions take a stack of measurements or efficiency vectors (one
-per efficiency corner) and return the stack of channels, one term formula
-for all of them.
+flag ``|i><i|`` exactly.  The public builders check that; the dark-count
+and loss builders also check that clicks never outnumber photons, and the
+generic builder that ``q`` meets the deviation bound.  The constructions
+read operator blocks off the measurement's dense stack with the block
+projectors of its layout, and take a stack of measurements or efficiency
+vectors (one per efficiency corner) to the stack of channels, one term
+formula for all of them.  The analysis certifies the generic channel from
+each corner's noisy measurement to the ideal one, calling its
+construction apart from the guard (:func:`_generic_channel`).
 
 A channel is a sum of completely positive terms, and its Choi matrix ``J``
 is held on its support (``ChoiSupport``): the positions the term formulas
@@ -498,11 +500,6 @@ def dark_count_channel(p_db: StochasticMatrix, f_eta: POVM) -> QuantumChannel:
     report = validate_dark_count_pp(p_db, f_eta.events)
     if not report.passed:
         raise ValueError(f"dark-count conditions violated: {report}")
-    return _dark_count_channel(p_db, f_eta)
-
-
-def _dark_count_channel(p_db: StochasticMatrix, f_eta: POVM) -> QuantumChannel:
-    """The construction of :func:`dark_count_channel`, on inputs that pass its guards."""
     n = len(f_eta)
     layout = f_eta.layout
     d = layout.total_dim
@@ -578,11 +575,6 @@ def loss_channel(eta, eta_star: float, f_lossless: POVM) -> QuantumChannel:
     check_eta_star(eta, eta_star)
     if len(f_lossless.events.single_indices) != eta.shape[-1]:
         raise ValueError("efficiency vector does not match the single-click events")
-    return _loss_channel(eta, eta_star, f_lossless)
-
-
-def _loss_channel(eta: np.ndarray, eta_star: float, f_lossless: POVM) -> QuantumChannel:
-    """The construction of :func:`loss_channel`, on a float ``eta`` stack that passes its guards."""
     layout = f_lossless.layout
     eta_min = eta.min(axis=-1)
     ratio = eta_min / eta_star
@@ -651,21 +643,27 @@ def generic_channel(f_noise: POVM, f_ideal: POVM, q: float) -> QuantumChannel:
     q_star, _ = _deviation_bound(f_noise, f_ideal)
     if q < q_star:
         raise ValueError(f"q={q} violates the deviation bound q*={q_star!r}")
+    return _generic_channel(f_noise, f_ideal, q)
 
+
+def _generic_channel(f_noise: POVM, f_ideal: POVM, q: float) -> QuantumChannel:
+    """The construction of :func:`generic_channel`, on inputs that pass its guards.
+
+    A stacked ``f_noise`` gives the stack of channels, one ``q`` and
+    ``f_ideal`` serving all of them.
+    """
     layout = f_ideal.layout
     n = len(f_ideal)
     preserved = layout.projector(layout.photon_labels)
-    terms = [
+    # Measure the excess F_noise_i - (1-q) F_ideal_i, of total weight q, on
+    # the preserved blocks and raise flag i.
+    gap = preserved @ (f_noise.dense - (1.0 - q) * f_ideal.dense) @ preserved
+    flags = _diagonal_states(layout.total_dim, layout.offset(FLAG_LABEL) + np.arange(n), np.eye(n))
+    return QuantumChannel(layout, layout, (
         _KeepBlocks(weight=1.0 - q, projector=preserved),
         _KeepBlocks(weight=1.0, projector=layout.projector(FLAG_LABEL)),
-    ]
-    if q > 1e-15:
-        gap = f_noise.dense - (1.0 - q) * f_ideal.dense
-        ops = preserved @ (gap * (1.0 / q)) @ preserved
-        flags = layout.offset(FLAG_LABEL) + np.arange(n)
-        preps = _diagonal_states(layout.total_dim, flags, q * np.eye(n))
-        terms.append(_MeasurePrepare(ops=ops, preps=preps))
-    return QuantumChannel(layout, layout, terms)
+        _MeasurePrepare(ops=gap, preps=flags),
+    ))
 
 
 def min_deviation_q(f_noise: POVM, f_ideal: POVM) -> float:
@@ -735,8 +733,7 @@ class ChoiConstraintSystem:
     stack of dense operators.  Any of them may lead with a stack axis (one
     system per channel of a stack), and the others broadcast to it.  The
     stacks ``ops`` and ``targets`` hold the identities of every triple and,
-    once, last, trace preservation as ``F = I_out``, ``G = I_in``;
-    :meth:`stack` puts several stacks of systems in one stack.  The maps on
+    once, last, trace preservation as ``F = I_out``, ``G = I_in``.  The maps on
     ``J`` are the kernel's: ``ChoiSupport.heisenberg`` gives ``Phi_J^dag(F_k)``,
     and ``_MeasurePrepare(ops=Y, preps=ops)`` its adjoint ``sum_k Y_k^T (x) F_k``.
     """
@@ -768,15 +765,6 @@ class ChoiConstraintSystem:
         lead = max((a.shape[:-3] for a in afters + targets), key=len)
         self.ops = _identities([*afters, np.eye(self.d_out)[None]], lead)
         self.targets = _identities([*targets, np.eye(self.d_in)[None]], lead)
-
-    @classmethod
-    def stack(cls, *systems) -> "ChoiConstraintSystem":
-        """One stack of systems from the stacks of ``systems``, in order; each holds as many identities."""
-        stacked = cls.__new__(cls)
-        stacked.d_in, stacked.d_out, stacked.dim = systems[0].d_in, systems[0].d_out, systems[0].dim
-        stacked.ops = np.concatenate([s.ops for s in systems])
-        stacked.targets = np.concatenate([s.targets for s in systems])
-        return stacked
 
 
 @dataclass(frozen=True)

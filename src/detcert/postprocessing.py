@@ -8,13 +8,12 @@ single-photon loss map, coarse grainings, and solves the swap equation
 
     P_sq . P_db = P_dc . P_sq
 
-for ``P_dc``.  For a coarse graining ``P_sq`` the one candidate is built
-apart from its guard, so the analysis records the swap's residual as the
-check that decides; else ``P_dc`` is the stochastic matrix of smallest
-worst-entry violation.  That optimum and its dual weights come in closed
-form on ``P_sq``'s kernel, for a ``P_sq`` of full row rank with at most a
-one-dimensional kernel, as the qubit squasher has; one re-verification of
-the ``(matrix, weights)`` pair decides.
+for ``P_dc``.  A coarse graining ``P_sq`` has one candidate, in closed
+form (:func:`coarse_grained_dc_ansatz`); else ``P_dc`` is the stochastic
+matrix of smallest worst-entry violation.  That optimum and its dual
+weights come in closed form on ``P_sq``'s kernel, for a ``P_sq`` of full
+row rank with at most a one-dimensional kernel, as the qubit squasher has;
+one re-verification of the ``(matrix, weights)`` pair decides.
 """
 
 from __future__ import annotations
@@ -84,7 +83,8 @@ def dark_count_matrix(dark_rates) -> StochasticMatrix:
     Column ``c`` holds the distribution over observed patterns ``c'`` given
     true pattern ``c``: clicks are never erased (zero unless ``c`` is a
     subset of ``c'``), and each dark detector fires independently with its
-    rate ``d_i``.  For one detector this is ``[[1-d, 0], [d, 1]]``.
+    rate ``d_i``.  For one detector this is ``[[1-d, 0], [d, 1]]``.  Its
+    rows are the events of :func:`enumerate_events`, its ``row_table``.
     """
     d = np.atleast_1d(np.asarray(dark_rates, dtype=float))
     _require_unit(d, "dark rates")
@@ -94,7 +94,7 @@ def dark_count_matrix(dark_rates) -> StochasticMatrix:
     # P[c', c] = prod_i D_i[c'_i, c_i], multiplied in detector order.
     per_detector = np.array([[1.0 - d, np.zeros(k)], [d, np.ones(k)]])
     factors = per_detector[_dark_count_index(k)]
-    return StochasticMatrix(factors.prod(axis=0))
+    return StochasticMatrix(factors.prod(axis=0), enumerate_events(k))
 
 
 @_kept(maxsize=MAX_DETECTORS)
@@ -360,11 +360,14 @@ def solve_swap_lp(
 def coarse_grained_dc_ansatz(p_db: StochasticMatrix, cg: CoarseGraining) -> StochasticMatrix:
     """The unique ``P_dc`` with ``M . P_db = P_dc . M`` for a coarse graining ``M``, or ``ValueError``.
 
-    The guard of :func:`_coarse_grained_dc`: a solution exists iff the
-    columns of ``M . P_db`` that ``M`` merges agree (to ``1e-12``), else the
-    error names the column of ``M . P_db`` farthest from its mean.
+    ``M`` has full row rank, so the one candidate's column ``r`` is the mean
+    of the columns of ``M . P_db`` that ``M`` merges into ``r``: a stochastic
+    matrix.  It solves the swap iff those columns agree (to ``1e-12``), else
+    the error names the column of ``M . P_db`` farthest from its mean.
     """
-    p_dc = _coarse_grained_dc(p_db, cg)
+    if cg.shape[1] != p_db.shape[0] or p_db.shape[0] != p_db.shape[1]:
+        raise ValueError("coarse graining does not match the dark-count map")
+    p_dc = StochasticMatrix((cg.entries @ p_db.entries @ cg.entries.T) / cg.entries.sum(axis=1))
     gaps = np.abs(cg.entries @ p_db.entries - p_dc.entries @ cg.entries).max(axis=0)
     worst = int(gaps.argmax())
     if gaps[worst] > _ENTRY_TOL:
@@ -373,17 +376,6 @@ def coarse_grained_dc_ansatz(p_db: StochasticMatrix, cg: CoarseGraining) -> Stoc
             f"{gaps[worst]:.3e} from the mean of the columns merged with it"
         )
     return p_dc
-
-
-def _coarse_grained_dc(p_db: StochasticMatrix, cg: CoarseGraining) -> StochasticMatrix:
-    """The one candidate ``P_dc`` for ``M . P_db = P_dc . M``, untested: its :func:`swap_residual` decides.
-
-    ``M`` has full row rank, so column ``r`` of ``P_dc`` is the mean of the
-    columns of ``M . P_db`` that ``M`` merges into ``r``: a stochastic matrix.
-    """
-    if cg.shape[1] != p_db.shape[0] or p_db.shape[0] != p_db.shape[1]:
-        raise ValueError("coarse graining does not match the dark-count map")
-    return StochasticMatrix((cg.entries @ p_db.entries @ cg.entries.T) / cg.entries.sum(axis=1))
 
 
 _QUBIT_SQUASHER = StochasticMatrix(

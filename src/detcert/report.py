@@ -1,12 +1,16 @@
 """Analysis pipeline, command payloads and their serialization.
 
 ``run_analysis`` takes a :class:`~detcert.descriptor.SetupDescriptor`, builds
-the POVMs at the range corners, constructs the dark-count and loss noise
-channels, certifies them, and records every verdict with reproducible
-inputs in a certificate.  Each subcommand of :mod:`detcert.cli` is one
-function here, ``desc -> (payload, exit code)``: :func:`analyze`,
-:func:`verify_channel`, :func:`swap_lp`, :func:`weight` and
-:func:`choi_check`.  Serialization (:func:`write_json`) is deterministic:
+the POVMs at the range corners and records every verdict with reproducible
+inputs in a certificate.  A passive or custom setup gets one noise channel
+per corner, the generic deviation channel from the corner's noisy
+measurement to the ideal one at ``q = 1 - p_no_dark * efficiency_ratio``,
+the weight the certificate records; at cutoff 1 that channel exists at
+every point of the box (README, Certificates).  The active setup gets the
+BB84 dark-count channel at the swap LP's matrix.  Each subcommand of
+:mod:`detcert.cli` is one function here, ``desc -> (payload, exit code)``:
+:func:`analyze`, :func:`verify_channel`, :func:`swap_lp`, :func:`weight`
+and :func:`choi_check`.  Serialization (:func:`write_json`) is deterministic:
 stable key order and fixed 17-significant-digit floats.
 """
 
@@ -23,34 +27,21 @@ import numpy as np
 from . import __version__
 from .channels import (
     ChoiConstraintSystem,
-    ChoiSupport,
-    _dark_count_channel,
-    _loss_channel,
+    _generic_channel,
     bb84_qubit_measurement,
     bb84_simple_noise_channel,
     certify_choi,
 )
 from .descriptor import DescriptorError, SetupDescriptor
-from .detectors import (
-    DetectionSetup,
-    _Verdict,
-    build_threshold_povm,
-    enumerate_events,
-    passive_bb84_setup,
-    verify_single_photon_assumption,
-)
+from .detectors import DetectionSetup, _Verdict, build_threshold_povm, enumerate_events, passive_bb84_setup
 from .feasibility import measure_prepare_witness, verify_choi_witness
-from .fock import photon_label
 from .postprocessing import (
-    _ENTRY_TOL,
-    _coarse_grained_dc,
+    StochasticMatrix,
+    apply_postprocessing,
     bb84_qubit_squasher,
     dark_count_matrix,
     multiclick_coarse_graining,
-    apply_postprocessing,
     solve_swap_lp,
-    swap_residual,
-    validate_dark_count_pp,
 )
 from .squashing import (
     check_eta_star,
@@ -67,7 +58,6 @@ EXIT_NOT_REDUCIBLE = 2
 # The weight relations are exact linear identities of the constructions,
 # so they are held to rounding, not to the descriptor's tolerance.
 _WEIGHT_TOL = 1e-12
-_CLICK_COUNT = "threshold POVM violates the click-count assumption"
 
 
 class _Stop(ValueError):
@@ -261,7 +251,7 @@ def _common_efficiency(desc: SetupDescriptor, etas, derived: dict) -> float:
 
 
 def _record_weight(desc: SetupDescriptor, cert: Certificate, etas, p00: float, eta_star: float):
-    """Record ``p00``, the ratio ``eta_min / eta_star`` over ``etas`` and the weight after both channels."""
+    """Record ``p00``, the ratio ``eta_min / eta_star`` over ``etas`` and the weight after the noise channel."""
     eta_min = float(etas.min())
     cert.derived["p_no_dark"] = p00
     cert.derived["efficiency_ratio"] = eta_min / eta_star
@@ -272,95 +262,40 @@ def _record_weight(desc: SetupDescriptor, cert: Certificate, etas, p00: float, e
 def _analyze_flag_state(desc: SetupDescriptor, cert: Certificate):
     corners, (d_max,) = desc.points(box=True)
     eta_star = _common_efficiency(desc, corners, cert.derived)
+    p_noise = dark_count_matrix(d_max)
+    _record_weight(desc, cert, corners, float(p_noise.entries[0, 0]), eta_star)
+    q = 1.0 - cert.derived["p_no_dark"] * cert.derived["efficiency_ratio"]
 
-    cg = multiclick_coarse_graining(enumerate_events(desc.k)) if desc.coarse_grain == "multiclick" else None
+    # One threshold build: the corners, then the common efficiency.  The
+    # corners take the dark counts at the top of the rate range, then the
+    # graining, as one map; the ideal measurement takes the graining alone.
+    n = len(corners)
+    povms = build_threshold_povm(build_setup(desc, np.vstack([corners, np.full(desc.k, eta_star)])), desc.cutoff)
+    ideal = povms.take(n)
+    if desc.coarse_grain == "multiclick":
+        cg = multiclick_coarse_graining(enumerate_events(desc.k))
+        p_noise = StochasticMatrix(cg.entries @ p_noise.entries, cg.row_table)
+        ideal = apply_postprocessing(cg, ideal)
+    f_noise = flag_state_target(apply_postprocessing(p_noise, povms.take(slice(0, n))), desc.cutoff)
+    f_ideal = flag_state_target(ideal, desc.cutoff)
 
-    # Dark-count post-processing at the top of the rate range.
-    p_fine = dark_count_matrix(d_max)
-    if cg is not None:
-        p_db = _coarse_grained_dc(p_fine, cg)
-        cert.add_check(
-            "coarse-grain-swap", "coarse_grained_dc_ansatz", {"dark": d_max.tolist()},
-            swap_residual(p_db.entries, cg.entries, p_fine.entries), _ENTRY_TOL,
-            "the coarse graining has no swap solution: no stochastic P_dc has M P_db = P_dc M",
-        )
-        table = cg.row_table
-    else:
-        p_db = p_fine
-        table = enumerate_events(desc.k)
-    conditions = validate_dark_count_pp(p_db, table)
-    cert.add_check(
-        "dark-count-conditions", "validate_dark_count_pp",
-        {"dark": d_max.tolist()}, conditions.residual, conditions.tolerance,
-        "dark-count post-processing violates the structural conditions "
-        "(single-to-single, click erasure, or survival ordering)",
-    )
-
-    p00 = float(p_db.entries[0, 0])
-    _record_weight(desc, cert, corners, p00, eta_star)
-
-    # One threshold build for every efficiency vector: the corners, then
-    # the lossless and common-efficiency targets, which are corner
-    # independent.
-    n_corners = len(corners)
-    etas = np.vstack([corners, np.ones(desc.k), np.full(desc.k, eta_star)])
-    povms = build_threshold_povm(build_setup(desc, etas), desc.cutoff)
-    if cg is not None:
-        povms = apply_postprocessing(cg, povms)
-    reports = verify_single_photon_assumption(povms)
-    if not reports[n_corners].passed:
-        raise _Stop(_CLICK_COUNT)
-    targets = flag_state_target(povms, desc.cutoff)
-    # Every corner is certified; recording stops at the first that violates the assumption.
-    residuals = _certify_corners(p_db, p00, corners, eta_star, targets, desc.tol)
-
+    # Every corner's channel in one certify_choi pass: CPTP, the statistics
+    # Phi^dag(F_ideal_i) = F_noise_i and the weight relation Phi^dag(P01) = (1 - q) P01.
+    proj01 = f_ideal.layout.projector(f_ideal.layout.photon_labels)
+    identities = ChoiConstraintSystem((None, f_noise, f_ideal), ([[1.0 - q]], [proj01], [proj01]))
+    cptp, scores = certify_choi(_generic_channel(f_noise, f_ideal, q).support, identities, desc.tol)
+    statistics, weights = scores[:, :-1].max(axis=1).tolist(), scores[:, -1].tolist()
     for idx, eta_vec in enumerate(corners):
         suffix = f"-corner{idx}"
-        inputs = {"eta": eta_vec.tolist(), "dark": d_max.tolist(), "eta_star": eta_star}
-        report = reports[idx]
+        inputs = {"eta": eta_vec.tolist(), "dark": d_max.tolist(), "eta_star": eta_star, "q": q}
+        cert.add_check(f"generic-channel-cptp{suffix}", "verify_cptp", inputs, cptp[idx].residual, desc.tol)
         cert.add_check(
-            f"single-photon-assumption{suffix}", "verify_single_photon_assumption",
-            inputs, report.max_violation, report.tolerance, _CLICK_COUNT,
+            f"generic-channel-statistics{suffix}", "verify_statistics_equivalence", inputs, statistics[idx], desc.tol,
         )
-        for kind, (cptp, statistics, weight) in zip(("dark", "loss"), residuals[idx]):
-            cert.add_check(f"{kind}-channel-cptp{suffix}", "verify_cptp", inputs, cptp, desc.tol)
-            cert.add_check(
-                f"{kind}-channel-statistics{suffix}", "verify_statistics_equivalence", inputs,
-                statistics, desc.tol,
-            )
-            cert.add_check(
-                f"{kind}-channel-weight-relation{suffix}", "verify_statistics_equivalence", inputs,
-                weight, _WEIGHT_TOL,
-            )
-
-
-def _certify_corners(p_db, p00, etas, eta_star, targets, tol):
-    """CPTP, statistics and weight-relation residuals of the dark and loss channels per corner.
-
-    ``targets`` stacks the targets at the efficiency vectors ``etas``, then the
-    lossless and the ``eta_star`` target.  Both channel stacks share one support,
-    scored in one :func:`certify_choi` pass: one component eigensolve for CPTP and
-    one contraction for every identity of each channel, ``Phi^dag(F_after_i) =
-    sum_j P_ij F_before_j`` over all input operators, its weight relation, then trace
-    preservation.  The weight relations are ``Phi_dark^dag(P01) = p00 P01``, ``p00 = P_db[0, 0]``, and
-    ``Phi_loss^dag(P01) = P0 + (eta_min / eta_star) P1``.  Returns, per
-    corner, ``((cptp, statistics, weight) dark, (...) loss)``.
-    """
-    n = len(etas)
-    f_eta, f_lossless, f_star = targets.take(slice(0, n)), targets.take(n), targets.take(n + 1)
-    proj0, proj1 = (targets.layout.projector(photon_label(m)) for m in (0, 1))
-    proj01 = proj0 + proj1
-    dark = _dark_count_channel(p_db, f_eta)
-    loss = _loss_channel(etas, eta_star, f_lossless)
-    ratios = etas.min(axis=1) / eta_star
-    loss_weights = np.stack([np.ones_like(ratios), ratios], axis=-1)[:, None, :]
-    identities = ChoiConstraintSystem.stack(
-        ChoiConstraintSystem((p_db, f_eta, f_eta), ([[p00]], [proj01], [proj01])),
-        ChoiConstraintSystem((None, f_eta, f_star), (loss_weights, [proj0, proj1], [proj01])),
-    )
-    cptp, scores = certify_choi(ChoiSupport.of([dark, loss]), identities, tol)
-    channels = list(zip([r.residual for r in cptp], scores[:, :-1].max(axis=1).tolist(), scores[:, -1].tolist()))
-    return list(zip(channels[:n], channels[n:]))
+        cert.add_check(
+            f"generic-channel-weight-relation{suffix}", "verify_statistics_equivalence", inputs, weights[idx],
+            _WEIGHT_TOL,
+        )
 
 
 def _swap_lp(d_vec, tol: float):

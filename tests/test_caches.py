@@ -130,8 +130,10 @@ def test_lift_is_keyed_on_the_mode_map_bytes():
 
 
 def test_a_passive_analysis_validates_two_measurements(monkeypatch):
-    # The threshold stack and its multiclick graining; the flag-state targets
-    # are built from their validated blocks and are not validated again.
+    # The threshold stack, then the two measurements the generic channel
+    # links: the corners' noisy stack (dark counts, then the multiclick
+    # graining, as one map) and the grained ideal one.  The flag-state
+    # targets are built from their validated blocks and are not validated again.
     init, validated = POVM.__init__, []
 
     def counted(self, layout, dense, events):
@@ -140,7 +142,7 @@ def test_a_passive_analysis_validates_two_measurements(monkeypatch):
 
     monkeypatch.setattr(POVM, "__init__", counted)
     assert run_analysis(load_descriptor(ROOT / "descriptors" / "passive_bb84.json")).all_passed
-    assert validated == [16, 6]
+    assert validated == [16, 6, 6]
 
 
 @settings(max_examples=40, deadline=None)

@@ -253,36 +253,39 @@ def _vacuum_one_photon_coherence(layout):
     return op
 
 
+def _certified_by(kind):
+    """A public builder's arguments at the first corner of ``PASSIVE``, with its statistics identity and weight relation."""
+    eta, p_db = np.full(4, 0.5), dc.dark_count_matrix([0.01] * 4)
+    p00, f_eta, f_star = p_db.entries[0, 0], _squashed(eta), _squashed(1.0)
+    p0, p1, p01 = (f_star.layout.projector(blocks) for blocks in ("m=0", "m=1", ("m=0", "m=1")))
+    if kind == "dark":
+        p_dc = dc.coarse_grained_dc_ansatz(p_db, _CG)
+        return (p_dc, f_eta), (p_dc, f_eta, f_eta), ([[p00]], [p01], [p01])
+    if kind == "loss":
+        return (eta, 1.0, f_star), (None, f_eta, f_star), ([[1.0, 0.5]], [p0, p1], [p01])
+    noisy = dc.apply_postprocessing(p_db, dc.build_threshold_povm(_SETUP.with_eta(eta), 1))
+    f_noise, q = dc.flag_state_target(dc.apply_postprocessing(_CG, noisy), 1), 1.0 - p00 * 0.5
+    return (f_noise, f_star, q), (None, f_noise, f_star), ([[1.0 - q]], [p01], [p01])
+
+
 @pytest.mark.parametrize("fault_op", [_one_photon_population, _vacuum_one_photon_coherence])
-@pytest.mark.parametrize("kind,factory", [("dark", "dark_count_channel"), ("loss", "loss_channel")])
-def test_injected_fault_fails_the_certificate(monkeypatch, kind, factory, fault_op):
-    # the analysis builds each channel once, for every corner: the fault
-    # sits at corner 0 of the stack and fails corner 0 only
-    desc = descriptor_from_dict(PASSIVE)
-    clean = report.run_analysis(desc)
-    assert clean.all_passed
-    # the analysis calls the constructions behind the public builders
-    private = f"_{factory}"
-    monkeypatch.setattr(report, private, _faulty(getattr(report, private), fault_op))
-    cert = report.run_analysis(desc)
-    assert not cert.all_passed
-    assert cert.exit_code == report.EXIT_NOT_REDUCIBLE
-    failed = {c["name"] for c in cert.checks if not c["passed"]}
-    for check in ("statistics", "weight-relation"):
-        assert f"{kind}-channel-{check}-corner0" in failed
-    # the loss fault also prepares -1e-6 on a flag that no loss term touches
-    assert all(name.startswith(f"{kind}-channel-") and name.endswith("-corner0") for name in failed)
-    unchanged = [
-        (c["name"], c["residual"]) for c in cert.checks if not c["name"].endswith("corner0")
-    ]
-    assert unchanged == [
-        (c["name"], c["residual"]) for c in clean.checks if not c["name"].endswith("corner0")
-    ]
-    weight = next(
-        c for c in cert.checks if c["name"] == f"{kind}-channel-weight-relation-corner0"
-    )
+@pytest.mark.parametrize(
+    "kind,factory", [("dark", "dark_count_channel"), ("loss", "loss_channel"), ("generic", "generic_channel")]
+)
+def test_injected_fault_fails_the_certificate(kind, factory, fault_op):
+    # each public builder's channel at the shipped descriptor's first corner
+    # passes its checks; a 1e-6 term fails its statistics identity and weight
+    # relation, also one that acts only on coherences between photon blocks
+    args, statistics, weight = _certified_by(kind)
+    build = getattr(dc, factory)
+    clean, faulty = build(*args), _faulty(build, fault_op)(*args)
+    assert dc.verify_cptp(clean, 1e-9).passed
+    assert dc.verify_statistics_equivalence(*statistics, clean, 1e-9).passed
+    assert dc.verify_statistics_equivalence(*weight, clean, 1e-12).passed
+    assert not dc.verify_statistics_equivalence(*statistics, faulty, 1e-9).passed
+    relation = dc.verify_statistics_equivalence(*weight, faulty, 1e-12)
     expected = 2e-6 if fault_op is _vacuum_one_photon_coherence else 1e-6
-    assert weight["residual"] == pytest.approx(expected)
+    assert relation.max_residual == pytest.approx(expected)
 
 
 def test_off_block_fault_is_invisible_to_block_diagonal_states():
@@ -466,11 +469,11 @@ def test_support_kernel_matches_dense_oracle(case, seed):
 
 
 def _inject_at_corner2(fault):
-    """A dark-count construction for ``report`` whose Choi stack has ``fault`` applied at corner 2."""
-    build = report._dark_count_channel
+    """The analysis's generic-channel construction, its Choi stack with ``fault`` applied at corner 2."""
+    build = report._generic_channel
 
-    def wrapped(p_db, f_eta):
-        channel = build(p_db, f_eta)
+    def wrapped(f_noise, f_ideal, q):
+        channel = build(f_noise, f_ideal, q)
         stack = channel.choi.copy()
         zero_rows = np.flatnonzero(~stack.any(axis=(0, 2)))
         fault(stack[2], zero_rows, channel.output_layout.total_dim)
@@ -495,13 +498,13 @@ def _hidden_negative_component(j, zero_rows, d_out):
 def test_fault_at_one_corner_of_the_stack_fails_that_corner_only(monkeypatch, fault):
     desc = descriptor_from_dict(PASSIVE)
     clean = report.run_analysis(desc)
-    assert len([c for c in clean.checks if c["name"].startswith("single-photon")]) == 4
-    monkeypatch.setattr(report, "_dark_count_channel", _inject_at_corner2(fault))
+    assert len([c for c in clean.checks if c["name"].startswith("generic-channel-cptp")]) == 4
+    monkeypatch.setattr(report, "_generic_channel", _inject_at_corner2(fault))
     cert = report.run_analysis(desc)
     failed = {c["name"] for c in cert.checks if not c["passed"]}
-    assert "dark-channel-cptp-corner2" in failed
-    assert all(name.startswith("dark-channel-") and name.endswith("-corner2") for name in failed)
-    cptp = next(c for c in cert.checks if c["name"] == "dark-channel-cptp-corner2")["residual"]
+    assert "generic-channel-cptp-corner2" in failed
+    assert all(name.endswith("-corner2") for name in failed)
+    cptp = next(c for c in cert.checks if c["name"] == "generic-channel-cptp-corner2")["residual"]
     if fault is _nan_entry:
         assert np.isnan(cptp)
     else:
@@ -509,84 +512,3 @@ def test_fault_at_one_corner_of_the_stack_fails_that_corner_only(monkeypatch, fa
     assert [(c["name"], c["residual"]) for c in cert.checks if "corner2" not in c["name"]] == [
         (c["name"], c["residual"]) for c in clean.checks if "corner2" not in c["name"]
     ]
-
-
-@pytest.mark.parametrize("corner", range(4))
-def test_assumption_failing_at_a_later_corner_stops_there(monkeypatch, corner):
-    # a POVM stack valid at every corner but one, which moves 1e-3 of a
-    # single click's one-photon weight to a multi-click: every corner is
-    # certified, but the certificate keeps the corners before it, records its
-    # failed assumption check and stops, in the order and with the message
-    # of a corner-by-corner run
-    desc = descriptor_from_dict(PASSIVE)
-    clean = report.run_analysis(desc)
-    build = report.build_threshold_povm
-
-    def bent(setup, cutoff):
-        povm = build(setup, cutoff)
-        dense = povm.dense.copy()
-        single, multi = povm.events.index_of("0001"), povm.events.index_of("0011")
-        dense[corner, single, 1, 1] -= 1e-3
-        dense[corner, multi, 1, 1] += 1e-3
-        return dc.POVM(povm.layout, dense, povm.events)
-
-    monkeypatch.setattr(report, "build_threshold_povm", bent)
-    cert = report.run_analysis(desc)
-    assert cert.status == "not reducible under this framework"
-    assert cert.failed_requirement == "threshold POVM violates the click-count assumption"
-    kept = [c for c in clean.checks if not c["name"].endswith(tuple(f"corner{i}" for i in range(corner, 4)))]
-    assert cert.checks[:-1] == kept
-    last = cert.checks[-1]
-    assert (last["name"], last["passed"]) == (f"single-photon-assumption-corner{corner}", False)
-    assert last["residual"] == pytest.approx(1e-3, abs=1e-15)
-    before = [f"{kind}-channel-{check}-corner{corner - 1}" for kind in ("dark", "loss")
-              for check in ("cptp", "statistics", "weight-relation")]
-    assert [c["name"] for c in kept][-7:] == (
-        [f"single-photon-assumption-corner{corner - 1}", *before] if corner
-        else ["coarse-grain-swap", "dark-count-conditions"]
-    )
-
-
-def test_dark_count_conditions_failing_stop_the_analysis(monkeypatch):
-    # a dark-count map that erases 1e-3 of a single click: the certificate
-    # records the failed conditions and certifies no channel
-    fine = report.dark_count_matrix
-
-    def bent(d_vec):
-        entries = fine(d_vec).entries.copy()
-        entries[1, 1] -= 1e-3
-        entries[0, 1] += 1e-3
-        return dc.StochasticMatrix(entries)
-
-    monkeypatch.setattr(report, "dark_count_matrix", bent)
-    cert = report.run_analysis(descriptor_from_dict(PASSIVE))
-    assert cert.status == "not reducible under this framework"
-    assert cert.failed_requirement.startswith("dark-count post-processing violates the structural conditions")
-    assert [(c["name"], c["passed"]) for c in cert.checks] == [
-        ("coarse-grain-swap", True), ("dark-count-conditions", False)
-    ]
-    assert cert.checks[-1]["residual"] == pytest.approx(1e-3, abs=1e-15)
-    assert "p_no_dark" not in cert.derived
-
-
-def test_lossless_target_breaking_the_assumption_stops_the_analysis(monkeypatch):
-    # the lossless POVM (stack entry after the corners) moves 1e-3 of a
-    # single click's one-photon weight to a multi-click: no corner is checked
-    desc = descriptor_from_dict(PASSIVE)
-    lossless = len(desc.points(box=True)[0])
-    build = report.build_threshold_povm
-
-    def bent(setup, cutoff):
-        povm = build(setup, cutoff)
-        dense = povm.dense.copy()
-        single, multi = povm.events.index_of("0001"), povm.events.index_of("0011")
-        dense[lossless, single, 1, 1] -= 1e-3
-        dense[lossless, multi, 1, 1] += 1e-3
-        return dc.POVM(povm.layout, dense, povm.events)
-
-    monkeypatch.setattr(report, "build_threshold_povm", bent)
-    cert = report.run_analysis(desc)
-    assert cert.status == "not reducible under this framework"
-    assert cert.failed_requirement == "threshold POVM violates the click-count assumption"
-    assert [c["name"] for c in cert.checks] == ["coarse-grain-swap", "dark-count-conditions"]
-    assert cert.all_passed is False

@@ -13,15 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detcert import channels, detectors, report
-from detcert.channels import ChoiConstraintSystem, ChoiSupport, certify_choi, dark_count_channel, loss_channel
+from detcert.channels import ChoiConstraintSystem, ChoiSupport, _generic_channel, certify_choi
 from detcert.descriptor import descriptor_from_dict, load_descriptor
 from detcert.detectors import DetectionSetup, build_threshold_povm, enumerate_events
-from detcert.postprocessing import (
-    apply_postprocessing,
-    coarse_grained_dc_ansatz,
-    dark_count_matrix,
-    multiclick_coarse_graining,
-)
+from detcert.postprocessing import apply_postprocessing, dark_count_matrix, multiclick_coarse_graining
 from detcert.squashing import eta_star_range, flag_state_target
 
 DESCRIPTORS = Path(__file__).resolve().parents[1] / "descriptors"
@@ -43,22 +38,22 @@ def _setups(draw):
 
 
 def _certified(mode_map, etas, rates, eta_star, coarse):
-    """What the analysis builds and scores at the stack ``etas``, as in ``report._certify_corners``."""
+    """What the analysis builds and scores at the stack ``etas``, as in ``report._analyze_flag_state``."""
     k, n = len(mode_map), len(etas)
-    setup = DetectionSetup(k=k, mode_map=mode_map, eta=np.vstack([etas, np.ones(k), np.full(k, eta_star)]))
+    setup = DetectionSetup(k=k, mode_map=mode_map, eta=np.vstack([etas, np.full(k, eta_star)]))
     povms = build_threshold_povm(setup, 1)
     p_db = dark_count_matrix(rates)
+    noisy, ideal = apply_postprocessing(p_db, povms.take(slice(0, n))), povms.take(n)
     if coarse:
         cg = multiclick_coarse_graining(enumerate_events(k))
-        povms, p_db = apply_postprocessing(cg, povms), coarse_grained_dc_ansatz(p_db, cg)
-    targets = flag_state_target(povms, 1)
-    f_eta, f_lossless, f_star = targets.take(slice(0, n)), targets.take(n), targets.take(n + 1)
-    support = ChoiSupport.of([dark_count_channel(p_db, f_eta), loss_channel(etas, eta_star, f_lossless)])
-    system = ChoiConstraintSystem.stack(
-        ChoiConstraintSystem((p_db, f_eta, f_eta)), ChoiConstraintSystem((None, f_eta, f_star))
-    )
+        noisy, ideal = apply_postprocessing(cg, noisy), apply_postprocessing(cg, ideal)
+    f_noise, f_ideal = flag_state_target(noisy, 1), flag_state_target(ideal, 1)
+    q = 1.0 - p_db.entries[0, 0] * etas.min() / eta_star
+    proj01 = f_ideal.layout.projector(f_ideal.layout.photon_labels)
+    support = _generic_channel(f_noise, f_ideal, q).support
+    system = ChoiConstraintSystem((None, f_noise, f_ideal), ([[1.0 - q]], [proj01], [proj01]))
     reports, residuals = certify_choi(support, system, _TOL)
-    return povms, targets, support, reports, residuals
+    return povms, f_noise, support, reports, residuals
 
 
 @settings(max_examples=40, deadline=None)

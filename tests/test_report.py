@@ -12,7 +12,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from detcert import (
-    POVM,
     QuantumChannel,
     StochasticMatrix,
     apply_postprocessing,
@@ -21,10 +20,10 @@ from detcert import (
     bb84_simple_noise_channel,
     build_threshold_povm,
     coarse_grained_dc_ansatz,
-    dark_count_channel,
     dark_count_matrix,
     enumerate_events,
     flag_state_target,
+    generic_channel,
     loss_channel,
     measure_prepare_witness,
     multiclick_coarse_graining,
@@ -35,10 +34,10 @@ from detcert import (
     verify_statistics_equivalence,
 )
 from detcert import cli, report
-from detcert.channels import ChoiSupport, _MeasurePrepare
+from detcert.channels import ChoiSupport, _MeasurePrepare, _deviation_bound
 from detcert.descriptor import DescriptorError, SetupDescriptor, descriptor_from_dict, load_descriptor
-from detcert.fock import photon_label
 from detcert.postprocessing import swap_residual
+from detcert.squashing import eta_star_range
 from detcert.report import (
     EXIT_NOT_REDUCIBLE,
     EXIT_OK,
@@ -348,9 +347,11 @@ def test_analysis_passive_bb84_values():
     assert cert.all_passed
     assert cert.derived["p_no_dark"] == pytest.approx(0.99**4, abs=1e-12)
     assert cert.derived["efficiency_ratio"] == pytest.approx(0.5, abs=1e-12)
-    names = {c["name"] for c in cert.checks}
-    assert any(n.startswith("dark-channel-cptp") for n in names)
-    assert any(n.startswith("loss-channel-statistics") for n in names)
+    names = [c["name"] for c in cert.checks]
+    assert names == [
+        f"generic-channel-{check}-corner{i}" for i in range(4) for check in ("cptp", "statistics", "weight-relation")
+    ]
+    assert {c["inputs"]["q"] for c in cert.checks} == {1.0 - cert.derived["p_no_dark"] * 0.5}
     assert cert.exit_code == EXIT_OK
 
 
@@ -685,71 +686,23 @@ def test_add_check_with_a_requirement_stops_only_on_failure():
     assert [(c["name"], c["passed"]) for c in cert.checks] == [("held", True), ("broken", False)]
 
 
-def _bent_dark_map(pattern, to):
-    """Move 1e-3 of click pattern ``pattern``'s weight in the fine dark-count map to pattern ``to``."""
-
-    def inject(monkeypatch, desc):
-        fine, events = report.dark_count_matrix, enumerate_events(desc.k)
-        src, dst = events.index_of(pattern), events.index_of(to)
-
-        def bent(d_vec):
-            entries = fine(d_vec).entries.copy()
-            entries[src, src] -= 1e-3
-            entries[dst, src] += 1e-3
-            return StochasticMatrix(entries)
-
-        monkeypatch.setattr(report, "dark_count_matrix", bent)
-
-    return inject
+def _bent(p_db, pattern, to):
+    """``p_db`` with 1e-3 of click pattern ``pattern``'s weight moved to pattern ``to``."""
+    events = enumerate_events(p_db.row_table.k)
+    src, dst = events.index_of(pattern), events.index_of(to)
+    entries = p_db.entries.copy()
+    entries[src, src] -= 1e-3
+    entries[dst, src] += 1e-3
+    return StochasticMatrix(entries)
 
 
-def _bent_povm(entry):
-    """Move 1e-3 of a single click's one-photon weight to a multi-click in POVM stack entry ``entry(desc)``."""
-
-    def inject(monkeypatch, desc):
-        build, at = report.build_threshold_povm, entry(desc)
-
-        def bent(setup, cutoff):
-            povm = build(setup, cutoff)
-            dense = povm.dense.copy()
-            single, multi = povm.events.index_of("0001"), povm.events.index_of("0011")
-            dense[at, single, 1, 1] -= 1e-3
-            dense[at, multi, 1, 1] += 1e-3
-            return POVM(povm.layout, dense, povm.events)
-
-        monkeypatch.setattr(report, "build_threshold_povm", bent)
-
-    return inject
-
-
-_CLICK_COUNT = "threshold POVM violates the click-count assumption"
-# (descriptor, fault injector or None, failing check or None, start of the failed requirement)
+# (descriptor, failing check or None, start of the failed requirement)
 STOPS = {
-    "bent-dark-map": (
-        PASSIVE, _bent_dark_map("0001", "0000"), "dark-count-conditions",
-        "dark-count post-processing violates the structural conditions "
-        "(single-to-single, click erasure, or survival ordering)",
-    ),
-    # a multi click demoted to a single one: the multiclick graining has no swap solution
-    "graining-without-swap": (
-        PASSIVE, _bent_dark_map("0011", "0001"), "coarse-grain-swap",
-        "the coarse graining has no swap solution: no stochastic P_dc has M P_db = P_dc M",
-    ),
-    "click-count-at-corner-2": (
-        PASSIVE, _bent_povm(lambda desc: 2), "single-photon-assumption-corner2", _CLICK_COUNT,
-    ),
-    "click-count-lossless": (
-        PASSIVE, _bent_povm(lambda desc: len(desc.points(box=True)[0])), None, _CLICK_COUNT,
-    ),
-    "eta-star-passive": ({**PASSIVE, "eta_star": 0.5}, None, None, "common efficiency 0.5 outside the admissible"),
-    "eta-star-active": (
-        {**ACTIVE_NARROW, "eta_star": 0.5}, None, None, "common efficiency 0.5 outside the admissible",
-    ),
-    "zero-efficiency": (
-        {**PASSIVE, "eta_range": [0.0, 0.5]}, None, None, "admissible common-efficiency interval is empty",
-    ),
+    "eta-star-passive": ({**PASSIVE, "eta_star": 0.5}, None, "common efficiency 0.5 outside the admissible"),
+    "eta-star-active": ({**ACTIVE_NARROW, "eta_star": 0.5}, None, "common efficiency 0.5 outside the admissible"),
+    "zero-efficiency": ({**PASSIVE, "eta_range": [0.0, 0.5]}, None, "admissible common-efficiency interval is empty"),
     "unequal-active-rates": (
-        {"setup": "active-bb84", "dark_range": [[0.0, 0.01], [0.0, 0.02]]}, None, "swap-equation-lp",
+        {"setup": "active-bb84", "dark_range": [[0.0, 0.01], [0.0, 0.02]]}, "swap-equation-lp",
         "the swap equation P_sq' P_db = P_dc P_sq has no stochastic solution "
         "for the qubit squasher (it requires equal dark count rates)",
     ),
@@ -757,12 +710,9 @@ STOPS = {
 
 
 @pytest.mark.parametrize("name", list(STOPS))
-def test_a_failed_requirement_ends_the_analysis_at_its_check(monkeypatch, name):
-    data, inject, failing, requirement = STOPS[name]
-    desc = descriptor_from_dict(data)
-    if inject is not None:
-        inject(monkeypatch, desc)
-    cert = run_analysis(desc)
+def test_a_failed_requirement_ends_the_analysis_at_its_check(name):
+    data, failing, requirement = STOPS[name]
+    cert = run_analysis(descriptor_from_dict(data))
     assert cert.status == "not reducible under this framework"
     assert cert.failed_requirement.startswith(requirement)
     verdicts = [(c["name"], c["passed"]) for c in cert.checks]
@@ -777,44 +727,38 @@ def test_a_failed_requirement_ends_the_analysis_at_its_check(monkeypatch, name):
 _MULTICLICK = {k: multiclick_coarse_graining(enumerate_events(k)) for k in (2, 3, 4)}
 
 
-def test_a_graining_without_swap_records_the_gap_of_the_column_it_demotes(monkeypatch):
-    # 1e-3 leaves column 5 ("0011") of M P_db; the mean of the 11 merged columns moves by 1e-3 / 11
-    data, inject, _, _ = STOPS["graining-without-swap"]
-    desc = descriptor_from_dict(data)
-    inject(monkeypatch, desc)
-    check = run_analysis(desc).checks[-1]
-    assert abs(check["residual"] - 1e-3 * 10 / 11) <= 1e-15
+def test_a_graining_without_swap_records_the_gap_of_the_column_it_demotes():
+    # a multi click demoted to a single one: 1e-3 leaves column 5 ("0011") of
+    # M P_db, and the mean of the 11 columns merged with it moves by 1e-3 / 11
+    bent = _bent(dark_count_matrix([0.01] * 4), "0011", "0001")
     with pytest.raises(ValueError, match=r"column 5 of M P_db is 9\.091e-04 from the mean"):
-        coarse_grained_dc_ansatz(report.dark_count_matrix(desc.points(box=True)[1][0]), _MULTICLICK[4])
+        coarse_grained_dc_ansatz(bent, _MULTICLICK[4])
 
 
 @pytest.mark.parametrize("bent", [False, True], ids=["kronecker", "bent"])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_the_graining_check_passes_exactly_when_the_ansatz_returns(bent, data):
+    # the swap check of the one candidate, the mean of the merged columns of
+    # M P_db, passes (to 1e-12) exactly when the ansatz returns it
     k = data.draw(st.integers(2, 4))
     rates = data.draw(st.lists(st.floats(0.0, 0.5), min_size=k, max_size=k))  # every diagonal entry >= 1/16
-    mode_map = np.eye(k)[:, : data.draw(st.integers(1, k))].tolist()
-    desc = descriptor_from_dict(
-        {"setup": "custom", "k": k, "mode_map": mode_map, "coarse_grain": "multiclick",
-         "dark_range": [[0.0, d] for d in rates]}
-    )
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        if bent:  # a multi-click column bent to a single or no-click one parts from the columns merged with it
-            labels = enumerate_events(k).labels  # labels[k + 1:] are the multi-click patterns
-            pattern = data.draw(st.sampled_from(labels[k + 1:]) | st.sampled_from(labels))
-            to = data.draw((st.sampled_from(labels[: k + 1]) | st.sampled_from(labels)).filter(lambda x: x != pattern))
-            _bent_dark_map(pattern, to)(monkeypatch, desc)
-        p_db = report.dark_count_matrix(rates)
-        (check,) = [c for c in run_analysis(desc).checks if c["name"] == "coarse-grain-swap"]
-    cg = _MULTICLICK[k]
+    p_db = dark_count_matrix(rates)
+    if bent:  # a multi-click column bent to a single or no-click one parts from the columns merged with it
+        labels = enumerate_events(k).labels  # labels[k + 1:] are the multi-click patterns
+        pattern = data.draw(st.sampled_from(labels[k + 1:]) | st.sampled_from(labels))
+        to = data.draw((st.sampled_from(labels[: k + 1]) | st.sampled_from(labels)).filter(lambda x: x != pattern))
+        p_db = _bent(p_db, pattern, to)
+    cg = _MULTICLICK[k].entries
+    candidate = (cg @ p_db.entries @ cg.T) / cg.sum(axis=1)
+    passed = swap_residual(candidate, cg, p_db.entries) <= 1e-12
     try:
-        p_dc = coarse_grained_dc_ansatz(p_db, cg)
+        p_dc = coarse_grained_dc_ansatz(p_db, _MULTICLICK[k])
     except ValueError:
-        assert not check["passed"]
+        assert not passed
     else:
-        assert check["passed"]
-        assert check["residual"] == swap_residual(p_dc.entries, cg.entries, p_db.entries)
+        assert passed
+        np.testing.assert_array_equal(p_dc.entries, candidate)
 
 
 def _replayed_channel_checks(desc, cert, wrap) -> dict:
@@ -823,7 +767,7 @@ def _replayed_channel_checks(desc, cert, wrap) -> dict:
     The channels come from the public builders, each passed through ``wrap``.
     """
     tol, out = desc.tol, {}
-    bb84, dark, loss = map(wrap, (bb84_simple_noise_channel, dark_count_channel, loss_channel))
+    bb84, generic = map(wrap, (bb84_simple_noise_channel, generic_channel))
     if desc.setup == "active-bb84":
         d_vec, lp = active_swap_lp(desc)
         channel = bb84(float(d_vec[0]))
@@ -835,32 +779,27 @@ def _replayed_channel_checks(desc, cert, wrap) -> dict:
         return out
     cg = multiclick_coarse_graining(enumerate_events(desc.k)) if desc.coarse_grain == "multiclick" else None
 
-    def target(eta):
+    def target(eta, dark=()):
         povm = build_threshold_povm(build_setup(desc, eta), 1)
+        if dark:
+            povm = apply_postprocessing(dark_count_matrix(dark), povm)
         return flag_state_target(povm if cg is None else apply_postprocessing(cg, povm), 1)
 
-    _, (d_max,) = desc.points(box=True)
-    p_db = dark_count_matrix(d_max)
-    p_db = p_db if cg is None else coarse_grained_dc_ansatz(p_db, cg)
-    eta_star = cert.derived["eta_star"]
-    f_lossless, f_star = target(np.ones(desc.k)), target(eta_star)
-    proj0, proj1 = (f_star.layout.projector(photon_label(m)) for m in (0, 1))
+    f_ideal = target(np.full(desc.k, cert.derived["eta_star"]))
+    proj01 = f_ideal.layout.projector(("m=0", "m=1"))
     for check in cert.checks:
-        suffix = check["name"].removeprefix("single-photon-assumption")
+        suffix = check["name"].removeprefix("generic-channel-cptp")
         if suffix == check["name"]:
             continue
-        eta = np.array(check["inputs"]["eta"])
-        f_eta = target(eta)
-        for kind, channel, statistics, weight in (
-            ("dark", dark(p_db, f_eta), (p_db, f_eta, f_eta),
-             ([[p_db.entries[0, 0]]], [proj0 + proj1], [proj0 + proj1])),
-            ("loss", loss(eta, eta_star, f_lossless), (None, f_eta, f_star),
-             ([[1.0, eta.min() / eta_star]], [proj0, proj1], [proj0 + proj1])),
+        inputs = check["inputs"]
+        f_noise, q = target(np.array(inputs["eta"]), inputs["dark"]), inputs["q"]
+        channel = generic(f_noise, f_ideal, q)
+        out[f"generic-channel-cptp{suffix}"] = (verify_cptp, verify_cptp(channel, tol).residual)
+        for name, identities in (
+            ("statistics", (None, f_noise, f_ideal)), ("weight-relation", ([[1.0 - q]], [proj01], [proj01])),
         ):
-            out[f"{kind}-channel-cptp{suffix}"] = (verify_cptp, verify_cptp(channel, tol).residual)
-            for name, identities in (("statistics", statistics), ("weight-relation", weight)):
-                stats = verify_statistics_equivalence(*identities, channel, tol)
-                out[f"{kind}-channel-{name}{suffix}"] = (verify_statistics_equivalence, stats.max_residual)
+            stats = verify_statistics_equivalence(*identities, channel, tol)
+            out[f"generic-channel-{name}{suffix}"] = (verify_statistics_equivalence, stats.max_residual)
     return out
 
 
@@ -888,10 +827,10 @@ def test_certificate_checks_reproduce_through_the_operations_they_name(monkeypat
     # analyze scores every channel in one eigensolve and one contraction;
     # each channel check must still be what the public function it names
     # gives on that corner's channel, exact or failing; the analysis calls
-    # the constructions behind the dark and loss builders
+    # the construction behind the generic builder
     wrap = _with_fault if faulty else (lambda build: build)
     if faulty:
-        for factory in ("bb84_simple_noise_channel", "_dark_count_channel", "_loss_channel"):
+        for factory in ("bb84_simple_noise_channel", "_generic_channel"):
             monkeypatch.setattr(report, factory, _with_fault(getattr(report, factory)))
     desc = load_descriptor(ROOT / "descriptors" / f"{name}.json")
     calls = []
@@ -911,23 +850,25 @@ def test_certificate_checks_reproduce_through_the_operations_they_name(monkeypat
         assert abs(check["residual"] - residual) <= 1e-15, check["name"]
 
 
-# The preconditions of the dark and loss channels, and the builder guards that would decide them again.
-_DECISIONS = {
-    "verify_single_photon_assumption": 1,
-    "validate_dark_count_pp": 1,
-    "check_eta_star": 1,
-    "_require_one_photon_target": 0,
-    "_require_exact_flags": 0,
-}
+# The dark and loss channels' preconditions and builders, and the generic builder's guard.
+_OLD_ROUTE = (
+    "validate_dark_count_pp",
+    "verify_single_photon_assumption",
+    "coarse_grained_dc_ansatz",
+    "dark_count_channel",
+    "loss_channel",
+    "_deviation_bound",
+)
 
 
-def test_each_channel_precondition_is_decided_once(monkeypatch):
-    # the click-count assumption (one call on the stack of corners, lossless
-    # and eta_star), the dark-count conditions and eta_star's admissibility
-    # are each decided by the check that records them, and by nothing else
-    counts, wrapped = dict.fromkeys(_DECISIONS, 0), set()
+@pytest.mark.parametrize("command", ["analyze", "verify-channel"])
+def test_the_flag_state_route_calls_none_of_the_old_routes_functions(monkeypatch, tmp_path, command):
+    # one generic channel per corner: no precondition is decided on the path,
+    # no dark or loss channel is built, and the public generic builder's
+    # deviation bound is not computed
+    counts, wrapped = dict.fromkeys(_OLD_ROUTE, 0), set()
     for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "detcert"]:
-        for name in _DECISIONS.keys() & vars(module).keys():
+        for name in set(_OLD_ROUTE) & vars(module).keys():
 
             def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
                 counts[_name] += 1
@@ -935,34 +876,84 @@ def test_each_channel_precondition_is_decided_once(monkeypatch):
 
             monkeypatch.setattr(module, name, counted)
             wrapped.add(name)
-    assert wrapped == set(_DECISIONS)
-    assert run_analysis(load_descriptor(ROOT / "descriptors" / "passive_bb84.json")).all_passed
-    assert counts == _DECISIONS
+    assert wrapped == set(_OLD_ROUTE)
+    path = str(ROOT / "descriptors" / "passive_bb84.json")
+    assert cli.main([command, path, "--out", str(tmp_path / "out.json")]) == EXIT_OK
+    assert counts == dict.fromkeys(_OLD_ROUTE, 0)
+
+
+def _excess_low(f_noise, f_ideal, q) -> float:
+    """The smallest eigenvalue of any ``F_noise_i - (1 - q) F_ideal_i``: nonnegative exactly when ``q >= q*``.
+
+    Read directly, not through ``_deviation_bound``, whose whitening declares
+    a support deficit (``q* = 1``) once an element's eigenvalues fall to
+    1e-12, as they do at efficiencies near 1e-12.
+    """
+    return float(np.linalg.eigvalsh(f_noise.dense - (1.0 - q) * f_ideal.dense).min())
 
 
 @settings(max_examples=40, deadline=None)
 @given(data=_descriptor_json().filter(lambda data: data["setup"] != "active-bb84"))
 def test_public_builders_accept_what_the_analysis_constructs(data):
-    # the analysis calls the constructions behind the dark and loss builders;
-    # on the exact inputs it passes, every guard of the builder holds and the
-    # builder's Choi values are the construction's, bit for bit
+    # the analysis calls the construction behind the generic builder, on the
+    # stack of corners; at each corner the builder's bound q >= q* holds, as
+    # the excess F_noise_i - (1 - q) F_ideal_i is PSD to rounding, and where
+    # the builder's own eigensolve admits q its Choi matrix is that corner's,
+    # bit for bit
     calls = []
     with pytest.MonkeyPatch.context() as recording:
-        for public, private in ((dark_count_channel, "_dark_count_channel"), (loss_channel, "_loss_channel")):
-            build = getattr(report, private)
-            recording.setattr(report, private, lambda *a, _p=public, _b=build: calls.append((_p, _b, a)) or _b(*a))
+        build = report._generic_channel
+        recording.setattr(report, "_generic_channel", lambda *a: calls.append(a) or build(*a))
         run_analysis(descriptor_from_dict({**data, "cutoff": 1}))
     assume(calls)
-    for public, private, args in calls:
-        built, constructed = public(*args).support.values, private(*args).support.values
-        assert (built.dtype, built.shape, built.tobytes()) == (constructed.dtype, constructed.shape, constructed.tobytes())
+    ((f_noise, f_ideal, q),) = calls
+    assert _excess_low(f_noise, f_ideal, q) >= -1e-12
+    for i, constructed in enumerate(build(f_noise, f_ideal, q).support.dense()):
+        corner = f_noise.take(i)
+        if q >= _deviation_bound(corner, f_ideal)[0]:
+            (built,) = generic_channel(corner, f_ideal, q).support.dense()
+            assert built.tobytes() == constructed.tobytes()
 
 
-def test_analysis_records_measured_dark_count_residual():
-    cert = run_analysis(descriptor_from_dict(PASSIVE))
-    (check,) = [c for c in cert.checks if c["name"] == "dark-count-conditions"]
-    assert (check["residual"], check["tolerance"], check["passed"]) == (0.0, 1e-9, True)
-    assert all(c["passed"] == (c["residual"] <= c["tolerance"]) for c in cert.checks)
+_FRACTIONS = st.lists(_UNIT, min_size=4, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=_descriptor_json().filter(lambda data: data["setup"] != "active-bb84"),
+    star=_UNIT, eta_at=_FRACTIONS, dark_at=_FRACTIONS,
+)
+@example(  # no slack: eta_star at its lower end, which the least efficient detector sets, at the top dark rates
+    data={**PASSIVE, "eta_range": [[0.5, 0.5]] + [[0.6, 0.6]] * 3}, star=0.0, eta_at=[0.0] * 4, dark_at=[1.0] * 4,
+)
+def test_the_certified_channel_exists_inside_the_box(data, star, eta_at, dark_at):
+    # the analysis certifies the generic channel at the box's corners, at
+    # q = 1 - p00 eta_min / eta_star; at any point (eta, d) of the box, for
+    # any admissible eta_star, the noisy measurement still dominates
+    # (1 - q) times the ideal one, so q* <= q and the channel at q exists
+    desc = descriptor_from_dict({**data, "cutoff": 1})
+    corners, (d_max,) = desc.points(box=True)
+    eta_min = float(corners.min())
+    assume(eta_min > 0.0)
+    eta_hi = corners.max(axis=0)  # the all-high corner binds the admissible interval
+    low = eta_star_range(float(eta_hi.min()), float(eta_hi.max()))[0]
+    eta_star = min(1.0, low + star * (1.0 - low))
+    (lo, hi), top = np.array(desc.eta_range).T, np.array(desc.dark_range)[:, 1]
+    eta = lo + np.array(eta_at[: desc.k]) * (hi - lo)
+    dark = top * np.array(dark_at[: desc.k])
+    cg = multiclick_coarse_graining(enumerate_events(desc.k)) if desc.coarse_grain == "multiclick" else None
+
+    def target(povm):
+        return flag_state_target(povm if cg is None else apply_postprocessing(cg, povm), 1)
+
+    f_noise = target(apply_postprocessing(dark_count_matrix(dark), build_threshold_povm(build_setup(desc, eta), 1)))
+    f_ideal = target(build_threshold_povm(build_setup(desc, np.full(desc.k, eta_star)), 1))
+    q = 1.0 - float(dark_count_matrix(d_max).entries[0, 0]) * (eta_min / eta_star)
+    assert _excess_low(f_noise, f_ideal, q) >= -1e-12
+    # the public builder admits q, or its own q* where its eigensolve puts q* above q
+    channel = generic_channel(f_noise, f_ideal, max(q, _deviation_bound(f_noise, f_ideal)[0]))
+    assert verify_cptp(channel, 1e-9).passed
+    assert verify_statistics_equivalence(None, f_noise, f_ideal, channel, 1e-9).passed
 
 
 def test_analysis_custom_setup():
