@@ -36,7 +36,6 @@ _EXPORTS = {
         "coarse_grained_dc_ansatz",
         "dark_count_matrix",
         "multiclick_coarse_graining",
-        "single_photon_loss_matrix",
         "solve_swap_lp",
         "validate_dark_count_pp",
     ),
@@ -50,7 +49,6 @@ _EXPORTS = {
         "generic_channel",
         "inf_norm_mixing",
         "loss_channel",
-        "loss_split_matrix",
         "min_deviation_q",
         "verify_cptp",
         "verify_statistics_equivalence",

@@ -9,13 +9,12 @@ state to the flags.  The ideal measurement is a flag-state target: a
 ``POVM`` whose layout ends in a ``flag`` block, element ``i`` carrying the
 flag ``|i><i|`` exactly.  The public builders check that; the dark-count
 and loss builders also check that clicks never outnumber photons, and the
-generic builder that ``q`` meets the deviation bound.  The constructions
-read operator blocks off the measurement's dense stack with the block
-projectors of its layout, and take a stack of measurements or efficiency
-vectors (one per efficiency corner) to the stack of channels, one term
-formula for all of them.  The analysis certifies the generic channel from
-each corner's noisy measurement to the ideal one, calling its
-construction apart from the guard (:func:`_generic_channel`).
+generic builder that each excess is PSD to within its inputs.  The
+constructions read operator blocks off the measurement's dense stack with
+the block projectors of its layout, and take a stack of measurements or
+efficiency vectors (one per efficiency corner) to the stack of channels,
+one term formula for all of them.  The analysis builds each corner's
+generic channel with :func:`generic_channel`, one call on the stack.
 
 A channel is a sum of completely positive terms, and its Choi matrix ``J``
 is held on its support (``ChoiSupport``): the positions the term formulas
@@ -535,29 +534,19 @@ def dark_count_channel(p_db: StochasticMatrix, f_eta: POVM) -> QuantumChannel:
 
 
 def _loss_split_entries(eta: np.ndarray, eta_star: float) -> np.ndarray:
-    """Entries of ``Q`` for each efficiency vector of a stack ``(..., k)`` with ``eta_min < eta_star``."""
+    """Entries of ``Q`` for each efficiency vector of a stack ``(..., k)`` with ``eta_min < eta_star``.
+
+    ``Q`` is the residual loss map of ``P_eta = r P_eta* + (1-r) Q``, ``r = eta_min / eta_star``:
+    it keeps single click ``s`` with probability ``eta_star (eta_s - eta_min) / (eta_star - eta_min)``,
+    in ``[0, 1]`` for an admissible ``eta_star`` (:func:`check_eta_star`) and clipped to 1 where that
+    ill-conditioned probability rounds above it, near the lower end.
+    """
     eta_min = eta.min(axis=-1, keepdims=True)
     # Divided by (eta_star - eta_min) / eta_star, which lies in (0, 1], not
     # multiplied by eta_star first, which underflows at subnormal
     # efficiencies; at eta_star = 1 the two agree bit for bit.
     keep = (eta - eta_min) / ((eta_star - eta_min) / eta_star)
     return _single_photon_loss_entries(np.clip(keep, 0.0, 1.0))
-
-
-def loss_split_matrix(eta, eta_star: float) -> StochasticMatrix:
-    """The residual loss map in the split ``P_eta = r P_eta* + (1-r) Q``.
-
-    ``r = eta_min / eta_star``; the returned ``Q`` keeps single click ``s``
-    with probability ``eta_star (eta_s - eta_min) / (eta_star - eta_min)``.
-    Entries stay in [0, 1] exactly when ``eta_star`` is admissible
-    (:func:`check_eta_star`, as in :func:`loss_channel`); near its lower
-    end the ill-conditioned keep probability is clipped to 1.
-    """
-    eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    if eta_star <= float(eta.min()):
-        raise ValueError("the split needs eta_star above eta_min")
-    check_eta_star(eta, eta_star)
-    return StochasticMatrix(_loss_split_entries(eta, eta_star))
 
 
 def loss_channel(eta, eta_star: float, f_lossless: POVM) -> QuantumChannel:
@@ -602,6 +591,14 @@ def loss_channel(eta, eta_star: float, f_lossless: POVM) -> QuantumChannel:
     return QuantumChannel(layout, layout, terms)
 
 
+def _require_matching(f_noise: POVM, f_ideal: POVM, noise_stack: bool):
+    """Two measurements on one layout and event table size; a stacked ``f_noise`` only if ``noise_stack``."""
+    if f_noise.layout != f_ideal.layout or len(f_noise) != len(f_ideal):
+        raise ValueError("measurements do not match")
+    if f_ideal.stacked or (f_noise.stacked and not noise_stack):
+        raise ValueError("a deviation compares two measurements, not stacks of them")
+
+
 def _deviation_bound(f_noise: POVM, f_ideal: POVM) -> tuple[float, bool]:
     """The unrounded smallest admissible deviation ``q*``, and whether ``F_noise`` has a support deficit.
 
@@ -611,10 +608,7 @@ def _deviation_bound(f_noise: POVM, f_ideal: POVM) -> tuple[float, bool]:
     *Matrix Analysis*, 2nd ed., section 7.7).  So ``q* = 1 - min_i t_i``:
     1 on a support deficit, 0 for identical measurements.
     """
-    if f_noise.layout != f_ideal.layout or len(f_noise) != len(f_ideal):
-        raise ValueError("measurements do not match")
-    if f_noise.stacked or f_ideal.stacked:
-        raise ValueError("a deviation compares two measurements, not stacks of them")
+    _require_matching(f_noise, f_ideal, noise_stack=False)
     noise, ideal = f_noise.dense, f_ideal.dense
     if np.array_equal(noise, ideal):
         return 0.0, False
@@ -632,47 +626,53 @@ def _deviation_bound(f_noise: POVM, f_ideal: POVM) -> tuple[float, bool]:
 def generic_channel(f_noise: POVM, f_ideal: POVM, q: float) -> QuantumChannel:
     """Noise channel for an arbitrary deviation ``q`` between two targets.
 
-    Admits ``q`` exactly when ``q >= q*``, the deviation bound of
-    :func:`min_deviation_q` before its rounding, so every
-    ``F_noise_i - (1-q) F_ideal_i`` is PSD; the excess defines a POVM that
-    the channel measures on the preserved blocks, surrendering weight ``q``
-    to the flags.
+    Admits ``q`` exactly when every excess ``E_i = F_noise_i - (1-q) F_ideal_i``
+    has ``lambda_min(E_i) >= -r_i``, ``r_i = d eps (|F_noise_i|_F + |F_ideal_i|_F)
+    + s(F_noise_i) + (1-q) s(F_ideal_i)`` in dimension ``d``: the backward error
+    of forming and eigensolving ``E_i`` (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2002), and by Weyl's inequality the shortfall
+    ``s(F) = max(0, -lambda_min(F))`` of an element that :class:`POVM` accepts
+    as PSD to its tolerance, computed only if the first term rejects.  The channel
+    measures the excess on the preserved blocks, surrendering weight ``q`` to
+    the flags.  A stacked ``f_noise`` gives the stack of channels; a rejection
+    names the largest ``q*`` of :func:`_deviation_bound` over the stack.
     """
     _require_unit(q, "q")
     _require_exact_flags(f_ideal, "the ideal")
-    q_star, _ = _deviation_bound(f_noise, f_ideal)
-    if q < q_star:
+    _require_matching(f_noise, f_ideal, noise_stack=True)
+    noise, ideal = f_noise.dense, f_ideal.dense
+    excess = noise - (1.0 - q) * ideal
+    low = np.linalg.eigvalsh(excess)[..., 0]
+    norms = np.linalg.norm(noise, axis=(-2, -1)) + np.linalg.norm(ideal, axis=(-2, -1))
+    radius = ideal.shape[-1] * np.finfo(float).eps * norms
+    if (low < -radius).any():
+        short_noise, short_ideal = (np.maximum(0.0, -np.linalg.eigvalsh(a)[..., 0]) for a in (noise, ideal))
+        radius = radius + short_noise + (1.0 - q) * short_ideal
+    if (low < -radius).any():
+        entries = map(f_noise.take, range(len(noise))) if f_noise.stacked else [f_noise]
+        q_star = max(_deviation_bound(entry, f_ideal)[0] for entry in entries)
         raise ValueError(f"q={q} violates the deviation bound q*={q_star!r}")
-    return _generic_channel(f_noise, f_ideal, q)
-
-
-def _generic_channel(f_noise: POVM, f_ideal: POVM, q: float) -> QuantumChannel:
-    """The construction of :func:`generic_channel`, on inputs that pass its guards.
-
-    A stacked ``f_noise`` gives the stack of channels, one ``q`` and
-    ``f_ideal`` serving all of them.
-    """
     layout = f_ideal.layout
     n = len(f_ideal)
     preserved = layout.projector(layout.photon_labels)
-    # Measure the excess F_noise_i - (1-q) F_ideal_i, of total weight q, on
-    # the preserved blocks and raise flag i.
-    gap = preserved @ (f_noise.dense - (1.0 - q) * f_ideal.dense) @ preserved
+    # Measure the excess, of total weight q, on the preserved blocks and raise flag i.
     flags = _diagonal_states(layout.total_dim, layout.offset(FLAG_LABEL) + np.arange(n), np.eye(n))
     return QuantumChannel(layout, layout, (
         _KeepBlocks(weight=1.0 - q, projector=preserved),
         _KeepBlocks(weight=1.0, projector=layout.projector(FLAG_LABEL)),
-        _MeasurePrepare(ops=gap, preps=flags),
+        _MeasurePrepare(ops=preserved @ excess @ preserved, preps=flags),
     ))
 
 
 def min_deviation_q(f_noise: POVM, f_ideal: POVM) -> float:
     """Smallest deviation ``q`` admissible between two measurements, in closed form.
 
-    The bound ``q*`` of :func:`generic_channel`, rounded up by
+    The bound ``q*`` of :func:`_deviation_bound`, rounded up by
     ``_DEVIATION_RADIUS`` to cover the rounding of the eigensolves, and at
     most 1; a support deficit warns and gives 1.  Identical measurements
-    give 0.
+    give 0.  The closed form treats eigenvalues of ``F_noise_i`` up to
+    ``_SUPPORT_TOL`` as off its support, so it is conservative: near a dark
+    element it can give 1 where :func:`generic_channel` admits a smaller ``q``.
     """
     q_star, deficit = _deviation_bound(f_noise, f_ideal)
     if deficit:

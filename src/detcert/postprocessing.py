@@ -104,20 +104,14 @@ def _dark_count_index(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return bits[:, :, None], bits[:, None, :], np.arange(k)[:, None, None]
 
 
-def single_photon_loss_matrix(eta) -> StochasticMatrix:
-    """Loss as post-processing, valid on at most one incident photon.
-
-    Acts on the ``k + 1`` outcomes {no-click} + singles: the no-click event
-    stays put, and single click ``s`` survives with probability ``eta_s``
-    or decays to no-click.  For one detector this is ``[[1, 1-eta], [0, eta]]``.
-    """
-    eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    _require_unit(eta, "efficiencies")
-    return StochasticMatrix(_single_photon_loss_entries(eta))
-
-
 def _single_photon_loss_entries(eta: np.ndarray) -> np.ndarray:
-    """Entries of the single-photon loss map for each efficiency vector of a stack ``(..., k)``."""
+    """Entries of the single-photon loss map for each efficiency vector of a stack ``(..., k)``.
+
+    Loss as post-processing, valid on at most one incident photon, on the
+    ``k + 1`` outcomes {no-click} + singles: no-click stays put, and single
+    click ``s`` survives with probability ``eta_s`` or decays to no-click.
+    For one detector this is ``[[1, 1-eta], [0, eta]]``.
+    """
     k = eta.shape[-1]
     p = np.zeros(eta.shape[:-1] + (k + 1, k + 1))
     p[..., 0, 0] = 1.0

@@ -27,10 +27,10 @@ import numpy as np
 from . import __version__
 from .channels import (
     ChoiConstraintSystem,
-    _generic_channel,
     bb84_qubit_measurement,
     bb84_simple_noise_channel,
     certify_choi,
+    generic_channel,
 )
 from .descriptor import DescriptorError, SetupDescriptor
 from .detectors import DetectionSetup, _Verdict, build_threshold_povm, enumerate_events, passive_bb84_setup
@@ -283,7 +283,7 @@ def _analyze_flag_state(desc: SetupDescriptor, cert: Certificate):
     # Phi^dag(F_ideal_i) = F_noise_i and the weight relation Phi^dag(P01) = (1 - q) P01.
     proj01 = f_ideal.layout.projector(f_ideal.layout.photon_labels)
     identities = ChoiConstraintSystem((None, f_noise, f_ideal), ([[1.0 - q]], [proj01], [proj01]))
-    cptp, scores = certify_choi(_generic_channel(f_noise, f_ideal, q).support, identities, desc.tol)
+    cptp, scores = certify_choi(generic_channel(f_noise, f_ideal, q).support, identities, desc.tol)
     statistics, weights = scores[:, :-1].max(axis=1).tolist(), scores[:, -1].tolist()
     for idx, eta_vec in enumerate(corners):
         suffix = f"-corner{idx}"
@@ -353,19 +353,25 @@ def run_analysis(desc: SetupDescriptor) -> Certificate:
 
 
 def run_weight(desc: SetupDescriptor) -> dict:
-    """Weight bound from one observed event probability, plus propagation."""
+    """Weight bound from one observed event probability, plus propagation, at the one point of ``desc.points``.
+
+    ``eta_star`` must be admissible there, and over the ``eta_range`` box
+    when ``eta`` is unset, as in :func:`run_analysis`.
+    """
     if desc.observed is None:
         raise DescriptorError("observed: the weight command needs an observed event")
     if desc.cutoff > 2:
         raise DescriptorError("cutoff: weight estimation needs cutoff <= 2")
     event, prob = desc.observed
-    etas, (d_vec,) = desc.points(box=False)
+    # Two calls: the box's one dark row is the top of each range, not a given ``dark``.
+    (eta,), (d_vec,) = desc.points(box=False)
+    etas, _ = desc.points(box=desc.eta is None)
     try:
         eta_star = _common_efficiency(desc, etas, {})
     except ValueError as exc:  # an empty interval is the efficiencies', an excluded eta_star its own
         blamed = "eta_star" if etas.min() > 0.0 else "eta_range" if desc.eta is None else "eta"
         raise DescriptorError(f"{blamed}: {exc}") from exc
-    setup = build_setup(desc, etas[0])
+    setup = build_setup(desc, eta)
     try:  # a map within the isometry rule can lift to a non-measurement on more photons
         povm = build_threshold_povm(setup, desc.cutoff + 1)
     except ValueError as exc:
@@ -375,7 +381,7 @@ def run_weight(desc: SetupDescriptor) -> dict:
     except ValueError as exc:
         raise DescriptorError(f"observed: {exc}") from exc
     p00 = float(dark_count_matrix(d_vec).entries[0, 0])
-    propagated = propagate_weight(wb.value, p00, float(etas.min()), eta_star)
+    propagated = propagate_weight(wb.value, p00, float(eta.min()), eta_star)
     return {
         "event": list(wb.event),
         "cutoff": wb.cutoff,

@@ -25,15 +25,14 @@ from detcert import (
     generic_channel,
     inf_norm_mixing,
     loss_channel,
-    loss_split_matrix,
     min_deviation_q,
     passive_bb84_setup,
-    single_photon_loss_matrix,
     verify_cptp,
     verify_statistics_equivalence,
 )
-from detcert.channels import _KeepBlocks
+from detcert.channels import _KeepBlocks, _loss_split_entries
 from detcert.detectors import POVM
+from detcert.postprocessing import _single_photon_loss_entries
 
 
 @pytest.fixture(scope="module")
@@ -209,9 +208,9 @@ def test_loss_split_reconstructs_loss_map():
             if eta_star <= eta.min():
                 continue
             ratio = eta.min() / eta_star
-            q = loss_split_matrix(eta, eta_star).entries
-            p_eta = single_photon_loss_matrix(eta).entries
-            p_star = single_photon_loss_matrix(np.full(4, eta_star)).entries
+            q = _loss_split_entries(eta, eta_star)
+            p_eta = _single_photon_loss_entries(eta)
+            p_star = _single_photon_loss_entries(np.full(4, eta_star))
             np.testing.assert_allclose(
                 p_eta, ratio * p_star + (1 - ratio) * q, atol=1e-12
             )
@@ -268,10 +267,6 @@ def test_loss_channel_rejects_inadmissible_eta_star():
     for eta_star in (0.52, 1.5):
         with pytest.raises(ValueError, match="admissible"):
             loss_channel(eta, eta_star, f_lossless)
-        with pytest.raises(ValueError, match="admissible"):
-            loss_split_matrix(eta, eta_star)
-    with pytest.raises(ValueError, match="admissible"):
-        loss_split_matrix([0.5, 0.6], 1.5)
 
 
 
@@ -339,6 +334,50 @@ def test_generic_channel_admits_exactly_the_closed_form_bound(seed):
         generic_channel(f_noise, f_ideal, oracle - 1e-9)
     q = min_deviation_q(f_noise, f_ideal)
     assert verify_cptp(generic_channel(f_noise, f_ideal, q), 1e-9).residual <= 1e-14
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("scale", [0.5, 2.0])
+def test_generic_channel_admits_an_excess_within_its_rounding_radius(scale, stacked):
+    # at q = 0 the excess of element 0 is -delta on the vacuum, moved to
+    # element 1; it is admitted iff delta <= r = d eps (|F_noise_0|_F + |F_ideal_0|_F)
+    f_ideal = flag_state_target(build_threshold_povm(passive_bb84_setup(0.9), 1), 1)
+    ideal = f_ideal.dense
+    eps_d = ideal.shape[-1] * np.finfo(float).eps
+    noise = ideal.copy()
+    delta = scale * eps_d * 2.0 * np.linalg.norm(ideal[0])
+    noise[0, 0, 0] -= delta
+    noise[1, 0, 0] += delta
+    radius = eps_d * (np.linalg.norm(noise[0]) + np.linalg.norm(ideal[0]))
+    assert -np.linalg.eigvalsh(noise - ideal)[0, 0] / radius == pytest.approx(scale, rel=0.1)
+    # as one corner of a stack, the others equal to the ideal measurement
+    f_noise = POVM(f_ideal.layout, np.stack([ideal, noise, ideal]) if stacked else noise, f_ideal.events)
+    if scale < 1.0:
+        assert len(generic_channel(f_noise, f_ideal, 0.0).support.values) == (3 if stacked else 1)
+    else:
+        with pytest.raises(ValueError, match=r"^q=0\.0 violates the deviation bound q\*=\d"):
+            generic_channel(f_noise, f_ideal, 0.0)
+
+
+def test_generic_channel_admits_min_deviation_q_on_an_element_short_of_psd():
+    # POVM accepts an element PSD to -1e-10; here element 1 is -1e-11 on the
+    # vacuum, where the ideal click vanishes, so its excess is -1e-11 at every q
+    f_ideal = flag_state_target(build_threshold_povm(passive_bb84_setup(0.9), 1), 1)
+    noise = f_ideal.dense.copy()
+    noise[1, 0, 0] -= 1e-11
+    noise[0, 0, 0] += 1e-11
+    f_noise = POVM(f_ideal.layout, noise, f_ideal.events)
+    q = min_deviation_q(f_noise, f_ideal)
+    assert q == pytest.approx(1e-12)  # the closed form reads the -1e-11 as off the support
+    ch = generic_channel(f_noise, f_ideal, q)
+    assert verify_cptp(ch, 1e-9).passed
+    assert verify_statistics_equivalence(None, f_noise, f_ideal, ch, tol=1e-9).passed
+    # the shortfall widens only its own element's radius: element 3 stays PSD, its excess does not
+    noise[3, 1, 1] -= 1e-11
+    noise[0, 1, 1] += 1e-11
+    with pytest.raises(ValueError, match=r"violates the deviation bound q\*="):
+        generic_channel(POVM(f_ideal.layout, noise, f_ideal.events), f_ideal, q)
+
 
 def test_min_deviation_q_identical_measurements():
     rng = np.random.default_rng(11)

@@ -469,8 +469,8 @@ def test_support_kernel_matches_dense_oracle(case, seed):
 
 
 def _inject_at_corner2(fault):
-    """The analysis's generic-channel construction, its Choi stack with ``fault`` applied at corner 2."""
-    build = report._generic_channel
+    """The analysis's generic-channel builder, its Choi stack with ``fault`` applied at corner 2."""
+    build = report.generic_channel
 
     def wrapped(f_noise, f_ideal, q):
         channel = build(f_noise, f_ideal, q)
@@ -499,7 +499,7 @@ def test_fault_at_one_corner_of_the_stack_fails_that_corner_only(monkeypatch, fa
     desc = descriptor_from_dict(PASSIVE)
     clean = report.run_analysis(desc)
     assert len([c for c in clean.checks if c["name"].startswith("generic-channel-cptp")]) == 4
-    monkeypatch.setattr(report, "_generic_channel", _inject_at_corner2(fault))
+    monkeypatch.setattr(report, "generic_channel", _inject_at_corner2(fault))
     cert = report.run_analysis(desc)
     failed = {c["name"] for c in cert.checks if not c["passed"]}
     assert "generic-channel-cptp-corner2" in failed

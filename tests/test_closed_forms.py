@@ -44,12 +44,12 @@ from detcert import (
     dark_count_matrix,
     enumerate_events,
     eta_star_range,
-    loss_split_matrix,
     multiclick_coarse_graining,
     propagate_weight,
     validate_dark_count_pp,
     verify_single_photon_assumption,
 )
+from detcert.channels import _loss_split_entries
 
 D1, D2 = sp.symbols("d1 d2", nonnegative=True)
 
@@ -413,7 +413,7 @@ def _exact_keep(eta, eta_star):
 @given(eta=st.lists(st.floats(1e-100, 1.0), min_size=2, max_size=4), u=st.floats(0.0, 1.0))
 def test_loss_split_builder_is_its_stated_formula(eta, u):
     eta_star, _ = _admissible_eta_star(eta, u)
-    keep = np.diag(loss_split_matrix(eta, eta_star).entries)[1:]
+    keep = np.diag(_loss_split_entries(np.array(eta), eta_star))[1:]
     np.testing.assert_allclose(keep, _exact_keep(eta, eta_star), rtol=0, atol=1e-15)
 
 
@@ -422,7 +422,7 @@ def test_loss_split_builder_is_its_stated_formula_at_subnormal_efficiencies():
     # admissible, as f rounds to 1.5e-323, and keep 0.6 and 0.9
     eta = [1e-323, 0.3]
     for eta_star, want in ((2e-323, 0.6), (1.5e-323, 0.9)):
-        keep = np.diag(loss_split_matrix(eta, eta_star).entries)[1:]
+        keep = np.diag(_loss_split_entries(np.array(eta), eta_star))[1:]
         np.testing.assert_allclose(keep, _exact_keep(eta, eta_star), rtol=0, atol=1e-15)
         assert keep[1] == pytest.approx(want, rel=1e-15)
 

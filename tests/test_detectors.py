@@ -27,7 +27,6 @@ from detcert import (
     generic_channel,
     passive_bb84_setup,
     propagate_weight,
-    single_photon_loss_matrix,
     verify_single_photon_assumption,
     weight_bound,
 )
@@ -42,7 +41,12 @@ from detcert.channels import (
 from detcert.detectors import POVM, SinglePhotonAssumptionReport, _lift_isometry, _Verdict
 from detcert.feasibility import ChoiWitnessReport, verify_choi_witness
 from detcert.fock import SpaceLayout
-from detcert.postprocessing import DarkCountConditionsReport, dark_count_matrix, validate_dark_count_pp
+from detcert.postprocessing import (
+    DarkCountConditionsReport,
+    _single_photon_loss_entries,
+    dark_count_matrix,
+    validate_dark_count_pp,
+)
 
 
 def test_enumerate_events_k1():
@@ -128,12 +132,10 @@ def test_m0_blocks_independent_of_eta():
 def test_k1_matches_loss_postprocessing():
     # On at most one photon the lossy POVM is the loss map applied to the
     # lossless one.
-    from detcert import single_photon_loss_matrix
-
     setup = DetectionSetup(k=1, mode_map=np.array([[1.0]]), eta=np.array([1.0]))
     lossless = build_threshold_povm(setup, 1)
     lossy = build_threshold_povm(setup.with_eta(0.6), 1)
-    p = single_photon_loss_matrix([0.6]).entries
+    p = _single_photon_loss_entries(np.array([0.6]))
     for lab in ("m=0", "m=1"):
         mixed = np.einsum("ij,jab->iab", p, lossless.block(lab))
         np.testing.assert_allclose(lossy.block(lab), mixed, atol=1e-12)
@@ -466,7 +468,6 @@ _TWO_PHOTON = build_threshold_povm(passive_bb84_setup(0.9), 2)
 _UNIT_GUARDS = {
     "DetectionSetup": (lambda x: DetectionSetup(k=1, mode_map=np.eye(1), eta=[x]), "efficiencies"),
     "dark_count_matrix": (lambda x: dark_count_matrix([x]), "dark rates"),
-    "single_photon_loss_matrix": (lambda x: single_photon_loss_matrix([x]), "efficiencies"),
     "bb84_squashed_dark_matrix": (bb84_squashed_dark_matrix, "dark rate"),
     "bb84_simple_noise_channel": (bb84_simple_noise_channel, "dark rate"),
     "generic_channel": (lambda x: generic_channel(_TARGET, _TARGET, x), "q"),

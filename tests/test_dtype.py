@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detcert import channels, detectors, report
-from detcert.channels import ChoiConstraintSystem, ChoiSupport, _generic_channel, certify_choi
+from detcert.channels import ChoiConstraintSystem, ChoiSupport, certify_choi
 from detcert.descriptor import descriptor_from_dict, load_descriptor
 from detcert.detectors import DetectionSetup, build_threshold_povm, enumerate_events
 from detcert.postprocessing import apply_postprocessing, dark_count_matrix, multiclick_coarse_graining
@@ -50,7 +50,7 @@ def _certified(mode_map, etas, rates, eta_star, coarse):
     f_noise, f_ideal = flag_state_target(noisy, 1), flag_state_target(ideal, 1)
     q = 1.0 - p_db.entries[0, 0] * etas.min() / eta_star
     proj01 = f_ideal.layout.projector(f_ideal.layout.photon_labels)
-    support = _generic_channel(f_noise, f_ideal, q).support
+    support = report.generic_channel(f_noise, f_ideal, q).support
     system = ChoiConstraintSystem((None, f_noise, f_ideal), ([[1.0 - q]], [proj01], [proj01]))
     reports, residuals = certify_choi(support, system, _TOL)
     return povms, f_noise, support, reports, residuals

@@ -34,7 +34,6 @@ from detcert import (
     generic_channel,
     inf_norm_mixing,
     loss_channel,
-    loss_split_matrix,
     min_deviation_q,
     multiclick_coarse_graining,
     passive_bb84_setup,
@@ -109,9 +108,6 @@ CASES = {
     "target where clicks outnumber photons": (
         lambda: dark_count_channel(dark_count_matrix([0.01] * 4), _bent_target()),
         ValueError, "clicks outnumber photons: element '0011'",
-    ),
-    "loss split at eta_star = eta_min": (
-        lambda: loss_split_matrix([0.5, 0.6], 0.5), ValueError, "needs eta_star above eta_min",
     ),
     "loss channel with too few efficiencies": (
         lambda: loss_channel([0.9] * 3, 1.0, _target(1.0)),

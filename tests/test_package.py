@@ -43,6 +43,40 @@ def test_star_import_resolves_every_export():
         exec("from detcert import nope", {})
 
 
+def _names_used(path: Path) -> set:
+    """Every identifier the code of ``path`` names: names, attributes, imports and definitions, not its text."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+    return names
+
+
+def test_every_exported_function_is_reached_beyond_its_own_tests():
+    # an exported function is named by the command layer (report, cli),
+    # another library module, an acceptance criterion or a demo, not only
+    # by its own tests; classes are exempt
+    library = {path.stem: _names_used(path) for path in (ROOT / "src" / "detcert").glob("*.py")}
+    del library["__init__"]  # it names every export
+    reach = _names_used(ROOT / "tests" / "test_acceptance.py").union(
+        library["report"], library["cli"], *map(_names_used, (ROOT / "demos").glob("*.py"))
+    )
+    unreached = [
+        name
+        for module, names in detcert._EXPORTS.items()
+        for name in names
+        if not isinstance(getattr(detcert, name), type)
+        and name not in reach.union(*(used for other, used in library.items() if other != module))
+    ]
+    assert unreached == []
+
+
 LOADED = "import sys\n{}\nprint(' '.join(sorted(n for n in sys.modules if n.split('.')[0] == 'detcert')))"
 # every module whose functions the benchmark's tracer wraps (bench/spans.py)
 TRACED = {f"detcert.{m}" for m in ("fock", "detectors", "postprocessing", "squashing", "channels", "feasibility", "report")}

@@ -19,10 +19,10 @@ from detcert import (
     enumerate_events,
     multiclick_coarse_graining,
     passive_bb84_setup,
-    single_photon_loss_matrix,
     solve_swap_lp,
     validate_dark_count_pp,
 )
+from detcert.postprocessing import _single_photon_loss_entries
 
 
 def test_dark_matrix_single_detector():
@@ -64,20 +64,20 @@ def test_dark_matrix_rejects_bad_rate():
 
 def test_loss_matrix_values():
     np.testing.assert_allclose(
-        single_photon_loss_matrix([0.8]).entries, [[1.0, 0.2], [0.0, 0.8]]
+        _single_photon_loss_entries(np.array([0.8])), [[1.0, 0.2], [0.0, 0.8]]
     )
     np.testing.assert_allclose(
-        single_photon_loss_matrix([1.0, 1.0]).entries, np.eye(3)
+        _single_photon_loss_entries(np.array([1.0, 1.0])), np.eye(3)
     )
     np.testing.assert_allclose(
-        single_photon_loss_matrix([0.8, 0.6]).entries,
+        _single_photon_loss_entries(np.array([0.8, 0.6])),
         [[1.0, 0.2, 0.4], [0.0, 0.8, 0.0], [0.0, 0.0, 0.6]],
     )
 
 
 def test_loss_matrix_accepts_zero_efficiency():
     np.testing.assert_array_equal(
-        single_photon_loss_matrix([0.0, 0.5]).entries,
+        _single_photon_loss_entries(np.array([0.0, 0.5])),
         [[1.0, 1.0, 0.5], [0.0, 0.0, 0.0], [0.0, 0.0, 0.5]],
     )
 
@@ -106,10 +106,9 @@ def test_stochastic_matrix_validation():
         (lambda: StochasticMatrix([[1.0, np.nan], [0.0, 1.0]]), "NaN"),
         (lambda: dark_count_matrix([np.nan]), "dark rates"),
         (lambda: dark_count_matrix([0.01, np.nan]), "dark rates"),
-        (lambda: single_photon_loss_matrix([np.nan]), "efficiencies"),
         (lambda: passive_bb84_setup([np.nan, 0.5, 0.5, 0.5]), "efficiencies"),
     ],
-    ids=["stochastic", "stochastic-column", "dark", "dark-second", "loss", "passive-setup"],
+    ids=["stochastic", "stochastic-column", "dark", "dark-second", "passive-setup"],
 )
 def test_range_checks_reject_nan(build, match):
     with pytest.raises(ValueError, match=match):

@@ -34,7 +34,7 @@ from detcert import (
     verify_statistics_equivalence,
 )
 from detcert import cli, report
-from detcert.channels import ChoiSupport, _MeasurePrepare, _deviation_bound
+from detcert.channels import ChoiSupport, _MeasurePrepare
 from detcert.descriptor import DescriptorError, SetupDescriptor, descriptor_from_dict, load_descriptor
 from detcert.postprocessing import swap_residual
 from detcert.squashing import eta_star_range
@@ -456,12 +456,15 @@ def test_weight_rejects_eta_star_inadmissible_at_its_efficiencies(tmp_path, caps
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("descriptor error: eta_star:")
-    assert "[0.5, 1.0]" in captured.err
+    assert "[0.6, 1.0]" in captured.err
+    # without eta the interval is the box's, as analyze's: the all-high corner admits only [0.6, 1]
+    with pytest.raises(DescriptorError, match="^eta_star: .*at efficiencies \\[0.6, 0.6, 0.6, 0.6\\]"):
+        run_weight(descriptor_from_dict({**data, "eta_star": 0.52}))
     # an explicit point is what weight evaluates, so it sets the interval: [0.5 / 0.9, 1] here
-    assert run_weight(descriptor_from_dict({**data, "eta_star": 0.52}))["eta_star"] == 0.52
     point = {**data, "eta_star": 0.52, "eta": [0.5, 0.5, 0.5, 0.6]}
     with pytest.raises(DescriptorError, match="^eta_star: .*at efficiencies \\[0.5, 0.5, 0.5, 0.6\\]"):
         run_weight(descriptor_from_dict(point))
+    assert run_weight(descriptor_from_dict({**point, "eta_star": 0.56}))["eta_star"] == 0.56
 
 
 def test_weight_names_the_mode_map_whose_lift_is_not_a_measurement(tmp_path, capsys):
@@ -826,11 +829,11 @@ def _with_fault(build):
 def test_certificate_checks_reproduce_through_the_operations_they_name(monkeypatch, name, faulty):
     # analyze scores every channel in one eigensolve and one contraction;
     # each channel check must still be what the public function it names
-    # gives on that corner's channel, exact or failing; the analysis calls
-    # the construction behind the generic builder
+    # gives on that corner's channel, exact or failing; the analysis builds
+    # its channels through the same public builders
     wrap = _with_fault if faulty else (lambda build: build)
     if faulty:
-        for factory in ("bb84_simple_noise_channel", "_generic_channel"):
+        for factory in ("bb84_simple_noise_channel", "generic_channel"):
             monkeypatch.setattr(report, factory, _with_fault(getattr(report, factory)))
     desc = load_descriptor(ROOT / "descriptors" / f"{name}.json")
     calls = []
@@ -882,37 +885,22 @@ def test_the_flag_state_route_calls_none_of_the_old_routes_functions(monkeypatch
     assert counts == dict.fromkeys(_OLD_ROUTE, 0)
 
 
-def _excess_low(f_noise, f_ideal, q) -> float:
-    """The smallest eigenvalue of any ``F_noise_i - (1 - q) F_ideal_i``: nonnegative exactly when ``q >= q*``.
-
-    Read directly, not through ``_deviation_bound``, whose whitening declares
-    a support deficit (``q* = 1``) once an element's eigenvalues fall to
-    1e-12, as they do at efficiencies near 1e-12.
-    """
-    return float(np.linalg.eigvalsh(f_noise.dense - (1.0 - q) * f_ideal.dense).min())
-
-
 @settings(max_examples=40, deadline=None)
 @given(data=_descriptor_json().filter(lambda data: data["setup"] != "active-bb84"))
 def test_public_builders_accept_what_the_analysis_constructs(data):
-    # the analysis calls the construction behind the generic builder, on the
-    # stack of corners; at each corner the builder's bound q >= q* holds, as
-    # the excess F_noise_i - (1 - q) F_ideal_i is PSD to rounding, and where
-    # the builder's own eigensolve admits q its Choi matrix is that corner's,
-    # bit for bit
+    # the analysis calls the public generic builder once, on the stack of
+    # corners, which admits q only if every corner's excess is PSD to
+    # rounding; the builder admits q at each corner alone, and its Choi
+    # matrix there is that corner's, bit for bit
     calls = []
     with pytest.MonkeyPatch.context() as recording:
-        build = report._generic_channel
-        recording.setattr(report, "_generic_channel", lambda *a: calls.append(a) or build(*a))
+        recording.setattr(report, "generic_channel", lambda *a: calls.append(a) or generic_channel(*a))
         run_analysis(descriptor_from_dict({**data, "cutoff": 1}))
     assume(calls)
     ((f_noise, f_ideal, q),) = calls
-    assert _excess_low(f_noise, f_ideal, q) >= -1e-12
-    for i, constructed in enumerate(build(f_noise, f_ideal, q).support.dense()):
-        corner = f_noise.take(i)
-        if q >= _deviation_bound(corner, f_ideal)[0]:
-            (built,) = generic_channel(corner, f_ideal, q).support.dense()
-            assert built.tobytes() == constructed.tobytes()
+    for i, constructed in enumerate(generic_channel(f_noise, f_ideal, q).support.dense()):
+        (built,) = generic_channel(f_noise.take(i), f_ideal, q).support.dense()
+        assert built.tobytes() == constructed.tobytes()
 
 
 _FRACTIONS = st.lists(_UNIT, min_size=4, max_size=4)
@@ -930,7 +918,7 @@ def test_the_certified_channel_exists_inside_the_box(data, star, eta_at, dark_at
     # the analysis certifies the generic channel at the box's corners, at
     # q = 1 - p00 eta_min / eta_star; at any point (eta, d) of the box, for
     # any admissible eta_star, the noisy measurement still dominates
-    # (1 - q) times the ideal one, so q* <= q and the channel at q exists
+    # (1 - q) times the ideal one, so the public builder admits q there
     desc = descriptor_from_dict({**data, "cutoff": 1})
     corners, (d_max,) = desc.points(box=True)
     eta_min = float(corners.min())
@@ -949,9 +937,7 @@ def test_the_certified_channel_exists_inside_the_box(data, star, eta_at, dark_at
     f_noise = target(apply_postprocessing(dark_count_matrix(dark), build_threshold_povm(build_setup(desc, eta), 1)))
     f_ideal = target(build_threshold_povm(build_setup(desc, np.full(desc.k, eta_star)), 1))
     q = 1.0 - float(dark_count_matrix(d_max).entries[0, 0]) * (eta_min / eta_star)
-    assert _excess_low(f_noise, f_ideal, q) >= -1e-12
-    # the public builder admits q, or its own q* where its eigensolve puts q* above q
-    channel = generic_channel(f_noise, f_ideal, max(q, _deviation_bound(f_noise, f_ideal)[0]))
+    channel = generic_channel(f_noise, f_ideal, q)
     assert verify_cptp(channel, 1e-9).passed
     assert verify_statistics_equivalence(None, f_noise, f_ideal, channel, 1e-9).passed
 

@@ -59,8 +59,8 @@ def test_traced_analyze_records_library_spans(tmp_path, monkeypatch):
     assert metrics["detectors.povm_calls"][0] == 1
     assert 0.0 < metrics["trace.coverage"][0] <= 1.0
 
-    # analyze calls the constructions behind the dark and loss builders; a
-    # direct call of each public builder is still traced
+    # analyze builds no dark-count or loss channel; a direct call of each
+    # of their public builders is still traced
     f_lossless = dc.flag_state_target(dc.build_threshold_povm(dc.passive_bb84_setup(np.ones(4)), 1), 1)
     builders = spans.Tracer()
     instrumentation = spans.Instrumentation(builders)
