@@ -20,9 +20,9 @@ A channel is a sum of completely positive terms, and its Choi matrix ``J``
 is held on its support (``ChoiSupport``): the positions the term formulas
 can make nonzero, with the values there summed over the terms.  A
 keep-blocks term lives on the nonzeros of ``vec(P)``, a measure-prepare
-term on the products of its measured and prepared entries.  Channels on
-one layout, stacks included, can share one support, one row of values per
-channel; the dense ``J`` is built only on request, for application and
+term on the products of its measured and prepared entries.  A stack of
+channels on one layout holds one support, one row of values per stack
+entry; the dense ``J`` is built only on request, for application and
 composition (the link product).  A certificate checks one of two things:
 that ``J`` is CPTP (Hermitian, PSD, ``Tr_out J = I``), or an operator
 identity ``Phi^dag(F_after_i) = sum_j P_ij F_before_j`` in the Heisenberg
@@ -57,10 +57,6 @@ from .squashing import check_eta_star
 _M0 = photon_label(0)
 _M1 = photon_label(1)
 _FLAG_TOL = 1e-12
-# min_deviation_q's closed form is rounded up by this; every larger q is admissible.
-_DEVIATION_RADIUS = 1e-12
-# An eigenvalue of F_noise_i at or below this is off its support.
-_SUPPORT_TOL = 1e-12
 
 # A Choi matrix has rows and columns ``(a, i)`` (input, output), flattened
 # to ``a * d_out + i``; a position on it is ``row * dim + col``.
@@ -244,19 +240,6 @@ class ChoiSupport:
             start += len(k)
 
     @classmethod
-    def of(cls, channels) -> "ChoiSupport":
-        """The Choi matrices of ``channels`` (stacks included), in order, on the union of their supports."""
-        first, parts, depth = channels[0], [], 0
-        for ch in channels:
-            if (ch.input_layout, ch.output_layout) != (first.input_layout, first.output_layout):
-                raise ValueError("channels on one support must share their layouts")
-            entries = ch._entries()
-            n = max([len(v) for _, v in entries], default=1)
-            parts += [(slice(depth, depth + n), k, v) for k, v in entries]
-            depth += n
-        return cls(first.input_layout.total_dim, first.output_layout.total_dim, depth, parts)
-
-    @classmethod
     def from_dense(cls, choi, d_in: int, d_out: int) -> "ChoiSupport":
         """A dense Choi matrix, or a stack of them, on the union of their nonzeros."""
         stack = np.asarray(choi, dtype=_dtype(choi)).reshape(-1, (d_in * d_out) ** 2)
@@ -353,15 +336,11 @@ class QuantumChannel:
     @property
     def support(self) -> ChoiSupport:
         if self._support is None:
-            self._support = ChoiSupport.of([self])
+            d_in, d_out = self.input_layout.total_dim, self.output_layout.total_dim
+            entries = [term.entries(d_in, d_out) for term in self.terms]
+            depth = max([len(v) for _, v in entries], default=1)
+            self._support = ChoiSupport(d_in, d_out, depth, [(slice(None), k, v) for k, v in entries])
         return self._support
-
-    def _entries(self):
-        """``(positions, values)`` of each term, or of the support once it is set."""
-        if self._support is not None:
-            return [(self._support.keys, self._support.values)]
-        d_in, d_out = self.input_layout.total_dim, self.output_layout.total_dim
-        return [term.entries(d_in, d_out) for term in self.terms]
 
     @property
     def choi(self) -> np.ndarray:
@@ -591,66 +570,78 @@ def loss_channel(eta, eta_star: float, f_lossless: POVM) -> QuantumChannel:
     return QuantumChannel(layout, layout, terms)
 
 
-def _require_matching(f_noise: POVM, f_ideal: POVM, noise_stack: bool):
-    """Two measurements on one layout and event table size; a stacked ``f_noise`` only if ``noise_stack``."""
+def _require_matching(f_noise: POVM, f_ideal: POVM):
+    """Two measurements on one layout and event table size; ``f_noise`` may be a stack, ``f_ideal`` not."""
     if f_noise.layout != f_ideal.layout or len(f_noise) != len(f_ideal):
         raise ValueError("measurements do not match")
-    if f_ideal.stacked or (f_noise.stacked and not noise_stack):
+    if f_ideal.stacked:
         raise ValueError("a deviation compares two measurements, not stacks of them")
 
 
-def _deviation_bound(f_noise: POVM, f_ideal: POVM) -> tuple[float, bool]:
-    """The unrounded smallest admissible deviation ``q*``, and whether ``F_noise`` has a support deficit.
+def _rounding_radius(noise: np.ndarray, ideal: np.ndarray) -> np.ndarray:
+    """Per element, ``r_i = d eps (|F_noise_i|_F + |F_ideal_i|_F)`` in dimension ``d``.
+
+    The backward error of forming and eigensolving ``F_noise_i - (1-q) F_ideal_i``
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002): every
+    deviation decision reads an eigenvalue against it.  ``noise`` may lead
+    with stack axes.
+    """
+    norms = np.linalg.norm(noise, axis=(-2, -1)) + np.linalg.norm(ideal, axis=(-2, -1))
+    return ideal.shape[-1] * np.finfo(float).eps * norms
+
+
+def _deviation_bound(noise: np.ndarray, ideal: np.ndarray):
+    """Per entry of a stack ``noise`` ``(..., n, d, d)``: the unrounded ``q*`` against ``ideal``, and a support deficit.
 
     The largest ``t`` with ``N = F_noise_i >= t F_ideal_i`` is
     ``1 / lambda_max(N^{-1/2} F_ideal_i N^{-1/2})`` on the support of ``N``,
     and 0 when ``F_ideal_i`` leaks off that support (Horn and Johnson,
     *Matrix Analysis*, 2nd ed., section 7.7).  So ``q* = 1 - min_i t_i``:
-    1 on a support deficit, 0 for identical measurements.
+    1 on a support deficit, 0 for an entry equal to ``ideal``.  Both read the
+    radius ``r_i`` (:func:`_rounding_radius`): an eigenvalue of ``N`` at or
+    below ``r_i + s(N)``, ``s`` its shortfall from PSD, is off the support,
+    and a leak is an off-support compression of ``F_ideal_i`` above ``r_i``.
     """
-    _require_matching(f_noise, f_ideal, noise_stack=False)
-    noise, ideal = f_noise.dense, f_ideal.dense
-    if np.array_equal(noise, ideal):
-        return 0.0, False
     vals, vecs = np.linalg.eigh(noise)
-    support = vals > _SUPPORT_TOL
+    radius = _rounding_radius(noise, ideal)
+    support = vals > (radius + np.maximum(0.0, -vals[..., 0]))[..., None]
     # Eigenvectors v_j of N: as v_j / sqrt(lambda_j) on its support (0 off it), and off it.
-    whitened = vecs * np.where(support, 1.0 / np.sqrt(np.where(support, vals, 1.0)), 0.0)[:, None, :]
-    off = vecs * ~support[:, None, :]
-    if (np.abs(off.conj().swapaxes(1, 2) @ ideal @ off).max(axis=(1, 2)) > _SUPPORT_TOL).any():
-        return 1.0, True
-    lmax = np.linalg.eigvalsh(whitened.conj().swapaxes(1, 2) @ ideal @ whitened)[:, -1]
-    return float(min(1.0, max(0.0, 1.0 - 1.0 / lmax.max()))), False
+    whitened = vecs * np.where(support, 1.0 / np.sqrt(np.where(support, vals, 1.0)), 0.0)[..., None, :]
+    off = vecs * ~support[..., None, :]
+    leak = np.abs(off.conj().swapaxes(-1, -2) @ ideal @ off).max(axis=(-2, -1)) > radius
+    lmax = np.linalg.eigvalsh(whitened.conj().swapaxes(-1, -2) @ ideal @ whitened)[..., -1].max(axis=-1)
+    same = (noise == ideal).all(axis=(-3, -2, -1))
+    deficit = leak.any(axis=-1) & ~same
+    with np.errstate(divide="ignore"):  # lmax = 0 only where F_ideal lives off the support: a deficit
+        q_star = np.where(deficit, 1.0, np.where(same, 0.0, np.clip(1.0 - 1.0 / lmax, 0.0, 1.0)))
+    return q_star, deficit
 
 
 def generic_channel(f_noise: POVM, f_ideal: POVM, q: float) -> QuantumChannel:
     """Noise channel for an arbitrary deviation ``q`` between two targets.
 
     Admits ``q`` exactly when every excess ``E_i = F_noise_i - (1-q) F_ideal_i``
-    has ``lambda_min(E_i) >= -r_i``, ``r_i = d eps (|F_noise_i|_F + |F_ideal_i|_F)
-    + s(F_noise_i) + (1-q) s(F_ideal_i)`` in dimension ``d``: the backward error
-    of forming and eigensolving ``E_i`` (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, 2002), and by Weyl's inequality the shortfall
-    ``s(F) = max(0, -lambda_min(F))`` of an element that :class:`POVM` accepts
-    as PSD to its tolerance, computed only if the first term rejects.  The channel
-    measures the excess on the preserved blocks, surrendering weight ``q`` to
-    the flags.  A stacked ``f_noise`` gives the stack of channels; a rejection
-    names the largest ``q*`` of :func:`_deviation_bound` over the stack.
+    has ``lambda_min(E_i) >= -r_i - s(F_noise_i) - (1-q) s(F_ideal_i)``: the
+    rounding radius of :func:`_rounding_radius`, and by Weyl's inequality the
+    shortfall ``s(F) = max(0, -lambda_min(F))`` of an element that
+    :class:`POVM` accepts as PSD to its tolerance, computed only if the radius
+    alone rejects.  The channel measures the excess on the preserved blocks,
+    surrendering weight ``q`` to the flags.  A stacked ``f_noise`` gives the
+    stack of channels; a rejection names the largest ``q*`` of
+    :func:`_deviation_bound` over the stack.
     """
     _require_unit(q, "q")
     _require_exact_flags(f_ideal, "the ideal")
-    _require_matching(f_noise, f_ideal, noise_stack=True)
+    _require_matching(f_noise, f_ideal)
     noise, ideal = f_noise.dense, f_ideal.dense
     excess = noise - (1.0 - q) * ideal
     low = np.linalg.eigvalsh(excess)[..., 0]
-    norms = np.linalg.norm(noise, axis=(-2, -1)) + np.linalg.norm(ideal, axis=(-2, -1))
-    radius = ideal.shape[-1] * np.finfo(float).eps * norms
+    radius = _rounding_radius(noise, ideal)
     if (low < -radius).any():
         short_noise, short_ideal = (np.maximum(0.0, -np.linalg.eigvalsh(a)[..., 0]) for a in (noise, ideal))
         radius = radius + short_noise + (1.0 - q) * short_ideal
     if (low < -radius).any():
-        entries = map(f_noise.take, range(len(noise))) if f_noise.stacked else [f_noise]
-        q_star = max(_deviation_bound(entry, f_ideal)[0] for entry in entries)
+        q_star = float(_deviation_bound(noise, ideal)[0].max())
         raise ValueError(f"q={q} violates the deviation bound q*={q_star!r}")
     layout = f_ideal.layout
     n = len(f_ideal)
@@ -667,24 +658,25 @@ def generic_channel(f_noise: POVM, f_ideal: POVM, q: float) -> QuantumChannel:
 def min_deviation_q(f_noise: POVM, f_ideal: POVM) -> float:
     """Smallest deviation ``q`` admissible between two measurements, in closed form.
 
-    The bound ``q*`` of :func:`_deviation_bound`, rounded up by
-    ``_DEVIATION_RADIUS`` to cover the rounding of the eigensolves, and at
-    most 1; a support deficit warns and gives 1.  Identical measurements
-    give 0.  The closed form treats eigenvalues of ``F_noise_i`` up to
-    ``_SUPPORT_TOL`` as off its support, so it is conservative: near a dark
-    element it can give 1 where :func:`generic_channel` admits a smaller ``q``.
+    Takes what :func:`generic_channel` takes, ``f_noise`` possibly a stack:
+    the largest over its entries of the bound ``q*`` of :func:`_deviation_bound`
+    rounded up by that entry's largest radius ``r_i``, and at most 1, so
+    :func:`generic_channel` admits it.  An entry equal to ``f_ideal`` gives
+    exactly 0; a support deficit warns and gives 1.
     """
-    q_star, deficit = _deviation_bound(f_noise, f_ideal)
-    if deficit:
+    _require_matching(f_noise, f_ideal)
+    noise, ideal = f_noise.dense, f_ideal.dense
+    q_star, deficit = _deviation_bound(noise, ideal)
+    if deficit.any():
         warnings.warn(
             "no q < 1 satisfies the deviation bound; the noisy measurement "
             "has a support deficit (reporting q = 1)",
             stacklevel=2,
         )
         return 1.0
-    if np.array_equal(f_noise.dense, f_ideal.dense):
-        return 0.0  # no eigensolve to round
-    return float(min(1.0, q_star + _DEVIATION_RADIUS))
+    same = (noise == ideal).all(axis=(-3, -2, -1))  # no eigensolve to round
+    rounded = np.where(same, 0.0, q_star + _rounding_radius(noise, ideal).max(axis=-1))
+    return float(min(1.0, rounded.max()))
 
 
 def inf_norm_mixing(f_noise: POVM, delta: float) -> POVM:

@@ -400,7 +400,7 @@ _SPLITTER = {
     "setup": "custom", "k": 2, "mode_map": [[0.7071067812, 0.7071067812], [0.7071067812, -0.7071067812]],
     "eta_range": [0.5, 0.9], "dark_range": [0, 0.01], "observed": {"event": "multi", "probability": 0.01}, "cutoff": 2,
 }
-_NEAR_DARK = {
+NEAR_DARK = {
     "setup": "custom", "k": 2,
     "mode_map": [[[-0.2886079339411576, -0.051601418542493865]], [[-0.9557262732763835, -0.02510069002745341]]],
     "eta_range": [[0.6474, 0.6474], [3e-13, 3e-13]], "dark_range": [0, 0], "eta_star": 0.99999654, "cutoff": 1,
@@ -436,8 +436,8 @@ CASES = [
          {"setup": "passive-bb84", "eta_range": [0.3, 0.9], "dark_range": [0, 0.01], "eta_star": 0.5,
           "coarse_grain": "multiclick", "observed": {"event": "multi", "probability": 0.01}},
          code=EXIT_TOOL_ERROR, stderr="descriptor error: eta_star: "),
-    # a near-dark detector: the excess is PSD at q = 1 - 3e-13, where the whitened closed form says q* = 1
-    Case("analyze", "custom_near_dark", _NEAR_DARK),
+    # a near-dark detector: the excess is PSD at q = 1 - 3e-13 / eta_star, and the closed form reads the dark click on its support
+    Case("analyze", "custom_near_dark", NEAR_DARK),
     # a 10-digit map, column norms 1 + 3.8e-11, with a detector at efficiency 1
     Case("analyze", "custom_splitter_to_one",
          {"setup": "custom", "k": 2, "mode_map": _SPLITTER["mode_map"], "eta_range": [0.5, 1.0], "dark_range": [0, 0],

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import (
+    NEAR_DARK,
     SMALL_EVENTS,
     SMALL_LAYOUT,
     deviation_q_oracle,
@@ -13,6 +14,7 @@ from helpers import (
 )
 
 from detcert import (
+    DetectionSetup,
     QuantumChannel,
     bb84_qubit_measurement,
     bb84_simple_noise_channel,
@@ -30,9 +32,11 @@ from detcert import (
     verify_cptp,
     verify_statistics_equivalence,
 )
-from detcert.channels import _KeepBlocks, _loss_split_entries
+from detcert.channels import ChoiConstraintSystem, _KeepBlocks, _loss_split_entries, certify_choi
+from detcert.descriptor import descriptor_from_dict
 from detcert.detectors import POVM
 from detcert.postprocessing import _single_photon_loss_entries
+from detcert.report import build_setup
 
 
 @pytest.fixture(scope="module")
@@ -415,8 +419,65 @@ def test_min_deviation_q_bounds_the_exact_q(seed, q0, floor):
     q = min_deviation_q(f_noise, f_ideal)
     oracle = deviation_q_oracle(f_noise, f_ideal)
     # never optimistic, and rounded up by no more than its radius and the eigensolves
-    assert oracle <= q <= oracle + 1e-11
+    assert oracle <= q <= oracle + 1e-13
     assert verify_cptp(generic_channel(f_noise, f_ideal, q), 1e-9).residual <= 1e-14
+
+
+def _targets(setup, eta_star):
+    """The flag-state targets of ``setup`` at its efficiencies and at the common efficiency ``eta_star``."""
+    stack = build_threshold_povm(setup.with_eta(np.vstack([setup.eta, np.full(setup.k, eta_star)])), 1)
+    return flag_state_target(stack.take(0), 1), flag_state_target(stack.take(1), 1)
+
+
+def test_min_deviation_q_reads_a_near_dark_detector_on_its_support():
+    # the golden near-dark map: the dark click's eigenvalue 3e-13 is far above
+    # the rounding radius, so it is on the support and bounds q, no deficit
+    desc = descriptor_from_dict(NEAR_DARK)
+    eta_star = desc.eta_star
+    f_noise, f_ideal = _targets(build_setup(desc, [0.6474, 3e-13]), eta_star)
+    q = min_deviation_q(f_noise, f_ideal)  # a warning would be an error here
+    assert q < 1.0
+    assert abs(q - (1.0 - 3e-13 / eta_star)) <= 1e-13
+    assert verify_cptp(generic_channel(f_noise, f_ideal, q), 1e-9).passed
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_min_deviation_q_on_a_near_dark_detector_is_never_optimistic(seed):
+    # a random complex k = 2 map of one mode, as the golden near-dark case,
+    # one detector at an efficiency in [1e-14, 1e-10]: the dark click is read
+    # on the support (no deficit warning), q is never below the oracle nor
+    # above it by more than rounding, and the builder admits it.  One mode
+    # keeps every block 1 x 1: a rank-one block of two modes is rank one only
+    # up to rounding, and the oracle, exact on the stored doubles, reads that as a leak
+    rng = np.random.default_rng(seed)
+    mode_map = np.linalg.qr(rng.normal(size=(2, 1)) + 1j * rng.normal(size=(2, 1)))[0]
+    eta = np.array([rng.uniform(0.3, 1.0), 10.0 ** rng.uniform(-14, -10)])[rng.permutation(2)]
+    setup = DetectionSetup(k=2, mode_map=mode_map, eta=eta)
+    f_noise, f_ideal = _targets(setup, rng.uniform(0.5, 1.0))
+    q = min_deviation_q(f_noise, f_ideal)
+    oracle = deviation_q_oracle(f_noise, f_ideal)
+    assert oracle <= q <= oracle + 1e-13
+    assert verify_cptp(generic_channel(f_noise, f_ideal, q), 1e-9).passed
+
+
+def test_min_deviation_q_of_a_stack_is_its_largest_entry():
+    # a stacked f_noise, as generic_channel takes it: the largest entry's q,
+    # which the builder admits for the whole stack; an entry equal to the
+    # ideal measurement gives exactly 0
+    etas = np.array([[0.5, 0.55, 0.6, 0.52], [1.0, 1.0, 1.0, 1.0], [0.9, 0.4, 0.7, 0.8]])
+    stack = flag_state_target(build_threshold_povm(passive_bb84_setup(etas), 1), 1)
+    f_ideal = stack.take(1)
+    q = min_deviation_q(stack, f_ideal)
+    entries = [min_deviation_q(stack.take(i), f_ideal) for i in range(len(etas))]
+    assert entries[1] == 0.0
+    assert q == max(entries) > 0.0
+    assert min_deviation_q(stack.take(slice(1, 2)), f_ideal) == 0.0
+    channels = generic_channel(stack, f_ideal, q)
+    reports, residuals = certify_choi(channels.support, ChoiConstraintSystem((None, stack, f_ideal)), 1e-9)
+    assert [r.passed for r in reports] == [True] * len(etas)
+    assert residuals.max() <= 1e-9
+    with pytest.raises(ValueError, match="not stacks"):
+        min_deviation_q(stack, stack)
 
 
 def test_min_deviation_q_support_deficit_reports_one():

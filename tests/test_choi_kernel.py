@@ -434,38 +434,37 @@ def _dense_score(defect):
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(case=_term_stacks(), seed=st.integers(0, 2**16))
 def test_support_kernel_matches_dense_oracle(case, seed):
-    # assembly, Hermiticity, smallest eigenvalue and identity scores of the
-    # support kernel against the dense term assembly and full eigensolves,
-    # for two stacks on one union support
+    # assembly, Hermiticity, smallest eigenvalue and identity scores of each
+    # channel's support kernel against the dense term assembly and full
+    # eigensolves, for stacked and depth-1 channels
     d_in, d_out, depth, channels = case
     layout_in, layout_out = _layouts(d_in, d_out)
-    built = [QuantumChannel(layout_in, layout_out, terms) for terms in channels]
-    support = ChoiSupport.of(built)
-    depths = [len(ch.support.values) for ch in built]
-    assert all(n in (1, depth) for n in depths)
-    reference = np.concatenate(
-        [reference_choi(terms, d_in, d_out, n) for terms, n in zip(channels, depths)]
-    )
-    scale = max(1.0, float(np.abs(reference).max()))
-    np.testing.assert_allclose(support.dense(), reference, rtol=0, atol=1e-13 * scale)
-    for ch, n, terms in zip(built, depths, channels):
-        expected = reference_choi(terms, d_in, d_out, n)
-        np.testing.assert_allclose(ch.choi, expected[0] if n == 1 else expected, rtol=0, atol=1e-13 * scale)
-
-    herm, low = support.psd_residuals()
-    adjoint = reference.conj().swapaxes(1, 2)
-    np.testing.assert_allclose(herm, np.abs(reference - adjoint).max(axis=(1, 2)), rtol=0, atol=1e-13 * scale)
-    np.testing.assert_allclose(low, np.linalg.eigvalsh((reference + adjoint) / 2)[:, 0], rtol=0, atol=1e-12 * scale)
-
     rng = np.random.default_rng(seed)
-    k = int(rng.integers(1, 4))
-    ops = _sparse(rng, (len(reference), k, d_out, d_out), 0.7)
-    targets = _sparse(rng, (k, d_in, d_in), 0.7)
-    images = np.array([reference_heisenberg(j, d_in, d_out, f) for j, f in zip(reference, ops)])
-    np.testing.assert_allclose(support.heisenberg(ops), images, rtol=0, atol=1e-12 * scale)
-    np.testing.assert_allclose(
-        support.residuals(ops, targets), _dense_score(images - targets), rtol=0, atol=1e-12 * scale
-    )
+    for terms in channels:
+        channel = QuantumChannel(layout_in, layout_out, terms)
+        support = channel.support
+        n = len(support.values)
+        assert n in (1, depth)
+        reference = reference_choi(terms, d_in, d_out, n)
+        scale = max(1.0, float(np.abs(reference).max()))
+        np.testing.assert_allclose(support.dense(), reference, rtol=0, atol=1e-13 * scale)
+        np.testing.assert_allclose(channel.choi, reference[0] if n == 1 else reference, rtol=0, atol=1e-13 * scale)
+
+        herm, low = support.psd_residuals()
+        adjoint = reference.conj().swapaxes(1, 2)
+        np.testing.assert_allclose(herm, np.abs(reference - adjoint).max(axis=(1, 2)), rtol=0, atol=1e-13 * scale)
+        np.testing.assert_allclose(
+            low, np.linalg.eigvalsh((reference + adjoint) / 2)[:, 0], rtol=0, atol=1e-12 * scale
+        )
+
+        k = int(rng.integers(1, 4))
+        ops = _sparse(rng, (n, k, d_out, d_out), 0.7)
+        targets = _sparse(rng, (k, d_in, d_in), 0.7)
+        images = np.array([reference_heisenberg(j, d_in, d_out, f) for j, f in zip(reference, ops)])
+        np.testing.assert_allclose(support.heisenberg(ops), images, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(
+            support.residuals(ops, targets), _dense_score(images - targets), rtol=0, atol=1e-12 * scale
+        )
 
 
 def _inject_at_corner2(fault):

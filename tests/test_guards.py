@@ -43,7 +43,7 @@ from detcert import (
     verify_cptp,
     weight_bound,
 )
-from detcert.channels import ChoiConstraintSystem, ChoiSupport
+from detcert.channels import ChoiConstraintSystem
 from detcert.descriptor import DescriptorError, descriptor_from_dict
 from detcert.detectors import POVM
 from detcert.postprocessing import CoarseGraining
@@ -86,10 +86,6 @@ _EMPTY = QuantumChannel(SMALL_LAYOUT, SMALL_LAYOUT, ())
 
 CASES = {
     # channels
-    "support of mixed layouts": (
-        lambda: ChoiSupport.of([bb84_simple_noise_channel(0.1), _EMPTY]),
-        ValueError, "share their layouts",
-    ),
     "Choi matrix of the wrong shape": (
         lambda: QuantumChannel.from_choi(np.eye(5), SMALL_LAYOUT, SMALL_LAYOUT),
         ValueError, "Choi matrix shape does not match the layouts",

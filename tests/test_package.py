@@ -171,6 +171,17 @@ def test_only_the_keeping_rule_turns_arrays_into_bytes_and_back():
     assert sorted(sites) == [("fock", "_kept", "frombuffer"), ("fock", "_kept", "tobytes")]
 
 
+def test_only_the_rounding_radius_reads_the_machine_epsilon():
+    # every deviation decision reads one radius: ``channels._rounding_radius``
+    sites = []
+    for path in sorted((ROOT / "src" / "detcert").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)) == "finfo":
+                    sites.append((path.stem, getattr(top, "name", None)))
+    assert sites == [("channels", "_rounding_radius")]
+
+
 SOLVER_FREE_RUN = """
 import sys
 import detcert
