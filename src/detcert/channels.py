@@ -399,7 +399,7 @@ def bb84_simple_noise_channel(d: float) -> QuantumChannel:
     the maximally mixed qubit (times 2, as an unnormalized projector).
     """
     _require_unit(d, "dark rate")
-    layout = _BB84_LAYOUT
+    layout = _bb84_measurements()["Z"].layout  # vacuum + qubit
     vac = layout.projector(_M0)
     qubit_proj = layout.projector(_M1)
     # Measure vacuum or qubit: re-prepare the vacuum, or depolarize.
@@ -411,18 +411,18 @@ def bb84_simple_noise_channel(d: float) -> QuantumChannel:
     return QuantumChannel(layout, layout, (reprepare, keep_qubit))
 
 
-_BB84_MEASUREMENTS = {
-    basis: apply_postprocessing(bb84_qubit_squasher(), build_threshold_povm(setup, 1))
-    for basis, setup in active_bb84_setups().items()
-}
-_BB84_LAYOUT = _BB84_MEASUREMENTS["Z"].layout  # vacuum + qubit
+@_kept(maxsize=1)
+def _bb84_measurements() -> dict[str, POVM]:
+    """Both bases' squashed measurements, on one vacuum + qubit layout."""
+    squasher = bb84_qubit_squasher()
+    return {b: apply_postprocessing(squasher, build_threshold_povm(s, 1)) for b, s in active_bb84_setups().items()}
 
 
 def bb84_qubit_measurement(basis: str) -> POVM:
-    """The squashed BB84 measurement of one basis: the squasher on its cutoff-1 threshold POVM, built at import."""
+    """The squashed BB84 measurement of one basis: the squasher on its cutoff-1 threshold POVM, kept on first use."""
     if basis not in ("Z", "X"):
         raise ValueError(f"unknown basis {basis!r}")
-    return _BB84_MEASUREMENTS[basis]
+    return _bb84_measurements()[basis]
 
 
 def _require_exact_flags(povm: POVM, role: str):

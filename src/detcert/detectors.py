@@ -11,7 +11,6 @@ through permanents of its submatrices.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -74,14 +73,14 @@ class EventTable:
             raise KeyError(f"no event labelled {label!r}") from None
 
 
-@functools.lru_cache(typed=True)
+@_kept(maxsize=16)
 def enumerate_events(k: int) -> EventTable:
     """All ``2^k`` click patterns of ``k`` detectors, in canonical order.
 
     Ordering is by click count (popcount) and then by numeric mask; the
     class is no-click, single or multi according to the click count.  Labels
     are the patterns as bit strings, detector 1 in the rightmost position.
-    Built once per process, keyed on ``k`` and its type: a rejected ``1.0`` never finds ``1``'s table.
+    Kept per ``k`` and its type (:func:`~detcert.fock._kept`): a rejected ``1.0`` never finds ``1``'s table.
     """
     if not isinstance(k, int):
         raise ValueError(f"detector count must be an int, not {type(k).__name__}: {k!r}")

@@ -111,22 +111,25 @@ class _Bytes(tuple):
 def _kept(maxsize: int):
     """Keep a function's value for each argument value, for the process, in an ``lru_cache`` of ``maxsize``.
 
-    An array argument keys on its dtype, shape and C-order bytes and reaches the function read-only; other
-    positional arguments key as themselves.  Arrays in the value, its items or attributes are made read-only.
+    The one way this package keeps an object: nothing is built before its first call.  An array argument
+    keys on its dtype, shape and C-order bytes and reaches the function read-only; other arguments key as
+    themselves and their type, so a ``1.0`` never finds the value of ``1``.  Arrays in the value, its items
+    or ``__dict__`` attributes are made read-only.
     """
 
     def keep(fn):
-        @functools.lru_cache(maxsize=maxsize)
-        def build(*key):
-            value = fn(*[np.frombuffer(a[2], a[0]).reshape(a[1]) if type(a) is _Bytes else a for a in key])
+        @functools.lru_cache(maxsize=maxsize, typed=True)
+        def build(*key, **kwargs):
+            value = fn(*[np.frombuffer(a[2], a[0]).reshape(a[1]) if type(a) is _Bytes else a for a in key], **kwargs)
             for a in (value, *(value if isinstance(value, tuple) else getattr(value, "__dict__", {}).values())):
                 if isinstance(a, np.ndarray):
                     a.flags.writeable = False
             return value
 
         @functools.wraps(fn, updated=())
-        def kept(*args):
-            return build(*[_Bytes((a.dtype, a.shape, a.tobytes())) if isinstance(a, np.ndarray) else a for a in args])
+        def kept(*args, **kwargs):
+            keys = [_Bytes((a.dtype, a.shape, a.tobytes())) if isinstance(a, np.ndarray) else a for a in args]
+            return build(*keys, **kwargs)
         kept.cache_info, kept.cache_clear = build.cache_info, build.cache_clear
         return kept
 

@@ -18,7 +18,6 @@ one re-verification of the ``(matrix, weights)`` pair decides.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,23 +33,25 @@ SWAP_FEASIBILITY_TOL = 1e-9
 
 
 class StochasticMatrix:
-    """Column-stochastic real matrix.
+    """Column-stochastic real matrix, or a ``(..., n_out, n_in)`` stack of them on one row table.
 
     Entries must be nonnegative up to ``1e-12`` (tiny negatives are clamped
     to zero) and every column must sum to 1 within ``1e-10``.  ``row_table``,
     when given, names the output events: :func:`apply_postprocessing` reads it.
+    A stack serves :func:`apply_postprocessing`; the swap LP, the coarse
+    graining and the dark-count checks take one map and refuse a stack.
     """
 
     __slots__ = ("entries", "row_table")
 
     def __init__(self, entries, row_table: EventTable | None = None):
         a = np.asarray(entries, dtype=float)
-        if a.ndim != 2:
-            raise ValueError("entries must be a matrix")
+        if a.ndim < 2:
+            raise ValueError("entries must be a matrix or a stack of them")
         if not (a >= -_ENTRY_TOL).all():  # NaN fails too
             raise ValueError(f"negative or NaN entry: smallest {a.min():.3e}")
         a = np.clip(a, 0.0, None)
-        colsums = a.sum(axis=0)
+        colsums = a.sum(axis=-2)
         if np.abs(colsums - 1.0).max() > _COLSUM_TOL:
             raise ValueError(
                 f"columns must sum to 1 (worst deviation {np.abs(colsums - 1.0).max():.3e})"
@@ -59,7 +60,7 @@ class StochasticMatrix:
         self.row_table = row_table
 
     @property
-    def shape(self) -> tuple[int, int]:
+    def shape(self) -> tuple[int, ...]:
         return self.entries.shape
 
 
@@ -71,6 +72,8 @@ class CoarseGraining(StochasticMatrix):
     def __init__(self, entries, row_table: EventTable | None = None):
         super().__init__(entries, row_table)
         a = self.entries
+        if a.ndim != 2:
+            raise ValueError(f"a coarse graining is one map, not a stack of shape {a.shape}")
         if not np.all((a == 0.0) | (a == 1.0)):  # so each column, summing to 1, holds one 1
             raise ValueError("coarse graining entries must be 0 or 1")
         if not a.any(axis=1).all():
@@ -83,23 +86,25 @@ def dark_count_matrix(dark_rates) -> StochasticMatrix:
     Column ``c`` holds the distribution over observed patterns ``c'`` given
     true pattern ``c``: clicks are never erased (zero unless ``c`` is a
     subset of ``c'``), and each dark detector fires independently with its
-    rate ``d_i``.  For one detector this is ``[[1-d, 0], [d, 1]]``.  Its
+    rate ``d_i``.  For one detector this is ``[[1-d, 0], [d, 1]]``, and zero
+    rates give exactly the identity.  A ``(depth, k)`` stack of rate rows
+    gives the stack of maps, each bit for bit the map of its row alone.  Its
     rows are the events of :func:`enumerate_events`, its ``row_table``.
     """
     d = np.atleast_1d(np.asarray(dark_rates, dtype=float))
     _require_unit(d, "dark rates")
-    k = d.size
-    if k > MAX_DETECTORS:  # the map is (2^k, 2^k), built from a (k, 2^k, 2^k) stack
+    k = d.shape[-1]
+    if k > MAX_DETECTORS:  # each map is (2^k, 2^k), built from a (k, 2^k, 2^k) stack
         raise ValueError(f"{k} dark rates exceed {MAX_DETECTORS} detectors")
-    # P[c', c] = prod_i D_i[c'_i, c_i], multiplied in detector order.
-    per_detector = np.array([[1.0 - d, np.zeros(k)], [d, np.ones(k)]])
-    factors = per_detector[_dark_count_index(k)]
-    return StochasticMatrix(factors.prod(axis=0), enumerate_events(k))
+    # P[c', c] = prod_i D_i[c'_i, c_i], multiplied in detector order, per row of rates.
+    per_detector = np.stack([1.0 - d, np.zeros_like(d), d, np.ones_like(d)], axis=-2).reshape(*d.shape[:-1], 2, 2, k)
+    factors = per_detector[(..., *_dark_count_index(k))]
+    return StochasticMatrix(factors.prod(axis=-3), enumerate_events(k))
 
 
 @_kept(maxsize=MAX_DETECTORS)
 def _dark_count_index(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index of ``D_i[c'_i, c_i]`` in the ``(2, 2, k)`` per-detector maps, for every detector and event pair."""
+    """Index of ``D_i[c'_i, c_i]`` in the ``(..., 2, 2, k)`` per-detector maps, for every detector and event pair."""
     bits = (np.asarray(enumerate_events(k).masks) >> np.arange(k)[:, None]) & 1
     return bits[:, :, None], bits[:, None, :], np.arange(k)[:, None, None]
 
@@ -147,7 +152,7 @@ def validate_dark_count_pp(
     a = p.entries
     n = events.n_events
     if a.shape != (n, n):
-        raise ValueError(f"matrix shape {a.shape} does not match {n} events")
+        raise ValueError(f"dark-count map of shape {a.shape} does not match {n} events")
     singles = np.asarray(events.single_indices, dtype=int)
     to_single = np.where(np.eye(singles.size, dtype=bool), 0.0, a[np.ix_(singles, singles)])
     erased = a[0, 1:]
@@ -163,13 +168,13 @@ def validate_dark_count_pp(
     )
 
 
-@functools.lru_cache(maxsize=16)
+@_kept(maxsize=16)
 def multiclick_coarse_graining(events: EventTable) -> CoarseGraining:
     """Merge all multi-click patterns into a single multi event.
 
     The resulting ``(n_S + 2) x 2^k`` matrix is the identity on the no-click
     and single-click events and routes every multi-click column to one row.
-    It is built once per process for each event table, and read-only.
+    It is kept per event table (:func:`~detcert.fock._kept`), and read-only.
     """
     if events.k < 2:
         raise ValueError("coarse graining needs at least 2 detectors (no multi events)")
@@ -194,10 +199,12 @@ def multiclick_coarse_graining(events: EventTable) -> CoarseGraining:
 def apply_postprocessing(p: StochasticMatrix, povm: POVM) -> POVM:
     """Post-processed measurement ``G' = P G`` (element-wise mixing), per stack entry.
 
+    A stack of maps and a stack of measurements broadcast: entry ``i`` of
+    each gives entry ``i``, bit for bit as alone, validated in one pass.
     The output events are the row table of ``p``, which must carry one.
     The output keeps the dtype of ``povm``.
     """
-    if p.shape[1] != len(povm):
+    if p.shape[-1] != len(povm):
         raise ValueError("matrix columns must match the POVM element count")
     if p.row_table is None:
         raise ValueError("no event table for the output POVM")
@@ -205,7 +212,7 @@ def apply_postprocessing(p: StochasticMatrix, povm: POVM) -> POVM:
     # equal to the term-by-term sum bit for bit, where a real matmul rounds
     # otherwise.  P is real, so a complex stack is mixed as its float view.
     dense = povm.dense
-    mixed = np.einsum("ij,...jab->...iab", p.entries, dense.view(np.float64)).view(dense.dtype)
+    mixed = np.einsum("...ij,...jab->...iab", p.entries, dense.view(np.float64)).view(dense.dtype)
     return POVM(povm.layout, mixed, p.row_table)
 
 
@@ -321,8 +328,8 @@ def solve_swap_lp(
     :func:`_dual_bound`, a violation above ``tol`` for every ``P_dc``.
     An undecided ``tol`` is a ``RuntimeError``.
     """
-    if p_db.shape != (p_sq.shape[1],) * 2:
-        raise ValueError("P_sq and P_db must act on the same input events")
+    if p_db.shape != (p_sq.shape[-1],) * 2 or len(p_sq.shape) != 2:
+        raise ValueError("P_sq and P_db must be one map each, on the same input events")
     if not 0.0 < tol < np.inf:  # NaN fails too
         raise ValueError(f"tol must be positive and finite, got {tol}")
 
@@ -359,8 +366,8 @@ def coarse_grained_dc_ansatz(p_db: StochasticMatrix, cg: CoarseGraining) -> Stoc
     matrix.  It solves the swap iff those columns agree (to ``1e-12``), else
     the error names the column of ``M . P_db`` farthest from its mean.
     """
-    if cg.shape[1] != p_db.shape[0] or p_db.shape[0] != p_db.shape[1]:
-        raise ValueError("coarse graining does not match the dark-count map")
+    if p_db.shape != (cg.shape[1],) * 2:
+        raise ValueError(f"coarse graining does not match the dark-count map of shape {p_db.shape}")
     p_dc = StochasticMatrix((cg.entries @ p_db.entries @ cg.entries.T) / cg.entries.sum(axis=1))
     gaps = np.abs(cg.entries @ p_db.entries - p_dc.entries @ cg.entries).max(axis=0)
     worst = int(gaps.argmax())
@@ -372,25 +379,19 @@ def coarse_grained_dc_ansatz(p_db: StochasticMatrix, cg: CoarseGraining) -> Stoc
     return p_dc
 
 
-_QUBIT_SQUASHER = StochasticMatrix(
-    [
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, 1.0, 0.0, 0.5],
-        [0.0, 0.0, 1.0, 0.5],
-    ],
-    EventTable(k=2, labels=enumerate_events(2).labels[:3], classes=(NO_CLICK, SINGLE, SINGLE), masks=()),
-)
-_QUBIT_SQUASHER.entries.flags.writeable = False
-
-
+@_kept(maxsize=1)
 def bb84_qubit_squasher() -> StochasticMatrix:
     """Post-processing of the two-detector BB84 squasher, per basis.
 
     Maps a double click to a uniformly random single click in the same
     basis; no-click and single clicks pass through, and its row table names
-    them as in :func:`enumerate_events`.  Built once, at import, and read-only.
+    them as in :func:`enumerate_events`.  Built on first use and kept
+    (:func:`~detcert.fock._kept`), read-only.
     """
-    return _QUBIT_SQUASHER
+    table = EventTable(k=2, labels=enumerate_events(2).labels[:3], classes=(NO_CLICK, SINGLE, SINGLE), masks=())
+    squasher = StochasticMatrix([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.5], [0.0, 0.0, 1.0, 0.5]], table)
+    squasher.entries.flags.writeable = False
+    return squasher
 
 
 def bb84_squashed_dark_matrix(d: float) -> StochasticMatrix:

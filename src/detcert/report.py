@@ -262,22 +262,19 @@ def _record_weight(desc: SetupDescriptor, cert: Certificate, etas, p00: float, e
 def _analyze_flag_state(desc: SetupDescriptor, cert: Certificate):
     corners, (d_max,) = desc.points(box=True)
     eta_star = _common_efficiency(desc, corners, cert.derived)
-    p_noise = dark_count_matrix(d_max)
-    _record_weight(desc, cert, corners, float(p_noise.entries[0, 0]), eta_star)
-    q = 1.0 - cert.derived["p_no_dark"] * cert.derived["efficiency_ratio"]
-
-    # One threshold build: the corners, then the common efficiency.  The
-    # corners take the dark counts at the top of the rate range, then the
-    # graining, as one map; the ideal measurement takes the graining alone.
+    # One measurement stack: the corners, then the common efficiency.  Each
+    # corner takes the dark counts at the top of the rate range, the ideal
+    # entry a zero row of rates, whose map is the identity; then the graining.
     n = len(corners)
-    povms = build_threshold_povm(build_setup(desc, np.vstack([corners, np.full(desc.k, eta_star)])), desc.cutoff)
-    ideal = povms.take(n)
+    p = dark_count_matrix(np.vstack([np.tile(d_max, (n, 1)), np.zeros(desc.k)]))
+    _record_weight(desc, cert, corners, float(p.entries[0, 0, 0]), eta_star)
+    q = 1.0 - cert.derived["p_no_dark"] * cert.derived["efficiency_ratio"]
     if desc.coarse_grain == "multiclick":
         cg = multiclick_coarse_graining(enumerate_events(desc.k))
-        p_noise = StochasticMatrix(cg.entries @ p_noise.entries, cg.row_table)
-        ideal = apply_postprocessing(cg, ideal)
-    f_noise = flag_state_target(apply_postprocessing(p_noise, povms.take(slice(0, n))), desc.cutoff)
-    f_ideal = flag_state_target(ideal, desc.cutoff)
+        p = StochasticMatrix(cg.entries @ p.entries, cg.row_table)
+    povms = build_threshold_povm(build_setup(desc, np.vstack([corners, np.full(desc.k, eta_star)])), desc.cutoff)
+    targets = flag_state_target(apply_postprocessing(p, povms), desc.cutoff)
+    f_noise, f_ideal = targets.take(slice(0, n)), targets.take(n)
 
     # Every corner's channel in one certify_choi pass: CPTP, the statistics
     # Phi^dag(F_ideal_i) = F_noise_i and the weight relation Phi^dag(P01) = (1 - q) P01.

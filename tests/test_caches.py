@@ -1,13 +1,13 @@
 """Objects that depend only on a setup's shape are built once per process.
 
-The BB84 measurements and squasher, event tables and coarse graining are
-built once; every other shape-only object is kept by one rule,
-``fock._kept``, keyed on its arguments' values (an array on its dtype,
-shape and bytes) with every array it holds read-only: the builders'
-layouts, block projectors and their keep-block supports, mode-map lifts
-and isometry tests, the click table of each detector count and the
-dark-count map's index, Choi support patterns and the squasher's kernel
-plan.
+Every shape-only object is kept by one rule, ``fock._kept``, on its first
+use, keyed on its arguments' values and types (an array on its dtype,
+shape and bytes) with every array it holds read-only: the BB84
+measurements and squasher, event tables and the coarse graining, the
+builders' layouts, block projectors and their keep-block supports,
+mode-map lifts and isometry tests, the click table of each detector count
+and the dark-count map's index, Choi support patterns and the squasher's
+kernel plan.
 A layout keeps its block slices and off-block mask.  These tests check the
 rule itself, and that sharing these objects changes nothing: every array
 they hold is read-only, and the golden cases of ``helpers.CASES`` run in
@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import detcert.postprocessing as postprocessing
+from detcert import report
 from detcert.channels import _keep_support, _KeepBlocks, bb84_qubit_measurement, bb84_simple_noise_channel
 from detcert.descriptor import load_descriptor
 from detcert.detectors import (
@@ -130,19 +131,24 @@ def test_lift_is_keyed_on_the_mode_map_bytes():
 
 
 def test_a_passive_analysis_validates_two_measurements(monkeypatch):
-    # The threshold stack, then the two measurements the generic channel
-    # links: the corners' noisy stack (dark counts, then the multiclick
-    # graining, as one map) and the grained ideal one.  The flag-state
-    # targets are built from their validated blocks and are not validated again.
-    init, validated = POVM.__init__, []
+    # The threshold stack, then the one stack the generic channel links:
+    # each corner after its dark counts and the ideal entry after a zero
+    # row's identity, each then grained, in one post-processing.  The
+    # flag-state targets are built from their validated blocks and are not
+    # validated again.
+    init, validated, calls = POVM.__init__, [], []
 
     def counted(self, layout, dense, events):
         validated.append(events.n_events)
         init(self, layout, dense, events)
 
     monkeypatch.setattr(POVM, "__init__", counted)
+    for name in ("apply_postprocessing", "flag_state_target"):
+        build = getattr(report, name)
+        monkeypatch.setattr(report, name, lambda *args, name=name, build=build: calls.append(name) or build(*args))
     assert run_analysis(load_descriptor(ROOT / "descriptors" / "passive_bb84.json")).all_passed
-    assert validated == [16, 6, 6]
+    assert validated == [16, 6]
+    assert calls == ["apply_postprocessing", "flag_state_target"]
 
 
 @settings(max_examples=40, deadline=None)

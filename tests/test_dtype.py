@@ -16,7 +16,7 @@ from detcert import channels, detectors, report
 from detcert.channels import ChoiConstraintSystem, ChoiSupport, certify_choi
 from detcert.descriptor import descriptor_from_dict, load_descriptor
 from detcert.detectors import DetectionSetup, build_threshold_povm, enumerate_events
-from detcert.postprocessing import apply_postprocessing, dark_count_matrix, multiclick_coarse_graining
+from detcert.postprocessing import StochasticMatrix, apply_postprocessing, dark_count_matrix, multiclick_coarse_graining
 from detcert.squashing import eta_star_range, flag_state_target
 
 DESCRIPTORS = Path(__file__).resolve().parents[1] / "descriptors"
@@ -42,13 +42,13 @@ def _certified(mode_map, etas, rates, eta_star, coarse):
     k, n = len(mode_map), len(etas)
     setup = DetectionSetup(k=k, mode_map=mode_map, eta=np.vstack([etas, np.full(k, eta_star)]))
     povms = build_threshold_povm(setup, 1)
-    p_db = dark_count_matrix(rates)
-    noisy, ideal = apply_postprocessing(p_db, povms.take(slice(0, n))), povms.take(n)
+    p = dark_count_matrix(np.vstack([np.tile(rates, (n, 1)), np.zeros(k)]))  # the ideal entry's map is the identity
+    q = 1.0 - p.entries[0, 0, 0] * etas.min() / eta_star
     if coarse:
         cg = multiclick_coarse_graining(enumerate_events(k))
-        noisy, ideal = apply_postprocessing(cg, noisy), apply_postprocessing(cg, ideal)
-    f_noise, f_ideal = flag_state_target(noisy, 1), flag_state_target(ideal, 1)
-    q = 1.0 - p_db.entries[0, 0] * etas.min() / eta_star
+        p = StochasticMatrix(cg.entries @ p.entries, cg.row_table)
+    targets = flag_state_target(apply_postprocessing(p, povms), 1)
+    f_noise, f_ideal = targets.take(slice(0, n)), targets.take(n)
     proj01 = f_ideal.layout.projector(f_ideal.layout.photon_labels)
     support = report.generic_channel(f_noise, f_ideal, q).support
     system = ChoiConstraintSystem((None, f_noise, f_ideal), ([[1.0 - q]], [proj01], [proj01]))

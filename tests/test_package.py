@@ -227,3 +227,29 @@ def test_importing_the_cli_builds_no_parser():
     # the parser is built by the first ``main`` call, so set-up time stays import time
     proc = _python("from detcert import cli; assert cli._build_parser.cache_info().currsize == 0")
     assert proc.returncode == 0, proc.stderr
+
+
+NOTHING_BUILT_AT_IMPORT = """
+import sys
+import detcert.detectors as detectors
+build, calls = detectors.build_threshold_povm, []
+detectors.build_threshold_povm = lambda *args: calls.append(args) or build(*args)
+import detcert.cli
+kept = {f"{f.__module__}.{f.__qualname__}": f.cache_info().currsize
+        for name, module in list(sys.modules.items()) if name.split(".")[0] == "detcert"
+        for f in vars(module).values() if hasattr(f, "cache_info")}
+assert not calls, f"{len(calls)} threshold POVMs built at import"
+assert not any(kept.values()), kept
+print(*sorted(kept))
+"""
+
+
+def test_importing_the_cli_builds_nothing_kept():
+    # every kept object, the BB84 measurements and squasher among them, is built on first use
+    proc = _python(NOTHING_BUILT_AT_IMPORT)
+    assert proc.returncode == 0, proc.stderr
+    assert {
+        "detcert.channels._bb84_measurements", "detcert.postprocessing.bb84_qubit_squasher",
+        "detcert.detectors.enumerate_events", "detcert.postprocessing.multiclick_coarse_graining",
+        "detcert.fock.SpaceLayout", "detcert.fock._projector",
+    } <= set(proc.stdout.split())

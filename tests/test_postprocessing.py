@@ -9,6 +9,7 @@ import detcert.postprocessing as postprocessing
 from detcert import (
     CoarseGraining,
     DetectionSetup,
+    active_bb84_setups,
     StochasticMatrix,
     apply_postprocessing,
     bb84_qubit_squasher,
@@ -581,3 +582,72 @@ def test_coarse_graining_contraction_equals_term_by_term_sum(cutoff):
             assert merged.dense.dtype == povm.dense.dtype
             np.testing.assert_array_equal(merged.dense, _summed_term_by_term(cg.entries, povm.dense))
             assert merged.events is cg.row_table
+
+
+
+@st.composite
+def _stacked_maps(draw):
+    """A threshold-POVM stack of a passive, active or custom map, real or complex, its dark-rate
+    rows (one of them zero) and whether the multiclick graining follows the dark counts."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["passive", "active-Z", "active-X", "custom"]))
+    if kind == "passive":
+        mode_map = passive_bb84_setup().mode_map
+    elif kind == "custom":
+        k = draw(st.integers(2, 4))
+        mode_map = np.linalg.qr(rng.normal(size=(k, k)))[0][:, : draw(st.integers(1, k))]
+    else:
+        mode_map = active_bb84_setups()[kind[-1]].mode_map
+    if draw(st.booleans()):  # input-mode phases make the map complex
+        mode_map = mode_map * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, mode_map.shape[1]))
+    depth, k = draw(st.integers(1, 4)), len(mode_map)
+    rates = rng.uniform(0.0, 0.3, (depth, k))
+    rates[draw(st.integers(0, depth - 1))] = 0.0
+    povms = build_threshold_povm(DetectionSetup(k=k, mode_map=mode_map, eta=rng.uniform(0.05, 1.0, (depth, k))), 1)
+    return povms, rates, draw(st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_stacked_maps())
+def test_a_stack_of_maps_acts_as_each_of_its_entries_alone(case):
+    povms, rates, coarse = case
+    k = rates.shape[1]
+    stack, cg = dark_count_matrix(rates), multiclick_coarse_graining(enumerate_events(k))
+    rows = [dark_count_matrix(row).entries for row in rates]
+    for entries, row in zip(stack.entries, rows, strict=True):
+        assert entries.tobytes() == row.tobytes()
+    zero = int(np.flatnonzero(~rates.any(axis=1))[0])
+    assert stack.entries[zero].tobytes() == np.eye(2**k).tobytes()  # exactly, zeros' signs included
+    if coarse:  # composed onto the stack as the analysis does: each entry as the graining after its row alone
+        stack = StochasticMatrix(cg.entries @ stack.entries, cg.row_table)
+        rows = [cg.entries @ row for row in rows]
+        assert stack.entries[zero].tobytes() == cg.entries.tobytes()
+    mixed = apply_postprocessing(stack, povms)
+    assert mixed.dense.dtype == povms.dense.dtype and mixed.events is stack.row_table
+    for i, row in enumerate(rows):
+        assert stack.entries[i].tobytes() == row.tobytes()
+        alone = apply_postprocessing(StochasticMatrix(row, stack.row_table), povms.take(i))
+        assert mixed.dense[i].tobytes() == alone.dense.tobytes()
+    if not coarse:  # the zero row's identity leaves its measurement's values as they are
+        np.testing.assert_array_equal(mixed.dense[zero], povms.dense[zero])
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_stacked_maps())
+def test_every_consumer_of_one_map_refuses_a_stack_naming_it(case):
+    _, rates, coarse = case
+    k = rates.shape[1]
+    stack, one = dark_count_matrix(rates), dark_count_matrix(rates[0])
+    cg = multiclick_coarse_graining(enumerate_events(k))
+    if coarse:
+        stack = StochasticMatrix(cg.entries @ stack.entries, cg.row_table)
+    refusals = [
+        ("P_db", lambda: solve_swap_lp(stack, bb84_qubit_squasher() if k == 2 else one)),
+        ("P_sq", lambda: solve_swap_lp(one, stack)),
+        ("a coarse graining is one map, not a stack", lambda: CoarseGraining(stack.entries)),
+        ("the dark-count map of shape", lambda: coarse_grained_dc_ansatz(stack, cg)),
+        ("dark-count map of shape", lambda: validate_dark_count_pp(stack, enumerate_events(k))),
+    ]
+    for fragment, call in refusals:
+        with pytest.raises(ValueError, match=fragment):
+            call()
