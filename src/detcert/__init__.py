@@ -56,7 +56,7 @@ _EXPORTS = {
     "feasibility": ("FeasibilityResult", "choi_feasibility", "measure_prepare_witness", "verify_choi_witness",
                     "verify_farkas_ray"),
     "descriptor": ("SetupDescriptor", "load_descriptor"),
-    "report": ("Certificate", "emit_certificate", "run_analysis"),
+    "report": ("Certificate", "run_analysis"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_MODULE_OF)

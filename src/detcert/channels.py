@@ -11,10 +11,10 @@ flag ``|i><i|`` exactly.  The public builders check that; the dark-count
 and loss builders also check that clicks never outnumber photons, and the
 generic builder that each excess is PSD to within its inputs.  The
 constructions read operator blocks off the measurement's dense stack with
-the block projectors of its layout, and take a stack of measurements or
-efficiency vectors (one per efficiency corner) to the stack of channels,
-one term formula for all of them.  The analysis builds each corner's
-generic channel with :func:`generic_channel`, one call on the stack.
+the block projectors of its layout.  The dark-count and loss builders act
+at one point; the generic builder takes a stack of noisy measurements (one
+per efficiency corner) to the stack of channels, one term formula for all
+of them, and the analysis builds every corner's channel in that one call.
 
 A channel is a sum of completely positive terms, and its Choi matrix ``J``
 is held on its support (``ChoiSupport``): the positions the term formulas
@@ -64,10 +64,7 @@ _FLAG_TOL = 1e-12
 
 @dataclass(frozen=True)
 class _KeepBlocks:
-    """CP term ``rho -> weight * P rho P`` for a block projector ``P``.
-
-    ``weight`` is a number, or one number per stack entry.
-    """
+    """CP term ``rho -> weight * P rho P`` for a block projector ``P`` and a number ``weight``."""
 
     weight: float
     projector: np.ndarray
@@ -75,10 +72,10 @@ class _KeepBlocks:
     def entries(self, d_in: int, d_out: int):
         """``weight |v><v|``, ``v = sum_a |a> (x) P|a>``, on the nonzeros of ``v``.
 
-        Returns the positions and the values, shaped ``(depth or 1, nnz)``.
+        Returns the positions and the values, shaped ``(1, nnz)``.
         """
         keys, outer = _keep_support(np.asarray(self.projector))
-        return keys, np.multiply.outer(np.atleast_1d(self.weight), outer)
+        return keys, (self.weight * outer)[None]
 
 
 @_kept(maxsize=32)
@@ -219,24 +216,26 @@ class ChoiSupport:
 
     ``keys`` are positions ``row * dim + col``, closed under transposition;
     ``values`` is ``(depth, nnz)``, one row per Choi matrix, and entries off
-    the support are zero.  Built from ``parts``, ``(stack rows, positions,
-    values)`` triples whose values broadcast to their rows, repeated
-    positions summed in order (no position repeats within one part).  The
+    the support are zero.  Built from ``parts``, ``(positions, values)``
+    pairs whose values are ``(depth or 1, nnz)``, broadcast over the stack,
+    repeated positions summed in order (no position repeats within one
+    part); the depth is the longest values'.  The
     structure of the positions (:class:`_Pattern`) depends on them alone,
     and supports with the same positions share it.  ``values`` take the
     dtype of :func:`_dtype` over the parts' values: real terms give a
     float64 stack, and one complex part a complex128 one.
     """
 
-    def __init__(self, d_in: int, d_out: int, depth: int, parts):
+    def __init__(self, d_in: int, d_out: int, parts):
         self.d_in, self.d_out, self.dim = d_in, d_out, d_in * d_out
-        positions = np.concatenate([k for _, k, _ in parts] + [np.zeros(0, dtype=np.intp)])
+        positions = np.concatenate([k for k, _ in parts] + [np.zeros(0, dtype=np.intp)])
         self._pattern = _pattern(d_in, d_out, positions)
         self.keys = self._pattern.keys
-        self.values = np.zeros((depth, len(self.keys)), dtype=_dtype(*[v for _, _, v in parts]))
+        depth = max([len(v) for _, v in parts], default=1)
+        self.values = np.zeros((depth, len(self.keys)), dtype=_dtype(*[v for _, v in parts]))
         start = 0
-        for stack_rows, k, v in parts:
-            self.values[stack_rows, self._pattern.slot[start : start + len(k)]] += v
+        for k, v in parts:
+            self.values[:, self._pattern.slot[start : start + len(k)]] += v
             start += len(k)
 
     @classmethod
@@ -244,7 +243,7 @@ class ChoiSupport:
         """A dense Choi matrix, or a stack of them, on the union of their nonzeros."""
         stack = np.asarray(choi, dtype=_dtype(choi)).reshape(-1, (d_in * d_out) ** 2)
         keys = np.flatnonzero((stack != 0).any(axis=0))
-        return cls(d_in, d_out, len(stack), [(slice(None), keys, stack[:, keys])])
+        return cls(d_in, d_out, [(keys, stack[:, keys])])
 
     def dense(self) -> np.ndarray:
         """The ``(depth, dim, dim)`` dense Choi matrices, complex128 whatever the values' dtype.
@@ -337,9 +336,7 @@ class QuantumChannel:
     def support(self) -> ChoiSupport:
         if self._support is None:
             d_in, d_out = self.input_layout.total_dim, self.output_layout.total_dim
-            entries = [term.entries(d_in, d_out) for term in self.terms]
-            depth = max([len(v) for _, v in entries], default=1)
-            self._support = ChoiSupport(d_in, d_out, depth, [(slice(None), k, v) for k, v in entries])
+            self._support = ChoiSupport(d_in, d_out, [term.entries(d_in, d_out) for term in self.terms])
         return self._support
 
     @property
@@ -426,7 +423,7 @@ def bb84_qubit_measurement(basis: str) -> POVM:
 
 
 def _require_exact_flags(povm: POVM, role: str):
-    """``povm`` must have a flag block, and element ``i`` the flag block ``|i><i|`` (every stack entry)."""
+    """``povm`` must have a flag block, and element ``i`` the flag block ``|i><i|``."""
     if povm.layout.has(FLAG_LABEL):
         n = len(povm)
         s = povm.layout.slice_of(FLAG_LABEL)
@@ -439,18 +436,17 @@ def _require_exact_flags(povm: POVM, role: str):
 
 
 def _require_one_photon_target(povm: POVM):
-    """A flag-state target on vacuum + one photon in which clicks never outnumber photons."""
+    """One flag-state target on vacuum + one photon in which clicks never outnumber photons."""
     if povm.layout.photon_labels != (_M0, _M1):
         raise ValueError(f"need blocks (m=0, m=1, flag), got {povm.layout.labels}")
     _require_exact_flags(povm, "target")
-    reports = verify_single_photon_assumption(povm)
-    for report in reports if povm.stacked else (reports,):
-        if not report.passed:
-            label, block, weight = report.violations[0]
-            raise ValueError(
-                f"clicks outnumber photons: element {label!r} has weight {weight:.3e} "
-                f"on block {block}"
-            )
+    report = verify_single_photon_assumption(povm)  # refuses a stack
+    if not report.passed:
+        label, block, weight = report.violations[0]
+        raise ValueError(
+            f"clicks outnumber photons: element {label!r} has weight {weight:.3e} "
+            f"on block {block}"
+        )
 
 
 def _block_of(stack: np.ndarray, layout: SpaceLayout, label: str) -> np.ndarray:
@@ -471,8 +467,7 @@ def dark_count_channel(p_db: StochasticMatrix, f_eta: POVM) -> QuantumChannel:
     as the no-click flag: a vacuum input stays vacuum unless a dark count
     fires, while flag inputs are post-processed with ``p_db`` entirely
     inside the flag block, so no weight re-enters the preserved blocks.
-    A stacked ``f_eta`` gives the stack of channels; ``p_db`` and the
-    preparations are shared, so they are built and validated once.
+    ``f_eta`` is one measurement; a stack of them is refused.
     """
     _require_one_photon_target(f_eta)
     report = validate_dark_count_pp(p_db, f_eta.events)
@@ -498,7 +493,7 @@ def dark_count_channel(p_db: StochasticMatrix, f_eta: POVM) -> QuantumChannel:
         # trace 1 - P[0|0], so the branch weight is built in.
         measured = [j for j in range(n) if j not in multis]
         coeffs = p.T[measured] - p00 * np.eye(n)[measured]
-        ops = _block_of(f_eta.dense[..., measured, :, :], layout, _M1)
+        ops = _block_of(f_eta.dense[measured], layout, _M1)
         terms.append(_MeasurePrepare(ops=ops, preps=_diagonal_states(d, raised, coeffs)))
 
     # Vacuum sector: outcome 0 keeps the vacuum, dark counts raise flags.
@@ -513,14 +508,14 @@ def dark_count_channel(p_db: StochasticMatrix, f_eta: POVM) -> QuantumChannel:
 
 
 def _loss_split_entries(eta: np.ndarray, eta_star: float) -> np.ndarray:
-    """Entries of ``Q`` for each efficiency vector of a stack ``(..., k)`` with ``eta_min < eta_star``.
+    """Entries of ``Q`` for an efficiency vector ``eta`` with ``eta_min < eta_star``.
 
     ``Q`` is the residual loss map of ``P_eta = r P_eta* + (1-r) Q``, ``r = eta_min / eta_star``:
     it keeps single click ``s`` with probability ``eta_star (eta_s - eta_min) / (eta_star - eta_min)``,
     in ``[0, 1]`` for an admissible ``eta_star`` (:func:`check_eta_star`) and clipped to 1 where that
     ill-conditioned probability rounds above it, near the lower end.
     """
-    eta_min = eta.min(axis=-1, keepdims=True)
+    eta_min = eta.min()
     # Divided by (eta_star - eta_min) / eta_star, which lies in (0, 1], not
     # multiplied by eta_star first, which underflows at subnormal
     # efficiencies; at eta_star = 1 the two agree bit for bit.
@@ -533,36 +528,33 @@ def loss_channel(eta, eta_star: float, f_lossless: POVM) -> QuantumChannel:
 
     Vacuum and flags pass through; the one-photon block survives with
     probability ``eta_min / eta_star`` and is otherwise measured with the
-    residual-loss POVM and flagged.  ``f_lossless`` is the flag-state target
-    of the unit-efficiency setup.  A stack ``(depth, k)`` of efficiency
-    vectors gives the stack of channels; the measure-prepare branch is
-    zero at the entries where ``eta_min / eta_star`` reaches 1.
+    residual-loss POVM and flagged, a branch absent where ``eta_min / eta_star``
+    reaches 1.  ``f_lossless`` is the flag-state target of the
+    unit-efficiency setup.  ``eta`` is one efficiency vector; a stack of
+    them is refused.
     """
     _require_one_photon_target(f_lossless)
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
+    if eta.ndim != 1:
+        raise ValueError(f"loss_channel takes one efficiency vector, not a stack of shape {eta.shape}")
     check_eta_star(eta, eta_star)
-    if len(f_lossless.events.single_indices) != eta.shape[-1]:
+    if len(f_lossless.events.single_indices) != len(eta):
         raise ValueError("efficiency vector does not match the single-click events")
     layout = f_lossless.layout
-    eta_min = eta.min(axis=-1)
-    ratio = eta_min / eta_star
+    ratio = eta.min() / eta_star
 
     terms = [
         _KeepBlocks(weight=1.0, projector=layout.projector(_M0)),
         _KeepBlocks(weight=ratio, projector=layout.projector(_M1)),
         _KeepBlocks(weight=1.0, projector=layout.projector(FLAG_LABEL)),
     ]
-    split = ratio < 1.0
-    if split.any():
+    if ratio < 1.0:
         carriers = [0, *f_lossless.events.single_indices]
         m = len(carriers)
-        q = np.zeros((*split.shape, m, m))
-        q[split] = _loss_split_entries(eta[split], eta_star)
+        q = _loss_split_entries(eta, eta_star)
         blocks = _block_of(f_lossless.dense[carriers], layout, _M1)
-        # The branch weight 1 - ratio goes into the measurement, so the flag
-        # preparations are shared.
-        ops = (q @ blocks.reshape(m, -1)).reshape(*split.shape, *blocks.shape)
-        ops *= np.where(split, 1.0 - ratio, 0.0)[..., None, None, None]
+        # The branch weight 1 - ratio goes into the measurement.
+        ops = (q @ blocks.reshape(m, -1)).reshape(blocks.shape) * (1.0 - ratio)
         flags = layout.offset(FLAG_LABEL) + np.array(carriers)
         preps = _diagonal_states(layout.total_dim, flags, np.eye(m))
         terms.append(_MeasurePrepare(ops=ops, preps=preps))

@@ -381,12 +381,10 @@ class SinglePhotonAssumptionReport(_Verdict):
         return self.max_violation
 
 
-def verify_single_photon_assumption(povm: POVM):
-    """Report on the no-more-clicks-than-photons structure of ``povm``.
-
-    A stack of measurements is checked in one pass and gives a tuple of
-    reports, one per stack entry.
-    """
+def verify_single_photon_assumption(povm: POVM) -> SinglePhotonAssumptionReport:
+    """Report on the no-more-clicks-than-photons structure of one measurement; a stack is refused."""
+    if povm.stacked:
+        raise ValueError("the click-count check takes one measurement, not a stack of them")
     events = povm.events
     m0, m1 = photon_label(0), photon_label(1)
     largest = {
@@ -395,18 +393,11 @@ def verify_single_photon_assumption(povm: POVM):
     }
     checked = [(i, block) for i in events.multi_indices for block in largest]
     checked += [(i, m0) for i in events.single_indices]
-    values = np.stack([largest[block][..., i] for i, block in checked], axis=-1)
-    reports = tuple(
-        SinglePhotonAssumptionReport(
-            max_violation=worst,
-            violations=tuple(
-                (events.labels[i], block, value)
-                for (i, block), value in zip(checked, row) if value > _ASSUMPTION_TOL
-            ),
-        )
-        for row, worst in zip(
-            values.reshape(-1, len(checked)).tolist(),
-            values.max(axis=-1).reshape(-1).tolist(),
-        )
+    values = np.array([largest[block][i] for i, block in checked])
+    return SinglePhotonAssumptionReport(
+        max_violation=float(values.max()),
+        violations=tuple(
+            (events.labels[i], block, value)
+            for (i, block), value in zip(checked, values.tolist()) if value > _ASSUMPTION_TOL
+        ),
     )
-    return reports if povm.stacked else reports[0]

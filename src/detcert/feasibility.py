@@ -108,8 +108,8 @@ def _lbfgs(fun, x: np.ndarray) -> tuple[np.ndarray, str]:
 
 def _measure_prepare(system: ChoiConstraintSystem, y: np.ndarray) -> ChoiSupport:
     """The adjoint ``sum_k Y_k^T (x) F_k`` of the identities, for ``y`` shaped like ``targets``, on its support."""
-    keys, values = _MeasurePrepare(ops=y, preps=system.ops).entries(system.d_in, system.d_out)
-    return ChoiSupport(system.d_in, system.d_out, len(values), [(slice(None), keys, values)])
+    entries = _MeasurePrepare(ops=y, preps=system.ops).entries(system.d_in, system.d_out)
+    return ChoiSupport(system.d_in, system.d_out, [entries])
 
 
 def measure_prepare_witness(p_dc, f_before, f_after) -> np.ndarray:

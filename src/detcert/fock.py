@@ -113,15 +113,15 @@ def _kept(maxsize: int):
 
     The one way this package keeps an object: nothing is built before its first call.  An array argument
     keys on its dtype, shape and C-order bytes and reaches the function read-only; other arguments key as
-    themselves and their type, so a ``1.0`` never finds the value of ``1``.  Arrays in the value, its items
-    or ``__dict__`` attributes are made read-only.
+    themselves and their type, so a ``1.0`` never finds the value of ``1``.  Arrays in the value and among
+    its :func:`_members` are made read-only.
     """
 
     def keep(fn):
         @functools.lru_cache(maxsize=maxsize, typed=True)
         def build(*key, **kwargs):
             value = fn(*[np.frombuffer(a[2], a[0]).reshape(a[1]) if type(a) is _Bytes else a for a in key], **kwargs)
-            for a in (value, *(value if isinstance(value, tuple) else getattr(value, "__dict__", {}).values())):
+            for a in (value, *_members(value)):
                 if isinstance(a, np.ndarray):
                     a.flags.writeable = False
             return value
@@ -134,6 +134,14 @@ def _kept(maxsize: int):
         return kept
 
     return keep
+
+
+def _members(value) -> list:
+    """A tuple's items, else the value's attributes: in its ``__dict__`` and its classes' tuple ``__slots__``."""
+    if isinstance(value, tuple):
+        return list(value)
+    slots = [name for cls in type(value).__mro__ for name in cls.__dict__.get("__slots__", ())]
+    return [getattr(value, name, None) for name in [*getattr(value, "__dict__", ()), *slots]]
 
 
 _layout = _kept(maxsize=64)(SpaceLayout)  # the builders' layouts, so what a layout keeps is built once

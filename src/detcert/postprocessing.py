@@ -110,18 +110,18 @@ def _dark_count_index(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _single_photon_loss_entries(eta: np.ndarray) -> np.ndarray:
-    """Entries of the single-photon loss map for each efficiency vector of a stack ``(..., k)``.
+    """Entries of the single-photon loss map for an efficiency vector ``eta`` of ``k`` detectors.
 
     Loss as post-processing, valid on at most one incident photon, on the
     ``k + 1`` outcomes {no-click} + singles: no-click stays put, and single
     click ``s`` survives with probability ``eta_s`` or decays to no-click.
     For one detector this is ``[[1, 1-eta], [0, eta]]``.
     """
-    k = eta.shape[-1]
-    p = np.zeros(eta.shape[:-1] + (k + 1, k + 1))
-    p[..., 0, 0] = 1.0
-    p[..., range(1, k + 1), range(1, k + 1)] = eta
-    p[..., 0, 1:] = 1.0 - eta
+    k = len(eta)
+    p = np.zeros((k + 1, k + 1))
+    p[0, 0] = 1.0
+    p[range(1, k + 1), range(1, k + 1)] = eta
+    p[0, 1:] = 1.0 - eta
     return p
 
 
@@ -191,9 +191,7 @@ def multiclick_coarse_graining(events: EventTable) -> CoarseGraining:
     row_labels = (events.labels[0],) + tuple(events.labels[s] for s in singles) + (MULTI,)
     row_classes = (NO_CLICK,) + (SINGLE,) * n_s + (MULTI,)
     table = EventTable(k=events.k, labels=row_labels, classes=row_classes, masks=())
-    cg = CoarseGraining(m, row_table=table)
-    cg.entries.flags.writeable = False
-    return cg
+    return CoarseGraining(m, row_table=table)
 
 
 def apply_postprocessing(p: StochasticMatrix, povm: POVM) -> POVM:
@@ -389,9 +387,7 @@ def bb84_qubit_squasher() -> StochasticMatrix:
     (:func:`~detcert.fock._kept`), read-only.
     """
     table = EventTable(k=2, labels=enumerate_events(2).labels[:3], classes=(NO_CLICK, SINGLE, SINGLE), masks=())
-    squasher = StochasticMatrix([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.5], [0.0, 0.0, 1.0, 0.5]], table)
-    squasher.entries.flags.writeable = False
-    return squasher
+    return StochasticMatrix([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.5], [0.0, 0.0, 1.0, 0.5]], table)
 
 
 def bb84_squashed_dark_matrix(d: float) -> StochasticMatrix:

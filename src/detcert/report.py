@@ -219,11 +219,6 @@ def write_json(payload, path=None) -> Path | None:
     return out
 
 
-def emit_certificate(cert: Certificate, path=None) -> Path | None:
-    """Write the certificate deterministically (:func:`write_json`); returns the path written."""
-    return write_json(cert.to_dict(), path)
-
-
 def _common_efficiency(desc: SetupDescriptor, etas, derived: dict) -> float:
     """The descriptor's ``eta_star`` (else 1), admissible over the evaluated ``(n, k)`` stack ``etas``.
 
@@ -250,13 +245,14 @@ def _common_efficiency(desc: SetupDescriptor, etas, derived: dict) -> float:
     return eta_star
 
 
-def _record_weight(desc: SetupDescriptor, cert: Certificate, etas, p00: float, eta_star: float):
-    """Record ``p00``, the ratio ``eta_min / eta_star`` over ``etas`` and the weight after the noise channel."""
+def _record_weight(desc: SetupDescriptor, cert: Certificate, etas, p00: float, eta_star: float) -> float:
+    """Record ``p00``, ``ratio = eta_min / eta_star`` over ``etas`` and ``weight_out``; return ``1 - p00 * ratio``."""
     eta_min = float(etas.min())
     cert.derived["p_no_dark"] = p00
     cert.derived["efficiency_ratio"] = eta_min / eta_star
     cert.derived["weight_in"] = desc.weight_in
     cert.derived["weight_out"] = propagate_weight(desc.weight_in, p00, eta_min, eta_star)
+    return propagate_weight(0.0, p00, eta_min, eta_star)
 
 
 def _analyze_flag_state(desc: SetupDescriptor, cert: Certificate):
@@ -267,8 +263,7 @@ def _analyze_flag_state(desc: SetupDescriptor, cert: Certificate):
     # entry a zero row of rates, whose map is the identity; then the graining.
     n = len(corners)
     p = dark_count_matrix(np.vstack([np.tile(d_max, (n, 1)), np.zeros(desc.k)]))
-    _record_weight(desc, cert, corners, float(p.entries[0, 0, 0]), eta_star)
-    q = 1.0 - cert.derived["p_no_dark"] * cert.derived["efficiency_ratio"]
+    q = _record_weight(desc, cert, corners, float(p.entries[0, 0, 0]), eta_star)
     if desc.coarse_grain == "multiclick":
         cg = multiclick_coarse_graining(enumerate_events(desc.k))
         p = StochasticMatrix(cg.entries @ p.entries, cg.row_table)
@@ -301,12 +296,6 @@ def _swap_lp(d_vec, tol: float):
         return solve_swap_lp(dark_count_matrix(d_vec), bb84_qubit_squasher(), tol=tol)
     except RuntimeError as exc:
         raise DescriptorError(f"tol: the swap LP cannot decide at {tol:g}: {exc}") from exc
-
-
-def active_swap_lp(desc: SetupDescriptor):
-    """``(rates, SwapLPResult)`` of the active-BB84 qubit squasher at the one point of ``desc.points``."""
-    _, (d_vec,) = desc.points(box=False)
-    return d_vec, _swap_lp(d_vec, desc.tol)
 
 
 def _analyze_active_bb84(desc: SetupDescriptor, cert: Certificate):
@@ -349,8 +338,8 @@ def run_analysis(desc: SetupDescriptor) -> Certificate:
     return cert
 
 
-def run_weight(desc: SetupDescriptor) -> dict:
-    """Weight bound from one observed event probability, plus propagation, at the one point of ``desc.points``.
+def weight(desc: SetupDescriptor) -> tuple[dict, int]:
+    """Weight bound from one observed event probability, plus propagation, at the one point of ``desc.points``; exit 0.
 
     ``eta_star`` must be admissible there, and over the ``eta_range`` box
     when ``eta`` is unset, as in :func:`run_analysis`.
@@ -389,7 +378,7 @@ def run_weight(desc: SetupDescriptor) -> dict:
         "p_no_dark": p00,
         "eta_star": eta_star,
         "weight_propagated": propagated,
-    }
+    }, EXIT_OK
 
 
 def analyze(desc: SetupDescriptor) -> tuple[dict, int]:
@@ -406,10 +395,11 @@ def verify_channel(desc: SetupDescriptor) -> tuple[dict, int]:
 
 
 def _active_point(desc: SetupDescriptor, command: str):
-    """:func:`active_swap_lp` for a point ``command``, which serves only the active-BB84 setup."""
+    """The qubit squasher's ``(rates, SwapLPResult)`` at the one point of ``desc.points``, for active BB84 only."""
     if desc.setup != "active-bb84":
         raise DescriptorError(f"setup: {command} supports only the active-bb84 qubit squasher, got {desc.setup!r}")
-    return active_swap_lp(desc)
+    _, (d_vec,) = desc.points(box=False)
+    return d_vec, _swap_lp(d_vec, desc.tol)
 
 
 def swap_lp(desc: SetupDescriptor) -> tuple[dict, int]:
@@ -419,11 +409,6 @@ def swap_lp(desc: SetupDescriptor) -> tuple[dict, int]:
     payload = {"dark": d_vec.tolist(), "feasible": result.feasible, "matrix": matrix,
                "residual": result.residual, "tolerance": result.tolerance}
     return payload, EXIT_OK if result.feasible else EXIT_NOT_REDUCIBLE
-
-
-def weight(desc: SetupDescriptor) -> tuple[dict, int]:
-    """The weight bound of :func:`run_weight`; exit 0."""
-    return run_weight(desc), EXIT_OK
 
 
 def choi_check(desc: SetupDescriptor) -> tuple[dict, int]:

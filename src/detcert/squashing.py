@@ -11,7 +11,6 @@ event probability and propagated through the noise channels.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,34 +61,21 @@ class WeightBound:
 
 
 def _resolve_event(events: EventTable, event) -> tuple[int, ...]:
-    if isinstance(event, str):
-        if event == "multi":
-            idx = events.multi_indices
-            if not idx:
-                raise ValueError("event table has no multi-click events")
-            return idx
+    """The indices of ``event``: one label's, or every multi-click pattern's for ``"multi"``."""
+    if not isinstance(event, str):
+        raise ValueError(f"event {event!r}: expected a label or 'multi'")
+    if event != "multi":
         return (events.index_of(event),)
-    if isinstance(event, (int, np.integer)) and not isinstance(event, bool):
-        if not 0 <= event < events.n_events:
-            raise ValueError(f"event index {event} outside [0, {events.n_events})")
-        return (int(event),)
-    items = tuple(event) if isinstance(event, Iterable) else ()
-    if not items:  # a bool, another scalar or an empty iterable
-        raise ValueError(f"event {event!r}: expected an index, a label or a nonempty iterable of them")
-    out = []
-    for e in items:
-        for i in _resolve_event(events, e):
-            if i in out:
-                raise ValueError(f"event {events.labels[i]!r} is listed twice")
-            out.append(i)
-    return tuple(out)
+    if not events.multi_indices:
+        raise ValueError("event table has no multi-click events")
+    return events.multi_indices
 
 
 def weight_bound(povm: POVM, event, p_observed: float, cutoff: int) -> WeightBound:
     """Bound the weight outside blocks ``m <= cutoff`` from one observation.
 
-    ``event`` may be an index (not a bool), a label, a nonempty iterable of
-    either, or the string ``"multi"`` for the union of all multi-click patterns.  The bound is
+    ``event`` is a label or the string ``"multi"`` for the union of all
+    multi-click patterns, the two forms a descriptor's ``observed`` names.  The bound is
 
         (p - lmin_inside) / (lmin_outside - lmin_inside)
 
@@ -171,16 +157,15 @@ def eta_star_range(eta_min: float, eta_max: float) -> tuple[float, float]:
 
 
 def check_eta_star(eta, eta_star: float) -> None:
-    """Raise ``ValueError`` unless ``eta_star`` lies in the :func:`eta_star_range` of every vector of ``eta``.
+    """Raise ``ValueError`` unless ``eta_star`` lies in the :func:`eta_star_range` of the efficiency vector ``eta``.
 
-    ``eta`` is one efficiency vector or a ``(..., k)`` stack.  Both ends are admitted
-    exactly, with no slack: an admitted ``eta_star`` has ``0 < eta_min <= eta_star <= 1``.
+    Both ends are admitted exactly, with no slack: an admitted ``eta_star`` has
+    ``0 < eta_min <= eta_star <= 1``.
     """
-    eta = np.asarray(eta, dtype=float).reshape(-1, np.shape(eta)[-1])
-    for vec, low, high in zip(eta.tolist(), eta.min(axis=1).tolist(), eta.max(axis=1).tolist()):
-        lo, hi = eta_star_range(low, high)  # NaN fails there
-        if not lo <= eta_star <= hi:
-            raise ValueError(
-                f"common efficiency {eta_star} outside the admissible interval [{lo}, {hi}] "
-                f"at efficiencies {vec} required by the loss reduction"
-            )
+    eta = np.asarray(eta, dtype=float)
+    lo, hi = eta_star_range(float(eta.min()), float(eta.max()))  # NaN fails there
+    if not lo <= eta_star <= hi:
+        raise ValueError(
+            f"common efficiency {eta_star} outside the admissible interval [{lo}, {hi}] "
+            f"at efficiencies {eta.tolist()} required by the loss reduction"
+        )

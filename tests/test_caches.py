@@ -32,7 +32,7 @@ from detcert.detectors import (
     POVM, _click_table, _lift_isometry, build_threshold_povm, enumerate_events, is_isometry, passive_bb84_setup,
 )
 from detcert.fock import SpaceLayout, _kept
-from detcert.postprocessing import bb84_qubit_squasher, multiclick_coarse_graining
+from detcert.postprocessing import StochasticMatrix, bb84_qubit_squasher, multiclick_coarse_graining
 from detcert.report import run_analysis
 from detcert.squashing import flag_state_target
 from helpers import CASES, ROOT, run_fresh, run_in_process
@@ -179,9 +179,11 @@ def test_kept_keys_an_array_on_its_value_and_hands_out_only_read_only_arrays(val
     for other in others:
         assert other.tobytes() == values.tobytes() and kept(other) is not first
     assert built[1:] == [(other.dtype, other.shape) for other in others]
-    # every array in the value is read-only: the value itself, a tuple's items and an object's attributes
+    # every array in the value is read-only: the value itself, a tuple's items and an object's attributes,
+    # in its __dict__ or in a slot, as a StochasticMatrix holds its entries
     summed = _kept(maxsize=1)(lambda a: SimpleNamespace(total=a.sum(axis=0), rows=len(a)))(values)
-    for array in (*first, summed.total, _kept(maxsize=1)(np.negative)(values)):
+    slotted = _kept(maxsize=1)(lambda a: StochasticMatrix(np.eye(len(a))))(values)
+    for array in (*first, summed.total, slotted.entries, _kept(maxsize=1)(np.negative)(values)):
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 1.0
     values[(0,) * values.ndim] = 1.0  # the caller's array stays writable

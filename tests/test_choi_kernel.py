@@ -394,8 +394,9 @@ def _sparse(rng, shape, fill):
 def _term_stacks(draw):
     """Two stacks of random terms on one random layout pair, and the stack depth.
 
-    Supports are random; a stacked term is all zero at a random subset of
-    the entries (absent there), a keep-blocks weight is zero at some.
+    Supports are random; a stacked measure-prepare term is all zero at a
+    random subset of the entries (absent there), and a keep-blocks term has
+    one weight for the whole stack.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     depth = draw(st.integers(1, 16))
@@ -406,12 +407,11 @@ def _term_stacks(draw):
     for _ in range(2):
         terms = []
         for _ in range(draw(st.integers(0, 4))):
-            stacked = draw(st.booleans())
             if d_in == d_out and draw(st.booleans()):
                 projector = np.diag((rng.uniform(size=d_in) < 0.6).astype(float))
-                weight = rng.uniform(size=depth) * present if stacked else float(rng.uniform())
-                terms.append(_KeepBlocks(weight=weight, projector=projector))
+                terms.append(_KeepBlocks(weight=float(rng.uniform()), projector=projector))
                 continue
+            stacked = draw(st.booleans())
             n = draw(st.integers(1, 3))
             ops = _sparse(rng, (depth, n, d_in, d_in) if stacked else (n, d_in, d_in), fill)
             if stacked:

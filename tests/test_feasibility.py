@@ -33,7 +33,7 @@ from detcert.channels import (
 )
 from detcert.feasibility import ChoiConstraintSystem, _dual, _face_basis, _lbfgs
 from detcert.descriptor import descriptor_from_dict
-from detcert.report import active_swap_lp
+from detcert.report import _active_point
 
 ADVERSARIAL = np.array(
     [
@@ -305,7 +305,7 @@ def test_probe_feasible_with_verified_witness_on_active_strata(log_d, basis):
     # choi-check's probe on the active strata, down to d = 10^-3.5
     d = 10.0**log_d
     desc = descriptor_from_dict({"setup": "active-bb84", "dark_range": [[0, d], [0, d]], "seed": 7})
-    _, lp = active_swap_lp(desc)
+    _, lp = _active_point(desc, "choi-check")
     povm = bb84_qubit_measurement(basis)
     result = choi_feasibility(lp.matrix, povm, povm, tol=desc.feas_tol)
     assert result.verdict == "feasible-at-tol" and result.stop == "tol"

@@ -47,7 +47,7 @@ from detcert.channels import ChoiConstraintSystem
 from detcert.descriptor import DescriptorError, descriptor_from_dict
 from detcert.detectors import POVM
 from detcert.postprocessing import CoarseGraining
-from detcert.report import run_weight
+from detcert.report import weight
 
 
 def _target(eta=0.9, cutoff=1):
@@ -81,6 +81,7 @@ _EMPTY_INTERVAL = {
 }
 _OUT_OF_DOMAIN = "P_sq is outside the closed form's domain"
 _SQUASHER = bb84_qubit_squasher().entries
+_CORNERS = np.array([[0.9] * 4, [0.8] * 4])  # a (2, 4) efficiency stack
 _Z = bb84_qubit_measurement("Z")
 _EMPTY = QuantumChannel(SMALL_LAYOUT, SMALL_LAYOUT, ())
 
@@ -109,6 +110,15 @@ CASES = {
         lambda: loss_channel([0.9] * 3, 1.0, _target(1.0)),
         ValueError, "does not match the single-click events",
     ),
+    # the dark-count and loss builders act at one point
+    "dark-count channel of a stacked target": (
+        lambda: dark_count_channel(dark_count_matrix([0.01] * 4), _target(_CORNERS)),
+        ValueError, "the click-count check takes one measurement, not a stack of them",
+    ),
+    "loss channel of an efficiency stack": (
+        lambda: loss_channel(_CORNERS, 1.0, _target(1.0)),
+        ValueError, "loss_channel takes one efficiency vector, not a stack of shape (2, 4)",
+    ),
     "deviation between mismatched measurements": (
         lambda: min_deviation_q(_Z, _target()), ValueError, "measurements do not match",
     ),
@@ -123,10 +133,7 @@ CASES = {
         ValueError, "post-processing shape (2, 2) does not map 3 -> 3 events",
     ),
     "CPTP check of a stack": (
-        lambda: verify_cptp(
-            dark_count_channel(dark_count_matrix([0.01] * 4), _target(np.array([[0.9] * 4, [0.8] * 4]))),
-            1e-9,
-        ),
+        lambda: verify_cptp(generic_channel(_target(_CORNERS), _target(1.0), 1.0), 1e-9),
         ValueError, "a stack of 2 channels",
     ),
     # detectors
@@ -213,16 +220,16 @@ CASES = {
         lambda: weight_bound(_single_detector_povm(), "multi", 0.1, 1),
         ValueError, "event table has no multi-click events",
     ),
-    # an event is an index, a label or a nonempty iterable of them: a bool is no index
+    # an event is a label or "multi", the two forms a descriptor's observed names: an index is neither
     **{
         f"event {event!r}": (
             lambda event=event: weight_bound(_single_detector_povm(), event, 0.1, 1),
-            ValueError, f"event {event!r}: expected an index, a label or a nonempty iterable",
+            ValueError, f"event {event!r}: expected a label or 'multi'",
         )
-        for event in ([], 1.5, None, True)
+        for event in ([], 1.5, None, True, 1)
     },
     "observed probability above 1": (
-        lambda: weight_bound(_single_detector_povm(), 1, 1.5, 1),
+        lambda: weight_bound(_single_detector_povm(), "1", 1.5, 1),
         ValueError, "observed probability must lie in [0, 1]",
     ),
     "no-dark probability above 1": (
@@ -242,7 +249,7 @@ CASES = {
     ),
     # report
     "weight at cutoff 3": (
-        lambda: run_weight(
+        lambda: weight(
             descriptor_from_dict(
                 {"setup": "passive-bb84", "cutoff": 3, "observed": {"event": "multi", "probability": 0.01}}
             )
@@ -250,7 +257,7 @@ CASES = {
         DescriptorError, "cutoff: weight estimation needs cutoff <= 2",
     ),
     "weight from an uninformative event": (
-        lambda: run_weight(
+        lambda: weight(
             descriptor_from_dict(
                 {"setup": "passive-bb84", "eta_range": [0.5, 0.5], "observed": {"event": "0000", "probability": 0.1}}
             )
@@ -259,11 +266,11 @@ CASES = {
     ),
     # an empty efficiency interval names the efficiencies, not an eta_star that was not given
     "weight over an efficiency range reaching 0": (
-        lambda: run_weight(descriptor_from_dict(_EMPTY_INTERVAL)),
+        lambda: weight(descriptor_from_dict(_EMPTY_INTERVAL)),
         DescriptorError, "eta_range: admissible common-efficiency interval is empty",
     ),
     "weight at an efficiency point with a 0": (
-        lambda: run_weight(descriptor_from_dict({**_EMPTY_INTERVAL, "eta": [0.0, 0.5, 0.5, 0.5], "eta_star": 0.9})),
+        lambda: weight(descriptor_from_dict({**_EMPTY_INTERVAL, "eta": [0.0, 0.5, 0.5, 0.5], "eta_star": 0.9})),
         DescriptorError, "eta: admissible common-efficiency interval is empty",
     ),
 }

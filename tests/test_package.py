@@ -44,12 +44,10 @@ def test_star_import_resolves_every_export():
 
 
 def _names_used(path: Path) -> set:
-    """Every identifier the code of ``path`` names: names, attributes, imports and definitions, not its text."""
+    """Every identifier the code of ``path`` names: names, attributes and imports, not its definitions or text."""
     names = set()
     for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names.add(node.name)
-        elif isinstance(node, ast.Name):
+        if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
@@ -59,13 +57,13 @@ def _names_used(path: Path) -> set:
 
 
 def test_every_exported_function_is_reached_beyond_its_own_tests():
-    # an exported function is named by the command layer (report, cli),
-    # another library module, an acceptance criterion or a demo, not only
-    # by its own tests; classes are exempt
+    # an exported function is named, not only defined, by another library
+    # module (the command layer report and cli among them), an acceptance
+    # criterion or a demo, not only by its own tests; classes are exempt
     library = {path.stem: _names_used(path) for path in (ROOT / "src" / "detcert").glob("*.py")}
     del library["__init__"]  # it names every export
     reach = _names_used(ROOT / "tests" / "test_acceptance.py").union(
-        library["report"], library["cli"], *map(_names_used, (ROOT / "demos").glob("*.py"))
+        *map(_names_used, (ROOT / "demos").glob("*.py"))
     )
     unreached = [
         name

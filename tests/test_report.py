@@ -43,12 +43,12 @@ from detcert.report import (
     EXIT_OK,
     EXIT_TOOL_ERROR,
     Certificate,
-    active_swap_lp,
+    _active_point,
     build_setup,
     canonical_json,
-    emit_certificate,
     run_analysis,
-    run_weight,
+    weight,
+    write_json,
 )
 
 from helpers import ROOT, reference_canonical_json
@@ -459,12 +459,12 @@ def test_weight_rejects_eta_star_inadmissible_at_its_efficiencies(tmp_path, caps
     assert "[0.6, 1.0]" in captured.err
     # without eta the interval is the box's, as analyze's: the all-high corner admits only [0.6, 1]
     with pytest.raises(DescriptorError, match="^eta_star: .*at efficiencies \\[0.6, 0.6, 0.6, 0.6\\]"):
-        run_weight(descriptor_from_dict({**data, "eta_star": 0.52}))
+        weight(descriptor_from_dict({**data, "eta_star": 0.52}))
     # an explicit point is what weight evaluates, so it sets the interval: [0.5 / 0.9, 1] here
     point = {**data, "eta_star": 0.52, "eta": [0.5, 0.5, 0.5, 0.6]}
     with pytest.raises(DescriptorError, match="^eta_star: .*at efficiencies \\[0.5, 0.5, 0.5, 0.6\\]"):
-        run_weight(descriptor_from_dict(point))
-    assert run_weight(descriptor_from_dict({**point, "eta_star": 0.56}))["eta_star"] == 0.56
+        weight(descriptor_from_dict(point))
+    assert weight(descriptor_from_dict({**point, "eta_star": 0.56}))[0]["eta_star"] == 0.56
 
 
 def test_weight_names_the_mode_map_whose_lift_is_not_a_measurement(tmp_path, capsys):
@@ -772,7 +772,7 @@ def _replayed_channel_checks(desc, cert, wrap) -> dict:
     tol, out = desc.tol, {}
     bb84, generic = map(wrap, (bb84_simple_noise_channel, generic_channel))
     if desc.setup == "active-bb84":
-        d_vec, lp = active_swap_lp(desc)
+        d_vec, lp = _active_point(desc, "swap-lp")
         channel = bb84(float(d_vec[0]))
         out["bb84-channel-cptp"] = (verify_cptp, verify_cptp(channel, tol).residual)
         for basis in "ZX":
@@ -1028,7 +1028,7 @@ def test_canonical_json_fixed_float_format():
 
 def test_emit_certificate_round_trip(tmp_path):
     cert = run_analysis(descriptor_from_dict(PASSIVE))
-    path = emit_certificate(cert, tmp_path / "cert.json")
+    path = write_json(cert.to_dict(), tmp_path / "cert.json")
     parsed = json.loads(path.read_text())
     assert parsed["status"] == "reducible"
     assert parsed["derived"]["p_no_dark"] == pytest.approx(0.99**4)
@@ -1041,7 +1041,7 @@ def test_emit_certificate_round_trip(tmp_path):
 def test_emit_certificate_missing_directory(tmp_path):
     cert = Certificate(descriptor={}, derived={})
     with pytest.raises(OSError):
-        emit_certificate(cert, tmp_path / "missing" / "cert.json")
+        write_json(cert.to_dict(), tmp_path / "missing" / "cert.json")
 
 
 # Leaves of every kind the certificate serializer accepts, exact and numpy.
@@ -1174,20 +1174,21 @@ def test_emit_certificate_with_nan_writes_nothing(tmp_path):
     cert.add_check("nan-residual", "verify_cptp", {"eta": [0.5]}, math.nan, 1e-9)
     out = tmp_path / "cert.json"
     with pytest.raises(ValueError, match="cannot serialize nan"):
-        emit_certificate(cert, out)
+        write_json(cert.to_dict(), out)
     assert not out.exists()
 
 
 def test_run_weight_requires_observation():
     with pytest.raises(DescriptorError, match="observed"):
-        run_weight(descriptor_from_dict(PASSIVE))
+        weight(descriptor_from_dict(PASSIVE))
 
 
 def test_run_weight_values():
     desc = descriptor_from_dict(
         {**PASSIVE, "coarse_grain": "none", "observed": {"event": "multi", "probability": 0.001}}
     )
-    payload = run_weight(desc)
+    payload, code = weight(desc)
+    assert code == EXIT_OK
     assert payload["lambda_inside"] == pytest.approx(0.0, abs=1e-13)
     assert payload["weight_bound"] == pytest.approx(
         0.001 / payload["lambda_outside"], abs=1e-12
@@ -1358,7 +1359,7 @@ def test_choi_check_prints_no_negative_zero(capsys):
     # the shipped witness has a zero row, so its smallest Choi eigenvalue is 0
     path = str(ROOT / "descriptors" / "active_bb84.json")
     desc = load_descriptor(path)
-    _, lp = active_swap_lp(desc)
+    _, lp = _active_point(desc, "swap-lp")
     for basis in ("Z", "X"):
         povm = bb84_qubit_measurement(basis)
         witness = measure_prepare_witness(lp.matrix, povm, povm)
