@@ -583,16 +583,17 @@ def _rounding_radius(noise: np.ndarray, ideal: np.ndarray) -> np.ndarray:
 
 
 def _deviation_bound(noise: np.ndarray, ideal: np.ndarray):
-    """Per entry of a stack ``noise`` ``(..., n, d, d)``: the unrounded ``q*`` against ``ideal``, and a support deficit.
+    """Per entry of a stack ``noise`` ``(..., n, d, d)``: the ``q`` admitted against ``ideal``, and a support deficit.
 
     The largest ``t`` with ``N = F_noise_i >= t F_ideal_i`` is
     ``1 / lambda_max(N^{-1/2} F_ideal_i N^{-1/2})`` on the support of ``N``,
     and 0 when ``F_ideal_i`` leaks off that support (Horn and Johnson,
-    *Matrix Analysis*, 2nd ed., section 7.7).  So ``q* = 1 - min_i t_i``:
-    1 on a support deficit, 0 for an entry equal to ``ideal``.  Both read the
-    radius ``r_i`` (:func:`_rounding_radius`): an eigenvalue of ``N`` at or
-    below ``r_i + s(N)``, ``s`` its shortfall from PSD, is off the support,
-    and a leak is an off-support compression of ``F_ideal_i`` above ``r_i``.
+    *Matrix Analysis*, 2nd ed., section 7.7).  So ``q* = 1 - min_i t_i``,
+    rounded up by the entry's largest radius ``r_i`` (:func:`_rounding_radius`)
+    and at most 1: 1 on a support deficit, exactly 0 for an entry equal to
+    ``ideal``.  The support reads the same radius: an eigenvalue of ``N`` at
+    or below ``r_i + s(N)``, ``s`` its shortfall from PSD, is off it, and a
+    leak is an off-support compression of ``F_ideal_i`` above ``r_i``.
     """
     vals, vecs = np.linalg.eigh(noise)
     radius = _rounding_radius(noise, ideal)
@@ -602,11 +603,11 @@ def _deviation_bound(noise: np.ndarray, ideal: np.ndarray):
     off = vecs * ~support[..., None, :]
     leak = np.abs(off.conj().swapaxes(-1, -2) @ ideal @ off).max(axis=(-2, -1)) > radius
     lmax = np.linalg.eigvalsh(whitened.conj().swapaxes(-1, -2) @ ideal @ whitened)[..., -1].max(axis=-1)
-    same = (noise == ideal).all(axis=(-3, -2, -1))
+    same = (noise == ideal).all(axis=(-3, -2, -1))  # no eigensolve to round
     deficit = leak.any(axis=-1) & ~same
     with np.errstate(divide="ignore"):  # lmax = 0 only where F_ideal lives off the support: a deficit
-        q_star = np.where(deficit, 1.0, np.where(same, 0.0, np.clip(1.0 - 1.0 / lmax, 0.0, 1.0)))
-    return q_star, deficit
+        rounded = np.minimum(1.0, np.clip(1.0 - 1.0 / lmax, 0.0, 1.0) + radius.max(axis=-1))
+    return np.where(deficit, 1.0, np.where(same, 0.0, rounded)), deficit
 
 
 def generic_channel(f_noise: POVM, f_ideal: POVM, q: float) -> QuantumChannel:
@@ -619,8 +620,8 @@ def generic_channel(f_noise: POVM, f_ideal: POVM, q: float) -> QuantumChannel:
     :class:`POVM` accepts as PSD to its tolerance, computed only if the radius
     alone rejects.  The channel measures the excess on the preserved blocks,
     surrendering weight ``q`` to the flags.  A stacked ``f_noise`` gives the
-    stack of channels; a rejection names the largest ``q*`` of
-    :func:`_deviation_bound` over the stack.
+    stack of channels; a rejection names the ``q*`` that
+    :func:`min_deviation_q` returns, which it admits.
     """
     _require_unit(q, "q")
     _require_exact_flags(f_ideal, "the ideal")
@@ -651,24 +652,19 @@ def min_deviation_q(f_noise: POVM, f_ideal: POVM) -> float:
     """Smallest deviation ``q`` admissible between two measurements, in closed form.
 
     Takes what :func:`generic_channel` takes, ``f_noise`` possibly a stack:
-    the largest over its entries of the bound ``q*`` of :func:`_deviation_bound`
-    rounded up by that entry's largest radius ``r_i``, and at most 1, so
+    the largest over its entries of the ``q`` of :func:`_deviation_bound`, so
     :func:`generic_channel` admits it.  An entry equal to ``f_ideal`` gives
     exactly 0; a support deficit warns and gives 1.
     """
     _require_matching(f_noise, f_ideal)
-    noise, ideal = f_noise.dense, f_ideal.dense
-    q_star, deficit = _deviation_bound(noise, ideal)
+    q, deficit = _deviation_bound(f_noise.dense, f_ideal.dense)
     if deficit.any():
         warnings.warn(
             "no q < 1 satisfies the deviation bound; the noisy measurement "
             "has a support deficit (reporting q = 1)",
             stacklevel=2,
         )
-        return 1.0
-    same = (noise == ideal).all(axis=(-3, -2, -1))  # no eigensolve to round
-    rounded = np.where(same, 0.0, q_star + _rounding_radius(noise, ideal).max(axis=-1))
-    return float(min(1.0, rounded.max()))
+    return float(q.max())
 
 
 def inf_norm_mixing(f_noise: POVM, delta: float) -> POVM:

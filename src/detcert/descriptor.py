@@ -7,8 +7,8 @@ output; ``__post_init__`` runs it once per field given and then every value
 rule, so a malformed field raises :class:`DescriptorError` naming it however
 built.  The JSON reader only checks which fields appear and rejects nulls.
 The module imports no numeric code: a rule stated in :mod:`detcert.detectors`
-is imported by the branch that applies it, so loading a fixed setup's
-descriptor loads neither numpy nor the detectors.
+or :mod:`detcert.squashing` is imported by the branch that applies it, so
+loading a fixed setup's descriptor loads neither numpy nor the detectors.
 """
 
 from __future__ import annotations
@@ -200,12 +200,11 @@ class SetupDescriptor:
                 raise DescriptorError("mode_map: columns are not orthonormal (not an isometry)")
         if self.observed is not None:
             from .detectors import enumerate_events
-            events = enumerate_events(self.k)
-            allowed = events.labels + (("multi",) if events.multi_indices else ())
-            if self.observed[0] not in allowed:
-                raise DescriptorError(
-                    f"observed: no event labelled {self.observed[0]!r}; expected one of {list(allowed)}"
-                )
+            from .squashing import _resolve_event
+            try:
+                _resolve_event(enumerate_events(self.k), self.observed[0])
+            except ValueError as exc:
+                raise DescriptorError(f"observed: {exc}") from exc
 
     def points(self, box: bool) -> tuple[np.ndarray, np.ndarray]:
         """The efficiencies and dark rates a command evaluates, as two ``(n, k)`` stacks.

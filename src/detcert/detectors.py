@@ -66,12 +66,6 @@ class EventTable:
     def multi_indices(self) -> tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.classes) if c == MULTI)
 
-    def index_of(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"no event labelled {label!r}") from None
-
 
 @_kept(maxsize=16)
 def enumerate_events(k: int) -> EventTable:

@@ -133,7 +133,7 @@ def _finite_text(x: float) -> str:
 
 
 _escape = json.encoder.encode_basestring_ascii  # what ``json.dumps(str)`` calls
-# Exact type -> text of a scalar; numpy scalars are rendered as the Python scalar they hold.
+# Exact type -> text of a scalar.
 _SCALAR_TEXT = {
     float: _finite_text,
     str: _escape,
@@ -145,15 +145,17 @@ _scalar_text = _SCALAR_TEXT.get
 _CONTAINERS = (dict, list, tuple)
 
 
-def canonical_json(obj, indent: int = 0) -> str:
+def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys, floats at 17 significant digits.
 
-    Keys are sorted and ASCII-escaped, one item per line at a 2-space indent
-    from ``indent``; floats are ``.17g`` and NaN or infinity raises
+    Takes the JSON types payloads hold: dict, list, tuple, str, int, float,
+    bool and None, by exact type; any other value, a numpy one included,
+    raises ``TypeError``.  Keys are sorted and ASCII-escaped, one item per
+    line at a 2-space indent; floats are ``.17g`` and NaN or infinity raises
     ``ValueError``; empty containers are ``[]`` and ``{}``.  A dict, list or
-    tuple that the tree holds at several places is rendered once per indent.
+    tuple that the tree holds at several places is rendered once per depth.
     """
-    return _render(obj, indent, {})
+    return _render(obj, 0, {})
 
 
 def _render(obj, level: int, memo: dict) -> str:
@@ -173,12 +175,6 @@ def _render(obj, level: int, memo: dict) -> str:
             text = _render_dict(obj, level, memo) if kind is dict else _render_items(obj, level, memo)
             hit = memo[key] = (obj, text)
         return hit[1]
-    if isinstance(obj, np.generic):
-        scalar = _scalar_text(type(value := obj.item()))
-        if scalar is not None:
-            return scalar(value)
-    elif isinstance(obj, np.ndarray):
-        return _render_items(list(obj), level, memo)  # a 0-d array raises TypeError here
     raise TypeError(f"cannot serialize {type(obj)}")
 
 

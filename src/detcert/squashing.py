@@ -61,14 +61,19 @@ class WeightBound:
 
 
 def _resolve_event(events: EventTable, event) -> tuple[int, ...]:
-    """The indices of ``event``: one label's, or every multi-click pattern's for ``"multi"``."""
+    """The indices of ``event``: one label's, or every multi-click pattern's for ``"multi"``.
+
+    The one event rule, the descriptor's too; a miss raises ``ValueError`` listing the events, ``multi`` once.
+    """
     if not isinstance(event, str):
         raise ValueError(f"event {event!r}: expected a label or 'multi'")
-    if event != "multi":
-        return (events.index_of(event),)
-    if not events.multi_indices:
-        raise ValueError("event table has no multi-click events")
-    return events.multi_indices
+    multi = events.multi_indices
+    if event == "multi" and multi:
+        return multi
+    if event not in events.labels:
+        allowed = dict.fromkeys(events.labels + (("multi",) if multi else ()))
+        raise ValueError(f"no event labelled {event!r}; expected one of {list(allowed)}")
+    return (events.labels.index(event),)
 
 
 def weight_bound(povm: POVM, event, p_observed: float, cutoff: int) -> WeightBound:

@@ -324,22 +324,25 @@ def reference_canonical_json(obj, indent: int = 0) -> str:
     """Deterministic JSON: sorted keys, floats at 17 significant digits.
 
     The recursive serializer that ``report.canonical_json`` replaces, kept
-    as the oracle for its bytes.
+    as the oracle for its bytes.  It takes JSON types only: a numpy value,
+    even one subclassing ``float``, raises ``TypeError``.
     """
     pad = "  " * indent
     inner = "  " * (indent + 1)
+    if isinstance(obj, (np.generic, np.ndarray)):
+        raise TypeError(f"cannot serialize {type(obj)}")
     if obj is None:
         return "null"
-    if isinstance(obj, (bool, np.bool_)):
+    if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _reference_fmt_float(float(obj))
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return _reference_fmt_float(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        items = [reference_canonical_json(v, indent + 1) for v in list(obj)]
+    if isinstance(obj, (list, tuple)):
+        items = [reference_canonical_json(v, indent + 1) for v in obj]
         if not items:
             return "[]"
         return "[\n" + ",\n".join(inner + it for it in items) + "\n" + pad + "]"
@@ -436,6 +439,9 @@ CASES = [
          {"setup": "passive-bb84", "eta_range": [0.3, 0.9], "dark_range": [0, 0.01], "eta_star": 0.5,
           "coarse_grain": "multiclick", "observed": {"event": "multi", "probability": 0.01}},
          code=EXIT_TOOL_ERROR, stderr="descriptor error: eta_star: "),
+    # an event no table of the setup holds: the one event rule refuses it while the descriptor loads
+    Case("weight", "passive_unknown_event", _shipped("passive_bb84", observed={"event": "9999", "probability": 0.01}),
+         code=EXIT_TOOL_ERROR, stderr="descriptor error: observed: "),
     # a near-dark detector: the excess is PSD at q = 1 - 3e-13 / eta_star, and the closed form reads the dark click on its support
     Case("analyze", "custom_near_dark", NEAR_DARK),
     # a 10-digit map, column norms 1 + 3.8e-11, with a detector at efficiency 1

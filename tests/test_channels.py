@@ -340,6 +340,38 @@ def test_generic_channel_admits_exactly_the_closed_form_bound(seed):
     assert verify_cptp(generic_channel(f_noise, f_ideal, q), 1e-9).residual <= 1e-14
 
 
+def _mixed(seed):
+    rng = np.random.default_rng(seed)
+    f_ideal = random_squashed_povm(rng)
+    return mix_povms(f_ideal, random_squashed_povm(rng), 0.4), f_ideal
+
+
+def _corner_stack():
+    stack = flag_state_target(build_threshold_povm(passive_bb84_setup([[0.5, 0.55, 0.6, 0.52], [1.0] * 4]), 1), 1)
+    return stack, stack.take(1)
+
+
+_DEVIATIONS = {
+    "mixture-3": lambda: _mixed(3),
+    "mixture-21": lambda: _mixed(21),
+    "corner-stack": _corner_stack,
+    "near-dark": lambda: _targets(build_setup(descriptor_from_dict(NEAR_DARK), [0.6474, 3e-13]), NEAR_DARK["eta_star"]),
+}
+
+
+@pytest.mark.parametrize("name", list(_DEVIATIONS))
+def test_generic_channel_rejection_names_the_q_min_deviation_q_returns(name):
+    # one reported q*: the rejection of q = 0 names min_deviation_q's value, which the builder admits
+    f_noise, f_ideal = _DEVIATIONS[name]()
+    with pytest.raises(ValueError, match=r"^q=0\.0 violates the deviation bound q\*=") as info:
+        generic_channel(f_noise, f_ideal, 0.0)
+    named = float(str(info.value).rpartition("q*=")[2])
+    assert named == min_deviation_q(f_noise, f_ideal) > 0.0
+    channels = generic_channel(f_noise, f_ideal, named)
+    reports, _ = certify_choi(channels.support, ChoiConstraintSystem((None, f_noise, f_ideal)), 1e-9)
+    assert all(r.passed for r in reports)
+
+
 @pytest.mark.parametrize("stacked", [False, True])
 @pytest.mark.parametrize("scale", [0.5, 2.0])
 def test_generic_channel_admits_an_excess_within_its_rounding_radius(scale, stacked):

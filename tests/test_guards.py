@@ -59,8 +59,8 @@ def _bent_target():
     """The passive target with 1e-3 of a single click's one-photon weight moved to a double click."""
     povm = _target()
     dense = povm.dense.copy()
-    dense[povm.events.index_of("0001"), 1, 1] -= 1e-3
-    dense[povm.events.index_of("0011"), 1, 1] += 1e-3
+    dense[povm.events.labels.index("0001"), 1, 1] -= 1e-3
+    dense[povm.events.labels.index("0011"), 1, 1] += 1e-3
     return POVM(povm.layout, dense, povm.events)
 
 
@@ -161,7 +161,8 @@ CASES = {
         ValueError, "detector count must be an int, not int64",
     ),
     "unknown event label": (
-        lambda: enumerate_events(2).index_of("bogus"), KeyError, "no event labelled 'bogus'",
+        lambda: weight_bound(_single_detector_povm(), "bogus", 0.1, 1),
+        ValueError, "no event labelled 'bogus'; expected one of ['0', '1']",
     ),
     "mode map with the wrong row count": (
         lambda: DetectionSetup(k=2, mode_map=np.eye(3), eta=[1.0, 1.0]),
@@ -218,7 +219,7 @@ CASES = {
     # squashing
     "multi-click event of one detector": (
         lambda: weight_bound(_single_detector_povm(), "multi", 0.1, 1),
-        ValueError, "event table has no multi-click events",
+        ValueError, "no event labelled 'multi'; expected one of ['0', '1']",
     ),
     # an event is a label or "multi", the two forms a descriptor's observed names: an index is neither
     **{

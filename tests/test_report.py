@@ -692,7 +692,7 @@ def test_add_check_with_a_requirement_stops_only_on_failure():
 def _bent(p_db, pattern, to):
     """``p_db`` with 1e-3 of click pattern ``pattern``'s weight moved to pattern ``to``."""
     events = enumerate_events(p_db.row_table.k)
-    src, dst = events.index_of(pattern), events.index_of(to)
+    src, dst = events.labels.index(pattern), events.labels.index(to)
     entries = p_db.entries.copy()
     entries[src, src] -= 1e-3
     entries[dst, src] += 1e-3
@@ -1044,16 +1044,12 @@ def test_emit_certificate_missing_directory(tmp_path):
         write_json(cert.to_dict(), tmp_path / "missing" / "cert.json")
 
 
-# Leaves of every kind the certificate serializer accepts, exact and numpy.
+# Leaves of every JSON kind the certificate serializer accepts, and the numpy ones it refuses.
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _TEXT = st.text(st.characters(codec="utf-8"), max_size=8) | st.sampled_from(["", "\x00\x1f\x7f", "é ∑ 😀", '"\\/'])
 _ARRAY_ROWS = st.integers(0, 3)
-_LEAVES = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(-(2**70), 2**70),
-    _FINITE,
-    _TEXT,
+_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-(2**70), 2**70), _FINITE, _TEXT)
+_NUMPY_LEAVES = st.one_of(
     _FINITE.map(np.float64),
     st.integers(-(2**63), 2**63 - 1).map(np.int64),
     st.booleans().map(np.bool_),
@@ -1095,9 +1091,29 @@ def _shared_trees(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(tree=_TREES | _shared_trees(), indent=st.integers(0, 3))
-def test_canonical_json_matches_reference_bytes(tree, indent):
-    assert canonical_json(tree, indent) == reference_canonical_json(tree, indent)
+@given(tree=_TREES | _shared_trees())
+def test_canonical_json_matches_reference_bytes(tree):
+    assert canonical_json(tree) == reference_canonical_json(tree)
+
+
+@st.composite
+def _trees_holding_numpy(draw):
+    """A JSON tree holding one numpy leaf, at a drawn depth among drawn siblings."""
+    tree = draw(_NUMPY_LEAVES)
+    for _ in range(draw(st.integers(0, 3))):
+        items = draw(st.lists(_TREES, max_size=3))
+        items.insert(draw(st.integers(0, len(items))), tree)
+        kind = draw(st.sampled_from([list, tuple, dict]))
+        tree = {f"k{i}": v for i, v in enumerate(items)} if kind is dict else kind(items)
+    return tree
+
+
+@settings(max_examples=100, deadline=None)
+@given(tree=_trees_holding_numpy())
+def test_canonical_json_rejects_a_numpy_leaf_anywhere(tree):
+    # payloads hold JSON types only: a numpy value is refused wherever it sits
+    with pytest.raises(TypeError, match="cannot serialize <class 'numpy."):
+        canonical_json(tree)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -1105,10 +1121,9 @@ def test_canonical_json_matches_reference_bytes(tree, indent):
     "wrap",
     [
         lambda x: x,
-        np.float64,
         lambda x: {"checks": [{"inputs": {"eta": [0.5]}, "residual": x}]},
-        lambda x: (1.0, [np.array([0.5, x])]),
-        lambda x: np.array([[0.0, x]]),
+        lambda x: (1.0, [[0.5, x]]),
+        lambda x: [[0.0, x]],
     ],
 )
 def test_canonical_json_rejects_non_finite(bad, wrap):
@@ -1120,7 +1135,13 @@ def test_canonical_json_rejects_non_finite(bad, wrap):
 
 @pytest.mark.parametrize(
     "bad",
-    [object(), 1j, np.complex128(1.0), {1, 2}, b"bytes", np.array(0.5), np.array([1j]), [{"x": object()}]],
+    [
+        object(), 1j, np.complex128(1.0), {1, 2}, b"bytes", np.array(0.5), np.array([1j]), [{"x": object()}],
+        # numpy values, finite or not, in place of the JSON types they hold (np.float64 subclasses float)
+        np.float64(math.nan), np.float64(math.inf), np.float64(-math.inf), np.float64(0.5), np.int64(1), np.bool_(True),
+        (1.0, [np.array([0.5, math.nan])]), np.array([[0.0, math.inf]]), np.array([]),
+        {"checks": [{"residual": np.float64(0.5)}]},
+    ],
 )
 def test_canonical_json_rejects_unsupported_types(bad):
     with pytest.raises(TypeError):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from helpers import stack_blocks
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -23,6 +23,7 @@ from detcert import (
     weight_bound,
 )
 from detcert.cli import main
+from detcert.descriptor import DescriptorError, descriptor_from_dict
 from detcert.detectors import POVM
 from detcert.fock import SpaceLayout
 
@@ -194,14 +195,43 @@ def test_weight_bound_rejects_uninformative_event(bb84_povm):
 def test_weight_bound_rejects_repeated_or_unknown_events():
     # an event is one label or "multi", so no event is counted twice in the
     # event operator, which would lower the bound; an index or a list of
-    # events is refused, and an unknown label names itself
+    # events is refused, and an unknown label names itself and the labels allowed
     povm = build_threshold_povm(passive_bb84_setup([0.6, 0.9, 0.7, 0.8]), 2)
     multi = povm.events.labels[povm.events.multi_indices[0]]
     for event in ([1, 2, 2], [1, povm.events.labels[1]], ["multi", multi], -1, 16, [1, 16]):
         with pytest.raises(ValueError, match="expected a label or 'multi'"):
             weight_bound(povm, event, 0.05, 1)
-    with pytest.raises(KeyError, match="no event labelled '2222'"):
+    allowed = [*povm.events.labels, "multi"]
+    with pytest.raises(ValueError) as info:
         weight_bound(povm, "2222", 0.05, 1)
+    assert str(info.value) == f"no event labelled '2222'; expected one of {allowed}"
+
+
+def _one_mode_povm(k: int, graining: bool):
+    """One input mode spread evenly over ``k`` detectors up to two photons, multi-clicks merged if ``graining``."""
+    setup = DetectionSetup(k=k, mode_map=np.full((k, 1), k**-0.5), eta=[0.9] * k)
+    povm = build_threshold_povm(setup, 2)
+    return apply_postprocessing(multiclick_coarse_graining(povm.events), povm) if graining else povm
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 4), graining=st.booleans(), label=st.sampled_from(["multi", "2222", ""]) | st.text(max_size=5))
+def test_an_unknown_event_reads_one_text_in_weight_bound_and_the_descriptor(k, graining, label):
+    # one rule names an event: a label of the table, or "multi" on a table
+    # with multi-click patterns; a coarse table, whose labels hold "multi", lists it once
+    graining = graining and k > 1
+    povm = _one_mode_povm(k, graining)
+    allowed = [*povm.events.labels, *(["multi"] if k > 1 and not graining else [])]
+    assert allowed.count("multi") == (k > 1)
+    assume(label not in allowed)
+    with pytest.raises(ValueError) as info:
+        weight_bound(povm, label, 0.1, 1)
+    assert str(info.value) == f"no event labelled {label!r}; expected one of {allowed}"
+    if not graining:  # the descriptor names the fine table's events
+        descriptor = {"setup": "custom", "k": k, "mode_map": [[k**-0.5]] * k, "observed": {"event": label, "probability": 0.1}}
+        with pytest.raises(DescriptorError) as named:
+            descriptor_from_dict(descriptor)
+        assert str(named.value) == f"observed: {info.value}"
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 18: lambda_outside is read off block cutoff + 1 alone")
