@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import replace
 
 from .descriptor import FIELD_NAMES, DescriptorError, load_descriptor
 from .report import EXIT_OK, EXIT_TOOL_ERROR, analyze, choi_check, swap_lp, verify_channel, weight, write_json
@@ -60,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _apply_overrides(desc, args):
     """The descriptor with each flag that was given in place of its field of the same name."""
     updates = {n: v for n, v in vars(args).items() if n in FIELD_NAMES and v is not None}
-    return replace(desc, **updates) if updates else desc
+    return desc.replace(**updates) if updates else desc
 
 
 def main(argv=None) -> int:

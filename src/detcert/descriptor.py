@@ -2,10 +2,11 @@
 
 A descriptor names a detection setup, the ranges within which an adversary
 may set the dark count rates and efficiencies, and tolerances.  A field's
-``metadata["parse"]`` converts its value, JSON or Python, and accepts its own
-output; ``__post_init__`` runs it once per field given and then every value
-rule, so a malformed field raises :class:`DescriptorError` naming it however
-built.  The JSON reader only checks which fields appear and rejects nulls.
+entry in ``_FIELDS`` holds its default and the converter of its value, JSON
+or Python, which accepts its own output; ``SetupDescriptor.__init__`` runs it
+once per field given and then every value rule, so a malformed field raises
+:class:`DescriptorError` naming it however built.  The JSON reader only
+checks which fields appear and rejects nulls.
 The module imports no numeric code: a rule stated in :mod:`detcert.detectors`
 or :mod:`detcert.squashing` is imported by the branch that applies it, so
 loading a fixed setup's descriptor loads neither numpy nor the detectors.
@@ -13,10 +14,8 @@ loading a fixed setup's descriptor loads neither numpy nor the detectors.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
-from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 
@@ -91,45 +90,51 @@ def _observed(value, name: str) -> tuple[str, float]:
     return (value[0], _number(value[1], name))
 
 
-def _field(parse, default):
-    """A descriptor field: its default and ``parse(value, name)`` converting a value given for it."""
-    return field(default=default, metadata={"parse": parse})
-
-
 _FIXED_K = {"active-bb84": 2, "passive-bb84": 4}  # a custom setup states k and mode_map
 
+# Every descriptor field, in the order ``to_dict`` echoes them: its name, its
+# default and ``convert(value, name)`` for a value given for it (None: kept as
+# given).  ``setup`` is required, so its default is never read.
+_FIELDS = (
+    ("setup", None, None),  # "active-bb84" | "passive-bb84" | "custom"
+    ("k", None, _integer),
+    ("eta_range", ((1.0, 1.0),), _ranges),
+    ("dark_range", ((0.0, 0.0),), _ranges),
+    ("cutoff", 1, _integer),
+    ("eta_star", None, _optional_number),
+    ("coarse_grain", "none", None),
+    ("tol", 1e-9, _number),
+    ("feas_tol", 1e-6, _number),
+    ("seed", 0, _integer),
+    ("weight_in", 0.0, _number),
+    ("mode_map", (), _parse_mode_map),
+    ("eta", None, _point),
+    ("dark", None, _point),
+    ("observed", None, _observed),
+    ("corner_limit", 4, _integer),
+)
+FIELD_NAMES = frozenset(name for name, _, _ in _FIELDS)
 
-@dataclass(frozen=True)
+
 class SetupDescriptor:
     """Validated description of a detection setup; attributes are named as the JSON fields.
 
     ``eta_range``, ``dark_range``, ``eta`` and ``dark`` hold one entry per
     detector, or one shared by all ``k``; ``k`` defaults to a fixed setup's.
     A given ``eta`` or ``dark`` lies inside its range, detector by detector.
+    Immutable, compared and hashed on its field values; :meth:`replace` is
+    the one way to derive another, and it runs every rule again.
     """
 
-    setup: str  # "active-bb84" | "passive-bb84" | "custom"
-    k: int | None = _field(_integer, None)
-    eta_range: tuple[tuple[float, float], ...] = _field(_ranges, ((1.0, 1.0),))
-    dark_range: tuple[tuple[float, float], ...] = _field(_ranges, ((0.0, 0.0),))
-    cutoff: int = _field(_integer, 1)
-    eta_star: float | None = _field(_optional_number, None)
-    coarse_grain: str = "none"
-    tol: float = _field(_number, 1e-9)
-    feas_tol: float = _field(_number, 1e-6)
-    seed: int = _field(_integer, 0)
-    weight_in: float = _field(_number, 0.0)
-    mode_map: tuple = _field(_parse_mode_map, ())
-    eta: tuple[float, ...] | None = _field(_point, None)
-    dark: tuple[float, ...] | None = _field(_point, None)
-    observed: tuple[str, float] | None = _field(_observed, None)
-    corner_limit: int = _field(_integer, 4)
-
-    def __post_init__(self):
-        for f in _FIELDS:  # each value given, from JSON or Python, converted once
-            value = getattr(self, f.name)
-            if "parse" in f.metadata and value is not f.default:
-                object.__setattr__(self, f.name, f.metadata["parse"](value, f.name))
+    def __init__(self, setup, **given):
+        unknown = given.keys() - FIELD_NAMES
+        if unknown:
+            raise TypeError(f"SetupDescriptor() got unexpected fields {sorted(unknown)}")
+        given["setup"] = setup
+        fields = self.__dict__  # each value given, from JSON or Python, converted once
+        for name, default, convert in _FIELDS:
+            value = given.get(name, default)
+            fields[name] = convert(value, name) if convert is not None and value is not default else value
         if self.setup not in (*_FIXED_K, "custom"):
             raise DescriptorError(f"setup: unknown kind {self.setup!r}")
         fixed = _FIXED_K.get(self.setup)
@@ -140,7 +145,7 @@ class SetupDescriptor:
         else:
             if self.k not in (None, fixed):
                 raise DescriptorError(f"k: the {self.setup} setup has {fixed} detectors, got {self.k!r}")
-            object.__setattr__(self, "k", fixed)
+            fields["k"] = fixed
             if self.mode_map:
                 raise DescriptorError(f"mode_map: fixed by the {self.setup} setup, must be empty")
         for name in ("eta_range", "dark_range", "eta", "dark"):
@@ -149,7 +154,7 @@ class SetupDescriptor:
                 continue
             if len(values) == 1:  # one entry shared by every detector
                 values = values * self.k
-                object.__setattr__(self, name, values)
+                fields[name] = values
             if len(values) != self.k:
                 unit = "ranges" if name.endswith("_range") else "values"
                 raise DescriptorError(f"{name}: expected {self.k} {unit}, got {len(values)}")
@@ -171,14 +176,14 @@ class SetupDescriptor:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise DescriptorError(f"{name}: must be positive and finite, got {value}")
-        if self.eta_star is not None and not math.isfinite(self.eta_star):
-            raise DescriptorError(f"eta_star: must be finite, got {self.eta_star}")
+        if self.eta_star is not None and not 0.0 < self.eta_star <= 1.0:  # NaN fails too
+            raise DescriptorError(f"eta_star: must lie in (0, 1], got {self.eta_star}")
         if self.seed < 0:
             raise DescriptorError(f"seed: must be a non-negative integer, got {self.seed}")
         if self.corner_limit < 2:
             raise DescriptorError(f"corner_limit: must be at least 2, got {self.corner_limit}")
         entries = [z for row in self.mode_map for z in row]
-        if not all(map(cmath.isfinite, entries)):
+        if not all(math.isfinite(z.real) and math.isfinite(z.imag) for z in entries):
             raise DescriptorError(f"mode_map: values must be finite, got {entries}")
         for name, ranges in (("eta", self.eta_range), ("dark", self.dark_range)):
             values = getattr(self, name)
@@ -232,7 +237,7 @@ class SetupDescriptor:
 
     def to_dict(self) -> dict:
         """The JSON fields; unset optional ones are left out, ``eta_star`` echoed even as null."""
-        out = {f.name: getattr(self, f.name) for f in _FIELDS}
+        out = dict(self.__dict__)
         if self.setup != "custom":
             del out["k"]  # fixed by the setup
         out["mode_map"] = [[[z.real, z.imag] for z in row] for row in self.mode_map]
@@ -240,9 +245,24 @@ class SetupDescriptor:
             out["observed"] = {"event": self.observed[0], "probability": self.observed[1]}
         return {name: v for name, v in out.items() if v not in (None, []) or name == "eta_star"}
 
+    def replace(self, **changes) -> SetupDescriptor:
+        """This descriptor with ``changes`` in place of its fields, every rule run again."""
+        return SetupDescriptor(**{**self.__dict__, **changes})
 
-_FIELDS = fields(SetupDescriptor)  # read once: every conversion, echo and flag override walks it
-FIELD_NAMES = frozenset(f.name for f in _FIELDS)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return self.__dict__ == other.__dict__ if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self):
+        return f"SetupDescriptor({', '.join(f'{name}={value!r}' for name, value in self.__dict__.items())})"
 
 
 def descriptor_from_dict(data: dict) -> SetupDescriptor:
@@ -258,9 +278,9 @@ def descriptor_from_dict(data: dict) -> SetupDescriptor:
     unknown = set(data) - FIELD_NAMES
     if unknown:
         raise DescriptorError(f"unknown descriptor fields: {sorted(unknown)}")
-    for f in _FIELDS:
-        if f.name in data and data[f.name] is None and "parse" in f.metadata:
-            f.metadata["parse"](None, f.name)  # a null: its converter names the field (eta_star's admits it)
+    for name, _, convert in _FIELDS:
+        if convert is not None and name in data and data[name] is None:
+            convert(None, name)  # a null: its converter names the field (eta_star's admits it)
     return SetupDescriptor(**{**data, "setup": setup})
 
 

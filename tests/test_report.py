@@ -1,10 +1,11 @@
 import contextlib
+import copy
 import io
 import json
 import math
+import pickle
 import re
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from detcert import (
 )
 from detcert import cli, report
 from detcert.channels import ChoiSupport, _MeasurePrepare
-from detcert.descriptor import DescriptorError, SetupDescriptor, descriptor_from_dict, load_descriptor
+from detcert.descriptor import FIELD_NAMES, DescriptorError, SetupDescriptor, descriptor_from_dict, load_descriptor
 from detcert.postprocessing import swap_residual
 from detcert.squashing import eta_star_range
 from detcert.report import (
@@ -211,7 +212,28 @@ def test_setup_descriptor_built_in_python_converts_as_the_json_reader(data):
 def test_setup_descriptor_checks_every_rule_on_replace(fields, prefix):
     # the path of the command-line overrides
     with pytest.raises(DescriptorError, match=f"^{prefix}"):
-        replace(descriptor_from_dict(PASSIVE), **fields)
+        descriptor_from_dict(PASSIVE).replace(**fields)
+
+
+@pytest.mark.parametrize("data", [PASSIVE, {"setup": "custom", "k": 2, "mode_map": [[0.6], [[0.0, 0.8]]],
+                                            "observed": {"event": "10", "probability": 0.1}}],
+                         ids=["passive", "custom-observed"])
+def test_setup_descriptor_is_an_immutable_value(data):
+    desc = descriptor_from_dict(data)
+    copies = [copy.copy(desc), copy.deepcopy(desc)]
+    copies += [pickle.loads(pickle.dumps(desc, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in copies:
+        assert type(other) is SetupDescriptor and other == desc and hash(other) == hash(desc)
+        assert other.to_dict() == desc.to_dict()
+    assert desc != descriptor_from_dict({**data, "seed": desc.seed + 1})
+    assert desc.__eq__(desc.to_dict()) is NotImplemented
+    assert all(f"{name}=" in repr(desc) for name in FIELD_NAMES)
+    for name in FIELD_NAMES:
+        with pytest.raises(AttributeError, match=f"'{name}'"):
+            setattr(desc, name, None)
+        with pytest.raises(AttributeError, match=f"'{name}'"):
+            delattr(desc, name)
+    assert desc == descriptor_from_dict(data)  # unchanged by the refused assignments
 
 
 def test_setup_descriptor_broadcasts_one_entry_to_every_detector():
@@ -279,7 +301,8 @@ def test_cli_names_the_setup_a_command_does_not_support(tmp_path, capsys, cmd, d
      ({"setup": "custom", "k": 1, "mode_map": [[1.0]]}, ["--coarse-grain", "multiclick"]),
      ({"setup": "active-bb84", "coarse_grain": "none"}, ["--coarse-grain", "multiclick"]),
      ({"eta": 1.5}, []), ({"dark": -0.1}, []), ({"dark": 2.0}, []),
-     ({"observed": {"event": "multi", "probability": 1.5}}, [])],
+     ({"observed": {"event": "multi", "probability": 1.5}}, []),
+     ({"eta_star": 1.5}, []), ({"eta_star": -0.5}, []), ({}, ["--eta-star", "0"])],
 )
 def test_cli_rejects_bad_values_before_running(tmp_path, capsys, cmd, extra, override):
     base = {
@@ -292,7 +315,7 @@ def test_cli_rejects_bad_values_before_running(tmp_path, capsys, cmd, extra, ove
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("descriptor error:")
-    for name in ("eta", "dark", "observed", "coarse_grain"):  # the field with the bad value is named
+    for name in ("eta", "dark", "observed", "coarse_grain", "eta_star"):  # the field with the bad value is named
         if name in extra:
             assert captured.err.startswith(f"descriptor error: {name}:")
 
@@ -506,7 +529,7 @@ def test_eta_star_interval_is_admissible_at_every_efficiency_of_the_box(data):
     channel = loss_channel(eta, box_lo, _F_LOSSLESS)
     assert verify_cptp(channel, 1e-9).passed
     assert verify_statistics_equivalence(None, _target(eta), _target(box_lo), channel).passed
-    below = run_analysis(replace(desc, eta_star=box_lo * (1 - 1e-6)))
+    below = run_analysis(desc.replace(eta_star=box_lo * (1 - 1e-6)))
     assert below.status == "not reducible under this framework"
     assert "admissible interval" in below.failed_requirement
     assert below.checks == []
@@ -550,7 +573,7 @@ def _descriptor_json(draw):
     _draw_points(draw, data, k)
     optional = {
         "cutoff": st.integers(1, 3),
-        "eta_star": st.one_of(st.none(), _UNIT),
+        "eta_star": st.one_of(st.none(), st.floats(0.0, 1.0, exclude_min=True)),
         "coarse_grain": st.sampled_from(["none", "multiclick"] if k > 1 and setup != "active-bb84" else ["none"]),
         "tol": st.floats(1e-15, 1.0),
         "feas_tol": st.floats(1e-15, 1.0),
@@ -577,7 +600,7 @@ def test_descriptor_json_round_trip(data):
     assert "eta_star" in echoed  # echoed even when null
     # one conversion however built: in Python, by replace, and hashable
     assert SetupDescriptor(**data) == desc
-    assert replace(desc) == desc
+    assert desc.replace() == desc
     hash(desc)
     if desc.setup == "custom":  # real exactly when no entry has a nonzero imaginary part
         real = not any(isinstance(z, list) and z[1] for row in data["mode_map"] for z in row)
