@@ -78,8 +78,8 @@ def enumerate_events(k: int) -> EventTable:
     """
     if not isinstance(k, int):
         raise ValueError(f"detector count must be an int, not {type(k).__name__}: {k!r}")
-    if not 1 <= k <= 16:
-        raise ValueError(f"detector count {k} outside [1, 16]")
+    if not 1 <= k <= MAX_DETECTORS:
+        raise ValueError(f"detector count {k} outside [1, {MAX_DETECTORS}]")
     k = int(k)  # True builds the k = 1 table
     masks = sorted(range(2**k), key=lambda c: (bin(c).count("1"), c))
     classes = []
@@ -99,9 +99,10 @@ class DetectionSetup:
     photon number is conserved before loss.  It keeps the dtype it is
     given, by the rule of :func:`_dtype`: a real map is float64 and makes
     every POVM, target and Choi stack built from it float64, a complex map
-    complex128.  ``eta`` is one efficiency per detector, or a ``(depth,
-    k)`` stack of such vectors, for which :func:`build_threshold_povm`
-    builds the stack of POVMs.
+    complex128.  ``eta`` is one efficiency for every detector (a scalar or
+    a one-element vector), one per detector, or a ``(depth, k)`` stack of
+    such vectors, for which :func:`build_threshold_povm` builds the stack
+    of POVMs.
     """
 
     k: int
@@ -115,6 +116,8 @@ class DetectionSetup:
             raise ValueError(f"mode_map must be k x n_in with k={self.k}")
         if not is_isometry(mm):
             raise ValueError("mode_map columns are not orthonormal (not an isometry)")
+        if eta.ndim < 2 and eta.size == 1:
+            eta = np.full(len(mm), eta.item())
         if eta.ndim not in (1, 2) or eta.shape[-1] != self.k:
             raise ValueError(f"eta must have length {self.k}")
         _require_unit(eta, "efficiencies")
@@ -122,7 +125,7 @@ class DetectionSetup:
         object.__setattr__(self, "eta", eta)
 
     def with_eta(self, eta) -> "DetectionSetup":
-        return replace(self, eta=np.asarray(_broadcast_eta(eta, self.k), dtype=float))
+        return replace(self, eta=eta)
 
 
 def _dtype(*arrays) -> np.dtype:
@@ -152,15 +155,6 @@ def is_isometry(mode_map) -> bool:
     return bool(np.abs(mm.conj().T @ mm - np.eye(mm.shape[1])).max() <= _ISOMETRY_TOL)
 
 
-def _broadcast_eta(eta, k: int):
-    arr = np.atleast_1d(np.asarray(eta, dtype=float))
-    if arr.size == 1:
-        return np.full(k, float(arr[0]))
-    if arr.shape[-1] != k:
-        raise ValueError(f"expected {k} efficiencies, got {arr.shape[-1]}")
-    return arr
-
-
 def passive_bb84_setup(eta=1.0) -> DetectionSetup:
     """Polarisation BB84 with a passive 50/50 basis choice and four detectors.
 
@@ -175,14 +169,14 @@ def passive_bb84_setup(eta=1.0) -> DetectionSetup:
             [0.5, -0.5],
         ]
     )
-    return DetectionSetup(k=4, mode_map=mode_map, eta=_broadcast_eta(eta, 4))
+    return DetectionSetup(k=4, mode_map=mode_map, eta=eta)
 
 
 def active_bb84_setups(eta=1.0) -> dict[str, DetectionSetup]:
     """Active BB84: one two-detector setup per basis choice."""
     s = 1.0 / math.sqrt(2.0)
-    z = DetectionSetup(k=2, mode_map=np.eye(2), eta=_broadcast_eta(eta, 2))
-    x = DetectionSetup(k=2, mode_map=np.array([[s, s], [s, -s]]), eta=_broadcast_eta(eta, 2))
+    z = DetectionSetup(k=2, mode_map=np.eye(2), eta=eta)
+    x = DetectionSetup(k=2, mode_map=np.array([[s, s], [s, -s]]), eta=eta)
     return {"Z": z, "X": x}
 
 
@@ -300,9 +294,9 @@ def _lift_isometry(mode_map: np.ndarray, m: int):
 
 
 @_kept(maxsize=MAX_DETECTORS)
-def _click_table(k: int) -> np.ndarray:
-    """``(2^k, 1, k)`` table of which detectors click in each event of ``enumerate_events(k)``."""
-    return ((np.array(enumerate_events(k).masks)[:, None, None] >> np.arange(k)) & 1).astype(bool)
+def _click_bits(k: int) -> np.ndarray:
+    """``(2^k, k)`` 0/1 table: entry ``[e, i]`` is 1 iff detector ``i`` clicks in event ``e`` of ``enumerate_events(k)``."""
+    return (np.array(enumerate_events(k).masks)[:, None] >> np.arange(k)) & 1
 
 
 def build_threshold_povm(setup: DetectionSetup, cutoff: int) -> POVM:
@@ -319,12 +313,10 @@ def build_threshold_povm(setup: DetectionSetup, cutoff: int) -> POVM:
         raise ValueError("cutoff must be an integer >= 1")
     if cutoff > MAX_CUTOFF:
         raise ValueError(f"cutoff {cutoff} exceeds the supported maximum {MAX_CUTOFF}")
-    if setup.k > MAX_DETECTORS:
-        raise ValueError(f"detector count {setup.k} exceeds {MAX_DETECTORS}")
 
     events = enumerate_events(setup.k)
     one_minus_eta = 1.0 - setup.eta
-    clicks = _click_table(setup.k)
+    clicks = _click_bits(setup.k)[:, None, :]
     lifts = [_lift_isometry(setup.mode_map, m) for m in range(cutoff + 1)]
     layout = _layout(tuple((photon_label(m), len(lift[2])) for m, lift in enumerate(lifts)))
     lead = one_minus_eta.shape[:-1]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detectors import (
-    MAX_DETECTORS, MULTI, NO_CLICK, SINGLE, EventTable, POVM, _require_unit, _Verdict, enumerate_events,
+    MULTI, NO_CLICK, SINGLE, EventTable, POVM, _click_bits, _require_unit, _Verdict, enumerate_events,
 )
 from .fock import _kept
 
@@ -94,19 +94,11 @@ def dark_count_matrix(dark_rates) -> StochasticMatrix:
     d = np.atleast_1d(np.asarray(dark_rates, dtype=float))
     _require_unit(d, "dark rates")
     k = d.shape[-1]
-    if k > MAX_DETECTORS:  # each map is (2^k, 2^k), built from a (k, 2^k, 2^k) stack
-        raise ValueError(f"{k} dark rates exceed {MAX_DETECTORS} detectors")
+    bits = _click_bits(k).T  # refuses k outside [1, MAX_DETECTORS] before any (2^k, 2^k) allocation
     # P[c', c] = prod_i D_i[c'_i, c_i], multiplied in detector order, per row of rates.
     per_detector = np.stack([1.0 - d, np.zeros_like(d), d, np.ones_like(d)], axis=-2).reshape(*d.shape[:-1], 2, 2, k)
-    factors = per_detector[(..., *_dark_count_index(k))]
+    factors = per_detector[..., bits[:, :, None], bits[:, None, :], np.arange(k)[:, None, None]]
     return StochasticMatrix(factors.prod(axis=-3), enumerate_events(k))
-
-
-@_kept(maxsize=MAX_DETECTORS)
-def _dark_count_index(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index of ``D_i[c'_i, c_i]`` in the ``(..., 2, 2, k)`` per-detector maps, for every detector and event pair."""
-    bits = (np.asarray(enumerate_events(k).masks) >> np.arange(k)[:, None]) & 1
-    return bits[:, :, None], bits[:, None, :], np.arange(k)[:, None, None]
 
 
 def _single_photon_loss_entries(eta: np.ndarray) -> np.ndarray:

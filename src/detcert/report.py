@@ -33,7 +33,7 @@ from .channels import (
     generic_channel,
 )
 from .descriptor import DescriptorError, SetupDescriptor
-from .detectors import DetectionSetup, _Verdict, build_threshold_povm, enumerate_events, passive_bb84_setup
+from .detectors import MAX_CUTOFF, DetectionSetup, _Verdict, build_threshold_povm, enumerate_events, passive_bb84_setup
 from .feasibility import measure_prepare_witness, verify_choi_witness
 from .postprocessing import (
     StochasticMatrix,
@@ -342,8 +342,8 @@ def weight(desc: SetupDescriptor) -> tuple[dict, int]:
     """
     if desc.observed is None:
         raise DescriptorError("observed: the weight command needs an observed event")
-    if desc.cutoff > 2:
-        raise DescriptorError("cutoff: weight estimation needs cutoff <= 2")
+    if desc.cutoff + 1 > MAX_CUTOFF:  # the bound is read on the POVM one photon above the cutoff
+        raise DescriptorError(f"cutoff: weight estimation needs cutoff <= {MAX_CUTOFF - 1}")
     event, prob = desc.observed
     # Two calls: the box's one dark row is the top of each range, not a given ``dark``.
     (eta,), (d_vec,) = desc.points(box=False)

@@ -5,9 +5,9 @@ use, keyed on its arguments' values and types (an array on its dtype,
 shape and bytes) with every array it holds read-only: the BB84
 measurements and squasher, event tables and the coarse graining, the
 builders' layouts, block projectors and their keep-block supports,
-mode-map lifts and isometry tests, the click table of each detector count
-and the dark-count map's index, Choi support patterns and the squasher's
-kernel plan.
+mode-map lifts and isometry tests, the one click table of each detector
+count (read by the threshold POVM and the dark-count map), Choi support
+patterns and the squasher's kernel plan.
 A layout keeps its block slices and off-block mask.  These tests check the
 rule itself, and that sharing these objects changes nothing: every array
 they hold is read-only, and the golden cases of ``helpers.CASES`` run in
@@ -29,7 +29,7 @@ from detcert import report
 from detcert.channels import _keep_support, _KeepBlocks, bb84_qubit_measurement, bb84_simple_noise_channel
 from detcert.descriptor import load_descriptor
 from detcert.detectors import (
-    POVM, _click_table, _lift_isometry, build_threshold_povm, enumerate_events, is_isometry, passive_bb84_setup,
+    POVM, _click_bits, _lift_isometry, build_threshold_povm, enumerate_events, is_isometry, passive_bb84_setup,
 )
 from detcert.fock import SpaceLayout, _kept
 from detcert.postprocessing import StochasticMatrix, bb84_qubit_squasher, multiclick_coarse_graining
@@ -83,8 +83,7 @@ KEPT_ARRAYS = {
     **{f"pattern-{name}": lambda name=name: getattr(_pattern(), name)
        for name in ("slot", "keys", "rows", "cols", "mirror", "gather", "starts", "targets")},
     "lift": lambda: _lift_isometry(passive_bb84_setup().mode_map, 2)[0],
-    "click-table": lambda: _click_table(4),
-    **{f"dark-count-index-{i}": lambda i=i: postprocessing._dark_count_index(4)[i] for i in range(3)},
+    "click-bits": lambda: _click_bits(4),
     "coarse-graining": lambda: multiclick_coarse_graining(enumerate_events(4)).entries,
     "measurement-Z": lambda: bb84_qubit_measurement("Z").dense,
     "measurement-X": lambda: bb84_qubit_measurement("X").dense,
@@ -103,6 +102,7 @@ def test_kept_objects_are_built_once():
     assert bb84_qubit_measurement("X") is bb84_qubit_measurement("X")
     assert bb84_qubit_squasher() is bb84_qubit_squasher()
     assert enumerate_events(3) is enumerate_events(3)
+    assert _click_bits(3) is _click_bits(3)
     assert multiclick_coarse_graining(enumerate_events(3)) is multiclick_coarse_graining(enumerate_events(3))
     # an equal layout, built anew, finds the same projector
     assert layout.projector("m=1") is SpaceLayout((("m=0", 1), ("m=1", 2))).projector(["m=1"])

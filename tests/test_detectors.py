@@ -129,6 +129,31 @@ def test_m0_blocks_independent_of_eta():
     np.testing.assert_allclose(a.block("m=0"), b.block("m=0"), atol=1e-12)
 
 
+def _assert_same_setup(a: DetectionSetup, b: DetectionSetup):
+    for f in dataclasses.fields(DetectionSetup):
+        x, y = np.asarray(getattr(a, f.name)), np.asarray(getattr(b, f.name))
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), f.name
+
+
+@pytest.mark.parametrize(
+    "build, k, eta, want",
+    [
+        (passive_bb84_setup, 4, 0.5, [0.5] * 4),
+        (passive_bb84_setup, 4, [0.5], [0.5] * 4),
+        (lambda eta: active_bb84_setups(eta)["X"], 2, 0.5, [0.5] * 2),
+        # a (depth, k) stack stays a stack, at k = 1 too
+        (lambda eta: DetectionSetup(k=1, mode_map=np.eye(1), eta=eta), 1, [[0.2], [0.5], [0.9]], [[0.2], [0.5], [0.9]]),
+    ],
+    ids=["passive-scalar", "passive-one-element", "active-scalar", "one-detector-stack"],
+)
+def test_a_setup_takes_one_efficiency_for_every_detector(build, k, eta, want):
+    setup = build(eta)
+    assert setup.eta.tolist() == want
+    _assert_same_setup(setup, DetectionSetup(k=k, mode_map=setup.mode_map, eta=eta))
+    _assert_same_setup(setup.with_eta(0.6), build(0.6))
+    _assert_same_setup(build(0.6), DetectionSetup(k=k, mode_map=setup.mode_map, eta=0.6))
+
+
 def test_k1_matches_loss_postprocessing():
     # On at most one photon the lossy POVM is the loss map applied to the
     # lossless one.

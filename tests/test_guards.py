@@ -149,8 +149,9 @@ CASES = {
         lambda: EventTable(k=1, labels=("1", "0"), classes=("single", "no-click")),
         ValueError, "exactly one no-click event",
     ),
-    "no detectors": (lambda: enumerate_events(0), ValueError, "detector count 0 outside [1, 16]"),
-    "seventeen detectors": (lambda: enumerate_events(17), ValueError, "detector count 17 outside [1, 16]"),
+    "no detectors": (lambda: enumerate_events(0), ValueError, "detector count 0 outside [1, 4]"),
+    "seventeen detectors": (lambda: enumerate_events(17), ValueError, "detector count 17 outside [1, 4]"),
+    "five detectors' events": (lambda: enumerate_events(5), ValueError, "detector count 5 outside [1, 4]"),
     # a count of another type is no count out of range: its message names the type
     "numpy detector count": (
         lambda: enumerate_events(np.int64(2)), ValueError, "detector count must be an int, not int64",
@@ -173,11 +174,11 @@ CASES = {
         ValueError, "eta must have length 2",
     ),
     "passive setup with three efficiencies": (
-        lambda: passive_bb84_setup([0.5, 0.6, 0.7]), ValueError, "expected 4 efficiencies, got 3",
+        lambda: passive_bb84_setup([0.5, 0.6, 0.7]), ValueError, "eta must have length 4",
     ),
     "five detectors": (
         lambda: build_threshold_povm(DetectionSetup(k=5, mode_map=np.eye(5)[:, :2], eta=[1.0] * 5), 1),
-        ValueError, "detector count 5 exceeds 4",
+        ValueError, "detector count 5 outside [1, 4]",
     ),
     # postprocessing
     "stochastic vector": (lambda: StochasticMatrix([1.0]), ValueError, "entries must be a matrix"),
@@ -212,7 +213,7 @@ CASES = {
     "swap LP at an infinite tol": (
         _swap_lp(_SQUASHER, tol=float("inf")), ValueError, "tol must be positive and finite",
     ),
-    "five dark rates": (lambda: dark_count_matrix([0.01] * 5), ValueError, "5 dark rates exceed 4 detectors"),
+    "five dark rates": (lambda: dark_count_matrix([0.01] * 5), ValueError, "detector count 5 outside [1, 4]"),
     "squashed dark rate above 1": (
         lambda: bb84_squashed_dark_matrix(1.5), ValueError, "dark rate must lie in [0, 1]",
     ),

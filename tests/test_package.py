@@ -180,6 +180,17 @@ def test_only_the_rounding_radius_reads_the_machine_epsilon():
     assert sites == [("channels", "_rounding_radius")]
 
 
+def test_only_the_click_bits_read_an_event_tables_masks():
+    # which detectors click in which event is one kept table: ``detectors._click_bits``
+    sites = []
+    for path in sorted((ROOT / "src" / "detcert").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr == "masks":
+                    sites.append((path.stem, getattr(top, "name", None)))
+    assert sites == [("detectors", "_click_bits")]
+
+
 SOLVER_FREE_RUN = """
 import sys
 import detcert
