@@ -39,7 +39,6 @@ included, rather than on sampled states.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -280,9 +279,10 @@ class ChoiSupport:
         """Per Choi matrix: ``max |J - J^dag|`` and the smallest eigenvalue of ``(J + J^dag)/2``.
 
         The smallest eigenvalue is taken per connected component of the
-        support (exact: see :attr:`_Pattern.components`), batched over the
-        stack and over the components of one size; a non-finite matrix has
-        none, NaN.
+        support (exact: see :attr:`_Pattern.components`), one ``eigvalsh``
+        batched over the stack and the components of each size, a lone
+        diagonal entry included (LAPACK returns a 1 x 1 block's real part
+        as is); a non-finite matrix has none, NaN.
         """
         # The blocks are complex Hermitian even for a real stack: LAPACK's
         # real and complex solvers round differently, and a matrix must keep
@@ -292,21 +292,14 @@ class ChoiSupport:
         herm = np.abs(self.values - mirrored).max(axis=1, initial=0.0)
         h = (self.values + mirrored) / 2.0
         finite = np.isfinite(h).all(axis=1)
-        if not finite.all():
-            h[~finite] = 0.0
+        h = np.where(finite[:, None], h, 0.0)
         zero_row, groups = self._pattern.components
         low = np.full(len(h), 0.0 if zero_row else np.inf)
         for entries, slot, row, col, count, size in groups:
-            if size == 1:  # a lone diagonal entry
-                lows = h.take(entries, axis=1).real.min(axis=1)
-            else:
-                blocks = np.zeros((len(h), count, size, size), dtype=complex)
-                blocks[:, slot, row, col] = h.take(entries, axis=1)
-                lows = np.linalg.eigvalsh(blocks)[..., 0].min(axis=1)
-            np.minimum(low, lows, out=low)
-        if not finite.all():
-            low[~finite] = math.nan
-        return herm, low
+            blocks = np.zeros((len(h), count, size, size), dtype=complex)
+            blocks[:, slot, row, col] = h.take(entries, axis=1)
+            np.minimum(low, np.linalg.eigvalsh(blocks)[..., 0].min(axis=1), out=low)
+        return herm, np.where(finite, low, math.nan)
 
 
 def _link(inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
@@ -693,14 +686,6 @@ def _hermitian_score(herm: np.ndarray) -> np.ndarray:
     return entry.max(axis=(-2, -1))
 
 
-def _identities(stacks, lead: tuple) -> np.ndarray:
-    """Operator stacks ``(..., K_i, d, d)`` concatenated along ``K``, their leading shapes broadcast to ``lead``."""
-    out = np.empty((*lead, sum(a.shape[-3] for a in stacks), *stacks[0].shape[-2:]), dtype=np.result_type(*stacks))
-    for a, end in zip(stacks, itertools.accumulate(a.shape[-3] for a in stacks)):
-        out[..., end - a.shape[-3] : end, :, :] = a  # broadcast over ``lead`` by the assignment
-    return out
-
-
 class ChoiConstraintSystem:
     """The identities ``Phi_J^dag(F_k) = G_k`` on a candidate Choi matrix ``J``.
 
@@ -743,8 +728,10 @@ class ChoiConstraintSystem:
         self.d_in, self.d_out = targets[0].shape[-1], afters[0].shape[-1]
         self.dim = self.d_in * self.d_out
         lead = max((a.shape[:-3] for a in afters + targets), key=len)
-        self.ops = _identities([*afters, np.eye(self.d_out)[None]], lead)
-        self.targets = _identities([*targets, np.eye(self.d_in)[None]], lead)
+        self.ops, self.targets = [
+            np.concatenate([np.broadcast_to(a, (*lead, *a.shape[-3:])) for a in (*stacks, np.eye(d)[None])], axis=-3)
+            for stacks, d in ((afters, self.d_out), (targets, self.d_in))
+        ]
 
 
 @dataclass(frozen=True)

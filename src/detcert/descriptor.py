@@ -3,10 +3,11 @@
 A descriptor names a detection setup, the ranges within which an adversary
 may set the dark count rates and efficiencies, and tolerances.  A field's
 entry in ``_FIELDS`` holds its default and the converter of its value, JSON
-or Python, which accepts its own output; ``SetupDescriptor.__init__`` runs it
-once per field given and then every value rule, so a malformed field raises
-:class:`DescriptorError` naming it however built.  The JSON reader only
-checks which fields appear and rejects nulls.
+or Python, which accepts its own output; ``SetupDescriptor.__init__`` refuses
+an unknown field, runs the converter once per field given and then every
+value rule, so a malformed field raises :class:`DescriptorError` naming it
+however built.  The JSON reader only refuses a fixed setup's ``k`` and
+``mode_map``, and nulls.
 The module imports no numeric code: a rule stated in :mod:`detcert.detectors`
 or :mod:`detcert.squashing` is imported by the branch that applies it, so
 loading a fixed setup's descriptor loads neither numpy nor the detectors.
@@ -126,10 +127,10 @@ class SetupDescriptor:
     the one way to derive another, and it runs every rule again.
     """
 
-    def __init__(self, setup, **given):
+    def __init__(self, setup=None, **given):
         unknown = given.keys() - FIELD_NAMES
         if unknown:
-            raise TypeError(f"SetupDescriptor() got unexpected fields {sorted(unknown)}")
+            raise DescriptorError(f"unknown descriptor fields: {sorted(unknown)}")
         given["setup"] = setup
         fields = self.__dict__  # each value given, from JSON or Python, converted once
         for name, default, convert in _FIELDS:
@@ -266,7 +267,7 @@ class SetupDescriptor:
 
 
 def descriptor_from_dict(data: dict) -> SetupDescriptor:
-    """The descriptor a JSON object states; the reader checks which fields appear and rejects nulls, not values."""
+    """The descriptor a JSON object states; the reader refuses nulls and a fixed setup's ``k`` or ``mode_map``, not values."""
     if not isinstance(data, dict):
         raise DescriptorError("descriptor must be a JSON object")
     setup = data.get("setup")
@@ -274,10 +275,6 @@ def descriptor_from_dict(data: dict) -> SetupDescriptor:
         for name in ("k", "mode_map"):
             if name in data:
                 raise DescriptorError(f"{name}: fixed by the {setup} setup, not a descriptor field")
-
-    unknown = set(data) - FIELD_NAMES
-    if unknown:
-        raise DescriptorError(f"unknown descriptor fields: {sorted(unknown)}")
     for name, _, convert in _FIELDS:
         if convert is not None and name in data and data[name] is None:
             convert(None, name)  # a null: its converter names the field (eta_star's admits it)

@@ -188,7 +188,7 @@ class POVM:
     stack of such measurements on one layout and event table (one per
     efficiency corner, say), float64 if the elements given are real and
     complex128 if they are complex (:func:`_dtype`).  It is validated
-    once, each rule tested on the whole stack at once:
+    once, each rule by one reduction per element over the whole stack:
     finite, exactly zero off the layout's blocks, Hermitian to 1e-12, PSD
     to -1e-10 and summing to the identity to 1e-10.  A layout ending in a
     ``flag`` block (a flag-state target) carries one classical flag per
@@ -208,25 +208,20 @@ class POVM:
             raise ValueError("flag dimension must equal the event count")
         labels = events.labels
 
-        # Each rule is tested once on the whole stack; only a failed one locates its element.
+        # Each rule reduces the stack once, per element; only a failed one locates its element.
         def reject(bad: np.ndarray, why):
-            at = tuple(int(x) for x in np.argwhere(bad)[0])
-            where = f" in stack entry {at[0]}" if len(at) > 1 else ""
-            raise ValueError(f"element {labels[at[-1]]!r}{where} {why(at)}")
+            if bad.any():
+                at = tuple(int(x) for x in np.argwhere(bad)[0])
+                where = f" in stack entry {at[0]}" if len(at) > 1 else ""
+                raise ValueError(f"element {labels[at[-1]]!r}{where} {why(at)}")
 
-        if not np.isfinite(dense).all():
-            reject(~np.isfinite(dense).all(axis=(-2, -1)), lambda at: "has a non-finite entry")
-        off = dense[..., layout.off_blocks]
-        if off.any():
-            off = np.abs(off).max(axis=-1)
-            reject(off != 0.0, lambda at: f"is not zero off its blocks (entry {off[at]:.3e})")
-        herm = np.abs(dense - dense.conj().swapaxes(-1, -2))
-        if herm.max() > 1e-12:
-            herm = herm.max(axis=(-2, -1))
-            reject(herm > 1e-12, lambda at: f"is not Hermitian (deviation {herm[at]:.3e})")
+        reject(~np.isfinite(dense).all(axis=(-2, -1)), lambda at: "has a non-finite entry")
+        off = np.abs(dense[..., layout.off_blocks]).max(axis=-1, initial=0.0)
+        reject(off != 0.0, lambda at: f"is not zero off its blocks (entry {off[at]:.3e})")
+        herm = np.abs(dense - dense.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+        reject(herm > 1e-12, lambda at: f"is not Hermitian (deviation {herm[at]:.3e})")
         lows = np.linalg.eigvalsh(dense)[..., 0]
-        if lows.min() < -1e-10:
-            reject(lows < -1e-10, lambda at: f"is not PSD (eigenvalue {lows[at]:.3e})")
+        reject(lows < -1e-10, lambda at: f"is not PSD (eigenvalue {lows[at]:.3e})")
         dev = np.abs(dense.sum(axis=-3) - np.eye(d)).max()
         if not dev <= 1e-10:
             raise ValueError(f"completeness violated by {dev:.3e}")

@@ -339,6 +339,14 @@ def test_component_eigenvalue_equals_full_eigensolve(seed, sizes, zero_rows, sca
     tol = 1e-12 * max(1.0, float(np.linalg.norm(h, 2)))
     low = ChoiSupport.from_dense(h, n, 1).psd_residuals()[1][0]
     assert abs(low - full) <= tol
+    # lone entries only: each a 1 x 1 component whose eigenvalue is its entry,
+    # bit for bit, stacked with a non-finite matrix, which has none
+    diag = np.diag(h).copy()
+    faulty = diag.copy()
+    faulty[rng.integers(n)] = np.nan
+    lows = ChoiSupport.from_dense(np.stack([np.diag(diag), np.diag(faulty)]), n, 1).psd_residuals()[1]
+    assert lows[0] == diag.real.min()
+    assert np.isnan(lows[1])
 
 
 def _coarse_dark_channel():

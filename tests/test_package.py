@@ -191,6 +191,24 @@ def test_only_the_click_bits_read_an_event_tables_masks():
     assert sites == [("detectors", "_click_bits")]
 
 
+def test_only_the_descriptor_constructor_refuses_unknown_fields():
+    # the unknown-field rule is stated once, in ``SetupDescriptor.__init__``, which every path builds through
+    def sites(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = (*scope, node.name)
+        if isinstance(node, ast.Constant) and "unknown descriptor fields" in str(node.value):
+            yield ".".join(scope)
+        for child in ast.iter_child_nodes(node):
+            yield from sites(child, scope)
+
+    found = [
+        (path.stem, site)
+        for path in sorted((ROOT / "src" / "detcert").glob("*.py"))
+        for site in sites(ast.parse(path.read_text()), ())
+    ]
+    assert found == [("descriptor", "SetupDescriptor.__init__")]
+
+
 SOLVER_FREE_RUN = """
 import sys
 import detcert

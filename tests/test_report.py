@@ -87,6 +87,10 @@ def test_descriptor_validation_errors():
             descriptor_from_dict({**PASSIVE, "corner_limit": bad})
     with pytest.raises(DescriptorError, match="unknown descriptor fields"):
         descriptor_from_dict({**PASSIVE, "tolerances": {"cert": 1e-9}})
+    with pytest.raises(DescriptorError, match=r"^unknown descriptor fields: \['surprise'\]$"):
+        SetupDescriptor("passive-bb84", surprise=1)  # built in Python, as the JSON reader refuses it
+    with pytest.raises(DescriptorError, match="^setup: unknown kind None$"):
+        SetupDescriptor(k=2)  # no setup, as from JSON
     nan, inf = float("nan"), float("inf")
     for name, bad in (
         ("eta", nan), ("eta", [0.5, inf, 0.5, 0.5]), ("dark", [nan] * 4), ("dark", -inf),
@@ -207,7 +211,8 @@ def test_setup_descriptor_built_in_python_converts_as_the_json_reader(data):
 @pytest.mark.parametrize(
     "fields,prefix",
     [({"k": 3}, "k:"), ({"mode_map": ((1.0, 0.0),)}, "mode_map:"), ({"eta": (0.5,) * 3}, "eta:"),
-     ({"coarse_grain": "bogus"}, "coarse_grain:"), ({"tol": math.nan}, "tol:")],
+     ({"coarse_grain": "bogus"}, "coarse_grain:"), ({"tol": math.nan}, "tol:"),
+     ({"surprise": 1}, r"unknown descriptor fields: \['surprise'\]$")],
 )
 def test_setup_descriptor_checks_every_rule_on_replace(fields, prefix):
     # the path of the command-line overrides
