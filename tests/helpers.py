@@ -453,6 +453,16 @@ CASES = [
     Case("choi-check", "bench_active_equal", _BENCH_EQUAL),
     Case("analyze", "bench_active_unequal", _BENCH_UNEQUAL, code=EXIT_NOT_REDUCIBLE),
     Case("choi-check", "bench_active_unequal", _BENCH_UNEQUAL, code=EXIT_NOT_REDUCIBLE),
+    # The point commands at a given point: dark (0, 0.05), not the range tops, so the swap optimum is 0.05 / 8
+    Case("swap-lp", "active_dark_point", _shipped("active_bb84", dark=[0, 0.05]), code=EXIT_NOT_REDUCIBLE),
+    Case("choi-check", "active_dark_point", _shipped("active_bb84", dark=[0, 0.05]), code=EXIT_NOT_REDUCIBLE),
+    # weight at a given eta and dark: the bound, p_no_dark and the eta_star interval all read the point
+    Case("weight", "passive_point",
+         _shipped("passive_bb84", eta=[0.55, 0.5, 0.6, 0.52], dark=[0.002, 0, 0.01, 0.005],
+                  observed={"event": "multi", "probability": 0.01})),
+    # two point ranges among four: 4 corners in binary-counter order over detectors 1 and 3
+    Case("analyze", "passive_mixed_corners",
+         _shipped("passive_bb84", eta_range=[[0.5, 0.6], [0.5, 0.5], [0.5, 0.6], [0.55, 0.55]], corner_limit=16)),
 ]
 
 
