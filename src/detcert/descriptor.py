@@ -212,30 +212,6 @@ class SetupDescriptor:
             except ValueError as exc:
                 raise DescriptorError(f"observed: {exc}") from exc
 
-    def points(self, box: bool) -> tuple[np.ndarray, np.ndarray]:
-        """The efficiencies and dark rates a command evaluates, as two ``(n, k)`` stacks.
-
-        ``box=True`` samples the corners of ``eta_range``: all-low, all-high,
-        then mixed corners in binary-counter order over the detectors whose
-        range is not a single point (detector 1 first), so no corner repeats,
-        up to ``corner_limit`` in all.  Exact for quantities monotone in each
-        efficiency, a sample otherwise.  Its dark stack is one row, the top of
-        each ``dark_range``.  ``box=False`` is one point: ``eta``, else the
-        bottom of each range, and ``dark``, else the top of each range.
-        """
-        import numpy as np
-        lo, hi = np.array(self.eta_range).T
-        top = np.array(self.dark_range)[:, 1]
-        if not box:
-            eta, dark = (lo if self.eta is None else self.eta), (top if self.dark is None else self.dark)
-            return np.array([eta]), np.array([dark])
-        free = np.flatnonzero(lo < hi)
-        last = 2**free.size - 1
-        patterns = np.array(([0, last, *range(1, last)] if last else [0])[: self.corner_limit])
-        high = np.zeros((patterns.size, self.k), dtype=bool)
-        high[:, free] = (patterns[:, None] >> np.arange(free.size)) & 1
-        return np.where(high, hi, lo), top[None]
-
     def to_dict(self) -> dict:
         """The JSON fields; unset optional ones are left out, ``eta_star`` echoed even as null."""
         out = dict(self.__dict__)

@@ -73,6 +73,46 @@ def build_setup(desc: SetupDescriptor, eta) -> DetectionSetup:
     raise DescriptorError(f"setup: no single-table setup for {desc.setup!r}")
 
 
+class Box:
+    """The ``(eta, d)`` box a descriptor declares, and the one point the point commands evaluate.
+
+    Each attribute but ``corner_limit`` is a read-only ``(k,)`` array:
+    ``eta_lo`` and ``eta_hi`` the ends of each ``eta_range``, ``dark_hi``
+    the top of each ``dark_range``, ``eta`` the given ``eta``, else
+    ``eta_lo``, and ``dark`` the given ``dark``, else ``dark_hi``.
+    ``analyze`` and ``verify-channel`` read the efficiency ends, the
+    :meth:`corners` and ``dark_hi``; ``swap-lp`` and ``choi-check`` read
+    ``dark``; ``weight`` reads ``eta`` and ``dark``, and the efficiency ends
+    when ``eta`` is unset.
+    """
+
+    def __init__(self, desc: SetupDescriptor):
+        (eta_lo, eta_hi), dark_hi = zip(*desc.eta_range), [hi for _, hi in desc.dark_range]
+        rows = np.array([eta_lo, eta_hi, dark_hi, desc.eta or eta_lo, desc.dark or dark_hi])
+        rows.flags.writeable = False  # and with it each row, a view
+        self.__dict__.update(zip(("eta_lo", "eta_hi", "dark_hi", "eta", "dark"), rows), corner_limit=desc.corner_limit)
+
+    def corners(self) -> np.ndarray:
+        """Up to ``corner_limit`` corners of the efficiency box, an ``(n, k)`` stack.
+
+        All-low, all-high, then mixed corners in binary-counter order over the
+        detectors whose range is not a single point (detector 1 first), so no
+        corner repeats.  Exact for quantities monotone in each efficiency, a
+        sample otherwise.
+        """
+        free = np.flatnonzero(self.eta_lo < self.eta_hi)
+        last = 2**free.size - 1
+        patterns = np.array(([0, last, *range(1, last)] if last else [0])[: self.corner_limit])
+        high = np.zeros((patterns.size, self.eta_lo.size), dtype=bool)
+        high[:, free] = (patterns[:, None] >> np.arange(free.size)) & 1
+        return np.where(high, self.eta_hi, self.eta_lo)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+
 @dataclass
 class Certificate:
     """Machine-readable record of every verdict of one analysis run."""
@@ -215,11 +255,10 @@ def write_json(payload, path=None) -> Path | None:
     return out
 
 
-def _common_efficiency(desc: SetupDescriptor, etas, derived: dict) -> float:
-    """The descriptor's ``eta_star`` (else 1), admissible over the evaluated ``(n, k)`` stack ``etas``.
+def _common_efficiency(desc: SetupDescriptor, eta_lo, eta_hi, derived: dict) -> float:
+    """The descriptor's ``eta_star`` (else 1), admissible over the efficiencies from ``eta_lo`` to ``eta_hi``.
 
-    The stack holds its ends ``eta_lo = etas.min(0)`` and ``eta_hi = etas.max(0)``
-    (:meth:`SetupDescriptor.points`).  At one ``eta`` the loss split is
+    At one ``eta`` the loss split is
     stochastic iff ``eta_star`` lies in ``[f, 1]``, ``f = eta_min / D`` with
     ``D = (1 - eta_max) + eta_min`` (:func:`eta_star_range`).
     ``df/deta_min = (1 - eta_max) / D^2`` and ``df/deta_max = eta_min / D^2``
@@ -228,10 +267,9 @@ def _common_efficiency(desc: SetupDescriptor, etas, derived: dict) -> float:
     and the interval go to ``derived``; raises :class:`_Stop`, a ``ValueError``, if
     the interval is empty or excludes it (:func:`check_eta_star`).
     """
-    eta_hi = etas.max(axis=0)
-    if not etas.min() > 0.0:
+    if not eta_lo.min() > 0.0:
         raise _Stop("admissible common-efficiency interval is empty: need 0 < eta_min <= eta_max <= 1")
-    star_lo, star_hi = eta_star_range(float(np.min(eta_hi)), float(np.max(eta_hi)))
+    star_lo, star_hi = eta_star_range(float(eta_hi.min()), float(eta_hi.max()))
     eta_star = desc.eta_star if desc.eta_star is not None else star_hi
     derived.update(eta_star=eta_star, eta_star_range=[star_lo, star_hi])
     try:
@@ -241,9 +279,9 @@ def _common_efficiency(desc: SetupDescriptor, etas, derived: dict) -> float:
     return eta_star
 
 
-def _record_weight(desc: SetupDescriptor, cert: Certificate, etas, p00: float, eta_star: float) -> float:
-    """Record ``p00``, ``ratio = eta_min / eta_star`` over ``etas`` and ``weight_out``; return ``1 - p00 * ratio``."""
-    eta_min = float(etas.min())
+def _record_weight(desc: SetupDescriptor, cert: Certificate, eta_lo, p00: float, eta_star: float) -> float:
+    """Record ``p00``, ``ratio = eta_min / eta_star``, ``eta_min`` the least of ``eta_lo``, and ``weight_out``; return ``1 - p00 * ratio``."""
+    eta_min = float(eta_lo.min())
     cert.derived["p_no_dark"] = p00
     cert.derived["efficiency_ratio"] = eta_min / eta_star
     cert.derived["weight_in"] = desc.weight_in
@@ -252,14 +290,15 @@ def _record_weight(desc: SetupDescriptor, cert: Certificate, etas, p00: float, e
 
 
 def _analyze_flag_state(desc: SetupDescriptor, cert: Certificate):
-    corners, (d_max,) = desc.points(box=True)
-    eta_star = _common_efficiency(desc, corners, cert.derived)
+    box = Box(desc)
+    corners = box.corners()
+    eta_star = _common_efficiency(desc, box.eta_lo, box.eta_hi, cert.derived)
     # One measurement stack: the corners, then the common efficiency.  Each
     # corner takes the dark counts at the top of the rate range, the ideal
     # entry a zero row of rates, whose map is the identity; then the graining.
     n = len(corners)
-    p = dark_count_matrix(np.vstack([np.tile(d_max, (n, 1)), np.zeros(desc.k)]))
-    q = _record_weight(desc, cert, corners, float(p.entries[0, 0, 0]), eta_star)
+    p = dark_count_matrix(np.vstack([np.tile(box.dark_hi, (n, 1)), np.zeros(desc.k)]))
+    q = _record_weight(desc, cert, box.eta_lo, float(p.entries[0, 0, 0]), eta_star)
     if desc.coarse_grain == "multiclick":
         cg = multiclick_coarse_graining(enumerate_events(desc.k))
         p = StochasticMatrix(cg.entries @ p.entries, cg.row_table)
@@ -275,7 +314,7 @@ def _analyze_flag_state(desc: SetupDescriptor, cert: Certificate):
     statistics, weights = scores[:, :-1].max(axis=1).tolist(), scores[:, -1].tolist()
     for idx, eta_vec in enumerate(corners):
         suffix = f"-corner{idx}"
-        inputs = {"eta": eta_vec.tolist(), "dark": d_max.tolist(), "eta_star": eta_star, "q": q}
+        inputs = {"eta": eta_vec.tolist(), "dark": box.dark_hi.tolist(), "eta_star": eta_star, "q": q}
         cert.add_check(f"generic-channel-cptp{suffix}", "verify_cptp", inputs, cptp[idx].residual, desc.tol)
         cert.add_check(
             f"generic-channel-statistics{suffix}", "verify_statistics_equivalence", inputs, statistics[idx], desc.tol,
@@ -295,18 +334,18 @@ def _swap_lp(d_vec, tol: float):
 
 
 def _analyze_active_bb84(desc: SetupDescriptor, cert: Certificate):
-    # The swap LP and the channel read the box's dark row; the eta_star interval reads its corners.
-    etas, (d_vec,) = desc.points(box=True)
-    result = _swap_lp(d_vec, desc.tol)
+    # The swap LP and the channel read the top of the dark box; the eta_star interval its efficiency ends.
+    box = Box(desc)
+    result = _swap_lp(box.dark_hi, desc.tol)
     cert.add_check(
-        "swap-equation-lp", "solve_swap_lp", {"dark": d_vec.tolist()},
+        "swap-equation-lp", "solve_swap_lp", {"dark": box.dark_hi.tolist()},
         result.residual, result.tolerance,
         "the swap equation P_sq' P_db = P_dc P_sq has no stochastic solution "
         "for the qubit squasher (it requires equal dark count rates)",
     )
-    eta_star = _common_efficiency(desc, etas, cert.derived)
-    _record_weight(desc, cert, etas, float(result.matrix.entries[0, 0]), eta_star)
-    d = float(d_vec[0])
+    eta_star = _common_efficiency(desc, box.eta_lo, box.eta_hi, cert.derived)
+    _record_weight(desc, cert, box.eta_lo, float(result.matrix.entries[0, 0]), eta_star)
+    d = float(box.dark_hi[0])
     # Both bases' statistics and trace preservation, scored in one contraction.
     bases = [(result.matrix, povm, povm) for povm in map(bb84_qubit_measurement, "ZX")]
     (cptp,), (scores,) = certify_choi(bb84_simple_noise_channel(d).support, ChoiConstraintSystem(*bases), desc.tol)
@@ -335,7 +374,7 @@ def run_analysis(desc: SetupDescriptor) -> Certificate:
 
 
 def weight(desc: SetupDescriptor) -> tuple[dict, int]:
-    """Weight bound from one observed event probability, plus propagation, at the one point of ``desc.points``; exit 0.
+    """Weight bound from one observed event probability, plus propagation, at the :class:`Box` point; exit 0.
 
     ``eta_star`` must be admissible there, and over the ``eta_range`` box
     when ``eta`` is unset, as in :func:`run_analysis`.
@@ -345,15 +384,14 @@ def weight(desc: SetupDescriptor) -> tuple[dict, int]:
     if desc.cutoff + 1 > MAX_CUTOFF:  # the bound is read on the POVM one photon above the cutoff
         raise DescriptorError(f"cutoff: weight estimation needs cutoff <= {MAX_CUTOFF - 1}")
     event, prob = desc.observed
-    # Two calls: the box's one dark row is the top of each range, not a given ``dark``.
-    (eta,), (d_vec,) = desc.points(box=False)
-    etas, _ = desc.points(box=desc.eta is None)
+    box = Box(desc)
+    eta_lo, eta_hi = (box.eta_lo, box.eta_hi) if desc.eta is None else (box.eta, box.eta)
     try:
-        eta_star = _common_efficiency(desc, etas, {})
+        eta_star = _common_efficiency(desc, eta_lo, eta_hi, {})
     except ValueError as exc:  # an empty interval is the efficiencies', an excluded eta_star its own
-        blamed = "eta_star" if etas.min() > 0.0 else "eta_range" if desc.eta is None else "eta"
+        blamed = "eta_star" if eta_lo.min() > 0.0 else "eta_range" if desc.eta is None else "eta"
         raise DescriptorError(f"{blamed}: {exc}") from exc
-    setup = build_setup(desc, eta)
+    setup = build_setup(desc, box.eta)
     try:  # a map within the isometry rule can lift to a non-measurement on more photons
         povm = build_threshold_povm(setup, desc.cutoff + 1)
     except ValueError as exc:
@@ -362,8 +400,8 @@ def weight(desc: SetupDescriptor) -> tuple[dict, int]:
         wb = weight_bound(povm, event, prob, desc.cutoff)
     except ValueError as exc:
         raise DescriptorError(f"observed: {exc}") from exc
-    p00 = float(dark_count_matrix(d_vec).entries[0, 0])
-    propagated = propagate_weight(wb.value, p00, float(eta.min()), eta_star)
+    p00 = float(dark_count_matrix(box.dark).entries[0, 0])
+    propagated = propagate_weight(wb.value, p00, float(box.eta.min()), eta_star)
     return {
         "event": list(wb.event),
         "cutoff": wb.cutoff,
@@ -391,10 +429,10 @@ def verify_channel(desc: SetupDescriptor) -> tuple[dict, int]:
 
 
 def _active_point(desc: SetupDescriptor, command: str):
-    """The qubit squasher's ``(rates, SwapLPResult)`` at the one point of ``desc.points``, for active BB84 only."""
+    """The qubit squasher's ``(rates, SwapLPResult)`` at the :class:`Box` point, for active BB84 only."""
     if desc.setup != "active-bb84":
         raise DescriptorError(f"setup: {command} supports only the active-bb84 qubit squasher, got {desc.setup!r}")
-    _, (d_vec,) = desc.points(box=False)
+    d_vec = Box(desc).dark
     return d_vec, _swap_lp(d_vec, desc.tol)
 
 

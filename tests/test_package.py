@@ -209,6 +209,24 @@ def test_only_the_descriptor_constructor_refuses_unknown_fields():
     assert found == [("descriptor", "SetupDescriptor.__init__")]
 
 
+def test_only_the_box_reads_a_descriptors_ranges():
+    # the descriptor's rules check the ranges and ``corner_limit``; every command reads them through ``report.Box``
+    def sites(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = (*scope, node.name)
+        if isinstance(node, ast.Attribute) and node.attr in ("eta_range", "dark_range", "corner_limit"):
+            yield ".".join(scope)
+        for child in ast.iter_child_nodes(node):
+            yield from sites(child, scope)
+
+    found = {
+        (path.stem, site)
+        for path in sorted((ROOT / "src" / "detcert").glob("*.py"))
+        for site in sites(ast.parse(path.read_text()), ())
+    }
+    assert found == {("descriptor", "SetupDescriptor.__init__"), ("report", "Box.__init__"), ("report", "Box.corners")}
+
+
 SOLVER_FREE_RUN = """
 import sys
 import detcert

@@ -43,6 +43,7 @@ from detcert.report import (
     EXIT_NOT_REDUCIBLE,
     EXIT_OK,
     EXIT_TOOL_ERROR,
+    Box,
     Certificate,
     _active_point,
     build_setup,
@@ -611,7 +612,7 @@ def test_descriptor_json_round_trip(data):
         real = not any(isinstance(z, list) and z[1] for row in data["mode_map"] for z in row)
         dtype = np.dtype(np.float64 if real else np.complex128)
         assert np.asarray(desc.mode_map).dtype == dtype
-        assert build_setup(desc, desc.points(box=False)[0][0]).mode_map.dtype == dtype
+        assert build_setup(desc, Box(desc).eta).mode_map.dtype == dtype
 
 
 # Edge values of the efficiencies and dark rates, and of eta_star beyond [0, 1].
@@ -948,7 +949,8 @@ def test_the_certified_channel_exists_inside_the_box(data, star, eta_at, dark_at
     # any admissible eta_star, the noisy measurement still dominates
     # (1 - q) times the ideal one, so the public builder admits q there
     desc = descriptor_from_dict({**data, "cutoff": 1})
-    corners, (d_max,) = desc.points(box=True)
+    box = Box(desc)
+    corners, d_max = box.corners(), box.dark_hi
     eta_min = float(corners.min())
     assume(eta_min > 0.0)
     eta_hi = corners.max(axis=0)  # the all-high corner binds the admissible interval
@@ -996,8 +998,9 @@ def test_analysis_needs_unit_cutoff():
 
 def test_eta_corners_include_extremes():
     desc = descriptor_from_dict(PASSIVE)
-    corners, dark = desc.points(box=True)
-    assert dark.tolist() == [[0.01] * 4]
+    box = Box(desc)
+    corners = box.corners()
+    assert box.dark_hi.tolist() == [0.01] * 4
     assert any(np.allclose(c, 0.5) for c in corners)
     assert any(np.allclose(c, 0.6) for c in corners)
     assert len(corners) <= desc.corner_limit
@@ -1008,7 +1011,7 @@ def test_eta_corners_include_extremes():
     # detectors with a point range take no part in the count: no corner repeats
     ranges = [[0.5, 0.6], [0.5, 0.5], [0.5, 0.6], [0.5, 0.5]]
     desc = descriptor_from_dict({**PASSIVE, "eta_range": ranges, "corner_limit": 16})
-    corners, _ = desc.points(box=True)
+    corners = Box(desc).corners()
     assert [c.tolist() for c in corners] == [
         [0.5] * 4, [0.6, 0.5, 0.6, 0.5], [0.6, 0.5, 0.5, 0.5], [0.5, 0.5, 0.6, 0.5]
     ]
@@ -1021,7 +1024,7 @@ def test_eta_corners_include_extremes():
 )
 def test_corner_stack_ends_are_the_range_ends(ranges, corner_limit):
     desc = descriptor_from_dict({**PASSIVE, "eta_range": ranges, "corner_limit": corner_limit})
-    corners, _ = desc.points(box=True)
+    corners = Box(desc).corners()
     lo, hi = np.array(ranges).T
     assert corners.min(axis=0).tolist() == lo.tolist() and corners.max(axis=0).tolist() == hi.tolist()
     assert len(corners) == min(corner_limit, 2 ** int((lo < hi).sum()))
@@ -1029,10 +1032,29 @@ def test_corner_stack_ends_are_the_range_ends(ranges, corner_limit):
 
 
 def test_point_is_eta_and_dark_else_the_range_ends():
-    desc = descriptor_from_dict(PASSIVE)
-    assert [x.tolist() for x in desc.points(box=False)] == [[[0.5] * 4], [[0.01] * 4]]
-    desc = descriptor_from_dict({**PASSIVE, "eta": [0.51, 0.52, 0.53, 0.54], "dark": 0.002})
-    assert [x.tolist() for x in desc.points(box=False)] == [[[0.51, 0.52, 0.53, 0.54]], [[0.002] * 4]]
+    box = Box(descriptor_from_dict(PASSIVE))
+    assert [box.eta.tolist(), box.dark.tolist()] == [[0.5] * 4, [0.01] * 4]
+    box = Box(descriptor_from_dict({**PASSIVE, "eta": [0.51, 0.52, 0.53, 0.54], "dark": 0.002}))
+    assert [box.eta.tolist(), box.dark.tolist()] == [[0.51, 0.52, 0.53, 0.54], [0.002] * 4]
+    # the active point commands report the Box point: the given dark, else the top of each range
+    active = descriptor_from_dict({"setup": "active-bb84", "dark_range": [0.0, 0.05]})
+    for desc in (active, active.replace(dark=(0.0, 0.05)), active.replace(dark=(0.02, 0.02))):
+        for command in (report.swap_lp, report.choi_check):
+            assert command(desc)[0]["dark"] == Box(desc).dark.tolist()
+    assert Box(active).dark.tolist() == [0.05, 0.05]
+    assert Box(active.replace(dark=(0.0, 0.05))).dark.tolist() == [0.0, 0.05]
+
+
+def test_a_box_is_immutable():
+    box = Box(descriptor_from_dict(PASSIVE))
+    for name in ("eta_lo", "eta_hi", "dark_hi", "eta", "dark", "corner_limit"):
+        with pytest.raises(AttributeError):
+            setattr(box, name, None)
+        with pytest.raises(AttributeError):
+            delattr(box, name)
+    with pytest.raises(ValueError, match="read-only"):
+        box.eta[0] = 0.9
+    assert box.eta.tolist() == [0.5] * 4
 
 
 def test_canonical_json_round_trip():
@@ -1342,7 +1364,7 @@ def test_cli_names_a_tolerance_the_swap_lp_cannot_decide(tmp_path, capsys, cmd, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("descriptor error: tol: the swap LP cannot decide at ")
-    (d_vec,) = descriptor_from_dict(data).points(box=False)[1]
+    d_vec = Box(descriptor_from_dict(data)).dark
     with pytest.raises(RuntimeError, match="dual bound"):  # the library keeps its own guard
         solve_swap_lp(dark_count_matrix(d_vec), bb84_qubit_squasher(), tol=data["tol"])
 
