@@ -51,7 +51,7 @@ from .detectors import build_threshold_povm, verify_single_photon_assumption
 from .fock import FLAG_LABEL, SpaceLayout, _kept, photon_label
 from .postprocessing import StochasticMatrix, _single_photon_loss_entries, validate_dark_count_pp
 from .postprocessing import apply_postprocessing, bb84_qubit_squasher
-from .squashing import check_eta_star
+from .squashing import check_eta_star, eta_star_range
 
 _M0 = photon_label(0)
 _M1 = photon_label(1)
@@ -530,7 +530,7 @@ def loss_channel(eta, eta_star: float, f_lossless: POVM) -> QuantumChannel:
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
     if eta.ndim != 1:
         raise ValueError(f"loss_channel takes one efficiency vector, not a stack of shape {eta.shape}")
-    check_eta_star(eta, eta_star)
+    check_eta_star(eta, eta_star, eta_star_range(eta.min(), eta.max()))  # NaN fails there
     if len(f_lossless.events.single_indices) != len(eta):
         raise ValueError("efficiency vector does not match the single-click events")
     layout = f_lossless.layout

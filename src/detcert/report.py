@@ -255,50 +255,48 @@ def write_json(payload, path=None) -> Path | None:
     return out
 
 
-def _common_efficiency(desc: SetupDescriptor, eta_lo, eta_hi, derived: dict) -> float:
-    """The descriptor's ``eta_star`` (else 1), admissible over the efficiencies from ``eta_lo`` to ``eta_hi``.
+def _weight_relation(desc: SetupDescriptor, eta_lo, eta_hi, dark, derived: dict) -> tuple[float, float, float]:
+    """``(p_no_dark, eta_min, eta_star)`` of ``W' = 1 - p_no_dark * (eta_min / eta_star) * (1 - W)``, for every command.
 
-    At one ``eta`` the loss split is
+    ``eta_star`` is the descriptor's (else 1), admissible over the
+    efficiencies from ``eta_lo`` to ``eta_hi``.  At one ``eta`` the loss split is
     stochastic iff ``eta_star`` lies in ``[f, 1]``, ``f = eta_min / D`` with
     ``D = (1 - eta_max) + eta_min`` (:func:`eta_star_range`).
     ``df/deta_min = (1 - eta_max) / D^2`` and ``df/deta_max = eta_min / D^2``
     are nonnegative and one rounding keeps the order, so the all-high corner
-    binds, given a positive ``eta_lo``.  ``eta_star``
-    and the interval go to ``derived``; raises :class:`_Stop`, a ``ValueError``, if
-    the interval is empty or excludes it (:func:`check_eta_star`).
+    binds, given a positive ``eta_lo``.  ``p_no_dark = prod(1 - dark)``, bit
+    for bit the dark-count map's no-click entry at rates ``dark``, and
+    ``eta_min`` is the least of ``eta_lo``.  ``eta_star`` and its interval go
+    to ``derived``, then ``p_no_dark``, ``efficiency_ratio``, ``weight_in`` and
+    ``weight_out`` (:func:`propagate_weight`); raises :class:`_Stop`, a
+    ``ValueError``, if the interval is empty or excludes ``eta_star``
+    (:func:`check_eta_star`).
     """
     if not eta_lo.min() > 0.0:
         raise _Stop("admissible common-efficiency interval is empty: need 0 < eta_min <= eta_max <= 1")
-    star_lo, star_hi = eta_star_range(float(eta_hi.min()), float(eta_hi.max()))
-    eta_star = desc.eta_star if desc.eta_star is not None else star_hi
-    derived.update(eta_star=eta_star, eta_star_range=[star_lo, star_hi])
+    interval = eta_star_range(float(eta_hi.min()), float(eta_hi.max()))
+    eta_star = desc.eta_star if desc.eta_star is not None else interval[1]
+    derived.update(eta_star=eta_star, eta_star_range=list(interval))
     try:
-        check_eta_star(eta_hi, eta_star)
+        check_eta_star(eta_hi, eta_star, interval)
     except ValueError as exc:
         raise _Stop(str(exc)) from exc
-    return eta_star
-
-
-def _record_weight(desc: SetupDescriptor, cert: Certificate, eta_lo, p00: float, eta_star: float) -> float:
-    """Record ``p00``, ``ratio = eta_min / eta_star``, ``eta_min`` the least of ``eta_lo``, and ``weight_out``; return ``1 - p00 * ratio``."""
-    eta_min = float(eta_lo.min())
-    cert.derived["p_no_dark"] = p00
-    cert.derived["efficiency_ratio"] = eta_min / eta_star
-    cert.derived["weight_in"] = desc.weight_in
-    cert.derived["weight_out"] = propagate_weight(desc.weight_in, p00, eta_min, eta_star)
-    return propagate_weight(0.0, p00, eta_min, eta_star)
+    p_no_dark, eta_min = float(np.prod(1.0 - dark)), float(eta_lo.min())
+    derived.update(p_no_dark=p_no_dark, efficiency_ratio=eta_min / eta_star, weight_in=desc.weight_in,
+                   weight_out=propagate_weight(desc.weight_in, p_no_dark, eta_min, eta_star))
+    return p_no_dark, eta_min, eta_star
 
 
 def _analyze_flag_state(desc: SetupDescriptor, cert: Certificate):
     box = Box(desc)
     corners = box.corners()
-    eta_star = _common_efficiency(desc, box.eta_lo, box.eta_hi, cert.derived)
+    p_no_dark, eta_min, eta_star = _weight_relation(desc, box.eta_lo, box.eta_hi, box.dark_hi, cert.derived)
     # One measurement stack: the corners, then the common efficiency.  Each
     # corner takes the dark counts at the top of the rate range, the ideal
     # entry a zero row of rates, whose map is the identity; then the graining.
     n = len(corners)
     p = dark_count_matrix(np.vstack([np.tile(box.dark_hi, (n, 1)), np.zeros(desc.k)]))
-    q = _record_weight(desc, cert, box.eta_lo, float(p.entries[0, 0, 0]), eta_star)
+    q = propagate_weight(0.0, p_no_dark, eta_min, eta_star)
     if desc.coarse_grain == "multiclick":
         cg = multiclick_coarse_graining(enumerate_events(desc.k))
         p = StochasticMatrix(cg.entries @ p.entries, cg.row_table)
@@ -343,8 +341,7 @@ def _analyze_active_bb84(desc: SetupDescriptor, cert: Certificate):
         "the swap equation P_sq' P_db = P_dc P_sq has no stochastic solution "
         "for the qubit squasher (it requires equal dark count rates)",
     )
-    eta_star = _common_efficiency(desc, box.eta_lo, box.eta_hi, cert.derived)
-    _record_weight(desc, cert, box.eta_lo, float(result.matrix.entries[0, 0]), eta_star)
+    _weight_relation(desc, box.eta_lo, box.eta_hi, box.dark_hi, cert.derived)
     d = float(box.dark_hi[0])
     # Both bases' statistics and trace preservation, scored in one contraction.
     bases = [(result.matrix, povm, povm) for povm in map(bb84_qubit_measurement, "ZX")]
@@ -387,7 +384,7 @@ def weight(desc: SetupDescriptor) -> tuple[dict, int]:
     box = Box(desc)
     eta_lo, eta_hi = (box.eta_lo, box.eta_hi) if desc.eta is None else (box.eta, box.eta)
     try:
-        eta_star = _common_efficiency(desc, eta_lo, eta_hi, {})
+        p_no_dark, eta_min, eta_star = _weight_relation(desc, eta_lo, eta_hi, box.dark, {})
     except ValueError as exc:  # an empty interval is the efficiencies', an excluded eta_star its own
         blamed = "eta_star" if eta_lo.min() > 0.0 else "eta_range" if desc.eta is None else "eta"
         raise DescriptorError(f"{blamed}: {exc}") from exc
@@ -400,8 +397,7 @@ def weight(desc: SetupDescriptor) -> tuple[dict, int]:
         wb = weight_bound(povm, event, prob, desc.cutoff)
     except ValueError as exc:
         raise DescriptorError(f"observed: {exc}") from exc
-    p00 = float(dark_count_matrix(box.dark).entries[0, 0])
-    propagated = propagate_weight(wb.value, p00, float(box.eta.min()), eta_star)
+    propagated = propagate_weight(wb.value, p_no_dark, eta_min, eta_star)
     return {
         "event": list(wb.event),
         "cutoff": wb.cutoff,
@@ -409,7 +405,7 @@ def weight(desc: SetupDescriptor) -> tuple[dict, int]:
         "lambda_inside": wb.lambda_inside,
         "lambda_outside": wb.lambda_outside,
         "weight_bound": wb.value,
-        "p_no_dark": p00,
+        "p_no_dark": p_no_dark,
         "eta_star": eta_star,
         "weight_propagated": propagated,
     }, EXIT_OK

@@ -161,14 +161,13 @@ def eta_star_range(eta_min: float, eta_max: float) -> tuple[float, float]:
     return (n_min * d_max / ((d_max - n_max) * d_min + n_min * d_max), 1.0)
 
 
-def check_eta_star(eta, eta_star: float) -> None:
-    """Raise ``ValueError`` unless ``eta_star`` lies in the :func:`eta_star_range` of the efficiency vector ``eta``.
+def check_eta_star(eta, eta_star: float, interval: tuple[float, float]) -> None:
+    """Raise ``ValueError`` unless ``eta_star`` lies in ``interval``, the :func:`eta_star_range` of the efficiencies ``eta``.
 
     Both ends are admitted exactly, with no slack: an admitted ``eta_star`` has
-    ``0 < eta_min <= eta_star <= 1``.
+    ``0 < eta_min <= eta_star <= 1``.  ``eta`` is an array, named in the refusal.
     """
-    eta = np.asarray(eta, dtype=float)
-    lo, hi = eta_star_range(float(eta.min()), float(eta.max()))  # NaN fails there
+    lo, hi = interval
     if not lo <= eta_star <= hi:
         raise ValueError(
             f"common efficiency {eta_star} outside the admissible interval [{lo}, {hi}] "

@@ -53,7 +53,7 @@ from detcert.report import (
     write_json,
 )
 
-from helpers import ROOT, reference_canonical_json
+from helpers import CASES, ROOT, reference_canonical_json
 
 PASSIVE = {
     "setup": "passive-bb84",
@@ -1265,6 +1265,71 @@ def test_run_weight_values():
         0.001 / payload["lambda_outside"], abs=1e-12
     )
     assert 0.0 <= payload["weight_propagated"] <= 1.0
+
+
+_RATE = st.floats(1e-4, 0.3)
+# Flag-state boxes: passive BB84, and custom setups of 3 detectors and of passive BB84's 4 (its map written out).
+_BOXES = {
+    "passive": {**PASSIVE, "eta_star": None},
+    "custom-k3": {"setup": "custom", "k": 3, "mode_map": [[0.6, 0], [0.8, 0], [0, 1]], "coarse_grain": "multiclick"},
+    "custom-k4": {"setup": "custom", "k": 4, "mode_map": [[math.sqrt(0.5), 0], [0, math.sqrt(0.5)], [0.5, 0.5],
+                                                          [0.5, -0.5]], "coarse_grain": "multiclick"},
+}
+
+
+def _drawn_box(data, route: str) -> dict:
+    """A descriptor of ``route`` with drawn dark tops, and for a flag-state box drawn efficiency ranges."""
+    if route == "active":  # equal rates, so the swap LP is feasible and the relation is reached
+        return {"setup": "active-bb84", "dark_range": [0.0, data.draw(_RATE)]}
+    k = _BOXES[route].get("k", 4)
+    eta_range = [sorted(data.draw(st.tuples(st.floats(0.3, 1.0), st.floats(0.3, 1.0)))) for _ in range(k)]
+    return {**_BOXES[route], "eta_range": eta_range, "dark_range": [[0.0, data.draw(_RATE)] for _ in range(k)]}
+
+
+@pytest.mark.parametrize("route", ["active", *_BOXES])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_p_no_dark_is_the_product_of_no_dark_chances_on_every_route(route, data):
+    # bit for bit prod(1 - d) at the top of the dark box, on the active route too: not the swap LP's solved P_dc[0, 0]
+    desc = descriptor_from_dict(_drawn_box(data, route))
+    derived = run_analysis(desc).derived
+    assert derived["p_no_dark"] == float(np.prod(1.0 - Box(desc).dark_hi))
+
+
+@pytest.mark.parametrize("route", ["passive", "custom-k4"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_weight_and_analyze_share_one_weight_relation(route, data):
+    # without eta or dark, weight evaluates the all-low efficiencies and the top of the dark box, as analyze does
+    desc = descriptor_from_dict({**_drawn_box(data, route), "observed": {"event": "multi", "probability": 0.01}})
+    payload, _ = weight(desc)
+    derived = run_analysis(desc).derived
+    assert (payload["eta_star"], payload["p_no_dark"]) == (derived["eta_star"], derived["p_no_dark"])
+    propagated = run_analysis(desc.replace(weight_in=payload["weight_bound"])).derived["weight_out"]
+    assert payload["weight_propagated"] == propagated
+
+
+def test_the_eta_star_interval_is_computed_once_per_command(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return eta_star_range(*args)
+
+    wrapped = [name for name, module in sorted(sys.modules.items())
+               if name.split(".")[0] == "detcert" and vars(module).get("eta_star_range") is eta_star_range]
+    for name in wrapped:
+        monkeypatch.setattr(sys.modules[name], "eta_star_range", counted)
+    assert {"detcert.report", "detcert.squashing"} <= set(wrapped)
+    passive, active = (load_descriptor(ROOT / "descriptors" / f"{name}_bb84.json") for name in ("passive", "active"))
+    golden = next(case for case in CASES if (case.command, case.name) == ("weight", "passive_bb84"))
+    runs = {"analyze passive": (report.analyze, passive), "analyze active": (report.analyze, active),
+            "verify-channel passive": (report.verify_channel, passive),
+            "weight passive": (weight, descriptor_from_dict(golden.descriptor))}
+    for name, (command, desc) in runs.items():
+        calls.clear()
+        assert command(desc)[1] == EXIT_OK, name
+        assert len(calls) == 1, name
 
 
 def _write_descriptor(tmp_path, data):
